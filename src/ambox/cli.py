@@ -44,7 +44,13 @@ from .model import HUMIDITY, PRESSURE, TEMPERATURE
 from .mote import MoteAgent
 from .node import NodeAgent
 from .runtime import RealRuntime
-from .sensors import MOTE_SENSOR_SPECS, NODE_SENSOR_SPECS, SensorSpec, SyntheticAmbient
+from .sensors import (
+    MOTE_SENSOR_SPECS,
+    NODE_SENSOR_SPECS,
+    SensorSpec,
+    SyntheticAmbient,
+    merged_spec,
+)
 from .storage import CorruptConfig
 from .transport.tcp import (
     FrameServer,
@@ -169,25 +175,6 @@ def device_keypair(config: ProcessConfig):
 
 def write_port_file(config: ProcessConfig, port: int) -> None:
     (config.data_dir / f"{config.role}.port").write_text(str(port))
-
-
-def merged_spec(quantity: str, defaults: dict[str, SensorSpec],
-                overrides: dict) -> Optional[SensorSpec]:
-    base = defaults.get(quantity)
-    if base is None and not overrides:
-        return None
-    base = base or SensorSpec(quantity, -1e9, 1e9, accuracy=0.0)
-    return SensorSpec(
-        quantity=quantity,
-        range_min=float(overrides.get("range_min", base.range_min)),
-        range_max=float(overrides.get("range_max", base.range_max)),
-        accuracy=float(overrides.get("accuracy", base.accuracy)),
-        noise_amplitude=float(overrides["noise_amplitude"])
-        if "noise_amplitude" in overrides else base.noise_amplitude,
-        bias_constant=float(overrides.get("bias_constant", base.bias_constant)),
-        bias_load_coefficient=float(
-            overrides.get("bias_load_coefficient", base.bias_load_coefficient)),
-    )
 
 
 def synthetic_factory(config: ProcessConfig, defaults: dict[str, SensorSpec]):

@@ -201,22 +201,6 @@ def sign_reading_envelope(keypair: KeyPair, reading: SensorReading) -> SignedEnv
     return SignedEnvelope(payload=payload, signature=signature, signer=keypair.device_id)
 
 
-def sign_reading(keypair: KeyPair, reading: SensorReading) -> SensorReading:
-    """Attach the sampler's signature to a reading (mote data path)."""
-    if keypair.device_id != reading.source_device:
-        raise KeyMismatch(
-            f"key belongs to {keypair.device_id!r} but reading is from {reading.source_device!r}"
-        )
-    signature = keypair.private_key.sign(canonicalize_reading(reading), _PADDING, _DIGEST)
-    return SensorReading(
-        quantity=reading.quantity,
-        value=reading.value,
-        sampled_at=reading.sampled_at,
-        source_device=reading.source_device,
-        signature_b64=base64.b64encode(signature).decode("ascii"),
-    )
-
-
 def verify_bytes(public_key: Union[RSAPublicKey, str, bytes], payload: bytes, signature: bytes) -> bool:
     key = public_key if isinstance(public_key, RSAPublicKey) else load_public_key(public_key)
     try:

@@ -83,6 +83,8 @@ class OperatorCore:
         self._lock = threading.Lock()
         self._devices: dict[str, DeviceView] = {}
         self._timeouts: dict[str, int] = {}
+        # Accepted heartbeats in arrival order; the fleet view is replayed
+        # from it.
         self.heartbeat_log: list[HeartbeatMessage] = []
         self.stats = FleetStats()
 

@@ -6,7 +6,7 @@ machine-readable report. Same scenario + same seed = byte-identical report.
 """
 
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_path
-from .world import ScenarioWorld, run_scenario, rtt_benchmark, tamper_probe, transport_case_study
+from .world import ScenarioWorld, run_scenario, rtt_benchmark, tamper_probe
 
 __all__ = [
     "Scenario",
@@ -17,5 +17,4 @@ __all__ = [
     "run_scenario",
     "rtt_benchmark",
     "tamper_probe",
-    "transport_case_study",
 ]

@@ -1,7 +1,12 @@
 """Named scenario checks. Each check inspects the finished world and returns
 a pass/fail with a human-readable detail line. Scenario files reference
 checks by name; the harness always appends the conservation and submission
-accounting checks."""
+accounting checks.
+
+Checks read commits from the ledger's chain and world state
+(`world.commits()`, `world.ledger`), what nodes sent and were told from the
+world's `LedgerRecorder` (`world.recorder`), samples from `world.metrics`,
+and what is still in flight from the device journals."""
 
 from __future__ import annotations
 
@@ -54,8 +59,7 @@ def check_no_ledger_duplicates(world, params: dict) -> CheckResult:
     committed = _committed_key_counter(world)
     dup_keys = {k: c for k, c in committed.items() if c > 1}
     reports = world.ledger.all_reports()
-    fresh_commits = [v for v in world.ledger.verdict_log
-                     if v["status"] == "committed" and not v.get("replay")]
+    fresh_commits = world.commits()
     ok = not dup_keys and len(fresh_commits) == len(reports)
     return CheckResult(
         "no_ledger_duplicates",
@@ -68,13 +72,8 @@ def check_no_ledger_duplicates(world, params: dict) -> CheckResult:
 def check_commit_order_nondecreasing(world, params: dict) -> CheckResult:
     last: dict[str, int] = {}
     violations = 0
-    for verdict in world.ledger.verdict_log:
-        if verdict["status"] != "committed" or verdict.get("replay"):
-            continue
-        signer = verdict.get("signer")
-        created = verdict.get("created_at")
-        if signer is None or created is None:
-            continue
+    for _t, report in world.commits():
+        signer, created = report.device_id, report.created_at
         if signer in last and created < last[signer]:
             violations += 1
         last[signer] = created
@@ -88,24 +87,24 @@ def check_backlog_drained_within(world, params: dict) -> CheckResult:
     job = world.scenario.job or {}
     interval = int(job.get("report_interval_ms", 300_000))
     budget = budget_intervals * interval
-    commit_at = {}
-    for event in world.metrics.verdict_events:
-        if event["status"] == "committed" and event["report_id"] not in commit_at:
-            commit_at[event["report_id"]] = event["t"]
+    commit_at: dict[str, int] = {}
+    for t, report_id, verdict in world.recorder.told():
+        if verdict.status == "committed":
+            commit_at.setdefault(report_id, t)
     restorations = [
         world.t0 + w.end_ms
         for w in world.scenario.faults.windows()
         if w.link == link and w.mode == MODE_DOWN
     ]
     late = []
-    for pack in world.metrics.packs:
-        committed = commit_at.get(pack["report_id"])
+    for report in world.recorder.submitted().values():
+        committed = commit_at.get(report.report_id)
         if committed is None:
-            late.append((pack["report_id"], "never"))
+            late.append((report.report_id, "never"))
             continue
         for restore in restorations:
-            if pack["created_at"] <= restore and committed > restore + budget:
-                late.append((pack["report_id"], committed - restore))
+            if report.created_at <= restore and committed > restore + budget:
+                late.append((report.report_id, committed - restore))
     return CheckResult(
         "backlog_drained_within",
         not late,
@@ -163,9 +162,8 @@ def check_committed_reports(world, params: dict) -> CheckResult:
 
 def check_all_commits_after(world, params: dict) -> CheckResult:
     threshold = world.t0 + _dur(params, "offset")
-    commits = [v for v in world.ledger.verdict_log
-               if v["status"] == "committed" and not v.get("replay")]
-    early = [v for v in commits if v["t"] < threshold]
+    commits = world.commits()
+    early = [t for t, _report in commits if t < threshold]
     return CheckResult("all_commits_after", bool(commits) and not early,
                        f"commits={len(commits)} early={len(early)}")
 
@@ -197,11 +195,8 @@ def check_conservation(world, params: dict) -> CheckResult:
     sampled = sum(world.metrics.sample_keys().values())
     committed = len(world.committed_readings())
     buffered = world.buffered_reading_count()
-    rejected_readings = sum(
-        v.get("n_readings", 0) for v in world.ledger.verdict_log if v["status"] == "rejected"
-    )
-    # Rejected envelopes whose payload never parsed contribute unknown
-    # reading counts; those scenarios assert rejection counts separately.
+    submitted = world.recorder.submitted()
+    rejected_readings = sum(submitted[r].n_readings for r in world.recorder.rejected())
     balance = committed + rejected_readings + buffered
     ok = sampled == balance
     return CheckResult(
@@ -212,9 +207,9 @@ def check_conservation(world, params: dict) -> CheckResult:
 
 
 def check_submission_accounting(world, params: dict) -> CheckResult:
-    submitted = len({p["report_id"] for p in world.metrics.packs})
+    submitted = len(world.recorder.submitted())
     committed = len(world.ledger.all_reports())
-    rejected = sum(1 for v in world.ledger.verdict_log if v["status"] == "rejected")
+    rejected = len(world.recorder.rejected())
     in_flight = submitted - committed - rejected
     ok = in_flight >= 0
     return CheckResult(

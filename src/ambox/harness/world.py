@@ -6,6 +6,18 @@ one data directory so a world can be torn down and resumed (crash testing,
 tamper probes). The standard director reproduces the experiment shape:
 commission, start monitoring, run the span, stop, wait for the drain.
 
+Where the checks and the report get their facts, none of them from hooks
+inside the agents or the ledger:
+- commits, their order and their times: the ledger's hash chain
+  (`Ledger.blocks`) and its world state;
+- what each node sent and what it was told (rejections, replays, reasons,
+  when it learned of a commit): a `LedgerRecorder` around each node's
+  ledger request client;
+- what was sampled: a `RecordingDriver` around each sensor driver;
+- what is still in flight: the nodes' journals and windows and the motes'
+  buffers;
+- traffic: the simulated network's message log.
+
 Determinism: everything observable in the report is a function of
 (scenario, seed). Key material is freshly generated (signatures differ run
 to run) and therefore never enters the report or the message log digest.
@@ -29,10 +41,10 @@ from .. import canonical
 from ..envelope import generate_keypair, load_private_key, save_private_key
 from ..fleet import CommissionPlan, OperatorCore, commission, start_monitoring, stop_monitoring
 from ..http_api import ShimHttpClient, shim_server_handler
-from ..ledger import Ledger, LedgerClient, LedgerService
-from ..model import DeviceIdentity, DeviceKind
+from ..ledger import OP_ADD_EVENTS, Ledger, LedgerClient, LedgerService, Verdict
+from ..model import DeviceIdentity, DeviceKind, EventReport
 from ..mote import MoteAgent
-from ..node import NodeAgent, NodeProbe
+from ..node import NodeAgent
 from ..runtime import SimRuntime, TaskCancelled
 from ..sensors import (
     MOTE_SENSOR_SPECS,
@@ -41,12 +53,13 @@ from ..sensors import (
     SensorSpec,
     SimulatedSensor,
     load_trace,
+    merged_spec,
 )
 from ..transport.sim import SimNetwork, echo_handler
-from ..transport import LinkDown, RequestTimeout
+from ..transport import LinkDown, RequestClient, RequestTimeout
 from ..transport.faults import MODE_DOWN, MODE_LATENCY, FaultSchedule, FaultWindow
 from .checks import CHECKS, CheckResult
-from .scenario import LinkSpec, Scenario, ScenarioError, load_scenario, scenario_path
+from .scenario import LinkSpec, Scenario, ScenarioError
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +72,9 @@ def _derive_seed(*parts: Any) -> int:
 
 
 class RecordingDriver:
-    """Wraps a sensor driver and tallies every accepted read for the metrics."""
+    """Wraps a sensor driver and tallies every accepted read for the metrics.
+
+    bench/fleet_sim.py reads the tallies (`Metrics.samples`) as well."""
 
     def __init__(self, inner: SimulatedSensor, device_id: str, sink: list[dict]) -> None:
         self._inner = inner
@@ -87,11 +102,103 @@ class RecordingDriver:
 @dataclass
 class Metrics:
     samples: list[dict] = field(default_factory=list)
-    packs: list[dict] = field(default_factory=list)
-    verdict_events: list[dict] = field(default_factory=list)
 
     def sample_keys(self) -> Counter:
         return Counter((s["device"], s["quantity"], s["t"]) for s in self.samples)
+
+
+@dataclass(frozen=True)
+class SubmittedReport:
+    report_id: str
+    created_at: int
+    n_readings: int
+
+
+class LedgerRecorder:
+    """What every node sent to the ledger and what it was told.
+
+    One recorder serves the whole world, so it spans node restarts; `wrap`
+    puts it around a node's ledger request client. Each exchange is recorded
+    before it is sent, so a request refused at the device still counts its
+    reports as submitted. Envelopes are decoded only when a query runs, and
+    the decoded view is kept until the next exchange changes it.
+    """
+
+    def __init__(self, clock: Callable[[], int]) -> None:
+        self._clock = clock
+        # [request, answered_at, response]; the answer fields stay None when
+        # the node was told nothing.
+        self._exchanges: list[list] = []
+        self._submitted: dict[str, SubmittedReport] = {}
+        self._told: list[tuple[int, str, Verdict]] = []
+        self._decoded = True
+
+    def wrap(self, inner: RequestClient) -> RequestClient:
+        return _RecordedRequester(inner, self)
+
+    def _send(self, inner: RequestClient, dest: str, payload: bytes, timeout_ms: int,
+              label: str) -> bytes:
+        exchange = [payload, None, None]
+        self._exchanges.append(exchange)
+        self._decoded = False
+        response = inner.request(dest, payload, timeout_ms, label)
+        exchange[1:] = [self._clock(), response]
+        self._decoded = False
+        return response
+
+    def submitted(self) -> dict[str, SubmittedReport]:
+        """Every report a node tried to submit, by id, in first-attempt order."""
+        self._decode()
+        return self._submitted
+
+    def told(self) -> list[tuple[int, str, Verdict]]:
+        """(time, report id, verdict) for each verdict a node received, in order."""
+        self._decode()
+        return self._told
+
+    def rejected(self) -> dict[str, Verdict]:
+        """Rejected reports by id, each with the first rejection its node was
+        told of; a report whose node was told twice counts once."""
+        out: dict[str, Verdict] = {}
+        for _t, report_id, verdict in self.told():
+            if verdict.status == "rejected":
+                out.setdefault(report_id, verdict)
+        return out
+
+    def _decode(self) -> None:
+        if self._decoded:
+            return
+        submitted: dict[str, SubmittedReport] = {}
+        told: list[tuple[int, str, Verdict]] = []
+        by_payload: dict[str, SubmittedReport] = {}
+        for request, answered_at, response in self._exchanges:
+            obj = json.loads(request)
+            if obj.get("op") != OP_ADD_EVENTS:
+                continue
+            reports = []
+            for wire in obj["args"]["envelopes"]:
+                report = by_payload.get(wire["payload_b64"])
+                if report is None:
+                    body = canonical.loads(base64.b64decode(wire["payload_b64"]))
+                    report = by_payload[wire["payload_b64"]] = SubmittedReport(
+                        body["report_id"], canonical.parse_millis(body["created_at"]),
+                        len(body["readings"]))
+                submitted.setdefault(report.report_id, report)
+                reports.append(report)
+            answer = json.loads(response) if response is not None else {}
+            if answer.get("ok"):
+                for report, verdict in zip(reports, answer["result"]["verdicts"]):
+                    told.append((answered_at, report.report_id, Verdict.from_obj(verdict)))
+        self._submitted, self._told, self._decoded = submitted, told, True
+
+
+class _RecordedRequester(RequestClient):
+    def __init__(self, inner: RequestClient, recorder: LedgerRecorder) -> None:
+        self._inner = inner
+        self._recorder = recorder
+
+    def request(self, dest: str, payload: bytes, timeout_ms: int, label: str = "") -> bytes:
+        return self._recorder._send(self._inner, dest, payload, timeout_ms, label)
 
 
 @dataclass
@@ -175,6 +282,7 @@ class ScenarioWorld:
         self.t0 = self.runtime.now_ms()
         self.network = SimNetwork(self.runtime, scenario.faults, start_ms=self.t0)
         self.metrics = Metrics()
+        self.recorder = LedgerRecorder(self.runtime.now_ms)
         self.nodes: dict[str, NodeAgent] = {}
         self.motes: dict[str, MoteAgent] = {}
         self.keys: dict[str, Any] = {}
@@ -241,32 +349,9 @@ class ScenarioWorld:
         save_private_key(key_path, keypair)
         return keypair
 
-    def _sensor_specs_for(self, device: "DeviceSpec", defaults: dict[str, SensorSpec]):
-        def factory_spec(quantity: str) -> Optional[SensorSpec]:
-            overrides = device.sensors.get(quantity, {})
-            base = defaults.get(quantity)
-            if base is None and not overrides:
-                return None
-            base = base or SensorSpec(quantity, -1e9, 1e9, accuracy=0.0)
-            return SensorSpec(
-                quantity=quantity,
-                range_min=float(overrides.get("range_min", base.range_min)),
-                range_max=float(overrides.get("range_max", base.range_max)),
-                accuracy=float(overrides.get("accuracy", base.accuracy)),
-                noise_amplitude=float(overrides["noise_amplitude"])
-                if "noise_amplitude" in overrides else base.noise_amplitude,
-                bias_constant=float(overrides.get("bias_constant", base.bias_constant)),
-                bias_load_coefficient=float(
-                    overrides.get("bias_load_coefficient", base.bias_load_coefficient)
-                ),
-            )
-        return factory_spec
-
     def _driver_factory(self, device: "DeviceSpec", defaults: dict[str, SensorSpec]):
-        spec_for = self._sensor_specs_for(device, defaults)
-
         def factory(quantity: str, params: dict):
-            spec = spec_for(quantity)
+            spec = merged_spec(quantity, defaults, device.sensors.get(quantity, {}))
             if spec is None or self._trace is None:
                 return None
             if spec.quantity not in self._trace.series:
@@ -282,32 +367,16 @@ class ScenarioWorld:
         return factory
 
     def _build_node(self, device, directory: Path, keypair, paired_motes: tuple[str, ...]):
-        probe = NodeProbe(
-            on_pack=lambda report: self.metrics.packs.append({
-                "device": report.device_id,
-                "report_id": report.report_id,
-                "created_at": report.created_at,
-                "n_readings": len(report.readings),
-            }),
-            on_verdict=lambda verdict, envelope: self.metrics.verdict_events.append({
-                "t": self.runtime.now_ms(),
-                "report_id": verdict.report_id,
-                "status": verdict.status,
-                "reason": verdict.reason,
-                "replay": verdict.replay,
-            }),
-        )
         agent = NodeAgent(
             keypair,
             directory,
             self.runtime,
             heartbeat_caller=ShimHttpClient(self.network.client(device.device_id)),
-            ledger_requester=self.network.client(device.device_id),
+            ledger_requester=self.recorder.wrap(self.network.client(device.device_id)),
             make_dest=lambda address, port: address,
             sensor_factory=self._driver_factory(device, NODE_SENSOR_SPECS),
             central=self.network.central(device.device_id, set(paired_motes)),
             allowed_motes=paired_motes,
-            probe=probe,
             crash_hook=self.crash_hook,
         )
         self.network.register_server(device.device_id, shim_server_handler(agent.router))
@@ -437,6 +506,16 @@ class ScenarioWorld:
                             reading.value, reading.signature_b64, report.device_id))
         return out
 
+    def commits(self) -> list[tuple[int, EventReport]]:
+        """(commit time, report) for every report on the ledger's chain, in
+        commit order."""
+        return [
+            (block.committed_at,
+             EventReport.from_obj(canonical.loads(base64.b64decode(tx["payload_b64"]))))
+            for block in self.ledger.blocks()
+            for tx in block.transactions
+        ]
+
     def buffered_reading_count(self) -> int:
         total = 0
         for node in self.nodes.values():
@@ -474,8 +553,6 @@ class ScenarioWorld:
     def report(self, latency: Optional[dict] = None) -> ScenarioReport:
         committed = self.committed_readings()
         committed_reports = self.ledger.all_reports()
-        rejected = [v for v in self.ledger.verdict_log if v["status"] == "rejected"]
-        replays = [v for v in self.ledger.verdict_log if v.get("replay")]
         per_device: dict[str, dict[str, int]] = {}
         for sample in self.metrics.samples:
             d = per_device.setdefault(sample["device"], {"sampled": 0, "committed": 0})
@@ -487,9 +564,9 @@ class ScenarioWorld:
             "sampled": len(self.metrics.samples),
             "committed_readings": len(committed),
             "committed_reports": len(committed_reports),
-            "rejected_reports": len(rejected),
-            "replays": len(replays),
-            "submitted_reports": len({p["report_id"] for p in self.metrics.packs}),
+            "rejected_reports": len(self.recorder.rejected()),
+            "replays": sum(1 for _t, _r, v in self.recorder.told() if v.replay),
+            "submitted_reports": len(self.recorder.submitted()),
             "buffered_at_end": self.buffered_reading_count(),
             "duplicates_suppressed": sum(
                 n.stats["mote_duplicates"] for n in self.nodes.values()
@@ -500,10 +577,12 @@ class ScenarioWorld:
             counts["submitted_reports"] - counts["committed_reports"] - counts["rejected_reports"]
         )
         # Energy is out of reach without hardware; message and byte totals
-        # stand in as the communication-cost accounting.
+        # stand in as the communication-cost accounting. They count what left
+        # the device: a request refused at send time (link down, or no server
+        # at the address) never did.
         for entry in self.network.message_log:
             kind = entry.get("kind")
-            if kind == "request":
+            if kind == "request" and entry["outcome"] not in ("link-down", "refused"):
                 counts["wide_area_messages"] = counts.get("wide_area_messages", 0) + 1
                 counts["wide_area_bytes"] = (
                     counts.get("wide_area_bytes", 0)
@@ -650,8 +729,7 @@ def tamper_probe(scenario: Scenario, seed: int, mutate_count: Optional[int] = No
         report.name = f"{scenario.name}:tamper"
         rejected = report.counts["rejected_reports"]
         committed = report.counts["committed_reports"]
-        reasons = {v.get("reason") for v in phase_b.ledger.verdict_log
-                   if v["status"] == "rejected"}
+        reasons = {v.reason for v in phase_b.recorder.rejected().values()}
         report.counts["mutated"] = mutated
         report.counts["submitted_reports"] = buffered_total
         report.counts["in_flight_reports"] = buffered_total - committed - rejected
@@ -737,11 +815,3 @@ def rtt_benchmark(n: int, injected_latency_ms: int, seed: int = 0,
     world.teardown()
     world.cleanup_dirs()
     return report
-
-
-def transport_case_study(seed: int = 0,
-                         pacing_override: Optional[float] = None) -> ScenarioReport:
-    """The long-ride scenario: offline for most of a 4-hour span, then a
-    final connectivity window that must absorb the whole backlog."""
-    scenario = load_scenario(scenario_path("bus_trip"))
-    return run_scenario(scenario, seed, pacing_override=pacing_override)

@@ -8,11 +8,17 @@ block; resubmitting a committed report id is an idempotent success (flagged
 as a replay) so at-least-once senders converge on exactly-once ledger state.
 
 Blocks live in an append-only file of canonical JSON lines. Each block stores
-the hash of its own core and the hash of its predecessor; `verify_chain`
-re-reads the file and recomputes everything, so any single flipped byte in
-the stored log is detected at exactly the height it damaged. World state is
-rebuilt by replaying the block log at startup, which doubles as the safety
+the hash of its own core and the hash of its predecessor. One walker,
+`_walk_blocks`, checks every block's height, `prev_hash` link and hash; replay
+at startup, `verify_chain` and `Ledger.blocks` all read the log through it,
+so any single flipped byte in the stored log is detected at exactly the
+height it damaged, and a log that does not link does not open. World state
+is rebuilt by replaying the block log at startup, which doubles as the safety
 check that state is a pure function of the log.
+
+The ledger keeps no record of its verdicts beyond the reply to each
+`AddEvents`: what was committed, in which order and when is the chain
+itself, read back through `blocks`.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from . import canonical
 from .envelope import (
@@ -60,7 +66,11 @@ class AlreadyRegistered(LedgerError):
 
 
 class CorruptLedger(LedgerError):
-    pass
+    """The stored ledger is unreadable; `height` names the first bad block."""
+
+    def __init__(self, message: str, height: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.height = height
 
 
 @dataclass(frozen=True)
@@ -146,7 +156,6 @@ class Ledger:
         self._replay_blocks()
         if self._height < 0:
             self._append_block((), genesis_at_ms)
-        self.verdict_log: list[dict[str, Any]] = []
 
     # -- persistence --------------------------------------------------------
 
@@ -174,13 +183,7 @@ class Ledger:
         if not self._blocks_path.exists():
             self._blocks_path.touch()
             return
-        for line_no, line in enumerate(self._blocks_path.read_bytes().splitlines()):
-            try:
-                block = _parse_block_line(line)
-            except CorruptLedger as exc:
-                raise CorruptLedger(f"block {line_no}: {exc}") from exc
-            if block.height != line_no:
-                raise CorruptLedger(f"block {line_no} has height {block.height}")
+        for block in _walk_blocks(self._blocks_path.read_bytes()):
             self._apply_block(block)
 
     def _apply_block(self, block: LedgerBlock) -> None:
@@ -234,53 +237,40 @@ class Ledger:
             accepted: list[dict] = []
             batch_ids: set[str] = set()
             for raw in envelopes:
-                verdict, report = self._judge(raw, batch_ids)
+                verdict = self._judge(raw, batch_ids)
                 verdicts.append(verdict)
                 if verdict.status == "committed" and not verdict.replay:
                     envelope = raw if isinstance(raw, dict) else raw.to_wire_obj()
                     accepted.append(envelope)
                     batch_ids.add(verdict.report_id or "")
-                entry = {"t": received_at, **verdict.to_obj()}
-                if report is not None:
-                    entry["signer"] = report.device_id
-                    entry["created_at"] = report.created_at
-                    entry["n_readings"] = len(report.readings)
-                self.verdict_log.append(entry)
             if accepted:
                 self._append_block(tuple(accepted), received_at)
             return verdicts
 
-    def _judge(self, raw: Any, batch_ids: set[str]) -> tuple[Verdict, Optional[EventReport]]:
+    def _judge(self, raw: Any, batch_ids: set[str]) -> Verdict:
         try:
             envelope = raw if isinstance(raw, SignedEnvelope) else SignedEnvelope.from_wire_obj(raw)
         except MalformedEnvelope:
-            return Verdict("rejected", reason=REASON_MALFORMED), None
+            return Verdict("rejected", reason=REASON_MALFORMED)
         pem = self._keys.get(envelope.signer)
         if pem is None:
-            return Verdict("rejected", reason=REASON_UNKNOWN_SIGNER), None
+            return Verdict("rejected", reason=REASON_UNKNOWN_SIGNER)
         try:
             if not verify(pem, envelope):
-                return Verdict("rejected", reason=REASON_BAD_SIGNATURE), None
+                return Verdict("rejected", reason=REASON_BAD_SIGNATURE)
         except (MalformedEnvelope, MalformedKey):
-            return Verdict("rejected", reason=REASON_MALFORMED), None
+            return Verdict("rejected", reason=REASON_MALFORMED)
         try:
             report = EventReport.from_obj(canonical.loads(envelope.payload))
         except (canonical.CanonicalError, ModelError):
-            return Verdict("rejected", reason=REASON_INVALID_REPORT), None
-        violations = validate_report(report)
-        if violations:
-            return (
-                Verdict("rejected", report_id=report.report_id, reason=REASON_INVALID_REPORT),
-                report,
-            )
+            return Verdict("rejected", reason=REASON_INVALID_REPORT)
+        if validate_report(report):
+            return Verdict("rejected", report_id=report.report_id, reason=REASON_INVALID_REPORT)
         if report.device_id != envelope.signer:
-            return (
-                Verdict("rejected", report_id=report.report_id, reason=REASON_BAD_SIGNATURE),
-                report,
-            )
+            return Verdict("rejected", report_id=report.report_id, reason=REASON_BAD_SIGNATURE)
         if report.report_id in self._reports or report.report_id in batch_ids:
-            return Verdict("committed", report_id=report.report_id, replay=True), report
-        return Verdict("committed", report_id=report.report_id), report
+            return Verdict("committed", report_id=report.report_id, replay=True)
+        return Verdict("committed", report_id=report.report_id)
 
     def get_event(self, report_id: str) -> Optional[EventReport]:
         with self._lock:
@@ -316,6 +306,11 @@ class Ledger:
         with self._lock:
             return self._height
 
+    def blocks(self) -> list[LedgerBlock]:
+        """The stored chain in commit order, checked as replay checks it."""
+        with self._lock:
+            return list(_walk_blocks(self._blocks_path.read_bytes()))
+
     def verify_chain(self) -> Optional[int]:
         """None when intact; otherwise the height of the first broken block."""
         with self._lock:
@@ -323,20 +318,14 @@ class Ledger:
                 raw = self._blocks_path.read_bytes()
             except OSError:
                 return 0
-            prev_hash = ZERO_HASH
-            lines = raw.splitlines()
-            if not lines:
-                return 0
-            for height, line in enumerate(lines):
-                try:
-                    block = _parse_block_line(line)
-                except CorruptLedger:
-                    return height
-                if block.height != height or block.prev_hash != prev_hash:
-                    return height
-                prev_hash = block.block_hash
-            return None
+            try:
+                walked = sum(1 for _ in _walk_blocks(raw))
+            except CorruptLedger as exc:
+                return exc.height
+            return None if walked else 0
 
+    # Tests compare these two as the oracle that state is a pure function of
+    # the block log.
     def world_state_bytes(self) -> bytes:
         """Canonical serialization of the whole world state."""
         with self._lock:
@@ -358,6 +347,27 @@ class Ledger:
     def replayed_world_state(cls, directory: str | Path) -> bytes:
         """Rebuild state from the on-disk log alone and serialize it."""
         return cls(directory).world_state_bytes()
+
+
+def _walk_blocks(raw: bytes) -> Iterator[LedgerBlock]:
+    """Yield the blocks of a stored block log in order.
+
+    Each line must parse, carry its line number as height, link to the
+    previous block's hash and hash to its stored `block_hash`. The first that
+    does not raises CorruptLedger carrying its height.
+    """
+    prev_hash = ZERO_HASH
+    for height, line in enumerate(raw.splitlines()):
+        try:
+            block = _parse_block_line(line)
+        except CorruptLedger as exc:
+            raise CorruptLedger(f"block {height}: {exc}", height) from exc
+        if block.height != height:
+            raise CorruptLedger(f"block {height} has height {block.height}", height)
+        if block.prev_hash != prev_hash:
+            raise CorruptLedger(f"block {height} does not link to block {height - 1}", height)
+        prev_hash = block.block_hash
+        yield block
 
 
 def _parse_block_line(line: bytes) -> LedgerBlock:

@@ -16,39 +16,11 @@ from typing import Any, Iterable, Optional
 
 from . import canonical
 
-# Built-in measured quantities and their units. Deployments may declare
-# further quantities (a GPS fix, gas concentration, ...) through
-# register_quantity; the three below are always present.
+# The quantities the reference hardware measures. Reports may carry any
+# quantity name; these three are the ones the sensor presets know.
 TEMPERATURE = "temperature"
 HUMIDITY = "humidity"
 PRESSURE = "pressure"
-
-_QUANTITY_UNITS: dict[str, str] = {
-    TEMPERATURE: "degC",
-    HUMIDITY: "pct_rh",
-    PRESSURE: "hPa",
-}
-
-
-def register_quantity(name: str, unit: str) -> None:
-    """Declare a custom quantity. Re-registration with the same unit is a no-op."""
-    if not name or not isinstance(name, str):
-        raise ValueError("quantity name must be a non-empty string")
-    existing = _QUANTITY_UNITS.get(name)
-    if existing is not None and existing != unit:
-        raise ValueError(f"quantity {name!r} already registered with unit {existing!r}")
-    _QUANTITY_UNITS[name] = unit
-
-
-def quantity_unit(name: str) -> str:
-    try:
-        return _QUANTITY_UNITS[name]
-    except KeyError:
-        raise KeyError(f"unknown quantity {name!r}; register it first") from None
-
-
-def known_quantities() -> tuple[str, ...]:
-    return tuple(_QUANTITY_UNITS)
 
 
 class DeviceKind(str, Enum):
@@ -300,19 +272,6 @@ class MonitoringJob:
 
 
 @dataclass(frozen=True)
-class DeviceStateRecord:
-    """Current lifecycle state plus the job that justifies it."""
-
-    state: NodeState
-    since: int
-    job: Optional[MonitoringJob] = None
-
-    def __post_init__(self) -> None:
-        if (self.state is NodeState.MONITORING) != (self.job is not None):
-            raise ModelError("job is present iff state is monitoring")
-
-
-@dataclass(frozen=True)
 class HeartbeatMessage:
     """Periodic liveness/status beat; sequence survives restarts."""
 
@@ -384,9 +343,6 @@ __all__ = [
     "TEMPERATURE",
     "HUMIDITY",
     "PRESSURE",
-    "register_quantity",
-    "quantity_unit",
-    "known_quantities",
     "DeviceKind",
     "NodeState",
     "legal_transition",
@@ -397,6 +353,5 @@ __all__ = [
     "validate_report",
     "new_report_id",
     "MonitoringJob",
-    "DeviceStateRecord",
     "HeartbeatMessage",
 ]

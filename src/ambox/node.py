@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from . import canonical
-from .envelope import KeyPair, SignedEnvelope, sign
-from .ledger import LedgerClient, Verdict
+from .envelope import KeyPair, sign
+from .ledger import LedgerClient
 from .model import (
     DeviceKind,
     EventReport,
@@ -79,15 +79,6 @@ def invalid_argument(detail: str) -> ControlError:
 
 
 @dataclass
-class NodeProbe:
-    """Optional harness instrumentation; all callbacks may be None."""
-
-    on_sample: Optional[Callable[[SensorReading], None]] = None
-    on_pack: Optional[Callable[[EventReport], None]] = None
-    on_verdict: Optional[Callable[[Verdict, SignedEnvelope], None]] = None
-
-
-@dataclass
 class _WindowItem:
     reading: SensorReading
     mote_id: Optional[str] = None
@@ -107,7 +98,6 @@ class NodeAgent:
         sensor_factory: Callable[[str, dict], Any],
         central: Optional[CentralPort] = None,
         allowed_motes: tuple[str, ...] = (),
-        probe: Optional[NodeProbe] = None,
         crash_hook: Optional[Callable[[str], None]] = None,
         on_shutdown: Optional[Callable[[], None]] = None,
         buffer_cap: int = 1_000_000,
@@ -124,7 +114,6 @@ class NodeAgent:
         self.sensor_factory = sensor_factory
         self.central = central
         self.allowed_motes = tuple(allowed_motes)
-        self.probe = probe or NodeProbe()
         self.crash_hook = crash_hook or (lambda point: None)
         self.on_shutdown = on_shutdown
         self.retry_interval_ms = retry_interval_ms
@@ -256,12 +245,8 @@ class NodeAgent:
         current = self.config.state
         if not legal_transition(current, target):
             raise illegal_state(f"illegal-transition:{current.value}->{target.value}")
-        now = self.runtime.now_ms()
         with self._config_lock:
-            transitions = self.config.transitions + ((current.value, target.value, now),)
-            self.config = replace(
-                self.config, state=target, since=now, job=job, transitions=transitions
-            )
+            self.config = replace(self.config, state=target, job=job)
             self.config_store.save(self.config)
 
     def _control_init(self, body: dict) -> None:
@@ -421,8 +406,6 @@ class NodeAgent:
             with self._window_lock:
                 self._window.append(_WindowItem(reading))
             self.stats["samples"] += 1
-            if self.probe.on_sample:
-                self.probe.on_sample(reading)
 
     # -- packing and submission ---------------------------------------------------------
 
@@ -481,8 +464,6 @@ class NodeAgent:
         for mote_id, upto in ack_high.items():
             self._mote_ack_floor[mote_id] = max(self._mote_ack_floor.get(mote_id, 0), upto)
             self._send_ack(mote_id, upto)
-        if self.probe.on_pack:
-            self.probe.on_pack(report)
 
     def _send_ack(self, mote_id: str, upto: int) -> None:
         session = self._sessions.get(mote_id)
@@ -544,15 +525,13 @@ class NodeAgent:
                     return
                 self.crash_hook("post_submit")
                 self.stats["consecutive_submit_failures"] = 0
-                for verdict, envelope in zip(verdicts, envelopes):
+                for verdict in verdicts:
                     if verdict.status == "committed":
                         self.stats["replays" if verdict.replay else "committed"] += 1
                     else:
                         self.stats["rejected"] += 1
                         logger.warning("%s: ledger rejected %s (%s)", self.device_id,
                                        verdict.report_id, verdict.reason)
-                    if self.probe.on_verdict:
-                        self.probe.on_verdict(verdict, envelope)
                 # Rejections are final (signature or validity); keeping them
                 # queued would wedge everything behind them.
                 self.buffer.ack(ids)

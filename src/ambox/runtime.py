@@ -178,9 +178,6 @@ class SimScheduler:
     def current_task(self) -> Optional[_SimTask]:
         return self._current
 
-    def live_tasks(self) -> list[_SimTask]:
-        return [t for t in self._tasks if t.alive]
-
     # -- task-side primitives (called from inside activity threads) ---------
 
     def park(self, wake_at_ms: Optional[int]) -> None:

@@ -63,6 +63,30 @@ MOTE_SENSOR_SPECS: dict[str, SensorSpec] = {
     HUMIDITY: SensorSpec(HUMIDITY, 20.0, 90.0, accuracy=5.0),
 }
 
+def merged_spec(quantity: str, defaults: dict[str, SensorSpec],
+                overrides: dict) -> Optional[SensorSpec]:
+    """The preset for `quantity` with a device's per-field overrides applied.
+
+    A quantity with no preset takes the overrides over an unbounded,
+    noiseless spec; one with neither preset nor overrides has no sensor.
+    """
+    base = defaults.get(quantity)
+    if base is None and not overrides:
+        return None
+    base = base or SensorSpec(quantity, -1e9, 1e9, accuracy=0.0)
+    return SensorSpec(
+        quantity=quantity,
+        range_min=float(overrides.get("range_min", base.range_min)),
+        range_max=float(overrides.get("range_max", base.range_max)),
+        accuracy=float(overrides.get("accuracy", base.accuracy)),
+        noise_amplitude=float(overrides["noise_amplitude"])
+        if "noise_amplitude" in overrides else base.noise_amplitude,
+        bias_constant=float(overrides.get("bias_constant", base.bias_constant)),
+        bias_load_coefficient=float(
+            overrides.get("bias_load_coefficient", base.bias_load_coefficient)),
+    )
+
+
 _TRACE_COLUMNS = {"temp_c": TEMPERATURE, "hum_pct": HUMIDITY, "press_hpa": PRESSURE}
 
 

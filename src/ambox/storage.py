@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Iterable, Optional
 
 from .envelope import MalformedEnvelope, SignedEnvelope
-from .model import DeviceStateRecord, ModelError, MonitoringJob, NodeState
+from .model import ModelError, MonitoringJob, NodeState
 
 logger = logging.getLogger(__name__)
 
@@ -296,30 +296,25 @@ class PersistedConfig:
     """Everything a device needs to restore its pre-crash behavior exactly."""
 
     state: NodeState = NodeState.IDLE
-    since: int = 0
     job: Optional[MonitoringJob] = None
     heartbeat: Optional[HeartbeatTarget] = None
     ledger: Optional[LedgerTarget] = None
     heartbeat_sequence: int = 0
-    transitions: tuple[tuple[str, str, int], ...] = ()
-
-    def state_record(self) -> DeviceStateRecord:
-        return DeviceStateRecord(state=self.state, since=self.since, job=self.job)
 
     def to_obj(self) -> dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,
             "state": self.state.value,
-            "since": self.since,
             "job": self.job.to_obj() if self.job else None,
             "heartbeat": self.heartbeat.to_obj() if self.heartbeat else None,
             "ledger": self.ledger.to_obj() if self.ledger else None,
             "heartbeat_sequence": self.heartbeat_sequence,
-            "transitions": [list(t) for t in self.transitions],
         }
 
     @classmethod
     def from_obj(cls, obj: Any) -> "PersistedConfig":
+        """Unknown fields are ignored, so older files that still carry
+        `since` and `transitions` load."""
         if not isinstance(obj, dict):
             raise CorruptConfig("config root must be an object")
         if obj.get("schema_version") != SCHEMA_VERSION:
@@ -329,17 +324,12 @@ class PersistedConfig:
             job = MonitoringJob.from_obj(obj["job"]) if obj.get("job") else None
             heartbeat = HeartbeatTarget.from_obj(obj["heartbeat"]) if obj.get("heartbeat") else None
             ledger = LedgerTarget.from_obj(obj["ledger"]) if obj.get("ledger") else None
-            transitions = tuple(
-                (str(a), str(b), int(t)) for a, b, t in obj.get("transitions", [])
-            )
             cfg = cls(
                 state=state,
-                since=int(obj["since"]),
                 job=job,
                 heartbeat=heartbeat,
                 ledger=ledger,
                 heartbeat_sequence=int(obj["heartbeat_sequence"]),
-                transitions=transitions,
             )
         except (KeyError, ValueError, TypeError, ModelError) as exc:
             raise CorruptConfig(f"config contents invalid: {exc}") from exc

@@ -12,7 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable
 
 
 class LinkClass(str, Enum):
@@ -121,7 +121,6 @@ def spawn_reconnect(
     peripheral_id: str,
     retry_interval_ms: int,
     on_session: Callable[[Session], None],
-    stats: Optional[dict] = None,
 ):
     """Background activity: keep a session alive, retrying while the link is down.
 
@@ -135,12 +134,8 @@ def spawn_reconnect(
             try:
                 session = central.connect(peripheral_id)
             except (Unreachable, Unauthorized):
-                if stats is not None:
-                    stats["retries"] = stats.get("retries", 0) + 1
                 runtime.sleep(retry_interval_ms)
                 continue
-            if stats is not None:
-                stats["sessions"] = stats.get("sessions", 0) + 1
             try:
                 on_session(session)
             finally:

@@ -7,10 +7,8 @@ latency only.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Iterable
+from typing import Iterable
 
 
 class FaultScheduleError(ValueError):
@@ -36,32 +34,6 @@ class FaultWindow:
             raise FaultScheduleError(f"window on {self.link!r} must have end > start")
         if self.mode == MODE_LATENCY and self.latency_ms <= 0:
             raise FaultScheduleError("latency windows need latency_ms > 0")
-
-    def to_obj(self) -> dict[str, Any]:
-        obj = {
-            "link": self.link,
-            "start_ms": self.start_ms,
-            "end_ms": self.end_ms,
-            "mode": self.mode,
-        }
-        if self.mode == MODE_LATENCY:
-            obj["latency_ms"] = self.latency_ms
-        return obj
-
-    @classmethod
-    def from_obj(cls, obj: Any) -> "FaultWindow":
-        if not isinstance(obj, dict):
-            raise FaultScheduleError("fault window must be an object")
-        try:
-            return cls(
-                link=str(obj["link"]),
-                start_ms=int(obj["start_ms"]),
-                end_ms=int(obj["end_ms"]),
-                mode=str(obj["mode"]),
-                latency_ms=int(obj.get("latency_ms", 0)),
-            )
-        except KeyError as exc:
-            raise FaultScheduleError(f"fault window missing {exc}") from exc
 
 
 class FaultSchedule:
@@ -99,23 +71,3 @@ class FaultSchedule:
             if w.mode == MODE_DOWN
         ]
         return sorted(events)
-
-    def to_obj(self) -> list[dict[str, Any]]:
-        return [w.to_obj() for w in self.windows()]
-
-    @classmethod
-    def from_obj(cls, obj: Any) -> "FaultSchedule":
-        if not isinstance(obj, list):
-            raise FaultScheduleError("fault schedule must be a JSON list")
-        return cls(FaultWindow.from_obj(w) for w in obj)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "FaultSchedule":
-        try:
-            obj = json.loads(Path(path).read_text("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FaultScheduleError(f"cannot read fault schedule {path}: {exc}") from exc
-        return cls.from_obj(obj)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_obj(), indent=2) + "\n", "utf-8")

@@ -64,6 +64,8 @@ class SimNetwork:
         self._servers: dict[str, Callable[[str, bytes], bytes]] = {}
         self._peripherals: dict[str, tuple[str, PeripheralDelegate]] = {}
         self._sessions: dict[str, "SimSession"] = {}
+        # Every exchange and connection attempt; the harness report's digest
+        # and traffic totals are computed from it.
         self.message_log: list[dict[str, Any]] = []
         self._watcher = None
 

@@ -193,7 +193,7 @@ def test_criterion_5_crash_safety():
     replay_disk = Ledger.replayed_world_state(world.data_root / "ledger")
     replay_ok = replay_live == replay_disk
     drained = world.buffers_empty()
-    replays = sum(1 for v in world.ledger.verdict_log if v.get("replay"))
+    replays = sum(1 for _t, _r, v in world.recorder.told() if v.replay)
     world.teardown()
     world.cleanup_dirs()
     ok = unique and replay_ok and drained and state["count"] == kills

@@ -13,7 +13,7 @@ from ambox.harness import (
 )
 from ambox.harness.scenario import DeviceSpec, LinkSpec, Scenario, scenario_from_obj
 from ambox.harness.world import mutate_report_obj, rtt_benchmark
-from ambox.transport.faults import MODE_DOWN, FaultSchedule, FaultWindow
+from ambox.transport.faults import MODE_DOWN, MODE_LATENCY, FaultSchedule, FaultWindow
 
 from conftest import make_report
 from simworld import JOB_BODY, TRACE, build_world, mini_scenario
@@ -191,3 +191,61 @@ def test_world_chain_verifies_after_any_scenario():
         world.data_root / "ledger")
     world.teardown()
     world.cleanup_dirs()
+
+
+def test_wide_area_totals_leave_out_requests_refused_at_send():
+    span = 20 * 60_000
+    down = FaultSchedule([FaultWindow("wifi", 0, 2 * span, MODE_DOWN)])
+    world = build_world(mini_scenario(faults=down, span_min=20))
+    world.run()
+    report = world.report()
+    log = [e for e in world.network.message_log if e["kind"] == "request"]
+    world.teardown()
+    world.cleanup_dirs()
+    # Every ledger submission was refused at the device; only the exchanges
+    # that completed (commissioning, heartbeats) moved any bytes.
+    refused = [e for e in log if e["outcome"] == "link-down"]
+    moved = [e for e in log if e["outcome"] == "ok"]
+    assert refused and len(moved) + len(refused) == len(log)
+    assert report.counts["wide_area_messages"] == len(moved)
+    assert report.counts["wide_area_bytes"] == sum(e["size"] + e["response_size"] for e in moved)
+
+
+def test_rejection_with_lost_response_counted_once():
+    # The first report goes out at 300.5 s over a 2 s link, is rejected, and
+    # the answer is lost when the link drops at 302 s; the node resubmits it
+    # after 360.5 s and is told again. The node was never registered, so the
+    # ledger rejects both reports as unknown-signer without parsing them.
+    faults = FaultSchedule([
+        FaultWindow("wifi", 0, 302_000, MODE_LATENCY, latency_ms=2_000),
+        FaultWindow("wifi", 302_000, 360_500, MODE_DOWN),
+    ])
+    world = build_world(mini_scenario(faults=faults))
+
+    def director():
+        caller = world.operator_caller()
+        caller.call("node1", "POST", "/configHeartbeat",
+                    {"ipaddr": "operator", "port": 1, "heartbeat_timeout_ms": 30_000})
+        caller.call("node1", "POST", "/configBlockchain",
+                    {"ipaddr": "ledger", "port": 1, "channel_name": "ambox",
+                     "chaincode_name": "events"})
+        caller.call("node1", "POST", "/init", {})
+        caller.call("node1", "POST", "/startMonitoring", JOB_BODY)
+        world.runtime.sleep(8 * 60_000)
+        caller.call("node1", "POST", "/stopMonitoring", {})
+        world.runtime.sleep(5 * 60_000)
+
+    world.run(director=director)
+    assert world.director_error is None
+    outcomes = [e["outcome"] for e in world.network.message_log
+                if e.get("label") == "ledger:AddEvents"]
+    report = world.report()
+    world.teardown()
+    world.cleanup_dirs()
+    assert outcomes[0] == "lost-response"
+    assert report.counts["submitted_reports"] == 2
+    assert report.counts["rejected_reports"] == 2
+    assert report.counts["in_flight_reports"] == 0
+    checks = {a.check: a for a in report.assertions}
+    assert checks["submission_accounting"].passed, checks["submission_accounting"].detail
+    assert checks["conservation"].passed, checks["conservation"].detail

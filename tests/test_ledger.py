@@ -7,7 +7,9 @@ from ambox import canonical
 from ambox.envelope import MalformedKey, SignedEnvelope, sign
 from ambox.ledger import (
     AlreadyRegistered,
+    CorruptLedger,
     Ledger,
+    LedgerBlock,
     LedgerClient,
     LedgerService,
     REASON_BAD_SIGNATURE,
@@ -211,6 +213,26 @@ def test_blocks_survive_restart(registered, node_key, tmp_path):
     assert reopened.height == registered.height
     assert reopened.world_state_bytes() == registered.world_state_bytes()
     assert reopened.verify_chain() is None
+
+
+def test_replay_refuses_a_block_that_does_not_link(registered, node_key, tmp_path):
+    for i in range(3):
+        envelope, _ = env_for(node_key, i)
+        registered.add_events([envelope], T0 + i)
+    assert registered.height == 3
+    # Block 2 points at a wrong predecessor but carries a recomputed,
+    # self-consistent hash: only the prev_hash link exposes it.
+    path = tmp_path / "ledger" / "blocks.journal"
+    lines = path.read_bytes().split(b"\n")
+    stored = canonical.loads(lines[2])
+    forged = LedgerBlock.build(2, "1" * 64, tuple(stored["transactions"]),
+                               canonical.parse_millis(stored["committed_at"]))
+    lines[2] = canonical.dumps(forged.to_obj())
+    path.write_bytes(b"\n".join(lines))
+    assert registered.verify_chain() == 2
+    with pytest.raises(CorruptLedger, match="block 2") as caught:
+        Ledger(tmp_path / "ledger")
+    assert caught.value.height == 2
 
 
 # -- wire service --------------------------------------------------------------

@@ -448,7 +448,7 @@ def test_crash_between_submit_and_ack_is_exactly_once():
         world.restart_node("node1")          # resumes monitoring; resubmits
         world.runtime.sleep(10 * 60_000)
         result["reports"] = [r.report_id for r in world.ledger.all_reports()]
-        result["replays"] = sum(1 for v in world.ledger.verdict_log if v.get("replay"))
+        result["replays"] = sum(1 for _t, _r, v in world.recorder.told() if v.replay)
 
     drive(world, director)
     world.teardown()

@@ -207,12 +207,10 @@ def full_config() -> PersistedConfig:
                         {"temperature": {"enabled": True}})
     return PersistedConfig(
         state=NodeState.MONITORING,
-        since=T0,
         job=job,
         heartbeat=HeartbeatTarget("operator", 1, 30_000),
         ledger=LedgerTarget("ledger", 1, "ambox", "events"),
         heartbeat_sequence=17,
-        transitions=(("idle", "heartbeat", T0 - 10), ("heartbeat", "monitoring", T0)),
     )
 
 
@@ -221,6 +219,15 @@ def test_config_roundtrip(tmp_path):
     config = full_config()
     store.save(config)
     assert store.load() == config
+
+
+def test_config_with_retired_fields_loads(tmp_path):
+    store = ConfigStore(tmp_path)
+    obj = full_config().to_obj()
+    obj["since"] = T0
+    obj["transitions"] = [["idle", "heartbeat", T0 - 10], ["heartbeat", "monitoring", T0]]
+    store.path.write_text(json.dumps(obj, indent=2, sort_keys=True))
+    assert store.load() == full_config()
 
 
 def test_fresh_device_default(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -50,6 +51,11 @@ def make_world(windows=(), links=None):
     return rt, net
 
 
+def connect_outcomes(net):
+    """Connection attempts by outcome: "ok" opened a session, "unreachable" is a retry."""
+    return Counter(e["outcome"] for e in net.message_log if e["kind"] == "connect")
+
+
 # -- fault schedule ------------------------------------------------------------
 
 
@@ -72,17 +78,6 @@ def test_fault_schedule_state_queries():
     assert sched.state_at("l", 200) == (True, 0)
     assert sched.state_at("l", 350) == (True, 50)
     assert sched.state_at("other", 350) == (True, 0)
-
-
-def test_fault_schedule_file_roundtrip(tmp_path):
-    sched = FaultSchedule([
-        FaultWindow("wifi", 0, 120_000, MODE_DOWN),
-        FaultWindow("ble", 10, 20, MODE_LATENCY, latency_ms=46),
-    ])
-    path = tmp_path / "faults.json"
-    sched.save(path)
-    again = FaultSchedule.load(path)
-    assert again.to_obj() == sched.to_obj()
 
 
 # -- wide-area request/response --------------------------------------------------
@@ -306,7 +301,6 @@ def test_auto_reconnect_bounded_delay():
     central = net.central("node", {"mote"})
     net.start_fault_watcher()
     sessions = []
-    stats = {}
 
     def on_session(session):
         sessions.append((rt.now_ms() - SIM_EPOCH_MS, session))
@@ -314,7 +308,7 @@ def test_auto_reconnect_bounded_delay():
         while stream.get() is not DISCONNECTED:
             pass
 
-    handle = spawn_reconnect(rt, central, "mote", 2000, on_session, stats)
+    handle = spawn_reconnect(rt, central, "mote", 2000, on_session)
     rt.scheduler.run_until(SIM_EPOCH_MS + 40_000)
     handle.cancel()
     rt.scheduler.drain(limit_ms=rt.now_ms())
@@ -322,7 +316,7 @@ def test_auto_reconnect_bounded_delay():
     reconnect_times = [t for t, _ in sessions[1:]]
     assert len(reconnect_times) == 1
     assert 25_000 <= reconnect_times[0] <= 27_000
-    assert stats["retries"] >= 7  # outage lasted 15s at 2s retry intervals
+    assert connect_outcomes(net)["unreachable"] >= 7  # 15s outage, 2s retry intervals
 
 
 def test_reconnect_never_down_single_session():
@@ -330,19 +324,18 @@ def test_reconnect_never_down_single_session():
     peripheral = RecordingPeripheral()
     net.advertise("mote", "node", peripheral)
     central = net.central("node", {"mote"})
-    stats = {}
 
     def on_session(session):
         stream = session.subscribe("data")
         while stream.get() is not DISCONNECTED:
             pass
 
-    handle = spawn_reconnect(rt, central, "mote", 2000, on_session, stats)
+    handle = spawn_reconnect(rt, central, "mote", 2000, on_session)
     rt.scheduler.run_until(SIM_EPOCH_MS + 60_000)
     handle.cancel()
     rt.scheduler.drain(limit_ms=rt.now_ms())
-    assert stats.get("sessions") == 1
-    assert stats.get("retries", 0) == 0
+    assert connect_outcomes(net)["ok"] == 1
+    assert connect_outcomes(net)["unreachable"] == 0
 
 
 def test_cancel_reconnect_stops_attempts():
@@ -350,13 +343,12 @@ def test_cancel_reconnect_stops_attempts():
     rt, net = make_world(windows, links=[("ble", "node", "mote", LinkClass.SHORT_RANGE)])
     net.advertise("mote", "node", RecordingPeripheral())
     central = net.central("node", {"mote"})
-    stats = {}
-    handle = spawn_reconnect(rt, central, "mote", 2000, lambda s: None, stats)
+    handle = spawn_reconnect(rt, central, "mote", 2000, lambda s: None)
     rt.scheduler.run_until(SIM_EPOCH_MS + 10_000)
-    retries_at_cancel = stats.get("retries", 0)
+    retries_at_cancel = connect_outcomes(net)["unreachable"]
     handle.cancel()
     rt.scheduler.run_until(SIM_EPOCH_MS + 60_000)
-    assert stats.get("retries", 0) == retries_at_cancel
+    assert connect_outcomes(net)["unreachable"] == retries_at_cancel
 
 
 def random_drop_windows(seed, total_ms, slot_ms=1000, p=0.05):
