@@ -16,6 +16,13 @@ height it damaged, and a log that does not link does not open. World state
 is rebuilt by replaying the block log at startup, which doubles as the safety
 check that state is a pure function of the log.
 
+Ingest parses each envelope once: `_judge` hands the report it parsed and
+checked to the commit, and only replay parses a stored transaction. Public
+keys are parsed when a device registers or the registry loads, never per
+verify. A block's line is one canonical dump of its core with its hash
+spliced in front. `get_recent` reads per-device and per-batch lists kept
+sorted newest first, filled as blocks are applied, live or on replay.
+
 The ledger keeps no record of its verdicts beyond the reply to each
 `AddEvents`: what was committed, in which order and when is the chain
 itself, read back through `blocks`.
@@ -24,14 +31,20 @@ itself, read back through `blocks`.
 from __future__ import annotations
 
 import base64
+import bisect
 import hashlib
+import heapq
+import itertools
 import json
 import logging
 import os
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
+
+from cryptography.hazmat.primitives.asymmetric.rsa import RSAPublicKey
 
 from . import canonical
 from .envelope import (
@@ -92,11 +105,17 @@ class LedgerBlock:
         }
 
     @classmethod
-    def build(cls, height: int, prev_hash: str, transactions: tuple[dict, ...],
-              committed_at: int) -> "LedgerBlock":
-        core = cls.core_obj(height, prev_hash, transactions, committed_at)
-        block_hash = hashlib.sha256(canonical.dumps(core)).hexdigest()
-        return cls(height, prev_hash, transactions, committed_at, block_hash)
+    def encode(cls, height: int, prev_hash: str, transactions: tuple[dict, ...],
+               committed_at: int) -> tuple["LedgerBlock", bytes]:
+        """The block and its stored line, from one canonical dump of its core.
+
+        `block_hash` sorts before every core key, so splicing it in after the
+        core's opening brace gives exactly `canonical.dumps(block.to_obj())`.
+        """
+        core = canonical.dumps(cls.core_obj(height, prev_hash, transactions, committed_at))
+        block_hash = hashlib.sha256(core).hexdigest()
+        line = b'{"block_hash":"' + block_hash.encode("ascii") + b'",' + core[1:] + b"\n"
+        return cls(height, prev_hash, transactions, committed_at, block_hash), line
 
     def to_obj(self) -> dict[str, Any]:
         obj = self.core_obj(self.height, self.prev_hash, self.transactions, self.committed_at)
@@ -148,14 +167,20 @@ class Ledger:
         self._registry_path = self._dir / REGISTRY_FILE
         self._lock = threading.Lock()
         self._keys: dict[str, str] = {}
+        # Parsed once per device; None for a stored PEM that does not parse.
+        self._public_keys: dict[str, Optional[RSAPublicKey]] = {}
         self._kinds: dict[str, str] = {}
         self._reports: dict[str, _StoredReport] = {}
+        # GetRecent indexes: (-created_at, report_id) in ascending order, so
+        # newest first with ties broken by report id.
+        self._recent_by_device: dict[str, list[tuple[int, str]]] = defaultdict(list)
+        self._recent_by_batch: dict[str, list[tuple[int, str]]] = defaultdict(list)
         self._tip_hash = ZERO_HASH
         self._height = -1
         self._load_registry()
         self._replay_blocks()
         if self._height < 0:
-            self._append_block((), genesis_at_ms)
+            self._append_block((), genesis_at_ms, ())
 
     # -- persistence --------------------------------------------------------
 
@@ -168,6 +193,11 @@ class Ledger:
             self._kinds = {str(k): str(v.get("kind", "node")) for k, v in obj["devices"].items()}
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptLedger(f"registry unreadable: {exc}") from exc
+        for device_id, pem in self._keys.items():
+            try:
+                self._public_keys[device_id] = load_public_key(pem)
+            except MalformedKey:
+                self._public_keys[device_id] = None
 
     def _save_registry(self) -> None:
         obj = {
@@ -184,27 +214,35 @@ class Ledger:
             self._blocks_path.touch()
             return
         for block in _walk_blocks(self._blocks_path.read_bytes()):
-            self._apply_block(block)
+            reports = [
+                EventReport.from_obj(canonical.loads(SignedEnvelope.from_wire_obj(tx).payload))
+                for tx in block.transactions
+            ]
+            self._apply_block(block, reports)
 
-    def _apply_block(self, block: LedgerBlock) -> None:
+    def _apply_block(self, block: LedgerBlock, reports: Iterable[EventReport]) -> None:
+        """Make `block` the tip; `reports` are its transactions' payloads, parsed."""
         self._height = block.height
         self._tip_hash = block.block_hash
-        for tx in block.transactions:
-            envelope = SignedEnvelope.from_wire_obj(tx)
-            report = EventReport.from_obj(canonical.loads(envelope.payload))
+        for tx, report in zip(block.transactions, reports, strict=True):
             self._reports[report.report_id] = _StoredReport(
                 payload_b64=tx["payload_b64"],
                 report=report,
                 height=block.height,
             )
+            entry = (-report.created_at, report.report_id)
+            bisect.insort(self._recent_by_device[report.device_id], entry)
+            bisect.insort(self._recent_by_batch[report.batch_no], entry)
 
-    def _append_block(self, transactions: tuple[dict, ...], committed_at: int) -> LedgerBlock:
-        block = LedgerBlock.build(self._height + 1, self._tip_hash, transactions, committed_at)
+    def _append_block(self, transactions: tuple[dict, ...], committed_at: int,
+                      reports: Iterable[EventReport]) -> LedgerBlock:
+        block, line = LedgerBlock.encode(self._height + 1, self._tip_hash, transactions,
+                                         committed_at)
         with open(self._blocks_path, "ab") as f:
-            f.write(canonical.dumps(block.to_obj()) + b"\n")
+            f.write(line)
             f.flush()
             os.fsync(f.fileno())
-        self._apply_block(block)
+        self._apply_block(block, reports)
         return block
 
     # -- operations -----------------------------------------------------------
@@ -212,7 +250,7 @@ class Ledger:
     def register_device(self, identity: DeviceIdentity) -> str:
         """Returns "ok" or "already-registered" (same key). A different key
         for a known id raises AlreadyRegistered; a bad key raises MalformedKey."""
-        load_public_key(identity.public_key_pem)  # MalformedKey if undecodable
+        public_key = load_public_key(identity.public_key_pem)  # MalformedKey if undecodable
         with self._lock:
             existing = self._keys.get(identity.device_id)
             if existing is not None:
@@ -222,6 +260,7 @@ class Ledger:
                     f"{identity.device_id} already registered with a different key"
                 )
             self._keys[identity.device_id] = identity.public_key_pem
+            self._public_keys[identity.device_id] = public_key
             self._kinds[identity.device_id] = identity.kind.value
             self._save_registry()
             return "ok"
@@ -235,42 +274,49 @@ class Ledger:
         with self._lock:
             verdicts: list[Verdict] = []
             accepted: list[dict] = []
+            reports: list[EventReport] = []
             batch_ids: set[str] = set()
             for raw in envelopes:
-                verdict = self._judge(raw, batch_ids)
+                verdict, report = self._judge(raw, batch_ids)
                 verdicts.append(verdict)
-                if verdict.status == "committed" and not verdict.replay:
-                    envelope = raw if isinstance(raw, dict) else raw.to_wire_obj()
-                    accepted.append(envelope)
-                    batch_ids.add(verdict.report_id or "")
+                if report is not None:
+                    accepted.append(raw if isinstance(raw, dict) else raw.to_wire_obj())
+                    reports.append(report)
+                    batch_ids.add(report.report_id)
             if accepted:
-                self._append_block(tuple(accepted), received_at)
+                self._append_block(tuple(accepted), received_at, reports)
             return verdicts
 
-    def _judge(self, raw: Any, batch_ids: set[str]) -> Verdict:
+    def _judge(self, raw: Any, batch_ids: set[str]) -> tuple[Verdict, Optional[EventReport]]:
+        """The verdict on one envelope, and its parsed report if it is to be
+        committed now (not a rejection, not a replay)."""
         try:
             envelope = raw if isinstance(raw, SignedEnvelope) else SignedEnvelope.from_wire_obj(raw)
         except MalformedEnvelope:
-            return Verdict("rejected", reason=REASON_MALFORMED)
-        pem = self._keys.get(envelope.signer)
-        if pem is None:
-            return Verdict("rejected", reason=REASON_UNKNOWN_SIGNER)
+            return Verdict("rejected", reason=REASON_MALFORMED), None
+        if envelope.signer not in self._public_keys:
+            return Verdict("rejected", reason=REASON_UNKNOWN_SIGNER), None
+        public_key = self._public_keys[envelope.signer]
+        if public_key is None:
+            return Verdict("rejected", reason=REASON_MALFORMED), None
         try:
-            if not verify(pem, envelope):
-                return Verdict("rejected", reason=REASON_BAD_SIGNATURE)
-        except (MalformedEnvelope, MalformedKey):
-            return Verdict("rejected", reason=REASON_MALFORMED)
+            if not verify(public_key, envelope):
+                return Verdict("rejected", reason=REASON_BAD_SIGNATURE), None
+        except MalformedEnvelope:
+            return Verdict("rejected", reason=REASON_MALFORMED), None
         try:
             report = EventReport.from_obj(canonical.loads(envelope.payload))
         except (canonical.CanonicalError, ModelError):
-            return Verdict("rejected", reason=REASON_INVALID_REPORT)
+            return Verdict("rejected", reason=REASON_INVALID_REPORT), None
         if validate_report(report):
-            return Verdict("rejected", report_id=report.report_id, reason=REASON_INVALID_REPORT)
+            return Verdict("rejected", report_id=report.report_id,
+                           reason=REASON_INVALID_REPORT), None
         if report.device_id != envelope.signer:
-            return Verdict("rejected", report_id=report.report_id, reason=REASON_BAD_SIGNATURE)
+            return Verdict("rejected", report_id=report.report_id,
+                           reason=REASON_BAD_SIGNATURE), None
         if report.report_id in self._reports or report.report_id in batch_ids:
-            return Verdict("committed", report_id=report.report_id, replay=True)
-        return Verdict("committed", report_id=report.report_id)
+            return Verdict("committed", report_id=report.report_id, replay=True), None
+        return Verdict("committed", report_id=report.report_id), report
 
     def get_event(self, report_id: str) -> Optional[EventReport]:
         with self._lock:
@@ -285,17 +331,24 @@ class Ledger:
 
     def get_recent(self, device_id: Optional[str] = None, batch_no: Optional[str] = None,
                    limit: int = 10) -> list[EventReport]:
+        """The newest `limit` reports matching both filters (None matches
+        any), newest first, ties broken by report id."""
         if limit < 1:
             raise ValueError("limit must be >= 1")
+        filters = [(device_id, self._recent_by_device), (batch_no, self._recent_by_batch)]
+        if any(value is not None and not isinstance(value, str) for value, _ in filters):
+            return []  # no report's id or batch is anything but a string
         with self._lock:
-            matches = [
-                s.report
-                for s in self._reports.values()
-                if (device_id is None or s.report.device_id == device_id)
-                and (batch_no is None or s.report.batch_no == batch_no)
-            ]
-        matches.sort(key=lambda r: (-r.created_at, r.report_id))
-        return matches[:limit]
+            indexes = [index.get(value, []) for value, index in filters if value is not None]
+            if indexes:
+                entries: Iterable[tuple[int, str]] = min(indexes, key=len)
+            else:
+                entries = heapq.merge(*self._recent_by_device.values())
+            reports = (self._reports[report_id].report for _, report_id in entries)
+            matches = (r for r in reports
+                       if (device_id is None or r.device_id == device_id)
+                       and (batch_no is None or r.batch_no == batch_no))
+            return list(itertools.islice(matches, limit))
 
     def all_reports(self) -> list[EventReport]:
         with self._lock:

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from . import canonical
-from .envelope import KeyPair, sign
+from .envelope import KeyPair, SignedEnvelope, sign
 from .ledger import LedgerClient
 from .model import (
     DeviceKind,
@@ -525,13 +525,13 @@ class NodeAgent:
                     return
                 self.crash_hook("post_submit")
                 self.stats["consecutive_submit_failures"] = 0
-                for verdict in verdicts:
+                for envelope, verdict in zip(envelopes, verdicts):
                     if verdict.status == "committed":
                         self.stats["replays" if verdict.replay else "committed"] += 1
                     else:
                         self.stats["rejected"] += 1
                         logger.warning("%s: ledger rejected %s (%s)", self.device_id,
-                                       verdict.report_id, verdict.reason)
+                                       _report_id_of(envelope), verdict.reason)
                 # Rejections are final (signature or validity); keeping them
                 # queued would wedge everything behind them.
                 self.buffer.ack(ids)
@@ -673,3 +673,14 @@ def _job_from_body(body: dict) -> MonitoringJob:
     except Exception as exc:
         raise invalid_argument(f"invalid-argument:{exc}") from exc
     return job
+
+
+def _report_id_of(envelope: SignedEnvelope) -> Optional[str]:
+    """The report id in an envelope's payload. Verdict i answers envelope i,
+    but a rejection decided before the ledger parsed the payload (unknown
+    signer, bad signature, malformed) carries no report id of its own."""
+    try:
+        obj = canonical.loads(envelope.payload)
+    except canonical.CanonicalError:
+        return None
+    return obj.get("report_id") if isinstance(obj, dict) else None

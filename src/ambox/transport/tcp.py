@@ -60,15 +60,18 @@ def recv_frame(sock: socket.socket) -> Optional[bytes]:
 
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    chunks = b""
-    while len(chunks) < n:
-        chunk = sock.recv(n - len(chunks))
-        if not chunk:
-            if chunks:
+    """Exactly n bytes; None if the peer closed before sending any."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        received = sock.recv_into(view[got:])
+        if not received:
+            if got:
                 raise TransportError("connection closed mid-frame")
             return None
-        chunks += chunk
-    return chunks
+        got += received
+    return bytes(buf)
 
 
 def parse_hostport(address: str) -> tuple[str, int]:

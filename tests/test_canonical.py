@@ -1,4 +1,5 @@
 import math
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,6 +49,10 @@ def test_timestamp_format_parse_roundtrip():
         "2024-13-01T00:00:00.000Z",      # bad month
         "2024-01-01T00:00:00.000+00:00", # offset form not canonical
         "not a time",
+        "\u0662\u0660\u0662\u0664-01-01T00:00:00.000Z",  # Arabic-Indic digits
+        "2024-01-01T00:00:00.000Z\n",   # trailing newline
+        "1900-02-29T00:00:00.000Z",      # 1900 is not a leap year
+        "2100-02-29T00:00:00.000Z",      # nor is 2100
     ],
 )
 def test_timestamp_parse_strict(text):
@@ -55,9 +60,47 @@ def test_timestamp_parse_strict(text):
         canonical.parse_millis(text)
 
 
+def test_timestamp_leap_day_2000():
+    assert canonical.parse_millis("2000-02-29T00:00:00.000Z") == 951_782_400_000
+    assert canonical.format_millis(951_782_400_000) == "2000-02-29T00:00:00.000Z"
+
+
+def test_timestamp_year_9999_boundary():
+    last = 253_402_300_799_999
+    assert canonical.format_millis(last) == "9999-12-31T23:59:59.999Z"
+    assert canonical.parse_millis("9999-12-31T23:59:59.999Z") == last
+    with pytest.raises(canonical.CanonicalError):
+        canonical.format_millis(last + 1)
+
+
 @given(st.integers(min_value=0, max_value=4_102_444_800_000))
 def test_timestamp_roundtrip_property(ms):
     assert canonical.parse_millis(canonical.format_millis(ms)) == ms
+
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+@given(st.integers(min_value=0, max_value=253_402_300_799_999))
+def test_timestamp_matches_datetime_reference(ms):
+    text = (_EPOCH + timedelta(milliseconds=ms)).strftime("%Y-%m-%dT%H:%M:%S") + f".{ms % 1000:03d}Z"
+    assert canonical.format_millis(ms) == text
+    assert canonical.parse_millis(text) == ms
+
+
+@given(st.integers(1, 9999), st.integers(0, 13), st.integers(0, 32), st.integers(0, 24),
+       st.integers(0, 60), st.integers(0, 60), st.integers(0, 999))
+def test_timestamp_calendar_validity_matches_datetime(year, month, day, hour, minute, second,
+                                                      millis):
+    text = f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}.{millis:03d}Z"
+    try:
+        reference = datetime(year, month, day, hour, minute, second, tzinfo=timezone.utc)
+    except ValueError:
+        with pytest.raises(canonical.CanonicalError):
+            canonical.parse_millis(text)
+        return
+    expected = int((reference - _EPOCH).total_seconds()) * 1000 + millis
+    assert canonical.parse_millis(text) == expected
 
 
 @given(

@@ -1,7 +1,10 @@
 import base64
+import json
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambox import canonical
 from ambox.envelope import MalformedKey, SignedEnvelope, sign
@@ -171,6 +174,64 @@ def test_get_recent_no_match_empty(registered):
     assert registered.get_recent(device_id="ghost", limit=3) == []
 
 
+_ORACLE_BATCHES = ("B-1", "B-2", "B-3")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(st.integers(0, 1), st.sampled_from(_ORACLE_BATCHES), st.integers(0, 4),
+                  st.integers(0, 10_000)),
+        min_size=1, max_size=10, unique_by=lambda spec: spec[3],
+    ),
+    cuts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+)
+def test_get_recent_matches_brute_force(node_key, other_key, specs, cuts):
+    # created_at takes few values, so ties broken by report id are common;
+    # reports arrive out of created_at order over several blocks.
+    keys = (node_key, other_key)
+    envelopes, reports = [], []
+    for device, batch, created, serial in specs:
+        key = keys[device]
+        base = make_report(device=key.device_id, report_id=f"r-{serial:05d}",
+                           created_at=T0 + 600_000 + created * 1000, n_readings=1)
+        report = EventReport(base.report_id, base.device_id, base.product_id, batch,
+                             base.created_at, base.readings)
+        envelopes.append(sign(key, report))
+        reports.append(report)
+    queries = [(device, batch, limit)
+               for device in (None, "node-1", "node-2", "ghost")
+               for batch in (None,) + _ORACLE_BATCHES
+               for limit in (1, 2, 5, 100)]
+    with tempfile.TemporaryDirectory() as directory:
+        ledger = Ledger(directory, genesis_at_ms=T0)
+        for key in keys:
+            ledger.register_device(identity_of(key))
+        start = 0
+        for cut in cuts * len(envelopes):
+            if start >= len(envelopes):
+                break
+            ledger.add_events(envelopes[start:start + cut], T0 + start)
+            start += cut
+        reopened = Ledger(directory)
+        for device, batch, limit in queries:
+            expected = sorted(
+                (r for r in reports
+                 if (device is None or r.device_id == device)
+                 and (batch is None or r.batch_no == batch)),
+                key=lambda r: (-r.created_at, r.report_id),
+            )[:limit]
+            assert ledger.get_recent(device_id=device, batch_no=batch, limit=limit) == expected
+            assert reopened.get_recent(device_id=device, batch_no=batch, limit=limit) == expected
+
+
+def test_get_recent_non_string_filter_matches_nothing(registered, node_key):
+    registered.add_events([env_for(node_key, 0)[0]], T0)
+    service = LedgerService(registered, clock=lambda: T0)
+    request = json.dumps({"op": "GetRecent", "args": {"device_id": ["node-1"]}}).encode()
+    assert json.loads(service.handle("x", request)) == {"ok": True, "result": {"reports": []}}
+
+
 def test_world_state_replay_matches(registered, node_key, tmp_path):
     for i in range(4):
         envelope, _ = env_for(node_key, i)
@@ -205,6 +266,20 @@ def test_verify_chain_detects_flip_at_each_height(registered, node_key, tmp_path
     assert registered.verify_chain() is None
 
 
+def test_stored_lines_are_the_canonical_block_encoding(registered, node_key, tmp_path):
+    for i in range(3):
+        registered.add_events([env_for(node_key, j)[0] for j in range(i, 2 * i + 1)], T0 + i)
+    raw = (tmp_path / "ledger" / "blocks.journal").read_bytes()
+    lines = raw.splitlines(keepends=True)
+    blocks = registered.blocks()
+    assert len(lines) == len(blocks) == 4
+    for line, block in zip(lines, blocks):
+        assert line == canonical.dumps(block.to_obj()) + b"\n"
+    # Non-ASCII text in a transaction goes into the line as UTF-8.
+    block, line = LedgerBlock.encode(7, ZERO_HASH, ({"signer": "n\u0153ud-\u2603"},), T0)
+    assert line == canonical.dumps(block.to_obj()) + b"\n"
+
+
 def test_blocks_survive_restart(registered, node_key, tmp_path):
     for i in range(3):
         envelope, _ = env_for(node_key, i)
@@ -225,8 +300,8 @@ def test_replay_refuses_a_block_that_does_not_link(registered, node_key, tmp_pat
     path = tmp_path / "ledger" / "blocks.journal"
     lines = path.read_bytes().split(b"\n")
     stored = canonical.loads(lines[2])
-    forged = LedgerBlock.build(2, "1" * 64, tuple(stored["transactions"]),
-                               canonical.parse_millis(stored["committed_at"]))
+    forged, _ = LedgerBlock.encode(2, "1" * 64, tuple(stored["transactions"]),
+                                   canonical.parse_millis(stored["committed_at"]))
     lines[2] = canonical.dumps(forged.to_obj())
     path.write_bytes(b"\n".join(lines))
     assert registered.verify_chain() == 2

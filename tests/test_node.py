@@ -1,8 +1,12 @@
 """Node agent behavior on the simulated runtime."""
 
+import logging
+import random
 
+from ambox import canonical
 from ambox.fleet import CommissionPlan, commission, start_monitoring, stop_monitoring
 from ambox.model import DeviceIdentity, DeviceKind, NodeState
+from ambox.harness.world import tamper_buffer_journal
 from ambox.runtime import SIM_EPOCH_MS, TaskCancelled
 from ambox.transport.faults import MODE_DOWN, FaultSchedule, FaultWindow
 
@@ -454,6 +458,32 @@ def test_crash_between_submit_and_ack_is_exactly_once():
     world.teardown()
     assert len(result["reports"]) == len(set(result["reports"]))
     assert result["replays"] >= 1            # the resubmission was deduplicated
+
+
+def test_rejection_log_names_the_report_sent(caplog):
+    # A signature failure is decided before the ledger parses the payload, so
+    # its verdict carries no report id; the node names the envelope it sent.
+    down = FaultSchedule([FaultWindow("wifi", 0, 20 * 60_000, MODE_DOWN)])
+    world = build_world(mini_scenario(faults=down))
+    sent = []
+
+    def director():
+        caller = commission_node1(world)
+        start_monitoring(caller, "node1", JOB_BODY)
+        world.runtime.sleep(11 * 60_000)     # reports buffered behind the dead link
+        world.crash_node("node1")
+        assert tamper_buffer_journal(world.data_root / "node1", 1, random.Random(7))[0] == 1
+        node = world.restart_node("node1")
+        sent.extend(canonical.loads(entry.envelope.payload)["report_id"]
+                    for entry in node.buffer.peek_batch(10))
+        world.runtime.sleep(20 * 60_000)     # link back at 20 min; the backlog drains
+
+    with caplog.at_level(logging.WARNING, logger="ambox.node"):
+        drive(world, director)
+    world.teardown()
+    rejections = [r.getMessage() for r in caplog.records if "ledger rejected" in r.getMessage()]
+    assert len(sent) >= 2
+    assert rejections == [f"node1: ledger rejected {sent[0]} (signature-invalid)"]
 
 
 def test_storage_full_pauses_sampling_and_raises_alarm():
