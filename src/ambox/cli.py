@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .envelope import generate_keypair, load_private_key, save_private_key
+from .envelope import generate_keypair
 from .fleet import (
     CommissionPlan,
     OperatorCore,
@@ -51,7 +51,7 @@ from .sensors import (
     SyntheticAmbient,
     merged_spec,
 )
-from .storage import CorruptConfig
+from .storage import KEY_FILE, CorruptConfig, load_private_key, save_private_key
 from .transport.tcp import (
     FrameServer,
     HttpJsonClient,
@@ -69,7 +69,6 @@ EXIT_PORT_IN_USE = 3
 EXIT_DATA_DIR = 4
 
 ROLES = ("node", "mote", "ledger", "operator")
-KEY_FILE = "device_key.pem"
 
 
 class ConfigInvalid(Exception):
@@ -272,6 +271,7 @@ def run_ledger(config: ProcessConfig) -> int:
     stop = threading.Event()
     _wait_for_signal(stop)
     server.shutdown()
+    ledger.close()
     return 0
 
 

@@ -11,9 +11,7 @@ envelope or key raises instead, so forgery and malformation stay distinct.
 from __future__ import annotations
 
 import base64
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Union
 
 from cryptography.exceptions import InvalidSignature
@@ -136,35 +134,6 @@ def load_public_key(pem: Union[str, bytes]) -> RSAPublicKey:
     if not isinstance(key, RSAPublicKey):
         raise MalformedKey(f"expected an RSA key, got {type(key).__name__}")
     return key
-
-
-def save_private_key(path: Union[str, Path], keypair: KeyPair) -> None:
-    """Write the PEM private key readable only by the owning process user."""
-    pem = keypair.private_key.private_bytes(
-        encoding=serialization.Encoding.PEM,
-        format=serialization.PrivateFormat.PKCS8,
-        encryption_algorithm=serialization.NoEncryption(),
-    )
-    path = Path(path)
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-    try:
-        os.write(fd, pem)
-    finally:
-        os.close(fd)
-
-
-def load_private_key(path: Union[str, Path], device_id: str) -> KeyPair:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise KeyUnavailable(f"cannot read key file {path}: {exc}") from exc
-    try:
-        key = serialization.load_pem_private_key(data, password=None)
-    except Exception as exc:
-        raise KeyUnavailable(f"cannot parse key file {path}: {exc}") from exc
-    if not isinstance(key, RSAPrivateKey):
-        raise KeyUnavailable(f"expected an RSA private key in {path}")
-    return KeyPair(device_id=device_id, private_key=key)
 
 
 def canonicalize(report: EventReport) -> bytes:

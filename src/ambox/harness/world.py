@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from .. import canonical
-from ..envelope import generate_keypair, load_private_key, save_private_key
+from ..envelope import generate_keypair
 from ..fleet import CommissionPlan, OperatorCore, commission, start_monitoring, stop_monitoring
 from ..http_api import ShimHttpClient, shim_server_handler
 from ..ledger import OP_ADD_EVENTS, Ledger, LedgerClient, LedgerService, Verdict
@@ -55,6 +55,7 @@ from ..sensors import (
     load_trace,
     merged_spec,
 )
+from ..storage import KEY_FILE, load_private_key, save_private_key
 from ..transport.sim import SimNetwork, echo_handler
 from ..transport import LinkDown, RequestClient, RequestTimeout
 from ..transport.faults import MODE_DOWN, MODE_LATENCY, FaultSchedule, FaultWindow
@@ -62,8 +63,6 @@ from .checks import CHECKS, CheckResult
 from .scenario import LinkSpec, Scenario, ScenarioError
 
 logger = logging.getLogger(__name__)
-
-KEY_FILE = "device_key.pem"
 
 
 def _derive_seed(*parts: Any) -> int:
@@ -485,6 +484,8 @@ class ScenarioWorld:
 
     def teardown(self) -> None:
         self.scheduler.shutdown()
+        if self._built:
+            self.ledger.close()
         for agent in list(self.nodes.values()) + list(self.motes.values()):
             try:
                 agent.buffer.close()
@@ -654,12 +655,12 @@ def tamper_buffer_journal(node_dir: Path, count: Optional[int],
 
     Returns (mutated, total entries present)."""
     journal = node_dir / "buffer.journal"
-    lines = journal.read_bytes().decode("utf-8").splitlines()
+    lines = journal.read_bytes().splitlines()
     mutated = 0
     total = 0
     out_lines = []
     for line in lines:
-        obj = json.loads(line)
+        obj = canonical.loads(line)
         if "seq" not in obj:
             out_lines.append(line)
             continue
@@ -667,12 +668,12 @@ def tamper_buffer_journal(node_dir: Path, count: Optional[int],
         if count is not None and mutated >= count:
             out_lines.append(line)
             continue
-        payload = json.loads(base64.b64decode(obj["envelope"]["payload_b64"]))
+        payload = canonical.loads(base64.b64decode(obj["envelope"]["payload_b64"]))
         mutate_report_obj(payload, rng)
         obj["envelope"]["payload_b64"] = base64.b64encode(canonical.dumps(payload)).decode()
-        out_lines.append(json.dumps(obj, sort_keys=True))
+        out_lines.append(canonical.dumps(obj))
         mutated += 1
-    journal.write_text("\n".join(out_lines) + "\n", "utf-8")
+    journal.write_bytes(b"".join(line + b"\n" for line in out_lines))
     return mutated, total
 
 

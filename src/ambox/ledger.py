@@ -7,7 +7,10 @@ and the report id must be new. A batch of accepted envelopes becomes one
 block; resubmitting a committed report id is an idempotent success (flagged
 as a replay) so at-least-once senders converge on exactly-once ledger state.
 
-Blocks live in an append-only file of canonical JSON lines. Each block stores
+Blocks live in an append-only file of canonical JSON lines (a
+`storage.AppendLog`: a block exists once its line and newline are fsynced,
+a torn final block is dropped when the ledger opens, and a failed append is
+cut back off the file). Each block stores
 the hash of its own core and the hash of its predecessor. One walker,
 `_walk_blocks`, checks every block's height, `prev_hash` link and hash; replay
 at startup, `verify_chain` and `Ledger.blocks` all read the log through it,
@@ -37,7 +40,6 @@ import heapq
 import itertools
 import json
 import logging
-import os
 import threading
 from collections import defaultdict
 from dataclasses import dataclass
@@ -55,7 +57,7 @@ from .envelope import (
     verify,
 )
 from .model import DeviceIdentity, EventReport, ModelError, validate_report
-from .storage import SCHEMA_VERSION, _atomic_write
+from .storage import SCHEMA_VERSION, AppendLog, read_document, write_document
 from .transport import RequestClient
 
 logger = logging.getLogger(__name__)
@@ -166,10 +168,10 @@ class Ledger:
         self._blocks_path = self._dir / BLOCKS_FILE
         self._registry_path = self._dir / REGISTRY_FILE
         self._lock = threading.Lock()
-        self._keys: dict[str, str] = {}
+        # The registry's devices: id -> {"kind", "public_key_pem"}.
+        self._devices: dict[str, dict[str, str]] = {}
         # Parsed once per device; None for a stored PEM that does not parse.
         self._public_keys: dict[str, Optional[RSAPublicKey]] = {}
-        self._kinds: dict[str, str] = {}
         self._reports: dict[str, _StoredReport] = {}
         # GetRecent indexes: (-created_at, report_id) in ascending order, so
         # newest first with ties broken by report id.
@@ -179,41 +181,25 @@ class Ledger:
         self._height = -1
         self._load_registry()
         self._replay_blocks()
+        self._log = AppendLog(self._blocks_path)
         if self._height < 0:
             self._append_block((), genesis_at_ms, ())
 
     # -- persistence --------------------------------------------------------
 
     def _load_registry(self) -> None:
-        if not self._registry_path.exists():
-            return
-        try:
-            obj = json.loads(self._registry_path.read_text("utf-8"))
-            self._keys = {str(k): str(v["public_key_pem"]) for k, v in obj["devices"].items()}
-            self._kinds = {str(k): str(v.get("kind", "node")) for k, v in obj["devices"].items()}
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CorruptLedger(f"registry unreadable: {exc}") from exc
-        for device_id, pem in self._keys.items():
+        self._devices = read_document(self._registry_path, CorruptLedger, lambda obj: {
+            str(k): {"kind": str(v.get("kind", "node")), "public_key_pem": str(v["public_key_pem"])}
+            for k, v in obj["devices"].items()
+        }) or {}
+        for device_id, device in self._devices.items():
             try:
-                self._public_keys[device_id] = load_public_key(pem)
+                self._public_keys[device_id] = load_public_key(device["public_key_pem"])
             except MalformedKey:
                 self._public_keys[device_id] = None
 
-    def _save_registry(self) -> None:
-        obj = {
-            "schema_version": SCHEMA_VERSION,
-            "devices": {
-                device_id: {"public_key_pem": pem, "kind": self._kinds.get(device_id, "node")}
-                for device_id, pem in sorted(self._keys.items())
-            },
-        }
-        _atomic_write(self._registry_path, json.dumps(obj, indent=2, sort_keys=True).encode())
-
     def _replay_blocks(self) -> None:
-        if not self._blocks_path.exists():
-            self._blocks_path.touch()
-            return
-        for block in _walk_blocks(self._blocks_path.read_bytes()):
+        for block in _walk_blocks(AppendLog.read(self._blocks_path)):
             reports = [
                 EventReport.from_obj(canonical.loads(SignedEnvelope.from_wire_obj(tx).payload))
                 for tx in block.transactions
@@ -238,10 +224,7 @@ class Ledger:
                       reports: Iterable[EventReport]) -> LedgerBlock:
         block, line = LedgerBlock.encode(self._height + 1, self._tip_hash, transactions,
                                          committed_at)
-        with open(self._blocks_path, "ab") as f:
-            f.write(line)
-            f.flush()
-            os.fsync(f.fileno())
+        self._log.append(line)
         self._apply_block(block, reports)
         return block
 
@@ -252,22 +235,26 @@ class Ledger:
         for a known id raises AlreadyRegistered; a bad key raises MalformedKey."""
         public_key = load_public_key(identity.public_key_pem)  # MalformedKey if undecodable
         with self._lock:
-            existing = self._keys.get(identity.device_id)
+            existing = self._devices.get(identity.device_id)
             if existing is not None:
-                if existing == identity.public_key_pem:
+                if existing["public_key_pem"] == identity.public_key_pem:
                     return "already-registered"
                 raise AlreadyRegistered(
                     f"{identity.device_id} already registered with a different key"
                 )
-            self._keys[identity.device_id] = identity.public_key_pem
+            devices = {**self._devices, identity.device_id: {
+                "kind": identity.kind.value, "public_key_pem": identity.public_key_pem}}
+            # Stored first: a registry that cannot be written registers nobody.
+            write_document(self._registry_path,
+                           {"schema_version": SCHEMA_VERSION, "devices": devices})
+            self._devices = devices
             self._public_keys[identity.device_id] = public_key
-            self._kinds[identity.device_id] = identity.kind.value
-            self._save_registry()
             return "ok"
 
     def registered_key(self, device_id: str) -> Optional[str]:
         with self._lock:
-            return self._keys.get(device_id)
+            device = self._devices.get(device_id)
+            return device["public_key_pem"] if device else None
 
     def add_events(self, envelopes: list[Any], received_at: int) -> list[Verdict]:
         """Verify each envelope; commit the acceptable ones as one block."""
@@ -387,19 +374,22 @@ class Ledger:
                     rid: {"payload_b64": s.payload_b64, "height": s.height}
                     for rid, s in sorted(self._reports.items())
                 },
-                "devices": {
-                    device_id: {"public_key_pem": pem, "kind": self._kinds.get(device_id, "node")}
-                    for device_id, pem in sorted(self._keys.items())
-                },
+                "devices": self._devices,
                 "height": self._height,
                 "tip_hash": self._tip_hash,
             }
         return canonical.dumps(obj)
 
+    def close(self) -> None:
+        with self._lock:
+            self._log.close()
+
     @classmethod
     def replayed_world_state(cls, directory: str | Path) -> bytes:
         """Rebuild state from the on-disk log alone and serialize it."""
-        return cls(directory).world_state_bytes()
+        replayed = cls(directory)
+        replayed.close()
+        return replayed.world_state_bytes()
 
 
 def _walk_blocks(raw: bytes) -> Iterator[LedgerBlock]:
@@ -425,7 +415,7 @@ def _walk_blocks(raw: bytes) -> Iterator[LedgerBlock]:
 
 def _parse_block_line(line: bytes) -> LedgerBlock:
     try:
-        obj = json.loads(line.decode("utf-8"))
+        obj = canonical.loads(line)
         stored_hash = str(obj["block_hash"])
         transactions = tuple(obj["transactions"])
         block = LedgerBlock(

@@ -200,6 +200,8 @@ def validate_report(report: EventReport) -> list[str]:
             violations.append("readings sorted")
         if any(t > report.created_at for t in times):
             violations.append("readings within created_at")
+        if min(times) < 0:
+            violations.append("readings at or after 1970-01-01")
         last_per_stream: dict[tuple[str, str], int] = {}
         strict_ok = True
         for r in report.readings:

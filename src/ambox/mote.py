@@ -20,7 +20,14 @@ from typing import Any, Callable
 from .envelope import KeyPair, SignedEnvelope, sign_reading_envelope
 from .model import SensorReading
 from .runtime import Runtime
-from .storage import SCHEMA_VERSION, CorruptConfig, DurableBuffer, StorageFull, _atomic_write
+from .storage import (
+    SCHEMA_VERSION,
+    CorruptConfig,
+    DurableBuffer,
+    StorageFull,
+    read_document,
+    write_document,
+)
 from .transport import SessionClosed
 
 logger = logging.getLogger(__name__)
@@ -57,35 +64,21 @@ class MoteConfig:
         }
 
     @classmethod
-    def from_obj(cls, obj: Any) -> "MoteConfig":
-        if not isinstance(obj, dict):
-            raise CorruptConfig("mote config must be an object")
-        try:
-            return cls(
-                enabled=bool(obj["enabled"]),
-                sample_interval_ms=int(obj["sample_interval_ms"]),
-                sensor_params={str(q): dict(p) for q, p in obj["sensor_params"].items()},
-            )
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
-            raise CorruptConfig(f"mote config invalid: {exc}") from exc
+    def from_obj(cls, obj: dict[str, Any]) -> "MoteConfig":
+        return cls(
+            enabled=bool(obj["enabled"]),
+            sample_interval_ms=int(obj["sample_interval_ms"]),
+            sensor_params={str(q): dict(p) for q, p in obj["sensor_params"].items()},
+        )
 
 
 def load_mote_config(directory: str | Path) -> MoteConfig:
-    path = Path(directory) / MOTE_CONFIG_FILE
-    if not path.exists():
-        return MoteConfig()
-    try:
-        obj = json.loads(path.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CorruptConfig(f"cannot read {path.name}: {exc}") from exc
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise CorruptConfig(f"unsupported mote config schema {obj.get('schema_version')!r}")
-    return MoteConfig.from_obj(obj)
+    config = read_document(Path(directory) / MOTE_CONFIG_FILE, CorruptConfig, MoteConfig.from_obj)
+    return MoteConfig() if config is None else config
 
 
 def save_mote_config(directory: str | Path, config: MoteConfig) -> None:
-    path = Path(directory) / MOTE_CONFIG_FILE
-    _atomic_write(path, json.dumps(config.to_obj(), indent=2, sort_keys=True).encode())
+    write_document(Path(directory) / MOTE_CONFIG_FILE, config.to_obj())
 
 
 def encode_reading_notification(entry_id: int, envelope: SignedEnvelope) -> bytes:
@@ -183,8 +176,12 @@ class MoteAgent:
             logger.warning("%s: rejected config write: %s", self.device_id, exc)
             return
         with self._config_lock:
+            try:
+                save_mote_config(self.data_dir, config)
+            except ValueError as exc:  # NaN or a lone surrogate has no canonical form
+                logger.warning("%s: cannot store config write: %s", self.device_id, exc)
+                return
             self.config = config
-            save_mote_config(self.data_dir, config)
         self._config_changed.set()
         logger.info("%s: config applied (enabled=%s, interval=%sms)",
                     self.device_id, config.enabled, config.sample_interval_ms)

@@ -521,7 +521,6 @@ class NodeAgent:
                 except TransportError:
                     self.stats["submit_failures"] += 1
                     self.stats["consecutive_submit_failures"] += 1
-                    self.buffer.nack(ids)
                     return
                 self.crash_hook("post_submit")
                 self.stats["consecutive_submit_failures"] = 0
@@ -635,6 +634,10 @@ def _required_str(body: dict, key: str) -> str:
     value = body.get(key)
     if not isinstance(value, str) or not value:
         raise invalid_argument(f"invalid-argument:{key}")
+    try:
+        value.encode("utf-8")  # stored in the config file; a lone surrogate has no UTF-8
+    except UnicodeEncodeError as exc:
+        raise invalid_argument(f"invalid-argument:{key}") from exc
     return value
 
 
@@ -672,6 +675,10 @@ def _job_from_body(body: dict) -> MonitoringJob:
         )
     except Exception as exc:
         raise invalid_argument(f"invalid-argument:{exc}") from exc
+    try:
+        canonical.dumps(job.to_obj())  # the config file has no NaN, Infinity or lone surrogate
+    except ValueError as exc:
+        raise invalid_argument("invalid-argument:sensor_params") from exc
     return job
 
 

@@ -1,26 +1,41 @@
-"""Crash-safe local persistence: the submission journal and device config.
+"""Crash-safe local persistence: every file AmBox writes goes through here.
 
-The buffer is an append-only journal of JSON lines plus a compacted ack file.
-Every enqueue is flushed and fsynced before it returns, so an entry that was
-acknowledged to the caller survives any process kill. Acks rewrite a small
-watermark file atomically (write-temp, fsync, rename). One writer and one
-drainer may operate concurrently; all file access is serialized internally.
+Three primitives:
+
+- `write_document` (over `write_atomic`): canonical JSON bytes go to a temp
+  file, which is fsynced, renamed over the target, and the directory is
+  fsynced, so a reader finds the old file or the new one, never a mix.
+- `read_document`: a missing file is None. Anything else that is not a JSON
+  object of `SCHEMA_VERSION` with the fields its parser needs (an unreadable
+  file, bytes that are not UTF-8, text that is not JSON, another root or
+  schema, a missing or malformed field) raises the caller's corruption
+  error naming the file.
+- `AppendLog`: a file of newline-terminated lines. A line exists only once
+  its newline is on disk. Opening drops an unterminated tail, because that
+  append never returned; `append` is fsynced before it returns, and on any
+  OSError cuts the file back to where it was before re-raising; `clear`
+  empties the file durably.
+
+Built on them here: the submission buffer (a journal log plus an ack
+document), the node config and the device key file; the ledger and the mote
+use the primitives directly. A buffer serializes its file access, so one
+writer and one drainer may share it.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, TypeVar, Union
 
-from .envelope import MalformedEnvelope, SignedEnvelope
-from .model import ModelError, MonitoringJob, NodeState
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric.rsa import RSAPrivateKey
 
-logger = logging.getLogger(__name__)
+from . import canonical
+from .envelope import KeyPair, KeyUnavailable, MalformedEnvelope, SignedEnvelope
+from .model import MonitoringJob, NodeState
 
 SCHEMA_VERSION = 1
 DEFAULT_CAP = 1_000_000
@@ -28,6 +43,9 @@ DEFAULT_CAP = 1_000_000
 CONFIG_FILE = "ambox_config.json"
 JOURNAL_FILE = "buffer.journal"
 ACK_FILE = "buffer.ack"
+KEY_FILE = "device_key.pem"
+
+T = TypeVar("T")
 
 
 class StorageError(Exception):
@@ -39,7 +57,7 @@ class StorageFull(StorageError):
 
 
 class UnknownEntry(StorageError):
-    """Ack or nack for an id that is not pending (already acked or never issued)."""
+    """Ack for an id that is not pending (already acked or never issued)."""
 
 
 class CorruptJournal(StorageError):
@@ -50,21 +68,118 @@ class CorruptConfig(StorageError):
     pass
 
 
+# -- primitives ---------------------------------------------------------------
+
+
+def write_atomic(path: Path, data: bytes, mode: int = 0o666) -> None:
+    """Replace `path` with `data`; the temp file is created with `mode`."""
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode), "wb") as f:
+        f.write(data)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
+    try:
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError:
+        pass
+
+
+def write_document(path: Path, obj: dict[str, Any]) -> None:
+    write_atomic(path, canonical.dumps(obj))
+
+
+def read_document(path: Path, corrupt: type[Exception],
+                  parse: Callable[[dict[str, Any]], T]) -> Optional[T]:
+    """`parse` of the object stored at `path`, or None when there is no file.
+    A field `parse` finds missing or malformed raises `corrupt` too."""
+    try:
+        obj = canonical.loads(path.read_bytes())
+    except FileNotFoundError:
+        return None
+    except (OSError, canonical.CanonicalError) as exc:
+        raise corrupt(f"cannot read {path.name}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise corrupt(f"{path.name}: root must be an object")
+    if obj.get("schema_version") != SCHEMA_VERSION:
+        raise corrupt(f"{path.name}: unsupported schema {obj.get('schema_version')!r}")
+    try:
+        return parse(obj)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise corrupt(f"{path.name} invalid: {exc}") from exc
+
+
+class AppendLog:
+    """A file of newline-terminated lines, each made durable as it is appended."""
+
+    def __init__(self, path: Path) -> None:
+        self._file = open(path, "ab", buffering=0)
+
+    @staticmethod
+    def read(path: Path) -> bytes:
+        """The complete lines of the log at `path` (created if missing), after
+        cutting an unterminated tail off the file."""
+        with open(path, "a+b", buffering=0) as file:
+            file.seek(0)
+            raw = file.read()
+            keep = raw.rfind(b"\n") + 1
+            if keep < len(raw):
+                os.ftruncate(file.fileno(), keep)
+                os.fsync(file.fileno())
+        return raw[:keep]
+
+    @property
+    def size(self) -> int:
+        return os.lseek(self._file.fileno(), 0, os.SEEK_END)
+
+    def append(self, line: bytes) -> None:
+        """Durably append `line`, which ends with its only newline. On OSError
+        the file is cut back to its size before the call; the next
+        successful append's fsync makes that cut durable."""
+        fd = self._file.fileno()
+        start = self.size
+        try:
+            view = memoryview(line)
+            while view:
+                view = view[os.write(fd, view):]
+            os.fsync(fd)
+        except OSError:
+            os.ftruncate(fd, start)
+            raise
+
+    def clear(self) -> None:
+        os.ftruncate(self._file.fileno(), 0)
+        os.fsync(self._file.fileno())
+
+    def close(self) -> None:
+        self._file.close()
+
+
+# -- submission buffer ----------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class BufferEntry:
     entry_id: int
     envelope: SignedEnvelope
     enqueued_at: int
-    attempts: int = 0
 
 
 class DurableBuffer:
-    """FIFO of signed envelopes awaiting submission. Survives process kills."""
+    """FIFO of signed envelopes awaiting submission. Survives process kills.
+
+    The journal is an `AppendLog` of canonical JSON lines: a schema header,
+    then one record per enqueue. Acks rewrite a small watermark document;
+    once nothing is pending the journal is cleared.
+    """
 
     def __init__(self, directory: str | Path, cap: int = DEFAULT_CAP) -> None:
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
-        self._journal_path = self._dir / JOURNAL_FILE
         self._ack_path = self._dir / ACK_FILE
         self._cap = cap
         self._lock = threading.Lock()
@@ -72,64 +187,35 @@ class DurableBuffer:
         self._watermark = 0          # every id <= watermark is acked
         self._acked_above: set[int] = set()
         self._next_id = 1
-        self._recover()
-        self._journal = open(self._journal_path, "ab")
+        journal_path = self._dir / JOURNAL_FILE
+        self._recover(AppendLog.read(journal_path))
+        self._journal = AppendLog(journal_path)
 
-    # -- recovery ---------------------------------------------------------
-
-    def _recover(self) -> None:
-        if self._ack_path.exists():
+    def _recover(self, raw: bytes) -> None:
+        ack = read_document(self._ack_path, CorruptJournal, lambda obj: (
+            int(obj["watermark"]),
+            {int(i) for i in obj["acked"]},
+            int(obj.get("next_id", int(obj["watermark"]) + 1)),
+        ))
+        if ack is not None:
+            self._watermark, self._acked_above, self._next_id = ack
+        for number, line in enumerate(raw.splitlines(), 1):
             try:
-                ack = json.loads(self._ack_path.read_text("utf-8"))
-                self._watermark = int(ack["watermark"])
-                self._acked_above = {int(i) for i in ack["acked"]}
-                self._next_id = int(ack.get("next_id", self._watermark + 1))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorruptJournal(f"ack file unreadable: {exc}") from exc
-        if not self._journal_path.exists():
-            self._journal_path.touch()
-            return
-        raw = self._journal_path.read_bytes()
-        keep = len(raw)
-        lines = raw.split(b"\n")
-        # A partial trailing line is a crash artifact from an interrupted
-        # enqueue (never acknowledged to the writer) and is dropped. Anything
-        # malformed before that is real corruption and must surface.
-        trailing_partial = lines and lines[-1] != b""
-        if not trailing_partial:
-            lines = lines[:-1]
-        for index, line in enumerate(lines):
-            is_last = index == len(lines) - 1
-            try:
-                obj = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                if is_last and trailing_partial:
-                    keep = raw.rfind(b"\n") + 1
-                    break
-                raise CorruptJournal(f"journal line {index + 1} unreadable: {exc}") from exc
-            if index == 0:
-                if obj.get("schema_version") != SCHEMA_VERSION:
-                    raise CorruptJournal(f"unsupported journal schema: {obj!r}")
-                continue
-            try:
-                entry_id = int(obj["seq"])
+                obj = canonical.loads(line)
+                if number == 1:
+                    if obj != {"schema_version": SCHEMA_VERSION}:
+                        raise CorruptJournal(f"unsupported journal schema: {obj!r}")
+                    continue
                 entry = BufferEntry(
-                    entry_id=entry_id,
+                    entry_id=int(obj["seq"]),
                     envelope=SignedEnvelope.from_wire_obj(obj["envelope"]),
                     enqueued_at=int(obj["enqueued_at"]),
                 )
             except (KeyError, ValueError, TypeError, MalformedEnvelope) as exc:
-                if is_last and trailing_partial:
-                    keep = raw.rfind(b"\n") + 1
-                    break
-                raise CorruptJournal(f"journal line {index + 1} invalid: {exc}") from exc
-            self._next_id = max(self._next_id, entry_id + 1)
-            if entry_id <= self._watermark or entry_id in self._acked_above:
-                continue
-            self._pending[entry_id] = entry
-        if keep < len(raw):
-            with open(self._journal_path, "r+b") as f:
-                f.truncate(keep)
+                raise CorruptJournal(f"journal line {number} invalid: {exc}") from exc
+            self._next_id = max(self._next_id, entry.entry_id + 1)
+            if entry.entry_id > self._watermark and entry.entry_id not in self._acked_above:
+                self._pending[entry.entry_id] = entry
 
     # -- operations -------------------------------------------------------
 
@@ -144,9 +230,9 @@ class DurableBuffer:
                 "enqueued_at": now_ms,
                 "envelope": envelope.to_wire_obj(),
             }
-            if self._journal.tell() == 0:
-                self._write_line({"schema_version": SCHEMA_VERSION})
-            self._write_line(record)
+            if self._journal.size == 0:
+                self._journal.append(canonical.dumps({"schema_version": SCHEMA_VERSION}) + b"\n")
+            self._journal.append(canonical.dumps(record) + b"\n")
             self._pending[entry_id] = BufferEntry(entry_id, envelope, now_ms)
             return entry_id
 
@@ -154,9 +240,7 @@ class DurableBuffer:
         """Up to n oldest unacknowledged entries, non-destructively."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        with self._lock:
-            ids = sorted(self._pending)[:n]
-            return [self._pending[i] for i in ids]
+        return self.peek_after(0, n)
 
     def peek_after(self, entry_id: int, n: int) -> list[BufferEntry]:
         """Oldest-first pending entries with id greater than entry_id."""
@@ -173,19 +257,19 @@ class DurableBuffer:
             for entry_id in ids:
                 del self._pending[entry_id]
                 self._acked_above.add(entry_id)
-            self._compact_watermark()
-            self._write_ack_file()
-            if not self._pending and self._journal.tell() > 0:
-                self._truncate_journal()
-
-    def nack(self, entry_ids: Iterable[int]) -> None:
-        """Failure notice: entries stay, in order, with attempts incremented."""
-        with self._lock:
-            for entry_id in entry_ids:
-                entry = self._pending.get(entry_id)
-                if entry is None:
-                    raise UnknownEntry(f"entry {entry_id} is not pending")
-                self._pending[entry_id] = replace(entry, attempts=entry.attempts + 1)
+            while self._watermark + 1 in self._acked_above:
+                self._watermark += 1
+                self._acked_above.discard(self._watermark)
+            write_document(self._ack_path, {
+                "schema_version": SCHEMA_VERSION,
+                "watermark": self._watermark,
+                "acked": sorted(self._acked_above),
+                "next_id": self._next_id,
+            })
+            # The ack document already marks everything acked, so a crash
+            # before the clear replays into an empty pending set.
+            if not self._pending and self._journal.size > 0:
+                self._journal.clear()
 
     def depth(self) -> int:
         with self._lock:
@@ -199,54 +283,32 @@ class DurableBuffer:
         with self._lock:
             self._journal.close()
 
-    # -- internals --------------------------------------------------------
 
-    def _write_line(self, obj: dict[str, Any]) -> None:
-        self._journal.write(json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n")
-        self._journal.flush()
-        os.fsync(self._journal.fileno())
-
-    def _compact_watermark(self) -> None:
-        while self._watermark + 1 in self._acked_above:
-            self._watermark += 1
-            self._acked_above.discard(self._watermark)
-
-    def _write_ack_file(self) -> None:
-        payload = json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "watermark": self._watermark,
-                "acked": sorted(self._acked_above),
-                "next_id": self._next_id,
-            },
-            sort_keys=True,
-        )
-        _atomic_write(self._ack_path, payload.encode("utf-8"))
-
-    def _truncate_journal(self) -> None:
-        # Safe ordering: the ack file already marks everything acked, so a
-        # crash between these two steps replays into an empty pending set.
-        self._journal.truncate(0)
-        self._journal.seek(0)
-        self._journal.flush()
-        os.fsync(self._journal.fileno())
+# -- device key -------------------------------------------------------------------
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as f:
-        f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
+def save_private_key(path: Union[str, Path], keypair: KeyPair) -> None:
+    """Write the PEM private key readable only by the owning process user."""
+    pem = keypair.private_key.private_bytes(
+        encoding=serialization.Encoding.PEM,
+        format=serialization.PrivateFormat.PKCS8,
+        encryption_algorithm=serialization.NoEncryption(),
+    )
+    write_atomic(Path(path), pem, mode=0o600)
+
+
+def load_private_key(path: Union[str, Path], device_id: str) -> KeyPair:
     try:
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            os.fsync(dir_fd)
-        finally:
-            os.close(dir_fd)
-    except OSError:
-        pass
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise KeyUnavailable(f"cannot read key file {path}: {exc}") from exc
+    try:
+        key = serialization.load_pem_private_key(data, password=None)
+    except Exception as exc:
+        raise KeyUnavailable(f"cannot parse key file {path}: {exc}") from exc
+    if not isinstance(key, RSAPrivateKey):
+        raise KeyUnavailable(f"expected an RSA private key in {path}")
+    return KeyPair(device_id=device_id, private_key=key)
 
 
 # -- persisted device configuration ---------------------------------------
@@ -257,9 +319,6 @@ class HeartbeatTarget:
     address: str
     port: int
     timeout_ms: int
-
-    def to_obj(self) -> dict[str, Any]:
-        return {"address": self.address, "port": self.port, "timeout_ms": self.timeout_ms}
 
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "HeartbeatTarget":
@@ -272,14 +331,6 @@ class LedgerTarget:
     port: int
     channel_name: str
     chaincode_name: str
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "address": self.address,
-            "port": self.port,
-            "channel_name": self.channel_name,
-            "chaincode_name": self.chaincode_name,
-        }
 
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "LedgerTarget":
@@ -306,33 +357,22 @@ class PersistedConfig:
             "schema_version": SCHEMA_VERSION,
             "state": self.state.value,
             "job": self.job.to_obj() if self.job else None,
-            "heartbeat": self.heartbeat.to_obj() if self.heartbeat else None,
-            "ledger": self.ledger.to_obj() if self.ledger else None,
+            "heartbeat": asdict(self.heartbeat) if self.heartbeat else None,
+            "ledger": asdict(self.ledger) if self.ledger else None,
             "heartbeat_sequence": self.heartbeat_sequence,
         }
 
     @classmethod
-    def from_obj(cls, obj: Any) -> "PersistedConfig":
+    def from_obj(cls, obj: dict[str, Any]) -> "PersistedConfig":
         """Unknown fields are ignored, so older files that still carry
         `since` and `transitions` load."""
-        if not isinstance(obj, dict):
-            raise CorruptConfig("config root must be an object")
-        if obj.get("schema_version") != SCHEMA_VERSION:
-            raise CorruptConfig(f"unsupported config schema: {obj.get('schema_version')!r}")
-        try:
-            state = NodeState(obj["state"])
-            job = MonitoringJob.from_obj(obj["job"]) if obj.get("job") else None
-            heartbeat = HeartbeatTarget.from_obj(obj["heartbeat"]) if obj.get("heartbeat") else None
-            ledger = LedgerTarget.from_obj(obj["ledger"]) if obj.get("ledger") else None
-            cfg = cls(
-                state=state,
-                job=job,
-                heartbeat=heartbeat,
-                ledger=ledger,
-                heartbeat_sequence=int(obj["heartbeat_sequence"]),
-            )
-        except (KeyError, ValueError, TypeError, ModelError) as exc:
-            raise CorruptConfig(f"config contents invalid: {exc}") from exc
+        cfg = cls(
+            state=NodeState(obj["state"]),
+            job=MonitoringJob.from_obj(obj["job"]) if obj.get("job") else None,
+            heartbeat=HeartbeatTarget.from_obj(obj["heartbeat"]) if obj.get("heartbeat") else None,
+            ledger=LedgerTarget.from_obj(obj["ledger"]) if obj.get("ledger") else None,
+            heartbeat_sequence=int(obj["heartbeat_sequence"]),
+        )
         if (cfg.state is NodeState.MONITORING) != (cfg.job is not None):
             raise CorruptConfig("job must be present iff state is monitoring")
         return cfg
@@ -346,8 +386,8 @@ class ConfigStore:
     replaced by defaults.
     """
 
-    def __init__(self, directory: str | Path, filename: str = CONFIG_FILE) -> None:
-        self._path = Path(directory) / filename
+    def __init__(self, directory: str | Path) -> None:
+        self._path = Path(directory) / CONFIG_FILE
         self._path.parent.mkdir(parents=True, exist_ok=True)
 
     @property
@@ -355,15 +395,8 @@ class ConfigStore:
         return self._path
 
     def load(self) -> PersistedConfig:
-        if not self._path.exists():
-            return PersistedConfig()
-        try:
-            text = self._path.read_text("utf-8")
-            obj = json.loads(text)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorruptConfig(f"cannot read {self._path.name}: {exc}") from exc
-        return PersistedConfig.from_obj(obj)
+        config = read_document(self._path, CorruptConfig, PersistedConfig.from_obj)
+        return PersistedConfig() if config is None else config
 
     def save(self, config: PersistedConfig) -> None:
-        data = json.dumps(config.to_obj(), indent=2, sort_keys=True).encode("utf-8")
-        _atomic_write(self._path, data)
+        write_document(self._path, config.to_obj())

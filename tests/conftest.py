@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import logging
+import os
 
 import pytest
 
@@ -57,3 +59,19 @@ def make_report(device: str = "node-1", created_at: int = T0 + 600_000,
         created_at=created_at,
         readings=tuple(readings),
     )
+
+
+@pytest.fixture()
+def fail_next_fsync(monkeypatch):
+    """Arm a one-shot EIO from the next `os.fsync`; later calls go through."""
+    real_fsync = os.fsync
+    armed = []
+
+    def fsync(fd):
+        if armed:
+            armed.pop()
+            raise OSError(errno.EIO, "injected fsync failure")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return lambda: armed.append(True)

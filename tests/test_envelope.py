@@ -14,14 +14,13 @@ from ambox.envelope import (
     SignedEnvelope,
     canonicalize,
     canonicalize_reading,
-    load_private_key,
-    save_private_key,
     sign,
     sign_reading_envelope,
     verify,
     verify_reading_signature,
 )
 from ambox.model import EventReport, SensorReading
+from ambox.storage import load_private_key, save_private_key
 
 from conftest import T0, make_reading, make_report
 

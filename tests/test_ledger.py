@@ -360,3 +360,70 @@ def test_zero_hash_genesis_chain(tmp_path):
     first = canonical.loads(raw.split(b"\n")[0])
     assert first["prev_hash"] == ZERO_HASH
     assert first["height"] == 0
+
+
+# -- the block log on disk ---------------------------------------------------------
+
+
+def test_failed_block_append_leaves_the_log_as_it_was(registered, node_key, tmp_path,
+                                                      fail_next_fsync):
+    registered.add_events([env_for(node_key, 0)[0]], T0)
+    lost, lost_report = env_for(node_key, 1)
+    fail_next_fsync()
+    with pytest.raises(OSError):
+        registered.add_events([lost], T0 + 1)
+    assert registered.add_events([env_for(node_key, 2)[0]], T0 + 2)[0].status == "committed"
+    assert registered.height == 2
+    assert registered.get_event(lost_report.report_id) is None
+    assert registered.verify_chain() is None
+    reopened = Ledger(tmp_path / "ledger")
+    assert reopened.height == 2
+    assert reopened.verify_chain() is None
+    assert reopened.world_state_bytes() == registered.world_state_bytes()
+
+
+def test_torn_final_block_is_dropped_at_open(registered, node_key, tmp_path):
+    for i in range(2):
+        registered.add_events([env_for(node_key, i)[0]], T0 + i)
+    registered.close()
+    path = tmp_path / "ledger" / "blocks.journal"
+    pristine = path.read_bytes()
+    last_start = pristine.rstrip(b"\n").rfind(b"\n") + 1
+    extra = env_for(node_key, 7)[0]
+    # Every cut of the last line, down to the one that loses only its newline.
+    for cut in range(last_start, len(pristine)):
+        path.write_bytes(pristine[:cut])
+        ledger = Ledger(tmp_path / "ledger")
+        assert ledger.height == 1
+        assert path.read_bytes() == pristine[:last_start]
+        assert ledger.add_events([extra], T0 + 7)[0].replay is False
+        ledger.close()
+        reopened = Ledger(tmp_path / "ledger")
+        assert reopened.height == 2
+        assert reopened.verify_chain() is None
+        reopened.close()
+
+
+def test_reports_from_before_1970_are_refused(registered, node_key):
+    from cryptography.hazmat.primitives import hashes
+    from cryptography.hazmat.primitives.asymmetric import padding
+
+    service = LedgerService(registered, clock=lambda: T0)
+
+    def call(op, args):
+        return json.loads(service.handle("x", json.dumps({"op": op, "args": args}).encode()))
+
+    good, good_report = env_for(node_key, 0)
+    early = make_report(device="node-1", report_id="node-1-early").to_obj()
+    early["created_at"] = "1969-12-31T23:59:59.000Z"
+    for reading in early["readings"]:
+        reading["sampled_at"] = "1969-12-31T23:59:00.000Z"
+    payload = canonical.dumps(early)
+    signature = node_key.private_key.sign(payload, padding.PKCS1v15(), hashes.SHA256())
+    envelopes = [good.to_wire_obj(), SignedEnvelope(payload, signature, "node-1").to_wire_obj()]
+    answer = call("AddEvents", {"envelopes": envelopes})
+    assert [v["status"] for v in answer["result"]["verdicts"]] == ["committed", "rejected"]
+    assert answer["result"]["verdicts"][1]["reason"] == REASON_INVALID_REPORT
+    recent = call("GetRecent", {"device_id": "node-1"})
+    assert recent["ok"] is True
+    assert [r["report_id"] for r in recent["result"]["reports"]] == [good_report.report_id]

@@ -79,6 +79,8 @@ def brute_force_violations(report: EventReport) -> set[str]:
     for r in report.readings:
         if r.sampled_at > report.created_at:
             out.add("readings within created_at")
+        if r.sampled_at < 0:
+            out.add("readings at or after 1970-01-01")
     streams = {}
     for r in report.readings:
         streams.setdefault((r.source_device, r.quantity), []).append(r.sampled_at)
@@ -110,7 +112,7 @@ def test_validate_good_report_ok():
 @st.composite
 def arbitrary_reports(draw):
     device = draw(st.sampled_from(["node-1", "node-2", ""]))
-    created = draw(st.integers(min_value=0, max_value=10**12))
+    created = draw(st.integers(min_value=-10**6, max_value=10**12))
     n = draw(st.integers(min_value=0, max_value=6))
     readings = []
     for _ in range(n):
@@ -119,7 +121,7 @@ def arbitrary_reports(draw):
                 quantity=draw(st.sampled_from([TEMPERATURE, HUMIDITY, PRESSURE])),
                 value=draw(st.floats(allow_nan=False, allow_infinity=False,
                                      min_value=-1000, max_value=2000)),
-                sampled_at=draw(st.integers(min_value=0, max_value=10**12)),
+                sampled_at=draw(st.integers(min_value=-10**6, max_value=10**12)),
                 source_device=draw(st.sampled_from(["node-1", "mote-1"])),
             )
         )

@@ -3,7 +3,8 @@
 import json
 
 from ambox.fleet import CommissionPlan, commission, start_monitoring
-from ambox.mote import MoteConfig, load_mote_config, save_mote_config
+from ambox.mote import CHAR_CONFIG, MoteAgent, MoteConfig, load_mote_config, save_mote_config
+from ambox.runtime import SimRuntime
 from ambox.storage import CorruptConfig
 from ambox.transport.faults import MODE_DOWN, FaultSchedule, FaultWindow
 
@@ -254,3 +255,17 @@ def test_two_motes_receive_job_before_first_sample():
     assert out["configured_early"] == {"mote1": True, "mote2": True}
     assert out["samples_early"] == {"mote1": 0, "mote2": 0}
     assert out["samples_later"] == {"mote1": 10, "mote2": 10}
+
+
+def test_config_write_that_cannot_be_stored_is_ignored(tmp_path, mote_key):
+    mote = MoteAgent(mote_key, "node1", tmp_path, SimRuntime(), driver_factory=lambda q, p: None)
+    unstorable = {"enabled": True, "sample_interval_ms": 30_000,
+                  "sensor_params": {"temperature": {"enabled": True, "offset": float("nan")}}}
+    mote.on_write(None, CHAR_CONFIG, json.dumps(unstorable).encode())
+    assert mote.config == MoteConfig()
+    assert load_mote_config(tmp_path) == MoteConfig()
+    unstorable["sensor_params"]["temperature"]["offset"] = 0.5
+    mote.on_write(None, CHAR_CONFIG, json.dumps(unstorable).encode())
+    assert mote.config.enabled is True
+    assert load_mote_config(tmp_path) == mote.config
+    mote.buffer.close()

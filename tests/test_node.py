@@ -412,7 +412,7 @@ def test_reconfigure_ledger_drains_to_new_endpoint():
         caller.call("node1", "POST", "/startMonitoring", JOB_BODY)
         world.runtime.sleep(11 * 60_000)
         result["buffered_before"] = world.nodes["node1"].buffer.depth()
-        result["attempts"] = world.nodes["node1"].buffer.peek_batch(1)[0].attempts
+        result["submit_failures"] = world.nodes["node1"].stats["submit_failures"]
         caller.call("node1", "POST", "/configBlockchain",
                     {"ipaddr": "ledger", "port": 1, "channel_name": "ch",
                      "chaincode_name": "cc"})
@@ -423,7 +423,7 @@ def test_reconfigure_ledger_drains_to_new_endpoint():
     drive(world, director)
     world.teardown()
     assert result["buffered_before"] >= 2
-    assert result["attempts"] >= 1           # failure notices incremented attempts
+    assert result["submit_failures"] >= 1    # submissions to the dead endpoint failed
     assert result["buffered_after"] == 0
     assert result["committed"] == result["buffered_before"]
 
@@ -520,3 +520,36 @@ def test_storage_full_pauses_sampling_and_raises_alarm():
     assert out["hb_alarm"] is True
     assert out["alarm_after"] is False
     assert out["resumed"] is True
+
+
+def test_start_monitoring_refuses_what_the_config_file_cannot_hold():
+    world = build_world(mini_scenario(job=None))
+    unstorable = [{"temperature": {"enabled": True, "offset": float("nan")}},
+                  {"temperature": {"enabled": True, "offset": float("inf")}},
+                  {"\ud800": {"enabled": True}}]
+    result = {}
+
+    def director():
+        caller = world.operator_caller()
+        caller.call("node1", "POST", "/configHeartbeat",
+                    {"ipaddr": "operator", "port": 1, "heartbeat_timeout_ms": 30_000})
+        caller.call("node1", "POST", "/init", {})
+        caller.call("node1", "POST", "/configBlockchain",
+                    {"ipaddr": "ledger", "port": 1, "channel_name": "ch", "chaincode_name": "cc"})
+        node = world.nodes["node1"]
+        before = (node.config, node.config_store.path.read_bytes())
+        result["refused"] = [
+            caller.call("node1", "POST", "/startMonitoring", dict(JOB_BODY, sensor_params=p))
+            for p in unstorable]
+        result["bad_address"] = caller.call(
+            "node1", "POST", "/configBlockchain",
+            {"ipaddr": "\ud800", "port": 1, "channel_name": "ch", "chaincode_name": "cc"})
+        result["unchanged"] = (node.config, node.config_store.path.read_bytes()) == before
+        result["ok"] = caller.call("node1", "POST", "/startMonitoring", JOB_BODY)[0]
+
+    drive(world, director)
+    world.teardown()
+    assert result["refused"] == [(400, {"error": "invalid-argument:sensor_params"})] * 3
+    assert result["bad_address"] == (400, {"error": "invalid-argument:ipaddr"})
+    assert result["unchanged"] is True
+    assert result["ok"] == 200

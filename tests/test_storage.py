@@ -1,13 +1,23 @@
+import ast
 import json
+import os
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ambox.envelope import sign
-from ambox.model import NodeState, MonitoringJob
+import ambox
+from ambox import canonical
+from ambox.envelope import generate_keypair, sign
+from ambox.ledger import CorruptLedger, Ledger
+from ambox.model import DeviceIdentity, DeviceKind, NodeState, MonitoringJob
+from ambox.mote import MoteConfig, load_mote_config, save_mote_config
 from ambox.storage import (
+    ACK_FILE,
+    CONFIG_FILE,
+    KEY_FILE,
     ConfigStore,
     CorruptConfig,
     CorruptJournal,
@@ -17,6 +27,8 @@ from ambox.storage import (
     PersistedConfig,
     StorageFull,
     UnknownEntry,
+    load_private_key,
+    save_private_key,
 )
 
 from conftest import T0, make_report
@@ -38,7 +50,6 @@ def test_enqueue_peek_identity(tmp_path, envelopes):
     batch = buf.peek_batch(5)
     assert len(batch) == 1
     assert batch[0].envelope == envelopes[0]
-    assert batch[0].attempts == 0
 
 
 def test_fifo_order_and_nondestructive_peek(tmp_path, envelopes):
@@ -131,14 +142,6 @@ def test_double_ack_unknown(tmp_path, envelopes):
         buf.ack([eid])
 
 
-def test_nack_increments_attempts(tmp_path, envelopes):
-    buf = DurableBuffer(tmp_path)
-    eid = buf.enqueue(envelopes[0], T0)
-    buf.nack([eid])
-    buf.nack([eid])
-    assert buf.peek_batch(1)[0].attempts == 2
-
-
 def test_acked_entries_stay_gone_after_restart(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
     ids = [buf.enqueue(e, T0) for e in envelopes[:4]]
@@ -159,7 +162,7 @@ def test_entry_ids_monotone_across_full_drain_and_restart(tmp_path, envelopes):
 
 
 @settings(max_examples=40, deadline=None)
-@given(ops=st.lists(st.sampled_from(["enqueue", "peek", "ack_first", "ack_second", "nack"]),
+@given(ops=st.lists(st.sampled_from(["enqueue", "peek", "ack_first", "ack_second"]),
                     min_size=1, max_size=40),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_reference_queue_equivalence(tmp_path_factory, node_key, ops, seed):
@@ -191,8 +194,6 @@ def test_reference_queue_equivalence(tmp_path_factory, node_key, ops, seed):
             reference.clear()
             reference.extend(items)
             buf.ack([eid])
-        elif op == "nack" and reference:
-            buf.nack([reference[0][0]])
     got = [b.entry_id for b in buf.peek_batch(1000)]
     want = [eid for eid, _ in reference]
     assert got == want
@@ -258,3 +259,241 @@ def test_state_job_consistency_enforced(tmp_path):
     store.path.write_text(json.dumps(obj))
     with pytest.raises(CorruptConfig):
         store.load()
+
+
+# -- the journal on disk ----------------------------------------------------------
+
+
+def test_failed_enqueue_leaves_the_journal_as_it_was(tmp_path, envelopes, fail_next_fsync):
+    buf = DurableBuffer(tmp_path)
+    buf.enqueue(envelopes[0], T0)
+    fail_next_fsync()
+    with pytest.raises(OSError):
+        buf.enqueue(envelopes[1], T0)
+    buf.enqueue(envelopes[2], T0)
+    acknowledged = [envelopes[0], envelopes[2]]
+    assert [e.envelope for e in buf.pending_entries()] == acknowledged
+    buf.close()
+    reopened = DurableBuffer(tmp_path)
+    assert [e.envelope for e in reopened.pending_entries()] == acknowledged
+    reopened.close()
+
+
+def test_torn_journal_tail_is_dropped_at_every_offset(tmp_path, envelopes):
+    buf = DurableBuffer(tmp_path)
+    for e in envelopes[:3]:
+        buf.enqueue(e, T0)
+    buf.close()
+    journal = tmp_path / "buffer.journal"
+    pristine = journal.read_bytes()
+    last_start = pristine.rstrip(b"\n").rfind(b"\n") + 1
+    # Every cut of the last line, down to the one that loses only its newline.
+    for cut in range(last_start, len(pristine)):
+        journal.write_bytes(pristine[:cut])
+        recovered = DurableBuffer(tmp_path)
+        assert [e.envelope for e in recovered.pending_entries()] == envelopes[:2]
+        assert journal.read_bytes() == pristine[:last_start]
+        recovered.enqueue(envelopes[3], T0)
+        recovered.close()
+        reopened = DurableBuffer(tmp_path)
+        assert [e.envelope for e in reopened.pending_entries()] == envelopes[:2] + [envelopes[3]]
+        reopened.close()
+
+
+# -- documents ----------------------------------------------------------------------
+
+
+def _node_config(directory, envelopes, key):
+    ConfigStore(directory).save(full_config())
+    return directory / CONFIG_FILE, CorruptConfig, lambda: ConfigStore(directory).load()
+
+
+def _mote_config(directory, envelopes, key):
+    save_mote_config(directory, MoteConfig(True, 30_000, {"temperature": {"enabled": True}}))
+    return directory / "mote_config.json", CorruptConfig, lambda: load_mote_config(directory)
+
+
+def _ack_file(directory, envelopes, key):
+    buf = DurableBuffer(directory)
+    ids = [buf.enqueue(e, T0) for e in envelopes[:3]]
+    buf.ack([ids[1]])
+    buf.close()
+    return directory / ACK_FILE, CorruptJournal, lambda: DurableBuffer(directory).close()
+
+
+def _registry(directory, envelopes, key):
+    ledger = Ledger(directory)
+    ledger.register_device(DeviceIdentity("node-1", DeviceKind.NODE, key.public_pem))
+    ledger.close()
+    return directory / "registry.json", CorruptLedger, lambda: Ledger(directory).close()
+
+
+def _wrong_schema(raw):
+    obj = canonical.loads(raw)
+    obj["schema_version"] = 2
+    return [canonical.dumps(obj)]
+
+
+DAMAGE = {
+    "bad-utf8": lambda raw: [b"\xff\xfe"],
+    "non-object-root": lambda raw: [b"[]", b'"text"', b"1"],
+    "wrong-schema": _wrong_schema,
+    "truncated": lambda raw: [raw[:cut] for cut in range(len(raw))],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("document", [_node_config, _mote_config, _ack_file, _registry],
+                         ids=["node-config", "mote-config", "ack-file", "registry"])
+def test_damaged_document_raises_its_corruption_error(tmp_path, envelopes, node_key,
+                                                      document, damage):
+    path, error, load = document(tmp_path, envelopes, node_key)
+    raw = path.read_bytes()
+    load()
+    for data in DAMAGE[damage](raw):
+        path.write_bytes(data)
+        with pytest.raises(error, match=path.name):
+            load()
+    path.write_bytes(raw)
+    load()
+
+
+INDENTED_NODE_CONFIG = b"""{
+  "heartbeat": {
+    "address": "operator",
+    "port": 1,
+    "timeout_ms": 30000
+  },
+  "heartbeat_sequence": 17,
+  "job": {
+    "batch_no": "B-18",
+    "product_id": "cherries",
+    "report_interval_ms": 300000,
+    "sample_interval_ms": 60000,
+    "sensor_params": {
+      "temperature": {
+        "enabled": true
+      }
+    }
+  },
+  "ledger": {
+    "address": "ledger",
+    "chaincode_name": "events",
+    "channel_name": "ambox",
+    "port": 1
+  },
+  "schema_version": 1,
+  "state": "monitoring"
+}"""
+
+INDENTED_MOTE_CONFIG = b"""{
+  "enabled": true,
+  "sample_interval_ms": 30000,
+  "schema_version": 1,
+  "sensor_params": {
+    "temperature": {
+      "enabled": true
+    }
+  }
+}"""
+
+INDENTED_REGISTRY = b"""{
+  "devices": {
+    "node-1": {
+      "kind": "node",
+      "public_key_pem": PEM
+    }
+  },
+  "schema_version": 1
+}"""
+
+SPACED_JOURNAL = b"""{"schema_version": 1}
+{"enqueued_at": 1704067200000, "envelope": {"payload_b64": "P0", "signature_b64": "S0", \
+"signer": "node-1"}, "seq": 1}
+{"enqueued_at": 1704067200000, "envelope": {"payload_b64": "P1", "signature_b64": "S1", \
+"signer": "node-1"}, "seq": 2}
+"""
+
+SPACED_ACK = b'{"acked": [], "next_id": 3, "schema_version": 1, "watermark": 1}'
+
+
+def test_indented_and_spaced_files_of_older_versions_still_load(tmp_path, envelopes, node_key):
+    (tmp_path / CONFIG_FILE).write_bytes(INDENTED_NODE_CONFIG)
+    assert ConfigStore(tmp_path).load() == full_config()
+    (tmp_path / "mote_config.json").write_bytes(INDENTED_MOTE_CONFIG)
+    mote_config = MoteConfig(True, 30_000, {"temperature": {"enabled": True}})
+    assert load_mote_config(tmp_path) == mote_config
+    journal = SPACED_JOURNAL
+    for i in range(2):
+        wire = envelopes[i].to_wire_obj()
+        journal = journal.replace(b'"P%d"' % i, json.dumps(wire["payload_b64"]).encode())
+        journal = journal.replace(b'"S%d"' % i, json.dumps(wire["signature_b64"]).encode())
+    (tmp_path / "buffer.journal").write_bytes(journal)
+    (tmp_path / ACK_FILE).write_bytes(SPACED_ACK)
+    buf = DurableBuffer(tmp_path)
+    assert [e.envelope for e in buf.pending_entries()] == [envelopes[1]]
+    buf.close()
+    ledger_dir = tmp_path / "ledger"
+    ledger_dir.mkdir()
+    pem = json.dumps(node_key.public_pem).encode()
+    (ledger_dir / "registry.json").write_bytes(INDENTED_REGISTRY.replace(b"PEM", pem))
+    ledger = Ledger(ledger_dir)
+    assert ledger.registered_key("node-1") == node_key.public_pem
+    ledger.close()
+
+
+# -- the device key -------------------------------------------------------------------
+
+
+def test_key_file_is_replaced_atomically(tmp_path, node_key, monkeypatch):
+    path = tmp_path / KEY_FILE
+    real_fsync, real_replace = os.fsync, os.replace
+    synced = set()
+
+    def fsync(fd):
+        real_fsync(fd)
+        st = os.fstat(fd)
+        synced.add((st.st_ino, st.st_size, st.st_mode & 0o777))
+
+    def replace(src, dst):
+        st = os.stat(src)
+        assert (st.st_ino, st.st_size, 0o600) in synced  # bytes on disk before the path appears
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    save_private_key(path, node_key)
+    assert load_private_key(path, "node-1").public_pem == node_key.public_pem
+
+    def fail(src, dst):
+        raise OSError("injected failure before the rename")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        save_private_key(path, generate_keypair("node-1"))
+    assert load_private_key(path, "node-1").public_pem == node_key.public_pem
+    fresh = tmp_path / "fresh" / KEY_FILE
+    fresh.parent.mkdir()
+    with pytest.raises(OSError):
+        save_private_key(fresh, node_key)
+    assert not fresh.exists()
+
+
+# -- one owner for durable writes -------------------------------------------------------
+
+
+def test_only_storage_syncs_renames_or_truncates():
+    package = Path(ambox.__file__).parent
+    calls = {"fsync", "replace", "ftruncate"}
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "storage.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in calls
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{path.relative_to(package)}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found.extend(f"{path.relative_to(package)}:{node.lineno} {alias.name}"
+                             for alias in node.names if alias.name in calls)
+    assert found == []
