@@ -66,9 +66,6 @@ class SignedEnvelope:
             "signer": self.signer,
         }
 
-    def to_bytes(self) -> bytes:
-        return canonical.dumps(self.to_wire_obj())
-
     @classmethod
     def from_wire_obj(cls, obj: Any) -> "SignedEnvelope":
         if not isinstance(obj, dict):
@@ -89,14 +86,6 @@ class SignedEnvelope:
         if not signature:
             raise MalformedEnvelope("empty signature")
         return cls(payload=payload, signature=signature, signer=signer)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SignedEnvelope":
-        try:
-            obj = canonical.loads(data)
-        except canonical.CanonicalError as exc:
-            raise MalformedEnvelope(str(exc)) from exc
-        return cls.from_wire_obj(obj)
 
 
 @dataclass

@@ -4,8 +4,9 @@ commissioning/decommissioning flows driven over the device control API.
 The operator holds no secrets. Device keys are generated on-device; only the
 public key flows through the operator to the ledger, and it is registered
 before the device is touched, so a dead ledger leaves the device untouched.
-FleetView is a pure function of the heartbeat log and the clock: it can be
-rebuilt from the log at any time, which the tests exercise by replay.
+The fleet view folds heartbeats into one fixed-size record per device as
+they arrive and keeps no heartbeat, so it grows with the fleet, not with
+time. Missed deadlines are evaluated against the clock when it is read.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ class DeviceView:
     consecutive_submit_failures: int
     timeout_ms: int
     missed_deadline: bool = False
+    # Not part of the /fleet answer: the liveness check's inputs.
+    beats: int = 1
+    max_gap_ms: Optional[int] = None
 
     def to_obj(self) -> dict[str, Any]:
         return {
@@ -83,9 +87,6 @@ class OperatorCore:
         self._lock = threading.Lock()
         self._devices: dict[str, DeviceView] = {}
         self._timeouts: dict[str, int] = {}
-        # Accepted heartbeats in arrival order; the fleet view is replayed
-        # from it.
-        self.heartbeat_log: list[HeartbeatMessage] = []
         self.stats = FleetStats()
 
     def set_device_timeout(self, device_id: str, timeout_ms: int) -> None:
@@ -102,25 +103,26 @@ class OperatorCore:
             self.stats.heartbeats_malformed += 1
             raise MalformedMessage(str(exc)) from exc
         with self._lock:
-            self._ingest(message, record=True)
-
-    def _ingest(self, message: HeartbeatMessage, record: bool) -> None:
-        view = self._devices.get(message.device_id)
-        if view is not None and message.sequence <= view.sequence:
-            self.stats.heartbeats_ignored += 1
-            return
-        if record:
-            self.heartbeat_log.append(message)
-        self.stats.heartbeats_accepted += 1
-        timeout = self._timeouts.get(message.device_id, self._default_timeout_ms)
-        self._devices[message.device_id] = DeviceView(
-            last_heartbeat_at=message.sent_at,
-            reported_state=message.state.value,
-            sequence=message.sequence,
-            buffer_alarm=message.buffer_alarm,
-            consecutive_submit_failures=message.consecutive_submit_failures,
-            timeout_ms=timeout,
-        )
+            view = self._devices.get(message.device_id)
+            if view is not None and message.sequence <= view.sequence:
+                self.stats.heartbeats_ignored += 1
+                return
+            self.stats.heartbeats_accepted += 1
+            beats, max_gap = 1, None
+            if view is not None:
+                gap = message.sent_at - view.last_heartbeat_at
+                beats = view.beats + 1
+                max_gap = gap if view.max_gap_ms is None else max(view.max_gap_ms, gap)
+            self._devices[message.device_id] = DeviceView(
+                last_heartbeat_at=message.sent_at,
+                reported_state=message.state.value,
+                sequence=message.sequence,
+                buffer_alarm=message.buffer_alarm,
+                consecutive_submit_failures=message.consecutive_submit_failures,
+                timeout_ms=self._timeouts.get(message.device_id, self._default_timeout_ms),
+                beats=beats,
+                max_gap_ms=max_gap,
+            )
 
     def fleet(self, now_ms: Optional[int] = None) -> dict[str, DeviceView]:
         """Snapshot with missed-deadline flags evaluated at query time."""
@@ -133,20 +135,11 @@ class OperatorCore:
             return out
 
     def max_gap_ms(self, device_id: str) -> Optional[int]:
-        """Largest inter-heartbeat gap observed for a device, plus nothing else."""
-        times = [m.sent_at for m in self.heartbeat_log if m.device_id == device_id]
-        if len(times) < 2:
-            return None
-        return max(b - a for a, b in zip(times, times[1:]))
-
-    def replayed(self) -> "OperatorCore":
-        """Rebuild a fresh view purely from the heartbeat log."""
-        rebuilt = OperatorCore(self._clock, self._default_timeout_ms)
+        """Largest gap between a device's consecutive accepted heartbeats;
+        None before its second."""
         with self._lock:
-            rebuilt._timeouts = dict(self._timeouts)
-            for message in self.heartbeat_log:
-                rebuilt._ingest(message, record=False)
-        return rebuilt
+            view = self._devices.get(device_id)
+            return view.max_gap_ms if view else None
 
     # -- HTTP-ish router --------------------------------------------------------
 

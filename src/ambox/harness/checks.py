@@ -182,10 +182,10 @@ def check_heartbeat_liveness(world, params: dict) -> CheckResult:
     device = params["device"]
     min_count = int(params.get("min_count", 1))
     timeout = int(params.get("timeout_ms", world.scenario.heartbeat_timeout_ms))
-    gap = world.operator.max_gap_ms(device)
-    count = sum(1 for m in world.operator.heartbeat_log if m.device_id == device)
-    fleet = world.operator.fleet()
-    missed = fleet[device].missed_deadline if device in fleet else True
+    view = world.operator.fleet().get(device)
+    count = view.beats if view else 0
+    gap = view.max_gap_ms if view else None
+    missed = view.missed_deadline if view else True
     ok = count >= min_count and gap is not None and gap <= timeout and not missed
     return CheckResult("heartbeat_liveness", ok,
                        f"count={count} max_gap_ms={gap} missed_deadline={missed}")

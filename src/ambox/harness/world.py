@@ -42,7 +42,7 @@ from ..envelope import generate_keypair
 from ..fleet import CommissionPlan, OperatorCore, commission, start_monitoring, stop_monitoring
 from ..http_api import ShimHttpClient, shim_server_handler
 from ..ledger import OP_ADD_EVENTS, Ledger, LedgerClient, LedgerService, Verdict
-from ..model import DeviceIdentity, DeviceKind, EventReport
+from ..model import DeviceIdentity, DeviceKind, EventReport, ModelError, decode_report
 from ..mote import MoteAgent
 from ..node import NodeAgent
 from ..runtime import SimRuntime, TaskCancelled
@@ -178,10 +178,9 @@ class LedgerRecorder:
             for wire in obj["args"]["envelopes"]:
                 report = by_payload.get(wire["payload_b64"])
                 if report is None:
-                    body = canonical.loads(base64.b64decode(wire["payload_b64"]))
+                    body = decode_report(base64.b64decode(wire["payload_b64"]))
                     report = by_payload[wire["payload_b64"]] = SubmittedReport(
-                        body["report_id"], canonical.parse_millis(body["created_at"]),
-                        len(body["readings"]))
+                        body.report_id, body.created_at, len(body.readings))
                 submitted.setdefault(report.report_id, report)
                 reports.append(report)
             answer = json.loads(response) if response is not None else {}
@@ -511,8 +510,7 @@ class ScenarioWorld:
         """(commit time, report) for every report on the ledger's chain, in
         commit order."""
         return [
-            (block.committed_at,
-             EventReport.from_obj(canonical.loads(base64.b64decode(tx["payload_b64"]))))
+            (block.committed_at, decode_report(base64.b64decode(tx["payload_b64"])))
             for block in self.ledger.blocks()
             for tx in block.transactions
         ]
@@ -522,10 +520,9 @@ class ScenarioWorld:
         for node in self.nodes.values():
             for entry in node.buffer.pending_entries():
                 try:
-                    report = canonical.loads(entry.envelope.payload)
-                    total += len(report["readings"])
-                except Exception:
-                    total += 0
+                    total += len(decode_report(entry.envelope.payload).readings)
+                except ModelError:
+                    pass
             total += len(node._window)
         for mote in self.motes.values():
             total += mote.buffer.depth()
@@ -757,15 +754,17 @@ def tamper_probe(scenario: Scenario, seed: int, mutate_count: Optional[int] = No
 # -- latency benchmark -------------------------------------------------------------
 
 
-def rtt_benchmark(n: int, injected_latency_ms: int, seed: int = 0,
-                  spacing_ms: int = 1000, down: bool = False,
+RTT_SPACING_MS = 1000
+
+
+def rtt_benchmark(n: int, injected_latency_ms: int, seed: int = 0, down: bool = False,
                   label: str = "local") -> ScenarioReport:
     """Echo exchanges over a link with fixed injected latency; exact in
     virtual time. Reports avg/min/max like a latency table row."""
     if n < 1:
         raise ScenarioError("n must be >= 1")
     windows = []
-    span = max(n * spacing_ms + 10_000, 60_000)
+    span = max(n * RTT_SPACING_MS + 10_000, 60_000)
     if down:
         windows.append(FaultWindow("probe", 0, span, MODE_DOWN))
     elif injected_latency_ms > 0:
@@ -797,7 +796,7 @@ def rtt_benchmark(n: int, injected_latency_ms: int, seed: int = 0,
                 break
             samples.append(world.runtime.now_ms() - t)
             if i != n - 1:
-                world.runtime.sleep(spacing_ms)
+                world.runtime.sleep(RTT_SPACING_MS)
 
     world.run(director=director)
     if samples:

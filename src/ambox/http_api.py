@@ -46,10 +46,14 @@ def shim_server_handler(router: Router) -> Callable[[str, bytes], bytes]:
     def handle(src: str, payload: bytes) -> bytes:
         try:
             obj = json.loads(payload.decode("utf-8"))
+            if not isinstance(obj, dict):
+                raise ValueError("request must be an object")
             method = str(obj["method"])
             path = str(obj["path"])
             body = obj.get("body")
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError):
+            if body is not None and not isinstance(body, dict):
+                raise ValueError("body must be an object")
+        except (ValueError, KeyError, RecursionError):
             return json.dumps({"status": 400, "body": {"error": "malformed-request"}}).encode()
         status, response = router(method, path, body)
         return json.dumps({"status": status, "body": response}, sort_keys=True).encode("utf-8")

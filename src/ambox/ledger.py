@@ -6,25 +6,27 @@ verify over the payload bytes, the payload must parse into a valid report,
 and the report id must be new. A batch of accepted envelopes becomes one
 block; resubmitting a committed report id is an idempotent success (flagged
 as a replay) so at-least-once senders converge on exactly-once ledger state.
+A block holds only signed envelope fields, re-encoded from the envelope the
+ledger verified; anything a client sent beside them is dropped.
 
 Blocks live in an append-only file of canonical JSON lines (a
 `storage.AppendLog`: a block exists once its line and newline are fsynced,
 a torn final block is dropped when the ledger opens, and a failed append is
-cut back off the file). Each block stores
-the hash of its own core and the hash of its predecessor. One walker,
-`_walk_blocks`, checks every block's height, `prev_hash` link and hash; replay
-at startup, `verify_chain` and `Ledger.blocks` all read the log through it,
-so any single flipped byte in the stored log is detected at exactly the
-height it damaged, and a log that does not link does not open. World state
-is rebuilt by replaying the block log at startup, which doubles as the safety
-check that state is a pure function of the log.
+cut back off the file). A line is one canonical dump of a block's core with
+the core's hash spliced in front. One walker, `_walk_blocks`, checks every
+block: replay at startup, `verify_chain` and `Ledger.blocks` all read the
+log through it. It hashes each stored line's own bytes, then checks height
+and the `prev_hash` link, so any edited byte, whitespace included, is
+detected at exactly the height it damaged, and a log that does not link
+does not open. World state is rebuilt by replaying the block log at
+startup, which doubles as the safety check that state is a pure function
+of the log.
 
-Ingest parses each envelope once: `_judge` hands the report it parsed and
-checked to the commit, and only replay parses a stored transaction. Public
-keys are parsed when a device registers or the registry loads, never per
-verify. A block's line is one canonical dump of its core with its hash
-spliced in front. `get_recent` reads per-device and per-batch lists kept
-sorted newest first, filled as blocks are applied, live or on replay.
+Ingest parses each envelope once: `_judge` hands the envelope and report it
+parsed and checked to the commit, and only replay parses a stored
+transaction. Public keys are parsed when a device registers or the registry
+loads, never per verify. `get_recent` reads per-device and per-batch lists
+kept sorted newest first, filled as blocks are applied, live or on replay.
 
 The ledger keeps no record of its verdicts beyond the reply to each
 `AddEvents`: what was committed, in which order and when is the chain
@@ -56,7 +58,7 @@ from .envelope import (
     load_public_key,
     verify,
 )
-from .model import DeviceIdentity, EventReport, ModelError, validate_report
+from .model import DeviceIdentity, EventReport, ModelError, decode_report, validate_report
 from .storage import SCHEMA_VERSION, AppendLog, read_document, write_document
 from .transport import RequestClient
 
@@ -88,6 +90,12 @@ class CorruptLedger(LedgerError):
         self.height = height
 
 
+# A stored block line is `{"block_hash":"<64 hex digits>",` followed by the
+# hashed core without its opening brace.
+_HASH_PREFIX = b'{"block_hash":"'
+_CORE_START = len(_HASH_PREFIX) + 64 + len(b'",')
+
+
 @dataclass(frozen=True)
 class LedgerBlock:
     height: int
@@ -96,33 +104,23 @@ class LedgerBlock:
     committed_at: int
     block_hash: str
 
-    @staticmethod
-    def core_obj(height: int, prev_hash: str, transactions: tuple[dict, ...],
-                 committed_at: int) -> dict[str, Any]:
-        return {
-            "height": height,
-            "prev_hash": prev_hash,
-            "transactions": list(transactions),
-            "committed_at": canonical.format_millis(committed_at),
-        }
-
     @classmethod
     def encode(cls, height: int, prev_hash: str, transactions: tuple[dict, ...],
                committed_at: int) -> tuple["LedgerBlock", bytes]:
         """The block and its stored line, from one canonical dump of its core.
 
         `block_hash` sorts before every core key, so splicing it in after the
-        core's opening brace gives exactly `canonical.dumps(block.to_obj())`.
+        core's opening brace gives the canonical dump of the whole block.
         """
-        core = canonical.dumps(cls.core_obj(height, prev_hash, transactions, committed_at))
+        core = canonical.dumps({
+            "height": height,
+            "prev_hash": prev_hash,
+            "transactions": list(transactions),
+            "committed_at": canonical.format_millis(committed_at),
+        })
         block_hash = hashlib.sha256(core).hexdigest()
-        line = b'{"block_hash":"' + block_hash.encode("ascii") + b'",' + core[1:] + b"\n"
+        line = _HASH_PREFIX + block_hash.encode("ascii") + b'",' + core[1:] + b"\n"
         return cls(height, prev_hash, transactions, committed_at, block_hash), line
-
-    def to_obj(self) -> dict[str, Any]:
-        obj = self.core_obj(self.height, self.prev_hash, self.transactions, self.committed_at)
-        obj["block_hash"] = self.block_hash
-        return obj
 
 
 @dataclass(frozen=True)
@@ -200,10 +198,12 @@ class Ledger:
 
     def _replay_blocks(self) -> None:
         for block in _walk_blocks(AppendLog.read(self._blocks_path)):
-            reports = [
-                EventReport.from_obj(canonical.loads(SignedEnvelope.from_wire_obj(tx).payload))
-                for tx in block.transactions
-            ]
+            try:
+                reports = [decode_report(SignedEnvelope.from_wire_obj(tx).payload)
+                           for tx in block.transactions]
+            except (MalformedEnvelope, ModelError) as exc:
+                raise CorruptLedger(f"block {block.height}: unreadable transaction: {exc}",
+                                    block.height) from exc
             self._apply_block(block, reports)
 
     def _apply_block(self, block: LedgerBlock, reports: Iterable[EventReport]) -> None:
@@ -257,26 +257,29 @@ class Ledger:
             return device["public_key_pem"] if device else None
 
     def add_events(self, envelopes: list[Any], received_at: int) -> list[Verdict]:
-        """Verify each envelope; commit the acceptable ones as one block."""
+        """Verify each envelope; commit the signed fields of the acceptable
+        ones as one block."""
         with self._lock:
             verdicts: list[Verdict] = []
             accepted: list[dict] = []
             reports: list[EventReport] = []
             batch_ids: set[str] = set()
             for raw in envelopes:
-                verdict, report = self._judge(raw, batch_ids)
+                verdict, parsed = self._judge(raw, batch_ids)
                 verdicts.append(verdict)
-                if report is not None:
-                    accepted.append(raw if isinstance(raw, dict) else raw.to_wire_obj())
+                if parsed is not None:
+                    envelope, report = parsed
+                    accepted.append(envelope.to_wire_obj())
                     reports.append(report)
                     batch_ids.add(report.report_id)
             if accepted:
                 self._append_block(tuple(accepted), received_at, reports)
             return verdicts
 
-    def _judge(self, raw: Any, batch_ids: set[str]) -> tuple[Verdict, Optional[EventReport]]:
-        """The verdict on one envelope, and its parsed report if it is to be
-        committed now (not a rejection, not a replay)."""
+    def _judge(self, raw: Any, batch_ids: set[str]
+               ) -> tuple[Verdict, Optional[tuple[SignedEnvelope, EventReport]]]:
+        """The verdict on one envelope, and the envelope and report it parsed
+        if they are to be committed now (not a rejection, not a replay)."""
         try:
             envelope = raw if isinstance(raw, SignedEnvelope) else SignedEnvelope.from_wire_obj(raw)
         except MalformedEnvelope:
@@ -292,8 +295,8 @@ class Ledger:
         except MalformedEnvelope:
             return Verdict("rejected", reason=REASON_MALFORMED), None
         try:
-            report = EventReport.from_obj(canonical.loads(envelope.payload))
-        except (canonical.CanonicalError, ModelError):
+            report = decode_report(envelope.payload)
+        except ModelError:
             return Verdict("rejected", reason=REASON_INVALID_REPORT), None
         if validate_report(report):
             return Verdict("rejected", report_id=report.report_id,
@@ -303,7 +306,7 @@ class Ledger:
                            reason=REASON_BAD_SIGNATURE), None
         if report.report_id in self._reports or report.report_id in batch_ids:
             return Verdict("committed", report_id=report.report_id, replay=True), None
-        return Verdict("committed", report_id=report.report_id), report
+        return Verdict("committed", report_id=report.report_id), (envelope, report)
 
     def get_event(self, report_id: str) -> Optional[EventReport]:
         with self._lock:
@@ -395,8 +398,8 @@ class Ledger:
 def _walk_blocks(raw: bytes) -> Iterator[LedgerBlock]:
     """Yield the blocks of a stored block log in order.
 
-    Each line must parse, carry its line number as height, link to the
-    previous block's hash and hash to its stored `block_hash`. The first that
+    Each line must hash to its stored `block_hash`, parse, carry its line
+    number as height and link to the previous block's hash. The first that
     does not raises CorruptLedger carrying its height.
     """
     prev_hash = ZERO_HASH
@@ -414,25 +417,23 @@ def _walk_blocks(raw: bytes) -> Iterator[LedgerBlock]:
 
 
 def _parse_block_line(line: bytes) -> LedgerBlock:
+    """One stored line, checked byte for byte before it is parsed: any edit
+    fails here, even one that parses to the same block."""
+    core = b"{" + line[_CORE_START:]
+    stored_hash = hashlib.sha256(core).hexdigest()
+    if line[:_CORE_START] != _HASH_PREFIX + stored_hash.encode("ascii") + b'",':
+        raise CorruptLedger("block hash mismatch")
     try:
-        obj = canonical.loads(line)
-        stored_hash = str(obj["block_hash"])
-        transactions = tuple(obj["transactions"])
-        block = LedgerBlock(
+        obj = canonical.loads(core)
+        return LedgerBlock(
             height=int(obj["height"]),
             prev_hash=str(obj["prev_hash"]),
-            transactions=transactions,
+            transactions=tuple(obj["transactions"]),
             committed_at=canonical.parse_millis(obj["committed_at"]),
             block_hash=stored_hash,
         )
-    except (ValueError, KeyError, TypeError, canonical.CanonicalError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CorruptLedger(f"unparseable block: {exc}") from exc
-    core = LedgerBlock.core_obj(block.height, block.prev_hash, block.transactions,
-                                block.committed_at)
-    recomputed = hashlib.sha256(canonical.dumps(core)).hexdigest()
-    if recomputed != stored_hash:
-        raise CorruptLedger("block hash mismatch")
-    return block
 
 
 # -- wire service -------------------------------------------------------------
@@ -458,9 +459,13 @@ class LedgerService:
     def handle(self, src: str, payload: bytes) -> bytes:
         try:
             obj = json.loads(payload.decode("utf-8"))
+            if not isinstance(obj, dict):
+                raise ValueError("request must be an object")
             op = str(obj["op"])
             args = obj.get("args") or {}
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+            if not isinstance(args, dict):
+                raise ValueError("args must be an object")
+        except (ValueError, KeyError, RecursionError) as exc:
             return self._error(f"malformed request: {exc}")
         try:
             result = self._dispatch(op, args)
@@ -468,7 +473,7 @@ class LedgerService:
             return self._error(str(exc), code="already-registered", obj=obj)
         except MalformedKey as exc:
             return self._error(str(exc), code="malformed-key", obj=obj)
-        except (ValueError, ModelError) as exc:
+        except (ValueError, KeyError) as exc:
             return self._error(str(exc), code="bad-args", obj=obj)
         response = {"ok": True, "result": result}
         for echo in ("channel_name", "chaincode_name"):
@@ -478,7 +483,10 @@ class LedgerService:
 
     def _dispatch(self, op: str, args: dict) -> Any:
         if op == OP_ADD_EVENTS:
-            verdicts = self.ledger.add_events(list(args["envelopes"]), self._clock())
+            envelopes = args.get("envelopes")
+            if not isinstance(envelopes, list):
+                raise ValueError("envelopes must be a list")
+            verdicts = self.ledger.add_events(envelopes, self._clock())
             return {"verdicts": [v.to_obj() for v in verdicts]}
         if op == OP_GET_EVENT:
             payload_b64 = self.ledger.get_event_payload(str(args["report_id"]))
@@ -486,10 +494,13 @@ class LedgerService:
                 return {"found": False}
             return {"found": True, "payload_b64": payload_b64}
         if op == OP_GET_RECENT:
+            limit = args.get("limit", 10)
+            if isinstance(limit, bool) or not isinstance(limit, int):
+                raise ValueError("limit must be an integer")
             reports = self.ledger.get_recent(
                 device_id=args.get("device_id"),
                 batch_no=args.get("batch_no"),
-                limit=int(args.get("limit", 10)),
+                limit=limit,
             )
             return {"reports": [r.to_obj() for r in reports]}
         if op == OP_REGISTER_DEVICE:
@@ -553,8 +564,7 @@ class LedgerClient:
         result = self._call(OP_GET_EVENT, {"report_id": report_id})
         if not result["found"]:
             return None
-        payload = base64.b64decode(result["payload_b64"])
-        return EventReport.from_obj(canonical.loads(payload))
+        return decode_report(base64.b64decode(result["payload_b64"]))
 
     def get_recent(self, device_id: Optional[str] = None, batch_no: Optional[str] = None,
                    limit: int = 10) -> list[EventReport]:

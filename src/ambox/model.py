@@ -181,6 +181,15 @@ class EventReport:
         )
 
 
+def decode_report(payload: bytes) -> EventReport:
+    """The report in a signed payload, or a ModelError; whether it is
+    acceptable is `validate_report`'s answer, asked at each trust boundary."""
+    try:
+        return EventReport.from_obj(canonical.loads(payload))
+    except (ValueError, OverflowError, RecursionError) as exc:
+        raise ModelError(str(exc)) from exc
+
+
 def validate_report(report: EventReport) -> list[str]:
     """Evaluate every report invariant; returns the violated ones by name.
 
@@ -296,9 +305,6 @@ class HeartbeatMessage:
             },
         }
 
-    def to_bytes(self) -> bytes:
-        return canonical.dumps(self.to_obj())
-
     @classmethod
     def from_obj(cls, obj: Any) -> "HeartbeatMessage":
         _require_keys(obj, ("device_id", "state", "sent_at", "sequence", "health"), "HeartbeatMessage")
@@ -352,6 +358,7 @@ __all__ = [
     "DeviceIdentity",
     "SensorReading",
     "EventReport",
+    "decode_report",
     "validate_report",
     "new_report_id",
     "MonitoringJob",

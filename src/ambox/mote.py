@@ -103,7 +103,6 @@ class MoteAgent:
         data_dir: str | Path,
         runtime: Runtime,
         driver_factory: Callable[[str, dict], Any],
-        buffer_cap: int = 1_000_000,
     ) -> None:
         self.device_id = keypair.device_id
         self.keypair = keypair
@@ -111,7 +110,7 @@ class MoteAgent:
         self.data_dir = Path(data_dir)
         self.runtime = runtime
         self.driver_factory = driver_factory
-        self.buffer = DurableBuffer(self.data_dir, cap=buffer_cap)
+        self.buffer = DurableBuffer(self.data_dir)
         self.config = load_mote_config(self.data_dir)
         self.stats: dict[str, int] = {
             "samples": 0,

@@ -23,18 +23,19 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from . import canonical
-from .envelope import KeyPair, SignedEnvelope, sign
+from .envelope import InvalidReport, KeyPair, SignedEnvelope, sign
 from .ledger import LedgerClient
 from .model import (
     DeviceKind,
     EventReport,
     HeartbeatMessage,
+    ModelError,
     MonitoringJob,
     NodeState,
     SensorReading,
+    decode_report,
     legal_transition,
     new_report_id,
-    validate_report,
 )
 from .mote import CHAR_ACK, CHAR_CONFIG, CHAR_READINGS, decode_reading_notification
 from .runtime import Runtime
@@ -57,8 +58,8 @@ from .transport import (
 logger = logging.getLogger(__name__)
 
 HEARTBEAT_DIVISOR = 3            # emit at timeout/3: two losses tolerated
-DEFAULT_RETRY_INTERVAL_MS = 30_000
-DEFAULT_MOTE_RETRY_MS = 2_000
+RETRY_INTERVAL_MS = 30_000
+MOTE_RETRY_MS = 2_000
 SUBMIT_BATCH_MAX = 500
 PACK_STAGGER_MS = 500            # keeps pack ticks off the exact sample ticks
 
@@ -100,9 +101,6 @@ class NodeAgent:
         allowed_motes: tuple[str, ...] = (),
         crash_hook: Optional[Callable[[str], None]] = None,
         on_shutdown: Optional[Callable[[], None]] = None,
-        buffer_cap: int = 1_000_000,
-        retry_interval_ms: int = DEFAULT_RETRY_INTERVAL_MS,
-        mote_retry_ms: int = DEFAULT_MOTE_RETRY_MS,
     ) -> None:
         self.device_id = keypair.device_id
         self.keypair = keypair
@@ -116,12 +114,10 @@ class NodeAgent:
         self.allowed_motes = tuple(allowed_motes)
         self.crash_hook = crash_hook or (lambda point: None)
         self.on_shutdown = on_shutdown
-        self.retry_interval_ms = retry_interval_ms
-        self.mote_retry_ms = mote_retry_ms
 
         self.config_store = ConfigStore(self.data_dir)
         self.config = self.config_store.load()
-        self.buffer = DurableBuffer(self.data_dir, cap=buffer_cap)
+        self.buffer = DurableBuffer(self.data_dir)
 
         # Serializes whole control operations; safe to hold across parks.
         self._control_lock = runtime.new_mutex()
@@ -200,8 +196,8 @@ class NodeAgent:
     def _rebuild_dedup_from_journal(self) -> None:
         for entry in self.buffer.pending_entries():
             try:
-                report = EventReport.from_obj(canonical.loads(entry.envelope.payload))
-            except Exception:
+                report = decode_report(entry.envelope.payload)
+            except ModelError:
                 continue
             for reading in report.readings:
                 self._seen[reading.dedup_key()] = True
@@ -435,14 +431,14 @@ class NodeAgent:
             created_at=created_at,
             readings=tuple(i.reading for i in items),
         )
-        violations = validate_report(report)
-        if violations:
+        try:
+            envelope = sign(self.keypair, report)
+        except InvalidReport as exc:
             # Never enqueue junk; put the readings back and surface loudly.
             with self._window_lock:
                 self._window = items + self._window
-            logger.error("%s: refusing to pack invalid report: %s", self.device_id, violations)
+            logger.error("%s: refusing to pack invalid report: %s", self.device_id, exc)
             return
-        envelope = sign(self.keypair, report)
         self.crash_hook("pre_enqueue")
         try:
             self.buffer.enqueue(envelope, created_at)
@@ -493,7 +489,7 @@ class NodeAgent:
 
     def _retry_loop(self) -> None:
         while True:
-            self._drain_kick.wait(timeout_ms=self.retry_interval_ms)
+            self._drain_kick.wait(timeout_ms=RETRY_INTERVAL_MS)
             self._drain_kick.clear()
             if self.config.state is not NodeState.MONITORING and self._window:
                 # Stragglers relayed after monitoring stopped still get shipped.
@@ -551,7 +547,7 @@ class NodeAgent:
                 self.runtime,
                 self.central,
                 mote_id,
-                self.mote_retry_ms,
+                MOTE_RETRY_MS,
                 lambda session, m=mote_id: self._serve_mote_session(m, session),
             )
 

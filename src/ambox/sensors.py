@@ -206,16 +206,17 @@ class SimulatedSensor:
 class SyntheticAmbient:
     """Infinite-span driver for real-clock runs: a slow daily swing plus noise."""
 
+    PERIOD_MS = 24 * 3600 * 1000
+
     def __init__(self, spec: SensorSpec, seed: int, base: Optional[float] = None,
-                 swing: float = 2.0, period_ms: int = 24 * 3600 * 1000) -> None:
+                 swing: float = 2.0) -> None:
         self.spec = spec
         self.seed = seed
         self.base = base if base is not None else (spec.range_min + spec.range_max) / 2
         self.swing = swing
-        self.period_ms = period_ms
 
     def truth(self, t_ms: int) -> float:
-        phase = (t_ms % self.period_ms) / self.period_ms
+        phase = (t_ms % self.PERIOD_MS) / self.PERIOD_MS
         return self.base + self.swing * math.sin(2 * math.pi * phase)
 
     def read(self, t_ms: int) -> float:

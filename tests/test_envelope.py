@@ -1,5 +1,6 @@
 import base64
 import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -129,13 +130,16 @@ def test_random_byte_substitution_oracle(node_key):
 
 
 def test_truncated_envelope_is_malformed(node_key):
-    envelope = sign(node_key, make_report())
-    wire = envelope.to_bytes()
-    # Truncating the wire form anywhere must surface as malformation,
+    wire = sign(node_key, make_report()).to_wire_obj()
+    # A truncated field or a missing one must surface as malformation,
     # never as a (false) verification verdict.
-    for cut in (0, 1, len(wire) // 2, len(wire) - 1):
+    for field in ("payload_b64", "signature_b64"):
+        for cut in (0, 1, len(wire[field]) - 1):
+            with pytest.raises(MalformedEnvelope):
+                SignedEnvelope.from_wire_obj({**wire, field: wire[field][:cut]})
+    for field in wire:
         with pytest.raises(MalformedEnvelope):
-            SignedEnvelope.from_bytes(wire[:cut])
+            SignedEnvelope.from_wire_obj({k: v for k, v in wire.items() if k != field})
 
 
 def test_empty_payload_is_malformed(node_key):
@@ -154,7 +158,7 @@ def test_malformed_key_distinct(node_key):
 
 def test_envelope_wire_roundtrip(node_key):
     envelope = sign(node_key, make_report())
-    again = SignedEnvelope.from_bytes(envelope.to_bytes())
+    again = SignedEnvelope.from_wire_obj(json.loads(json.dumps(envelope.to_wire_obj())))
     assert again == envelope
 
 

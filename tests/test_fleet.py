@@ -59,17 +59,21 @@ def test_missed_deadline_flag():
     assert core.fleet()["node-1"].missed_deadline is True
 
 
-def test_fleet_view_rebuildable_from_log():
-    now = {"t": T0}
-    core = OperatorCore(clock=lambda: now["t"])
-    for i in range(1, 20):
-        core.ingest_heartbeat(beat(i, T0 + i * 10_000,
-                                   NodeState.MONITORING if i % 3 else NodeState.HEARTBEAT))
-    now["t"] = T0 + 500_000
-    rebuilt = core.replayed()
-    original = {d: v.to_obj() for d, v in core.fleet().items()}
-    replayed = {d: v.to_obj() for d, v in rebuilt.fleet().items()}
-    assert original == replayed
+def test_fleet_view_keeps_beat_count_and_largest_gap():
+    core = OperatorCore(clock=lambda: T0 + 50_000)
+    core.ingest_heartbeat(beat(1, T0))
+    assert core.max_gap_ms("node-1") is None
+    # The second beat with sequence 2 is a replay and counts for nothing.
+    for seq, at in ((2, T0 + 10_000), (2, T0 + 90_000), (3, T0 + 40_000), (4, T0 + 45_000)):
+        core.ingest_heartbeat(beat(seq, at))
+    view = core.fleet()["node-1"]
+    assert (view.beats, view.max_gap_ms) == (4, 30_000)
+    assert core.max_gap_ms("node-1") == 30_000
+    assert core.max_gap_ms("node-2") is None
+    _status, body = core.router("GET", "/fleet", None)
+    assert sorted(body["node-1"]) == [
+        "buffer_alarm", "consecutive_submit_failures", "last_heartbeat_at", "missed_deadline",
+        "reported_state", "sequence", "timeout_ms"]
 
 
 # -- commissioning flows -------------------------------------------------------

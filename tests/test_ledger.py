@@ -4,10 +4,13 @@ import random
 import tempfile
 
 import pytest
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import padding
 from hypothesis import given, settings, strategies as st
 
 from ambox import canonical
 from ambox.envelope import MalformedKey, SignedEnvelope, sign
+from ambox.http_api import shim_server_handler
 from ambox.ledger import (
     AlreadyRegistered,
     CorruptLedger,
@@ -266,6 +269,16 @@ def test_verify_chain_detects_flip_at_each_height(registered, node_key, tmp_path
     assert registered.verify_chain() is None
 
 
+def block_obj(block: LedgerBlock) -> dict:
+    return {
+        "block_hash": block.block_hash,
+        "height": block.height,
+        "prev_hash": block.prev_hash,
+        "transactions": list(block.transactions),
+        "committed_at": canonical.format_millis(block.committed_at),
+    }
+
+
 def test_stored_lines_are_the_canonical_block_encoding(registered, node_key, tmp_path):
     for i in range(3):
         registered.add_events([env_for(node_key, j)[0] for j in range(i, 2 * i + 1)], T0 + i)
@@ -274,10 +287,104 @@ def test_stored_lines_are_the_canonical_block_encoding(registered, node_key, tmp
     blocks = registered.blocks()
     assert len(lines) == len(blocks) == 4
     for line, block in zip(lines, blocks):
-        assert line == canonical.dumps(block.to_obj()) + b"\n"
+        assert line == canonical.dumps(block_obj(block)) + b"\n"
     # Non-ASCII text in a transaction goes into the line as UTF-8.
     block, line = LedgerBlock.encode(7, ZERO_HASH, ({"signer": "n\u0153ud-\u2603"},), T0)
-    assert line == canonical.dumps(block.to_obj()) + b"\n"
+    assert line == canonical.dumps(block_obj(block)) + b"\n"
+
+
+def test_whitespace_edit_is_caught_at_its_height(registered, node_key, tmp_path):
+    for i in range(4):
+        registered.add_events([env_for(node_key, i)[0]], T0 + i)
+    registered.close()
+    path = tmp_path / "ledger" / "blocks.journal"
+    pristine = path.read_bytes()
+    lines = pristine.split(b"\n")
+    for height in range(registered.height + 1):
+        # One space after a key's colon: the line parses to the same block.
+        edited = lines[height].replace(b'"height":', b'"height": ', 1)
+        assert canonical.loads(edited) == canonical.loads(lines[height])
+        path.write_bytes(b"\n".join(lines[:height] + [edited] + lines[height + 1:]))
+        assert registered.verify_chain() == height
+        with pytest.raises(CorruptLedger) as caught:
+            Ledger(tmp_path / "ledger")
+        assert caught.value.height == height
+    path.write_bytes(pristine)
+    assert Ledger(tmp_path / "ledger").verify_chain() is None
+
+
+def test_unsigned_envelope_fields_are_not_committed(registered, node_key, tmp_path):
+    envelope, report = env_for(node_key, 0)
+    verdicts = registered.add_events([{**envelope.to_wire_obj(), "note": "x" * 1000}], T0)
+    assert verdicts[0].status == "committed" and not verdicts[0].replay
+    assert registered.blocks()[-1].transactions == (envelope.to_wire_obj(),)
+    raw = (tmp_path / "ledger" / "blocks.journal").read_bytes()
+    assert b"note" not in raw and b"x" * 1000 not in raw
+    assert Ledger(tmp_path / "ledger").get_event(report.report_id) == report
+
+
+def test_an_unsigned_nan_does_not_sink_its_batch(registered, node_key):
+    service = LedgerService(registered, clock=lambda: T0)
+    (first, first_report), (second, second_report) = env_for(node_key, 0), env_for(node_key, 1)
+    envelopes = [{**first.to_wire_obj(), "note": float("nan")}, second.to_wire_obj()]
+    request = json.dumps({"op": "AddEvents", "args": {"envelopes": envelopes}}).encode()
+    answer = json.loads(service.handle("x", request))
+    assert answer["ok"] is True
+    assert [v["status"] for v in answer["result"]["verdicts"]] == ["committed", "committed"]
+    assert registered.height == 1
+    assert registered.blocks()[-1].transactions == (first.to_wire_obj(), second.to_wire_obj())
+    assert {r.report_id for r in registered.all_reports()} == {first_report.report_id,
+                                                                second_report.report_id}
+
+
+def signed_payload(key, payload: bytes) -> SignedEnvelope:
+    """An envelope over arbitrary bytes, as only a hostile signer would make."""
+    signature = key.private_key.sign(payload, padding.PKCS1v15(), hashes.SHA256())
+    return SignedEnvelope(payload, signature, key.device_id)
+
+
+# The last two give the first reading a huge integer value and move its old
+# value to a key nothing reads.
+@pytest.mark.parametrize("payload", [
+    b"[" * 100_000,
+    canonical.dumps(make_report(device="node-1").to_obj()).replace(
+        b'"value":', b'"value":1' + b"0" * 400 + b',"was":', 1),
+    canonical.dumps(make_report(device="node-1").to_obj()).replace(
+        b'"value":', b'"value":1' + b"0" * 5_000 + b',"was":', 1),
+], ids=["deeply-nested", "overflowing-value", "overlong-value"])
+def test_an_undecodable_signed_payload_is_an_invalid_report(registered, node_key, payload):
+    good, good_report = env_for(node_key, 0)
+    verdicts = registered.add_events([signed_payload(node_key, payload), good], T0)
+    assert [(v.status, v.reason) for v in verdicts] == [
+        ("rejected", REASON_INVALID_REPORT), ("committed", None)]
+    assert registered.get_event(good_report.report_id) == good_report
+
+
+def _dict_router(method, path, body):
+    return 200, {"keys": sorted((body or {}).keys())}
+
+
+@pytest.mark.parametrize("server, request_bytes, error", [
+    ("ledger", b"[]", "malformed-request"),
+    ("ledger", b"[" * 100_000, "malformed-request"),
+    ("ledger", b'{"op": "GetRecent", "args": [1]}', "malformed-request"),
+    ("ledger", b'{"op": "AddEvents", "args": {"envelopes": 5}}', "bad-args"),
+    ("ledger", b'{"op": "AddEvents", "args": {}}', "bad-args"),
+    ("ledger", b'{"op": "GetRecent", "args": {"limit": 1e400}}', "bad-args"),
+    ("ledger", b'{"op": "GetRecent", "args": {"limit": null}}', "bad-args"),
+    ("shim", b"[]", "malformed-request"),
+    ("shim", b'"x"', "malformed-request"),
+    ("shim", b'{"method": "POST", "path": "/x", "body": [1]}', "malformed-request"),
+], ids=["ledger-root-array", "ledger-deeply-nested", "ledger-args-array",
+        "ledger-envelopes-number", "ledger-envelopes-missing", "ledger-limit-infinite",
+        "ledger-limit-null", "shim-root-array", "shim-root-string", "shim-body-array"])
+def test_malformed_requests_get_an_error_answer(ledger, server, request_bytes, error):
+    if server == "ledger":
+        answer = json.loads(LedgerService(ledger, clock=lambda: T0).handle("x", request_bytes))
+        assert (answer["ok"], answer["error"]) == (False, error)
+    else:
+        answer = json.loads(shim_server_handler(_dict_router)("x", request_bytes))
+        assert (answer["status"], answer["body"]["error"]) == (400, error)
 
 
 def test_blocks_survive_restart(registered, node_key, tmp_path):
@@ -300,14 +407,26 @@ def test_replay_refuses_a_block_that_does_not_link(registered, node_key, tmp_pat
     path = tmp_path / "ledger" / "blocks.journal"
     lines = path.read_bytes().split(b"\n")
     stored = canonical.loads(lines[2])
-    forged, _ = LedgerBlock.encode(2, "1" * 64, tuple(stored["transactions"]),
+    _, forged = LedgerBlock.encode(2, "1" * 64, tuple(stored["transactions"]),
                                    canonical.parse_millis(stored["committed_at"]))
-    lines[2] = canonical.dumps(forged.to_obj())
+    lines[2] = forged.rstrip(b"\n")
     path.write_bytes(b"\n".join(lines))
     assert registered.verify_chain() == 2
     with pytest.raises(CorruptLedger, match="block 2") as caught:
         Ledger(tmp_path / "ledger")
     assert caught.value.height == 2
+
+
+def test_replay_refuses_a_linked_block_with_an_unreadable_transaction(ledger, tmp_path):
+    # Hash and link are right, so only decoding the transaction exposes it.
+    ledger.close()
+    genesis = ledger.blocks()[0]
+    _, line = LedgerBlock.encode(1, genesis.block_hash, ({"signer": "node-1"},), T0)
+    path = tmp_path / "ledger" / "blocks.journal"
+    path.write_bytes(path.read_bytes() + line)
+    with pytest.raises(CorruptLedger, match="block 1") as caught:
+        Ledger(tmp_path / "ledger")
+    assert caught.value.height == 1
 
 
 # -- wire service --------------------------------------------------------------

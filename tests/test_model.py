@@ -1,8 +1,11 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ambox
 from ambox import canonical
 from ambox.model import (
     HUMIDITY,
@@ -14,6 +17,7 @@ from ambox.model import (
     MonitoringJob,
     NodeState,
     SensorReading,
+    decode_report,
     legal_transition,
     new_report_id,
     validate_report,
@@ -168,6 +172,56 @@ def test_report_parse_rejects_bad_types():
         EventReport.from_obj(obj)
 
 
+def test_decode_report_roundtrip():
+    report = make_report()
+    assert decode_report(canonical.dumps(report.to_obj())) == report
+
+
+def _with_first_value(raw: str) -> bytes:
+    obj = make_report().to_obj()
+    obj["readings"][0]["value"] = 0.5
+    return canonical.dumps(obj).replace(b'"value":0.5', raw.encode(), 1)
+
+
+@pytest.mark.parametrize("payload", [
+    b"{not json",
+    b"\xff\xfe",
+    b"[]",
+    b"[" * 100_000,
+    canonical.dumps({"report_id": "r"}),
+    _with_first_value('"value":"warm"'),
+    _with_first_value('"value":1' + "0" * 400),     # too large for a float
+    _with_first_value('"value":1' + "0" * 5_000),   # too long for an int
+    canonical.dumps({**make_report().to_obj(), "created_at": "2024-13-01T00:00:00.000Z"}),
+], ids=["not-json", "not-utf8", "not-an-object", "deeply-nested", "missing-fields",
+        "string-value", "overflowing-value", "overlong-value", "bad-timestamp"])
+def test_decode_report_raises_only_model_error(payload):
+    with pytest.raises(ModelError):
+        decode_report(payload)
+
+
+def test_reports_are_decoded_in_one_place():
+    # Every signed payload becomes a report through decode_report; only the
+    # query client builds reports from objects, as GetRecent sends them.
+    package = Path(ambox.__file__).parent
+    callers = []
+
+    def visit(node: ast.AST, module: str, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Attribute) and child.attr == "from_obj"
+                  and isinstance(child.value, ast.Name) and child.value.id == "EventReport"):
+                callers.append(f"{module}:{'.'.join(scope)}")
+            visit(child, module, inner)
+
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).with_suffix("").as_posix()
+        visit(ast.parse(path.read_text("utf-8")), module, ())
+    assert sorted(callers) == ["ledger:LedgerClient.get_recent", "model:decode_report"]
+
+
 def test_report_id_format():
     rid = new_report_id("node-1", 1_704_067_800_000, 7)
     device, millis, suffix = rid.rsplit("-", 2)
@@ -192,5 +246,5 @@ def test_monitoring_job_invariants():
 def test_heartbeat_roundtrip():
     msg = HeartbeatMessage("node-1", NodeState.MONITORING, T0, 42,
                            buffer_alarm=True, consecutive_submit_failures=2)
-    parsed = HeartbeatMessage.from_obj(canonical.loads(msg.to_bytes()))
+    parsed = HeartbeatMessage.from_obj(canonical.loads(canonical.dumps(msg.to_obj())))
     assert parsed == msg
