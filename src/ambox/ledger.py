@@ -489,7 +489,10 @@ class LedgerService:
             verdicts = self.ledger.add_events(envelopes, self._clock())
             return {"verdicts": [v.to_obj() for v in verdicts]}
         if op == OP_GET_EVENT:
-            payload_b64 = self.ledger.get_event_payload(str(args["report_id"]))
+            report_id = args["report_id"]
+            if not isinstance(report_id, str):
+                raise ValueError("report_id must be a string")
+            payload_b64 = self.ledger.get_event_payload(report_id)
             if payload_b64 is None:
                 return {"found": False}
             return {"found": True, "payload_b64": payload_b64}

@@ -4,6 +4,9 @@ All types here are immutable values; they can be copied freely between
 concurrent activities. Timestamps are integer epoch milliseconds (UTC) taken
 from a clock handle, never from an OS call inside domain logic, so the same
 code runs identically under the wall clock and the harness virtual clock.
+
+Every reading, alone or in a report, is decoded by one function and encoded
+by one; within a report each distinct timestamp is parsed or formatted once.
 """
 
 from __future__ import annotations
@@ -106,35 +109,15 @@ class SensorReading:
 
     def core_obj(self) -> dict[str, Any]:
         """Reading without its signature; this is what the sampler signs."""
-        return {
-            "quantity": self.quantity,
-            "sampled_at": canonical.format_millis(self.sampled_at),
-            "source_device": self.source_device,
-            "value": self.value,
-        }
+        return _encode_reading(self, {}, signed=False)
 
     def to_obj(self) -> dict[str, Any]:
-        obj = self.core_obj()
-        if self.signature_b64 is not None:
-            obj["signature_b64"] = self.signature_b64
-        return obj
+        return _encode_reading(self, {}, signed=True)
 
     @classmethod
-    def from_obj(cls, obj: Any) -> "SensorReading":
-        _require_keys(obj, ("quantity", "sampled_at", "source_device", "value"), "SensorReading")
-        value = obj["value"]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ModelError(f"reading value must be numeric, got {value!r}")
-        signature = obj.get("signature_b64")
-        if signature is not None and not isinstance(signature, str):
-            raise ModelError("signature_b64 must be a string when present")
-        return cls(
-            quantity=_require_str(obj, "quantity"),
-            value=float(value),
-            sampled_at=canonical.parse_millis(obj["sampled_at"]),
-            source_device=_require_str(obj, "source_device"),
-            signature_b64=signature,
-        )
+    def from_obj(cls, obj: Any, signature_b64: Optional[str] = None) -> "SensorReading":
+        """A given `signature_b64` (a relayed reading's) replaces the one in `obj`."""
+        return _decode_reading(obj, {}, signature_b64)
 
 
 @dataclass(frozen=True)
@@ -152,33 +135,96 @@ class EventReport:
         object.__setattr__(self, "readings", tuple(self.readings))
 
     def to_obj(self) -> dict[str, Any]:
+        stamps: dict[int, str] = {}
         return {
             "report_id": self.report_id,
             "device_id": self.device_id,
             "product_id": self.product_id,
             "batch_no": self.batch_no,
-            "created_at": canonical.format_millis(self.created_at),
-            "readings": [r.to_obj() for r in self.readings],
+            "created_at": _format_instant(self.created_at, stamps),
+            "readings": [_encode_reading(r, stamps, signed=True) for r in self.readings],
         }
 
     @classmethod
     def from_obj(cls, obj: Any) -> "EventReport":
-        _require_keys(
-            obj,
-            ("report_id", "device_id", "product_id", "batch_no", "created_at", "readings"),
-            "EventReport",
-        )
+        _require_keys(obj, _REPORT_FIELDS, "EventReport")
         readings = obj["readings"]
         if not isinstance(readings, list):
             raise ModelError("readings must be a list")
+        instants: dict[str, int] = {}
         return cls(
             report_id=_require_str(obj, "report_id"),
             device_id=_require_str(obj, "device_id"),
             product_id=_require_str(obj, "product_id"),
             batch_no=_require_str(obj, "batch_no"),
-            created_at=canonical.parse_millis(obj["created_at"]),
-            readings=tuple(SensorReading.from_obj(r) for r in readings),
+            created_at=_parse_instant(obj["created_at"], instants),
+            readings=tuple([_decode_reading(r, instants) for r in readings]),
         )
+
+
+_READING_FIELDS = ("quantity", "sampled_at", "source_device", "value")
+_REPORT_FIELDS = ("report_id", "device_id", "product_id", "batch_no", "created_at", "readings")
+
+
+def _decode_reading(obj: Any, instants: dict[str, int],
+                    signature_b64: Optional[str] = None) -> SensorReading:
+    """The one reading decoder; `instants` memoizes timestamps across a report."""
+    if not isinstance(obj, dict):
+        raise ModelError(f"SensorReading must be a JSON object, got {type(obj).__name__}")
+    try:
+        quantity, stamp = obj["quantity"], obj["sampled_at"]
+        source_device, value = obj["source_device"], obj["value"]
+    except KeyError:
+        _require_keys(obj, _READING_FIELDS, "SensorReading")  # raises, naming each one
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"reading value must be numeric, got {value!r}")
+    signature = obj.get("signature_b64")
+    if signature is not None and not isinstance(signature, str):
+        raise ModelError("signature_b64 must be a string when present")
+    # This order decides which error a reading with several faults raises.
+    if not isinstance(quantity, str):
+        _require_str(obj, "quantity")
+    value = float(value)
+    sampled_at = _parse_instant(stamp, instants)
+    if not isinstance(source_device, str):
+        _require_str(obj, "source_device")
+    # Built without __init__, whose frozen setattrs cost more than the checks
+    # above; `value` is already a float, which is all __post_init__ adds.
+    reading = object.__new__(SensorReading)
+    reading.__dict__.update(quantity=quantity, value=value, sampled_at=sampled_at,
+                            source_device=source_device,
+                            signature_b64=signature if signature_b64 is None else signature_b64)
+    return reading
+
+
+def _encode_reading(reading: SensorReading, stamps: dict[int, str],
+                    signed: bool) -> dict[str, Any]:
+    """The one reading encoder; `stamps` memoizes instants across a report."""
+    obj = {
+        "quantity": reading.quantity,
+        "sampled_at": _format_instant(reading.sampled_at, stamps),
+        "source_device": reading.source_device,
+        "value": reading.value,
+    }
+    if signed and reading.signature_b64 is not None:
+        obj["signature_b64"] = reading.signature_b64
+    return obj
+
+
+def _parse_instant(text: Any, instants: dict[str, int]) -> int:
+    # Only a string is a memo key; parse_millis refuses anything else unhashed.
+    ms = instants.get(text) if isinstance(text, str) else None
+    if ms is None:
+        ms = instants[text] = canonical.parse_millis(text)
+    return ms
+
+
+def _format_instant(ms: int, stamps: dict[int, str]) -> str:
+    # Only an int is a memo key: True or 1.0 would find 1's string, not an error.
+    text = stamps.get(ms) if type(ms) is int else None
+    if text is None:
+        text = stamps[ms] = canonical.format_millis(ms)
+    return text
 
 
 def decode_report(payload: bytes) -> EventReport:

@@ -598,15 +598,9 @@ class NodeAgent:
                 logger.warning("%s: notification signed by %r, expected %r",
                                self.device_id, envelope.signer, mote_id)
                 return
-            reading_obj = canonical.loads(envelope.payload)
-            reading = SensorReading.from_obj(reading_obj)
-            reading = SensorReading(
-                quantity=reading.quantity,
-                value=reading.value,
-                sampled_at=reading.sampled_at,
-                source_device=reading.source_device,
-                signature_b64=base64.b64encode(envelope.signature).decode("ascii"),
-            )
+            reading = SensorReading.from_obj(
+                canonical.loads(envelope.payload),
+                signature_b64=base64.b64encode(envelope.signature).decode("ascii"))
         except Exception:
             logger.exception("%s: undecodable mote notification", self.device_id)
             return

@@ -38,6 +38,7 @@ from . import (
 logger = logging.getLogger(__name__)
 
 MAX_FRAME = 64 * 1024 * 1024
+_RECV_CHUNK = 64 * 1024
 
 
 def send_frame(sock: socket.socket, payload: bytes) -> None:
@@ -60,18 +61,18 @@ def recv_frame(sock: socket.socket) -> Optional[bytes]:
 
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    """Exactly n bytes; None if the peer closed before sending any."""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
+    """Exactly n bytes; None if the peer closed before sending any. Memory
+    grows with the bytes that arrive, not with the length a header claims."""
+    chunks, got = [], 0
     while got < n:
-        received = sock.recv_into(view[got:])
-        if not received:
+        chunk = sock.recv(min(n - got, _RECV_CHUNK))
+        if not chunk:
             if got:
                 raise TransportError("connection closed mid-frame")
             return None
-        got += received
-    return bytes(buf)
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)
 
 
 def parse_hostport(address: str) -> tuple[str, int]:

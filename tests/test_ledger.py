@@ -235,6 +235,30 @@ def test_get_recent_non_string_filter_matches_nothing(registered, node_key):
     assert json.loads(service.handle("x", request)) == {"ok": True, "result": {"reports": []}}
 
 
+@pytest.mark.parametrize("report_id", [5, None, [1]], ids=["number", "null", "list"])
+def test_get_event_refuses_a_non_string_report_id(registered, node_key, report_id):
+    envelope, _ = env_for(node_key, 5)
+    registered.add_events([envelope], T0)
+    service = LedgerService(registered, clock=lambda: T0)
+    request = json.dumps({"op": "GetEvent", "args": {"report_id": report_id}}).encode()
+    answer = json.loads(service.handle("x", request))
+    assert (answer["ok"], answer["error"]) == (False, "bad-args")
+
+
+def test_get_event_answers_a_string_report_id(registered, node_key):
+    envelope, report = env_for(node_key, 5)
+    registered.add_events([envelope], T0)
+    service = LedgerService(registered, clock=lambda: T0)
+
+    def get_event(report_id):
+        request = json.dumps({"op": "GetEvent", "args": {"report_id": report_id}}).encode()
+        return json.loads(service.handle("x", request))
+
+    assert get_event(report.report_id) == {"ok": True, "result": {
+        "found": True, "payload_b64": base64.b64encode(envelope.payload).decode("ascii")}}
+    assert get_event("5") == {"ok": True, "result": {"found": False}}
+
+
 def test_world_state_replay_matches(registered, node_key, tmp_path):
     for i in range(4):
         envelope, _ = env_for(node_key, i)

@@ -1,9 +1,12 @@
 import ast
+import collections
+import dataclasses
 import itertools
+import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import ambox
 from ambox import canonical
@@ -198,6 +201,207 @@ def _with_first_value(raw: str) -> bytes:
 def test_decode_report_raises_only_model_error(payload):
     with pytest.raises(ModelError):
         decode_report(payload)
+
+
+# Oracle for the one-pass codec: a field-by-field decoder and encoder that
+# check each reading on its own and parse or format each timestamp at every
+# use, with no memo.
+
+def _reference_require_keys(obj, keys, what):
+    if not isinstance(obj, dict):
+        raise ModelError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ModelError(f"{what} missing fields: {', '.join(missing)}")
+
+
+def _reference_require_str(obj, key):
+    value = obj[key]
+    if not isinstance(value, str):
+        raise ModelError(f"{key} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _reference_reading_from_obj(obj):
+    _reference_require_keys(obj, ("quantity", "sampled_at", "source_device", "value"),
+                            "SensorReading")
+    value = obj["value"]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"reading value must be numeric, got {value!r}")
+    signature = obj.get("signature_b64")
+    if signature is not None and not isinstance(signature, str):
+        raise ModelError("signature_b64 must be a string when present")
+    return SensorReading(
+        quantity=_reference_require_str(obj, "quantity"),
+        value=float(value),
+        sampled_at=canonical.parse_millis(obj["sampled_at"]),
+        source_device=_reference_require_str(obj, "source_device"),
+        signature_b64=signature,
+    )
+
+
+def _reference_report_from_obj(obj):
+    _reference_require_keys(
+        obj,
+        ("report_id", "device_id", "product_id", "batch_no", "created_at", "readings"),
+        "EventReport",
+    )
+    readings = obj["readings"]
+    if not isinstance(readings, list):
+        raise ModelError("readings must be a list")
+    return EventReport(
+        report_id=_reference_require_str(obj, "report_id"),
+        device_id=_reference_require_str(obj, "device_id"),
+        product_id=_reference_require_str(obj, "product_id"),
+        batch_no=_reference_require_str(obj, "batch_no"),
+        created_at=canonical.parse_millis(obj["created_at"]),
+        readings=tuple(_reference_reading_from_obj(r) for r in readings),
+    )
+
+
+def _reference_decode_report(payload):
+    try:
+        return _reference_report_from_obj(canonical.loads(payload))
+    except (ValueError, OverflowError, RecursionError) as exc:
+        raise ModelError(str(exc)) from exc
+
+
+def _reference_reading_to_obj(reading):
+    obj = {
+        "quantity": reading.quantity,
+        "sampled_at": canonical.format_millis(reading.sampled_at),
+        "source_device": reading.source_device,
+        "value": reading.value,
+    }
+    if reading.signature_b64 is not None:
+        obj["signature_b64"] = reading.signature_b64
+    return obj
+
+
+def _reference_report_to_obj(report):
+    return {
+        "report_id": report.report_id,
+        "device_id": report.device_id,
+        "product_id": report.product_id,
+        "batch_no": report.batch_no,
+        "created_at": canonical.format_millis(report.created_at),
+        "readings": [_reference_reading_to_obj(r) for r in report.readings],
+    }
+
+
+def _outcome(call, *args):
+    """The call's result, or the class of the data error it raised."""
+    try:
+        return call(*args)
+    except (ModelError, canonical.CanonicalError, OverflowError) as exc:
+        return type(exc)
+
+
+# A few instants, so that readings share them, in and out of order.
+_INSTANTS = [canonical.format_millis(T0 + 60_000 * i) for i in range(4)]
+_TIMESTAMPS = st.one_of(
+    st.sampled_from(_INSTANTS),
+    st.sampled_from(["2024-13-01T00:00:00.000Z", "1969-12-31T23:59:59.999Z",
+                     "2024-01-01T00:00:00Z", ""]),
+    st.integers(), st.none(), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_STRINGS = st.one_of(st.sampled_from(["node-1", "mote-1", TEMPERATURE, ""]),
+                     st.integers(), st.none(), st.lists(st.text(max_size=2), max_size=1))
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(), st.booleans(),
+    st.sampled_from([10 ** 400, -(10 ** 400)]), st.text(max_size=3), st.none(),
+)
+_EXTRA = st.dictionaries(st.sampled_from(["note", "extra", "x"]), st.integers(), max_size=2)
+
+
+@st.composite
+def _json_object(draw, fields):
+    """`fields` drawn, some dropped, and unknown keys added."""
+    obj = {name: draw(strategy) for name, strategy in fields.items()}
+    for name in draw(st.sets(st.sampled_from(sorted(fields)), max_size=2)):
+        if draw(st.integers(0, 3)) == 0:
+            del obj[name]
+    return {**draw(_EXTRA), **obj}
+
+
+_READING_OBJECTS = _json_object({
+    "quantity": _STRINGS,
+    "sampled_at": _TIMESTAMPS,
+    "source_device": _STRINGS,
+    "value": _VALUES,
+    "signature_b64": st.one_of(st.just("c2ln"), st.none(), st.integers(),
+                               st.lists(st.integers(), max_size=1)),
+})
+_REPORT_OBJECTS = _json_object({
+    "report_id": _STRINGS,
+    "device_id": _STRINGS,
+    "product_id": _STRINGS,
+    "batch_no": _STRINGS,
+    "created_at": _TIMESTAMPS,
+    "readings": st.one_of(st.lists(st.one_of(_READING_OBJECTS, _STRINGS), max_size=8),
+                          _STRINGS),
+})
+
+
+@settings(max_examples=400)
+@given(_REPORT_OBJECTS)
+def test_codec_matches_the_field_by_field_reference(obj):
+    payload = canonical.dumps(obj)
+    expected = _outcome(_reference_decode_report, payload)
+    decoded = _outcome(decode_report, payload)  # any other exception fails the test
+    assert decoded == expected
+    if expected is not ModelError:  # instants before 1970 decode, but neither encodes them
+        assert (_outcome(lambda: json.dumps(decoded.to_obj()))
+                == _outcome(lambda: json.dumps(_reference_report_to_obj(expected))))
+
+
+@given(_READING_OBJECTS)
+def test_reading_codec_matches_the_field_by_field_reference(obj):
+    expected = _outcome(_reference_reading_from_obj, obj)
+    assert _outcome(SensorReading.from_obj, obj) == expected
+    if isinstance(expected, SensorReading):
+        assert (_outcome(lambda: json.dumps(expected.to_obj()))
+                == _outcome(lambda: json.dumps(_reference_reading_to_obj(expected))))
+
+
+@given(arbitrary_reports())
+def test_encoder_matches_the_field_by_field_reference(report):
+    # Instants before 1970 are refused by both, as a CanonicalError.
+    assert (_outcome(lambda: json.dumps(report.to_obj()))
+            == _outcome(lambda: json.dumps(_reference_report_to_obj(report))))
+
+
+def test_a_detached_signature_replaces_the_carried_one():
+    reading = make_reading(value=21.5)
+    core = reading.core_obj()
+    assert "signature_b64" not in core
+    relayed = SensorReading.from_obj({**core, "signature_b64": "b2xk"}, signature_b64="c2ln")
+    assert relayed == dataclasses.replace(reading, signature_b64="c2ln")
+    assert relayed.to_obj() == {**core, "signature_b64": "c2ln"}
+    with pytest.raises(ModelError):  # the carried field is still checked
+        SensorReading.from_obj({**core, "signature_b64": 5}, signature_b64="c2ln")
+
+
+def test_each_distinct_instant_is_parsed_and_formatted_once(monkeypatch):
+    report = make_report(n_readings=15)
+    assert len({r.sampled_at for r in report.readings}) == 5
+    payload = canonical.dumps(report.to_obj())
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(canonical, name)
+
+        def wrapper(arg):
+            calls[name] += 1
+            return real(arg)
+        return wrapper
+
+    for name in ("parse_millis", "format_millis"):
+        monkeypatch.setattr(canonical, name, counted(name))
+    assert decode_report(payload) == report
+    assert report.to_obj()["created_at"] == "2024-01-01T00:10:00.000Z"
+    assert calls == {"parse_millis": 6, "format_millis": 6}
 
 
 def test_reports_are_decoded_in_one_place():

@@ -1,7 +1,10 @@
 """Real-socket backend: framing, HTTP, and short-range over TCP."""
 
+import socket
+import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -10,6 +13,7 @@ from ambox.transport import (
     ConnectionRefused,
     PeripheralDelegate,
     RequestTimeout,
+    TransportError,
     Unauthorized,
     Unreachable,
 )
@@ -21,6 +25,7 @@ from ambox.transport.tcp import (
     TcpPeripheralServer,
     TcpRequestClient,
     parse_hostport,
+    recv_frame,
 )
 
 
@@ -40,6 +45,25 @@ def test_frame_request_roundtrip():
         assert response == b"echo:" + b"x" * 100_000
     finally:
         server.shutdown()
+
+
+def test_a_frame_header_alone_does_not_allocate_its_claim():
+    # A 48 MiB claim followed by 10 bytes and a close: the receiver holds
+    # what arrived, not what the header promised, and still fails cleanly.
+    sender, receiver = socket.socketpair()
+    try:
+        sender.sendall(struct.pack(">I", 48 * 1024 * 1024) + b"x" * 10)
+        sender.close()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TransportError):
+                recv_frame(receiver)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        receiver.close()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_connection_refused():
