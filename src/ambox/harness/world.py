@@ -485,9 +485,11 @@ class ScenarioWorld:
         self.scheduler.shutdown()
         if self._built:
             self.ledger.close()
-        for agent in list(self.nodes.values()) + list(self.motes.values()):
+        for node in self.nodes.values():
+            node.stop()
+        for mote in self.motes.values():
             try:
-                agent.buffer.close()
+                mote.buffer.close()
             except Exception:
                 pass
 

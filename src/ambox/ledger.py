@@ -571,13 +571,18 @@ class LedgerClient:
 
     def get_recent(self, device_id: Optional[str] = None, batch_no: Optional[str] = None,
                    limit: int = 10) -> list[EventReport]:
+        """Raises ModelError, as `get_event` does, for a report in the
+        answer that does not decode."""
         args: dict[str, Any] = {"limit": limit}
         if device_id is not None:
             args["device_id"] = device_id
         if batch_no is not None:
             args["batch_no"] = batch_no
         result = self._call(OP_GET_RECENT, args)
-        return [EventReport.from_obj(r) for r in result["reports"]]
+        try:
+            return [EventReport.from_obj(r) for r in result["reports"]]
+        except (ValueError, OverflowError, RecursionError) as exc:
+            raise ModelError(str(exc)) from exc
 
     def verify_chain(self) -> Optional[int]:
         result = self._call(OP_VERIFY_CHAIN, {})

@@ -58,6 +58,7 @@ from .transport import (
 logger = logging.getLogger(__name__)
 
 HEARTBEAT_DIVISOR = 3            # emit at timeout/3: two losses tolerated
+HEARTBEAT_RESERVE = 1024         # heartbeat sequences reserved per config write
 RETRY_INTERVAL_MS = 30_000
 MOTE_RETRY_MS = 2_000
 SUBMIT_BATCH_MAX = 500
@@ -139,6 +140,10 @@ class NodeAgent:
         self._packer_task = None
         self._drivers: dict[str, Any] = {}
         self._crashed = False
+        # Last heartbeat sequence put on the wire. The config holds a ceiling
+        # no beat ever exceeded, so counting on from it after a restart keeps
+        # the sequence strictly increasing.
+        self._heartbeat_sequence = self.config.heartbeat_sequence
 
         self.stats: dict[str, int] = {
             "samples": 0,
@@ -185,6 +190,7 @@ class NodeAgent:
         for task in self._all_tasks():
             if task is not None and task.alive:
                 task.cancel()
+        self._release_heartbeat_reserve()
         self.buffer.close()
 
     def _all_tasks(self) -> list[Any]:
@@ -234,7 +240,7 @@ class NodeAgent:
             "state": self.config.state.value,
             "buffer_depth": self.buffer.depth(),
             "window_size": len(self._window),
-            "heartbeat_sequence": self.config.heartbeat_sequence,
+            "heartbeat_sequence": self._heartbeat_sequence,
         }
 
     def _transition(self, target: NodeState, job: Optional[MonitoringJob]) -> None:
@@ -326,10 +332,11 @@ class NodeAgent:
             target = config.heartbeat
             interval = target.timeout_ms // HEARTBEAT_DIVISOR if target else 10_000
             if target is not None:
-                with self._config_lock:
-                    sequence = self.config.heartbeat_sequence + 1
-                    self.config = replace(self.config, heartbeat_sequence=sequence)
-                    self.config_store.save(self.config)
+                sequence = self._next_heartbeat_sequence()
+                if sequence is None:
+                    self.stats["heartbeat_failures"] += 1
+                    self.runtime.sleep(max(interval, 1))
+                    continue
                 message = HeartbeatMessage(
                     device_id=self.device_id,
                     state=self.config.state,
@@ -351,6 +358,40 @@ class NodeAgent:
                 except TransportError:
                     self.stats["heartbeat_failures"] += 1
             self.runtime.sleep(max(interval, 1))
+
+    def _next_heartbeat_sequence(self) -> Optional[int]:
+        """The next beat's sequence. One above the persisted ceiling first
+        raises the ceiling to cover HEARTBEAT_RESERVE beats; None if that
+        write failed."""
+        with self._config_lock:
+            sequence = self._heartbeat_sequence + 1
+            reserved = sequence > self.config.heartbeat_sequence
+            if reserved and not self._save_heartbeat_ceiling(sequence + HEARTBEAT_RESERVE - 1):
+                return None
+            self._heartbeat_sequence = sequence
+        if reserved:
+            self.crash_hook("post_ceiling")
+        return sequence
+
+    def _release_heartbeat_reserve(self) -> None:
+        """On a clean stop, lower the ceiling to the last beat sent, so the
+        next start goes on from it rather than from the end of the block."""
+        with self._config_lock:
+            if not self._crashed and self._heartbeat_sequence < self.config.heartbeat_sequence:
+                self._save_heartbeat_ceiling(self._heartbeat_sequence)
+
+    def _save_heartbeat_ceiling(self, ceiling: int) -> bool:
+        """Persist `ceiling`, with `_config_lock` held; False, leaving the
+        config as it was, if the write failed."""
+        config = replace(self.config, heartbeat_sequence=ceiling)
+        try:
+            self.config_store.save(config)
+        except OSError as exc:
+            logger.warning("%s: cannot save heartbeat ceiling %d: %s",
+                           self.device_id, ceiling, exc)
+            return False
+        self.config = config
+        return True
 
     # -- sampling -------------------------------------------------------------------
 

@@ -136,14 +136,15 @@ class AppendLog:
     def size(self) -> int:
         return os.lseek(self._file.fileno(), 0, os.SEEK_END)
 
-    def append(self, line: bytes) -> None:
-        """Durably append `line`, which ends with its only newline. On OSError
-        the file is cut back to its size before the call; the next
-        successful append's fsync makes that cut durable."""
+    def append(self, lines: bytes) -> None:
+        """Durably append `lines`, one or more whole lines, each ending with
+        its newline, in one write and one fsync. On OSError the file is cut
+        back to its size before the call; the next successful append's fsync
+        makes that cut durable."""
         fd = self._file.fileno()
         start = self.size
         try:
-            view = memoryview(line)
+            view = memoryview(lines)
             while view:
                 view = view[os.write(fd, view):]
             os.fsync(fd)
@@ -230,9 +231,10 @@ class DurableBuffer:
                 "enqueued_at": now_ms,
                 "envelope": envelope.to_wire_obj(),
             }
+            line = canonical.dumps(record) + b"\n"
             if self._journal.size == 0:
-                self._journal.append(canonical.dumps({"schema_version": SCHEMA_VERSION}) + b"\n")
-            self._journal.append(canonical.dumps(record) + b"\n")
+                line = canonical.dumps({"schema_version": SCHEMA_VERSION}) + b"\n" + line
+            self._journal.append(line)
             self._pending[entry_id] = BufferEntry(entry_id, envelope, now_ms)
             return entry_id
 
@@ -344,7 +346,14 @@ class LedgerTarget:
 
 @dataclass(frozen=True)
 class PersistedConfig:
-    """Everything a device needs to restore its pre-crash behavior exactly."""
+    """Everything a device needs to restore its pre-crash behavior exactly.
+
+    `heartbeat_sequence` is a ceiling: no heartbeat above it was ever sent.
+    The node reserves sequences in blocks, raising the ceiling before the
+    first beat above it, lowers it to the last beat sent when it stops
+    cleanly, and counts on from it after a restart. A file that holds the
+    last sequence sent is a valid ceiling too.
+    """
 
     state: NodeState = NodeState.IDLE
     job: Optional[MonitoringJob] = None
@@ -380,6 +389,9 @@ class PersistedConfig:
 
 class ConfigStore:
     """Load/save PersistedConfig with atomic replacement.
+
+    A node saves on every control-state change and, for heartbeats, once per
+    block of reserved sequence numbers (see `PersistedConfig`), not per beat.
 
     A missing file yields the documented default (Idle, no targets). A file
     that exists but does not parse raises CorruptConfig; it is never silently

@@ -24,7 +24,7 @@ from ambox.ledger import (
     REASON_UNKNOWN_SIGNER,
     ZERO_HASH,
 )
-from ambox.model import DeviceIdentity, DeviceKind, EventReport
+from ambox.model import DeviceIdentity, DeviceKind, EventReport, ModelError
 
 from conftest import T0, make_report
 
@@ -480,6 +480,33 @@ def test_service_roundtrip(tmp_path, node_key):
     assert client.get_event("missing") is None
     assert [r.report_id for r in client.get_recent(device_id="node-1")] == [report.report_id]
     assert client.verify_chain() is None
+
+
+class CannedRequester:
+    """RequestClient that answers every request with one fixed result."""
+
+    def __init__(self, result):
+        self.answer = json.dumps({"ok": True, "result": result}).encode("utf-8")
+
+    def request(self, dest, payload, timeout_ms=10_000, label=""):
+        return self.answer
+
+
+@pytest.mark.parametrize("fault", ["huge-value", "bad-timestamp"])
+def test_client_raises_model_error_for_a_malformed_report(fault):
+    obj = make_report().to_obj()
+    if fault == "huge-value":
+        obj["readings"][0]["value"] = 10**400        # no float holds it
+    else:
+        obj["created_at"] = "2024-13-01T00:00:00.000Z"
+    recent = LedgerClient(CannedRequester({"reports": [obj]}), "ledger")
+    with pytest.raises(ModelError):
+        recent.get_recent(device_id="node-1")
+    payload = json.dumps(obj, sort_keys=True).encode("utf-8")
+    event = LedgerClient(CannedRequester(
+        {"found": True, "payload_b64": base64.b64encode(payload).decode("ascii")}), "ledger")
+    with pytest.raises(ModelError):
+        event.get_event(obj["report_id"])
 
 
 def test_service_echoes_channel_names(tmp_path, node_key):

@@ -2,12 +2,14 @@
 
 import logging
 import random
+from dataclasses import replace
 
 from ambox import canonical
 from ambox.fleet import CommissionPlan, commission, start_monitoring, stop_monitoring
 from ambox.model import DeviceIdentity, DeviceKind, NodeState
 from ambox.harness.world import tamper_buffer_journal
 from ambox.runtime import SIM_EPOCH_MS, TaskCancelled
+from ambox.storage import ConfigStore
 from ambox.transport.faults import MODE_DOWN, FaultSchedule, FaultWindow
 
 from simworld import JOB_BODY, build_world, mini_scenario
@@ -259,25 +261,195 @@ def test_turn_off_refused_with_backlog():
     assert result["error"] == "buffer-not-drained"
 
 
+def watch_heartbeats(world):
+    """(sequence, accepted) of every heartbeat the operator ingests, in order."""
+    operator = world.operator
+    ingest = operator.ingest_heartbeat
+    seen = []
+
+    def recording(obj):
+        accepted = operator.stats.heartbeats_accepted
+        ingest(obj)
+        seen.append((obj["sequence"], operator.stats.heartbeats_accepted > accepted))
+
+    operator.ingest_heartbeat = recording
+    return seen
+
+
+def identity_sequence(caller):
+    return caller.call("node1", "GET", "/identity", None)[1]["heartbeat_sequence"]
+
+
 def test_restart_resumes_heartbeat_state():
     world = build_world(mini_scenario(job=None))
+    beats = watch_heartbeats(world)
     seqs = {}
 
     def director():
-        commission_node1(world)
+        caller = commission_node1(world)
         world.runtime.sleep(25_000)
-        seqs["before"] = world.nodes["node1"].config.heartbeat_sequence
+        seqs["before"] = identity_sequence(caller)
+        seqs["beats_before"] = len(beats)
         world.crash_node("node1")
         world.runtime.sleep(5_000)
         world.restart_node("node1")
         world.runtime.sleep(30_000)
-        seqs["after"] = world.nodes["node1"].config.heartbeat_sequence
+        seqs["after"] = identity_sequence(caller)
         seqs["state"] = world.nodes["node1"].config.state
 
     drive(world, director)
     world.teardown()
+    before, after = beats[:seqs["beats_before"]], beats[seqs["beats_before"]:]
     assert seqs["state"] is NodeState.HEARTBEAT
-    assert seqs["after"] > seqs["before"]  # sequence strictly increases across restarts
+    assert before and after and all(accepted for _seq, accepted in beats)
+    assert world.operator.stats.heartbeats_ignored == 0
+    assert seqs["before"] == before[-1][0]        # /identity names the last beat sent
+    assert after[0][0] > before[-1][0]            # strictly increasing across restarts
+    assert seqs["after"] == after[-1][0]
+    assert seqs["after"] > seqs["before"]
+
+
+def test_crash_after_ceiling_write_skips_the_reserved_block():
+    crashes = {"armed": False, "fired": False}
+
+    def crash_hook(point):
+        if point == "post_ceiling" and crashes["armed"] and not crashes["fired"]:
+            crashes["fired"] = True
+            world.nodes["node1"].crash()
+            world.network.unregister_server("node1")
+            raise TaskCancelled()
+
+    world = build_world(mini_scenario(job=None), crash_hook=crash_hook)
+    beats = watch_heartbeats(world)
+    out = {}
+
+    def director():
+        commission_node1(world)
+        world.runtime.sleep(25_000)
+        world.crash_node("node1")
+        crashes["armed"] = True      # the first beat after restart raises the ceiling, then dies
+        node = world.restart_node("node1")
+        out["old_ceiling"] = node.config.heartbeat_sequence
+        world.runtime.sleep(5_000)
+        assert crashes["fired"]
+        out["beats_before"] = len(beats)
+        out["new_ceiling"] = node.config_store.load().heartbeat_sequence
+        world.restart_node("node1")
+        world.runtime.sleep(30_000)
+
+    drive(world, director)
+    world.teardown()
+    before, after = beats[:out["beats_before"]], beats[out["beats_before"]:]
+    assert out["new_ceiling"] > out["old_ceiling"] >= before[-1][0]
+    assert all(seq <= out["old_ceiling"] for seq, _ in before)   # the dying beat never left
+    assert after[0][0] == out["new_ceiling"] + 1
+    assert all(accepted for _seq, accepted in beats)
+    assert world.operator.stats.heartbeats_ignored == 0
+
+
+def test_config_holding_the_last_beat_sent_is_a_valid_ceiling():
+    # A config file written before sequences were reserved in blocks holds
+    # the last beat sent; the first beat after the upgrade must pass it.
+    world = build_world(mini_scenario(job=None))
+    beats = watch_heartbeats(world)
+    out = {}
+
+    def director():
+        commission_node1(world)
+        while not beats or beats[-1][0] < 17:
+            world.runtime.sleep(1_000)
+        world.crash_node("node1")
+        store = world.nodes["node1"].config_store
+        store.save(replace(store.load(), heartbeat_sequence=17))
+        out["beats_before"] = len(beats)
+        world.restart_node("node1")
+        world.runtime.sleep(30_000)
+
+    drive(world, director)
+    world.teardown()
+    before, after = beats[:out["beats_before"]], beats[out["beats_before"]:]
+    assert before[-1] == (17, True)
+    assert after and after[0] == (18, True)
+    assert all(accepted for _seq, accepted in beats)
+    assert world.operator.stats.heartbeats_ignored == 0
+
+
+def test_failed_ceiling_write_costs_one_beat(fail_next_fsync):
+    world = build_world(mini_scenario(job=None))
+    beats = watch_heartbeats(world)
+    out = {}
+
+    def director():
+        caller = commission_node1(world)
+        world.runtime.sleep(25_000)
+        out["beats_before"] = len(beats)
+        world.crash_node("node1")
+        fail_next_fsync()            # the first beat after restart needs a new ceiling
+        node = world.restart_node("node1")
+        config = node.config
+        world.runtime.sleep(5_000)
+        out["failures"] = node.stats["heartbeat_failures"]
+        out["kept"] = node.config == config == node.config_store.load()
+        out["beats_during"] = len(beats) - out["beats_before"]
+        world.runtime.sleep(30_000)
+        out["identity"] = identity_sequence(caller)
+
+    drive(world, director)
+    world.teardown()
+    before, after = beats[:out["beats_before"]], beats[out["beats_before"]:]
+    assert out["failures"] == 1
+    assert out["kept"] is True
+    assert out["beats_during"] == 0
+    assert len(after) >= 3 and after[0][0] > before[-1][0]   # retried at the next interval
+    assert all(accepted for _seq, accepted in beats)
+    assert world.operator.stats.heartbeats_ignored == 0
+    assert out["identity"] == after[-1][0]
+
+
+def test_heartbeats_reserve_sequences_in_blocks(monkeypatch):
+    # The criterion-8 hour in Heartbeat state: commissioning saves the
+    # config three times (/configHeartbeat, /configBlockchain, /init) and
+    # the hour's beats share one ceiling write.
+    saves = []
+    save = ConfigStore.save
+    monkeypatch.setattr(ConfigStore, "save",
+                        lambda store, config: (saves.append(config), save(store, config)))
+    world = build_world(mini_scenario(job=None, heartbeat_timeout_ms=30_000))
+    out = {}
+
+    def director():
+        commission_node1(world)
+        world.runtime.sleep(3_600_000)
+        out["beats"] = world.operator.stats.heartbeats_accepted
+        out["saves"] = len(saves)
+
+    drive(world, director)
+    world.teardown()
+    assert out["beats"] >= 360
+    assert out["saves"] <= 3 + 1
+
+
+def test_clean_stop_gives_back_the_unused_reserve():
+    world = build_world(mini_scenario(job=None))
+    beats = watch_heartbeats(world)
+    out = {}
+
+    def director():
+        commission_node1(world)
+        world.runtime.sleep(25_000)
+        node = world.nodes["node1"]
+        node.stop()
+        world.network.unregister_server("node1")
+        out["beats_before"] = len(beats)
+        out["ceiling"] = node.config_store.load().heartbeat_sequence
+        world.restart_node("node1")
+        world.runtime.sleep(30_000)
+
+    drive(world, director)
+    world.teardown()
+    before, after = beats[:out["beats_before"]], beats[out["beats_before"]:]
+    assert out["ceiling"] == before[-1][0]
+    assert after and after[0] == (before[-1][0] + 1, True)
 
 
 def test_restart_resumes_monitoring_with_same_job():

@@ -279,7 +279,7 @@ def test_failed_enqueue_leaves_the_journal_as_it_was(tmp_path, envelopes, fail_n
     reopened.close()
 
 
-def test_torn_journal_tail_is_dropped_at_every_offset(tmp_path, envelopes):
+def test_torn_journal_tail_is_dropped_at_every_offset(tmp_path, envelopes, monkeypatch):
     buf = DurableBuffer(tmp_path)
     for e in envelopes[:3]:
         buf.enqueue(e, T0)
@@ -297,6 +297,32 @@ def test_torn_journal_tail_is_dropped_at_every_offset(tmp_path, envelopes):
         recovered.close()
         reopened = DurableBuffer(tmp_path)
         assert [e.envelope for e in reopened.pending_entries()] == envelopes[:2] + [envelopes[3]]
+        reopened.close()
+
+    # Into an empty journal the schema header and the first record go down
+    # in one write and one fsync. Every cut of that write recovers to no
+    # entry or to the one complete record, never to a corrupt journal.
+    fresh = tmp_path / "fresh"
+    syncs = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (syncs.append(fd), real_fsync(fd)))
+    buf = DurableBuffer(fresh)
+    buf.enqueue(envelopes[0], T0)
+    buf.close()
+    monkeypatch.undo()
+    assert len(syncs) == 1
+    journal = fresh / "buffer.journal"
+    pristine = journal.read_bytes()
+    assert pristine.count(b"\n") == 2
+    for cut in range(len(pristine) + 1):
+        journal.write_bytes(pristine[:cut])
+        recovered = DurableBuffer(fresh)
+        pending = [e.envelope for e in recovered.pending_entries()]
+        assert pending == (envelopes[:1] if cut == len(pristine) else [])
+        recovered.enqueue(envelopes[1], T0)
+        recovered.close()
+        reopened = DurableBuffer(fresh)
+        assert [e.envelope for e in reopened.pending_entries()] == pending + [envelopes[1]]
         reopened.close()
 
 
