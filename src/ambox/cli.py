@@ -201,12 +201,13 @@ def run_node(config: ProcessConfig) -> int:
     runtime = RealRuntime()
     keypair = device_keypair(config)
     stop = threading.Event()
+    ledger_requester = TcpRequestClient()
     agent = NodeAgent(
         keypair,
         config.data_dir,
         runtime,
         heartbeat_caller=HttpJsonClient(),
-        ledger_requester=TcpRequestClient(),
+        ledger_requester=ledger_requester,
         make_dest=lambda address, port: f"{address}:{port}",
         sensor_factory=synthetic_factory(config, NODE_SENSOR_SPECS),
         central=TcpCentral(config.device_id, config.motes) if config.motes else None,
@@ -226,6 +227,7 @@ def run_node(config: ProcessConfig) -> int:
     _wait_for_signal(stop)
     logger.info("node %s shutting down", config.device_id)
     agent.stop()
+    ledger_requester.close()
     server.shutdown()
     return 0
 
@@ -301,7 +303,15 @@ def _duration_ms(text: str) -> int:
 
 
 def operator_command(args: argparse.Namespace) -> int:
-    caller = HttpJsonClient()
+    requester = TcpRequestClient()
+    try:
+        return _operator_verb(args, HttpJsonClient(), requester)
+    finally:
+        requester.close()
+
+
+def _operator_verb(args: argparse.Namespace, caller: HttpJsonClient,
+                   requester: TcpRequestClient) -> int:
     if args.verb == "commission":
         operator_host, operator_port = parse_hostport(args.operator)
         ledger_host, ledger_port = parse_hostport(args.ledger)
@@ -315,7 +325,7 @@ def operator_command(args: argparse.Namespace) -> int:
             channel_name=args.channel,
             chaincode_name=args.chaincode,
         )
-        identity = commission(caller, LedgerClient(TcpRequestClient(), args.ledger), plan)
+        identity = commission(caller, LedgerClient(requester, args.ledger), plan)
         print(json.dumps({"commissioned": identity["device_id"]}))
         return 0
     if args.verb == "start":
@@ -334,7 +344,7 @@ def operator_command(args: argparse.Namespace) -> int:
         print(json.dumps({"stopped": args.device}))
         return 0
     if args.verb == "decommission":
-        ledger_client = LedgerClient(TcpRequestClient(), args.ledger) if args.ledger else None
+        ledger_client = LedgerClient(requester, args.ledger) if args.ledger else None
         summary = decommission(caller, args.device, RealRuntime(), ledger_client,
                                drain_poll_ms=1000, drain_wait_ms=_duration_ms(args.timeout))
         print(json.dumps(summary))
@@ -344,7 +354,7 @@ def operator_command(args: argparse.Namespace) -> int:
         print(json.dumps(body, indent=2, sort_keys=True))
         return 0 if status == 200 else 1
     if args.verb == "tail-ledger":
-        client = LedgerClient(TcpRequestClient(), args.ledger)
+        client = LedgerClient(requester, args.ledger)
         reports = client.get_recent(device_id=args.device or None,
                                     batch_no=args.batch_no or None, limit=args.limit)
         for report in reports:

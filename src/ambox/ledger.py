@@ -46,7 +46,7 @@ import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
 
 from cryptography.hazmat.primitives.asymmetric.rsa import RSAPublicKey
 
@@ -72,6 +72,8 @@ REASON_MALFORMED = "malformed-envelope"
 REASON_UNKNOWN_SIGNER = "unknown-signer"
 REASON_BAD_SIGNATURE = "signature-invalid"
 REASON_INVALID_REPORT = "invalid-report"
+
+_T = TypeVar("_T")
 
 
 class LedgerError(Exception):
@@ -142,12 +144,19 @@ class Verdict:
 
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "Verdict":
-        return cls(
-            status=str(obj["status"]),
+        """Raises ValueError, KeyError or TypeError for a verdict of another
+        shape than `to_obj` writes."""
+        verdict = cls(
+            status=obj["status"],
             report_id=obj.get("report_id"),
             reason=obj.get("reason"),
-            replay=bool(obj.get("replay", False)),
+            replay=obj.get("replay", False),
         )
+        if (verdict.status not in ("committed", "rejected") or type(verdict.replay) is not bool
+                or not isinstance(verdict.report_id, (str, type(None)))
+                or not isinstance(verdict.reason, (str, type(None)))):
+            raise ValueError(f"malformed verdict {obj!r}")
+        return verdict
 
 
 @dataclass
@@ -525,11 +534,18 @@ class LedgerService:
 
 
 class LedgerClientError(LedgerError):
-    """The service answered, but with an application-level error."""
+    """The service answered, but with an application-level error or with an
+    answer of the wrong shape."""
 
 
 class LedgerClient:
-    """Typed client over any RequestClient (simulated or TCP)."""
+    """Typed client over any RequestClient (simulated or TCP).
+
+    Every answer is checked in `_call`: one that is not JSON, not an object,
+    not `ok`, or whose result does not have the shape its operation needs
+    raises LedgerClientError. Report content that does not decode raises
+    ModelError. Transport failures pass through as TransportError.
+    """
 
     def __init__(self, requester: RequestClient, dest: str,
                  channel_name: str = "ambox", chaincode_name: str = "events",
@@ -540,7 +556,7 @@ class LedgerClient:
         self.chaincode_name = chaincode_name
         self.timeout_ms = timeout_ms
 
-    def _call(self, op: str, args: dict) -> dict:
+    def _call(self, op: str, args: dict, parse: Callable[[dict], _T]) -> _T:
         payload = json.dumps(
             {
                 "op": op,
@@ -551,23 +567,50 @@ class LedgerClient:
             sort_keys=True,
         ).encode("utf-8")
         raw = self._requester.request(self.dest, payload, self.timeout_ms, label=f"ledger:{op}")
-        obj = json.loads(raw.decode("utf-8"))
-        if not obj.get("ok"):
-            raise LedgerClientError(f"{obj.get('error')}: {obj.get('message')}")
-        return obj["result"]
+        try:
+            answer = json.loads(raw.decode("utf-8"))
+            if not isinstance(answer, dict):
+                raise TypeError(f"answer is a {type(answer).__name__}, not an object")
+            if answer.get("ok") is not True:
+                raise LedgerClientError(f"{answer.get('error')}: {answer.get('message')}")
+            return parse(_typed(answer, "result", dict))
+        except (LedgerClientError, ModelError):
+            raise
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
+            raise LedgerClientError(f"misshapen {op} answer: {exc!r}") from exc
 
     def register_device(self, identity: DeviceIdentity) -> str:
-        return self._call(OP_REGISTER_DEVICE, {"identity": identity.to_obj()})["registration"]
+        return self._call(OP_REGISTER_DEVICE, {"identity": identity.to_obj()},
+                          lambda result: _typed(result, "registration", str))
 
     def add_events(self, envelopes: list[SignedEnvelope]) -> list[Verdict]:
-        result = self._call(OP_ADD_EVENTS, {"envelopes": [e.to_wire_obj() for e in envelopes]})
-        return [Verdict.from_obj(v) for v in result["verdicts"]]
+        """One verdict per envelope, in order. Raises LedgerClientError if the
+        answer holds another number of verdicts, or a verdict that names a
+        report other than its envelope's: a caller acks what it is told."""
+        def parse(result: dict) -> list[Verdict]:
+            verdicts = [Verdict.from_obj(v) for v in _typed(result, "verdicts", list)]
+            if len(verdicts) != len(envelopes):
+                raise LedgerClientError(
+                    f"{len(verdicts)} verdicts for {len(envelopes)} envelopes")
+            for envelope, verdict in zip(envelopes, verdicts):
+                if verdict.report_id is None and verdict.status == "rejected":
+                    continue        # refused before its payload was read
+                if verdict.report_id is None or not _holds_report(envelope, verdict.report_id):
+                    raise LedgerClientError(f"verdict for {verdict.report_id!r} answers "
+                                            f"envelope {report_id_of(envelope)!r}")
+            return verdicts
+
+        return self._call(OP_ADD_EVENTS, {"envelopes": [e.to_wire_obj() for e in envelopes]},
+                          parse)
 
     def get_event(self, report_id: str) -> Optional[EventReport]:
-        result = self._call(OP_GET_EVENT, {"report_id": report_id})
-        if not result["found"]:
-            return None
-        return decode_report(base64.b64decode(result["payload_b64"]))
+        def parse(result: dict) -> Optional[EventReport]:
+            if not _typed(result, "found", bool):
+                return None
+            payload_b64 = _typed(result, "payload_b64", str)
+            return decode_report(base64.b64decode(payload_b64, validate=True))
+
+        return self._call(OP_GET_EVENT, {"report_id": report_id}, parse)
 
     def get_recent(self, device_id: Optional[str] = None, batch_no: Optional[str] = None,
                    limit: int = 10) -> list[EventReport]:
@@ -578,12 +621,41 @@ class LedgerClient:
             args["device_id"] = device_id
         if batch_no is not None:
             args["batch_no"] = batch_no
-        result = self._call(OP_GET_RECENT, args)
+        reports = self._call(OP_GET_RECENT, args, lambda result: _typed(result, "reports", list))
         try:
-            return [EventReport.from_obj(r) for r in result["reports"]]
+            return [EventReport.from_obj(r) for r in reports]
         except (ValueError, OverflowError, RecursionError) as exc:
             raise ModelError(str(exc)) from exc
 
     def verify_chain(self) -> Optional[int]:
-        result = self._call(OP_VERIFY_CHAIN, {})
-        return None if result["intact"] else int(result["first_broken_height"])
+        def parse(result: dict) -> Optional[int]:
+            if _typed(result, "intact", bool):
+                return None
+            return _typed(result, "first_broken_height", int)
+
+        return self._call(OP_VERIFY_CHAIN, {}, parse)
+
+
+def _typed(obj: dict, key: str, kind: type):
+    """obj[key], which must be a `kind` (a bool is not an int here)."""
+    value = obj[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise TypeError(f"{key} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _holds_report(envelope: SignedEnvelope, report_id: str) -> bool:
+    """Whether the envelope's payload carries `report_id`. A canonical
+    report ends with it, its last key in sorted order, so only a payload in
+    another form (or an id that is not ASCII) is parsed."""
+    tail = b',"report_id":' + json.dumps(report_id).encode("ascii") + b"}"
+    return envelope.payload.endswith(tail) or report_id_of(envelope) == report_id
+
+
+def report_id_of(envelope: SignedEnvelope) -> Optional[str]:
+    """The report id in an envelope's payload, or None if it has none."""
+    try:
+        obj = canonical.loads(envelope.payload)
+    except canonical.CanonicalError:
+        return None
+    return obj.get("report_id") if isinstance(obj, dict) else None

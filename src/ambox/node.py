@@ -8,8 +8,9 @@ changes happen only through the control API and are persisted before they
 take effect, so a restart resumes exactly where the process died.
 
 Submission is at-least-once: entries leave the buffer only after the ledger
-answered, and the ledger deduplicates by report id, which yields exactly-once
-observable delivery across crashes and partitions.
+answered each of them with its own verdict, and the ledger deduplicates by
+report id, which yields exactly-once observable delivery across crashes and
+partitions.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from . import canonical
-from .envelope import InvalidReport, KeyPair, SignedEnvelope, sign
-from .ledger import LedgerClient
+from .envelope import InvalidReport, KeyPair, sign
+from .ledger import LedgerClient, LedgerClientError, report_id_of
 from .model import (
     DeviceKind,
     EventReport,
@@ -231,6 +232,9 @@ class NodeAgent:
             return 200, {"status": "ok"}
         except ControlError as exc:
             return exc.status, {"error": exc.error}
+        except OSError as exc:
+            logger.error("%s: %s %s failed in storage: %s", self.device_id, method, path, exc)
+            return 503, {"error": "storage-failed"}
 
     def _identity_obj(self) -> dict[str, Any]:
         return {
@@ -248,8 +252,15 @@ class NodeAgent:
         if not legal_transition(current, target):
             raise illegal_state(f"illegal-transition:{current.value}->{target.value}")
         with self._config_lock:
-            self.config = replace(self.config, state=target, job=job)
-            self.config_store.save(self.config)
+            self._save_config(state=target, job=job)
+
+    def _save_config(self, **changes: Any) -> None:
+        """Store the config with `changes`, then run on it, with
+        `_config_lock` held: a change takes effect only once it is on disk,
+        and an OSError from the write leaves the config as it was."""
+        config = replace(self.config, **changes)
+        self.config_store.save(config)
+        self.config = config
 
     def _control_init(self, body: dict) -> None:
         if self.config.state is not NodeState.IDLE:
@@ -266,8 +277,7 @@ class NodeAgent:
             timeout_ms=_required_positive(body, "heartbeat_timeout_ms"),
         )
         with self._config_lock:
-            self.config = replace(self.config, heartbeat=target)
-            self.config_store.save(self.config)
+            self._save_config(heartbeat=target)
 
     def _control_config_blockchain(self, body: dict) -> None:
         target = LedgerTarget(
@@ -277,8 +287,7 @@ class NodeAgent:
             chaincode_name=_required_str(body, "chaincode_name"),
         )
         with self._config_lock:
-            self.config = replace(self.config, ledger=target)
-            self.config_store.save(self.config)
+            self._save_config(ledger=target)
         self._drain_kick.set()
 
     def _control_start_monitoring(self, body: dict) -> None:
@@ -287,8 +296,8 @@ class NodeAgent:
         if self.config.ledger is None:
             raise illegal_state("ledger-not-configured")
         job = _job_from_body(body)
-        self._last_job = job
         self._transition(NodeState.MONITORING, job)
+        self._last_job = job
         self._start_sampling(job)
         self._push_mote_config(job)
 
@@ -383,14 +392,12 @@ class NodeAgent:
     def _save_heartbeat_ceiling(self, ceiling: int) -> bool:
         """Persist `ceiling`, with `_config_lock` held; False, leaving the
         config as it was, if the write failed."""
-        config = replace(self.config, heartbeat_sequence=ceiling)
         try:
-            self.config_store.save(config)
+            self._save_config(heartbeat_sequence=ceiling)
         except OSError as exc:
             logger.warning("%s: cannot save heartbeat ceiling %d: %s",
                            self.device_id, ceiling, exc)
             return False
-        self.config = config
         return True
 
     # -- sampling -------------------------------------------------------------------
@@ -555,19 +562,23 @@ class NodeAgent:
                 self.crash_hook("pre_submit")
                 try:
                     verdicts = client.add_events(envelopes)
-                except TransportError:
+                except (TransportError, LedgerClientError) as exc:
+                    # Nothing in the batch can be acked; it stays queued for
+                    # the next interval.
+                    if isinstance(exc, LedgerClientError):
+                        logger.warning("%s: unusable ledger answer: %s", self.device_id, exc)
                     self.stats["submit_failures"] += 1
                     self.stats["consecutive_submit_failures"] += 1
                     return
                 self.crash_hook("post_submit")
                 self.stats["consecutive_submit_failures"] = 0
-                for envelope, verdict in zip(envelopes, verdicts):
+                for envelope, verdict in zip(envelopes, verdicts, strict=True):
                     if verdict.status == "committed":
                         self.stats["replays" if verdict.replay else "committed"] += 1
                     else:
                         self.stats["rejected"] += 1
                         logger.warning("%s: ledger rejected %s (%s)", self.device_id,
-                                       _report_id_of(envelope), verdict.reason)
+                                       report_id_of(envelope), verdict.reason)
                 # Rejections are final (signature or validity); keeping them
                 # queued would wedge everything behind them.
                 self.buffer.ack(ids)
@@ -712,13 +723,3 @@ def _job_from_body(body: dict) -> MonitoringJob:
         raise invalid_argument("invalid-argument:sensor_params") from exc
     return job
 
-
-def _report_id_of(envelope: SignedEnvelope) -> Optional[str]:
-    """The report id in an envelope's payload. Verdict i answers envelope i,
-    but a rejection decided before the ledger parsed the payload (unknown
-    signer, bad signature, malformed) carries no report id of its own."""
-    try:
-        obj = canonical.loads(envelope.payload)
-    except canonical.CanonicalError:
-        return None
-    return obj.get("report_id") if isinstance(obj, dict) else None

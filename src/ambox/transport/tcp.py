@@ -12,6 +12,7 @@ import base64
 import http.client
 import json
 import logging
+import select
 import socket
 import socketserver
 import struct
@@ -83,58 +84,111 @@ def parse_hostport(address: str) -> tuple[str, int]:
 
 
 class TcpRequestClient(RequestClient):
-    """One connection per request; simple and restart-friendly."""
+    """Framed requests over connections kept open per destination.
+
+    Each exchange takes an idle connection to its destination, or opens
+    one, and gives it back only after a whole answer arrived; threads that
+    share a client therefore never share a connection mid-exchange. A
+    request is sent at most once: it is never resent, not even when a kept
+    connection turns out to be dead. An idle connection that is readable
+    before a request goes out was closed by the peer (or holds a stray
+    byte), so it is dropped unused. Any error, timeout or end of stream
+    closes its connection, so a late answer is never read as the answer to
+    a later request.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: dict[tuple[str, int], list[socket.socket]] = {}
+        self._closed = False
 
     def request(self, dest: str, payload: bytes, timeout_ms: int = 10_000, label: str = "") -> bytes:
-        host, port = parse_hostport(dest)
+        address = parse_hostport(dest)
         timeout_s = max(timeout_ms, 1) / 1000.0
+        sock = self._take_idle(address)
         try:
-            with socket.create_connection((host, port), timeout=timeout_s) as sock:
+            try:
+                if sock is None:
+                    sock = socket.create_connection(address, timeout=timeout_s)
                 sock.settimeout(timeout_s)
                 send_frame(sock, payload)
                 response = recv_frame(sock)
-        except ConnectionRefusedError as exc:
-            raise ConnectionRefused(str(exc)) from exc
-        except socket.timeout as exc:
-            raise RequestTimeout(f"request to {dest} timed out") from exc
-        except OSError as exc:
-            raise ConnectionRefused(f"request to {dest} failed: {exc}") from exc
-        if response is None:
-            raise TransportError(f"server at {dest} closed the connection")
+            except ConnectionRefusedError as exc:
+                raise ConnectionRefused(str(exc)) from exc
+            except socket.timeout as exc:
+                raise RequestTimeout(f"request to {dest} timed out") from exc
+            except OSError as exc:
+                raise ConnectionRefused(f"request to {dest} failed: {exc}") from exc
+            if response is None:
+                raise TransportError(f"server at {dest} closed the connection")
+        except BaseException:
+            if sock is not None:
+                sock.close()
+            raise
+        self._give_back(address, sock)
         return response
+
+    def close(self) -> None:
+        """Close every idle connection; one in use closes when its exchange ends."""
+        with self._lock:
+            self._closed = True
+            idle = [sock for socks in self._idle.values() for sock in socks]
+            self._idle.clear()
+        for sock in idle:
+            sock.close()
+
+    def _take_idle(self, address: tuple[str, int]) -> Optional[socket.socket]:
+        while True:
+            with self._lock:
+                idle = self._idle.get(address)
+                if not idle:
+                    return None
+                sock = idle.pop()
+            readable, _, _ = select.select([sock], [], [], 0)
+            if not readable:
+                return sock
+            sock.close()
+
+    def _give_back(self, address: tuple[str, int], sock: socket.socket) -> None:
+        with self._lock:
+            if not self._closed:
+                self._idle.setdefault(address, []).append(sock)
+                return
+        sock.close()
 
 
 class FrameServer:
-    """Threaded framed-TCP server dispatching each frame to a handler."""
+    """Threaded framed-TCP server dispatching each frame to a handler.
+
+    A connection carries any number of frames, one answer per request, and
+    has its own thread. `shutdown` also shuts down the connections already
+    accepted, so no kept-open client is answered by a stopped server.
+    """
 
     def __init__(self, host: str, port: int, handler: Callable[[str, bytes], bytes]) -> None:
         outer = self
 
         class _Handler(socketserver.BaseRequestHandler):
             def handle(self) -> None:
-                peer = f"{self.client_address[0]}:{self.client_address[1]}"
-                while True:
-                    try:
-                        payload = recv_frame(self.request)
-                    except (TransportError, OSError):
+                with outer._lock:
+                    if outer._closing:
                         return
-                    if payload is None:
-                        return
-                    try:
-                        response = outer._handler(peer, payload)
-                    except Exception:
-                        logger.exception("frame handler failed")
-                        return
-                    try:
-                        send_frame(self.request, response)
-                    except OSError:
-                        return
+                    outer._connections.add(self.request)
+                try:
+                    outer._serve(f"{self.client_address[0]}:{self.client_address[1]}",
+                                 self.request)
+                finally:
+                    with outer._lock:
+                        outer._connections.discard(self.request)
 
         class _Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
             daemon_threads = True
 
         self._handler = handler
+        self._lock = threading.Lock()
+        self._connections: set[socket.socket] = set()
+        self._closing = False
         try:
             self._server = _Server((host, port), _Handler)
         except OSError as exc:
@@ -144,9 +198,37 @@ class FrameServer:
                                         name=f"frame-server:{self.port}", daemon=True)
         self._thread.start()
 
+    def _serve(self, peer: str, sock: socket.socket) -> None:
+        while True:
+            try:
+                payload = recv_frame(sock)
+            except (TransportError, OSError):
+                return
+            if payload is None:
+                return
+            try:
+                response = self._handler(peer, payload)
+            except Exception:
+                logger.exception("frame handler failed")
+                return
+            try:
+                send_frame(sock, response)
+            except OSError:
+                return
+
     def shutdown(self) -> None:
         self._server.shutdown()
         self._server.server_close()
+        with self._lock:
+            self._closing = True
+            connections = list(self._connections)
+        for sock in connections:
+            # Wakes a handler blocked in recv and fails any answer still
+            # being computed; the handler thread then closes the socket.
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
 
 # -- HTTP (control API, heartbeat sink) --------------------------------------

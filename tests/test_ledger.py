@@ -17,6 +17,7 @@ from ambox.ledger import (
     Ledger,
     LedgerBlock,
     LedgerClient,
+    LedgerClientError,
     LedgerService,
     REASON_BAD_SIGNATURE,
     REASON_INVALID_REPORT,
@@ -483,13 +484,107 @@ def test_service_roundtrip(tmp_path, node_key):
 
 
 class CannedRequester:
-    """RequestClient that answers every request with one fixed result."""
+    """RequestClient that answers every request with one fixed result, or
+    with the bytes of `raw`."""
 
-    def __init__(self, result):
-        self.answer = json.dumps({"ok": True, "result": result}).encode("utf-8")
+    def __init__(self, result=None, raw=None):
+        self.answer = raw if raw is not None else _ok(result)
 
     def request(self, dest, payload, timeout_ms=10_000, label=""):
         return self.answer
+
+
+def _ok(result) -> bytes:
+    return json.dumps({"ok": True, "result": result}).encode("utf-8")
+
+
+_REPORT = make_report()
+_ENVELOPE = SignedEnvelope(payload=canonical.dumps(_REPORT.to_obj()), signature=b"sig",
+                           signer="node-1")
+_CALLS = {
+    "register_device": lambda c: c.register_device(
+        DeviceIdentity("node-1", DeviceKind.NODE, "pem")),
+    "add_events": lambda c: c.add_events([_ENVELOPE]),
+    "get_event": lambda c: c.get_event(_REPORT.report_id),
+    "get_recent": lambda c: c.get_recent(device_id="node-1"),
+    "verify_chain": lambda c: c.verify_chain(),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_CALLS))
+@pytest.mark.parametrize("raw", [
+    b"not json", b"\xff\xfe", b"[1, 2]", b"null", b'{"ok": true}', b'{"ok": 1, "result": {}}',
+    b'{"ok": true, "result": [1]}', b'{"ok": false, "error": "internal"}', _ok({}),
+], ids=repr)
+def test_client_refuses_a_misshapen_answer_to_any_op(op, raw):
+    with pytest.raises(LedgerClientError):
+        _CALLS[op](LedgerClient(CannedRequester(raw=raw), "ledger"))
+
+
+@pytest.mark.parametrize("op,result", [
+    ("register_device", {"registration": None}),
+    ("get_event", {"found": True, "payload_b64": "abc"}),
+    ("get_event", {"found": True, "payload_b64": 5}),
+    ("get_event", {"found": True, "payload_b64": "@@@@"}),
+    ("get_event", {"found": "no"}),
+    ("get_recent", {"reports": None}),
+    ("get_recent", {"reports": {"a": 1}}),
+    ("verify_chain", {"intact": False, "first_broken_height": "3"}),
+    ("verify_chain", {"intact": False, "first_broken_height": True}),
+    ("verify_chain", {"intact": 0}),
+    ("add_events", {"verdicts": None}),
+    ("add_events", {"verdicts": [5]}),
+    ("add_events", {"verdicts": [{"status": "maybe"}]}),
+    ("add_events", {"verdicts": [{"status": "rejected", "reason": 5}]}),
+    ("add_events", {"verdicts": [{"status": "committed", "report_id": _REPORT.report_id,
+                                  "replay": "no"}]}),
+], ids=repr)
+def test_client_refuses_a_result_of_the_wrong_shape(op, result):
+    with pytest.raises(LedgerClientError):
+        _CALLS[op](LedgerClient(CannedRequester(result), "ledger"))
+
+
+@pytest.mark.parametrize("verdicts", [
+    [],
+    [{"status": "committed", "report_id": _REPORT.report_id}] * 2,
+    [{"status": "committed"}],
+    [{"status": "committed", "report_id": "node-1-other"}],
+    [{"status": "committed", "report_id": _REPORT.report_id[-8:]}],
+    [{"status": "rejected", "report_id": "node-1-other", "reason": "invalid-report"}],
+], ids=repr)
+def test_add_events_needs_one_verdict_per_envelope_naming_its_report(verdicts):
+    client = LedgerClient(CannedRequester({"verdicts": verdicts}), "ledger")
+    with pytest.raises(LedgerClientError):
+        client.add_events([_ENVELOPE])
+
+
+@pytest.mark.parametrize("verdict", [
+    {"status": "committed", "report_id": _REPORT.report_id},
+    {"status": "committed", "report_id": _REPORT.report_id, "replay": True},
+    {"status": "rejected", "reason": "signature-invalid"},
+    {"status": "rejected", "report_id": _REPORT.report_id, "reason": "invalid-report"},
+], ids=repr)
+def test_add_events_takes_each_verdict_that_answers_its_envelope(verdict):
+    client = LedgerClient(CannedRequester({"verdicts": [verdict]}), "ledger")
+    assert [v.to_obj() for v in client.add_events([_ENVELOPE])] == [verdict]
+
+
+@pytest.mark.parametrize("form", ["reordered", "non-ascii-id"])
+def test_add_events_reads_the_report_id_of_a_payload_in_any_form(form):
+    obj = _REPORT.to_obj()
+    if form == "reordered":
+        report_id = obj.pop("report_id")
+        payload = json.dumps({"report_id": report_id, **obj}, indent=1).encode()
+    else:
+        report_id = obj["report_id"] = "node-1-\u00e9t\u00e9-\"q\""
+        payload = canonical.dumps(obj)
+    envelope = SignedEnvelope(payload=payload, signature=b"sig", signer="node-1")
+    named = {"status": "committed", "report_id": report_id}
+    assert LedgerClient(CannedRequester({"verdicts": [named]}), "ledger").add_events([envelope])
+    other = LedgerClient(CannedRequester({"verdicts": [dict(named, report_id="node-1-other")]}),
+                         "ledger")
+    with pytest.raises(LedgerClientError):
+        other.add_events([envelope])
 
 
 @pytest.mark.parametrize("fault", ["huge-value", "bad-timestamp"])

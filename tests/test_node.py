@@ -1,8 +1,11 @@
 """Node agent behavior on the simulated runtime."""
 
+import json
 import logging
 import random
 from dataclasses import replace
+
+import pytest
 
 from ambox import canonical
 from ambox.fleet import CommissionPlan, commission, start_monitoring, stop_monitoring
@@ -725,3 +728,72 @@ def test_start_monitoring_refuses_what_the_config_file_cannot_hold():
     assert result["bad_address"] == (400, {"error": "invalid-argument:ipaddr"})
     assert result["unchanged"] is True
     assert result["ok"] == 200
+
+
+def test_a_config_write_that_fails_changes_nothing(fail_next_fsync):
+    world = build_world(mini_scenario(job=None))
+    node = world.nodes["node1"]
+    calls = [
+        ("/configHeartbeat", {"ipaddr": "operator", "port": 1, "heartbeat_timeout_ms": 30_000}),
+        ("/configBlockchain", {"ipaddr": "ledger", "port": 1, "channel_name": "ch",
+                               "chaincode_name": "cc"}),
+        ("/init", {}),
+    ]
+    out = []
+
+    def director():
+        caller = world.operator_caller()
+        for path, body in calls:
+            before = node.config
+            fail_next_fsync()
+            failed = caller.call("node1", "POST", path, body)
+            kept = node.config == before == node.config_store.load()
+            ok = caller.call("node1", "POST", path, body)[0]
+            out.append((path, failed, kept, ok, node.config == node.config_store.load()))
+
+    drive(world, director)
+    world.teardown()
+    assert out == [(path, (503, {"error": "storage-failed"}), True, 200, True)
+                   for path, _body in calls]
+    assert node.config.state is NodeState.HEARTBEAT
+
+
+def answer_add_events_with(world, answer: dict, times: int) -> None:
+    """Make the ledger answer its next `times` AddEvents with `answer`."""
+    handle = world.ledger_service.handle
+    left = [times]
+
+    def handler(src, payload):
+        if left[0] and json.loads(payload)["op"] == "AddEvents":
+            left[0] -= 1
+            return json.dumps(answer).encode("utf-8")
+        return handle(src, payload)
+
+    world.network.register_server("ledger", handler)
+
+
+@pytest.mark.parametrize("answer", [
+    {"ok": True, "result": {"verdicts": []}},       # no verdict for any envelope
+    {"ok": False, "error": "internal"},
+], ids=["no-verdicts", "error"])
+def test_an_unusable_ledger_answer_acks_nothing(answer):
+    world = build_world(mini_scenario(job=None))
+    answer_add_events_with(world, answer, times=3)
+    node = world.nodes["node1"]
+    out = {}
+
+    def director():
+        caller = commission_node1(world)
+        start_monitoring(caller, "node1", JOB_BODY)
+        world.runtime.sleep(30 * 60_000)
+        stop_monitoring(caller, "node1")
+        world.runtime.sleep(2 * 60_000)
+        out["depth"] = node.buffer.depth()
+
+    drive(world, director)
+    world.teardown()
+    committed = sum(len(r.readings) for r in world.ledger.all_reports())
+    assert node.stats["samples"] >= 87
+    assert committed == node.stats["samples"]
+    assert out["depth"] == 0
+    assert node.stats["submit_failures"] == 3

@@ -2,6 +2,7 @@
 
 import socket
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -37,13 +38,14 @@ def test_parse_hostport():
 
 def test_frame_request_roundtrip():
     server = FrameServer("127.0.0.1", 0, lambda src, b: b"echo:" + b)
+    client = TcpRequestClient()
     try:
-        client = TcpRequestClient()
         response = client.request(f"127.0.0.1:{server.port}", b"hello", 2000)
         assert response == b"echo:hello"
         response = client.request(f"127.0.0.1:{server.port}", b"x" * 100_000, 5000)
         assert response == b"echo:" + b"x" * 100_000
     finally:
+        client.close()
         server.shutdown()
 
 
@@ -84,6 +86,119 @@ def test_request_timeout():
             client.request(f"127.0.0.1:{server.port}", b"hi", 200)
     finally:
         server.shutdown()
+
+
+def test_sequential_requests_share_one_connection():
+    peers = []
+
+    def handler(src, payload):
+        peers.append(src)
+        return b"echo:" + payload
+
+    server = FrameServer("127.0.0.1", 0, handler)
+    client = TcpRequestClient()
+    try:
+        for i in range(20):
+            assert client.request(f"127.0.0.1:{server.port}", b"%d" % i, 2000) == b"echo:%d" % i
+    finally:
+        client.close()
+        server.shutdown()
+    assert len(peers) == 20
+    assert len(set(peers)) == 1          # one source port: one connection
+
+
+def test_threads_sharing_a_client_each_get_their_own_answers():
+    def handler(src, payload):
+        time.sleep(0.0005)
+        return b"echo:" + payload
+
+    server = FrameServer("127.0.0.1", 0, handler)
+    client = TcpRequestClient()
+    dest = f"127.0.0.1:{server.port}"
+    wrong, done = [], []
+
+    def worker(t):
+        for i in range(40):
+            payload = b"%d:%d" % (t, i)
+            if client.request(dest, payload, 5000) != b"echo:" + payload:
+                wrong.append(payload)
+        done.append(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        client.close()
+        server.shutdown()
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(6))
+    assert wrong == []
+
+
+def test_a_timed_out_answer_is_never_read_as_the_next_one():
+    def handler(src, payload):
+        if payload == b"slow":
+            time.sleep(0.5)
+        return b"echo:" + payload
+
+    server = FrameServer("127.0.0.1", 0, handler)
+    client = TcpRequestClient()
+    dest = f"127.0.0.1:{server.port}"
+    try:
+        assert client.request(dest, b"warm", 2000) == b"echo:warm"
+        with pytest.raises(RequestTimeout):
+            client.request(dest, b"slow", 100)
+        assert client.request(dest, b"next", 2000) == b"echo:next"   # sent before the late answer
+        time.sleep(0.5)
+        assert client.request(dest, b"last", 2000) == b"echo:last"   # sent after it
+    finally:
+        client.close()
+        server.shutdown()
+
+
+def test_a_restarted_server_answers_and_the_stopped_one_never_does():
+    answered = []
+
+    def handler(name):
+        def handle(src, payload):
+            answered.append(name)
+            return name.encode() + b":" + payload
+        return handle
+
+    old = FrameServer("127.0.0.1", 0, handler("old"))
+    client = TcpRequestClient()
+    dest = f"127.0.0.1:{old.port}"
+    try:
+        assert client.request(dest, b"1", 2000) == b"old:1"
+        old.shutdown()
+        new = FrameServer("127.0.0.1", old.port, handler("new"))
+        try:
+            assert client.request(dest, b"2", 2000) == b"new:2"
+            assert client.request(dest, b"3", 2000) == b"new:3"
+        finally:
+            new.shutdown()
+    finally:
+        client.close()
+    assert answered == ["old", "new", "new"]
+
+
+def test_a_stopped_server_with_no_successor_fails_the_request():
+    server = FrameServer("127.0.0.1", 0, lambda src, b: b"echo:" + b)
+    client = TcpRequestClient()
+    dest = f"127.0.0.1:{server.port}"
+    try:
+        assert client.request(dest, b"1", 2000) == b"echo:1"
+        server.shutdown()
+        with pytest.raises(TransportError):
+            client.request(dest, b"2", 2000)
+    finally:
+        client.close()
 
 
 def test_http_router_roundtrip():
