@@ -1,7 +1,8 @@
 """Mote agent: a short-range peripheral that samples, signs, and buffers.
 
 A mote never talks to the ledger or the operator. It signs every reading
-with its own key, appends it to a durable journal, and streams the journal
+with its own key, appends the readings of one sample instant to a durable
+journal in one write and one fsync, and streams the journal
 to its paired node whenever a session exists: backlog first, oldest first,
 then live readings. Entries leave the mote's buffer only after the node has
 acknowledged them over the ack characteristic, so any outage pattern ends
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .envelope import KeyPair, SignedEnvelope, sign_reading_envelope
-from .model import SensorReading
+from .model import SensorReading, _require_int
 from .runtime import Runtime
 from .storage import (
     SCHEMA_VERSION,
@@ -89,8 +90,7 @@ def encode_reading_notification(entry_id: int, envelope: SignedEnvelope) -> byte
 
 def decode_reading_notification(payload: bytes) -> tuple[int, SignedEnvelope]:
     obj = json.loads(payload.decode("utf-8"))
-    entry_id = int(obj.pop("entry_id"))
-    return entry_id, SignedEnvelope.from_wire_obj(obj)
+    return _require_int(obj, "entry_id"), SignedEnvelope.from_wire_obj(obj)
 
 
 class MoteAgent:
@@ -187,7 +187,7 @@ class MoteAgent:
 
     def _apply_ack(self, payload: bytes) -> None:
         try:
-            upto = int(json.loads(payload.decode("utf-8"))["upto"])
+            upto = _require_int(json.loads(payload.decode("utf-8")), "upto")
         except (ValueError, KeyError, TypeError) as exc:
             logger.warning("%s: rejected ack write: %s", self.device_id, exc)
             return
@@ -220,6 +220,7 @@ class MoteAgent:
             if not config.enabled:
                 continue
             t = self.runtime.now_ms()
+            envelopes = []
             for quantity in config.enabled_quantities():
                 driver = self._driver(quantity)
                 if driver is None:
@@ -233,14 +234,17 @@ class MoteAgent:
                 reading = SensorReading(
                     quantity=quantity, value=value, sampled_at=t, source_device=self.device_id
                 )
-                envelope = sign_reading_envelope(self.keypair, reading)
-                try:
-                    self.buffer.enqueue(envelope, t)
-                except StorageFull:
-                    self.stats["dropped_full"] += 1
-                    continue
-                self.stats["samples"] += 1
-                self._new_data.set()
+                envelopes.append(sign_reading_envelope(self.keypair, reading))
+            if not envelopes:
+                continue
+            # The readings of one instant are ready together: one append.
+            try:
+                self.buffer.enqueue(envelopes, t)
+            except StorageFull:
+                self.stats["dropped_full"] += len(envelopes)
+                continue
+            self.stats["samples"] += len(envelopes)
+            self._new_data.set()
 
     # -- streaming ------------------------------------------------------------------
 

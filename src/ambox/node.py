@@ -10,7 +10,8 @@ take effect, so a restart resumes exactly where the process died.
 Submission is at-least-once: entries leave the buffer only after the ledger
 answered each of them with its own verdict, and the ledger deduplicates by
 report id, which yields exactly-once observable delivery across crashes and
-partitions.
+partitions. After a failed submit the next attempt sends only the oldest
+envelope; once the ledger answers it, the same drain goes on in full batches.
 """
 
 from __future__ import annotations
@@ -133,6 +134,9 @@ class NodeAgent:
         self._report_counter = 0
         self._last_job: Optional[MonitoringJob] = self.config.job
         self._drain_kick = runtime.new_signal()
+        # Set by a failed submit: the next one sends only the oldest envelope,
+        # so a dead link costs one envelope per attempt, not a full batch.
+        self._probe = False
         self._storage_alarm = False
         self._sessions: dict[str, Any] = {}
         self._mote_ack_floor: dict[str, int] = {}
@@ -489,7 +493,7 @@ class NodeAgent:
             return
         self.crash_hook("pre_enqueue")
         try:
-            self.buffer.enqueue(envelope, created_at)
+            self.buffer.enqueue([envelope], created_at)
         except StorageFull:
             self._storage_alarm = True
             self.stats["storage_full_events"] += 1
@@ -553,7 +557,7 @@ class NodeAgent:
             return  # another activity is already draining
         try:
             while True:
-                batch = self.buffer.peek_batch(SUBMIT_BATCH_MAX)
+                batch = self.buffer.peek_batch(1 if self._probe else SUBMIT_BATCH_MAX)
                 if not batch:
                     self._storage_alarm = False
                     return
@@ -569,8 +573,10 @@ class NodeAgent:
                         logger.warning("%s: unusable ledger answer: %s", self.device_id, exc)
                     self.stats["submit_failures"] += 1
                     self.stats["consecutive_submit_failures"] += 1
+                    self._probe = True
                     return
                 self.crash_hook("post_submit")
+                self._probe = False
                 self.stats["consecutive_submit_failures"] = 0
                 for envelope, verdict in zip(envelopes, verdicts, strict=True):
                     if verdict.status == "committed":

@@ -174,7 +174,9 @@ class DurableBuffer:
     """FIFO of signed envelopes awaiting submission. Survives process kills.
 
     The journal is an `AppendLog` of canonical JSON lines: a schema header,
-    then one record per enqueue. Acks rewrite a small watermark document;
+    then one record per envelope, each enqueue's records in one append. Ids
+    are consecutive; one taken by a failed append is issued again. Acks
+    rewrite a small watermark document;
     once nothing is pending the journal is cleared.
     """
 
@@ -220,23 +222,27 @@ class DurableBuffer:
 
     # -- operations -------------------------------------------------------
 
-    def enqueue(self, envelope: SignedEnvelope, now_ms: int) -> int:
+    def enqueue(self, envelopes: list[SignedEnvelope], now_ms: int) -> list[int]:
+        """Store `envelopes` under consecutive new ids, in one append and one
+        fsync. A group that would pass the cap is refused whole."""
+        if not envelopes:
+            raise ValueError("nothing to enqueue")
         with self._lock:
-            if len(self._pending) >= self._cap:
+            if len(self._pending) + len(envelopes) > self._cap:
                 raise StorageFull(f"buffer at cap ({self._cap} entries)")
-            entry_id = self._next_id
-            self._next_id += 1
-            record = {
+            ids = list(range(self._next_id, self._next_id + len(envelopes)))
+            lines = [canonical.dumps({
                 "seq": entry_id,
                 "enqueued_at": now_ms,
                 "envelope": envelope.to_wire_obj(),
-            }
-            line = canonical.dumps(record) + b"\n"
+            }) for entry_id, envelope in zip(ids, envelopes)]
             if self._journal.size == 0:
-                line = canonical.dumps({"schema_version": SCHEMA_VERSION}) + b"\n" + line
-            self._journal.append(line)
-            self._pending[entry_id] = BufferEntry(entry_id, envelope, now_ms)
-            return entry_id
+                lines.insert(0, canonical.dumps({"schema_version": SCHEMA_VERSION}))
+            self._journal.append(b"\n".join(lines) + b"\n")
+            self._next_id = ids[-1] + 1
+            for entry_id, envelope in zip(ids, envelopes):
+                self._pending[entry_id] = BufferEntry(entry_id, envelope, now_ms)
+            return ids
 
     def peek_batch(self, n: int) -> list[BufferEntry]:
         """Up to n oldest unacknowledged entries, non-destructively."""

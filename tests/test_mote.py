@@ -1,13 +1,29 @@
 """Mote agent behavior: config persistence, backlog recovery, ack dedup."""
 
 import json
+import logging
 
+import pytest
+
+from ambox import storage
+from ambox.envelope import sign_reading_envelope
 from ambox.fleet import CommissionPlan, commission, start_monitoring
-from ambox.mote import CHAR_CONFIG, MoteAgent, MoteConfig, load_mote_config, save_mote_config
-from ambox.runtime import SimRuntime
-from ambox.storage import CorruptConfig
+from ambox.model import ModelError
+from ambox.mote import (
+    CHAR_ACK,
+    CHAR_CONFIG,
+    MoteAgent,
+    MoteConfig,
+    decode_reading_notification,
+    encode_reading_notification,
+    load_mote_config,
+    save_mote_config,
+)
+from ambox.runtime import SIM_EPOCH_MS, SimRuntime
+from ambox.storage import CorruptConfig, DurableBuffer
 from ambox.transport.faults import MODE_DOWN, FaultSchedule, FaultWindow
 
+from conftest import make_reading
 from simworld import JOB_BODY, build_world, mini_scenario
 
 
@@ -269,3 +285,133 @@ def test_config_write_that_cannot_be_stored_is_ignored(tmp_path, mote_key):
     assert mote.config.enabled is True
     assert load_mote_config(tmp_path) == mote.config
     mote.buffer.close()
+
+
+class _SteadyDriver:
+    def read(self, t):
+        return 21.5
+
+
+TWO_QUANTITIES = {"enabled": True, "sample_interval_ms": 60_000,
+                  "sensor_params": {"temperature": {"enabled": True},
+                                    "humidity": {"enabled": True}}}
+
+
+def lone_mote(directory, key, cap=None):
+    """A mote with no node, set to sample two quantities a minute."""
+    mote = MoteAgent(key, "node1", directory, SimRuntime(),
+                     driver_factory=lambda q, p: _SteadyDriver())
+    mote.on_write(None, CHAR_CONFIG, json.dumps(TWO_QUANTITIES).encode())
+    if cap is not None:
+        mote.buffer.close()
+        mote.buffer = DurableBuffer(directory, cap=cap)
+    return mote
+
+
+def run_for(mote, minutes):
+    mote.start()
+    mote.runtime.scheduler.run_until(SIM_EPOCH_MS + minutes * 60_000)
+    mote.runtime.scheduler.shutdown()
+    mote.buffer.close()
+
+
+def test_one_append_and_one_fsync_per_sample_instant(tmp_path, mote_key, monkeypatch):
+    mote = lone_mote(tmp_path, mote_key)
+    journal = mote.buffer._journal
+    journal_fd = journal._file.fileno()
+    appends, syncs = [], []
+    append, fsync = journal.append, storage.os.fsync
+    monkeypatch.setattr(journal, "append", lambda lines: (appends.append(lines), append(lines)))
+    monkeypatch.setattr(storage.os, "fsync", lambda fd: (syncs.append(fd), fsync(fd)))
+    run_for(mote, minutes=5)
+    assert mote.stats["samples"] == 10
+    # The first append also carries the journal's schema header.
+    assert [lines.count(b"\n") for lines in appends] == [3, 2, 2, 2, 2]
+    assert syncs == [journal_fd] * 5
+    reopened = DurableBuffer(tmp_path)
+    assert [e.entry_id for e in reopened.pending_entries()] == list(range(1, 11))
+    reopened.close()
+
+
+def test_an_instant_past_the_cap_is_dropped_whole(tmp_path, mote_key):
+    mote = lone_mote(tmp_path, mote_key, cap=3)
+    run_for(mote, minutes=3)
+    assert mote.stats["samples"] == 2
+    assert mote.stats["dropped_full"] == 4
+
+
+NOT_AN_INTEGER = [b"1e400", b"true", b'"3"', b"2.9", b"null"]
+
+
+@pytest.mark.parametrize("value", NOT_AN_INTEGER, ids=lambda v: v.decode())
+def test_an_ack_watermark_must_be_an_integer(tmp_path, mote_key, caplog, value):
+    mote = MoteAgent(mote_key, "node1", tmp_path, SimRuntime(), driver_factory=lambda q, p: None)
+    envelopes = [sign_reading_envelope(mote_key, make_reading(at=t, device="mote-1"))
+                 for t in (SIM_EPOCH_MS + 60_000, SIM_EPOCH_MS + 120_000)]
+    mote.buffer.enqueue(envelopes, SIM_EPOCH_MS)
+    with caplog.at_level(logging.WARNING, logger="ambox.mote"):
+        mote.on_write(None, CHAR_ACK, b'{"upto": ' + value + b"}")
+    assert len(caplog.records) == 1
+    assert caplog.records[0].getMessage().startswith("mote-1: rejected ack write:")
+    assert mote.buffer.depth() == 2
+    mote.on_write(None, CHAR_ACK, b'{"upto": 1}')
+    assert [e.entry_id for e in mote.buffer.pending_entries()] == [2]
+    mote.buffer.close()
+
+
+@pytest.mark.parametrize("value", NOT_AN_INTEGER, ids=lambda v: v.decode())
+def test_a_notification_entry_id_must_be_an_integer(mote_key, caplog, value):
+    envelope = sign_reading_envelope(mote_key, make_reading(device="mote-1"))
+    payload = encode_reading_notification(7, envelope)
+    assert decode_reading_notification(payload) == (7, envelope)
+    bad = payload.replace(b'"entry_id": 7', b'"entry_id": ' + value)
+    with pytest.raises(ModelError):
+        decode_reading_notification(bad)
+    world = build_world(mini_scenario(with_mote=True))
+    node = world.nodes["node1"]
+    with caplog.at_level(logging.WARNING, logger="ambox.node"):
+        node._ingest_mote_notification("mote-1", None, bad)
+    world.teardown()
+    assert [r.getMessage() for r in caplog.records] == ["node1: undecodable mote notification"]
+    assert node._window == []
+    assert node.stats["mote_readings"] == 0
+
+
+def test_mote_journal_fsyncs_stay_one_per_sample_instant(monkeypatch):
+    # An hour of a mote sampling two quantities: one fsync per instant for
+    # its readings, and three per ack (the ack document, its directory and
+    # the journal clear). One fsync per reading would exceed this bound.
+    world = build_world(mini_scenario(with_mote=True, span_min=60))
+    buffer = world.motes["mote1"].buffer
+    calls = {"enqueue": 0, "ack": 0}
+    inside, syncs = [], []
+    fsync = storage.os.fsync
+    monkeypatch.setattr(storage.os, "fsync",
+                        lambda fd: (inside and syncs.append(fd), fsync(fd)))
+
+    def counted(name):
+        method = getattr(buffer, name)
+
+        def call(*args):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return method(*args)
+            finally:
+                inside.pop()
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(buffer, name, counted(name))
+
+    def director():
+        commission_and_start(world)
+        world.runtime.sleep(60 * 60_000)
+
+    drive(world, director)
+    world.teardown()
+    instants = {s["t"] for s in world.metrics.samples if s["device"] == "mote1"}
+    assert len(instants) >= 59
+    assert calls["ack"] >= 10
+    assert len(syncs) <= len(instants) + 3 * calls["ack"]
+    assert calls["enqueue"] == len(instants)

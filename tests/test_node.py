@@ -13,6 +13,7 @@ from ambox.model import DeviceIdentity, DeviceKind, NodeState
 from ambox.harness.world import tamper_buffer_journal
 from ambox.runtime import SIM_EPOCH_MS, TaskCancelled
 from ambox.storage import ConfigStore
+from ambox.transport import LinkDown
 from ambox.transport.faults import MODE_DOWN, FaultSchedule, FaultWindow
 
 from simworld import JOB_BODY, build_world, mini_scenario
@@ -203,6 +204,48 @@ def test_stop_monitoring_drains_and_heartbeats_continue():
     assert snap["buffered_after_stop"] >= 1
     assert snap["final_depth"] == 0
     assert snap["committed"] >= 1
+
+
+def test_a_dead_link_is_probed_with_one_envelope():
+    # Down for 22 minutes: reports packed at 5, 10, 15 and 20 minutes wait
+    # behind the dead link, the first of them for 34 retry intervals.
+    down = FaultSchedule([FaultWindow("wifi", 0, 22 * 60_000, MODE_DOWN)])
+    world = build_world(mini_scenario(faults=down))
+    log = world.network.message_log
+    refused = {}                 # message_log index -> envelopes in that request
+    request = world.network.request
+
+    def counting_request(src, dest, payload, timeout_ms, label):
+        try:
+            return request(src, dest, payload, timeout_ms, label)
+        except LinkDown:
+            if label == "ledger:AddEvents":
+                refused[len(log) - 1] = len(json.loads(payload)["args"]["envelopes"])
+            raise
+
+    world.network.request = counting_request
+    out = {}
+
+    def director():
+        caller = commission_node1(world)
+        start_monitoring(caller, "node1", JOB_BODY)
+        world.runtime.sleep(22 * 60_000)
+        out["backlog"] = world.nodes["node1"].buffer.depth()
+        world.runtime.sleep(2 * 60_000)      # the link is back; the 25-minute pack is not due
+        out["blocks"] = [len(b.transactions) for b in world.ledger.blocks() if b.transactions]
+        out["depth"] = world.nodes["node1"].buffer.depth()
+
+    drive(world, director)
+    world.teardown()
+    down_entries = [i for i, e in enumerate(log)
+                    if e.get("label") == "ledger:AddEvents" and e["outcome"] == "link-down"]
+    assert len(down_entries) >= 34
+    assert sorted(refused) == down_entries
+    assert set(refused.values()) == {1}
+    # The probe is answered, and the same drain ships the rest in one batch.
+    assert out["backlog"] == 4
+    assert out["blocks"] == [1, 3]
+    assert out["depth"] == 0
 
 
 def test_stop_from_heartbeat_illegal():

@@ -46,7 +46,7 @@ def envelopes(node_key):
 
 def test_enqueue_peek_identity(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
-    buf.enqueue(envelopes[0], T0)
+    buf.enqueue([envelopes[0]], T0)
     batch = buf.peek_batch(5)
     assert len(batch) == 1
     assert batch[0].envelope == envelopes[0]
@@ -55,7 +55,7 @@ def test_enqueue_peek_identity(tmp_path, envelopes):
 def test_fifo_order_and_nondestructive_peek(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
     for e in envelopes[:5]:
-        buf.enqueue(e, T0)
+        buf.enqueue([e], T0)
     first = buf.peek_batch(3)
     second = buf.peek_batch(3)
     assert [b.entry_id for b in first] == [b.entry_id for b in second]
@@ -70,7 +70,7 @@ def test_empty_peek(tmp_path):
 def test_crash_recovery_same_order(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
     for e in envelopes[:3]:
-        buf.enqueue(e, T0)
+        buf.enqueue([e], T0)
     # Simulated kill: drop the handle without any orderly shutdown.
     del buf
     recovered = DurableBuffer(tmp_path)
@@ -80,7 +80,7 @@ def test_crash_recovery_same_order(tmp_path, envelopes):
 def test_recovery_drops_partial_trailing_line(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
     for e in envelopes[:3]:
-        buf.enqueue(e, T0)
+        buf.enqueue([e], T0)
     buf.close()
     journal = tmp_path / "buffer.journal"
     raw = journal.read_bytes()
@@ -88,7 +88,7 @@ def test_recovery_drops_partial_trailing_line(tmp_path, envelopes):
     recovered = DurableBuffer(tmp_path)
     assert len(recovered.peek_batch(10)) == 3
     # The torn bytes are gone; a fresh enqueue keeps the file parseable.
-    recovered.enqueue(envelopes[3], T0)
+    recovered.enqueue([envelopes[3]], T0)
     recovered.close()
     reopened = DurableBuffer(tmp_path)
     assert [b.envelope for b in reopened.peek_batch(10)] == envelopes[:4]
@@ -97,7 +97,7 @@ def test_recovery_drops_partial_trailing_line(tmp_path, envelopes):
 def test_recovery_rejects_midfile_corruption(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
     for e in envelopes[:3]:
-        buf.enqueue(e, T0)
+        buf.enqueue([e], T0)
     buf.close()
     journal = tmp_path / "buffer.journal"
     lines = journal.read_bytes().split(b"\n")
@@ -109,17 +109,31 @@ def test_recovery_rejects_midfile_corruption(tmp_path, envelopes):
 
 def test_storage_full(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path, cap=2)
-    buf.enqueue(envelopes[0], T0)
-    buf.enqueue(envelopes[1], T0)
+    buf.enqueue([envelopes[0]], T0)
+    buf.enqueue([envelopes[1]], T0)
     with pytest.raises(StorageFull):
-        buf.enqueue(envelopes[2], T0)
+        buf.enqueue([envelopes[2]], T0)
     buf.ack([1])
-    buf.enqueue(envelopes[2], T0)  # space freed
+    buf.enqueue([envelopes[2]], T0)  # space freed
+
+
+def test_a_group_past_the_cap_is_refused_whole(tmp_path, envelopes):
+    buf = DurableBuffer(tmp_path, cap=3)
+    assert buf.enqueue(envelopes[:2], T0) == [1, 2]
+    journal = (tmp_path / "buffer.journal").read_bytes()
+    with pytest.raises(StorageFull):
+        buf.enqueue(envelopes[2:4], T0)
+    assert [e.envelope for e in buf.pending_entries()] == envelopes[:2]
+    assert (tmp_path / "buffer.journal").read_bytes() == journal
+    assert buf.enqueue(envelopes[2:3], T0) == [3]
+    with pytest.raises(ValueError):
+        buf.enqueue([], T0)
+    buf.close()
 
 
 def test_ack_subset_keeps_order(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
-    ids = [buf.enqueue(e, T0) for e in envelopes[:3]]
+    ids = buf.enqueue(envelopes[:3], T0)
     buf.ack([ids[1]])
     remaining = [b.envelope for b in buf.peek_batch(10)]
     assert remaining == [envelopes[0], envelopes[2]]
@@ -128,7 +142,7 @@ def test_ack_subset_keeps_order(tmp_path, envelopes):
 def test_ack_then_next_oldest(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
     for e in envelopes[:5]:
-        buf.enqueue(e, T0)
+        buf.enqueue([e], T0)
     batch = buf.peek_batch(2)
     buf.ack([b.entry_id for b in batch])
     assert [b.envelope for b in buf.peek_batch(2)] == envelopes[2:4]
@@ -136,7 +150,7 @@ def test_ack_then_next_oldest(tmp_path, envelopes):
 
 def test_double_ack_unknown(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
-    eid = buf.enqueue(envelopes[0], T0)
+    [eid] = buf.enqueue(envelopes[:1], T0)
     buf.ack([eid])
     with pytest.raises(UnknownEntry):
         buf.ack([eid])
@@ -144,7 +158,7 @@ def test_double_ack_unknown(tmp_path, envelopes):
 
 def test_acked_entries_stay_gone_after_restart(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
-    ids = [buf.enqueue(e, T0) for e in envelopes[:4]]
+    ids = buf.enqueue(envelopes[:4], T0)
     buf.ack([ids[0], ids[2]])
     buf.close()
     recovered = DurableBuffer(tmp_path)
@@ -153,11 +167,11 @@ def test_acked_entries_stay_gone_after_restart(tmp_path, envelopes):
 
 def test_entry_ids_monotone_across_full_drain_and_restart(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
-    ids = [buf.enqueue(e, T0) for e in envelopes[:3]]
+    ids = buf.enqueue(envelopes[:3], T0)
     buf.ack(ids)  # journal compacts to empty
     buf.close()
     recovered = DurableBuffer(tmp_path)
-    new_id = recovered.enqueue(envelopes[3], T0)
+    [new_id] = recovered.enqueue(envelopes[3:4], T0)
     assert new_id > max(ids)
 
 
@@ -178,7 +192,7 @@ def test_reference_queue_equivalence(tmp_path_factory, node_key, ops, seed):
             report = make_report(report_id=f"node-1-{T0 + counter}-{counter:08x}",
                                  created_at=T0 + 600_000 + counter)
             envelope = sign(node_key, report)
-            eid = buf.enqueue(envelope, T0)
+            [eid] = buf.enqueue([envelope], T0)
             reference.append((eid, report.report_id))
         elif op == "peek":
             n = rng.randrange(1, 6)
@@ -266,11 +280,11 @@ def test_state_job_consistency_enforced(tmp_path):
 
 def test_failed_enqueue_leaves_the_journal_as_it_was(tmp_path, envelopes, fail_next_fsync):
     buf = DurableBuffer(tmp_path)
-    buf.enqueue(envelopes[0], T0)
+    buf.enqueue([envelopes[0]], T0)
     fail_next_fsync()
     with pytest.raises(OSError):
-        buf.enqueue(envelopes[1], T0)
-    buf.enqueue(envelopes[2], T0)
+        buf.enqueue([envelopes[1]], T0)
+    buf.enqueue([envelopes[2]], T0)
     acknowledged = [envelopes[0], envelopes[2]]
     assert [e.envelope for e in buf.pending_entries()] == acknowledged
     buf.close()
@@ -282,7 +296,7 @@ def test_failed_enqueue_leaves_the_journal_as_it_was(tmp_path, envelopes, fail_n
 def test_torn_journal_tail_is_dropped_at_every_offset(tmp_path, envelopes, monkeypatch):
     buf = DurableBuffer(tmp_path)
     for e in envelopes[:3]:
-        buf.enqueue(e, T0)
+        buf.enqueue([e], T0)
     buf.close()
     journal = tmp_path / "buffer.journal"
     pristine = journal.read_bytes()
@@ -293,7 +307,7 @@ def test_torn_journal_tail_is_dropped_at_every_offset(tmp_path, envelopes, monke
         recovered = DurableBuffer(tmp_path)
         assert [e.envelope for e in recovered.pending_entries()] == envelopes[:2]
         assert journal.read_bytes() == pristine[:last_start]
-        recovered.enqueue(envelopes[3], T0)
+        recovered.enqueue([envelopes[3]], T0)
         recovered.close()
         reopened = DurableBuffer(tmp_path)
         assert [e.envelope for e in reopened.pending_entries()] == envelopes[:2] + [envelopes[3]]
@@ -307,7 +321,7 @@ def test_torn_journal_tail_is_dropped_at_every_offset(tmp_path, envelopes, monke
     real_fsync = os.fsync
     monkeypatch.setattr(os, "fsync", lambda fd: (syncs.append(fd), real_fsync(fd)))
     buf = DurableBuffer(fresh)
-    buf.enqueue(envelopes[0], T0)
+    buf.enqueue([envelopes[0]], T0)
     buf.close()
     monkeypatch.undo()
     assert len(syncs) == 1
@@ -319,11 +333,33 @@ def test_torn_journal_tail_is_dropped_at_every_offset(tmp_path, envelopes, monke
         recovered = DurableBuffer(fresh)
         pending = [e.envelope for e in recovered.pending_entries()]
         assert pending == (envelopes[:1] if cut == len(pristine) else [])
-        recovered.enqueue(envelopes[1], T0)
+        recovered.enqueue([envelopes[1]], T0)
         recovered.close()
         reopened = DurableBuffer(fresh)
         assert [e.envelope for e in reopened.pending_entries()] == pending + [envelopes[1]]
         reopened.close()
+
+    # A group's records go down in one write and one fsync. Every cut of
+    # that write keeps the records whose newline is on disk, and the next
+    # id follows the last one kept.
+    grouped = tmp_path / "grouped"
+    buf = DurableBuffer(grouped)
+    buf.enqueue(envelopes[:1], T0)
+    before = (grouped / "buffer.journal").read_bytes()
+    assert buf.enqueue(envelopes[1:3], T0) == [2, 3]
+    buf.close()
+    journal = grouped / "buffer.journal"
+    pristine = journal.read_bytes()
+    assert pristine.count(b"\n") == before.count(b"\n") + 2
+    for cut in range(len(before), len(pristine) + 1):
+        journal.write_bytes(pristine[:cut])
+        recovered = DurableBuffer(grouped)
+        kept = recovered.pending_entries()
+        whole = pristine[:cut].count(b"\n") - before.count(b"\n")
+        assert [e.envelope for e in kept] == envelopes[:1 + whole]
+        assert journal.read_bytes() == pristine[:pristine.rfind(b"\n", 0, cut) + 1]
+        assert recovered.enqueue(envelopes[3:4], T0) == [kept[-1].entry_id + 1]
+        recovered.close()
 
 
 # -- documents ----------------------------------------------------------------------
@@ -341,7 +377,7 @@ def _mote_config(directory, envelopes, key):
 
 def _ack_file(directory, envelopes, key):
     buf = DurableBuffer(directory)
-    ids = [buf.enqueue(e, T0) for e in envelopes[:3]]
+    ids = buf.enqueue(envelopes[:3], T0)
     buf.ack([ids[1]])
     buf.close()
     return directory / ACK_FILE, CorruptJournal, lambda: DurableBuffer(directory).close()
