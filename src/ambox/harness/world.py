@@ -55,7 +55,7 @@ from ..sensors import (
     load_trace,
     merged_spec,
 )
-from ..storage import KEY_FILE, load_private_key, save_private_key
+from ..storage import JOURNAL_FILE, KEY_FILE, DurableBuffer, load_private_key, save_private_key
 from ..transport.sim import SimNetwork, echo_handler
 from ..transport import LinkDown, RequestClient, RequestTimeout
 from ..transport.faults import MODE_DOWN, MODE_LATENCY, FaultSchedule, FaultWindow
@@ -649,38 +649,42 @@ def mutate_report_obj(obj: dict, rng: random.Random) -> str:
 
 
 def tamper_buffer_journal(node_dir: Path, count: Optional[int],
-                          rng: random.Random) -> tuple[int, int]:
-    """Rewrite buffered envelopes in place, mutating one field each.
+                          rng: random.Random) -> tuple[int, set[str]]:
+    """Rewrite pending envelopes in place, mutating one field each of the
+    first `count` (all when None). Acked records in the journal are left as
+    they are.
 
-    Returns (mutated, total entries present)."""
-    journal = node_dir / "buffer.journal"
-    lines = journal.read_bytes().splitlines()
+    Returns (mutated, ids of the pending reports as the journal now holds them)."""
+    buffer = DurableBuffer(node_dir)
+    pending = {entry.entry_id for entry in buffer.pending_entries()}
+    buffer.close()
+    journal = node_dir / JOURNAL_FILE
     mutated = 0
-    total = 0
+    report_ids = set()
     out_lines = []
-    for line in lines:
+    for line in journal.read_bytes().splitlines():
         obj = canonical.loads(line)
-        if "seq" not in obj:
-            out_lines.append(line)
-            continue
-        total += 1
-        if count is not None and mutated >= count:
-            out_lines.append(line)
-            continue
-        payload = canonical.loads(base64.b64decode(obj["envelope"]["payload_b64"]))
-        mutate_report_obj(payload, rng)
-        obj["envelope"]["payload_b64"] = base64.b64encode(canonical.dumps(payload)).decode()
-        out_lines.append(canonical.dumps(obj))
-        mutated += 1
+        if obj.get("seq") in pending:
+            payload = canonical.loads(base64.b64decode(obj["envelope"]["payload_b64"]))
+            if count is None or mutated < count:
+                mutate_report_obj(payload, rng)
+                obj["envelope"]["payload_b64"] = base64.b64encode(
+                    canonical.dumps(payload)).decode()
+                line = canonical.dumps(obj)
+                mutated += 1
+            report_ids.add(payload["report_id"])
+        out_lines.append(line)
     journal.write_bytes(b"".join(line + b"\n" for line in out_lines))
-    return mutated, total
+    return mutated, report_ids
 
 
 def tamper_probe(scenario: Scenario, seed: int, mutate_count: Optional[int] = None,
                  pacing_override: Optional[float] = None) -> ScenarioReport:
     """Buffer under a dead link, alter stored entries, restore, drain, report.
 
-    mutate_count=None mutates every buffered entry.
+    mutate_count=None mutates every buffered entry. The report counts and
+    verdicts cover only the reports that were buffered, not those committed
+    before the link went down.
     """
     root = Path(tempfile.mkdtemp(prefix=f"ambox-{scenario.name}-tamper-"))
     rng = random.Random(_derive_seed(seed, "tamper"))
@@ -693,11 +697,11 @@ def tamper_probe(scenario: Scenario, seed: int, mutate_count: Optional[int] = No
         log_a = list(phase_a.network.message_log)
 
         mutated = 0
-        buffered_total = 0
+        buffered: set[str] = set()
         for node_id in phase_a.nodes:
-            m, total = tamper_buffer_journal(root / node_id, mutate_count, rng)
+            m, report_ids = tamper_buffer_journal(root / node_id, mutate_count, rng)
             mutated += m
-            buffered_total += total
+            buffered |= report_ids
 
         restored = Scenario(
             name=scenario.name,
@@ -727,12 +731,15 @@ def tamper_probe(scenario: Scenario, seed: int, mutate_count: Optional[int] = No
         phase_b.run(director=drain_director)
         report = phase_b.report()
         report.name = f"{scenario.name}:tamper"
-        rejected = report.counts["rejected_reports"]
-        committed = report.counts["committed_reports"]
-        reasons = {v.reason for v in phase_b.recorder.rejected().values()}
+        verdicts = {rid: v for rid, v in phase_b.recorder.rejected().items() if rid in buffered}
+        rejected = len(verdicts)
+        committed = sum(r.report_id in buffered for r in phase_b.ledger.all_reports())
+        reasons = {v.reason for v in verdicts.values()}
         report.counts["mutated"] = mutated
-        report.counts["submitted_reports"] = buffered_total
-        report.counts["in_flight_reports"] = buffered_total - committed - rejected
+        report.counts["committed_reports"] = committed
+        report.counts["rejected_reports"] = rejected
+        report.counts["submitted_reports"] = len(buffered)
+        report.counts["in_flight_reports"] = len(buffered) - committed - rejected
         report.assertions.append(CheckResult(
             "tampered_all_rejected",
             rejected == mutated and reasons <= {"signature-invalid"},
@@ -740,8 +747,8 @@ def tamper_probe(scenario: Scenario, seed: int, mutate_count: Optional[int] = No
         ))
         report.assertions.append(CheckResult(
             "untampered_all_committed",
-            committed == buffered_total - mutated,
-            f"buffered={buffered_total} committed={committed}",
+            committed == len(buffered) - mutated,
+            f"buffered={len(buffered)} committed={committed}",
         ))
         digest = hashlib.sha256(
             canonical.dumps(log_a) + canonical.dumps(phase_b.network.message_log)

@@ -396,13 +396,6 @@ class Ledger:
         with self._lock:
             self._log.close()
 
-    @classmethod
-    def replayed_world_state(cls, directory: str | Path) -> bytes:
-        """Rebuild state from the on-disk log alone and serialize it."""
-        replayed = cls(directory)
-        replayed.close()
-        return replayed.world_state_bytes()
-
 
 def _walk_blocks(raw: bytes) -> Iterator[LedgerBlock]:
     """Yield the blocks of a stored block log in order.

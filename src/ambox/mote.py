@@ -191,10 +191,10 @@ class MoteAgent:
         except (ValueError, KeyError, TypeError) as exc:
             logger.warning("%s: rejected ack write: %s", self.device_id, exc)
             return
-        ids = [e.entry_id for e in self.buffer.pending_entries() if e.entry_id <= upto]
-        if ids:
-            self.buffer.ack(ids)
-            self.stats["acked"] += len(ids)
+        try:
+            self.stats["acked"] += self.buffer.ack(upto)
+        except OSError as exc:
+            logger.error("%s: cannot store ack up to %d: %s", self.device_id, upto, exc)
 
     # -- sampling -----------------------------------------------------------------
 
@@ -206,6 +206,7 @@ class MoteAgent:
         return driver
 
     def _sampler_loop(self) -> None:
+        envelopes: list[SignedEnvelope] = []   # kept when an append fails
         while True:
             with self._config_lock:
                 config = self.config
@@ -220,7 +221,6 @@ class MoteAgent:
             if not config.enabled:
                 continue
             t = self.runtime.now_ms()
-            envelopes = []
             for quantity in config.enabled_quantities():
                 driver = self._driver(quantity)
                 if driver is None:
@@ -237,13 +237,20 @@ class MoteAgent:
                 envelopes.append(sign_reading_envelope(self.keypair, reading))
             if not envelopes:
                 continue
-            # The readings of one instant are ready together: one append.
+            # The readings of one instant are ready together: one append. A
+            # failed one is retried with the next instant's; the cap bounds both.
             try:
                 self.buffer.enqueue(envelopes, t)
             except StorageFull:
                 self.stats["dropped_full"] += len(envelopes)
+                envelopes = []
+                continue
+            except OSError as exc:
+                logger.error("%s: cannot store %d readings: %s", self.device_id,
+                             len(envelopes), exc)
                 continue
             self.stats["samples"] += len(envelopes)
+            envelopes = []
             self._new_data.set()
 
     # -- streaming ------------------------------------------------------------------

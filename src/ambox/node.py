@@ -494,9 +494,13 @@ class NodeAgent:
         self.crash_hook("pre_enqueue")
         try:
             self.buffer.enqueue([envelope], created_at)
-        except StorageFull:
+        except (StorageFull, OSError) as exc:
+            # The readings go back to the window for the next pack.
+            if isinstance(exc, StorageFull):
+                self.stats["storage_full_events"] += 1
+            else:
+                logger.error("%s: cannot store report: %s", self.device_id, exc)
             self._storage_alarm = True
-            self.stats["storage_full_events"] += 1
             with self._window_lock:
                 self._window = items + self._window
             return
@@ -561,7 +565,6 @@ class NodeAgent:
                 if not batch:
                     self._storage_alarm = False
                     return
-                ids = [entry.entry_id for entry in batch]
                 envelopes = [entry.envelope for entry in batch]
                 self.crash_hook("pre_submit")
                 try:
@@ -587,7 +590,12 @@ class NodeAgent:
                                        report_id_of(envelope), verdict.reason)
                 # Rejections are final (signature or validity); keeping them
                 # queued would wedge everything behind them.
-                self.buffer.ack(ids)
+                try:
+                    self.buffer.ack(batch[-1].entry_id)
+                except OSError as exc:
+                    # Still pending; sent again, they are answered as replays.
+                    logger.error("%s: cannot store ack: %s", self.device_id, exc)
+                    return
                 self.crash_hook("post_ack")
         finally:
             self._drain_guard.release()

@@ -13,22 +13,24 @@ Three primitives:
 - `AppendLog`: a file of newline-terminated lines. A line exists only once
   its newline is on disk. Opening drops an unterminated tail, because that
   append never returned; `append` is fsynced before it returns, and on any
-  OSError cuts the file back to where it was before re-raising; `clear`
-  empties the file durably.
+  OSError cuts the file back to where it was before re-raising. That is the
+  only recovery rule; a log is never cleared, only replaced whole.
 
-Built on them here: the submission buffer (a journal log plus an ack
-document), the node config and the device key file; the ledger and the mote
+Built on them here: the submission buffer (one journal of entry and ack
+records), the node config and the device key file; the ledger and the mote
 use the primitives directly. A buffer serializes its file access, so one
 writer and one drainer may share it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, TypeVar, Union
+from typing import Any, Callable, Optional, TypeVar, Union
 
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.rsa import RSAPrivateKey
@@ -39,10 +41,11 @@ from .model import MonitoringJob, NodeState
 
 SCHEMA_VERSION = 1
 DEFAULT_CAP = 1_000_000
+COMPACT_FLOOR = 512   # acked records a buffer journal holds before it may compact
 
 CONFIG_FILE = "ambox_config.json"
 JOURNAL_FILE = "buffer.journal"
-ACK_FILE = "buffer.ack"
+ACK_FILE = "buffer.ack"     # written by older versions; read once, then removed
 KEY_FILE = "device_key.pem"
 
 T = TypeVar("T")
@@ -54,10 +57,6 @@ class StorageError(Exception):
 
 class StorageFull(StorageError):
     """Buffer is at its configured cap; caller should pause and raise an alarm."""
-
-
-class UnknownEntry(StorageError):
-    """Ack for an id that is not pending (already acked or never issued)."""
 
 
 class CorruptJournal(StorageError):
@@ -152,10 +151,6 @@ class AppendLog:
             os.ftruncate(fd, start)
             raise
 
-    def clear(self) -> None:
-        os.ftruncate(self._file.fileno(), 0)
-        os.fsync(self._file.fileno())
-
     def close(self) -> None:
         self._file.close()
 
@@ -173,52 +168,68 @@ class BufferEntry:
 class DurableBuffer:
     """FIFO of signed envelopes awaiting submission. Survives process kills.
 
-    The journal is an `AppendLog` of canonical JSON lines: a schema header,
-    then one record per envelope, each enqueue's records in one append. Ids
-    are consecutive; one taken by a failed append is issued again. Acks
-    rewrite a small watermark document;
-    once nothing is pending the journal is cleared.
+    `buffer.journal` is the only file a buffer writes: an `AppendLog` of a
+    schema header that may carry the `next_id` to issue, `{"seq",
+    "enqueued_at", "envelope"}` records (one append per enqueue) and
+    `{"ack": n}` records, each acking every entry with id <= n. Ids are
+    consecutive; one taken by a failed append is issued again. No ack
+    document, no clear: once acked records reach `COMPACT_FLOOR` and
+    outnumber the pending ones, an ack atomically rewrites the journal as a
+    header and the pending records.
     """
 
     def __init__(self, directory: str | Path, cap: int = DEFAULT_CAP) -> None:
-        self._dir = Path(directory)
-        self._dir.mkdir(parents=True, exist_ok=True)
-        self._ack_path = self._dir / ACK_FILE
+        self._path = Path(directory) / JOURNAL_FILE
+        self._path.parent.mkdir(parents=True, exist_ok=True)
         self._cap = cap
         self._lock = threading.Lock()
-        self._pending: dict[int, BufferEntry] = {}
-        self._watermark = 0          # every id <= watermark is acked
-        self._acked_above: set[int] = set()
+        self._pending: dict[int, BufferEntry] = {}   # in id order
+        self._records = 0                            # entry records in the journal
         self._next_id = 1
-        journal_path = self._dir / JOURNAL_FILE
-        self._recover(AppendLog.read(journal_path))
-        self._journal = AppendLog(journal_path)
-
-    def _recover(self, raw: bytes) -> None:
-        ack = read_document(self._ack_path, CorruptJournal, lambda obj: (
-            int(obj["watermark"]),
-            {int(i) for i in obj["acked"]},
-            int(obj.get("next_id", int(obj["watermark"]) + 1)),
-        ))
-        if ack is not None:
-            self._watermark, self._acked_above, self._next_id = ack
-        for number, line in enumerate(raw.splitlines(), 1):
+        acked = 0
+        for number, line in enumerate(AppendLog.read(self._path).splitlines(), 1):
             try:
                 obj = canonical.loads(line)
                 if number == 1:
-                    if obj != {"schema_version": SCHEMA_VERSION}:
+                    self._next_id = obj.pop("next_id", 1)
+                    if obj != {"schema_version": SCHEMA_VERSION} or type(self._next_id) is not int:
                         raise CorruptJournal(f"unsupported journal schema: {obj!r}")
                     continue
-                entry = BufferEntry(
-                    entry_id=int(obj["seq"]),
-                    envelope=SignedEnvelope.from_wire_obj(obj["envelope"]),
-                    enqueued_at=int(obj["enqueued_at"]),
-                )
-            except (KeyError, ValueError, TypeError, MalformedEnvelope) as exc:
+                if "ack" in obj:
+                    acked = max(acked, int(obj["ack"]))  # every later entry has a larger id
+                    continue
+                entry = BufferEntry(int(obj["seq"]), SignedEnvelope.from_wire_obj(obj["envelope"]),
+                                    int(obj["enqueued_at"]))
+            except (KeyError, ValueError, TypeError, AttributeError, MalformedEnvelope) as exc:
                 raise CorruptJournal(f"journal line {number} invalid: {exc}") from exc
             self._next_id = max(self._next_id, entry.entry_id + 1)
-            if entry.entry_id > self._watermark and entry.entry_id not in self._acked_above:
-                self._pending[entry.entry_id] = entry
+            self._pending[entry.entry_id] = entry
+            self._records += 1
+        self._pending = {i: e for i, e in self._pending.items() if i > acked}
+        self._journal = AppendLog(self._path)
+        legacy = self._path.with_name(ACK_FILE)
+        old = read_document(legacy, CorruptJournal, lambda obj: (
+            int(obj["watermark"]), {int(i) for i in obj["acked"]}, int(obj.get("next_id", 0))))
+        if old is not None:
+            watermark, above, next_id = old
+            self._pending = {i: e for i, e in self._pending.items()
+                             if i > watermark and i not in above}
+            self._next_id = max(self._next_id, next_id, watermark + 1)
+            self._compact()
+            os.unlink(legacy)
+
+    @staticmethod
+    def _record(e: BufferEntry) -> bytes:
+        return canonical.dumps({"seq": e.entry_id, "enqueued_at": e.enqueued_at,
+                                "envelope": e.envelope.to_wire_obj()})
+
+    def _compact(self) -> None:
+        header = canonical.dumps({"schema_version": SCHEMA_VERSION, "next_id": self._next_id})
+        lines = [header] + [self._record(e) for e in self._pending.values()]
+        write_atomic(self._path, b"\n".join(lines) + b"\n")
+        self._journal.close()
+        self._journal = AppendLog(self._path)
+        self._records = len(self._pending)
 
     # -- operations -------------------------------------------------------
 
@@ -230,19 +241,15 @@ class DurableBuffer:
         with self._lock:
             if len(self._pending) + len(envelopes) > self._cap:
                 raise StorageFull(f"buffer at cap ({self._cap} entries)")
-            ids = list(range(self._next_id, self._next_id + len(envelopes)))
-            lines = [canonical.dumps({
-                "seq": entry_id,
-                "enqueued_at": now_ms,
-                "envelope": envelope.to_wire_obj(),
-            }) for entry_id, envelope in zip(ids, envelopes)]
+            entries = [BufferEntry(i, e, now_ms) for i, e in enumerate(envelopes, self._next_id)]
+            lines = [self._record(entry) for entry in entries]
             if self._journal.size == 0:
                 lines.insert(0, canonical.dumps({"schema_version": SCHEMA_VERSION}))
             self._journal.append(b"\n".join(lines) + b"\n")
-            self._next_id = ids[-1] + 1
-            for entry_id, envelope in zip(ids, envelopes):
-                self._pending[entry_id] = BufferEntry(entry_id, envelope, now_ms)
-            return ids
+            self._next_id = entries[-1].entry_id + 1
+            self._records += len(entries)
+            self._pending.update((entry.entry_id, entry) for entry in entries)
+            return [entry.entry_id for entry in entries]
 
     def peek_batch(self, n: int) -> list[BufferEntry]:
         """Up to n oldest unacknowledged entries, non-destructively."""
@@ -253,31 +260,24 @@ class DurableBuffer:
     def peek_after(self, entry_id: int, n: int) -> list[BufferEntry]:
         """Oldest-first pending entries with id greater than entry_id."""
         with self._lock:
-            ids = sorted(i for i in self._pending if i > entry_id)[:n]
-            return [self._pending[i] for i in ids]
+            return list(itertools.islice((e for i, e in self._pending.items() if i > entry_id), n))
 
-    def ack(self, entry_ids: Iterable[int]) -> None:
+    def ack(self, upto: int) -> int:
+        """Ack every pending entry with id <= upto, in one append and one fsync
+        before any compaction, and say how many; nothing to ack writes nothing."""
         with self._lock:
-            ids = list(entry_ids)
-            for entry_id in ids:
-                if entry_id not in self._pending:
-                    raise UnknownEntry(f"entry {entry_id} is not pending")
+            ids = list(itertools.takewhile(lambda i: i <= upto, self._pending))
+            if not ids:
+                return 0
+            # The record names the last id acked, so replay never acks a later entry.
+            self._journal.append(canonical.dumps({"ack": ids[-1]}) + b"\n")
             for entry_id in ids:
                 del self._pending[entry_id]
-                self._acked_above.add(entry_id)
-            while self._watermark + 1 in self._acked_above:
-                self._watermark += 1
-                self._acked_above.discard(self._watermark)
-            write_document(self._ack_path, {
-                "schema_version": SCHEMA_VERSION,
-                "watermark": self._watermark,
-                "acked": sorted(self._acked_above),
-                "next_id": self._next_id,
-            })
-            # The ack document already marks everything acked, so a crash
-            # before the clear replays into an empty pending set.
-            if not self._pending and self._journal.size > 0:
-                self._journal.clear()
+            dead = self._records - len(self._pending)
+            if dead >= COMPACT_FLOOR and dead > len(self._pending):
+                with contextlib.suppress(OSError):  # the ack is durable; a later one compacts
+                    self._compact()
+            return len(ids)
 
     def depth(self) -> int:
         with self._lock:
@@ -285,7 +285,7 @@ class DurableBuffer:
 
     def pending_entries(self) -> list[BufferEntry]:
         with self._lock:
-            return [self._pending[i] for i in sorted(self._pending)]
+            return list(self._pending.values())
 
     def close(self) -> None:
         with self._lock:

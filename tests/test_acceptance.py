@@ -190,8 +190,9 @@ def test_criterion_5_crash_safety():
             committed_ids.append(payload["report_id"])
     unique = len(committed_ids) == len(set(committed_ids))
     replay_live = world.ledger.world_state_bytes()
-    replay_disk = Ledger.replayed_world_state(world.data_root / "ledger")
-    replay_ok = replay_live == replay_disk
+    replayed = Ledger(world.data_root / "ledger")
+    replay_ok = replay_live == replayed.world_state_bytes()
+    replayed.close()
     drained = world.buffers_empty()
     replays = sum(1 for _t, _r, v in world.recorder.told() if v.replay)
     world.teardown()

@@ -164,6 +164,30 @@ def test_tamper_probe_zero_mutations():
     assert report.counts["committed_reports"] == report.counts["submitted_reports"]
 
 
+def test_tamper_probe_judges_only_what_was_buffered():
+    # The link dies at 10 minutes: the reports committed before it are on the
+    # ledger, not pending in the buffer, so they are neither mutated nor
+    # counted among the buffered ones.
+    span = 30 * 60_000
+    scenario = Scenario(
+        name="tamper-late-outage",
+        span_ms=span,
+        devices=(DeviceSpec("node1", "node"),),
+        links=(LinkSpec("wifi", "node1", "ledger"), LinkSpec("oplink", "node1", "operator")),
+        faults=FaultSchedule([FaultWindow("wifi", 10 * 60_000, span + 600_000, MODE_DOWN)]),
+        job=dict(JOB_BODY, report_interval_ms=60_000, sample_interval_ms=60_000),
+        trace_path=TRACE,
+        drain_margin_ms=300_000,
+    )
+    report = tamper_probe(scenario, seed=20240101, mutate_count=None)
+    checks = {c.check: c for c in report.assertions}
+    assert checks["tampered_all_rejected"].passed, checks["tampered_all_rejected"].detail
+    assert checks["untampered_all_committed"].passed, checks["untampered_all_committed"].detail
+    counts = report.counts
+    assert 0 < counts["mutated"] == counts["submitted_reports"] == counts["rejected_reports"] < 30
+    assert counts["committed_reports"] == counts["in_flight_reports"] == 0
+
+
 def test_rtt_report_format():
     report = rtt_benchmark(n=5, injected_latency_ms=100)
     assert report.latency == {
@@ -187,8 +211,9 @@ def test_world_chain_verifies_after_any_scenario():
     # World state equals a replay of the block log.
     from ambox.ledger import Ledger
 
-    assert world.ledger.world_state_bytes() == Ledger.replayed_world_state(
-        world.data_root / "ledger")
+    replayed = Ledger(world.data_root / "ledger")
+    assert world.ledger.world_state_bytes() == replayed.world_state_bytes()
+    replayed.close()
     world.teardown()
     world.cleanup_dirs()
 

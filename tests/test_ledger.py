@@ -265,8 +265,9 @@ def test_world_state_replay_matches(registered, node_key, tmp_path):
         envelope, _ = env_for(node_key, i)
         registered.add_events([envelope], T0 + i)
     live = registered.world_state_bytes()
-    replayed = Ledger.replayed_world_state(tmp_path / "ledger")
-    assert replayed == live
+    replayed = Ledger(tmp_path / "ledger")
+    assert replayed.world_state_bytes() == live
+    replayed.close()
 
 
 def test_verify_chain_ok_and_genesis(ledger):

@@ -5,7 +5,7 @@ import logging
 
 import pytest
 
-from ambox import storage
+from ambox import canonical, storage
 from ambox.envelope import sign_reading_envelope
 from ambox.fleet import CommissionPlan, commission, start_monitoring
 from ambox.model import ModelError
@@ -333,6 +333,40 @@ def test_one_append_and_one_fsync_per_sample_instant(tmp_path, mote_key, monkeyp
     reopened.close()
 
 
+def test_a_failed_append_is_retried_with_the_next_instant(tmp_path, mote_key,
+                                                          fail_next_fsync, caplog):
+    mote = lone_mote(tmp_path, mote_key)
+    fail_next_fsync()                # the first instant's append
+    with caplog.at_level(logging.ERROR, logger="ambox.mote"):
+        run_for(mote, minutes=5)
+    assert [r.getMessage() for r in caplog.records] == [
+        "mote-1: cannot store 2 readings: [Errno 5] injected fsync failure"]
+    assert mote.stats["samples"] == 10
+    reopened = DurableBuffer(tmp_path)
+    entries = reopened.pending_entries()
+    assert [e.entry_id for e in entries] == list(range(1, 11))
+    sampled = [canonical.loads(e.envelope.payload)["sampled_at"] for e in entries]
+    assert sampled == sorted(sampled) and len(set(sampled)) == 5
+    reopened.close()
+
+
+def test_an_ack_that_cannot_be_stored_keeps_its_entries(tmp_path, mote_key,
+                                                        fail_next_fsync, caplog):
+    mote = MoteAgent(mote_key, "node1", tmp_path, SimRuntime(), driver_factory=lambda q, p: None)
+    envelopes = [sign_reading_envelope(mote_key, make_reading(at=t, device="mote-1"))
+                 for t in (SIM_EPOCH_MS + 60_000, SIM_EPOCH_MS + 120_000)]
+    mote.buffer.enqueue(envelopes, SIM_EPOCH_MS)
+    fail_next_fsync()
+    with caplog.at_level(logging.ERROR, logger="ambox.mote"):
+        mote.on_write(None, CHAR_ACK, b'{"upto": 2}')
+    assert [r.getMessage() for r in caplog.records] == [
+        "mote-1: cannot store ack up to 2: [Errno 5] injected fsync failure"]
+    assert mote.buffer.depth() == 2 and mote.stats["acked"] == 0
+    mote.on_write(None, CHAR_ACK, b'{"upto": 2}')
+    assert mote.buffer.depth() == 0 and mote.stats["acked"] == 2
+    mote.buffer.close()
+
+
 def test_an_instant_past_the_cap_is_dropped_whole(tmp_path, mote_key):
     mote = lone_mote(tmp_path, mote_key, cap=3)
     run_for(mote, minutes=3)
@@ -379,8 +413,8 @@ def test_a_notification_entry_id_must_be_an_integer(mote_key, caplog, value):
 
 def test_mote_journal_fsyncs_stay_one_per_sample_instant(monkeypatch):
     # An hour of a mote sampling two quantities: one fsync per instant for
-    # its readings, and three per ack (the ack document, its directory and
-    # the journal clear). One fsync per reading would exceed this bound.
+    # its readings, and one per ack for its appended ack record. One fsync
+    # per reading, or any further file an ack writes, would exceed this bound.
     world = build_world(mini_scenario(with_mote=True, span_min=60))
     buffer = world.motes["mote1"].buffer
     calls = {"enqueue": 0, "ack": 0}
@@ -413,5 +447,5 @@ def test_mote_journal_fsyncs_stay_one_per_sample_instant(monkeypatch):
     instants = {s["t"] for s in world.metrics.samples if s["device"] == "mote1"}
     assert len(instants) >= 59
     assert calls["ack"] >= 10
-    assert len(syncs) <= len(instants) + 3 * calls["ack"]
+    assert len(syncs) <= len(instants) + calls["ack"]
     assert calls["enqueue"] == len(instants)

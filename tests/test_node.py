@@ -1,5 +1,6 @@
 """Node agent behavior on the simulated runtime."""
 
+import errno
 import json
 import logging
 import random
@@ -7,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from ambox import canonical
+from ambox import canonical, storage
 from ambox.fleet import CommissionPlan, commission, start_monitoring, stop_monitoring
 from ambox.model import DeviceIdentity, DeviceKind, NodeState
 from ambox.harness.world import tamper_buffer_journal
@@ -840,3 +841,51 @@ def test_an_unusable_ledger_answer_acks_nothing(answer):
     assert committed == node.stats["samples"]
     assert out["depth"] == 0
     assert node.stats["submit_failures"] == 3
+
+
+def fail_journal_fsync(monkeypatch, node, nth: int) -> None:
+    """Make the nth fsync of the node's buffer journal raise EIO."""
+    fd = node.buffer._journal._file.fileno()
+    real_fsync = storage.os.fsync
+    seen = []
+
+    def fsync(target):
+        if target == fd:
+            seen.append(target)
+            if len(seen) == nth:
+                raise OSError(errno.EIO, "injected fsync failure")
+        real_fsync(target)
+
+    monkeypatch.setattr(storage.os, "fsync", fsync)
+
+
+@pytest.mark.parametrize("nth, what", [(1, "report"), (2, "ack")],
+                         ids=["report-append", "ack-append"])
+def test_a_failed_journal_append_loses_no_reading(monkeypatch, caplog, nth, what):
+    # The first journal fsync is the report packed at 5 minutes; the second
+    # is the ack after that report's submission.
+    world = build_world(mini_scenario(job=None))
+    node = world.nodes["node1"]
+    fail_journal_fsync(monkeypatch, node, nth)
+    out = {}
+
+    def director():
+        caller = commission_node1(world)
+        start_monitoring(caller, "node1", JOB_BODY)
+        world.runtime.sleep(30 * 60_000)
+        stop_monitoring(caller, "node1")
+        world.runtime.sleep(2 * 60_000)
+        out["depth"] = node.buffer.depth()
+
+    with caplog.at_level(logging.ERROR, logger="ambox.node"):
+        drive(world, director)
+    world.teardown()
+    reports = world.ledger.all_reports()
+    committed = sum(len(r.readings) for r in reports)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"node1: cannot store {what}: [Errno 5] injected fsync failure"]
+    assert node.stats["samples"] >= 60
+    assert committed == node.stats["samples"]
+    assert len({r.report_id for r in reports}) == len(reports)
+    assert out["depth"] == 0
+    assert node.stats["replays"] == (what == "ack")

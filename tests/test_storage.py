@@ -16,6 +16,7 @@ from ambox.model import DeviceIdentity, DeviceKind, NodeState, MonitoringJob
 from ambox.mote import MoteConfig, load_mote_config, save_mote_config
 from ambox.storage import (
     ACK_FILE,
+    COMPACT_FLOOR,
     CONFIG_FILE,
     KEY_FILE,
     ConfigStore,
@@ -26,7 +27,6 @@ from ambox.storage import (
     LedgerTarget,
     PersistedConfig,
     StorageFull,
-    UnknownEntry,
     load_private_key,
     save_private_key,
 )
@@ -113,7 +113,7 @@ def test_storage_full(tmp_path, envelopes):
     buf.enqueue([envelopes[1]], T0)
     with pytest.raises(StorageFull):
         buf.enqueue([envelopes[2]], T0)
-    buf.ack([1])
+    buf.ack(1)
     buf.enqueue([envelopes[2]], T0)  # space freed
 
 
@@ -131,44 +131,57 @@ def test_a_group_past_the_cap_is_refused_whole(tmp_path, envelopes):
     buf.close()
 
 
-def test_ack_subset_keeps_order(tmp_path, envelopes):
-    buf = DurableBuffer(tmp_path)
-    ids = buf.enqueue(envelopes[:3], T0)
-    buf.ack([ids[1]])
-    remaining = [b.envelope for b in buf.peek_batch(10)]
-    assert remaining == [envelopes[0], envelopes[2]]
-
-
 def test_ack_then_next_oldest(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
     for e in envelopes[:5]:
         buf.enqueue([e], T0)
     batch = buf.peek_batch(2)
-    buf.ack([b.entry_id for b in batch])
+    assert buf.ack(batch[-1].entry_id) == 2
     assert [b.envelope for b in buf.peek_batch(2)] == envelopes[2:4]
 
 
-def test_double_ack_unknown(tmp_path, envelopes):
+def test_an_ack_with_nothing_to_ack_writes_nothing(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
-    [eid] = buf.enqueue(envelopes[:1], T0)
-    buf.ack([eid])
-    with pytest.raises(UnknownEntry):
-        buf.ack([eid])
+    ids = buf.enqueue(envelopes[:2], T0)
+    journal = tmp_path / "buffer.journal"
+    before = journal.read_bytes()
+    assert buf.ack(0) == 0
+    assert journal.read_bytes() == before
+    assert buf.ack(ids[0]) == 1
+    after = journal.read_bytes()
+    assert after == before + b'{"ack":%d}\n' % ids[0]
+    assert buf.ack(ids[0]) == 0
+    assert journal.read_bytes() == after
+    assert buf.ack(ids[1] + 100) == 1   # past the last id: acks what is there
+    assert buf.depth() == 0
+    buf.close()
+
+
+def test_an_ack_names_the_last_id_it_acked(tmp_path, envelopes):
+    buf = DurableBuffer(tmp_path)
+    buf.enqueue(envelopes[:2], T0)
+    assert buf.ack(10) == 2
+    [later] = buf.enqueue(envelopes[2:3], T0)
+    assert later == 3
+    buf.close()
+    recovered = DurableBuffer(tmp_path)
+    assert [e.entry_id for e in recovered.pending_entries()] == [later]
+    recovered.close()
 
 
 def test_acked_entries_stay_gone_after_restart(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
     ids = buf.enqueue(envelopes[:4], T0)
-    buf.ack([ids[0], ids[2]])
+    buf.ack(ids[1])
     buf.close()
     recovered = DurableBuffer(tmp_path)
-    assert [b.envelope for b in recovered.peek_batch(10)] == [envelopes[1], envelopes[3]]
+    assert [b.envelope for b in recovered.peek_batch(10)] == envelopes[2:4]
 
 
 def test_entry_ids_monotone_across_full_drain_and_restart(tmp_path, envelopes):
     buf = DurableBuffer(tmp_path)
     ids = buf.enqueue(envelopes[:3], T0)
-    buf.ack(ids)  # journal compacts to empty
+    buf.ack(ids[-1])  # nothing pending; the journal keeps its records
     buf.close()
     recovered = DurableBuffer(tmp_path)
     [new_id] = recovered.enqueue(envelopes[3:4], T0)
@@ -176,7 +189,7 @@ def test_entry_ids_monotone_across_full_drain_and_restart(tmp_path, envelopes):
 
 
 @settings(max_examples=40, deadline=None)
-@given(ops=st.lists(st.sampled_from(["enqueue", "peek", "ack_first", "ack_second"]),
+@given(ops=st.lists(st.sampled_from(["enqueue", "peek", "ack_first", "reopen"]),
                     min_size=1, max_size=40),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_reference_queue_equivalence(tmp_path_factory, node_key, ops, seed):
@@ -201,13 +214,10 @@ def test_reference_queue_equivalence(tmp_path_factory, node_key, ops, seed):
             assert got == want
         elif op == "ack_first" and reference:
             eid, _ = reference.popleft()
-            buf.ack([eid])
-        elif op == "ack_second" and len(reference) >= 2:
-            items = list(reference)
-            eid, _ = items.pop(1)
-            reference.clear()
-            reference.extend(items)
-            buf.ack([eid])
+            assert buf.ack(eid) == 1
+        elif op == "reopen":
+            buf.close()
+            buf = DurableBuffer(tmp)
     got = [b.entry_id for b in buf.peek_batch(1000)]
     want = [eid for eid, _ in reference]
     assert got == want
@@ -361,6 +371,83 @@ def test_torn_journal_tail_is_dropped_at_every_offset(tmp_path, envelopes, monke
         assert recovered.enqueue(envelopes[3:4], T0) == [kept[-1].entry_id + 1]
         recovered.close()
 
+    # An ack is one record in one append. Every cut of it recovers to the
+    # entries it did not ack yet, and the same ack can then be made again.
+    acked = tmp_path / "acked"
+    buf = DurableBuffer(acked)
+    buf.enqueue(envelopes[:3], T0)
+    journal = acked / "buffer.journal"
+    before = journal.read_bytes()
+    assert buf.ack(2) == 2
+    buf.close()
+    pristine = journal.read_bytes()
+    assert pristine.count(b"\n") == before.count(b"\n") + 1
+    for cut in range(len(before), len(pristine) + 1):
+        journal.write_bytes(pristine[:cut])
+        whole = cut == len(pristine)
+        recovered = DurableBuffer(acked)
+        assert [e.envelope for e in recovered.pending_entries()] == envelopes[2 if whole else 0:3]
+        assert journal.read_bytes() == (pristine if whole else before)
+        assert recovered.ack(2) == (0 if whole else 2)
+        assert recovered.enqueue(envelopes[3:4], T0) == [4]
+        recovered.close()
+        reopened = DurableBuffer(acked)
+        assert [e.envelope for e in reopened.pending_entries()] == envelopes[2:4]
+        reopened.close()
+
+
+def test_acked_records_past_the_floor_that_outnumber_the_pending_compact(tmp_path, envelopes):
+    buf = DurableBuffer(tmp_path)
+    n = 2 * COMPACT_FLOOR + 1
+    assert buf.enqueue(envelopes[:1] * n, T0) == list(range(1, n + 1))
+    journal = tmp_path / "buffer.journal"
+    assert buf.ack(COMPACT_FLOOR) == COMPACT_FLOOR   # at the floor, but fewer than pending
+    assert journal.read_bytes().count(b"\n") == 1 + n + 1
+    assert buf.ack(COMPACT_FLOOR + 1) == 1           # now they outnumber the pending
+    lines = journal.read_bytes().splitlines()
+    assert lines[0] == b'{"next_id":%d,"schema_version":1}' % (n + 1)
+    assert [canonical.loads(line)["seq"] for line in lines[1:]] == list(
+        range(COMPACT_FLOOR + 2, n + 1))
+    # Below the floor again, an ack is an appended record once more.
+    assert buf.ack(n - 1) == COMPACT_FLOOR - 1
+    assert journal.read_bytes() == b"\n".join(lines) + b'\n{"ack":%d}\n' % (n - 1)
+    buf.close()
+    reopened = DurableBuffer(tmp_path)
+    assert [e.entry_id for e in reopened.pending_entries()] == [n]
+    assert reopened.enqueue(envelopes[1:2], T0) == [n + 1]
+    reopened.close()
+
+
+class _Crash(BaseException):
+    """The process dies where this is raised."""
+
+
+@pytest.mark.parametrize("renamed", [False, True], ids=["before-rename", "after-rename"])
+def test_a_crash_at_the_compaction_rename_recovers_the_same_buffer(tmp_path, envelopes,
+                                                                   monkeypatch, renamed):
+    buf = DurableBuffer(tmp_path)
+    n = COMPACT_FLOOR + 2
+    buf.enqueue(envelopes[:1] * n, T0)
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if renamed:
+            real_replace(src, dst)
+        raise _Crash
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(_Crash):
+        buf.ack(COMPACT_FLOOR)
+    monkeypatch.undo()
+    buf.close()
+    header = (tmp_path / "buffer.journal").read_bytes().split(b"\n", 1)[0]
+    assert canonical.loads(header) == ({"schema_version": 1, "next_id": n + 1} if renamed
+                                       else {"schema_version": 1})
+    recovered = DurableBuffer(tmp_path)
+    assert [e.entry_id for e in recovered.pending_entries()] == [n - 1, n]
+    assert recovered.enqueue(envelopes[1:2], T0) == [n + 1]
+    recovered.close()
+
 
 # -- documents ----------------------------------------------------------------------
 
@@ -376,11 +463,14 @@ def _mote_config(directory, envelopes, key):
 
 
 def _ack_file(directory, envelopes, key):
+    # Only older versions wrote an ack document, so this one is written by hand.
     buf = DurableBuffer(directory)
-    ids = buf.enqueue(envelopes[:3], T0)
-    buf.ack([ids[1]])
+    buf.enqueue(envelopes[:3], T0)
     buf.close()
-    return directory / ACK_FILE, CorruptJournal, lambda: DurableBuffer(directory).close()
+    path = directory / ACK_FILE
+    path.write_bytes(canonical.dumps({"schema_version": 1, "watermark": 1, "acked": [3],
+                                      "next_id": 4}))
+    return path, CorruptJournal, lambda: DurableBuffer(directory).close()
 
 
 def _registry(directory, envelopes, key):
@@ -495,6 +585,17 @@ def test_indented_and_spaced_files_of_older_versions_still_load(tmp_path, envelo
     buf = DurableBuffer(tmp_path)
     assert [e.envelope for e in buf.pending_entries()] == [envelopes[1]]
     buf.close()
+    # The ack document is folded into the journal and removed. Should its
+    # removal be lost in a crash, folding it in again changes nothing.
+    assert not (tmp_path / ACK_FILE).exists()
+    for _ in range(2):
+        buf = DurableBuffer(tmp_path)
+        assert [e.envelope for e in buf.pending_entries()] == [envelopes[1]]
+        buf.close()
+        (tmp_path / ACK_FILE).write_bytes(SPACED_ACK)
+    buf = DurableBuffer(tmp_path)
+    assert buf.enqueue(envelopes[2:3], T0) == [3]
+    buf.close()
     ledger_dir = tmp_path / "ledger"
     ledger_dir.mkdir()
     pem = json.dumps(node_key.public_pem).encode()
@@ -546,7 +647,7 @@ def test_key_file_is_replaced_atomically(tmp_path, node_key, monkeypatch):
 
 def test_only_storage_syncs_renames_or_truncates():
     package = Path(ambox.__file__).parent
-    calls = {"fsync", "replace", "ftruncate"}
+    calls = {"fsync", "replace", "ftruncate", "rename", "unlink", "remove"}
     found = []
     for path in sorted(package.rglob("*.py")):
         if path == package / "storage.py":
