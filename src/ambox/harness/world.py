@@ -434,7 +434,7 @@ class ScenarioWorld:
 
     def buffers_empty(self) -> bool:
         for node in self.nodes.values():
-            if node.buffer.depth() > 0 or node._window:
+            if node.buffer.depth() > 0 or node.window_size:
                 return False
         for mote in self.motes.values():
             if mote.buffer.depth() > 0:
@@ -525,7 +525,7 @@ class ScenarioWorld:
                     total += len(decode_report(entry.envelope.payload).readings)
                 except ModelError:
                     pass
-            total += len(node._window)
+            total += node.window_size
         for mote in self.motes.values():
             total += mote.buffer.depth()
         return total

@@ -28,6 +28,13 @@ transaction. Public keys are parsed when a device registers or the registry
 loads, never per verify. `get_recent` reads per-device and per-batch lists
 kept sorted newest first, filled as blocks are applied, live or on replay.
 
+A committed report never changes, so its `GetRecent` entry (its JSON text
+in the answer) is encoded the first time a `GetRecent` returns it, outside
+the ledger lock, and then kept with the stored report. Ingest and replay
+encode none. `LedgerService` writes each ok answer from its result's text,
+so an answer of remembered entries costs a join, and its bytes are what
+`json.dumps(answer, sort_keys=True)` of the whole answer would be.
+
 The ledger keeps no record of its verdicts beyond the reply to each
 `AddEvents`: what was committed, in which order and when is the chain
 itself, read back through `blocks`.
@@ -44,7 +51,7 @@ import json
 import logging
 import threading
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
 
@@ -159,11 +166,22 @@ class Verdict:
         return verdict
 
 
-@dataclass
-class _StoredReport:
+@dataclass(eq=False)
+class StoredReport:
+    """A committed report as the ledger keeps it."""
+
     payload_b64: str
     report: EventReport
     height: int
+    _entry: Optional[str] = field(default=None, init=False, repr=False)
+
+    def entry(self) -> str:
+        """The report's `GetRecent` entry, `_text(report.to_obj())`, encoded
+        on first use and then kept. Callers run it outside the ledger lock;
+        two first uses at once encode it twice."""
+        if self._entry is None:
+            self._entry = _text(self.report.to_obj())
+        return self._entry
 
 
 class Ledger:
@@ -179,7 +197,7 @@ class Ledger:
         self._devices: dict[str, dict[str, str]] = {}
         # Parsed once per device; None for a stored PEM that does not parse.
         self._public_keys: dict[str, Optional[RSAPublicKey]] = {}
-        self._reports: dict[str, _StoredReport] = {}
+        self._reports: dict[str, StoredReport] = {}
         # GetRecent indexes: (-created_at, report_id) in ascending order, so
         # newest first with ties broken by report id.
         self._recent_by_device: dict[str, list[tuple[int, str]]] = defaultdict(list)
@@ -220,7 +238,7 @@ class Ledger:
         self._height = block.height
         self._tip_hash = block.block_hash
         for tx, report in zip(block.transactions, reports, strict=True):
-            self._reports[report.report_id] = _StoredReport(
+            self._reports[report.report_id] = StoredReport(
                 payload_b64=tx["payload_b64"],
                 report=report,
                 height=block.height,
@@ -329,9 +347,9 @@ class Ledger:
             return stored.payload_b64 if stored else None
 
     def get_recent(self, device_id: Optional[str] = None, batch_no: Optional[str] = None,
-                   limit: int = 10) -> list[EventReport]:
-        """The newest `limit` reports matching both filters (None matches
-        any), newest first, ties broken by report id."""
+                   limit: int = 10) -> list[StoredReport]:
+        """The newest `limit` stored reports matching both filters (None
+        matches any), newest first, ties broken by report id."""
         if limit < 1:
             raise ValueError("limit must be >= 1")
         filters = [(device_id, self._recent_by_device), (batch_no, self._recent_by_batch)]
@@ -343,10 +361,10 @@ class Ledger:
                 entries: Iterable[tuple[int, str]] = min(indexes, key=len)
             else:
                 entries = heapq.merge(*self._recent_by_device.values())
-            reports = (self._reports[report_id].report for _, report_id in entries)
-            matches = (r for r in reports
-                       if (device_id is None or r.device_id == device_id)
-                       and (batch_no is None or r.batch_no == batch_no))
+            stored = (self._reports[report_id] for _, report_id in entries)
+            matches = (s for s in stored
+                       if (device_id is None or s.report.device_id == device_id)
+                       and (batch_no is None or s.report.batch_no == batch_no))
             return list(itertools.islice(matches, limit))
 
     def all_reports(self) -> list[EventReport]:
@@ -464,8 +482,10 @@ class LedgerService:
             if not isinstance(obj, dict):
                 raise ValueError("request must be an object")
             op = str(obj["op"])
-            args = obj.get("args") or {}
-            if not isinstance(args, dict):
+            args = obj.get("args")
+            if args is None:
+                args = {}
+            elif not isinstance(args, dict):
                 raise ValueError("args must be an object")
         except (ValueError, KeyError, RecursionError) as exc:
             return self._error(f"malformed request: {exc}")
@@ -477,53 +497,65 @@ class LedgerService:
             return self._error(str(exc), code="malformed-key", obj=obj)
         except (ValueError, KeyError) as exc:
             return self._error(str(exc), code="bad-args", obj=obj)
-        response = {"ok": True, "result": result}
-        for echo in ("channel_name", "chaincode_name"):
-            if echo in obj:
-                response[echo] = obj[echo]
-        return json.dumps(response, sort_keys=True).encode("utf-8")
+        return self._ok(result, obj)
 
-    def _dispatch(self, op: str, args: dict) -> Any:
+    @staticmethod
+    def _ok(result: str, obj: dict) -> bytes:
+        """The bytes of `_text({"ok": True, "result": ..., echoes})`, written
+        from the result's text: "result" sorts after every other key."""
+        head = _text({"ok": True, **_echoes(obj)})
+        return f'{head[:-1]}, "result": {result}}}'.encode("utf-8")
+
+    def _dispatch(self, op: str, args: dict) -> str:
+        """The op's result as JSON text."""
         if op == OP_ADD_EVENTS:
             envelopes = args.get("envelopes")
             if not isinstance(envelopes, list):
                 raise ValueError("envelopes must be a list")
             verdicts = self.ledger.add_events(envelopes, self._clock())
-            return {"verdicts": [v.to_obj() for v in verdicts]}
+            return _text({"verdicts": [v.to_obj() for v in verdicts]})
         if op == OP_GET_EVENT:
             report_id = args["report_id"]
             if not isinstance(report_id, str):
                 raise ValueError("report_id must be a string")
             payload_b64 = self.ledger.get_event_payload(report_id)
             if payload_b64 is None:
-                return {"found": False}
-            return {"found": True, "payload_b64": payload_b64}
+                return _text({"found": False})
+            return _text({"found": True, "payload_b64": payload_b64})
         if op == OP_GET_RECENT:
             limit = args.get("limit", 10)
             if isinstance(limit, bool) or not isinstance(limit, int):
                 raise ValueError("limit must be an integer")
-            reports = self.ledger.get_recent(
+            stored = self.ledger.get_recent(
                 device_id=args.get("device_id"),
                 batch_no=args.get("batch_no"),
                 limit=limit,
             )
-            return {"reports": [r.to_obj() for r in reports]}
+            # The text of _text({"reports": [s.report.to_obj() for s in stored]}).
+            return '{"reports": [' + ", ".join(s.entry() for s in stored) + "]}"
         if op == OP_REGISTER_DEVICE:
             identity = DeviceIdentity.from_obj(args["identity"])
-            return {"registration": self.ledger.register_device(identity)}
+            return _text({"registration": self.ledger.register_device(identity)})
         if op == OP_VERIFY_CHAIN:
             broken = self.ledger.verify_chain()
-            return {"intact": broken is None, "first_broken_height": broken}
+            return _text({"intact": broken is None, "first_broken_height": broken})
         raise ValueError(f"unknown op {op!r}")
 
     @staticmethod
     def _error(message: str, code: str = "malformed-request", obj: Optional[dict] = None) -> bytes:
-        response: dict[str, Any] = {"ok": False, "error": code, "message": message}
-        if obj:
-            for echo in ("channel_name", "chaincode_name"):
-                if echo in obj:
-                    response[echo] = obj[echo]
-        return json.dumps(response, sort_keys=True).encode("utf-8")
+        response = {"ok": False, "error": code, "message": message, **_echoes(obj or {})}
+        return _text(response).encode("utf-8")
+
+
+def _text(obj: Any) -> str:
+    """The wire's JSON text: `json.dumps` with sorted keys and its default
+    separators."""
+    return json.dumps(obj, sort_keys=True)
+
+
+def _echoes(obj: dict) -> dict:
+    """The request's channel and chaincode names, which every answer echoes."""
+    return {echo: obj[echo] for echo in ("channel_name", "chaincode_name") if echo in obj}
 
 
 class LedgerClientError(LedgerError):

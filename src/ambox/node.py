@@ -198,6 +198,11 @@ class NodeAgent:
         self._release_heartbeat_reserve()
         self.buffer.close()
 
+    @property
+    def window_size(self) -> int:
+        """Readings taken but not yet packed into a buffered report."""
+        return len(self._window)
+
     def _all_tasks(self) -> list[Any]:
         tasks = list(self._tasks.values()) + list(self._sampler_tasks.values())
         if self._packer_task is not None:
@@ -247,7 +252,7 @@ class NodeAgent:
             "public_key_pem": self.keypair.public_pem,
             "state": self.config.state.value,
             "buffer_depth": self.buffer.depth(),
-            "window_size": len(self._window),
+            "window_size": self.window_size,
             "heartbeat_sequence": self._heartbeat_sequence,
         }
 

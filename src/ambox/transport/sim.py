@@ -190,13 +190,13 @@ class SimNetwork:
     # -- short-range sessions -------------------------------------------------
 
     def advertise(self, peripheral_id: str, paired_central: str, delegate: PeripheralDelegate) -> None:
+        """Start advertising `peripheral_id`. Advertising an id again, as a
+        restarted peripheral does, supersedes its live session: the central
+        sees it close and reconnects to the new delegate."""
         self._peripherals[peripheral_id] = (paired_central, delegate)
-
-    def stop_advertising(self, peripheral_id: str) -> None:
-        self._peripherals.pop(peripheral_id, None)
         session = self._sessions.get(peripheral_id)
         if session is not None:
-            session.kill("peripheral-gone")
+            session.kill("superseded")
 
     def central(self, central_id: str, allow_list: set[str]) -> "SimCentral":
         return SimCentral(self, central_id, set(allow_list))
@@ -318,7 +318,14 @@ class SimSession(Session):
                 raise SessionClosed("link went down in transit")
         self._network.log_event("write", src=self.central_id, dst=self.peripheral_id,
                                 characteristic=characteristic, size=len(payload))
-        self._delegate.on_write(self, characteristic, payload)
+        try:
+            self._delegate.on_write(self, characteristic, payload)
+        except TaskCancelled:
+            raise
+        except Exception:
+            # Mirror the real backend: the peripheral logs a failing write
+            # handler, and the central's write has already gone out.
+            logger.exception("peripheral write handler failed")
 
     def close(self) -> None:
         self.kill("closed")

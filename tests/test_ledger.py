@@ -1,7 +1,10 @@
 import base64
+import dataclasses
 import json
 import random
+import sys
 import tempfile
+import threading
 
 import pytest
 from cryptography.hazmat.primitives import hashes
@@ -26,6 +29,7 @@ from ambox.ledger import (
     ZERO_HASH,
 )
 from ambox.model import DeviceIdentity, DeviceKind, EventReport, ModelError
+from ambox.transport.tcp import FrameServer, TcpRequestClient
 
 from conftest import T0, make_report
 
@@ -151,7 +155,7 @@ def test_get_recent_order_and_limit(registered, node_key):
         registered.add_events([envelope], T0)
     recent = registered.get_recent(batch_no="B-2024-018", limit=5)
     assert len(recent) == 5
-    created = [r.created_at for r in recent]
+    created = [s.report.created_at for s in recent]
     assert created == sorted(created, reverse=True)
 
 
@@ -168,7 +172,7 @@ def test_get_recent_tie_break_oracle(registered, node_key):
     rng = random.Random(3)
     rng.shuffle(envelopes)
     registered.add_events(envelopes, T0)
-    reports = registered.get_recent(device_id="node-1", limit=100)
+    reports = [s.report for s in registered.get_recent(device_id="node-1", limit=100)]
     oracle = sorted(reports, key=lambda r: (-r.created_at, r.report_id))
     assert reports == oracle
     assert [r.report_id for r in reports] == sorted(r.report_id for r in reports)
@@ -179,6 +183,14 @@ def test_get_recent_no_match_empty(registered):
 
 
 _ORACLE_BATCHES = ("B-1", "B-2", "B-3")
+
+
+def _brute_force_recent(reports, device, batch, limit):
+    return sorted(
+        (r for r in reports
+         if (device is None or r.device_id == device) and (batch is None or r.batch_no == batch)),
+        key=lambda r: (-r.created_at, r.report_id),
+    )[:limit]
 
 
 @settings(max_examples=25, deadline=None)
@@ -219,14 +231,10 @@ def test_get_recent_matches_brute_force(node_key, other_key, specs, cuts):
             start += cut
         reopened = Ledger(directory)
         for device, batch, limit in queries:
-            expected = sorted(
-                (r for r in reports
-                 if (device is None or r.device_id == device)
-                 and (batch is None or r.batch_no == batch)),
-                key=lambda r: (-r.created_at, r.report_id),
-            )[:limit]
-            assert ledger.get_recent(device_id=device, batch_no=batch, limit=limit) == expected
-            assert reopened.get_recent(device_id=device, batch_no=batch, limit=limit) == expected
+            expected = _brute_force_recent(reports, device, batch, limit)
+            for answering in (ledger, reopened):
+                stored = answering.get_recent(device_id=device, batch_no=batch, limit=limit)
+                assert [s.report for s in stored] == expected
 
 
 def test_get_recent_non_string_filter_matches_nothing(registered, node_key):
@@ -234,6 +242,169 @@ def test_get_recent_non_string_filter_matches_nothing(registered, node_key):
     service = LedgerService(registered, clock=lambda: T0)
     request = json.dumps({"op": "GetRecent", "args": {"device_id": ["node-1"]}}).encode()
     assert json.loads(service.handle("x", request)) == {"ok": True, "result": {"reports": []}}
+
+
+def _one_dump_answer(reports, echoes) -> bytes:
+    """A GetRecent answer as one `json.dumps` of the whole answer."""
+    response = {"ok": True, "result": {"reports": [r.to_obj() for r in reports]}, **echoes}
+    return json.dumps(response, sort_keys=True).encode("utf-8")
+
+
+def _get_recent_request(device, batch, limit, echoes=None) -> bytes:
+    args = {key: value for key, value in
+            (("device_id", device), ("batch_no", batch), ("limit", limit)) if value is not None}
+    return json.dumps({"op": "GetRecent", "args": args, **(echoes or {})}).encode("utf-8")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(st.integers(0, 1), st.sampled_from(_ORACLE_BATCHES), st.integers(0, 4),
+                  st.integers(0, 10_000), st.floats(-1e9, 1e9, allow_nan=False),
+                  st.text(min_size=1, max_size=6)),
+        min_size=1, max_size=8, unique_by=lambda spec: spec[3],
+    ),
+    cuts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    queries=st.lists(
+        st.tuples(st.sampled_from((None, "node-1", "node-2", "ghost")),
+                  st.sampled_from((None,) + _ORACLE_BATCHES), st.none() | st.integers(1, 12),
+                  st.fixed_dictionaries({}, optional={"channel_name": _JSON_VALUES,
+                                                      "chaincode_name": _JSON_VALUES})),
+        min_size=1, max_size=5,
+    ),
+)
+def test_get_recent_answers_are_the_bytes_of_one_dump(node_key, other_key, specs, cuts, queries):
+    keys = (node_key, other_key)
+    envelopes, reports = [], []
+    for device, batch, created, serial, value, product in specs:
+        key = keys[device]
+        base = make_report(device=key.device_id, report_id=f"r-{serial:05d}",
+                           created_at=T0 + 600_000 + created * 1000, n_readings=2)
+        readings = (dataclasses.replace(base.readings[0], value=value),) + base.readings[1:]
+        report = EventReport(base.report_id, base.device_id, product, batch,
+                             base.created_at, readings)
+        envelopes.append(sign(key, report))
+        reports.append(report)
+    with tempfile.TemporaryDirectory() as directory:
+        ledger = Ledger(directory, genesis_at_ms=T0)
+        for key in keys:
+            ledger.register_device(identity_of(key))
+        start = 0
+        for cut in cuts * len(envelopes):
+            if start >= len(envelopes):
+                break
+            ledger.add_events(envelopes[start:start + cut], T0 + start)
+            start += cut
+        service = LedgerService(ledger, clock=lambda: T0)
+        reopened = LedgerService(Ledger(directory), clock=lambda: T0)
+        for device, batch, limit, echoes in queries:
+            request = _get_recent_request(device, batch, limit, echoes)
+            expected = _one_dump_answer(
+                _brute_force_recent(reports, device, batch, 10 if limit is None else limit),
+                {name: json.loads(request)[name] for name in echoes})
+            # First ask, repeated ask, and first ask of the reopened ledger.
+            assert service.handle("x", request) == expected
+            assert service.handle("x", request) == expected
+            assert reopened.handle("x", request) == expected
+        ledger.close()
+        reopened.ledger.close()
+
+
+def test_a_report_entry_is_encoded_once_and_never_at_ingest_or_replay(
+        registered, node_key, tmp_path, monkeypatch):
+    envelopes = [env_for(node_key, i)[0] for i in range(6)]
+    ids = [canonical.loads(e.payload)["report_id"] for e in envelopes]
+    encoded = []
+    to_obj = EventReport.to_obj
+
+    def counting_to_obj(report):
+        encoded.append(report.report_id)
+        return to_obj(report)
+
+    monkeypatch.setattr(EventReport, "to_obj", counting_to_obj)
+    registered.add_events(envelopes[:2], T0)
+    registered.add_events(envelopes[2:], T0 + 1)
+    assert encoded == []
+    service = LedgerService(registered, clock=lambda: T0)
+    for _ in range(3):
+        service.handle("x", _get_recent_request("node-1", None, 4))
+    assert sorted(encoded) == sorted(ids[2:])       # the four newest, once each
+    for _ in range(2):
+        service.handle("x", _get_recent_request(None, None, 10))
+    assert sorted(encoded) == sorted(ids)
+    encoded.clear()
+    reopened = Ledger(tmp_path / "ledger")
+    assert encoded == []
+    assert reopened.get_recent(limit=10) and encoded == []
+    reopened.close()
+    registered.close()
+
+
+def test_get_recent_over_tcp_beside_add_events_matches_a_height(tmp_path, node_key, other_key):
+    keys = (node_key, other_key)
+    reports, envelopes = [], []
+    for i in range(30):
+        key = keys[i % 2]
+        # created_at runs against commit order now and then, so a new block
+        # can land in the middle of an answer's order.
+        base = make_report(device=key.device_id, report_id=f"r-{i:03d}",
+                           created_at=T0 + 600_000 + (i * 7 % 11) * 1000, n_readings=3)
+        report = EventReport(base.report_id, base.device_id, base.product_id,
+                             _ORACLE_BATCHES[i % 3], base.created_at, base.readings)
+        reports.append(report)
+        envelopes.append(sign(key, report))
+    ledger = Ledger(tmp_path / "ledger", genesis_at_ms=T0)
+    for key in keys:
+        ledger.register_device(identity_of(key))
+    base_height = ledger.height
+    server = FrameServer("127.0.0.1", 0, LedgerService(ledger, clock=lambda: T0).handle)
+    dest = f"127.0.0.1:{server.port}"
+    writer_client, reader = TcpRequestClient(), TcpRequestClient()
+    queries = [(device, batch, limit) for device in (None, "node-1", "node-2")
+               for batch in (None, "B-2") for limit in (1, 3, 40)]
+    errors = []
+
+    def write():
+        try:
+            client = LedgerClient(writer_client, dest)
+            for envelope in envelopes:
+                assert client.add_events([envelope])[0].status == "committed"
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    writer = threading.Thread(target=write)
+    try:
+        writer.start()
+        asked = 0
+        while writer.is_alive() or asked < len(queries):
+            device, batch, limit = queries[asked % len(queries)]
+            asked += 1
+            low = ledger.height - base_height
+            answer = reader.request(dest, _get_recent_request(device, batch, limit), 5000)
+            high = ledger.height - base_height
+            # One report per block: at height base + h the first h are committed.
+            assert answer in {_one_dump_answer(_brute_force_recent(reports[:h], device, batch,
+                                                                   limit), {})
+                              for h in range(low, high + 1)}
+        writer.join(timeout=30)
+        assert not writer.is_alive() and errors == []
+    finally:
+        sys.setswitchinterval(switch_interval)
+        writer_client.close()
+        reader.close()
+        server.shutdown()
+        ledger.close()
+    assert ledger.height - base_height == len(envelopes)
 
 
 @pytest.mark.parametrize("report_id", [5, None, [1]], ids=["number", "null", "list"])
@@ -394,6 +565,10 @@ def _dict_router(method, path, body):
     ("ledger", b"[]", "malformed-request"),
     ("ledger", b"[" * 100_000, "malformed-request"),
     ("ledger", b'{"op": "GetRecent", "args": [1]}', "malformed-request"),
+    ("ledger", b'{"op": "VerifyChain", "args": []}', "malformed-request"),
+    ("ledger", b'{"op": "VerifyChain", "args": 0}', "malformed-request"),
+    ("ledger", b'{"op": "VerifyChain", "args": false}', "malformed-request"),
+    ("ledger", b'{"op": "VerifyChain", "args": ""}', "malformed-request"),
     ("ledger", b'{"op": "AddEvents", "args": {"envelopes": 5}}', "bad-args"),
     ("ledger", b'{"op": "AddEvents", "args": {}}', "bad-args"),
     ("ledger", b'{"op": "GetRecent", "args": {"limit": 1e400}}', "bad-args"),
@@ -402,6 +577,7 @@ def _dict_router(method, path, body):
     ("shim", b'"x"', "malformed-request"),
     ("shim", b'{"method": "POST", "path": "/x", "body": [1]}', "malformed-request"),
 ], ids=["ledger-root-array", "ledger-deeply-nested", "ledger-args-array",
+        "ledger-args-empty-array", "ledger-args-zero", "ledger-args-false", "ledger-args-empty-string",
         "ledger-envelopes-number", "ledger-envelopes-missing", "ledger-limit-infinite",
         "ledger-limit-null", "shim-root-array", "shim-root-string", "shim-body-array"])
 def test_malformed_requests_get_an_error_answer(ledger, server, request_bytes, error):
@@ -411,6 +587,14 @@ def test_malformed_requests_get_an_error_answer(ledger, server, request_bytes, e
     else:
         answer = json.loads(shim_server_handler(_dict_router)("x", request_bytes))
         assert (answer["status"], answer["body"]["error"]) == (400, error)
+
+
+@pytest.mark.parametrize("request_bytes", [b'{"op": "VerifyChain"}',
+                                           b'{"op": "VerifyChain", "args": null}'],
+                         ids=["missing", "null"])
+def test_missing_or_null_args_mean_no_arguments(ledger, request_bytes):
+    answer = json.loads(LedgerService(ledger, clock=lambda: T0).handle("x", request_bytes))
+    assert answer == {"ok": True, "result": {"intact": True, "first_broken_height": None}}
 
 
 def test_blocks_survive_restart(registered, node_key, tmp_path):

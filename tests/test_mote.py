@@ -78,9 +78,9 @@ def test_mote_restart_resumes_cadence():
         mote = world.motes["mote1"]
         before = mote.stats["samples"]
         mote.stop()
-        world.network.stop_advertising("mote1")
         world.runtime.sleep(2 * 60_000)
-        # Same data dir: config and buffer must be where the old process left them.
+        # Same data dir: config and buffer must be where the old process left
+        # them. Advertising the id again supersedes the stopped mote's session.
         restarted = world._build_mote(
             next(d for d in world.scenario.devices if d.device_id == "mote1"),
             world.data_root / "mote1",
@@ -407,7 +407,7 @@ def test_a_notification_entry_id_must_be_an_integer(mote_key, caplog, value):
         node._ingest_mote_notification("mote-1", None, bad)
     world.teardown()
     assert [r.getMessage() for r in caplog.records] == ["node1: undecodable mote notification"]
-    assert node._window == []
+    assert node.window_size == 0
     assert node.stats["mote_readings"] == 0
 
 

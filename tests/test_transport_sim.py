@@ -240,6 +240,52 @@ def test_unauthorized_peripheral_never_connects():
     assert peripheral.sessions == []
 
 
+def test_advertising_again_supersedes_the_live_session():
+    # A restarted peripheral advertises its id again; the central sees its
+    # old session end and its next connect reaches the new delegate.
+    rt, net = make_world(links=[("ble", "node", "mote", LinkClass.SHORT_RANGE)])
+    old, new = RecordingPeripheral(), RecordingPeripheral()
+    net.advertise("mote", "node", old)
+    central = net.central("node", {"mote"})
+    received = []
+
+    def run():
+        stream = central.connect("mote").subscribe("readings")
+        net.advertise("mote", "node", new)
+        received.append(stream.get())
+        stream = central.connect("mote").subscribe("readings")
+        new.sessions[-1].notify("readings", b"v1")
+        received.append(stream.get().payload)
+
+    rt.spawn("central", run)
+    rt.scheduler.drain()
+    assert received == [DISCONNECTED, b"v1"]
+    assert (len(old.sessions), old.disconnects, len(new.sessions)) == (1, 1, 1)
+
+
+def test_a_failing_write_handler_does_not_unwind_the_central(caplog):
+    rt, net = make_world(links=[("ble", "node", "mote", LinkClass.SHORT_RANGE)])
+    peripheral = RecordingPeripheral()
+
+    def on_write(session, characteristic, payload):
+        raise ValueError("I/O operation on closed file")
+
+    peripheral.on_write = on_write
+    net.advertise("mote", "node", peripheral)
+    central = net.central("node", {"mote"})
+    outcomes = []
+
+    def run():
+        session = central.connect("mote")
+        session.write("ack", b"{}")
+        outcomes.append(session.open)
+
+    rt.spawn("central", run)
+    rt.scheduler.drain()
+    assert outcomes == [True]
+    assert "peripheral write handler failed" in caplog.text
+
+
 def test_connect_during_down_window_unreachable():
     windows = [FaultWindow("ble", 0, 60_000, MODE_DOWN)]
     rt, net = make_world(windows, links=[("ble", "node", "mote", LinkClass.SHORT_RANGE)])
