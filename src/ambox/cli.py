@@ -254,8 +254,8 @@ def run_mote(config: ProcessConfig) -> int:
     agent.start()
     stop = threading.Event()
     _wait_for_signal(stop)
+    server.shutdown()   # no session may reach the agent once it has stopped
     agent.stop()
-    server.shutdown()
     return 0
 
 

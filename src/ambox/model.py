@@ -104,9 +104,6 @@ class SensorReading:
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", float(self.value))
 
-    def dedup_key(self) -> tuple[str, str, int]:
-        return (self.source_device, self.quantity, self.sampled_at)
-
     def core_obj(self) -> dict[str, Any]:
         """Reading without its signature; this is what the sampler signs."""
         return _encode_reading(self, {}, signed=False)

@@ -123,9 +123,9 @@ class MoteAgent:
         self._config_changed = runtime.new_signal()
         self._drivers: dict[str, Any] = {}
         self._new_data = runtime.new_signal()
-        self._session = None
         self._streamer_task = None
         self._sampler_task = None
+        self._stopped = False
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -133,6 +133,9 @@ class MoteAgent:
         self._sampler_task = self.runtime.spawn(f"{self.device_id}:sampler", self._sampler_loop)
 
     def stop(self) -> None:
+        """End both activities and close the buffer. A stopped agent starts no
+        streamer and ignores writes."""
+        self._stopped = True
         for task in (self._sampler_task, self._streamer_task):
             if task is not None and task.alive:
                 task.cancel()
@@ -141,12 +144,15 @@ class MoteAgent:
     # -- peripheral delegate --------------------------------------------------
 
     def on_connect(self, session) -> None:
-        self._session = session
+        if self._stopped:
+            return
         self._streamer_task = self.runtime.spawn(
             f"{self.device_id}:streamer", lambda: self._streamer_loop(session)
         )
 
     def on_write(self, session, characteristic: str, payload: bytes) -> None:
+        if self._stopped:
+            return
         if characteristic == CHAR_CONFIG:
             self._apply_config(payload)
         elif characteristic == CHAR_ACK:
@@ -155,8 +161,6 @@ class MoteAgent:
             logger.warning("%s: write to unknown characteristic %r", self.device_id, characteristic)
 
     def on_disconnect(self, session) -> None:
-        if self._session is session:
-            self._session = None
         if self._streamer_task is not None and self._streamer_task.alive:
             self._streamer_task.cancel()
             self._streamer_task = None
@@ -256,6 +260,7 @@ class MoteAgent:
     # -- streaming ------------------------------------------------------------------
 
     def _streamer_loop(self, session) -> None:
+        # In id order from the oldest unacked entry: the node's relay watermarks rely on it.
         last_sent = 0
         while session.open:
             entries = self.buffer.peek_after(last_sent, 100)

@@ -12,6 +12,10 @@ answered each of them with its own verdict, and the ledger deduplicates by
 report id, which yields exactly-once observable delivery across crashes and
 partitions. After a failed submit the next attempt sends only the oldest
 envelope; once the ledger answers it, the same drain goes on in full batches.
+
+A relayed mote reading is taken once, by two watermarks per paired mote (see
+`_ingest_mote_notification`). The journaled one is a journal mark, durable with
+the report that carries it, so opening a node decodes no journal entry.
 """
 
 from __future__ import annotations
@@ -31,11 +35,9 @@ from .model import (
     DeviceKind,
     EventReport,
     HeartbeatMessage,
-    ModelError,
     MonitoringJob,
     NodeState,
     SensorReading,
-    decode_report,
     legal_transition,
     new_report_id,
 )
@@ -129,8 +131,9 @@ class NodeAgent:
         self._drain_guard = threading.Lock()
         self._window_lock = threading.Lock()
         self._window: list[_WindowItem] = []
-        # Dedup index for relayed readings: key -> durable? (False = still in window)
-        self._seen: dict[tuple[str, str, int], bool] = {}
+        # Relay watermarks per paired mote; see _ingest_mote_notification.
+        self._journaled: dict[str, int] = self.buffer.marks()
+        self._windowed: dict[str, int] = {}
         self._report_counter = 0
         self._last_job: Optional[MonitoringJob] = self.config.job
         self._drain_kick = runtime.new_signal()
@@ -139,7 +142,6 @@ class NodeAgent:
         self._probe = False
         self._storage_alarm = False
         self._sessions: dict[str, Any] = {}
-        self._mote_ack_floor: dict[str, int] = {}
         self._tasks: dict[str, Any] = {}
         self._sampler_tasks: dict[str, Any] = {}
         self._packer_task = None
@@ -166,7 +168,6 @@ class NodeAgent:
             "mote_duplicates": 0,
             "storage_full_events": 0,
         }
-        self._rebuild_dedup_from_journal()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -208,15 +209,6 @@ class NodeAgent:
         if self._packer_task is not None:
             tasks.append(self._packer_task)
         return tasks
-
-    def _rebuild_dedup_from_journal(self) -> None:
-        for entry in self.buffer.pending_entries():
-            try:
-                report = decode_report(entry.envelope.payload)
-            except ModelError:
-                continue
-            for reading in report.readings:
-                self._seen[reading.dedup_key()] = True
 
     # -- control API ------------------------------------------------------------
 
@@ -477,6 +469,10 @@ class NodeAgent:
             return
         items.sort(key=lambda i: (i.reading.sampled_at, i.reading.source_device,
                                   i.reading.quantity))
+        marks: dict[str, int] = {}
+        for item in items:
+            if item.mote_id is not None:
+                marks[item.mote_id] = max(marks.get(item.mote_id, 0), item.mote_entry_id)
         job = self.config.job or self._last_job
         created_at = self.runtime.now_ms()
         self._report_counter += 1
@@ -498,7 +494,7 @@ class NodeAgent:
             return
         self.crash_hook("pre_enqueue")
         try:
-            self.buffer.enqueue([envelope], created_at)
+            self.buffer.enqueue([envelope], created_at, marks)
         except (StorageFull, OSError) as exc:
             # The readings go back to the window for the next pack.
             if isinstance(exc, StorageFull):
@@ -513,13 +509,8 @@ class NodeAgent:
         self.stats["packs"] += 1
         self._storage_alarm = False
         # The relayed readings are durable now; acknowledge them to the motes.
-        ack_high: dict[str, int] = {}
-        for item in items:
-            self._seen[item.reading.dedup_key()] = True
-            if item.mote_id is not None and item.mote_entry_id is not None:
-                ack_high[item.mote_id] = max(ack_high.get(item.mote_id, 0), item.mote_entry_id)
-        for mote_id, upto in ack_high.items():
-            self._mote_ack_floor[mote_id] = max(self._mote_ack_floor.get(mote_id, 0), upto)
+        for mote_id, upto in marks.items():
+            self._journaled[mote_id] = max(self._journaled.get(mote_id, 0), upto)
             self._send_ack(mote_id, upto)
 
     def _send_ack(self, mote_id: str, upto: int) -> None:
@@ -645,19 +636,15 @@ class NodeAgent:
         stream = session.subscribe(CHAR_READINGS)
         try:
             session.write(CHAR_CONFIG, self._current_job_config_payload(self.config.job))
-            floor = self._mote_ack_floor.get(mote_id, 0)
-            if floor:
-                session.write(CHAR_ACK, json.dumps({"upto": floor}).encode("utf-8"))
-        except SessionClosed:
-            if self._sessions.get(mote_id) is session:
-                del self._sessions[mote_id]
-            return
-        try:
+            if mote_id in self._journaled:
+                self._send_ack(mote_id, self._journaled[mote_id])
             while True:
                 item = stream.get()
                 if item is DISCONNECTED:
                     return
                 self._ingest_mote_notification(mote_id, session, item.payload)
+        except SessionClosed:
+            return
         finally:
             if self._sessions.get(mote_id) is session:
                 del self._sessions[mote_id]
@@ -665,29 +652,32 @@ class NodeAgent:
     def _ingest_mote_notification(self, mote_id: str, session, payload: bytes) -> None:
         try:
             entry_id, envelope = decode_reading_notification(payload)
-            if envelope.signer != mote_id:
-                logger.warning("%s: notification signed by %r, expected %r",
-                               self.device_id, envelope.signer, mote_id)
-                return
             reading = SensorReading.from_obj(
                 canonical.loads(envelope.payload),
                 signature_b64=base64.b64encode(envelope.signature).decode("ascii"))
         except Exception:
             logger.exception("%s: undecodable mote notification", self.device_id)
             return
-        key = reading.dedup_key()
-        durable = self._seen.get(key)
-        if durable is None:
-            self._seen[key] = False
+        if envelope.signer != mote_id or reading.source_device != mote_id:
+            logger.warning("%s: notification from %r signed by %r for %r", self.device_id,
+                           mote_id, envelope.signer, reading.source_device)
+            return
+        # `journaled` is the highest entry id in the journal, `windowed` the highest
+        # taken into the window. A mote's entry ids are consecutive and only grow
+        # (DurableBuffer reissues only the ids of failed appends; compaction keeps
+        # next_id), and _streamer_loop sends them in id order from the oldest unacked
+        # one, so an id not above both is a redelivery.
+        journaled = self._journaled.get(mote_id, 0)
+        if entry_id > max(journaled, self._windowed.get(mote_id, 0)):
             with self._window_lock:
                 self._window.append(_WindowItem(reading, mote_id, entry_id))
+            self._windowed[mote_id] = entry_id
             self.stats["mote_readings"] += 1
-        else:
-            self.stats["mote_duplicates"] += 1
-            if durable:
-                # Already journaled; the earlier ack was lost, so re-ack.
-                self._mote_ack_floor[mote_id] = max(self._mote_ack_floor.get(mote_id, 0), entry_id)
-                self._send_ack(mote_id, entry_id)
+            return
+        self.stats["mote_duplicates"] += 1
+        if entry_id <= journaled:
+            # Already journaled; the earlier ack was lost, so re-ack.
+            self._send_ack(mote_id, entry_id)
 
 
 

@@ -16,10 +16,10 @@ Three primitives:
   OSError cuts the file back to where it was before re-raising. That is the
   only recovery rule; a log is never cleared, only replaced whole.
 
-Built on them here: the submission buffer (one journal of entry and ack
-records), the node config and the device key file; the ledger and the mote
-use the primitives directly. A buffer serializes its file access, so one
-writer and one drainer may share it.
+Built on them here: the submission buffer (one journal of entry records,
+which may carry high-water marks, and ack records), the node config and the
+device key file; the ledger and the mote use the primitives directly. A
+buffer serializes its file access, so one writer and one drainer may share it.
 """
 
 from __future__ import annotations
@@ -176,6 +176,11 @@ class DurableBuffer:
     document, no clear: once acked records reach `COMPACT_FLOOR` and
     outnumber the pending ones, an ack atomically rewrites the journal as a
     header and the pending records.
+
+    The last record of an append may carry the writer's high-water mark per
+    source, `"marks": {source: n}`, durable exactly when that append is.
+    `marks()` folds in every record's, acked ones too, and a compacted
+    header keeps them. Without marks, records and header keep their bytes.
     """
 
     def __init__(self, directory: str | Path, cap: int = DEFAULT_CAP) -> None:
@@ -186,10 +191,12 @@ class DurableBuffer:
         self._pending: dict[int, BufferEntry] = {}   # in id order
         self._records = 0                            # entry records in the journal
         self._next_id = 1
+        self._marks: dict[str, int] = {}
         acked = 0
         for number, line in enumerate(AppendLog.read(self._path).splitlines(), 1):
             try:
                 obj = canonical.loads(line)
+                self._fold_marks(obj.pop("marks", {}))
                 if number == 1:
                     self._next_id = obj.pop("next_id", 1)
                     if obj != {"schema_version": SCHEMA_VERSION} or type(self._next_id) is not int:
@@ -219,13 +226,14 @@ class DurableBuffer:
             os.unlink(legacy)
 
     @staticmethod
-    def _record(e: BufferEntry) -> bytes:
-        return canonical.dumps({"seq": e.entry_id, "enqueued_at": e.enqueued_at,
-                                "envelope": e.envelope.to_wire_obj()})
+    def _record(e: BufferEntry, marks: Optional[dict[str, int]] = None) -> bytes:
+        obj = {"seq": e.entry_id, "enqueued_at": e.enqueued_at, "envelope": e.envelope.to_wire_obj()}
+        return canonical.dumps(dict(obj, marks=marks) if marks else obj)
 
     def _compact(self) -> None:
-        header = canonical.dumps({"schema_version": SCHEMA_VERSION, "next_id": self._next_id})
-        lines = [header] + [self._record(e) for e in self._pending.values()]
+        header = {"schema_version": SCHEMA_VERSION, "next_id": self._next_id}
+        lines = [canonical.dumps(dict(header, marks=self._marks) if self._marks else header)]
+        lines += [self._record(e) for e in self._pending.values()]
         write_atomic(self._path, b"\n".join(lines) + b"\n")
         self._journal.close()
         self._journal = AppendLog(self._path)
@@ -233,19 +241,22 @@ class DurableBuffer:
 
     # -- operations -------------------------------------------------------
 
-    def enqueue(self, envelopes: list[SignedEnvelope], now_ms: int) -> list[int]:
-        """Store `envelopes` under consecutive new ids, in one append and one
-        fsync. A group that would pass the cap is refused whole."""
+    def enqueue(self, envelopes: list[SignedEnvelope], now_ms: int,
+                marks: Optional[dict[str, int]] = None) -> list[int]:
+        """Store `envelopes` under consecutive new ids, and `marks` in the last
+        one's record, in one append and one fsync. A group that would pass
+        the cap is refused whole."""
         if not envelopes:
             raise ValueError("nothing to enqueue")
         with self._lock:
             if len(self._pending) + len(envelopes) > self._cap:
                 raise StorageFull(f"buffer at cap ({self._cap} entries)")
             entries = [BufferEntry(i, e, now_ms) for i, e in enumerate(envelopes, self._next_id)]
-            lines = [self._record(entry) for entry in entries]
+            lines = [self._record(e, marks if e is entries[-1] else None) for e in entries]
             if self._journal.size == 0:
                 lines.insert(0, canonical.dumps({"schema_version": SCHEMA_VERSION}))
             self._journal.append(b"\n".join(lines) + b"\n")
+            self._fold_marks(marks or {})
             self._next_id = entries[-1].entry_id + 1
             self._records += len(entries)
             self._pending.update((entry.entry_id, entry) for entry in entries)
@@ -282,6 +293,17 @@ class DurableBuffer:
     def depth(self) -> int:
         with self._lock:
             return len(self._pending)
+
+    def marks(self) -> dict[str, int]:
+        """The highest mark stored for each source, acked records included."""
+        with self._lock:
+            return dict(self._marks)
+
+    def _fold_marks(self, marks: Any) -> None:
+        if not isinstance(marks, dict) or any(type(n) is not int or n < 1 for n in marks.values()):
+            raise ValueError(f"malformed marks {marks!r}")
+        for source, high in marks.items():
+            self._marks[source] = max(self._marks.get(source, 0), high)
 
     def pending_entries(self) -> list[BufferEntry]:
         with self._lock:

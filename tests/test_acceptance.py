@@ -5,21 +5,24 @@ output). Criteria 1 and 2 run the shipped scenario files at their default
 time scale and must finish within the stated real-time budget.
 """
 
+import hashlib
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 from ambox import canonical
 from ambox.envelope import SignedEnvelope, sign, verify
-from ambox.fleet import CommissionPlan, commission, start_monitoring
+from ambox.fleet import CommissionPlan, commission, start_monitoring, stop_monitoring
 from ambox.harness import (
     load_scenario,
     run_scenario,
     scenario_path,
     tamper_probe,
 )
+from ambox.harness.checks import check_mote_multiset_equal, check_no_ledger_duplicates
 from ambox.harness.scenario import DeviceSpec, LinkSpec, Scenario
 from ambox.harness.world import ScenarioWorld, rtt_benchmark
 from ambox.ledger import Ledger
@@ -31,6 +34,7 @@ from conftest import T0, make_report
 from simworld import JOB_BODY, TRACE, build_world, mini_scenario
 
 SEED = 20240101
+REPORT_DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
 
 
 def announce(n: int, name: str, passed: bool, detail: str = "") -> None:
@@ -133,9 +137,13 @@ def test_criterion_4_exhaustive_single_byte_mutation(node_key):
              f"{false_accepts} false accepts")
 
 
-def test_criterion_5_crash_safety():
+def crash_and_restart(scenario, seed: int, kills: int, stop: bool = False) -> ScenarioWorld:
+    """Commission node1 and start `scenario`'s job, kill the node `kills`
+    times at crash points drawn with `seed`, restarting it after each kill,
+    then (having stopped monitoring if `stop`) drain with crashes disarmed.
+    The caller tears the world down."""
     points = ("pre_enqueue", "post_enqueue", "pre_submit", "post_submit", "post_ack")
-    rng = random.Random(SEED)
+    rng = random.Random(seed)
     state = {"armed": None, "fired": False, "count": 0}
 
     def crash_hook(point):
@@ -146,13 +154,8 @@ def test_criterion_5_crash_safety():
             world.network.unregister_server("node1")
             raise TaskCancelled()
 
-    scenario = mini_scenario(
-        span_min=600,
-        job=dict(JOB_BODY, sample_interval_ms=60_000, report_interval_ms=60_000),
-    )
-    world = ScenarioWorld(scenario, SEED, crash_hook=crash_hook)
+    world = ScenarioWorld(scenario, seed, crash_hook=crash_hook)
     world.build()
-    kills = 200
 
     def director():
         caller = world.operator_caller()
@@ -170,6 +173,8 @@ def test_criterion_5_crash_safety():
             state["armed"] = None
             state["count"] += 1
             world.restart_node("node1")
+        if stop:
+            stop_monitoring(caller, "node1")
         # Final drain with crashes disarmed.
         waited = 0
         while not world.buffers_empty() and waited < 20 * 60_000:
@@ -178,6 +183,16 @@ def test_criterion_5_crash_safety():
 
     world.run(director=director)
     assert world.director_error is None, world.director_error
+    assert state["count"] == kills
+    return world
+
+
+MINUTE_JOB = dict(JOB_BODY, sample_interval_ms=60_000, report_interval_ms=60_000)
+
+
+def test_criterion_5_crash_safety():
+    kills = 200
+    world = crash_and_restart(mini_scenario(span_min=600, job=MINUTE_JOB), SEED, kills)
 
     # Exactly-once: no report id may appear in more than one committed block.
     blocks_file = world.data_root / "ledger" / "blocks.journal"
@@ -197,10 +212,30 @@ def test_criterion_5_crash_safety():
     replays = sum(1 for _t, _r, v in world.recorder.told() if v.replay)
     world.teardown()
     world.cleanup_dirs()
-    ok = unique and replay_ok and drained and state["count"] == kills
+    ok = unique and replay_ok and drained
     announce(5, "crash safety (200 randomized kill-points)", ok,
-             f"kills={state['count']} committed={len(committed_ids)} "
+             f"kills={kills} committed={len(committed_ids)} "
              f"unique={unique} replays_deduped={replays} replay_match={replay_ok}")
+
+
+@pytest.mark.parametrize("seed", [SEED, 2])
+def test_criterion_5_crash_safety_with_a_mote_attached(seed):
+    # The link to the mote is down from 90 s to 210 s of every 7th minute, so
+    # kills also land while mote readings wait in the window or are unacked.
+    outages = FaultSchedule([
+        FaultWindow("ble1", start + 90_000, start + 210_000, MODE_DOWN)
+        for start in range(0, 600 * 60_000, 7 * 60_000)
+    ])
+    scenario = mini_scenario(with_mote=True, span_min=600, job=MINUTE_JOB, faults=outages)
+    world = crash_and_restart(scenario, seed, kills=60, stop=True)
+    multiset = check_mote_multiset_equal(world, {})
+    duplicates = check_no_ledger_duplicates(world, {})
+    drained = world.buffers_empty()
+    world.teardown()
+    world.cleanup_dirs()
+    announce(5, f"crash safety with a mote attached (60 kill-points, seed {seed})",
+             multiset.passed and duplicates.passed and drained,
+             f"{multiset.detail}; {duplicates.detail}; drained={drained}")
 
 
 def test_criterion_6_state_persistence():
@@ -313,10 +348,13 @@ def test_criterion_9_determinism(setup1_run, setup2_run):
     r2 = rtt_benchmark(n=40, injected_latency_ms=148, seed=SEED)
     pairs.append(("rtt", r1.to_json_bytes(), r2.to_json_bytes()))
 
-    mismatches = [name for name, x, y in pairs if x != y]
+    pinned = json.loads(REPORT_DIGESTS.read_bytes())
+    assert pinned["seed"] == SEED
+    mismatches = [name for name, x, y in pairs
+                  if x != y or hashlib.sha256(x).hexdigest() != pinned["sha256"][name]]
     announce(9, "determinism (byte-identical reports per seed)", not mismatches,
-             f"compared={[], [name for name, _, _ in pairs]}"
-             if mismatches else f"{len(pairs)} scenario pairs byte-identical")
+             f"differ between runs or from {REPORT_DIGESTS.name}: {mismatches}"
+             if mismatches else f"{len(pairs)} scenario pairs byte-identical and as pinned")
 
 
 def test_criterion_10_chain_integrity(tmp_path, node_key):

@@ -2,11 +2,12 @@
 
 import json
 import logging
+from dataclasses import replace
 
 import pytest
 
 from ambox import canonical, storage
-from ambox.envelope import sign_reading_envelope
+from ambox.envelope import KeyPair, sign_reading_envelope
 from ambox.fleet import CommissionPlan, commission, start_monitoring
 from ambox.model import ModelError
 from ambox.mote import (
@@ -179,6 +180,69 @@ def test_lost_ack_redelivery_deduped():
     assert dropped["n"] >= 1
     assert duplicates >= 1                      # redelivery actually happened
     assert len(set(committed)) == len(committed)  # exactly one copy each
+
+
+def test_relayed_readings_commit_once_across_a_node_restart():
+    # The mote hears no ack before the crash, so once the node is back it
+    # resends every reading the node journaled, the committed ones included.
+    world = build_world(mini_scenario(with_mote=True))
+    world.nodes["node1"]._send_ack = lambda mote_id, upto: None
+
+    def director():
+        commission_and_start(world)
+        world.runtime.sleep(12 * 60_000)
+        world.crash_node("node1")
+        world.runtime.sleep(10_000)
+        world.restart_node("node1")
+        world.runtime.sleep(12 * 60_000)
+
+    drive(world, director)
+    committed = mote_committed_keys(world)
+    world.teardown()
+    assert len(committed) == 44
+    assert len(set(committed)) == len(committed)
+
+
+def test_a_mote_reading_in_another_devices_name_is_refused(caplog):
+    world = build_world(mini_scenario(with_mote=True))
+    node = world.nodes["node1"]
+    # A genuine mote1 signature over a reading that names node1 as its source.
+    as_node = KeyPair("node1", world.keys["mote1"].private_key)
+    forged = replace(sign_reading_envelope(as_node, make_reading(device="node1")), signer="mote1")
+    with caplog.at_level(logging.WARNING, logger="ambox.node"):
+        node._ingest_mote_notification("mote1", None, encode_reading_notification(1, forged))
+    world.teardown()
+    assert [r.getMessage() for r in caplog.records] == [
+        "node1: notification from 'mote1' signed by 'mote1' for 'node1'"]
+    assert node.window_size == 0
+    assert node.stats["mote_readings"] == 0
+
+
+class _RecordingSession:
+    open = True
+
+    def __init__(self):
+        self.notified = []
+
+    def notify(self, characteristic, payload):
+        self.notified.append(payload)
+
+
+def test_a_stopped_mote_ignores_writes_and_connects(tmp_path, mote_key):
+    mote = MoteAgent(mote_key, "node1", tmp_path, SimRuntime(), driver_factory=lambda q, p: None)
+    mote.buffer.enqueue([sign_reading_envelope(mote_key, make_reading(device="mote-1"))],
+                        SIM_EPOCH_MS)
+    mote.start()
+    mote.stop()
+    mote.on_write(None, CHAR_ACK, b'{"upto": 1}')
+    session = _RecordingSession()
+    mote.on_connect(session)
+    mote.runtime.scheduler.run_until(SIM_EPOCH_MS + 60_000)
+    mote.runtime.scheduler.shutdown()
+    assert session.notified == []
+    reopened = DurableBuffer(tmp_path)
+    assert reopened.depth() == 1
+    reopened.close()
 
 
 def test_mote_config_file_roundtrip(tmp_path):

@@ -449,6 +449,103 @@ def test_a_crash_at_the_compaction_rename_recovers_the_same_buffer(tmp_path, env
     recovered.close()
 
 
+# -- high-water marks -----------------------------------------------------------------
+
+
+def test_marks_ride_in_the_last_record_of_their_append(tmp_path, envelopes, monkeypatch):
+    buf = DurableBuffer(tmp_path)
+    appends = []
+    append = buf._journal.append
+    monkeypatch.setattr(buf._journal, "append", lambda lines: (appends.append(lines),
+                                                               append(lines)))
+    buf.enqueue(envelopes[:2], T0, {"mote-1": 7, "mote-2": 3})
+    buf.enqueue(envelopes[2:3], T0, {"mote-1": 9})
+    assert len(appends) == 2
+    records = [canonical.loads(line) for line in b"".join(appends).splitlines()[1:]]
+    assert ["marks" in record for record in records] == [False, True, True]
+    assert records[1]["marks"] == {"mote-1": 7, "mote-2": 3}
+    assert buf.marks() == {"mote-1": 9, "mote-2": 3}
+    buf.close()
+
+
+def test_a_torn_records_marks_do_not_count(tmp_path, envelopes):
+    buf = DurableBuffer(tmp_path)
+    buf.enqueue(envelopes[:1], T0, {"mote-1": 4})
+    buf.close()
+    journal = tmp_path / "buffer.journal"
+    before = journal.read_bytes()
+    buf = DurableBuffer(tmp_path)
+    buf.enqueue(envelopes[1:2], T0, {"mote-1": 6, "mote-2": 1})
+    buf.close()
+    pristine = journal.read_bytes()
+    for cut in range(len(before), len(pristine) + 1):
+        journal.write_bytes(pristine[:cut])
+        recovered = DurableBuffer(tmp_path)
+        whole = cut == len(pristine)
+        assert recovered.marks() == ({"mote-1": 6, "mote-2": 1} if whole else {"mote-1": 4})
+        recovered.close()
+
+
+def test_marks_survive_acks_reopen_and_compaction(tmp_path, envelopes):
+    buf = DurableBuffer(tmp_path)
+    n = COMPACT_FLOOR + 2
+    for i in range(1, n - 1):
+        buf.enqueue(envelopes[:1], T0, {"mote-1": 10 * i} if i % 2 else {"mote-2": i})
+    buf.enqueue(envelopes[:2], T0)
+    marks = {"mote-1": 10 * (n - 3), "mote-2": n - 2}
+    assert buf.ack(COMPACT_FLOOR - 1) == COMPACT_FLOOR - 1
+    buf.close()
+    reopened = DurableBuffer(tmp_path)
+    assert reopened.marks() == marks
+    assert reopened.ack(n - 2) == 1    # compacts: only the two records without marks stay
+    journal = tmp_path / "buffer.journal"
+    header, *records = journal.read_bytes().splitlines()
+    assert header == b'{"marks":{"mote-1":%d,"mote-2":%d},"next_id":%d,"schema_version":1}' % (
+        marks["mote-1"], marks["mote-2"], n + 1)
+    assert [canonical.loads(line)["seq"] for line in records] == [n - 1, n]
+    reopened.close()
+    compacted = DurableBuffer(tmp_path)
+    assert compacted.marks() == marks
+    assert compacted.enqueue(envelopes[1:2], T0, {"mote-3": 1}) == [n + 1]
+    assert compacted.marks() == dict(marks, **{"mote-3": 1})
+    compacted.close()
+
+
+def test_a_journal_without_marks_keeps_its_bytes(tmp_path, envelopes):
+    buf = DurableBuffer(tmp_path)
+    buf.enqueue(envelopes[:2], T0)
+    buf.enqueue(envelopes[2:3], T0 + 1, {})
+    buf.ack(1)
+    assert buf.marks() == {}
+    buf.close()
+    expected = [b'{"schema_version":1}'] + [
+        canonical.dumps({"seq": i + 1, "enqueued_at": at,
+                         "envelope": envelopes[i].to_wire_obj()})
+        for i, at in ((0, T0), (1, T0), (2, T0 + 1))] + [b'{"ack":1}']
+    assert (tmp_path / "buffer.journal").read_bytes() == b"\n".join(expected) + b"\n"
+
+
+MALFORMED_MARKS = ['[]', '{"mote-1":"3"}', '{"mote-1":true}', '{"mote-1":0}',
+                   '{"mote-1":1.5}', 'null']
+
+
+@pytest.mark.parametrize("marks", MALFORMED_MARKS)
+@pytest.mark.parametrize("where", ["header", "record"])
+def test_malformed_marks_are_a_corrupt_journal(tmp_path, envelopes, where, marks):
+    buf = DurableBuffer(tmp_path)
+    buf.enqueue(envelopes[:1], T0, {"mote-1": 2})
+    buf.close()
+    journal = tmp_path / "buffer.journal"
+    header, record = journal.read_bytes().splitlines()
+    if where == "header":
+        header = b'{"marks":%s,"schema_version":1}' % marks.encode()
+    else:
+        record = record.replace(b'"marks":{"mote-1":2}', b'"marks":' + marks.encode())
+    journal.write_bytes(header + b"\n" + record + b"\n")
+    with pytest.raises(CorruptJournal):
+        DurableBuffer(tmp_path)
+
+
 # -- documents ----------------------------------------------------------------------
 
 
