@@ -46,10 +46,11 @@ def dumps(obj) -> bytes:
     return text.encode("utf-8")
 
 
-def loads(data: bytes):
-    """Parse JSON bytes; raises CanonicalError on anything unparseable."""
+def loads(data: bytes | memoryview):
+    """Parse JSON bytes (or a view of them, decoded without a copy of the
+    bytes); raises CanonicalError on anything unparseable."""
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(str(data, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CanonicalError(f"not valid JSON: {exc}") from exc
 

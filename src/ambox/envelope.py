@@ -76,16 +76,41 @@ class SignedEnvelope:
         signer = obj["signer"]
         if not isinstance(signer, str) or not signer:
             raise MalformedEnvelope("signer must be a non-empty string")
-        try:
-            payload = base64.b64decode(obj["payload_b64"], validate=True)
-            signature = base64.b64decode(obj["signature_b64"], validate=True)
-        except Exception as exc:
-            raise MalformedEnvelope(f"invalid base64 in envelope: {exc}") from exc
+        payload = _b64decode(obj["payload_b64"])
+        signature = _b64decode(obj["signature_b64"])
         if not payload:
             raise MalformedEnvelope("empty payload")
         if not signature:
             raise MalformedEnvelope("empty signature")
         return cls(payload=payload, signature=signature, signer=signer)
+
+
+_B64_DIGITS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def _b64decode(text: Any) -> bytes:
+    """The bytes of a base64 string spelled as `b64encode` spells them.
+
+    Strict decoding still ignores the unused low bits of the digit before
+    the padding, so "AB==" would decode as "AA==" does. Such a spelling is
+    refused: each byte string has one spelling, and a ledger can commit the
+    string it received instead of encoding the bytes again.
+    """
+    if not isinstance(text, str):
+        raise MalformedEnvelope(f"base64 field must be a string, got {type(text).__name__}")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise MalformedEnvelope(f"invalid base64 in envelope: {exc}") from exc
+    if text.endswith("=="):
+        unused = _B64_DIGITS.index(text[-3]) & 0x0F
+    elif text.endswith("="):
+        unused = _B64_DIGITS.index(text[-2]) & 0x03
+    else:
+        unused = 0
+    if unused:
+        raise MalformedEnvelope(f"base64 {text[-4:]!r} is not in its canonical spelling")
+    return data
 
 
 @dataclass

@@ -6,8 +6,10 @@ verify over the payload bytes, the payload must parse into a valid report,
 and the report id must be new. A batch of accepted envelopes becomes one
 block; resubmitting a committed report id is an idempotent success (flagged
 as a replay) so at-least-once senders converge on exactly-once ledger state.
-A block holds only signed envelope fields, re-encoded from the envelope the
-ledger verified; anything a client sent beside them is dropped.
+A block holds only signed envelope fields, as the client sent the envelope
+the ledger verified (base64 has one accepted spelling, so these are the
+bytes `to_wire_obj` would write); anything a client sent beside them is
+dropped.
 
 Blocks live in an append-only file of canonical JSON lines (a
 `storage.AppendLog`: a block exists once its line and newline are fsynced,
@@ -21,6 +23,14 @@ detected at exactly the height it damaged, and a log that does not link
 does not open. World state is rebuilt by replaying the block log at
 startup, which doubles as the safety check that state is a pure function
 of the log.
+
+The walker reads the log in place: replay walks the bytes `AppendLog.read`
+returns, and an audit (`verify_chain`, `blocks`) walks a read-only map of
+the file. Lines are views of those bytes, never copies, so an audit's
+memory is bounded by the longest block, not the log. An audit takes the
+lock only to read the log's length and walks that prefix without it:
+commits and queries go on meanwhile, and the prefix cannot change under
+the walk because the log only grows, under the lock.
 
 Ingest parses each envelope once: `_judge` hands the envelope and report it
 parsed and checked to the commit, and only replay parses a stored
@@ -49,8 +59,10 @@ import heapq
 import itertools
 import json
 import logging
+import mmap
 import threading
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
@@ -295,8 +307,8 @@ class Ledger:
                 verdict, parsed = self._judge(raw, batch_ids)
                 verdicts.append(verdict)
                 if parsed is not None:
-                    envelope, report = parsed
-                    accepted.append(envelope.to_wire_obj())
+                    transaction, report = parsed
+                    accepted.append(transaction)
                     reports.append(report)
                     batch_ids.add(report.report_id)
             if accepted:
@@ -304,9 +316,11 @@ class Ledger:
             return verdicts
 
     def _judge(self, raw: Any, batch_ids: set[str]
-               ) -> tuple[Verdict, Optional[tuple[SignedEnvelope, EventReport]]]:
-        """The verdict on one envelope, and the envelope and report it parsed
-        if they are to be committed now (not a rejection, not a replay)."""
+               ) -> tuple[Verdict, Optional[tuple[dict, EventReport]]]:
+        """The verdict on one envelope, and its transaction and the report it
+        parsed if they are to be committed now (not a rejection, not a
+        replay). A wire envelope's transaction is its signed fields as
+        received: `from_wire_obj` accepts base64 in one spelling only."""
         try:
             envelope = raw if isinstance(raw, SignedEnvelope) else SignedEnvelope.from_wire_obj(raw)
         except MalformedEnvelope:
@@ -333,7 +347,10 @@ class Ledger:
                            reason=REASON_BAD_SIGNATURE), None
         if report.report_id in self._reports or report.report_id in batch_ids:
             return Verdict("committed", report_id=report.report_id, replay=True), None
-        return Verdict("committed", report_id=report.report_id), (envelope, report)
+        transaction = envelope.to_wire_obj() if raw is envelope else {
+            "payload_b64": raw["payload_b64"], "signature_b64": raw["signature_b64"],
+            "signer": envelope.signer}
+        return Verdict("committed", report_id=report.report_id), (transaction, report)
 
     def get_event(self, report_id: str) -> Optional[EventReport]:
         with self._lock:
@@ -377,22 +394,43 @@ class Ledger:
             return self._height
 
     def blocks(self) -> list[LedgerBlock]:
-        """The stored chain in commit order, checked as replay checks it."""
-        with self._lock:
-            return list(_walk_blocks(self._blocks_path.read_bytes()))
+        """The stored chain in commit order, checked as replay checks it.
+        Like `verify_chain`, it walks without the lock and works after
+        `close`."""
+        with self._mapped_log() as raw:
+            return list(_walk_blocks(raw))
 
     def verify_chain(self) -> Optional[int]:
-        """None when intact; otherwise the height of the first broken block."""
-        with self._lock:
-            try:
-                raw = self._blocks_path.read_bytes()
-            except OSError:
-                return 0
-            try:
+        """None when intact; otherwise the height of the first broken block.
+        The audit holds the lock only to read the log's length, then walks
+        that much of the log while commits and queries go on."""
+        try:
+            with self._mapped_log() as raw:
                 walked = sum(1 for _ in _walk_blocks(raw))
-            except CorruptLedger as exc:
-                return exc.height
-            return None if walked else 0
+        except OSError:
+            return 0
+        except CorruptLedger as exc:
+            return exc.height
+        return None if walked else 0
+
+    @contextmanager
+    def _mapped_log(self) -> Iterator[bytes | mmap.mmap]:
+        """A read-only map of the block log as long as it is now.
+
+        Only the length is read under the lock. The log only grows under it,
+        and a failed append cuts the file back to its own start, never below
+        a length read before it, so the mapped bytes stay as they are while a
+        walk runs without the lock. Out of scope: another process truncating
+        the file during a walk (reading a page past the new end faults).
+        """
+        with self._lock:
+            size = self._blocks_path.stat().st_size
+        if not size:
+            yield b""  # an empty file cannot be mapped
+            return
+        with open(self._blocks_path, "rb", buffering=0) as file, \
+                mmap.mmap(file.fileno(), size, access=mmap.ACCESS_READ) as mapped:
+            yield mapped
 
     # Tests compare these two as the oracle that state is a pure function of
     # the block log.
@@ -415,36 +453,55 @@ class Ledger:
             self._log.close()
 
 
-def _walk_blocks(raw: bytes) -> Iterator[LedgerBlock]:
+def _walk_blocks(raw: bytes | mmap.mmap) -> Iterator[LedgerBlock]:
     """Yield the blocks of a stored block log in order.
+
+    `raw` is walked in place: each line is found with `find(b"\n")` and
+    read through a memoryview of `raw`, so the walk holds one block at a
+    time and copies no line. Only `\n` ends a line; an unterminated last
+    line is walked like the others, so a torn one is caught at its height.
+    Every view is released when the walk ends or raises, so a map of `raw`
+    can close after it.
 
     Each line must hash to its stored `block_hash`, parse, carry its line
     number as height and link to the previous block's hash. The first that
     does not raises CorruptLedger carrying its height.
     """
     prev_hash = ZERO_HASH
-    for height, line in enumerate(raw.splitlines()):
-        try:
-            block = _parse_block_line(line)
-        except CorruptLedger as exc:
-            raise CorruptLedger(f"block {height}: {exc}", height) from exc
-        if block.height != height:
-            raise CorruptLedger(f"block {height} has height {block.height}", height)
-        if block.prev_hash != prev_hash:
-            raise CorruptLedger(f"block {height} does not link to block {height - 1}", height)
-        prev_hash = block.block_hash
-        yield block
+    start = 0
+    with memoryview(raw) as view:
+        for height in itertools.count():
+            if start >= len(view):
+                return
+            end = raw.find(b"\n", start)
+            if end < 0:
+                end = len(view)
+            with view[start:end] as line:
+                try:
+                    block = _parse_block_line(line)
+                except CorruptLedger as exc:
+                    raise CorruptLedger(f"block {height}: {exc}", height) from exc
+            if block.height != height:
+                raise CorruptLedger(f"block {height} has height {block.height}", height)
+            if block.prev_hash != prev_hash:
+                raise CorruptLedger(f"block {height} does not link to block {height - 1}", height)
+            prev_hash = block.block_hash
+            yield block
+            start = end + 1
 
 
-def _parse_block_line(line: bytes) -> LedgerBlock:
-    """One stored line, checked byte for byte before it is parsed: any edit
-    fails here, even one that parses to the same block."""
-    core = b"{" + line[_CORE_START:]
-    stored_hash = hashlib.sha256(core).hexdigest()
+def _parse_block_line(line: memoryview) -> LedgerBlock:
+    """One stored line without its newline, checked byte for byte before it
+    is parsed: any edit fails here, even one that parses to the same block.
+    The line is the canonical dump of the whole block, so it is parsed as it
+    is stored."""
+    digest = hashlib.sha256(b"{")
+    digest.update(line[_CORE_START:])
+    stored_hash = digest.hexdigest()
     if line[:_CORE_START] != _HASH_PREFIX + stored_hash.encode("ascii") + b'",':
         raise CorruptLedger("block hash mismatch")
     try:
-        obj = canonical.loads(core)
+        obj = canonical.loads(line)
         return LedgerBlock(
             height=int(obj["height"]),
             prev_hash=str(obj["prev_hash"]),

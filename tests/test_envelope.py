@@ -5,6 +5,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambox import canonical
 from ambox.envelope import (
@@ -167,6 +168,36 @@ def test_envelope_wire_rejects_bad_base64():
         SignedEnvelope.from_wire_obj(
             {"payload_b64": "!!!", "signature_b64": "AAAA", "signer": "x"}
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(min_size=1, max_size=8), low_bits=st.integers(0, 15))
+def test_envelope_wire_takes_base64_in_its_one_spelling(data, low_bits):
+    # Strict decoding ignores the unused bits of the digit before the
+    # padding ("AB==" reads as "AA=="); only b64encode's spelling is taken.
+    spelled = base64.b64encode(data).decode("ascii")
+    wire = {"payload_b64": spelled, "signature_b64": spelled, "signer": "x"}
+    assert SignedEnvelope.from_wire_obj(wire).payload == data
+    padding = len(spelled) - len(spelled.rstrip("="))
+    if padding == 0:
+        return
+    digits = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    at = len(spelled) - padding - 1
+    unused = low_bits & (0x0F if padding == 2 else 0x03)
+    respelled = spelled[:at] + digits[digits.index(spelled[at]) | unused] + spelled[at + 1:]
+    assert base64.b64decode(respelled, validate=True) == data
+    for field in ("payload_b64", "signature_b64"):
+        if unused:
+            with pytest.raises(MalformedEnvelope, match="canonical spelling"):
+                SignedEnvelope.from_wire_obj({**wire, field: respelled})
+        else:
+            assert SignedEnvelope.from_wire_obj({**wire, field: respelled}).payload == data
+
+
+def test_envelope_wire_takes_base64_only_as_a_string():
+    with pytest.raises(MalformedEnvelope, match="must be a string"):
+        SignedEnvelope.from_wire_obj({"payload_b64": b"AA==", "signature_b64": "AA==",
+                                      "signer": "x"})
 
 
 def signed_reading(keypair, reading):

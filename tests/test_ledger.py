@@ -1,10 +1,15 @@
+import ast
 import base64
 import dataclasses
+import itertools
 import json
 import random
 import sys
 import tempfile
 import threading
+import tracemalloc
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives import hashes
@@ -12,9 +17,11 @@ from cryptography.hazmat.primitives.asymmetric import padding
 from hypothesis import given, settings, strategies as st
 
 from ambox import canonical
+from ambox import ledger as ledger_module
 from ambox.envelope import MalformedKey, SignedEnvelope, sign
 from ambox.http_api import shim_server_handler
 from ambox.ledger import (
+    BLOCKS_FILE,
     AlreadyRegistered,
     CorruptLedger,
     Ledger,
@@ -520,6 +527,23 @@ def test_unsigned_envelope_fields_are_not_committed(registered, node_key, tmp_pa
     assert Ledger(tmp_path / "ledger").get_event(report.report_id) == report
 
 
+def test_a_wire_envelope_is_committed_as_received_in_its_one_spelling(
+        registered, node_key, monkeypatch):
+    envelope, report = env_for(node_key, 0)
+    wire = envelope.to_wire_obj()
+    # A 256-byte signature ends in "==": its last digit has 4 unused bits.
+    digits = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    signature = wire["signature_b64"]
+    respelled = signature[:-3] + digits[digits.index(signature[-3]) | 1] + "=="
+    assert base64.b64decode(respelled, validate=True) == envelope.signature
+    monkeypatch.setattr(SignedEnvelope, "to_wire_obj", None)  # nothing is encoded again
+    verdicts = registered.add_events([{**wire, "signature_b64": respelled}, wire], T0)
+    assert [(v.status, v.reason) for v in verdicts] == [("rejected", REASON_MALFORMED),
+                                                        ("committed", None)]
+    assert registered.blocks()[-1].transactions == (wire,)
+    assert registered.get_event_payload(report.report_id) == wire["payload_b64"]
+
+
 def test_an_unsigned_nan_does_not_sink_its_batch(registered, node_key):
     service = LedgerService(registered, clock=lambda: T0)
     (first, first_report), (second, second_report) = env_for(node_key, 0), env_for(node_key, 1)
@@ -877,3 +901,194 @@ def test_reports_from_before_1970_are_refused(registered, node_key):
     recent = call("GetRecent", {"device_id": "node-1"})
     assert recent["ok"] is True
     assert [r["report_id"] for r in recent["result"]["reports"]] == [good_report.report_id]
+
+
+# -- auditing the block log in place --------------------------------------------------
+
+
+@pytest.mark.parametrize("audit", ["verify_chain", "blocks"])
+def test_an_audit_holds_no_lock_while_it_walks(registered, node_key, monkeypatch, audit):
+    registered.add_events([env_for(node_key, 0)[0]], T0)
+    walked_one, resume = threading.Event(), threading.Event()
+    walk = ledger_module._walk_blocks
+
+    def paused_walk(raw):
+        blocks = walk(raw)
+        yield next(blocks)
+        walked_one.set()
+        resume.wait(10)
+        yield from blocks
+
+    monkeypatch.setattr(ledger_module, "_walk_blocks", paused_walk)
+    answers, committed = [], threading.Event()
+    auditor = threading.Thread(target=lambda: answers.append(getattr(registered, audit)()))
+    auditor.start()
+    try:
+        assert walked_one.wait(10)
+        envelope, report = env_for(node_key, 1)
+        committer = threading.Thread(target=lambda: (
+            registered.add_events([envelope], T0 + 1), committed.set()))
+        committer.start()
+        assert committed.wait(5), "add_events waited for the audit"
+        assert registered.get_event(report.report_id) == report
+    finally:
+        resume.set()
+        auditor.join(10)
+    committer.join(10)
+    assert not auditor.is_alive() and not committer.is_alive()
+    # The audit covers the log as it was when it began: genesis and block 1.
+    if audit == "verify_chain":
+        assert answers == [None]
+    else:
+        assert [len(blocks) for blocks in answers] == [2]
+    assert registered.height == 2 and registered.verify_chain() is None
+
+
+def test_audits_beside_commits_walk_whole_linked_prefixes(registered, node_key):
+    envelopes = [env_for(node_key, i)[0] for i in range(40)]
+    verdicts, walks, errors = [], [], []
+    committed = threading.Event()
+
+    def commit(part):
+        for envelope in part:
+            registered.add_events([envelope], T0)
+
+    def audit():
+        try:
+            while not committed.is_set():
+                verdicts.append(registered.verify_chain())
+                walks.append([block.height for block in registered.blocks()])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    committers = [threading.Thread(target=commit, args=(envelopes[i::4],)) for i in range(4)]
+    auditors = [threading.Thread(target=audit) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in auditors + committers:
+            thread.start()
+        for thread in committers:
+            thread.join(60)
+        committed.set()
+        for thread in auditors:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in committers + auditors)
+    assert errors == []
+    assert verdicts and set(verdicts) == {None}
+    assert all(heights == list(range(len(heights))) for heights in walks)
+    assert registered.height == 40 and len(registered.blocks()) == 41
+
+
+@pytest.fixture(scope="module")
+def tamper_log(node_key, tmp_path_factory):
+    """A block log of five blocks holding 0, 1, 3, 1 and 2 transactions."""
+    directory = tmp_path_factory.mktemp("tamper")
+    ledger = Ledger(directory, genesis_at_ms=T0)
+    ledger.register_device(identity_of(node_key))
+    serial = itertools.count()
+    for size in (1, 3, 1, 2):
+        ledger.add_events([env_for(node_key, next(serial))[0] for _ in range(size)], T0)
+    ledger.close()
+    return (directory / BLOCKS_FILE).read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_an_edited_byte_is_caught_where_replay_refuses_the_log(tamper_log, data):
+    # Any byte of any line, its newline included, replaced by any other,
+    # `\n` and `\r` most of all; on a log with or without its final newline.
+    log = tamper_log if data.draw(st.booleans(), "terminated") else tamper_log[:-1]
+    starts = [0] + [i + 1 for i, byte in enumerate(log) if byte == ord("\n")]
+    starts = starts[:-1] if log.endswith(b"\n") else starts
+    height = data.draw(st.integers(0, len(starts) - 1), "height")
+    end = log.find(b"\n", starts[height])
+    end = len(log) - 1 if end < 0 else end
+    at = starts[height] + data.draw(st.integers(0, end - starts[height]), "offset")
+    byte = data.draw((st.sampled_from(b"\n\r") | st.integers(0, 255))
+                     .filter(lambda b: b != log[at]), "new byte")
+    edited = log[:at] + bytes([byte]) + log[at + 1:]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / BLOCKS_FILE
+        path.write_bytes(log)
+        live = Ledger(directory)
+        path.write_bytes(edited)
+        assert live.verify_chain() == height
+        with pytest.raises(CorruptLedger) as caught:
+            live.blocks()
+        assert caught.value.height == height
+        live.close()
+        if edited.find(b"\n", starts[height]) >= 0:
+            with pytest.raises(CorruptLedger) as caught:
+                Ledger(directory)
+            assert caught.value.height == height
+        else:
+            # The broken line is an unterminated tail: replay cuts it as torn.
+            reopened = Ledger(directory)
+            assert reopened.height == height - 1
+            reopened.close()
+
+
+def test_a_log_without_its_final_newline_or_empty_audits_as_before(tamper_log, tmp_path):
+    path = tmp_path / BLOCKS_FILE
+    path.write_bytes(tamper_log)
+    live = Ledger(tmp_path)
+    # The last line is walked though nothing ends it, and it is whole.
+    path.write_bytes(tamper_log[:-1])
+    assert live.verify_chain() is None
+    assert len(live.blocks()) == 5
+    # Cut inside the last line, it is caught at its height.
+    path.write_bytes(tamper_log[:-2])
+    assert live.verify_chain() == 4
+    path.write_bytes(b"")
+    assert live.verify_chain() == 0
+    assert live.blocks() == []
+    live.close()
+
+
+def test_an_audit_holds_one_block_in_memory_not_the_log(registered, node_key, tmp_path):
+    for i in range(300):
+        registered.add_events([env_for(node_key, i)[0]], T0 + i)
+    log = (tmp_path / "ledger" / BLOCKS_FILE).read_bytes()
+    longest = max(len(line) for line in log.split(b"\n"))
+    assert len(log) > 100 * longest
+    tracemalloc.start()
+    try:
+        assert registered.verify_chain() is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # About 7x at this size: the line's text, its parsed block, the walk's frames.
+    assert peak < 16 * longest, (peak, longest, len(log))
+
+
+def test_the_block_log_is_read_only_through_the_walker():
+    # Replay walks what AppendLog.read returns and audits walk the map that
+    # _mapped_log makes; nothing else in ledger.py opens, reads or splits
+    # the log.
+    scopes: dict[str, set[str]] = defaultdict(set)
+    splits = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Name) and child.id in ("BLOCKS_FILE", "_walk_blocks"):
+                scopes[child.id].add(".".join(scope))
+            elif isinstance(child, ast.Attribute) and child.attr == "_blocks_path":
+                scopes[child.attr].add(".".join(scope))
+            elif isinstance(child, ast.Attribute) and child.attr in (
+                    "splitlines", "read_bytes", "read_text", "readlines", "readline"):
+                splits.append(f"{'.'.join(scope)}:{child.lineno} .{child.attr}")
+            visit(child, inner)
+
+    visit(ast.parse(Path(ledger_module.__file__).read_text("utf-8")), ())
+    assert splits == []
+    assert scopes == {
+        "BLOCKS_FILE": {"", "Ledger.__init__"},
+        "_blocks_path": {"Ledger.__init__", "Ledger._replay_blocks", "Ledger._mapped_log"},
+        "_walk_blocks": {"Ledger._replay_blocks", "Ledger.blocks", "Ledger.verify_chain"},
+    }
