@@ -1,10 +1,12 @@
-"""Canonical JSON encoding shared by signing, hashing, storage, and the wire.
+"""Two JSON spellings: canonical, for what is signed, hashed or stored, and
+wire, for what is sent.
 
-Everything that crosses a trust boundary is encoded exactly one way: UTF-8
-JSON with lexicographically sorted keys, no insignificant whitespace, floats
-in shortest round-trip form, and timestamps as RFC 3339 UTC with millisecond
-precision. Equal values therefore always produce identical bytes, which is
-what makes detached signatures and block hashes stable.
+Canonical bytes are UTF-8 JSON with sorted keys, no insignificant whitespace,
+shortest round-trip floats and RFC 3339 UTC millisecond timestamps, so equal
+values give identical bytes and signatures and block hashes stay stable.
+Wire text is `json.dumps(obj, sort_keys=True)`; `wire_loads` refuses any
+received message that is not one JSON object, and each receiver answers
+that refusal its own way.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ _MILLISECOND = timedelta(milliseconds=1)
 
 # 9999-12-31T23:59:59.999Z, the last instant with a four-digit year.
 _MAX_MILLIS = 253_402_300_799_999
+# Kept for every call: `json.dumps(obj, sort_keys=True)` builds an encoder per call.
+_WIRE_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def dumps(obj) -> bytes:
@@ -53,6 +57,28 @@ def loads(data: bytes | memoryview):
         return json.loads(str(data, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CanonicalError(f"not valid JSON: {exc}") from exc
+
+
+def wire_text(obj) -> str:
+    """The wire's JSON text of `obj`: `json.dumps(obj, sort_keys=True)`."""
+    return _WIRE_ENCODER.encode(obj)
+
+
+def wire_dumps(obj) -> bytes:
+    """The wire's bytes of `obj`: `wire_text` as UTF-8."""
+    return wire_text(obj).encode("utf-8")
+
+
+def wire_loads(data: bytes) -> dict:
+    """One received message's JSON object; CanonicalError for bytes that are
+    not UTF-8, not JSON, nested too deep to parse, or not an object."""
+    try:
+        obj = json.loads(str(data, "utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise CanonicalError(f"not a JSON message: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CanonicalError(f"message is a {type(obj).__name__}, not an object")
+    return obj
 
 
 def _reject_non_finite(obj) -> None:

@@ -81,7 +81,6 @@ class ProcessConfig:
     data_dir: Path
     listen: str = "127.0.0.1:0"
     device_id: str = ""
-    clock: str = "wall"
     log_level: str = "info"
     motes: dict[str, str] = field(default_factory=dict)       # node: id -> host:port
     paired_node: str = ""                                     # mote
@@ -99,8 +98,7 @@ class ProcessConfig:
         data_dir = os.environ.get("AMBOX_DATA_DIR") or obj.get("data_dir")
         if not data_dir:
             raise ConfigInvalid("data_dir missing (or set AMBOX_DATA_DIR)")
-        clock = obj.get("clock", "wall")
-        if clock != "wall":
+        if obj.get("clock", "wall") != "wall":
             raise ConfigInvalid(
                 "clock=virtual is only valid under harness orchestration; "
                 "processes run on the wall clock"
@@ -110,7 +108,6 @@ class ProcessConfig:
             data_dir=Path(data_dir),
             listen=str(obj.get("listen", "127.0.0.1:0")),
             device_id=str(obj.get("device_id", "")),
-            clock=clock,
             log_level=str(obj.get("log_level", "info")),
             motes={str(k): str(v) for k, v in obj.get("motes", {}).items()},
             paired_node=str(obj.get("paired_node", "")),
@@ -240,7 +237,7 @@ def run_mote(config: ProcessConfig) -> int:
         config.paired_node,
         config.data_dir,
         runtime,
-        driver_factory=lambda q, p: synthetic_factory(config, MOTE_SENSOR_SPECS)(q, p),
+        driver_factory=synthetic_factory(config, MOTE_SENSOR_SPECS),
     )
     host, port = parse_hostport(config.listen)
     try:

@@ -134,13 +134,6 @@ class OperatorCore:
                 out[device_id] = DeviceView(**{**view.__dict__, "missed_deadline": missed})
             return out
 
-    def max_gap_ms(self, device_id: str) -> Optional[int]:
-        """Largest gap between a device's consecutive accepted heartbeats;
-        None before its second."""
-        with self._lock:
-            view = self._devices.get(device_id)
-            return view.max_gap_ms if view else None
-
     # -- HTTP-ish router --------------------------------------------------------
 
     def router(self, method: str, path: str, body: Optional[dict]) -> tuple[int, dict]:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import logging
 import random
 import shutil
@@ -171,7 +170,7 @@ class LedgerRecorder:
         told: list[tuple[int, str, Verdict]] = []
         by_payload: dict[str, SubmittedReport] = {}
         for request, answered_at, response in self._exchanges:
-            obj = json.loads(request)
+            obj = canonical.wire_loads(request)
             if obj.get("op") != OP_ADD_EVENTS:
                 continue
             reports = []
@@ -183,7 +182,7 @@ class LedgerRecorder:
                         body.report_id, body.created_at, len(body.readings))
                 submitted.setdefault(report.report_id, report)
                 reports.append(report)
-            answer = json.loads(response) if response is not None else {}
+            answer = canonical.wire_loads(response) if response is not None else {}
             if answer.get("ok"):
                 for report, verdict in zip(reports, answer["result"]["verdicts"]):
                     told.append((answered_at, report.report_id, Verdict.from_obj(verdict)))

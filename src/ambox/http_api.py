@@ -8,10 +8,11 @@ Agents see a single `call(dest, method, path, body)` interface either way.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Optional, Protocol
 
-from .transport import RequestClient
+from .canonical import CanonicalError, wire_dumps, wire_loads
+from .model import _require_int
+from .transport import RequestClient, TransportError
 
 # A router maps (method, path, body) to (status, response object).
 Router = Callable[[str, str, Optional[dict]], tuple[int, dict]]
@@ -23,21 +24,26 @@ class JsonCaller(Protocol):
 
 
 class ShimHttpClient:
-    """HTTP-shaped exchanges over a framed RequestClient (sim or TCP)."""
+    """HTTP-shaped exchanges over a framed RequestClient (sim or TCP); an
+    answer without an integer status and an object body is a TransportError."""
 
     def __init__(self, requester: RequestClient) -> None:
         self._requester = requester
 
     def call(self, dest: str, method: str, path: str, body: Optional[dict],
              timeout_ms: int = 10_000, label: str = "") -> tuple[int, dict]:
-        payload = json.dumps(
-            {"method": method, "path": path, "body": body}, sort_keys=True
-        ).encode("utf-8")
+        payload = wire_dumps({"method": method, "path": path, "body": body})
         response = self._requester.request(
             dest, payload, timeout_ms, label=label or f"{method} {path}"
         )
-        obj = json.loads(response.decode("utf-8"))
-        return int(obj["status"]), obj.get("body") or {}
+        try:
+            obj = wire_loads(response)
+            status, answer = _require_int(obj, "status"), obj.get("body") or {}
+            if not isinstance(answer, dict):
+                raise CanonicalError("body must be an object")
+        except (ValueError, KeyError) as exc:
+            raise TransportError(f"{method} {path} to {dest}: misshapen answer: {exc}") from exc
+        return status, answer
 
 
 def shim_server_handler(router: Router) -> Callable[[str, bytes], bytes]:
@@ -45,17 +51,14 @@ def shim_server_handler(router: Router) -> Callable[[str, bytes], bytes]:
 
     def handle(src: str, payload: bytes) -> bytes:
         try:
-            obj = json.loads(payload.decode("utf-8"))
-            if not isinstance(obj, dict):
-                raise ValueError("request must be an object")
-            method = str(obj["method"])
-            path = str(obj["path"])
+            obj = wire_loads(payload)
+            method, path = str(obj["method"]), str(obj["path"])
             body = obj.get("body")
             if body is not None and not isinstance(body, dict):
                 raise ValueError("body must be an object")
-        except (ValueError, KeyError, RecursionError):
-            return json.dumps({"status": 400, "body": {"error": "malformed-request"}}).encode()
+        except (ValueError, KeyError):
+            return wire_dumps({"status": 400, "body": {"error": "malformed-request"}})
         status, response = router(method, path, body)
-        return json.dumps({"status": status, "body": response}, sort_keys=True).encode("utf-8")
+        return wire_dumps({"status": status, "body": response})
 
     return handle

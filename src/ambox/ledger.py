@@ -43,7 +43,7 @@ in the answer) is encoded the first time a `GetRecent` returns it, outside
 the ledger lock, and then kept with the stored report. Ingest and replay
 encode none. `LedgerService` writes each ok answer from its result's text,
 so an answer of remembered entries costs a join, and its bytes are what
-`json.dumps(answer, sort_keys=True)` of the whole answer would be.
+`canonical.wire_text` of the whole answer would be.
 
 The ledger keeps no record of its verdicts beyond the reply to each
 `AddEvents`: what was committed, in which order and when is the chain
@@ -57,7 +57,6 @@ import bisect
 import hashlib
 import heapq
 import itertools
-import json
 import logging
 import mmap
 import threading
@@ -70,6 +69,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
 from cryptography.hazmat.primitives.asymmetric.rsa import RSAPublicKey
 
 from . import canonical
+from .canonical import wire_dumps, wire_loads, wire_text
 from .envelope import (
     MalformedEnvelope,
     MalformedKey,
@@ -188,11 +188,11 @@ class StoredReport:
     _entry: Optional[str] = field(default=None, init=False, repr=False)
 
     def entry(self) -> str:
-        """The report's `GetRecent` entry, `_text(report.to_obj())`, encoded
+        """The report's `GetRecent` entry, `wire_text(report.to_obj())`, encoded
         on first use and then kept. Callers run it outside the ledger lock;
         two first uses at once encode it twice."""
         if self._entry is None:
-            self._entry = _text(self.report.to_obj())
+            self._entry = wire_text(self.report.to_obj())
         return self._entry
 
 
@@ -351,11 +351,6 @@ class Ledger:
             "payload_b64": raw["payload_b64"], "signature_b64": raw["signature_b64"],
             "signer": envelope.signer}
         return Verdict("committed", report_id=report.report_id), (transaction, report)
-
-    def get_event(self, report_id: str) -> Optional[EventReport]:
-        with self._lock:
-            stored = self._reports.get(report_id)
-            return stored.report if stored else None
 
     def get_event_payload(self, report_id: str) -> Optional[str]:
         """Base64 of the exact signed bytes, byte-identical to submission."""
@@ -535,16 +530,14 @@ class LedgerService:
 
     def handle(self, src: str, payload: bytes) -> bytes:
         try:
-            obj = json.loads(payload.decode("utf-8"))
-            if not isinstance(obj, dict):
-                raise ValueError("request must be an object")
+            obj = wire_loads(payload)
             op = str(obj["op"])
             args = obj.get("args")
             if args is None:
                 args = {}
             elif not isinstance(args, dict):
                 raise ValueError("args must be an object")
-        except (ValueError, KeyError, RecursionError) as exc:
+        except (ValueError, KeyError) as exc:
             return self._error(f"malformed request: {exc}")
         try:
             result = self._dispatch(op, args)
@@ -558,9 +551,9 @@ class LedgerService:
 
     @staticmethod
     def _ok(result: str, obj: dict) -> bytes:
-        """The bytes of `_text({"ok": True, "result": ..., echoes})`, written
-        from the result's text: "result" sorts after every other key."""
-        head = _text({"ok": True, **_echoes(obj)})
+        """The bytes of `wire_dumps({"ok": True, "result": ..., echoes})`,
+        written from the result's text: "result" sorts after every other key."""
+        head = wire_text({"ok": True, **_echoes(obj)})
         return f'{head[:-1]}, "result": {result}}}'.encode("utf-8")
 
     def _dispatch(self, op: str, args: dict) -> str:
@@ -570,15 +563,15 @@ class LedgerService:
             if not isinstance(envelopes, list):
                 raise ValueError("envelopes must be a list")
             verdicts = self.ledger.add_events(envelopes, self._clock())
-            return _text({"verdicts": [v.to_obj() for v in verdicts]})
+            return wire_text({"verdicts": [v.to_obj() for v in verdicts]})
         if op == OP_GET_EVENT:
             report_id = args["report_id"]
             if not isinstance(report_id, str):
                 raise ValueError("report_id must be a string")
             payload_b64 = self.ledger.get_event_payload(report_id)
             if payload_b64 is None:
-                return _text({"found": False})
-            return _text({"found": True, "payload_b64": payload_b64})
+                return wire_text({"found": False})
+            return wire_text({"found": True, "payload_b64": payload_b64})
         if op == OP_GET_RECENT:
             limit = args.get("limit", 10)
             if isinstance(limit, bool) or not isinstance(limit, int):
@@ -588,26 +581,20 @@ class LedgerService:
                 batch_no=args.get("batch_no"),
                 limit=limit,
             )
-            # The text of _text({"reports": [s.report.to_obj() for s in stored]}).
+            # The text of wire_text({"reports": [s.report.to_obj() for s in stored]}).
             return '{"reports": [' + ", ".join(s.entry() for s in stored) + "]}"
         if op == OP_REGISTER_DEVICE:
             identity = DeviceIdentity.from_obj(args["identity"])
-            return _text({"registration": self.ledger.register_device(identity)})
+            return wire_text({"registration": self.ledger.register_device(identity)})
         if op == OP_VERIFY_CHAIN:
             broken = self.ledger.verify_chain()
-            return _text({"intact": broken is None, "first_broken_height": broken})
+            return wire_text({"intact": broken is None, "first_broken_height": broken})
         raise ValueError(f"unknown op {op!r}")
 
     @staticmethod
     def _error(message: str, code: str = "malformed-request", obj: Optional[dict] = None) -> bytes:
         response = {"ok": False, "error": code, "message": message, **_echoes(obj or {})}
-        return _text(response).encode("utf-8")
-
-
-def _text(obj: Any) -> str:
-    """The wire's JSON text: `json.dumps` with sorted keys and its default
-    separators."""
-    return json.dumps(obj, sort_keys=True)
+        return wire_dumps(response)
 
 
 def _echoes(obj: dict) -> dict:
@@ -639,26 +626,21 @@ class LedgerClient:
         self.timeout_ms = timeout_ms
 
     def _call(self, op: str, args: dict, parse: Callable[[dict], _T]) -> _T:
-        payload = json.dumps(
-            {
-                "op": op,
-                "args": args,
-                "channel_name": self.channel_name,
-                "chaincode_name": self.chaincode_name,
-            },
-            sort_keys=True,
-        ).encode("utf-8")
+        payload = wire_dumps({
+            "op": op,
+            "args": args,
+            "channel_name": self.channel_name,
+            "chaincode_name": self.chaincode_name,
+        })
         raw = self._requester.request(self.dest, payload, self.timeout_ms, label=f"ledger:{op}")
         try:
-            answer = json.loads(raw.decode("utf-8"))
-            if not isinstance(answer, dict):
-                raise TypeError(f"answer is a {type(answer).__name__}, not an object")
+            answer = wire_loads(raw)
             if answer.get("ok") is not True:
                 raise LedgerClientError(f"{answer.get('error')}: {answer.get('message')}")
             return parse(_typed(answer, "result", dict))
         except (LedgerClientError, ModelError):
             raise
-        except (ValueError, TypeError, KeyError, RecursionError) as exc:
+        except (ValueError, TypeError, KeyError) as exc:
             raise LedgerClientError(f"misshapen {op} answer: {exc!r}") from exc
 
     def register_device(self, identity: DeviceIdentity) -> str:
@@ -730,7 +712,7 @@ def _holds_report(envelope: SignedEnvelope, report_id: str) -> bool:
     """Whether the envelope's payload carries `report_id`. A canonical
     report ends with it, its last key in sorted order, so only a payload in
     another form (or an id that is not ASCII) is parsed."""
-    tail = b',"report_id":' + json.dumps(report_id).encode("ascii") + b"}"
+    tail = b',"report_id":' + wire_dumps(report_id) + b"}"
     return envelope.payload.endswith(tail) or report_id_of(envelope) == report_id
 
 

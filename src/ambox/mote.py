@@ -11,13 +11,13 @@ with the node holding exactly what the mote sampled.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+from .canonical import wire_dumps, wire_loads
 from .envelope import KeyPair, SignedEnvelope, sign_reading_envelope
 from .model import SensorReading, _require_int
 from .runtime import Runtime
@@ -85,12 +85,13 @@ def save_mote_config(directory: str | Path, config: MoteConfig) -> None:
 def encode_reading_notification(entry_id: int, envelope: SignedEnvelope) -> bytes:
     obj = envelope.to_wire_obj()
     obj["entry_id"] = entry_id
-    return json.dumps(obj, sort_keys=True).encode("utf-8")
+    return wire_dumps(obj)
 
 
-def decode_reading_notification(payload: bytes) -> tuple[int, SignedEnvelope]:
-    obj = json.loads(payload.decode("utf-8"))
-    return _require_int(obj, "entry_id"), SignedEnvelope.from_wire_obj(obj)
+def decode_reading_notification(payload: bytes) -> tuple[int, SignedEnvelope, str]:
+    """The entry id, the envelope, and its signature's base64 as received."""
+    obj = wire_loads(payload)
+    return _require_int(obj, "entry_id"), SignedEnvelope.from_wire_obj(obj), obj["signature_b64"]
 
 
 class MoteAgent:
@@ -169,7 +170,7 @@ class MoteAgent:
 
     def _apply_config(self, payload: bytes) -> None:
         try:
-            obj = json.loads(payload.decode("utf-8"))
+            obj = wire_loads(payload)
             config = MoteConfig(
                 enabled=bool(obj["enabled"]),
                 sample_interval_ms=int(obj.get("sample_interval_ms", 60_000)),
@@ -191,8 +192,8 @@ class MoteAgent:
 
     def _apply_ack(self, payload: bytes) -> None:
         try:
-            upto = _require_int(json.loads(payload.decode("utf-8")), "upto")
-        except (ValueError, KeyError, TypeError) as exc:
+            upto = _require_int(wire_loads(payload), "upto")
+        except (ValueError, KeyError) as exc:
             logger.warning("%s: rejected ack write: %s", self.device_id, exc)
             return
         try:

@@ -20,8 +20,6 @@ the report that carries it, so opening a node decodes no journal entry.
 
 from __future__ import annotations
 
-import base64
-import json
 import logging
 import threading
 from dataclasses import dataclass, replace
@@ -518,7 +516,7 @@ class NodeAgent:
         if session is None:
             return
         try:
-            session.write(CHAR_ACK, json.dumps({"upto": upto}).encode("utf-8"))
+            session.write(CHAR_ACK, canonical.wire_dumps({"upto": upto}))
         except SessionClosed:
             pass
 
@@ -622,7 +620,7 @@ class NodeAgent:
                 "sample_interval_ms": job.sample_interval_ms,
                 "sensor_params": job.sensor_params,
             }
-        return json.dumps(obj, sort_keys=True).encode("utf-8")
+        return canonical.wire_dumps(obj)
 
     def _push_mote_config(self, job: Optional[MonitoringJob]) -> None:
         for mote_id, session in list(self._sessions.items()):
@@ -651,10 +649,9 @@ class NodeAgent:
 
     def _ingest_mote_notification(self, mote_id: str, session, payload: bytes) -> None:
         try:
-            entry_id, envelope = decode_reading_notification(payload)
-            reading = SensorReading.from_obj(
-                canonical.loads(envelope.payload),
-                signature_b64=base64.b64encode(envelope.signature).decode("ascii"))
+            entry_id, envelope, signature_b64 = decode_reading_notification(payload)
+            reading = SensorReading.from_obj(canonical.loads(envelope.payload),
+                                             signature_b64=signature_b64)
         except Exception:
             logger.exception("%s: undecodable mote notification", self.device_id)
             return

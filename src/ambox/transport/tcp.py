@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import base64
 import http.client
-import json
 import logging
 import select
 import socket
@@ -20,6 +19,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 
+from ..canonical import CanonicalError, wire_dumps, wire_loads
 from ..runtime import RealQueue
 from . import (
     DISCONNECTED,
@@ -247,11 +247,10 @@ class HttpServer:
                 body = None
                 length = int(self.headers.get("Content-Length") or 0)
                 if length:
-                    raw = self.rfile.read(length)
                     try:
-                        body = json.loads(raw.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError):
-                        self._reply(400, {"error": "invalid-json"})
+                        body = wire_loads(self.rfile.read(length))
+                    except CanonicalError:
+                        self._reply(400, {"error": "malformed-request"})
                         return
                 try:
                     status, obj = outer_router(method, self.path, body)
@@ -261,7 +260,7 @@ class HttpServer:
                 self._reply(status, obj)
 
             def _reply(self, status: int, obj: dict) -> None:
-                data = json.dumps(obj).encode("utf-8")
+                data = wire_dumps(obj)
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
@@ -289,26 +288,28 @@ class HttpServer:
 
 
 class HttpJsonClient:
-    """Minimal JSON-over-HTTP client matching the sim shim's interface."""
+    """Minimal JSON-over-HTTP client matching the sim shim's interface; an
+    answer that is not HTTP, or not empty or an object, is a TransportError."""
 
     def call(self, dest: str, method: str, path: str, body: Optional[dict],
              timeout_ms: int = 10_000, label: str = "") -> tuple[int, dict]:
         host, port = parse_hostport(dest)
         conn = http.client.HTTPConnection(host, port, timeout=max(timeout_ms, 1) / 1000.0)
         try:
-            data = json.dumps(body).encode("utf-8") if body is not None else None
+            data = wire_dumps(body) if body is not None else None
             headers = {"Content-Type": "application/json"} if data else {}
             conn.request(method, path, body=data, headers=headers)
             response = conn.getresponse()
             raw = response.read()
-            obj = json.loads(raw.decode("utf-8")) if raw else {}
-            return response.status, obj
+            return response.status, wire_loads(raw) if raw else {}
         except ConnectionRefusedError as exc:
             raise ConnectionRefused(str(exc)) from exc
         except socket.timeout as exc:
             raise RequestTimeout(f"{method} {path} to {dest} timed out") from exc
         except OSError as exc:
             raise ConnectionRefused(f"{method} {path} to {dest} failed: {exc}") from exc
+        except (CanonicalError, http.client.HTTPException) as exc:
+            raise TransportError(f"{method} {path} to {dest}: {exc}") from exc
         finally:
             conn.close()
 
@@ -347,15 +348,15 @@ class TcpPeripheralServer:
             hello = recv_frame(sock)
             if hello is None:
                 return
-            msg = json.loads(hello.decode("utf-8"))
+            msg = wire_loads(hello)
             if msg.get("t") != "hello" or msg.get("peripheral") != self.peripheral_id:
-                send_frame(sock, json.dumps({"t": "reject"}).encode())
+                send_frame(sock, wire_dumps({"t": "reject"}))
                 return
             if msg.get("central") != self.paired_central:
-                send_frame(sock, json.dumps({"t": "unauthorized"}).encode())
+                send_frame(sock, wire_dumps({"t": "unauthorized"}))
                 return
-            send_frame(sock, json.dumps({"t": "ok"}).encode())
-        except (OSError, ValueError, TransportError):
+            send_frame(sock, wire_dumps({"t": "ok"}))
+        except (OSError, CanonicalError, TransportError):
             return
         session = TcpPeripheralSession(self, sock, str(msg.get("central")))
         with self._session_lock:
@@ -402,12 +403,7 @@ class TcpPeripheralSession:
                 raise SessionClosed("session is closed")
             seq = self._sequences.get(characteristic, 0) + 1
             self._sequences[characteristic] = seq
-            frame = json.dumps({
-                "t": "ntf",
-                "char": characteristic,
-                "payload_b64": base64.b64encode(payload).decode("ascii"),
-                "seq": seq,
-            }).encode("utf-8")
+            frame = _frame("ntf", characteristic, payload, seq=seq)
             try:
                 send_frame(self._sock, frame)
             except OSError as exc:
@@ -424,7 +420,7 @@ class TcpPeripheralSession:
             if frame is None:
                 break
             try:
-                msg = json.loads(frame.decode("utf-8"))
+                msg = wire_loads(frame)
                 if msg.get("t") == "write":
                     payload = base64.b64decode(msg["payload_b64"])
                     self._server.delegate.on_write(self, str(msg["char"]), payload)
@@ -472,14 +468,14 @@ class TcpCentral(CentralPort):
             raise Unreachable(f"cannot reach {peripheral_id} at {address}: {exc}") from exc
         try:
             sock.settimeout(self._timeout_s)
-            send_frame(sock, json.dumps({
+            send_frame(sock, wire_dumps({
                 "t": "hello", "central": self.central_id, "peripheral": peripheral_id,
-            }).encode("utf-8"))
+            }))
             reply = recv_frame(sock)
             if reply is None:
                 raise Unreachable(f"{peripheral_id} closed during handshake")
-            verdict = json.loads(reply.decode("utf-8")).get("t")
-        except (OSError, ValueError, TransportError) as exc:
+            verdict = wire_loads(reply).get("t")
+        except (OSError, CanonicalError, TransportError) as exc:
             sock.close()
             raise Unreachable(f"handshake with {peripheral_id} failed: {exc}") from exc
         if verdict == "unauthorized":
@@ -520,11 +516,7 @@ class TcpCentralSession(Session):
         with self._send_lock:
             if not self._open:
                 raise SessionClosed("session is closed")
-            frame = json.dumps({
-                "t": "write",
-                "char": characteristic,
-                "payload_b64": base64.b64encode(payload).decode("ascii"),
-            }).encode("utf-8")
+            frame = _frame("write", characteristic, payload)
             try:
                 send_frame(self._sock, frame)
             except OSError as exc:
@@ -540,16 +532,12 @@ class TcpCentralSession(Session):
             if frame is None:
                 break
             try:
-                msg = json.loads(frame.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                continue
-            if msg.get("t") == "ntf":
-                stream = self.subscribe(str(msg["char"]))
-                stream.put(Notification(
-                    characteristic=str(msg["char"]),
-                    payload=base64.b64decode(msg["payload_b64"]),
-                    sequence=int(msg["seq"]),
-                ))
+                notification = _notification(frame)
+            except (ValueError, TypeError) as exc:
+                # A skipped notification would leave a gap in the stream.
+                logger.warning("ending session with %s: %s", self.peripheral_id, exc)
+                break
+            self.subscribe(notification.characteristic).put(notification)
         self.close()
 
     def close(self) -> None:
@@ -568,3 +556,17 @@ class TcpCentralSession(Session):
             streams = list(self._streams.values())
         for stream in streams:
             stream.put(DISCONNECTED)
+
+
+def _frame(kind: str, characteristic: str, payload: bytes, **fields: int) -> bytes:
+    return wire_dumps({"t": kind, "char": characteristic,
+                       "payload_b64": base64.b64encode(payload).decode("ascii"), **fields})
+
+
+def _notification(frame: bytes) -> Notification:
+    """The notification an ntf frame holds; ValueError or TypeError for any other frame."""
+    msg = wire_loads(frame)
+    char, seq = msg.get("char"), msg.get("seq")
+    if msg.get("t") != "ntf" or not isinstance(char, str) or type(seq) is not int:
+        raise CanonicalError("not a notification frame")
+    return Notification(char, base64.b64decode(msg.get("payload_b64"), validate=True), seq)

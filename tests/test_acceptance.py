@@ -301,8 +301,8 @@ def test_criterion_8_heartbeat_liveness():
         commission(caller, world.operator_ledger_client(), plan, world.operator)
         world.runtime.sleep(3_600_000)  # one virtual hour in Heartbeat state
         outcome["beats"] = world.operator.stats.heartbeats_accepted
-        outcome["max_gap"] = world.operator.max_gap_ms("node1")
-        outcome["missed"] = world.operator.fleet()["node1"].missed_deadline
+        view = world.operator.fleet()["node1"]
+        outcome["max_gap"], outcome["missed"] = view.max_gap_ms, view.missed_deadline
         status, _ = caller.call("node1", "POST", "/turnOff", {})
         outcome["turn_off_status"] = status
         world.runtime.sleep(1000)

@@ -1,9 +1,12 @@
+import ast
 import math
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ambox
 from ambox import canonical
 
 
@@ -32,6 +35,44 @@ def test_loads_rejects_garbage():
         canonical.loads(b"{not json")
     with pytest.raises(canonical.CanonicalError):
         canonical.loads(b"\xff\xfe")
+
+
+def test_wire_text_is_sorted_with_default_separators():
+    obj = {"b": [1, 2.5, None], "a": {"\u00e9": True}}
+    assert canonical.wire_text(obj) == '{"a": {"\\u00e9": true}, "b": [1, 2.5, null]}'
+    assert canonical.wire_dumps(obj) == canonical.wire_text(obj).encode("utf-8")
+    assert canonical.wire_loads(canonical.wire_dumps(obj)) == obj
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"not json", b"\xff\xfe", b"[1]", b'"x"', b"null", b"[" * 100_000,
+    b'{"v": ' + b"1" * 5_000 + b"}",
+], ids=["empty", "not-json", "not-utf8", "array", "string", "null", "deep", "overlong-int"])
+def test_wire_loads_refuses_anything_but_one_object(data):
+    with pytest.raises(canonical.CanonicalError):
+        canonical.wire_loads(data)
+
+
+def test_only_canonical_cli_and_scenario_use_json():
+    # The wire's spelling and refusal rule live in canonical.py; cli.py and
+    # harness/scenario.py read and write their own files and human output.
+    package = Path(ambox.__file__).parent
+    allowed = {"canonical.py", "cli.py", "harness/scenario.py"}
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        name = path.relative_to(package).as_posix()
+        if name in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                found.extend(f"{name}:{node.lineno} import {alias.name}"
+                             for alias in node.names if alias.name.split(".")[0] == "json")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                found.append(f"{name}:{node.lineno} from {node.module}")
+            elif (isinstance(node, ast.Attribute) and node.attr in ("dumps", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                found.append(f"{name}:{node.lineno} json.{node.attr}")
+    assert found == []
 
 
 def test_timestamp_format_parse_roundtrip():

@@ -62,14 +62,13 @@ def test_missed_deadline_flag():
 def test_fleet_view_keeps_beat_count_and_largest_gap():
     core = OperatorCore(clock=lambda: T0 + 50_000)
     core.ingest_heartbeat(beat(1, T0))
-    assert core.max_gap_ms("node-1") is None
+    assert core.fleet()["node-1"].max_gap_ms is None
     # The second beat with sequence 2 is a replay and counts for nothing.
     for seq, at in ((2, T0 + 10_000), (2, T0 + 90_000), (3, T0 + 40_000), (4, T0 + 45_000)):
         core.ingest_heartbeat(beat(seq, at))
     view = core.fleet()["node-1"]
     assert (view.beats, view.max_gap_ms) == (4, 30_000)
-    assert core.max_gap_ms("node-1") == 30_000
-    assert core.max_gap_ms("node-2") is None
+    assert "node-2" not in core.fleet()
     _status, body = core.router("GET", "/fleet", None)
     assert sorted(body["node-1"]) == [
         "buffer_alarm", "consecutive_submit_failures", "last_heartbeat_at", "missed_deadline",

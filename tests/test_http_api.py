@@ -1,7 +1,10 @@
 """The HTTP-shaped shim over the framed transport."""
 
+import pytest
+
 from ambox.http_api import ShimHttpClient, shim_server_handler
 from ambox.runtime import SimRuntime
+from ambox.transport import RequestClient, TransportError
 from ambox.transport.sim import SimNetwork
 
 
@@ -29,3 +32,20 @@ def test_shim_roundtrip_and_malformed():
     assert out["ok"] == (200, {"echo": {"v": 1}})
     assert out["missing"][0] == 404
     assert b'"status": 400' in out["malformed"] or b'"status":400' in out["malformed"]
+
+
+class CannedRequester(RequestClient):
+    def __init__(self, raw):
+        self.raw = raw
+
+    def request(self, dest, payload, timeout_ms, label=""):
+        return self.raw
+
+
+@pytest.mark.parametrize("raw", [
+    b"not json", b"\xff", b"[1]", b'{"body": {}}', b'{"status": "200", "body": {}}',
+    b'{"status": true, "body": {}}', b'{"status": 200, "body": [1]}',
+], ids=repr)
+def test_shim_client_refuses_a_misshapen_answer(raw):
+    with pytest.raises(TransportError):
+        ShimHttpClient(CannedRequester(raw)).call("svc", "GET", "/x", None)

@@ -1,6 +1,7 @@
 import ast
 import base64
 import dataclasses
+import http.client
 import itertools
 import json
 import random
@@ -35,8 +36,10 @@ from ambox.ledger import (
     REASON_UNKNOWN_SIGNER,
     ZERO_HASH,
 )
-from ambox.model import DeviceIdentity, DeviceKind, EventReport, ModelError
-from ambox.transport.tcp import FrameServer, TcpRequestClient
+from ambox.model import DeviceIdentity, DeviceKind, EventReport, ModelError, decode_report
+from ambox.node import NodeAgent
+from ambox.runtime import RealRuntime
+from ambox.transport.tcp import FrameServer, HttpServer, TcpRequestClient
 
 from conftest import T0, make_report
 
@@ -54,6 +57,12 @@ def ledger(tmp_path):
 def registered(ledger, node_key):
     ledger.register_device(identity_of(node_key))
     return ledger
+
+
+def stored_report(ledger, report_id):
+    """The report stored under `report_id`, decoded from its signed bytes."""
+    payload_b64 = ledger.get_event_payload(report_id)
+    return None if payload_b64 is None else decode_report(base64.b64decode(payload_b64))
 
 
 def env_for(key, i, created=None, n=3):
@@ -107,7 +116,7 @@ def test_tampered_value_rejected_signature_invalid(registered, node_key):
     verdicts = registered.add_events([tampered], T0)
     assert verdicts[0].status == "rejected"
     assert verdicts[0].reason == REASON_BAD_SIGNATURE
-    assert registered.get_event(obj["report_id"]) is None
+    assert stored_report(registered, obj["report_id"]) is None
 
 
 def test_malformed_envelope_rejected(registered):
@@ -145,7 +154,7 @@ def test_n_resubmissions_single_entry(registered, node_key):
     for _ in range(5):
         registered.add_events([envelope], T0)
     assert len(registered.all_reports()) == 1
-    assert registered.get_event(report.report_id) == report
+    assert stored_report(registered, report.report_id) == report
 
 
 def test_get_event_byte_identical(registered, node_key):
@@ -524,7 +533,7 @@ def test_unsigned_envelope_fields_are_not_committed(registered, node_key, tmp_pa
     assert registered.blocks()[-1].transactions == (envelope.to_wire_obj(),)
     raw = (tmp_path / "ledger" / "blocks.journal").read_bytes()
     assert b"note" not in raw and b"x" * 1000 not in raw
-    assert Ledger(tmp_path / "ledger").get_event(report.report_id) == report
+    assert stored_report(Ledger(tmp_path / "ledger"), report.report_id) == report
 
 
 def test_a_wire_envelope_is_committed_as_received_in_its_one_spelling(
@@ -578,7 +587,7 @@ def test_an_undecodable_signed_payload_is_an_invalid_report(registered, node_key
     verdicts = registered.add_events([signed_payload(node_key, payload), good], T0)
     assert [(v.status, v.reason) for v in verdicts] == [
         ("rejected", REASON_INVALID_REPORT), ("committed", None)]
-    assert registered.get_event(good_report.report_id) == good_report
+    assert stored_report(registered, good_report.report_id) == good_report
 
 
 def _dict_router(method, path, body):
@@ -600,17 +609,37 @@ def _dict_router(method, path, body):
     ("shim", b"[]", "malformed-request"),
     ("shim", b'"x"', "malformed-request"),
     ("shim", b'{"method": "POST", "path": "/x", "body": [1]}', "malformed-request"),
+    ("http", b"[1]", "malformed-request"),
+    ("http", b"not json", "malformed-request"),
+    ("http", b"\xff\xfe", "malformed-request"),
+    ("http", b"[" * 100_000, "malformed-request"),
 ], ids=["ledger-root-array", "ledger-deeply-nested", "ledger-args-array",
         "ledger-args-empty-array", "ledger-args-zero", "ledger-args-false", "ledger-args-empty-string",
         "ledger-envelopes-number", "ledger-envelopes-missing", "ledger-limit-infinite",
-        "ledger-limit-null", "shim-root-array", "shim-root-string", "shim-body-array"])
-def test_malformed_requests_get_an_error_answer(ledger, server, request_bytes, error):
+        "ledger-limit-null", "shim-root-array", "shim-root-string", "shim-body-array",
+        "http-root-array", "http-not-json", "http-not-utf8", "http-deeply-nested"])
+def test_malformed_requests_get_an_error_answer(ledger, tmp_path, node_key, server,
+                                                request_bytes, error):
     if server == "ledger":
         answer = json.loads(LedgerService(ledger, clock=lambda: T0).handle("x", request_bytes))
         assert (answer["ok"], answer["error"]) == (False, error)
-    else:
+    elif server == "shim":
         answer = json.loads(shim_server_handler(_dict_router)("x", request_bytes))
         assert (answer["status"], answer["body"]["error"]) == (400, error)
+    else:
+        node = NodeAgent(node_key, tmp_path / "node", RealRuntime(), heartbeat_caller=None,
+                         ledger_requester=None, make_dest=None, sensor_factory=None)
+        http_server = HttpServer("127.0.0.1", 0, node.router)
+        conn = http.client.HTTPConnection("127.0.0.1", http_server.port, timeout=10)
+        try:
+            conn.request("POST", "/configHeartbeat", body=request_bytes)
+            response = conn.getresponse()
+            answer = json.loads(response.read())
+        finally:
+            conn.close()
+            http_server.shutdown()
+            node.buffer.close()
+        assert (response.status, answer) == (400, {"error": error})
 
 
 @pytest.mark.parametrize("request_bytes", [b'{"op": "VerifyChain"}',
@@ -848,7 +877,7 @@ def test_failed_block_append_leaves_the_log_as_it_was(registered, node_key, tmp_
         registered.add_events([lost], T0 + 1)
     assert registered.add_events([env_for(node_key, 2)[0]], T0 + 2)[0].status == "committed"
     assert registered.height == 2
-    assert registered.get_event(lost_report.report_id) is None
+    assert stored_report(registered, lost_report.report_id) is None
     assert registered.verify_chain() is None
     reopened = Ledger(tmp_path / "ledger")
     assert reopened.height == 2
@@ -930,7 +959,7 @@ def test_an_audit_holds_no_lock_while_it_walks(registered, node_key, monkeypatch
             registered.add_events([envelope], T0 + 1), committed.set()))
         committer.start()
         assert committed.wait(5), "add_events waited for the audit"
-        assert registered.get_event(report.report_id) == report
+        assert stored_report(registered, report.report_id) == report
     finally:
         resume.set()
         auditor.join(10)

@@ -461,7 +461,8 @@ def test_an_ack_watermark_must_be_an_integer(tmp_path, mote_key, caplog, value):
 def test_a_notification_entry_id_must_be_an_integer(mote_key, caplog, value):
     envelope = sign_reading_envelope(mote_key, make_reading(device="mote-1"))
     payload = encode_reading_notification(7, envelope)
-    assert decode_reading_notification(payload) == (7, envelope)
+    assert decode_reading_notification(payload) == (7, envelope,
+                                                    envelope.to_wire_obj()["signature_b64"])
     bad = payload.replace(b'"entry_id": 7', b'"entry_id": ' + value)
     with pytest.raises(ModelError):
         decode_reading_notification(bad)

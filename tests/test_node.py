@@ -1,10 +1,13 @@
-"""Node agent behavior on the simulated runtime."""
+"""Node agent behavior on the simulated runtime, and on real sockets where a test says so."""
 
 import errno
 import json
 import logging
 import random
+import threading
+import time
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -12,10 +15,12 @@ from ambox import canonical, storage
 from ambox.fleet import CommissionPlan, commission, start_monitoring, stop_monitoring
 from ambox.model import DeviceIdentity, DeviceKind, NodeState
 from ambox.harness.world import tamper_buffer_journal
-from ambox.runtime import SIM_EPOCH_MS, TaskCancelled
+from ambox.node import NodeAgent
+from ambox.runtime import SIM_EPOCH_MS, RealRuntime, TaskCancelled
 from ambox.storage import ConfigStore
 from ambox.transport import LinkDown
 from ambox.transport.faults import MODE_DOWN, FaultSchedule, FaultWindow
+from ambox.transport.tcp import HttpJsonClient
 
 from simworld import JOB_BODY, build_world, mini_scenario
 
@@ -85,6 +90,53 @@ def test_heartbeat_cadence_timeout_over_three():
     assert 5 <= counts["in_window"] <= 7  # 6 +/- 1 at 10 s cadence
 
 
+class _NotJsonSink(BaseHTTPRequestHandler):
+    """A heartbeat sink that answers every post with a body that is not JSON."""
+
+    protocol_version = "HTTP/1.1"
+    posts = 0
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).posts += 1
+        data = b"<html>accepted</html>"
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_a_heartbeat_answer_that_is_not_json_is_a_failed_beat(tmp_path, node_key):
+    # On real sockets, at a 100 ms cadence: every answer is refused, and
+    # the heartbeat activity goes on posting.
+    _NotJsonSink.posts = 0
+    sink = ThreadingHTTPServer(("127.0.0.1", 0), _NotJsonSink)
+    threading.Thread(target=sink.serve_forever, daemon=True).start()
+    node = NodeAgent(node_key, tmp_path, RealRuntime(), heartbeat_caller=HttpJsonClient(),
+                     ledger_requester=None, make_dest=lambda address, port: f"{address}:{port}",
+                     sensor_factory=None)
+    try:
+        assert node.router("POST", "/configHeartbeat", {
+            "ipaddr": "127.0.0.1", "port": sink.server_address[1],
+            "heartbeat_timeout_ms": 300})[0] == 200
+        assert node.router("POST", "/init", {})[0] == 200
+        deadline = time.monotonic() + 10
+        while node.stats["heartbeat_failures"] < 5 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        alive = node._tasks["heartbeat"].alive
+    finally:
+        node.stop()
+        sink.shutdown()
+        sink.server_close()
+    assert alive
+    assert node.stats["heartbeat_failures"] >= 5
+    assert node.stats["heartbeats_sent"] == 0
+    assert _NotJsonSink.posts >= 5
+
+
 def test_config_heartbeat_rejects_port_zero():
     world = build_world(mini_scenario(job=None))
     result = {}
@@ -115,7 +167,7 @@ def test_reconfigure_heartbeat_gap_bounded():
 
     drive(world, director)
     world.teardown()
-    gap = world.operator.max_gap_ms("node1")
+    gap = world.operator.fleet()["node1"].max_gap_ms
     assert gap is not None and gap <= 10_000 + 20_000  # old + new interval
 
 

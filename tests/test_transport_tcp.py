@@ -23,10 +23,12 @@ from ambox.transport.tcp import (
     HttpJsonClient,
     HttpServer,
     TcpCentral,
+    TcpCentralSession,
     TcpPeripheralServer,
     TcpRequestClient,
     parse_hostport,
     recv_frame,
+    send_frame,
 )
 
 
@@ -219,6 +221,34 @@ def test_http_router_roundtrip():
         server.shutdown()
 
 
+@pytest.mark.parametrize("answer", [
+    b"HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\nnot json",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\n[1]",
+    b"SSH-2.0-OpenSSH_9.6\r\n",
+], ids=["not-json", "root-array", "not-http"])
+def test_http_client_refuses_an_answer_that_is_not_an_object(answer):
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer_once():
+        conn, _ = listener.accept()
+        with conn:
+            request = b""
+            while not request.endswith(b'{"a": 1}'):
+                request += conn.recv(65536)
+            conn.sendall(answer)
+
+    server = threading.Thread(target=answer_once, daemon=True)
+    server.start()
+    try:
+        with pytest.raises(TransportError) as caught:
+            HttpJsonClient().call(f"127.0.0.1:{listener.getsockname()[1]}", "POST", "/heartbeat",
+                                  {"a": 1}, timeout_ms=5000)
+    finally:
+        server.join(5)
+        listener.close()
+    assert caught.type is TransportError     # refused, not lost
+
+
 class EchoPeripheral(PeripheralDelegate):
     def __init__(self):
         self.writes = []
@@ -294,3 +324,28 @@ def test_shortrange_disconnect_marker_on_close():
         assert session.open is False or True  # reader closes shortly after
     finally:
         server.shutdown()
+
+
+@pytest.mark.parametrize("frame", [
+    b'{"payload_b64": "", "seq": 2, "t": "ntf"}',
+    b"not json",
+    b"[1]",
+    b'{"char": "readings", "payload_b64": "@@@@", "seq": 2, "t": "ntf"}',
+    b'{"char": "readings", "payload_b64": "", "seq": "2", "t": "ntf"}',
+    b'{"char": "readings", "t": "note"}',
+], ids=["no-char", "not-json", "root-array", "bad-base64", "string-seq", "not-ntf"])
+def test_a_frame_that_is_not_a_notification_ends_the_central_session(frame):
+    # Skipping it would leave a gap in the notification stream.
+    central_end, peripheral_end = socket.socketpair()
+    session = TcpCentralSession(central_end, "mote-1")
+    stream = session.subscribe("readings")
+    try:
+        send_frame(peripheral_end,
+                   b'{"char": "readings", "payload_b64": "b2s=", "seq": 1, "t": "ntf"}')
+        assert stream.get(timeout_ms=2000).payload == b"ok"
+        send_frame(peripheral_end, frame)
+        assert stream.get(timeout_ms=2000) is DISCONNECTED
+        assert session.open is False
+    finally:
+        session.close()
+        peripheral_end.close()
