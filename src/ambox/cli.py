@@ -26,8 +26,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
+from .canonical import CanonicalError, wire_loads
 from .envelope import generate_keypair
 from .fleet import (
     CommissionPlan,
@@ -89,9 +90,13 @@ class ProcessConfig:
     @classmethod
     def load(cls, path: str | Path) -> "ProcessConfig":
         try:
-            obj = json.loads(Path(path).read_text("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            obj = wire_loads(Path(path).read_bytes())
+        except (OSError, CanonicalError) as exc:
             raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
+        motes, sensors = obj.get("motes", {}), obj.get("sensors", {})
+        if not (isinstance(motes, dict) and isinstance(sensors, dict)
+                and all(isinstance(spec, dict) for spec in sensors.values())):
+            raise ConfigInvalid("motes, sensors and each sensor spec must be objects")
         role = obj.get("role")
         if role not in ROLES:
             raise ConfigInvalid(f"role must be one of {ROLES}, got {role!r}")
@@ -109,16 +114,17 @@ class ProcessConfig:
             listen=str(obj.get("listen", "127.0.0.1:0")),
             device_id=str(obj.get("device_id", "")),
             log_level=str(obj.get("log_level", "info")),
-            motes={str(k): str(v) for k, v in obj.get("motes", {}).items()},
+            motes={str(k): str(v) for k, v in motes.items()},
             paired_node=str(obj.get("paired_node", "")),
-            sensors={str(q): dict(s) for q, s in obj.get("sensors", {}).items()},
+            sensors={str(q): dict(s) for q, s in sensors.items()},
         )
         if config.role in ("node", "mote") and not config.device_id:
             raise ConfigInvalid(f"{config.role} config needs a device_id")
         if config.role == "mote" and not config.paired_node:
             raise ConfigInvalid("mote config needs paired_node")
         try:
-            parse_hostport(config.listen)
+            for address in (config.listen, *config.motes.values()):
+                parse_hostport(address)
         except ValueError as exc:
             raise ConfigInvalid(str(exc)) from exc
         return config
@@ -169,10 +175,6 @@ def device_keypair(config: ProcessConfig):
     return keypair
 
 
-def write_port_file(config: ProcessConfig, port: int) -> None:
-    (config.data_dir / f"{config.role}.port").write_text(str(port))
-
-
 def synthetic_factory(config: ProcessConfig, defaults: dict[str, SensorSpec]):
     bases = {TEMPERATURE: 21.0, HUMIDITY: 55.0, PRESSURE: 1013.0}
 
@@ -187,11 +189,29 @@ def synthetic_factory(config: ProcessConfig, defaults: dict[str, SensorSpec]):
     return factory
 
 
-def _wait_for_signal(stop: threading.Event) -> None:
+def _serve_until_stopped(config: ProcessConfig, make_server: Callable[[str, int], Any],
+                         what: str, start: Callable[[], None] = lambda: None,
+                         stop: Optional[threading.Event] = None) -> int:
+    """Listen on `config.listen`, write the port file, call `start`, and serve
+    until SIGTERM, SIGINT or `stop`; then stop the server, before the caller
+    stops what it serves. EXIT_PORT_IN_USE when the address cannot be bound."""
+    host, port = parse_hostport(config.listen)
+    try:
+        server = make_server(host, port)
+    except OSError as exc:
+        logger.error("cannot listen on %s: %s", config.listen, exc)
+        return EXIT_PORT_IN_USE
+    (config.data_dir / f"{config.role}.port").write_text(str(server.port))
+    logger.info("%s listening on %s:%d", what, host, server.port)
+    start()
+    stop = stop or threading.Event()
     signal.signal(signal.SIGTERM, lambda *a: stop.set())
     signal.signal(signal.SIGINT, lambda *a: stop.set())
     while not stop.wait(0.2):
         pass
+    logger.info("%s shutting down", what)
+    server.shutdown()
+    return 0
 
 
 def run_node(config: ProcessConfig) -> int:
@@ -211,22 +231,12 @@ def run_node(config: ProcessConfig) -> int:
         allowed_motes=tuple(config.motes),
         on_shutdown=stop.set,
     )
-    host, port = parse_hostport(config.listen)
-    try:
-        server = HttpServer(host, port, agent.router)
-    except OSError as exc:
-        logger.error("cannot listen on %s: %s", config.listen, exc)
-        return EXIT_PORT_IN_USE
-    write_port_file(config, server.port)
-    logger.info("node %s listening on %s:%d (state=%s)",
-                config.device_id, host, server.port, agent.config.state.value)
-    agent.start()
-    _wait_for_signal(stop)
-    logger.info("node %s shutting down", config.device_id)
+    code = _serve_until_stopped(
+        config, lambda host, port: HttpServer(host, port, agent.router),
+        f"node {config.device_id} (state={agent.config.state.value})", agent.start, stop)
     agent.stop()
     ledger_requester.close()
-    server.shutdown()
-    return 0
+    return code
 
 
 def run_mote(config: ProcessConfig) -> int:
@@ -239,55 +249,27 @@ def run_mote(config: ProcessConfig) -> int:
         runtime,
         driver_factory=synthetic_factory(config, MOTE_SENSOR_SPECS),
     )
-    host, port = parse_hostport(config.listen)
-    try:
-        server = TcpPeripheralServer(host, port, config.device_id, config.paired_node, agent)
-    except OSError as exc:
-        logger.error("cannot listen on %s: %s", config.listen, exc)
-        return EXIT_PORT_IN_USE
-    write_port_file(config, server.port)
-    logger.info("mote %s advertising on %s:%d (paired with %s)",
-                config.device_id, host, server.port, config.paired_node)
-    agent.start()
-    stop = threading.Event()
-    _wait_for_signal(stop)
-    server.shutdown()   # no session may reach the agent once it has stopped
+    code = _serve_until_stopped(
+        config, lambda host, port: TcpPeripheralServer(host, port, config.device_id,
+                                                       config.paired_node, agent),
+        f"mote {config.device_id} (paired with {config.paired_node})", agent.start)
     agent.stop()
-    return 0
+    return code
 
 
 def run_ledger(config: ProcessConfig) -> int:
     ledger = Ledger(config.data_dir, genesis_at_ms=int(time.time() * 1000))
     service = LedgerService(ledger, clock=lambda: int(time.time() * 1000))
-    host, port = parse_hostport(config.listen)
-    try:
-        server = FrameServer(host, port, service.handle)
-    except OSError as exc:
-        logger.error("cannot listen on %s: %s", config.listen, exc)
-        return EXIT_PORT_IN_USE
-    write_port_file(config, server.port)
-    logger.info("ledger listening on %s:%d (height=%d)", host, server.port, ledger.height)
-    stop = threading.Event()
-    _wait_for_signal(stop)
-    server.shutdown()
+    code = _serve_until_stopped(config, lambda host, port: FrameServer(host, port, service.handle),
+                                f"ledger (height={ledger.height})")
     ledger.close()
-    return 0
+    return code
 
 
 def run_operator_serve(config: ProcessConfig) -> int:
     core = OperatorCore(clock=lambda: int(time.time() * 1000))
-    host, port = parse_hostport(config.listen)
-    try:
-        server = HttpServer(host, port, core.router)
-    except OSError as exc:
-        logger.error("cannot listen on %s: %s", config.listen, exc)
-        return EXIT_PORT_IN_USE
-    write_port_file(config, server.port)
-    logger.info("operator heartbeat sink on %s:%d", host, server.port)
-    stop = threading.Event()
-    _wait_for_signal(stop)
-    server.shutdown()
-    return 0
+    return _serve_until_stopped(config, lambda host, port: HttpServer(host, port, core.router),
+                                "operator heartbeat sink")
 
 
 def _duration_ms(text: str) -> int:
@@ -422,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("node", "mote", "ledger"):
+        if args.command in ("node", "mote", "ledger") or getattr(args, "verb", "") == "serve":
             config = ProcessConfig.load(args.config)
             if config.role != args.command:
                 raise ConfigInvalid(
@@ -430,15 +412,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                 )
             setup_logging(config.role, config.log_level)
             prepare_data_dir(config)
-            return {"node": run_node, "mote": run_mote, "ledger": run_ledger}[args.command](config)
+            return {"node": run_node, "mote": run_mote, "ledger": run_ledger,
+                    "operator": run_operator_serve}[args.command](config)
         if args.command == "operator":
-            if args.verb == "serve":
-                config = ProcessConfig.load(args.config)
-                if config.role != "operator":
-                    raise ConfigInvalid("config role must be operator")
-                setup_logging("operator", config.log_level)
-                prepare_data_dir(config)
-                return run_operator_serve(config)
             setup_logging("operator", "warning")
             if args.verb == "start" and args.quantity is None:
                 args.quantity = [TEMPERATURE, HUMIDITY, PRESSURE]

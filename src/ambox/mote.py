@@ -21,6 +21,7 @@ from .canonical import wire_dumps, wire_loads
 from .envelope import KeyPair, SignedEnvelope, sign_reading_envelope
 from .model import SensorReading, _require_int
 from .runtime import Runtime
+from .sensors import _reportable
 from .storage import (
     SCHEMA_VERSION,
     CorruptConfig,
@@ -116,6 +117,7 @@ class MoteAgent:
         self.stats: dict[str, int] = {
             "samples": 0,
             "sample_errors": 0,
+            "out_of_range_drops": 0,
             "dropped_full": 0,
             "notified": 0,
             "acked": 0,
@@ -235,6 +237,9 @@ class MoteAgent:
                 except Exception:
                     self.stats["sample_errors"] += 1
                     logger.exception("%s: %s driver failed", self.device_id, quantity)
+                    continue
+                if not _reportable(driver, value):
+                    self.stats["out_of_range_drops"] += 1
                     continue
                 reading = SensorReading(
                     quantity=quantity, value=value, sampled_at=t, source_device=self.device_id

@@ -21,6 +21,7 @@ the report that carries it, so opening a node decodes no journal entry.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -41,6 +42,7 @@ from .model import (
 )
 from .mote import CHAR_ACK, CHAR_CONFIG, CHAR_READINGS, decode_reading_notification
 from .runtime import Runtime
+from .sensors import _reportable
 from .storage import (
     ConfigStore,
     DurableBuffer,
@@ -154,6 +156,7 @@ class NodeAgent:
             "samples": 0,
             "sample_errors": 0,
             "out_of_range_drops": 0,
+            "pack_drops": 0,
             "packs": 0,
             "heartbeats_sent": 0,
             "heartbeat_failures": 0,
@@ -439,8 +442,7 @@ class NodeAgent:
                 self.stats["sample_errors"] += 1
                 logger.exception("%s: %s driver failed", self.device_id, quantity)
                 continue
-            spec = getattr(driver, "spec", None)
-            if spec is not None and not (spec.range_min <= value <= spec.range_max):
+            if not _reportable(driver, value):
                 self.stats["out_of_range_drops"] += 1
                 continue
             reading = SensorReading(
@@ -467,10 +469,26 @@ class NodeAgent:
             return
         items.sort(key=lambda i: (i.reading.sampled_at, i.reading.source_device,
                                   i.reading.quantity))
+        # A reading no report can carry (a repeat of an instant taken for its source
+        # and quantity, or a non-finite value) would hold every later pack back, so
+        # it is dropped; its mote entry id still goes into the marks and is acked.
         marks: dict[str, int] = {}
+        taken: set[tuple[str, str, int]] = set()
+        kept: list[_WindowItem] = []
         for item in items:
             if item.mote_id is not None:
                 marks[item.mote_id] = max(marks.get(item.mote_id, 0), item.mote_entry_id)
+            r = item.reading
+            instant = (r.source_device, r.quantity, r.sampled_at)
+            if instant in taken or not math.isfinite(r.value):
+                self.stats["pack_drops"] += 1
+                logger.warning("%s: dropped a reading no report can carry: %s %s at %d = %r",
+                               self.device_id, *instant, r.value)
+                continue
+            taken.add(instant)
+            kept.append(item)
+        if not kept:
+            return
         job = self.config.job or self._last_job
         created_at = self.runtime.now_ms()
         self._report_counter += 1
@@ -480,7 +498,7 @@ class NodeAgent:
             product_id=job.product_id if job else "unconfigured",
             batch_no=job.batch_no if job else "unconfigured",
             created_at=created_at,
-            readings=tuple(i.reading for i in items),
+            readings=tuple(i.reading for i in kept),
         )
         try:
             envelope = sign(self.keypair, report)
@@ -631,8 +649,8 @@ class NodeAgent:
 
     def _serve_mote_session(self, mote_id: str, session) -> None:
         self._sessions[mote_id] = session
-        stream = session.subscribe(CHAR_READINGS)
         try:
+            stream = session.subscribe(CHAR_READINGS)
             session.write(CHAR_CONFIG, self._current_job_config_payload(self.config.job))
             if mote_id in self._journaled:
                 self._send_ack(mote_id, self._journaled[mote_id])

@@ -90,6 +90,13 @@ def merged_spec(quantity: str, defaults: dict[str, SensorSpec],
 _TRACE_COLUMNS = {"temp_c": TEMPERATURE, "hum_pct": HUMIDITY, "press_hpa": PRESSURE}
 
 
+def _reportable(driver, value: float) -> bool:
+    """Whether a value read from `driver` can go into a report: finite, and
+    inside the range of the driver's spec when it has one."""
+    spec = getattr(driver, "spec", None)
+    return math.isfinite(value) and (spec is None or spec.range_min <= value <= spec.range_max)
+
+
 @dataclass(frozen=True)
 class EnvironmentTrace:
     """Piecewise-linear ground truth for each quantity."""

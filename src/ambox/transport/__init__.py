@@ -83,7 +83,8 @@ class Session(ABC):
 
     @abstractmethod
     def subscribe(self, characteristic: str):
-        """Return a blocking stream of Notification items ending in DISCONNECTED."""
+        """Return a blocking stream of Notification items ending in DISCONNECTED;
+        on a closed session, a new stream holds DISCONNECTED already."""
 
     @abstractmethod
     def write(self, characteristic: str, payload: bytes) -> None: ...

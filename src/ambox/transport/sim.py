@@ -269,12 +269,12 @@ class SimSession(Session):
         return self._network.link_state(self.central_id, self.peripheral_id)
 
     def subscribe(self, characteristic: str):
-        if not self._open:
-            raise SessionClosed("session is closed")
         stream = self._streams.get(characteristic)
         if stream is None:
             stream = self._network.runtime.new_queue()
             self._streams[characteristic] = stream
+            if not self._open:
+                stream.put(DISCONNECTED)
         return stream
 
     def notify(self, characteristic: str, payload: bytes) -> int:

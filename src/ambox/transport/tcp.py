@@ -4,11 +4,19 @@ Wire format for framed exchanges is a 4-byte big-endian length prefix
 followed by a UTF-8 JSON body. The short-range emulation runs the same
 advertise/connect/subscribe/notify contract as the simulated backend, so
 agent code does not know which one it is on.
+
+Every server here is a `_Listener`: it binds, serves each accepted
+connection on its own thread, and keeps the connections it accepted. A
+stopped server answers no one: `shutdown` stops accepting and hangs up every
+connection it accepted, kept-open ones included. That wakes a thread blocked
+in recv and fails an answer still being computed, so no request, handshake or
+write that arrives after the stop reaches a handler, router or delegate.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import http.client
 import logging
 import select
@@ -16,7 +24,7 @@ import socket
 import socketserver
 import struct
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Any, Callable, Optional
 
 from ..canonical import CanonicalError, wire_dumps, wire_loads
@@ -83,6 +91,25 @@ def parse_hostport(address: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _hang_up(sock: socket.socket) -> None:
+    """Shut both directions, then close. The shutdown wakes any thread blocked
+    in recv on either end; a bare close would leave the peer hanging until
+    its next send."""
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_RDWR)
+    with contextlib.suppress(OSError):
+        sock.close()
+
+
+def _transport_error(exc: OSError, exchange: str) -> TransportError:
+    """The TransportError a client raises for a socket error during `exchange`."""
+    if isinstance(exc, ConnectionRefusedError):
+        return ConnectionRefused(str(exc))
+    if isinstance(exc, socket.timeout):
+        return RequestTimeout(f"{exchange} timed out")
+    return ConnectionRefused(f"{exchange} failed: {exc}")
+
+
 class TcpRequestClient(RequestClient):
     """Framed requests over connections kept open per destination.
 
@@ -113,12 +140,8 @@ class TcpRequestClient(RequestClient):
                 sock.settimeout(timeout_s)
                 send_frame(sock, payload)
                 response = recv_frame(sock)
-            except ConnectionRefusedError as exc:
-                raise ConnectionRefused(str(exc)) from exc
-            except socket.timeout as exc:
-                raise RequestTimeout(f"request to {dest} timed out") from exc
             except OSError as exc:
-                raise ConnectionRefused(f"request to {dest} failed: {exc}") from exc
+                raise _transport_error(exc, f"request to {dest}") from exc
             if response is None:
                 raise TransportError(f"server at {dest} closed the connection")
         except BaseException:
@@ -157,64 +180,43 @@ class TcpRequestClient(RequestClient):
         sock.close()
 
 
-class FrameServer:
-    """Threaded framed-TCP server dispatching each frame to a handler.
+class _Listener:
+    """A TCP server's lifecycle, as the module docstring states it. A subclass
+    defines only `_serve(sock, peer)`, which serves one accepted connection on
+    its own thread; the socket closes when it returns."""
 
-    A connection carries any number of frames, one answer per request, and
-    has its own thread. `shutdown` also shuts down the connections already
-    accepted, so no kept-open client is answered by a stopped server.
-    """
-
-    def __init__(self, host: str, port: int, handler: Callable[[str, bytes], bytes]) -> None:
-        outer = self
-
-        class _Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:
-                with outer._lock:
-                    if outer._closing:
-                        return
-                    outer._connections.add(self.request)
-                try:
-                    outer._serve(f"{self.client_address[0]}:{self.client_address[1]}",
-                                 self.request)
-                finally:
-                    with outer._lock:
-                        outer._connections.discard(self.request)
+    def __init__(self, host: str, port: int, name: str) -> None:
+        listener = self
 
         class _Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
             daemon_threads = True
 
-        self._handler = handler
+            def finish_request(self, request: Any, client_address: Any) -> None:
+                listener._serve_connection(request, client_address)
+
         self._lock = threading.Lock()
         self._connections: set[socket.socket] = set()
         self._closing = False
         try:
-            self._server = _Server((host, port), _Handler)
+            self._server = _Server((host, port), socketserver.BaseRequestHandler)
         except OSError as exc:
             raise OSError(f"cannot bind {host}:{port}: {exc}") from exc
         self.port = self._server.server_address[1]
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name=f"frame-server:{self.port}", daemon=True)
-        self._thread.start()
+        threading.Thread(target=self._server.serve_forever, name=f"{name}:{self.port}",
+                         daemon=True).start()
 
-    def _serve(self, peer: str, sock: socket.socket) -> None:
-        while True:
-            try:
-                payload = recv_frame(sock)
-            except (TransportError, OSError):
+    def _serve_connection(self, sock: socket.socket, peer: tuple[str, int]) -> None:
+        with self._lock:
+            if self._closing:
                 return
-            if payload is None:
-                return
-            try:
-                response = self._handler(peer, payload)
-            except Exception:
-                logger.exception("frame handler failed")
-                return
-            try:
-                send_frame(sock, response)
-            except OSError:
-                return
+            self._connections.add(sock)
+        try:
+            with contextlib.suppress(OSError):   # a connection that fails just ends
+                self._serve(sock, peer)
+        finally:
+            with self._lock:
+                self._connections.discard(sock)
 
     def shutdown(self) -> None:
         self._server.shutdown()
@@ -223,12 +225,32 @@ class FrameServer:
             self._closing = True
             connections = list(self._connections)
         for sock in connections:
-            # Wakes a handler blocked in recv and fails any answer still
-            # being computed; the handler thread then closes the socket.
+            _hang_up(sock)
+
+
+class FrameServer(_Listener):
+    """Framed-TCP server: a connection carries any number of frames, each
+    answered with `handler(peer, frame)`."""
+
+    def __init__(self, host: str, port: int, handler: Callable[[str, bytes], bytes]) -> None:
+        self._handler = handler
+        super().__init__(host, port, "frame-server")
+
+    def _serve(self, sock: socket.socket, peer: tuple[str, int]) -> None:
+        source = f"{peer[0]}:{peer[1]}"
+        while True:
             try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+                payload = recv_frame(sock)
+            except TransportError:
+                return
+            if payload is None:
+                return
+            try:
+                response = self._handler(source, payload)
+            except Exception:
+                logger.exception("frame handler failed")
+                return
+            send_frame(sock, response)
 
 
 # -- HTTP (control API, heartbeat sink) --------------------------------------
@@ -236,55 +258,55 @@ class FrameServer:
 Router = Callable[[str, str, Optional[dict]], tuple[int, dict]]
 
 
-class HttpServer:
+class HttpServer(_Listener):
     def __init__(self, host: str, port: int, router: Router) -> None:
-        outer_router = router
+        self._router = router
+        super().__init__(host, port, "http-server")
 
-        class _Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
+    def _serve(self, sock: socket.socket, peer: tuple[str, int]) -> None:
+        _HttpHandler(sock, peer, self)
 
-            def _dispatch(self, method: str) -> None:
-                body = None
-                length = int(self.headers.get("Content-Length") or 0)
-                if length:
-                    try:
-                        body = wire_loads(self.rfile.read(length))
-                    except CanonicalError:
-                        self._reply(400, {"error": "malformed-request"})
-                        return
-                try:
-                    status, obj = outer_router(method, self.path, body)
-                except Exception:
-                    logger.exception("router failed for %s %s", method, self.path)
-                    status, obj = 500, {"error": "internal"}
-                self._reply(status, obj)
 
-            def _reply(self, status: int, obj: dict) -> None:
-                data = wire_dumps(obj)
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+class _HttpHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
 
-            def do_GET(self) -> None:
-                self._dispatch("GET")
+    def _dispatch(self, method: str) -> None:
+        body = None
+        length = self.headers.get("Content-Length", "0")
+        try:
+            # ASCII digits only, capped: `int()` also takes "-1" (which reads
+            # to the end of the stream), " 1_0 " and other scripts' digits.
+            if not (length.isascii() and length.isdigit()) or int(length) > MAX_FRAME:
+                raise CanonicalError(f"bad Content-Length {length!r}")
+            if int(length):
+                body = wire_loads(self.rfile.read(int(length)))
+        except CanonicalError:
+            self.close_connection = True
+            self._reply(400, {"error": "malformed-request"})
+            return
+        try:
+            status, obj = self.server._router(method, self.path, body)
+        except Exception:
+            logger.exception("router failed for %s %s", method, self.path)
+            status, obj = 500, {"error": "internal"}
+        self._reply(status, obj)
 
-            def do_POST(self) -> None:
-                self._dispatch("POST")
+    def _reply(self, status: int, obj: dict) -> None:
+        data = wire_dumps(obj)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
 
-            def log_message(self, fmt: str, *args: Any) -> None:
-                logger.debug("http %s", fmt % args)
+    def do_GET(self) -> None:
+        self._dispatch("GET")
 
-        self._server = ThreadingHTTPServer((host, port), _Handler)
-        self.port = self._server.server_address[1]
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name=f"http-server:{self.port}", daemon=True)
-        self._thread.start()
+    def do_POST(self) -> None:
+        self._dispatch("POST")
 
-    def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+    def log_message(self, fmt: str, *args: Any) -> None:
+        logger.debug("http %s", fmt % args)
 
 
 class HttpJsonClient:
@@ -302,12 +324,8 @@ class HttpJsonClient:
             response = conn.getresponse()
             raw = response.read()
             return response.status, wire_loads(raw) if raw else {}
-        except ConnectionRefusedError as exc:
-            raise ConnectionRefused(str(exc)) from exc
-        except socket.timeout as exc:
-            raise RequestTimeout(f"{method} {path} to {dest} timed out") from exc
         except OSError as exc:
-            raise ConnectionRefused(f"{method} {path} to {dest} failed: {exc}") from exc
+            raise _transport_error(exc, f"{method} {path} to {dest}") from exc
         except (CanonicalError, http.client.HTTPException) as exc:
             raise TransportError(f"{method} {path} to {dest}: {exc}") from exc
         finally:
@@ -317,7 +335,7 @@ class HttpJsonClient:
 # -- short-range over TCP -----------------------------------------------------
 
 
-class TcpPeripheralServer:
+class TcpPeripheralServer(_Listener):
     """Peripheral (mote) side: accepts one central at a time."""
 
     def __init__(self, host: str, port: int, peripheral_id: str, paired_central: str,
@@ -325,25 +343,10 @@ class TcpPeripheralServer:
         self.peripheral_id = peripheral_id
         self.paired_central = paired_central
         self.delegate = delegate
-        self._session_lock = threading.Lock()
         self._session: Optional[TcpPeripheralSession] = None
-        outer = self
+        super().__init__(host, port, f"peripheral:{peripheral_id}")
 
-        class _Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:
-                outer._serve_connection(self.request)
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((host, port), _Handler)
-        self.port = self._server.server_address[1]
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name=f"peripheral:{peripheral_id}", daemon=True)
-        self._thread.start()
-
-    def _serve_connection(self, sock: socket.socket) -> None:
+    def _serve(self, sock: socket.socket, peer: tuple[str, int]) -> None:
         try:
             hello = recv_frame(sock)
             if hello is None:
@@ -359,7 +362,9 @@ class TcpPeripheralServer:
         except (OSError, CanonicalError, TransportError):
             return
         session = TcpPeripheralSession(self, sock, str(msg.get("central")))
-        with self._session_lock:
+        with self._lock:
+            if self._closing:
+                return
             previous, self._session = self._session, session
         if previous is not None:
             previous.kill("superseded")
@@ -368,17 +373,18 @@ class TcpPeripheralServer:
             session.reader_loop()
         finally:
             session.kill("closed")
-            with self._session_lock:
+            with self._lock:
                 if self._session is session:
                     self._session = None
 
     def shutdown(self) -> None:
-        with self._session_lock:
+        # The session ends first, so its on_disconnect is the delegate's last call.
+        with self._lock:
+            self._closing = True
             session = self._session
         if session is not None:
             session.kill("shutdown")
-        self._server.shutdown()
-        self._server.server_close()
+        super().shutdown()
 
 
 class TcpPeripheralSession:
@@ -432,16 +438,7 @@ class TcpPeripheralSession:
         if not self._open:
             return
         self._open = False
-        # shutdown() wakes any thread blocked in recv on either end; a bare
-        # close() would leave the peer hanging until its next send.
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        _hang_up(self._sock)
         try:
             self._server.delegate.on_disconnect(self)
         except Exception:
@@ -510,6 +507,8 @@ class TcpCentralSession(Session):
             if stream is None:
                 stream = RealQueue()
                 self._streams[characteristic] = stream
+                if not self._open:
+                    stream.put(DISCONNECTED)
             return stream
 
     def write(self, characteristic: str, payload: bytes) -> None:
@@ -541,19 +540,12 @@ class TcpCentralSession(Session):
         self.close()
 
     def close(self) -> None:
-        if not self._open:
-            return
-        self._open = False
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
         with self._streams_lock:
+            if not self._open:
+                return
+            self._open = False
             streams = list(self._streams.values())
+        _hang_up(self._sock)
         for stream in streams:
             stream.put(DISCONNECTED)
 

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 from dataclasses import replace
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from ambox import canonical, storage
 from ambox.envelope import KeyPair, sign_reading_envelope
 from ambox.fleet import CommissionPlan, commission, start_monitoring
-from ambox.model import ModelError
+from ambox.model import HUMIDITY, PRESSURE, TEMPERATURE, ModelError
 from ambox.mote import (
     CHAR_ACK,
     CHAR_CONFIG,
@@ -216,6 +217,59 @@ def test_a_mote_reading_in_another_devices_name_is_refused(caplog):
         "node1: notification from 'mote1' signed by 'mote1' for 'node1'"]
     assert node.window_size == 0
     assert node.stats["mote_readings"] == 0
+
+
+def test_a_repeated_relayed_reading_commits_once_and_packing_goes_on():
+    # One signed reading relayed under two entry ids: a report holding both
+    # copies is invalid, so at the parent every later pack was refused.
+    world = build_world(mini_scenario(with_mote=True))
+    node = world.nodes["node1"]
+    out = {}
+
+    def director():
+        commission_and_start(world)
+        world.runtime.sleep(6 * 60_000)
+        reading = make_reading(PRESSURE, 1000.0, world.runtime.now_ms() - 1, "mote1")
+        envelope = sign_reading_envelope(world.keys["mote1"], reading)
+        for entry_id in (10_000, 10_001):
+            node._ingest_mote_notification("mote1", None,
+                                           encode_reading_notification(entry_id, envelope))
+        out["before"] = len(world.ledger.all_reports())
+        world.runtime.sleep(40 * 60_000)
+        out["after"] = len(world.ledger.all_reports())
+
+    drive(world, director)
+    relayed = [r for r in world.committed_readings() if r[:2] == ("mote1", PRESSURE)]
+    world.teardown()
+    assert out["after"] >= out["before"] + 7
+    assert len(relayed) == 1
+    assert node.stats["pack_drops"] == 1
+    assert node.window_size < 20
+
+
+def test_a_mote_driver_that_reads_nan_does_not_stop_its_sampler():
+    world = build_world(mini_scenario(with_mote=True))
+    mote = world.motes["mote1"]
+
+    class NanDriver:
+        def read(self, t_ms):
+            return math.nan
+
+    mote._drivers[HUMIDITY] = NanDriver()
+
+    def director():
+        commission_and_start(world)
+        world.runtime.sleep(20 * 60_000)
+        while not world.buffers_empty():
+            world.runtime.sleep(10_000)
+
+    drive(world, director)
+    committed = mote_committed_keys(world)
+    drops = mote.stats["out_of_range_drops"]
+    world.teardown()
+    assert drops >= 19
+    assert {q for _, q, _ in committed} == {TEMPERATURE}
+    assert len(committed) >= 19
 
 
 class _RecordingSession:

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from ambox import cli
+
 AMBOX = [sys.executable, "-m", "ambox.cli"]
 
 
@@ -219,6 +221,21 @@ def test_config_invalid_exit_codes(tmp_path):
     result = run_cli("node", "--config", str(virtual))
     assert result.returncode == 2
     assert "harness" in result.stderr
+
+
+@pytest.mark.parametrize("shape", [
+    [1],
+    {"motes": ["mote-1"]},
+    {"sensors": ["temperature"]},
+    {"sensors": {"temperature": 21}},
+    {"motes": {"mote-1": "no-port"}},
+], ids=["root-array", "motes-list", "sensors-list", "sensor-spec-number", "mote-address"])
+def test_a_config_of_the_wrong_shape_is_invalid(tmp_path, capsys, shape):
+    if isinstance(shape, dict):
+        shape = {"role": "node", "device_id": "n", "data_dir": str(tmp_path), **shape}
+    config = write_config(tmp_path / "node.json", shape)
+    assert cli.main(["node", "--config", str(config)]) == 2
+    assert "config-invalid" in capsys.readouterr().err
 
 
 def test_node_mote_over_real_sockets(stack):

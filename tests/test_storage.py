@@ -1,7 +1,9 @@
 import ast
+import http.server
 import json
 import os
 import random
+import socketserver
 from collections import deque
 from pathlib import Path
 
@@ -756,4 +758,32 @@ def test_only_storage_syncs_renames_or_truncates():
             elif isinstance(node, ast.ImportFrom) and node.module == "os":
                 found.extend(f"{path.relative_to(package)}:{node.lineno} {alias.name}"
                              for alias in node.names if alias.name in calls)
+    assert found == []
+
+
+def test_only_the_listener_runs_a_socket_server():
+    # One lifecycle for every TCP server: anything else that runs a
+    # socketserver would decide on its own what a stopped server answers.
+    package = Path(ambox.__file__).parent
+    servers = {name for module in (socketserver, http.server)
+               for name, obj in vars(module).items()
+               if isinstance(obj, type) and issubclass(obj, socketserver.BaseServer)}
+    found, listeners = [], 0
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "_Listener":
+                listeners += 1
+                inside.update(id(child) for child in ast.walk(node))
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if isinstance(node, ast.ClassDef):
+                bases = {getattr(base, "attr", getattr(base, "id", "")) for base in node.bases}
+                found.extend(f"{path.relative_to(package)}:{node.lineno} {node.name}({base})"
+                             for base in sorted(bases & servers))
+            elif isinstance(node, ast.Attribute) and node.attr == "serve_forever":
+                found.append(f"{path.relative_to(package)}:{node.lineno} serve_forever")
+    assert listeners == 1
     assert found == []

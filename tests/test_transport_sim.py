@@ -263,6 +263,22 @@ def test_advertising_again_supersedes_the_live_session():
     assert (len(old.sessions), old.disconnects, len(new.sessions)) == (1, 1, 1)
 
 
+def test_a_stream_subscribed_after_the_session_closed_ends():
+    rt, net = make_world(links=[("ble", "node", "mote", LinkClass.SHORT_RANGE)])
+    net.advertise("mote", "node", RecordingPeripheral())
+    central = net.central("node", {"mote"})
+    received = []
+
+    def run():
+        session = central.connect("mote")
+        session.close()
+        received.append(session.subscribe("readings").get())
+
+    rt.spawn("central", run)
+    rt.scheduler.drain()
+    assert received == [DISCONNECTED]
+
+
 def test_a_failing_write_handler_does_not_unwind_the_central(caplog):
     rt, net = make_world(links=[("ble", "node", "mote", LinkClass.SHORT_RANGE)])
     peripheral = RecordingPeripheral()

@@ -18,7 +18,9 @@ from ambox.transport import (
     Unauthorized,
     Unreachable,
 )
+from ambox.canonical import wire_dumps
 from ambox.transport.tcp import (
+    MAX_FRAME,
     FrameServer,
     HttpJsonClient,
     HttpServer,
@@ -203,6 +205,73 @@ def test_a_stopped_server_with_no_successor_fails_the_request():
         client.close()
 
 
+def _frame_server(calls):
+    server = FrameServer("127.0.0.1", 0, lambda src, b: calls.append(b) or b"echo:" + b)
+    return server, struct.pack(">I", 2) + b"hi"
+
+
+def _http_server(calls):
+    server = HttpServer("127.0.0.1", 0, lambda method, path, body: calls.append(path) or (200, {}))
+    return server, b"GET /b HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def _peripheral_server(calls):
+    class Recording(PeripheralDelegate):
+        def on_connect(self, session):
+            calls.append("connect")
+
+        def on_write(self, session, characteristic, payload):
+            calls.append("write")
+
+        def on_disconnect(self, session):
+            calls.append("disconnect")
+
+    server = TcpPeripheralServer("127.0.0.1", 0, "mote-1", "node-1", Recording())
+    hello = wire_dumps({"central": "node-1", "peripheral": "mote-1", "t": "hello"})
+    return server, struct.pack(">I", len(hello)) + hello
+
+
+@pytest.mark.parametrize("make_server", [_frame_server, _http_server, _peripheral_server],
+                         ids=["frame", "http", "peripheral"])
+def test_a_stopped_server_answers_no_connection_it_accepted(make_server):
+    calls = []
+    server, request = make_server(calls)
+    sock = socket.create_connection(("127.0.0.1", server.port), timeout=2)
+    try:
+        time.sleep(0.2)              # accepted, its handler waiting for a request
+        server.shutdown()
+        try:
+            sock.sendall(request)
+            answer = sock.recv(65536)
+        except OSError:
+            answer = b""
+    finally:
+        sock.close()
+    assert answer == b""
+    assert calls == []
+
+
+@pytest.mark.parametrize("length", ["abc", "-1", str(MAX_FRAME + 1)])
+def test_http_server_refuses_a_malformed_content_length(length):
+    calls = []
+    server = HttpServer("127.0.0.1", 0,
+                        lambda method, path, body: calls.append(body) or (200, {"got": body}))
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=1) as sock:
+            sock.sendall(b"POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: %s\r\n\r\n{}"
+                         % length.encode())
+            answer = b""
+            while chunk := sock.recv(65536):     # the server closes after its answer
+                answer += chunk
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert answer.endswith(b'{"error": "malformed-request"}')
+        status, body = HttpJsonClient().call(f"127.0.0.1:{server.port}", "POST", "/echo", {"a": 1})
+        assert (status, body) == (200, {"got": {"a": 1}})
+        assert calls == [{"a": 1}]
+    finally:
+        server.shutdown()
+
+
 def test_http_router_roundtrip():
     def router(method, path, body):
         if method == "POST" and path == "/echo":
@@ -321,7 +390,7 @@ def test_shortrange_disconnect_marker_on_close():
         assert peripheral.connected.wait(2.0)
         peripheral.session.kill("test")
         assert stream.get(timeout_ms=2000) is DISCONNECTED
-        assert session.open is False or True  # reader closes shortly after
+        assert session.open is False
     finally:
         server.shutdown()
 
@@ -349,3 +418,12 @@ def test_a_frame_that_is_not_a_notification_ends_the_central_session(frame):
     finally:
         session.close()
         peripheral_end.close()
+
+
+def test_a_stream_subscribed_after_the_session_closed_ends():
+    central_end, peripheral_end = socket.socketpair()
+    session = TcpCentralSession(central_end, "mote-1")
+    peripheral_end.close()
+    assert session.subscribe("ack").get(timeout_ms=2000) is DISCONNECTED
+    assert session.open is False
+    assert session.subscribe("readings").get(timeout_ms=1000) is DISCONNECTED
