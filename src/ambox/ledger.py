@@ -32,18 +32,31 @@ lock only to read the log's length and walks that prefix without it:
 commits and queries go on meanwhile, and the prefix cannot change under
 the walk because the log only grows, under the lock.
 
-Ingest parses each envelope once: `_judge` hands the envelope and report it
-parsed and checked to the commit, and only replay parses a stored
-transaction. Public keys are parsed when a device registers or the registry
-loads, never per verify. `get_recent` reads per-device and per-batch lists
-kept sorted newest first, filled as blocks are applied, live or on replay.
+Memory holds an index, not reports. Each committed report is one
+`StoredReport` of atomic values: the payload's base64 as committed, the
+block height, device, batch, `created_at` and whether the payload is in the
+form `EventReport.to_obj` writes. The per-device and per-batch `GetRecent`
+lists, kept sorted newest first, hold `(-created_at, report_id)` pairs. Both
+are filled as blocks are applied, live or on replay, from what
+`model.judge_report` finds in one pass over a payload without building the
+report. A report is decoded from its bytes only on request (`all_reports`).
+
+Ingest runs in two steps. `_prepare` runs without the lock: it parses each
+envelope, looks up its signer's key (parsed once, when the device registers
+or the registry loads), verifies the signature and judges the payload; no
+commit can change any of these answers. `_commit` holds the lock: it checks
+each report id against the stored ones and the batch's earlier ones, then
+encodes, appends and applies the block. Replay judges each stored payload
+the same way: one that does not decode makes the log corrupt, one that
+breaks a report rule was committed all the same.
 
 A committed report never changes, so its `GetRecent` entry (its JSON text
 in the answer) is encoded the first time a `GetRecent` returns it, outside
-the ledger lock, and then kept with the stored report. Ingest and replay
-encode none. `LedgerService` writes each ok answer from its result's text,
-so an answer of remembered entries costs a join, and its bytes are what
-`canonical.wire_text` of the whole answer would be.
+the ledger lock, and then kept in a dict beside the index. A payload in
+form is encoded from its own parse, any other through `decode_report`.
+Ingest and replay encode none. `LedgerService` writes each ok answer from
+its result's text, so an answer of remembered entries costs a join, and its
+bytes are what `canonical.wire_text` of the whole answer would be.
 
 The ledger keeps no record of its verdicts beyond the reply to each
 `AddEvents`: what was committed, in which order and when is the chain
@@ -62,9 +75,9 @@ import mmap
 import threading
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 from cryptography.hazmat.primitives.asymmetric.rsa import RSAPublicKey
 
@@ -77,7 +90,14 @@ from .envelope import (
     load_public_key,
     verify,
 )
-from .model import DeviceIdentity, EventReport, ModelError, decode_report, validate_report
+from .model import (
+    DeviceIdentity,
+    EventReport,
+    JudgedReport,
+    ModelError,
+    decode_report,
+    judge_report,
+)
 from .storage import SCHEMA_VERSION, AppendLog, read_document, write_document
 from .transport import RequestClient
 
@@ -178,22 +198,33 @@ class Verdict:
         return verdict
 
 
-@dataclass(eq=False)
-class StoredReport:
-    """A committed report as the ledger keeps it."""
+class StoredReport(NamedTuple):
+    """A committed report as the ledger keeps it: one object holding atomic
+    values only, so a report adds one object for the garbage collector to
+    track. The report itself is read back from its signed bytes when asked
+    for."""
 
+    report_id: str
     payload_b64: str
-    report: EventReport
     height: int
-    _entry: Optional[str] = field(default=None, init=False, repr=False)
+    device_id: str
+    batch_no: str
+    created_at: int
+    in_form: bool               # as `JudgedReport.in_form`
 
-    def entry(self) -> str:
-        """The report's `GetRecent` entry, `wire_text(report.to_obj())`, encoded
-        on first use and then kept. Callers run it outside the ledger lock;
-        two first uses at once encode it twice."""
-        if self._entry is None:
-            self._entry = wire_text(self.report.to_obj())
-        return self._entry
+    @property
+    def report(self) -> EventReport:
+        """The report, decoded from its signed bytes on each use."""
+        return decode_report(base64.b64decode(self.payload_b64))
+
+
+def _encode_entry(stored: StoredReport) -> str:
+    """A stored report's `GetRecent` entry, `wire_text(report.to_obj())`. A
+    payload in form is that object already, so its own parse is encoded."""
+    payload = base64.b64decode(stored.payload_b64)
+    if stored.in_form:
+        return wire_text(canonical.loads(payload))
+    return wire_text(decode_report(payload).to_obj())
 
 
 class Ledger:
@@ -210,6 +241,9 @@ class Ledger:
         # Parsed once per device; None for a stored PEM that does not parse.
         self._public_keys: dict[str, Optional[RSAPublicKey]] = {}
         self._reports: dict[str, StoredReport] = {}
+        # Each report's GetRecent entry, encoded the first time an answer
+        # holds it (see `entries`).
+        self._entries: dict[str, str] = {}
         # GetRecent indexes: (-created_at, report_id) in ascending order, so
         # newest first with ties broken by report id.
         self._recent_by_device: dict[str, list[tuple[int, str]]] = defaultdict(list)
@@ -236,35 +270,36 @@ class Ledger:
                 self._public_keys[device_id] = None
 
     def _replay_blocks(self) -> None:
+        """Rebuild the index from the log. A transaction whose payload does
+        not decode makes the log corrupt; one that breaks a report rule was
+        still committed, and is indexed like any other."""
         for block in _walk_blocks(AppendLog.read(self._blocks_path)):
             try:
-                reports = [decode_report(SignedEnvelope.from_wire_obj(tx).payload)
-                           for tx in block.transactions]
+                judged = [judge_report(SignedEnvelope.from_wire_obj(tx).payload)
+                          for tx in block.transactions]
             except (MalformedEnvelope, ModelError) as exc:
                 raise CorruptLedger(f"block {block.height}: unreadable transaction: {exc}",
                                     block.height) from exc
-            self._apply_block(block, reports)
+            self._apply_block(block, judged)
 
-    def _apply_block(self, block: LedgerBlock, reports: Iterable[EventReport]) -> None:
-        """Make `block` the tip; `reports` are its transactions' payloads, parsed."""
+    def _apply_block(self, block: LedgerBlock, judged: Iterable[JudgedReport]) -> None:
+        """Make `block` the tip; `judged` are its transactions' payloads, judged."""
         self._height = block.height
         self._tip_hash = block.block_hash
-        for tx, report in zip(block.transactions, reports, strict=True):
+        for tx, report in zip(block.transactions, judged, strict=True):
             self._reports[report.report_id] = StoredReport(
-                payload_b64=tx["payload_b64"],
-                report=report,
-                height=block.height,
-            )
+                report.report_id, tx["payload_b64"], block.height, report.device_id,
+                report.batch_no, report.created_at, report.in_form)
             entry = (-report.created_at, report.report_id)
             bisect.insort(self._recent_by_device[report.device_id], entry)
             bisect.insort(self._recent_by_batch[report.batch_no], entry)
 
     def _append_block(self, transactions: tuple[dict, ...], committed_at: int,
-                      reports: Iterable[EventReport]) -> LedgerBlock:
+                      judged: Iterable[JudgedReport]) -> LedgerBlock:
         block, line = LedgerBlock.encode(self._height + 1, self._tip_hash, transactions,
                                          committed_at)
         self._log.append(line)
-        self._apply_block(block, reports)
+        self._apply_block(block, judged)
         return block
 
     # -- operations -----------------------------------------------------------
@@ -298,59 +333,69 @@ class Ledger:
     def add_events(self, envelopes: list[Any], received_at: int) -> list[Verdict]:
         """Verify each envelope; commit the signed fields of the acceptable
         ones as one block."""
-        with self._lock:
-            verdicts: list[Verdict] = []
-            accepted: list[dict] = []
-            reports: list[EventReport] = []
-            batch_ids: set[str] = set()
-            for raw in envelopes:
-                verdict, parsed = self._judge(raw, batch_ids)
-                verdicts.append(verdict)
-                if parsed is not None:
-                    transaction, report = parsed
-                    accepted.append(transaction)
-                    reports.append(report)
-                    batch_ids.add(report.report_id)
-            if accepted:
-                self._append_block(tuple(accepted), received_at, reports)
-            return verdicts
+        return self._commit([self._prepare(raw) for raw in envelopes], received_at)
 
-    def _judge(self, raw: Any, batch_ids: set[str]
-               ) -> tuple[Verdict, Optional[tuple[dict, EventReport]]]:
-        """The verdict on one envelope, and its transaction and the report it
-        parsed if they are to be committed now (not a rejection, not a
-        replay). A wire envelope's transaction is its signed fields as
-        received: `from_wire_obj` accepts base64 in one spelling only."""
+    def _prepare(self, raw: Any) -> Verdict | tuple[dict, JudgedReport]:
+        """Everything about one envelope that no commit can change, judged
+        without the lock: its rejection, or the transaction to commit and its
+        judged report. A wire envelope's transaction is its signed fields as
+        received: `from_wire_obj` accepts base64 in one spelling only.
+
+        The registry only grows, and a registered device's key never
+        changes, so the key lookup needs no lock either."""
         try:
             envelope = raw if isinstance(raw, SignedEnvelope) else SignedEnvelope.from_wire_obj(raw)
         except MalformedEnvelope:
-            return Verdict("rejected", reason=REASON_MALFORMED), None
+            return Verdict("rejected", reason=REASON_MALFORMED)
         if envelope.signer not in self._public_keys:
-            return Verdict("rejected", reason=REASON_UNKNOWN_SIGNER), None
+            return Verdict("rejected", reason=REASON_UNKNOWN_SIGNER)
         public_key = self._public_keys[envelope.signer]
         if public_key is None:
-            return Verdict("rejected", reason=REASON_MALFORMED), None
+            return Verdict("rejected", reason=REASON_MALFORMED)
         try:
             if not verify(public_key, envelope):
-                return Verdict("rejected", reason=REASON_BAD_SIGNATURE), None
+                return Verdict("rejected", reason=REASON_BAD_SIGNATURE)
         except MalformedEnvelope:
-            return Verdict("rejected", reason=REASON_MALFORMED), None
+            return Verdict("rejected", reason=REASON_MALFORMED)
         try:
-            report = decode_report(envelope.payload)
+            report = judge_report(envelope.payload)
         except ModelError:
-            return Verdict("rejected", reason=REASON_INVALID_REPORT), None
-        if validate_report(report):
-            return Verdict("rejected", report_id=report.report_id,
-                           reason=REASON_INVALID_REPORT), None
+            return Verdict("rejected", reason=REASON_INVALID_REPORT)
+        if report.violations:
+            return Verdict("rejected", report_id=report.report_id, reason=REASON_INVALID_REPORT)
         if report.device_id != envelope.signer:
-            return Verdict("rejected", report_id=report.report_id,
-                           reason=REASON_BAD_SIGNATURE), None
-        if report.report_id in self._reports or report.report_id in batch_ids:
-            return Verdict("committed", report_id=report.report_id, replay=True), None
+            return Verdict("rejected", report_id=report.report_id, reason=REASON_BAD_SIGNATURE)
         transaction = envelope.to_wire_obj() if raw is envelope else {
             "payload_b64": raw["payload_b64"], "signature_b64": raw["signature_b64"],
             "signer": envelope.signer}
-        return Verdict("committed", report_id=report.report_id), (transaction, report)
+        return transaction, report
+
+    def _commit(self, prepared: list[Verdict | tuple[dict, JudgedReport]],
+                received_at: int) -> list[Verdict]:
+        """Under the lock: each prepared report whose id is neither stored
+        nor earlier in the batch is committed, in one block; the others are
+        answered as replays."""
+        verdicts: list[Verdict] = []
+        transactions: list[dict] = []
+        judged: list[JudgedReport] = []
+        with self._lock:
+            batch_ids: set[str] = set()
+            for item in prepared:
+                if isinstance(item, Verdict):
+                    verdicts.append(item)
+                    continue
+                transaction, report = item
+                report_id = report.report_id
+                if report_id in self._reports or report_id in batch_ids:
+                    verdicts.append(Verdict("committed", report_id=report_id, replay=True))
+                    continue
+                verdicts.append(Verdict("committed", report_id=report_id))
+                batch_ids.add(report_id)
+                transactions.append(transaction)
+                judged.append(report)
+            if transactions:
+                self._append_block(tuple(transactions), received_at, judged)
+        return verdicts
 
     def get_event_payload(self, report_id: str) -> Optional[str]:
         """Base64 of the exact signed bytes, byte-identical to submission."""
@@ -375,13 +420,29 @@ class Ledger:
                 entries = heapq.merge(*self._recent_by_device.values())
             stored = (self._reports[report_id] for _, report_id in entries)
             matches = (s for s in stored
-                       if (device_id is None or s.report.device_id == device_id)
-                       and (batch_no is None or s.report.batch_no == batch_no))
+                       if (device_id is None or s.device_id == device_id)
+                       and (batch_no is None or s.batch_no == batch_no))
             return list(itertools.islice(matches, limit))
 
+    def entries(self, stored: Iterable[StoredReport]) -> list[str]:
+        """The `GetRecent` entries of stored reports. An entry is encoded the
+        first time an answer holds its report, outside the lock, and then
+        kept: a committed report never changes. Two first uses at once encode
+        it twice, to the same text."""
+        entries = self._entries
+        texts = []
+        for s in stored:
+            text = entries.get(s.report_id)
+            if text is None:
+                text = entries[s.report_id] = _encode_entry(s)
+            texts.append(text)
+        return texts
+
     def all_reports(self) -> list[EventReport]:
+        """Every stored report, decoded, in report id order."""
         with self._lock:
-            return [self._reports[rid].report for rid in sorted(self._reports)]
+            stored = [self._reports[rid] for rid in sorted(self._reports)]
+        return [s.report for s in stored]
 
     @property
     def height(self) -> int:
@@ -582,7 +643,7 @@ class LedgerService:
                 limit=limit,
             )
             # The text of wire_text({"reports": [s.report.to_obj() for s in stored]}).
-            return '{"reports": [' + ", ".join(s.entry() for s in stored) + "]}"
+            return '{"reports": [' + ", ".join(self.ledger.entries(stored)) + "]}"
         if op == OP_REGISTER_DEVICE:
             identity = DeviceIdentity.from_obj(args["identity"])
             return wire_text({"registration": self.ledger.register_device(identity)})

@@ -7,6 +7,9 @@ code runs identically under the wall clock and the harness virtual clock.
 
 Every reading, alone or in a report, is decoded by one function and encoded
 by one; within a report each distinct timestamp is parsed or formatted once.
+The ledger judges a signed payload with `judge_report`, which applies the
+decoder's rules and `validate_report`'s invariants without building the
+report.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 from . import canonical
 
@@ -144,23 +147,35 @@ class EventReport:
 
     @classmethod
     def from_obj(cls, obj: Any) -> "EventReport":
-        _require_keys(obj, _REPORT_FIELDS, "EventReport")
-        readings = obj["readings"]
-        if not isinstance(readings, list):
-            raise ModelError("readings must be a list")
         instants: dict[str, int] = {}
+        report_id, device_id, product_id, batch_no, created_at, readings = \
+            _report_fields(obj, instants)
         return cls(
-            report_id=_require_str(obj, "report_id"),
-            device_id=_require_str(obj, "device_id"),
-            product_id=_require_str(obj, "product_id"),
-            batch_no=_require_str(obj, "batch_no"),
-            created_at=_parse_instant(obj["created_at"], instants),
+            report_id=report_id,
+            device_id=device_id,
+            product_id=product_id,
+            batch_no=batch_no,
+            created_at=created_at,
             readings=tuple([_decode_reading(r, instants) for r in readings]),
         )
 
 
 _READING_FIELDS = ("quantity", "sampled_at", "source_device", "value")
 _REPORT_FIELDS = ("report_id", "device_id", "product_id", "batch_no", "created_at", "readings")
+
+
+def _report_fields(obj: Any, instants: dict[str, int]
+                   ) -> tuple[str, str, str, str, int, list]:
+    """A report object's id, device, product, batch, `created_at` and raw
+    readings list, or ModelError: the report-level rules that
+    `EventReport.from_obj` and `judge_report` share."""
+    _require_keys(obj, _REPORT_FIELDS, "EventReport")
+    readings = obj["readings"]
+    if not isinstance(readings, list):
+        raise ModelError("readings must be a list")
+    return (_require_str(obj, "report_id"), _require_str(obj, "device_id"),
+            _require_str(obj, "product_id"), _require_str(obj, "batch_no"),
+            _parse_instant(obj["created_at"], instants), readings)
 
 
 def _decode_reading(obj: Any, instants: dict[str, int],
@@ -233,38 +248,106 @@ def decode_report(payload: bytes) -> EventReport:
         raise ModelError(str(exc)) from exc
 
 
+class JudgedReport(NamedTuple):
+    """What `judge_report` finds in a signed payload without building it."""
+
+    report_id: str
+    device_id: str
+    batch_no: str
+    created_at: int
+    violations: list[str]
+    # The parsed payload is what `decode_report(payload).to_obj()` gives, so
+    # its wire text is the report's: no extra key, no null signature, no
+    # integer value, no instant before 1970 (which `to_obj` refuses).
+    in_form: bool
+
+
+def judge_report(payload: bytes) -> JudgedReport:
+    """`validate_report(decode_report(payload))` and the report's index
+    fields, in one pass over the parsed payload: ModelError for exactly the
+    payloads `decode_report` refuses.
+
+    A reading in the form `to_obj` writes is read field by field, building
+    nothing; such a reading is one the decoder takes as it is. Any other
+    reading goes through the decoder's own `_decode_reading`, which refuses
+    it or reads it as a client would."""
+    try:
+        obj = canonical.loads(payload)
+        instants: dict[str, int] = {}
+        report_id, device_id, _, batch_no, created_at, readings = _report_fields(obj, instants)
+        in_form = len(obj) == len(_REPORT_FIELDS) and created_at >= 0
+        times: list[int] = []
+        sources: list[str] = []
+        quantities: list[str] = []
+        values: list[float] = []
+        for reading in readings:
+            try:
+                quantity, stamp = reading["quantity"], reading["sampled_at"]
+                source_device, value = reading["source_device"], reading["value"]
+            except (KeyError, TypeError):
+                quantity = None                  # not in form: decoded below
+            if (type(quantity) is str and type(source_device) is str and type(value) is float
+                    and (len(reading) == 4 or (len(reading) == 5 and type(
+                        reading.get("signature_b64")) is str))):
+                sampled_at = _parse_instant(stamp, instants)
+            else:
+                decoded = _decode_reading(reading, instants)
+                quantity, value = decoded.quantity, decoded.value
+                sampled_at, source_device = decoded.sampled_at, decoded.source_device
+                in_form = False
+            times.append(sampled_at)
+            sources.append(source_device)
+            quantities.append(quantity)
+            values.append(value)
+        in_form = in_form and (not times or min(times) >= 0)
+    except (ValueError, OverflowError, RecursionError) as exc:
+        raise ModelError(str(exc)) from exc
+    return JudgedReport(
+        report_id, device_id, batch_no, created_at,
+        _violations(report_id, device_id, created_at, times, sources, quantities, values),
+        in_form)
+
+
 def validate_report(report: EventReport) -> list[str]:
     """Evaluate every report invariant; returns the violated ones by name.
 
     Total function: an empty list means the report is acceptable. Uniqueness
     of report_id is ledger-wide and enforced at ingest, not here.
     """
+    readings = report.readings
+    return _violations(report.report_id, report.device_id, report.created_at,
+                       [r.sampled_at for r in readings], [r.source_device for r in readings],
+                       [r.quantity for r in readings], [r.value for r in readings])
+
+
+def _violations(report_id: str, device_id: str, created_at: int, times: list[int],
+                sources: list[str], quantities: list[str], values: list[float]) -> list[str]:
+    """The report invariants over each reading's fields in report order: the
+    one definition that both `validate_report` and `judge_report` apply."""
     violations: list[str] = []
-    if not report.report_id:
+    if not report_id:
         violations.append("report_id non-empty")
-    if not report.device_id:
+    if not device_id:
         violations.append("device_id non-empty")
-    if not report.readings:
+    if not times:
         violations.append("readings non-empty")
     else:
-        times = [r.sampled_at for r in report.readings]
         if any(b < a for a, b in zip(times, times[1:])):
             violations.append("readings sorted")
-        if any(t > report.created_at for t in times):
+        if max(times) > created_at:
             violations.append("readings within created_at")
         if min(times) < 0:
             violations.append("readings at or after 1970-01-01")
         last_per_stream: dict[tuple[str, str], int] = {}
         strict_ok = True
-        for r in report.readings:
-            key = (r.source_device, r.quantity)
-            prev = last_per_stream.get(key)
-            if prev is not None and r.sampled_at <= prev:
+        for stream, t in zip(zip(sources, quantities), times):
+            prev = last_per_stream.get(stream)
+            if prev is not None and t <= prev:
                 strict_ok = False
-            last_per_stream[key] = r.sampled_at
+            last_per_stream[stream] = t
         if not strict_ok:
             violations.append("readings strictly increasing per source and quantity")
-        if any(not math.isfinite(r.value) for r in report.readings):
+        if not all(map(math.isfinite, values)):
             violations.append("reading values finite")
     return violations
 
@@ -402,6 +485,8 @@ __all__ = [
     "SensorReading",
     "EventReport",
     "decode_report",
+    "JudgedReport",
+    "judge_report",
     "validate_report",
     "new_report_id",
     "MonitoringJob",

@@ -21,7 +21,6 @@ import http.client
 import logging
 import select
 import socket
-import socketserver
 import struct
 import threading
 from http.server import BaseHTTPRequestHandler
@@ -183,32 +182,45 @@ class TcpRequestClient(RequestClient):
 class _Listener:
     """A TCP server's lifecycle, as the module docstring states it. A subclass
     defines only `_serve(sock, peer)`, which serves one accepted connection on
-    its own thread; the socket closes when it returns."""
+    its own thread; the socket closes when it returns.
+
+    One thread accepts, blocked in `accept` on the listening socket. `shutdown`
+    shuts that socket down, which on Linux wakes the blocked `accept` at once,
+    so a stop waits on no poll interval."""
 
     def __init__(self, host: str, port: int, name: str) -> None:
-        listener = self
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-            def finish_request(self, request: Any, client_address: Any) -> None:
-                listener._serve_connection(request, client_address)
-
         self._lock = threading.Lock()
         self._connections: set[socket.socket] = set()
         self._closing = False
+        self._stopping = threading.Event()
         try:
-            self._server = _Server((host, port), socketserver.BaseRequestHandler)
+            self._socket = socket.create_server((host, port))
         except OSError as exc:
             raise OSError(f"cannot bind {host}:{port}: {exc}") from exc
-        self.port = self._server.server_address[1]
-        threading.Thread(target=self._server.serve_forever, name=f"{name}:{self.port}",
-                         daemon=True).start()
+        self.port = self._socket.getsockname()[1]
+        self._accepter = threading.Thread(target=self._accept_loop, name=f"{name}:{self.port}",
+                                          daemon=True)
+        self._accepter.start()
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, peer = self._socket.accept()
+            except OSError as exc:
+                if self._stopping.is_set():
+                    return
+                # Out of descriptors or an aborted handshake: the listener
+                # goes on, after a pause so that a lasting error cannot spin.
+                logger.warning("accept on port %d failed: %s", self.port, exc)
+                self._stopping.wait(0.05)
+                continue
+            threading.Thread(target=self._serve_connection, args=(sock, peer),
+                             name=f"{self._accepter.name}:{peer[1]}", daemon=True).start()
 
     def _serve_connection(self, sock: socket.socket, peer: tuple[str, int]) -> None:
         with self._lock:
             if self._closing:
+                _hang_up(sock)
                 return
             self._connections.add(sock)
         try:
@@ -217,10 +229,14 @@ class _Listener:
         finally:
             with self._lock:
                 self._connections.discard(sock)
+            _hang_up(sock)
 
     def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        self._stopping.set()
+        with contextlib.suppress(OSError):
+            self._socket.shutdown(socket.SHUT_RDWR)
+        self._accepter.join()
+        self._socket.close()
         with self._lock:
             self._closing = True
             connections = list(self._connections)

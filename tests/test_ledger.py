@@ -1,6 +1,7 @@
 import ast
 import base64
 import dataclasses
+import gc
 import http.client
 import itertools
 import json
@@ -9,7 +10,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -339,13 +340,13 @@ def test_a_report_entry_is_encoded_once_and_never_at_ingest_or_replay(
     envelopes = [env_for(node_key, i)[0] for i in range(6)]
     ids = [canonical.loads(e.payload)["report_id"] for e in envelopes]
     encoded = []
-    to_obj = EventReport.to_obj
+    encode_entry = ledger_module._encode_entry
 
-    def counting_to_obj(report):
-        encoded.append(report.report_id)
-        return to_obj(report)
+    def counting_encode_entry(stored):
+        encoded.append(stored.report_id)
+        return encode_entry(stored)
 
-    monkeypatch.setattr(EventReport, "to_obj", counting_to_obj)
+    monkeypatch.setattr(ledger_module, "_encode_entry", counting_encode_entry)
     registered.add_events(envelopes[:2], T0)
     registered.add_events(envelopes[2:], T0 + 1)
     assert encoded == []
@@ -1009,6 +1010,131 @@ def test_audits_beside_commits_walk_whole_linked_prefixes(registered, node_key):
     assert verdicts and set(verdicts) == {None}
     assert all(heights == list(range(len(heights))) for heights in walks)
     assert registered.height == 40 and len(registered.blocks()) == 41
+
+
+def test_a_batch_being_prepared_holds_no_lock(registered, node_key, monkeypatch):
+    stored_env, stored = env_for(node_key, 0)
+    registered.add_events([stored_env], T0)
+    paused_env, paused = env_for(node_key, 1)
+    second_env, second = env_for(node_key, 2)
+    verifying, resume = threading.Event(), threading.Event()
+    real_verify = ledger_module.verify
+
+    def paused_verify(public_key, envelope):
+        if envelope is paused_env:
+            verifying.set()
+            resume.wait(10)
+        return real_verify(public_key, envelope)
+
+    monkeypatch.setattr(ledger_module, "verify", paused_verify)
+    answers, others_done = {}, threading.Event()
+
+    def others():
+        answers["payload"] = registered.get_event_payload(stored.report_id)
+        answers["recent"] = registered.get_recent(limit=5)
+        answers["second"] = registered.add_events([second_env], T0 + 2)
+        others_done.set()
+
+    first = threading.Thread(target=lambda: answers.setdefault(
+        "first", registered.add_events([paused_env], T0 + 1)))
+    first.start()
+    try:
+        assert verifying.wait(10)
+        threading.Thread(target=others, daemon=True).start()
+        assert others_done.wait(5), "a query or a commit waited for a batch being verified"
+    finally:
+        resume.set()
+        first.join(10)
+    assert not first.is_alive()
+    assert answers["payload"] == stored_env.to_wire_obj()["payload_b64"]
+    assert [s.report_id for s in answers["recent"]] == [stored.report_id]
+    assert [(v.status, v.replay) for v in answers["second"] + answers["first"]] == [
+        ("committed", False)] * 2
+    # The batch that finished preparing first committed first.
+    assert [block.transactions[0]["payload_b64"] for block in registered.blocks()[2:]] == [
+        e.to_wire_obj()["payload_b64"] for e in (second_env, paused_env)]
+    assert registered.verify_chain() is None
+    assert {r.report_id for r in registered.all_reports()} == {
+        stored.report_id, paused.report_id, second.report_id}
+
+
+@pytest.fixture(scope="module")
+def shared_envelopes(node_key, other_key):
+    """Signed reports from two devices, for batches that share report ids."""
+    return [env_for((node_key, other_key)[i % 2], i)[0] for i in range(8)]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4),
+                         min_size=1, max_size=3),
+                min_size=2, max_size=4))
+def test_concurrent_batches_commit_each_report_once(node_key, other_key, shared_envelopes,
+                                                    plans):
+    # Each thread submits its batches in turn; all threads start together.
+    ids = [canonical.loads(e.payload)["report_id"] for e in shared_envelopes]
+    with tempfile.TemporaryDirectory() as directory:
+        ledger = Ledger(directory, genesis_at_ms=T0)
+        for key in (node_key, other_key):
+            ledger.register_device(identity_of(key))
+        start = threading.Barrier(len(plans))
+        answers = []
+
+        def submit(batches):
+            start.wait(10)
+            for batch in batches:
+                verdicts = ledger.add_events([shared_envelopes[i] for i in batch], T0)
+                answers.extend(zip(batch, verdicts))
+
+        threads = [threading.Thread(target=submit, args=(batches,)) for batches in plans]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        submitted = Counter(i for batches in plans for batch in batches for i in batch)
+        assert len(answers) == sum(submitted.values())
+        assert all(v.status == "committed" and v.report_id == ids[i] for i, v in answers)
+        firsts = Counter(i for i, v in answers if not v.replay)
+        assert firsts == Counter(set(submitted))     # once each, the rest replays
+        assert ledger.verify_chain() is None
+        assert sorted(r.report_id for r in ledger.all_reports()) == sorted(ids[i] for i in firsts)
+        reopened = Ledger(directory)
+        assert reopened.world_state_bytes() == ledger.world_state_bytes()
+        reopened.close()
+        ledger.close()
+
+
+def test_a_replayed_report_is_kept_as_an_index_record(node_key, tmp_path):
+    # A replayed 15-reading report (about 1.7 KB of payload, 2.3 KB as
+    # base64) keeps its payload's base64 and a few atomic values, not a
+    # decoded report: one report of 15 readings as objects took 9 KB and 18
+    # objects the garbage collector tracks.
+    n = 500
+    ledger = Ledger(tmp_path / "ledger", genesis_at_ms=T0)
+    ledger.register_device(identity_of(node_key))
+    for first in range(0, n, 100):
+        ledger.add_events([env_for(node_key, i, n=15)[0] for i in range(first, first + 100)],
+                          T0 + first)
+    ledger.close()
+    gc.collect()
+    tracked_before = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        reopened = Ledger(tmp_path / "ledger")
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+        tracked = len(gc.get_objects()) - tracked_before
+    finally:
+        tracemalloc.stop()
+    assert reopened.height == n // 100 and len(reopened.all_reports()) == n
+    assert retained <= 3_500 * n, retained / n
+    assert tracked <= 2 * n, tracked / n
+    reopened.close()
 
 
 @pytest.fixture(scope="module")

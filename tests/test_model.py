@@ -3,6 +3,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -16,15 +17,19 @@ from ambox.model import (
     TEMPERATURE,
     EventReport,
     HeartbeatMessage,
+    JudgedReport,
     ModelError,
     MonitoringJob,
     NodeState,
     SensorReading,
     decode_report,
+    judge_report,
     legal_transition,
     new_report_id,
     validate_report,
 )
+
+from ambox.envelope import canonicalize
 
 from conftest import T0, make_reading, make_report
 
@@ -354,6 +359,113 @@ def test_codec_matches_the_field_by_field_reference(obj):
     if expected is not ModelError:  # instants before 1970 decode, but neither encodes them
         assert (_outcome(lambda: json.dumps(decoded.to_obj()))
                 == _outcome(lambda: json.dumps(_reference_report_to_obj(expected))))
+
+
+def _assert_judged_as_decoded(payload):
+    """`judge_report` refuses what `decode_report` refuses, finds what
+    `validate_report` of the decoded report finds, and is in form exactly when
+    the payload's own parse has the wire text of the report's `to_obj`."""
+    decoded = _outcome(decode_report, payload)
+    judged = _outcome(judge_report, payload)  # any other exception fails the test
+    if decoded is ModelError:
+        assert judged is ModelError
+        return
+    assert isinstance(judged, JudgedReport)
+    assert judged[:4] == (decoded.report_id, decoded.device_id, decoded.batch_no,
+                          decoded.created_at)
+    assert judged.violations == validate_report(decoded)
+    own_text = canonical.wire_text(canonical.loads(payload))
+    assert judged.in_form == (_outcome(lambda: canonical.wire_text(decoded.to_obj())) == own_text)
+
+
+@settings(max_examples=400)
+@given(_REPORT_OBJECTS)
+def test_the_judge_matches_the_decoder_on_any_object(obj):
+    _assert_judged_as_decoded(canonical.dumps(obj))
+
+
+@st.composite
+def valid_reports(draw):
+    """Reports that `validate_report` accepts: shared instants across
+    streams, relayed readings with and without a signature."""
+    device = draw(st.sampled_from(["node-1", "node-2"]))
+    at = draw(st.integers(0, 10 ** 12))
+    readings, seen = [], set()
+    for _ in range(draw(st.integers(1, 6))):
+        at += draw(st.sampled_from([0, 0, 1, 60_000]))
+        source = draw(st.sampled_from([device, "mote-1"]))
+        quantity = draw(st.sampled_from([TEMPERATURE, HUMIDITY, PRESSURE]))
+        if (source, quantity, at) in seen:
+            continue
+        seen.add((source, quantity, at))
+        readings.append(SensorReading(
+            quantity=quantity,
+            value=draw(st.floats(allow_nan=False, allow_infinity=False)),
+            sampled_at=at,
+            source_device=source,
+            signature_b64=draw(st.none() | st.sampled_from(["c2ln", "YQ=="]))
+            if source != device else None,
+        ))
+    return EventReport(f"{device}-{at}-{len(readings)}", device, "p", "b",
+                       at + draw(st.integers(0, 10 ** 6)), tuple(readings))
+
+
+_WRONG_TYPES = [None, 5, 1.5, True, "x", [], {}, [1], {"a": 1}]
+_ODD_INSTANTS = [
+    "2024-01-01T00:00:00Z", "2024-01-01T00:00:00.000+00:00", "2024-13-01T00:00:00.000Z",
+    "2024-02-30T00:00:00.000Z", "2024-01-01T24:00:00.000Z", "2024-01-01T00:00:00.000Z\n",
+    "\uff12024-01-01T00:00:00.000Z", "1969-12-31T23:59:59.999Z", "0001-01-01T00:00:00.000Z",
+]
+_MUTATIONS = ["none", "missing-key", "wrong-type", "value", "non-finite", "instant",
+              "extra-key", "signature", "reading-not-object", "instants"]
+
+
+def _mutate(data, obj):
+    """`obj` with one mutation of one kind, drawn from `data`."""
+    kind = data.draw(st.sampled_from(_MUTATIONS), label="mutation")
+    readings = obj["readings"]
+    reading = data.draw(st.sampled_from(readings))
+    target = data.draw(st.sampled_from([obj, reading]))
+    if kind == "missing-key":
+        del target[data.draw(st.sampled_from(sorted(target)))]
+    elif kind == "wrong-type":
+        target[data.draw(st.sampled_from(sorted(target)))] = data.draw(st.sampled_from(_WRONG_TYPES))
+    elif kind == "value":
+        reading["value"] = data.draw(st.sampled_from(
+            [True, False, 0, 7, -3, 10 ** 20, 10 ** 400, -(10 ** 400)]))
+    elif kind == "non-finite":
+        reading["value"] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "instant":
+        key = "created_at" if target is obj else "sampled_at"
+        target[key] = data.draw(st.sampled_from(_ODD_INSTANTS))
+    elif kind == "extra-key":
+        target[data.draw(st.sampled_from(["note", "signature_b64" if target is obj else "x"]))] = \
+            data.draw(st.sampled_from(_WRONG_TYPES))
+    elif kind == "signature":
+        reading["signature_b64"] = data.draw(st.sampled_from([None, 5, 1.5, True, [], {}]))
+    elif kind == "reading-not-object":
+        readings[readings.index(reading)] = data.draw(st.sampled_from(_WRONG_TYPES[:6]))
+    elif kind == "instants":
+        other = data.draw(st.sampled_from(readings))
+        if data.draw(st.booleans()):          # unsorted
+            reading["sampled_at"], other["sampled_at"] = other["sampled_at"], reading["sampled_at"]
+        else:                                 # repeated
+            reading["sampled_at"] = other["sampled_at"]
+    return obj
+
+
+@settings(max_examples=600, deadline=None)
+@given(valid_reports(), st.data())
+def test_the_judge_matches_the_decoder_on_each_mutation_of_a_valid_report(report, data):
+    obj = _mutate(data, report.to_obj())
+    _assert_judged_as_decoded(json.dumps(obj).encode("utf-8"))
+
+
+@given(valid_reports())
+def test_every_signed_payload_is_judged_valid_and_in_form(report):
+    judged = judge_report(canonicalize(report))
+    assert judged == (report.report_id, report.device_id, report.batch_no, report.created_at,
+                      [], True)
 
 
 @given(_READING_OBJECTS)

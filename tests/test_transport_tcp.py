@@ -251,6 +251,19 @@ def test_a_stopped_server_answers_no_connection_it_accepted(make_server):
     assert calls == []
 
 
+@pytest.mark.parametrize("make_server", [_frame_server, _http_server, _peripheral_server],
+                         ids=["frame", "http", "peripheral"])
+def test_an_idle_server_stops_at_once(make_server):
+    # A stop wakes the blocked accept; it waits on no poll interval.
+    server, _ = make_server([])
+    time.sleep(0.05)                 # the accepting thread is blocked by now
+    start = time.perf_counter()
+    server.shutdown()
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(OSError):
+        socket.create_connection(("127.0.0.1", server.port), timeout=1).close()
+
+
 @pytest.mark.parametrize("length", ["abc", "-1", str(MAX_FRAME + 1)])
 def test_http_server_refuses_a_malformed_content_length(length):
     calls = []
