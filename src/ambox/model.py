@@ -180,7 +180,22 @@ def _report_fields(obj: Any, instants: dict[str, int]
 
 def _decode_reading(obj: Any, instants: dict[str, int],
                     signature_b64: Optional[str] = None) -> SensorReading:
-    """The one reading decoder; `instants` memoizes timestamps across a report."""
+    """The reading in `obj`; `instants` memoizes timestamps across a report."""
+    quantity, value, sampled_at, source_device, signature = _reading_fields(obj, instants)
+    # Built without __init__, whose frozen setattrs cost more than the checks
+    # in `_reading_fields`; `value` is a float already, all __post_init__ adds.
+    reading = object.__new__(SensorReading)
+    reading.__dict__.update(quantity=quantity, value=value, sampled_at=sampled_at,
+                            source_device=source_device,
+                            signature_b64=signature if signature_b64 is None else signature_b64)
+    return reading
+
+
+def _reading_fields(obj: Any, instants: dict[str, int]
+                    ) -> tuple[str, float, int, str, Optional[str]]:
+    """The one reading decoder: a reading object's quantity, value, instant,
+    source and signature, or ModelError. It builds nothing, so the ledger's
+    judge reads a report's readings through it too."""
     if not isinstance(obj, dict):
         raise ModelError(f"SensorReading must be a JSON object, got {type(obj).__name__}")
     try:
@@ -200,13 +215,7 @@ def _decode_reading(obj: Any, instants: dict[str, int],
     sampled_at = _parse_instant(stamp, instants)
     if not isinstance(source_device, str):
         _require_str(obj, "source_device")
-    # Built without __init__, whose frozen setattrs cost more than the checks
-    # above; `value` is already a float, which is all __post_init__ adds.
-    reading = object.__new__(SensorReading)
-    reading.__dict__.update(quantity=quantity, value=value, sampled_at=sampled_at,
-                            source_device=source_device,
-                            signature_b64=signature if signature_b64 is None else signature_b64)
-    return reading
+    return quantity, value, sampled_at, source_device, signature
 
 
 def _encode_reading(reading: SensorReading, stamps: dict[int, str],
@@ -264,13 +273,9 @@ class JudgedReport(NamedTuple):
 
 def judge_report(payload: bytes) -> JudgedReport:
     """`validate_report(decode_report(payload))` and the report's index
-    fields, in one pass over the parsed payload: ModelError for exactly the
-    payloads `decode_report` refuses.
-
-    A reading in the form `to_obj` writes is read field by field, building
-    nothing; such a reading is one the decoder takes as it is. Any other
-    reading goes through the decoder's own `_decode_reading`, which refuses
-    it or reads it as a client would."""
+    fields, in one pass over the parsed payload through the decoder's own
+    field readers, building no reading: ModelError for exactly the payloads
+    `decode_report` refuses."""
     try:
         obj = canonical.loads(payload)
         instants: dict[str, int] = {}
@@ -281,20 +286,11 @@ def judge_report(payload: bytes) -> JudgedReport:
         quantities: list[str] = []
         values: list[float] = []
         for reading in readings:
-            try:
-                quantity, stamp = reading["quantity"], reading["sampled_at"]
-                source_device, value = reading["source_device"], reading["value"]
-            except (KeyError, TypeError):
-                quantity = None                  # not in form: decoded below
-            if (type(quantity) is str and type(source_device) is str and type(value) is float
-                    and (len(reading) == 4 or (len(reading) == 5 and type(
-                        reading.get("signature_b64")) is str))):
-                sampled_at = _parse_instant(stamp, instants)
-            else:
-                decoded = _decode_reading(reading, instants)
-                quantity, value = decoded.quantity, decoded.value
-                sampled_at, source_device = decoded.sampled_at, decoded.source_device
-                in_form = False
+            quantity, value, sampled_at, source_device, signature = \
+                _reading_fields(reading, instants)
+            if type(reading["value"]) is not float or len(reading) != (
+                    4 if signature is None else 5):
+                in_form = False                 # `to_obj` writes a float, drops a null
             times.append(sampled_at)
             sources.append(source_device)
             quantities.append(quantity)

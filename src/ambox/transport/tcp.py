@@ -185,8 +185,9 @@ class _Listener:
     its own thread; the socket closes when it returns.
 
     One thread accepts, blocked in `accept` on the listening socket. `shutdown`
-    shuts that socket down, which on Linux wakes the blocked `accept` at once,
-    so a stop waits on no poll interval."""
+    wakes it at once, so a stop waits on no poll interval: shutting the
+    listening socket down wakes it on Linux, and where that fails (BSD,
+    macOS) a connection of the listener's own does."""
 
     def __init__(self, host: str, port: int, name: str) -> None:
         self._lock = threading.Lock()
@@ -197,7 +198,10 @@ class _Listener:
             self._socket = socket.create_server((host, port))
         except OSError as exc:
             raise OSError(f"cannot bind {host}:{port}: {exc}") from exc
-        self.port = self._socket.getsockname()[1]
+        bound_host, self.port = self._socket.getsockname()[:2]
+        # Where `shutdown` connects to wake the accept: loopback for a wildcard.
+        self._wake_address = ({"0.0.0.0": "127.0.0.1", "::": "::1"}.get(bound_host, bound_host),
+                              self.port)
         self._accepter = threading.Thread(target=self._accept_loop, name=f"{name}:{self.port}",
                                           daemon=True)
         self._accepter.start()
@@ -214,6 +218,9 @@ class _Listener:
                 logger.warning("accept on port %d failed: %s", self.port, exc)
                 self._stopping.wait(0.05)
                 continue
+            if self._stopping.is_set():         # the wake-up, or a late caller
+                _hang_up(sock)
+                return
             threading.Thread(target=self._serve_connection, args=(sock, peer),
                              name=f"{self._accepter.name}:{peer[1]}", daemon=True).start()
 
@@ -235,7 +242,9 @@ class _Listener:
         self._stopping.set()
         with contextlib.suppress(OSError):
             self._socket.shutdown(socket.SHUT_RDWR)
-        self._accepter.join()
+        with contextlib.suppress(OSError):     # refused where the shutdown woke it
+            socket.create_connection(self._wake_address, timeout=1.0).close()
+        self._accepter.join(1.0)                # a daemon: a stop never hangs on it
         self._socket.close()
         with self._lock:
             self._closing = True

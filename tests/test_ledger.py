@@ -1012,7 +1012,9 @@ def test_audits_beside_commits_walk_whole_linked_prefixes(registered, node_key):
     assert registered.height == 40 and len(registered.blocks()) == 41
 
 
-def test_a_batch_being_prepared_holds_no_lock(registered, node_key, monkeypatch):
+def test_a_batch_being_prepared_blocks_no_query(registered, node_key, monkeypatch):
+    # Queries go on while a batch is verified and judged. A second batch
+    # waits for it: batches prepare one at a time, and commit in that order.
     stored_env, stored = env_for(node_key, 0)
     registered.add_events([stored_env], T0)
     paused_env, paused = env_for(node_key, 1)
@@ -1027,32 +1029,37 @@ def test_a_batch_being_prepared_holds_no_lock(registered, node_key, monkeypatch)
         return real_verify(public_key, envelope)
 
     monkeypatch.setattr(ledger_module, "verify", paused_verify)
-    answers, others_done = {}, threading.Event()
+    answers, queries_done = {}, threading.Event()
 
-    def others():
+    def queries():
         answers["payload"] = registered.get_event_payload(stored.report_id)
         answers["recent"] = registered.get_recent(limit=5)
-        answers["second"] = registered.add_events([second_env], T0 + 2)
-        others_done.set()
+        queries_done.set()
 
     first = threading.Thread(target=lambda: answers.setdefault(
         "first", registered.add_events([paused_env], T0 + 1)))
+    later = threading.Thread(target=lambda: answers.setdefault(
+        "second", registered.add_events([second_env], T0 + 2)))
     first.start()
     try:
         assert verifying.wait(10)
-        threading.Thread(target=others, daemon=True).start()
-        assert others_done.wait(5), "a query or a commit waited for a batch being verified"
+        threading.Thread(target=queries, daemon=True).start()
+        assert queries_done.wait(5), "a query waited for a batch being verified"
+        later.start()
+        later.join(0.2)
+        assert later.is_alive(), "a second batch was prepared beside the first"
     finally:
         resume.set()
         first.join(10)
-    assert not first.is_alive()
+        if later.ident is not None:
+            later.join(10)
+    assert not first.is_alive() and not later.is_alive()
     assert answers["payload"] == stored_env.to_wire_obj()["payload_b64"]
     assert [s.report_id for s in answers["recent"]] == [stored.report_id]
-    assert [(v.status, v.replay) for v in answers["second"] + answers["first"]] == [
+    assert [(v.status, v.replay) for v in answers["first"] + answers["second"]] == [
         ("committed", False)] * 2
-    # The batch that finished preparing first committed first.
     assert [block.transactions[0]["payload_b64"] for block in registered.blocks()[2:]] == [
-        e.to_wire_obj()["payload_b64"] for e in (second_env, paused_env)]
+        e.to_wire_obj()["payload_b64"] for e in (paused_env, second_env)]
     assert registered.verify_chain() is None
     assert {r.report_id for r in registered.all_reports()} == {
         stored.report_id, paused.report_id, second.report_id}

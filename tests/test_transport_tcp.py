@@ -1,5 +1,6 @@
 """Real-socket backend: framing, HTTP, and short-range over TCP."""
 
+import errno
 import socket
 import struct
 import sys
@@ -260,6 +261,34 @@ def test_an_idle_server_stops_at_once(make_server):
     start = time.perf_counter()
     server.shutdown()
     assert time.perf_counter() - start < 0.1
+    with pytest.raises(OSError):
+        socket.create_connection(("127.0.0.1", server.port), timeout=1).close()
+
+
+class _ListeningSocketThatCannotShutDown:
+    """A listening socket whose `shutdown` fails, as on BSD and macOS, where
+    it leaves a blocked `accept` blocked."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def shutdown(self, how):
+        raise OSError(errno.ENOTCONN, "Socket is not connected")
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@pytest.mark.parametrize("make_server", [_frame_server, _http_server, _peripheral_server],
+                         ids=["frame", "http", "peripheral"])
+def test_a_server_stops_at_once_where_shutdown_cannot_wake_accept(make_server):
+    server, _ = make_server([])
+    time.sleep(0.05)                 # the accepting thread is blocked by now
+    server._socket = _ListeningSocketThatCannotShutDown(server._socket)
+    start = time.perf_counter()
+    server.shutdown()
+    assert time.perf_counter() - start < 0.1
+    assert not server._accepter.is_alive()
     with pytest.raises(OSError):
         socket.create_connection(("127.0.0.1", server.port), timeout=1).close()
 
