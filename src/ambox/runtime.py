@@ -2,19 +2,24 @@
 
 Agents are written as ordinary blocking loops against a `Runtime`: they
 sleep, wait on queues and events, and spawn activities. Under `RealRuntime`
-those map to threads and the wall clock. Under `SimRuntime` every activity
-is a cooperatively scheduled thread on a virtual clock: exactly one activity
-runs at any instant, handoffs are ordered by (wake time, creation sequence),
-and therefore a whole multi-agent scenario is deterministic, byte for byte,
-given the same inputs.
+those map to threads and the wall clock; a blocked wait sleeps on its
+condition until it is notified, times out or its task is cancelled. Under
+`SimRuntime` every activity is a thread on a virtual clock, and the threads
+pass a baton: exactly one of them runs at any instant. An activity that parks
+or returns pops the next due wakeup, ordered by (wake time, creation
+sequence), and hands the baton straight to that task, or goes on itself when
+the wakeup is its own. The driver only starts a slice and takes the baton
+back when the slice ends. A whole multi-agent scenario is therefore
+deterministic, byte for byte, given the same inputs.
 
-The simulated clock only advances between activities, when the scheduler
-picks the next wakeup. Hour-long experiments complete in milliseconds unless
-a pacing factor (real seconds per virtual second) is requested.
+The simulated clock only advances when the baton passes to a later wakeup.
+Hour-long experiments complete in milliseconds unless a pacing factor (real
+seconds per virtual second) is requested.
 """
 
 from __future__ import annotations
 
+import _thread
 import heapq
 import itertools
 import logging
@@ -124,7 +129,9 @@ class _SimTask(Task):
         self.name = name
         self._scheduler = scheduler
         self._fn = fn
-        self._resume = threading.Event()
+        # Held while the task is parked; whoever passes the baton releases it.
+        self.baton = _thread.allocate_lock()
+        self.baton.acquire()
         self.active_token: Optional[int] = None
         self.pending_exc: Optional[BaseException] = None
         self.finished = False
@@ -141,8 +148,7 @@ class _SimTask(Task):
 
     def _run(self) -> None:
         sched = self._scheduler
-        self._resume.wait()
-        self._resume.clear()
+        self.baton.acquire()
         try:
             if self.pending_exc is not None:
                 exc, self.pending_exc = self.pending_exc, None
@@ -150,22 +156,37 @@ class _SimTask(Task):
             self._fn()
         except TaskCancelled:
             pass
-        except BaseException as exc:  # surfaced by the scheduler loop
+        except BaseException as exc:  # surfaced by the driver's step()
             self.error = exc
         finally:
             self.finished = True
-            sched._on_task_return()
+            sched._on_task_return(self)
+
+
+_NO_LIMIT = float("inf")
 
 
 class SimScheduler:
-    """Priority-queue scheduler driving cooperative activities on virtual time."""
+    """Priority-queue scheduler driving cooperative activities on virtual time.
+
+    Exactly one thread holds the baton: the driver, or the activity that is
+    running. The driver starts a slice in step(); from then on each activity
+    that parks or returns pops the next due wakeup itself and passes the
+    baton straight to that task. The slice ends, and the baton returns to the
+    driver, when nothing is due by the slice's limit, its predicate is false,
+    or an activity crashed.
+    """
 
     def __init__(self, start_ms: int = SIM_EPOCH_MS) -> None:
         self._now = start_ms
         self._heap: list[tuple[int, int, int, _SimTask]] = []
         self._seq = itertools.count()
         self._tokens = itertools.count(1)
-        self._control = threading.Event()
+        self._driver = _thread.allocate_lock()
+        self._driver.acquire()
+        self._limit: float = _NO_LIMIT
+        self._predicate: Optional[Callable[[], bool]] = None
+        self._crashed: Optional[_SimTask] = None
         self._current: Optional[_SimTask] = None
         self._tasks: list[_SimTask] = []
         self.pacing_factor: float = 0.0  # real seconds per virtual second
@@ -187,11 +208,10 @@ class SimScheduler:
         task.active_token = token
         if wake_at_ms is not None:
             heapq.heappush(self._heap, (max(wake_at_ms, self._now), next(self._seq), token, task))
-        self._current = None
-        self._control.set()
-        task._resume.wait()
-        task._resume.clear()
-        self._current = task
+        following = self._next()
+        if following is not task:
+            self._pass(following)
+            task.baton.acquire()
         if task.pending_exc is not None:
             exc, task.pending_exc = task.pending_exc, None
             raise exc
@@ -223,58 +243,78 @@ class SimScheduler:
         heapq.heappush(self._heap, (self._now, next(self._seq), token, task))
         return task
 
-    # -- scheduler loop (called from the driving thread) ---------------------
+    # -- passing the baton ----------------------------------------------------
 
-    def _on_task_return(self) -> None:
-        self._current = None
-        self._control.set()
-
-    def _resume(self, task: _SimTask) -> None:
-        self._control.clear()
-        self._current = task
-        task._resume.set()
-        self._control.wait()
-        if task.finished and task.error is not None:
-            error, task.error = task.error, None
-            raise RuntimeError(f"activity {task.name!r} crashed") from error
-
-    def step(self, limit_ms: Optional[int] = None) -> bool:
-        """Run the next wakeup at or before limit_ms. False if none exists."""
-        while self._heap:
-            wake, _, token, task = self._heap[0]
+    def _next(self) -> Optional[_SimTask]:
+        """Pop the slice's next due wakeup, advance the clock to it and make
+        its task current. None when the slice is over."""
+        heap = self._heap
+        while heap:
+            wake, _, token, task = heap[0]
             if task.finished or token != task.active_token:
-                heapq.heappop(self._heap)
+                heapq.heappop(heap)
                 continue
-            if limit_ms is not None and wake > limit_ms:
-                return False
-            heapq.heappop(self._heap)
+            if wake > self._limit or (self._predicate is not None and not self._predicate()):
+                break
+            heapq.heappop(heap)
             if wake > self._now:
-                if self.pacing_factor > 0:
-                    time.sleep((wake - self._now) / 1000.0 * self.pacing_factor)
-                self._now = wake
+                self._advance(wake)
             task.active_token = None
-            self._resume(task)
-            return True
-        return False
+            self._current = task
+            return task
+        self._current = None
+        return None
+
+    def _pass(self, task: Optional[_SimTask]) -> None:
+        """Hand the baton to task, or back to the driver when task is None."""
+        (self._driver if task is None else task.baton).release()
+
+    def _on_task_return(self, task: _SimTask) -> None:
+        if task.error is not None:
+            self._crashed = task
+            self._current = None
+            self._pass(None)
+        else:
+            self._pass(self._next())
+
+    def _advance(self, t_ms: int) -> None:
+        if self.pacing_factor > 0:
+            time.sleep((t_ms - self._now) / 1000.0 * self.pacing_factor)
+        self._now = t_ms
+
+    # -- driving (called from the driving thread) ------------------------------
+
+    def step(self, limit_ms: Optional[int] = None,
+             predicate: Optional[Callable[[], bool]] = None) -> bool:
+        """Run one slice of hand-offs: every wakeup due at or before limit_ms,
+        for as long as predicate (checked before each wakeup) holds. False if
+        no wakeup ran. Raises RuntimeError if an activity crashed; no other
+        activity runs after it in the slice."""
+        self._limit = _NO_LIMIT if limit_ms is None else limit_ms
+        self._predicate = predicate
+        first = self._next()
+        if first is None:
+            return False
+        self._pass(first)
+        self._driver.acquire()
+        crashed, self._crashed = self._crashed, None
+        if crashed is not None:
+            error, crashed.error = crashed.error, None
+            raise RuntimeError(f"activity {crashed.name!r} crashed") from error
+        return True
 
     def run_until(self, t_ms: int) -> None:
         """Process every wakeup up to and including t_ms, then land on t_ms."""
-        while self.step(limit_ms=t_ms):
-            pass
+        self.step(limit_ms=t_ms)
         if t_ms > self._now:
-            if self.pacing_factor > 0:
-                time.sleep((t_ms - self._now) / 1000.0 * self.pacing_factor)
-            self._now = t_ms
+            self._advance(t_ms)
 
     def run_while(self, predicate: Callable[[], bool], limit_ms: int) -> None:
-        while predicate() and self._now <= limit_ms:
-            if not self.step(limit_ms=limit_ms):
-                break
+        self.step(limit_ms=limit_ms, predicate=predicate)
 
     def drain(self, limit_ms: Optional[int] = None) -> None:
         """Run until no runnable work remains (parked-forever tasks excluded)."""
-        while self.step(limit_ms=limit_ms):
-            pass
+        self.step(limit_ms=limit_ms)
 
     def shutdown(self) -> None:
         """Cancel every live task and let them unwind."""
@@ -399,13 +439,12 @@ class SimRuntime(Runtime):
 # Real runtime (threads + wall clock)
 # ---------------------------------------------------------------------------
 
-_POLL_S = 0.05
-
-
 class _RealTask(Task):
     def __init__(self, name: str, fn: Callable[[], None]) -> None:
         self.name = name
         self.cancelled = threading.Event()
+        # The condition the task is blocked on, so that cancel() can wake it.
+        self.waiting_on: Optional[threading.Condition] = None
         self._fn = fn
         self._thread = threading.Thread(target=self._run, name=name, daemon=True)
 
@@ -418,6 +457,10 @@ class _RealTask(Task):
 
     def cancel(self) -> None:
         self.cancelled.set()
+        cond = self.waiting_on
+        if cond is not None:
+            with cond:
+                cond.notify_all()
 
     def join(self, timeout_s: Optional[float] = None) -> None:
         self._thread.join(timeout_s)
@@ -439,10 +482,35 @@ def _running_task() -> Optional[_RealTask]:
     return getattr(_current_real_task, "task", None)
 
 
-def _check_cancelled() -> None:
+def _wait_until(cond: threading.Condition, ready: Callable[[], bool],
+                timeout_ms: Optional[int]) -> bool:
+    """Wait on cond, whose lock the caller holds, until ready() is true.
+
+    False once timeout_ms passes; raises TaskCancelled as soon as the calling
+    task is cancelled. The task registers cond before it checks for
+    cancellation, so a cancel() that misses the registration is seen by the
+    check instead.
+    """
+    deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000.0
     task = _running_task()
-    if task is not None and task.cancelled.is_set():
-        raise TaskCancelled()
+    if task is not None:
+        task.waiting_on = cond
+    try:
+        while True:
+            if task is not None and task.cancelled.is_set():
+                raise TaskCancelled()
+            if ready():
+                return True
+            if deadline is None:
+                cond.wait()
+                continue
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return False
+            cond.wait(remaining)
+    finally:
+        if task is not None:
+            task.waiting_on = None
 
 
 class RealQueue(BlockingQueue):
@@ -456,18 +524,10 @@ class RealQueue(BlockingQueue):
             self._cond.notify_all()
 
     def get(self, timeout_ms: Optional[int] = None):
-        deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000.0
-        while True:
-            _check_cancelled()
-            with self._cond:
-                if self._items:
-                    return self._items.popleft()
-                remaining = _POLL_S
-                if deadline is not None:
-                    remaining = min(remaining, deadline - time.monotonic())
-                    if remaining <= 0:
-                        raise WaitTimeout("queue.get timed out")
-                self._cond.wait(remaining)
+        with self._cond:
+            if not _wait_until(self._cond, self._items.__len__, timeout_ms):
+                raise WaitTimeout("queue.get timed out")
+            return self._items.popleft()
 
     def __len__(self) -> int:
         with self._cond:
@@ -476,25 +536,21 @@ class RealQueue(BlockingQueue):
 
 class RealSignal(Signal):
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self._cond = threading.Condition()
+        self._flag = False
 
     def set(self) -> None:
-        self._event.set()
+        with self._cond:
+            self._flag = True
+            self._cond.notify_all()
 
     def clear(self) -> None:
-        self._event.clear()
+        with self._cond:
+            self._flag = False
 
     def wait(self, timeout_ms: Optional[int] = None) -> bool:
-        deadline = None if timeout_ms is None else time.monotonic() + timeout_ms / 1000.0
-        while True:
-            _check_cancelled()
-            remaining = _POLL_S
-            if deadline is not None:
-                remaining = min(remaining, deadline - time.monotonic())
-                if remaining <= 0:
-                    return self._event.is_set()
-            if self._event.wait(max(remaining, 0)):
-                return True
+        with self._cond:
+            return _wait_until(self._cond, lambda: self._flag, timeout_ms)
 
 
 class RealMutex(Mutex):

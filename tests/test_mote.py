@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import threading
 from dataclasses import replace
 
 import pytest
@@ -68,6 +69,23 @@ def test_config_propagates_before_first_sample():
     assert out["config_enabled"] is True
     assert out["persisted"] is True
     assert out["mote_samples"] == 6             # temperature + humidity, 3 minutes
+
+
+def test_a_torn_down_mote_world_leaves_no_activity_thread():
+    before = set(threading.enumerate())
+    world = build_world(mini_scenario(with_mote=True))
+
+    def director():
+        commission_and_start(world)
+        world.runtime.sleep(3 * 60_000)
+
+    drive(world, director)
+    world.teardown()
+    world.cleanup_dirs()
+    started = [t for t in threading.enumerate() if t not in before and t.name.startswith("sim:")]
+    for thread in started:
+        thread.join(2.0)
+    assert [t.name for t in started if t.is_alive()] == []
 
 
 def test_mote_restart_resumes_cadence():

@@ -1,9 +1,13 @@
+import threading
+import time
+
 import pytest
 
 from ambox.runtime import (
     SIM_EPOCH_MS,
     RealRuntime,
     SimRuntime,
+    SimScheduler,
     TaskCancelled,
     WaitTimeout,
 )
@@ -222,6 +226,175 @@ def test_determinism_two_identical_runs():
     assert run_once() == run_once()
 
 
+def test_handoff_trace_is_pinned():
+    """Every wakeup of a small program, in order, with ties at equal times
+    broken by the order in which the wakeups were scheduled."""
+    rt = SimRuntime()
+    q = rt.new_queue()
+    sig = rt.new_signal()
+    trace = []
+
+    def mark(name):
+        trace.append((rt.now_ms() - SIM_EPOCH_MS, name))
+
+    def ticker():
+        mark("tick")
+        for _ in range(3):
+            rt.sleep(10)
+            mark("tick")
+
+    def producer():
+        mark("prod")
+        rt.sleep(20)
+        mark("prod")
+        q.put("x")
+        rt.sleep(10)
+        mark("prod")
+        sig.set()
+
+    def consumer():
+        mark("cons")
+        q.get()
+        mark("cons")
+        sig.wait()
+        mark("cons")
+
+    def late():
+        rt.sleep(30)
+        mark("late")
+        rt.sleep(0)
+        mark("late")
+
+    for name, fn in (("tick", ticker), ("prod", producer), ("cons", consumer),
+                     ("late", late)):
+        rt.spawn(name, fn)
+    rt.scheduler.drain()
+    assert trace == [
+        (0, "tick"), (0, "prod"), (0, "cons"),
+        (10, "tick"),
+        (20, "prod"), (20, "tick"), (20, "cons"),
+        (30, "late"), (30, "prod"), (30, "tick"), (30, "late"), (30, "cons"),
+    ]
+
+
+def test_run_while_runs_exactly_until_the_predicate_flips():
+    rt = SimRuntime()
+    woken = []
+
+    def ticker(offset):
+        def run():
+            rt.sleep(offset)
+            while True:
+                woken.append(rt.now_ms() - SIM_EPOCH_MS)
+                rt.sleep(2)
+        return run
+
+    rt.spawn("even", ticker(0))
+    rt.spawn("odd", ticker(1))
+    k = 7
+    rt.scheduler.run_while(lambda: len(woken) < k, limit_ms=SIM_EPOCH_MS + 1000)
+    # Two start-up wakeups carry no mark; every later one adds one.
+    assert woken == [0, 1, 2, 3, 4, 5, 6]
+    assert rt.now_ms() == SIM_EPOCH_MS + 6
+    rt.scheduler.run_until(SIM_EPOCH_MS + 8)
+    assert woken[k:] == [7, 8]
+    rt.scheduler.shutdown()
+
+
+def test_crash_ends_the_slice_before_any_other_activity_runs():
+    rt = SimRuntime()
+    ran = []
+
+    def boom():
+        rt.sleep(10)
+        raise ValueError("exploded")
+
+    def bystander():
+        rt.sleep(10)
+        ran.append(rt.now_ms() - SIM_EPOCH_MS)
+
+    rt.spawn("boom", boom)
+    rt.spawn("bystander", bystander)
+    with pytest.raises(RuntimeError, match="activity 'boom' crashed") as info:
+        rt.scheduler.run_until(SIM_EPOCH_MS + 100)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert ran == []
+    assert rt.now_ms() == SIM_EPOCH_MS + 10
+    rt.scheduler.run_until(SIM_EPOCH_MS + 100)
+    assert ran == [10]
+
+
+def test_sleep_zero_with_nothing_earlier_due_keeps_the_baton(monkeypatch):
+    passes = []
+    original = SimScheduler._pass
+
+    def counting(self, task):
+        passes.append(None if task is None else task.name)
+        original(self, task)
+
+    monkeypatch.setattr(SimScheduler, "_pass", counting)
+    rt = SimRuntime()
+    trace = []
+
+    def spinner():
+        thread = threading.get_ident()
+        for _ in range(100):
+            rt.sleep(0)
+            assert threading.get_ident() == thread
+        trace.append(("spinner", rt.now_ms() - SIM_EPOCH_MS))
+
+    def later():
+        rt.sleep(5)
+        trace.append(("later", rt.now_ms() - SIM_EPOCH_MS))
+
+    rt.spawn("later", later)
+    rt.spawn("spinner", spinner)
+    rt.scheduler.drain()
+    assert trace == [("spinner", 0), ("later", 5)]
+    # Driver to later, later to spinner, spinner to later, later to driver:
+    # a hundred sleep(0) calls pass the baton to no one.
+    assert passes == ["later", "spinner", "later", None]
+
+
+def test_shutdown_unwinds_every_parked_task():
+    rt = SimRuntime()
+    q = rt.new_queue()
+    sig = rt.new_signal()
+    mutex = rt.new_mutex()
+    unwound = []
+
+    def parked(name, block):
+        def run():
+            try:
+                block()
+            finally:
+                unwound.append(name)
+        return run
+
+    def holder():
+        with mutex:
+            rt.sleep(10**9)
+
+    blocks = {
+        "sleeper": lambda: rt.sleep(10**9),
+        "getter": q.get,
+        "waiter": sig.wait,
+        "locker": mutex.acquire,
+        "holder": holder,
+    }
+    tasks = [rt.spawn(f"shut-{name}", parked(name, block)) for name, block in blocks.items()]
+    rt.scheduler.run_until(SIM_EPOCH_MS + 50)
+    tasks.append(rt.spawn("shut-unstarted", parked("unstarted", lambda: None)))
+    rt.scheduler.shutdown()
+    assert sorted(unwound) == sorted(blocks)
+    assert not any(task.alive for task in tasks)
+    names = {f"sim:{task.name}" for task in tasks}
+    threads = [t for t in threading.enumerate() if t.name in names]
+    for thread in threads:
+        thread.join(2.0)
+    assert [t.name for t in threads if t.is_alive()] == []
+
+
 def test_real_runtime_basics():
     rt = RealRuntime()
     q = rt.new_queue()
@@ -254,3 +427,28 @@ def test_real_runtime_cancel_interrupts_sleep():
     task.cancel()
     task.join(2.0)
     assert outcome == ["cancelled"]
+
+@pytest.mark.parametrize("block", ["get", "wait"])
+def test_real_cancel_wakes_a_blocked_wait_at_once(block):
+    rt = RealRuntime()
+    q = rt.new_queue()
+    sig = rt.new_signal()
+    blocked = threading.Event()
+    returned = []
+
+    def waiter():
+        blocked.set()
+        try:
+            q.get() if block == "get" else sig.wait()
+        except TaskCancelled:
+            returned.append(time.monotonic())
+
+    task = rt.spawn("waiter", waiter)
+    assert blocked.wait(2.0)
+    time.sleep(0.075)  # well into the wait
+    cancelled_at = time.monotonic()
+    task.cancel()
+    task.join(2.0)
+    assert not task.alive
+    assert len(returned) == 1
+    assert returned[0] - cancelled_at < 0.010
