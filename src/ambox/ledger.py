@@ -9,18 +9,20 @@ as a replay) so at-least-once senders converge on exactly-once ledger state.
 A block holds only signed envelope fields, as the client sent the envelope
 the ledger verified (base64 has one accepted spelling, so these are the
 bytes `to_wire_obj` would write); anything a client sent beside them is
-dropped.
+dropped. Each transaction's canonical text is spelled once, from those
+validated base64 strings (`canonical.envelope_text`), and the block is
+joined from these texts, never encoded as a whole.
 
 Blocks live in an append-only file of canonical JSON lines (a
 `storage.AppendLog`: a block exists once its line and newline are fsynced,
 a torn final block is dropped when the ledger opens, and a failed append is
-cut back off the file). A line is one canonical dump of a block's core with
-the core's hash spliced in front. One walker, `_walk_blocks`, checks every
-block: replay at startup, `verify_chain` and `Ledger.blocks` all read the
-log through it. It hashes each stored line's own bytes, then checks height
-and the `prev_hash` link, so any edited byte, whitespace included, is
-detected at exactly the height it damaged, and a log that does not link
-does not open. World state is rebuilt by replaying the block log at
+cut back off the file, if need be by the next append before it writes). A
+line is the canonical JSON of a block's core with the core's hash spliced in
+front. One walker, `_walk_blocks`, checks every block: replay at startup,
+`verify_chain` and `Ledger.blocks` all read the log through it. It hashes
+each stored line's own bytes, then checks height and the `prev_hash` link,
+so any edited byte, whitespace included, is detected at exactly the height
+it damaged, and a log that does not link does not open. World state is rebuilt by replaying the block log at
 startup, which doubles as the safety check that state is a pure function
 of the log.
 
@@ -80,7 +82,8 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, TypeVar
+from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
+                    TypeVar)
 
 from cryptography.hazmat.primitives.asymmetric.rsa import RSAPublicKey
 
@@ -148,23 +151,23 @@ class LedgerBlock:
     committed_at: int
     block_hash: str
 
-    @classmethod
-    def encode(cls, height: int, prev_hash: str, transactions: tuple[dict, ...],
-               committed_at: int) -> tuple["LedgerBlock", bytes]:
-        """The block and its stored line, from one canonical dump of its core.
+    @staticmethod
+    def encode(height: int, prev_hash: str, transactions: Iterable[str],
+               committed_at: int) -> tuple[str, bytes]:
+        """The block's hash and stored line, joined from its transactions'
+        canonical texts (`canonical.envelope_text`). `prev_hash` is a hex
+        digest, so no field of the core needs escaping here.
 
         `block_hash` sorts before every core key, so splicing it in after the
         core's opening brace gives the canonical dump of the whole block.
         """
-        core = canonical.dumps({
-            "height": height,
-            "prev_hash": prev_hash,
-            "transactions": list(transactions),
-            "committed_at": canonical.format_millis(committed_at),
-        })
+        core = (f'{{"committed_at":"{canonical.format_millis(committed_at)}","height":{height},'
+                f'"prev_hash":"{prev_hash}","transactions":[{",".join(transactions)}]}}'
+                ).encode("utf-8")
         block_hash = hashlib.sha256(core).hexdigest()
-        line = _HASH_PREFIX + block_hash.encode("ascii") + b'",' + core[1:] + b"\n"
-        return cls(height, prev_hash, transactions, committed_at, block_hash), line
+        with memoryview(core) as view:
+            line = b"".join((_HASH_PREFIX, block_hash.encode("ascii"), b'",', view[1:], b"\n"))
+        return block_hash, line
 
 
 @dataclass(frozen=True)
@@ -221,6 +224,15 @@ class StoredReport(NamedTuple):
         return decode_report(base64.b64decode(self.payload_b64))
 
 
+class _Prepared(NamedTuple):
+    """An envelope `_prepare` accepted: its block transaction's canonical
+    text, its payload's base64 and the payload, judged."""
+
+    text: str
+    payload_b64: str
+    report: JudgedReport
+
+
 def _encode_entry(stored: StoredReport) -> str:
     """A stored report's `GetRecent` entry, `wire_text(report.to_obj())`. A
     payload in form is that object already, so its own parse is encoded."""
@@ -261,7 +273,7 @@ class Ledger:
         self._replay_blocks()
         self._log = AppendLog(self._blocks_path)
         if self._height < 0:
-            self._append_block((), genesis_at_ms, ())
+            self._append_block((), genesis_at_ms)
 
     # -- persistence --------------------------------------------------------
 
@@ -287,27 +299,30 @@ class Ledger:
             except (MalformedEnvelope, ModelError) as exc:
                 raise CorruptLedger(f"block {block.height}: unreadable transaction: {exc}",
                                     block.height) from exc
-            self._apply_block(block, judged)
+            self._apply_block(block.height, block.block_hash,
+                              zip((tx["payload_b64"] for tx in block.transactions), judged,
+                                  strict=True))
 
-    def _apply_block(self, block: LedgerBlock, judged: Iterable[JudgedReport]) -> None:
-        """Make `block` the tip; `judged` are its transactions' payloads, judged."""
-        self._height = block.height
-        self._tip_hash = block.block_hash
-        for tx, report in zip(block.transactions, judged, strict=True):
+    def _apply_block(self, height: int, block_hash: str,
+                     committed: Iterable[tuple[str, JudgedReport]]) -> None:
+        """Make the block `block_hash` at `height` the tip; `committed` pairs
+        each of its transactions' payload base64 with the payload, judged."""
+        self._height = height
+        self._tip_hash = block_hash
+        for payload_b64, report in committed:
             self._reports[report.report_id] = StoredReport(
-                report.report_id, tx["payload_b64"], block.height, report.device_id,
+                report.report_id, payload_b64, height, report.device_id,
                 report.batch_no, report.created_at, report.in_form)
             entry = (-report.created_at, report.report_id)
             bisect.insort(self._recent_by_device[report.device_id], entry)
             bisect.insort(self._recent_by_batch[report.batch_no], entry)
 
-    def _append_block(self, transactions: tuple[dict, ...], committed_at: int,
-                      judged: Iterable[JudgedReport]) -> LedgerBlock:
-        block, line = LedgerBlock.encode(self._height + 1, self._tip_hash, transactions,
-                                         committed_at)
+    def _append_block(self, prepared: Sequence[_Prepared], committed_at: int) -> None:
+        height = self._height + 1
+        block_hash, line = LedgerBlock.encode(height, self._tip_hash,
+                                              (p.text for p in prepared), committed_at)
         self._log.append(line)
-        self._apply_block(block, judged)
-        return block
+        self._apply_block(height, block_hash, ((p.payload_b64, p.report) for p in prepared))
 
     # -- operations -----------------------------------------------------------
 
@@ -343,11 +358,12 @@ class Ledger:
         with self._ingest_lock:
             return self._commit([self._prepare(raw) for raw in envelopes], received_at)
 
-    def _prepare(self, raw: Any) -> Verdict | tuple[dict, JudgedReport]:
+    def _prepare(self, raw: Any) -> Verdict | _Prepared:
         """Everything about one envelope that no commit can change, judged
-        without `_lock`: its rejection, or the transaction to commit and its
-        judged report. A wire envelope's transaction is its signed fields as
-        received: `from_wire_obj` accepts base64 in one spelling only.
+        without `_lock`: its rejection, or what to commit. A wire envelope's
+        transaction is its signed fields as received, spelled once from the
+        base64 strings `from_wire_obj` validated: it accepts base64 in one
+        spelling only, the one `b64encode` writes for an in-process envelope.
 
         The registry only grows, and a registered device's key never
         changes, so the key lookup needs no lock either."""
@@ -373,36 +389,31 @@ class Ledger:
             return Verdict("rejected", report_id=report.report_id, reason=REASON_INVALID_REPORT)
         if report.device_id != envelope.signer:
             return Verdict("rejected", report_id=report.report_id, reason=REASON_BAD_SIGNATURE)
-        transaction = envelope.to_wire_obj() if raw is envelope else {
-            "payload_b64": raw["payload_b64"], "signature_b64": raw["signature_b64"],
-            "signer": envelope.signer}
-        return transaction, report
+        wire = envelope.to_wire_obj() if raw is envelope else raw
+        text = canonical.envelope_text(wire["payload_b64"], wire["signature_b64"], envelope.signer)
+        return _Prepared(text, wire["payload_b64"], report)
 
-    def _commit(self, prepared: list[Verdict | tuple[dict, JudgedReport]],
-                received_at: int) -> list[Verdict]:
+    def _commit(self, prepared: list[Verdict | _Prepared], received_at: int) -> list[Verdict]:
         """Under the lock: each prepared report whose id is neither stored
         nor earlier in the batch is committed, in one block; the others are
         answered as replays."""
         verdicts: list[Verdict] = []
-        transactions: list[dict] = []
-        judged: list[JudgedReport] = []
+        accepted: list[_Prepared] = []
         with self._lock:
             batch_ids: set[str] = set()
             for item in prepared:
                 if isinstance(item, Verdict):
                     verdicts.append(item)
                     continue
-                transaction, report = item
-                report_id = report.report_id
+                report_id = item.report.report_id
                 if report_id in self._reports or report_id in batch_ids:
                     verdicts.append(Verdict("committed", report_id=report_id, replay=True))
                     continue
                 verdicts.append(Verdict("committed", report_id=report_id))
                 batch_ids.add(report_id)
-                transactions.append(transaction)
-                judged.append(report)
-            if transactions:
-                self._append_block(tuple(transactions), received_at, judged)
+                accepted.append(item)
+            if accepted:
+                self._append_block(accepted, received_at)
         return verdicts
 
     def get_event_payload(self, report_id: str) -> Optional[str]:
@@ -482,13 +493,17 @@ class Ledger:
         """A read-only map of the block log as long as it is now.
 
         Only the length is read under the lock. The log only grows under it,
-        and a failed append cuts the file back to its own start, never below
+        and a failed append cuts the file back to the log's end, never below
         a length read before it, so the mapped bytes stay as they are while a
-        walk runs without the lock. Out of scope: another process truncating
-        the file during a walk (reading a page past the new end faults).
+        walk runs without the lock. That length is the file's, so an audit
+        reads what is on disk, unless the log holds torn bytes past its end
+        (a failed append whose cut-back failed too): the next append cuts
+        those, so only the log's end is mapped. Out of scope: another
+        process truncating the file during a walk (reading a page past the
+        new end faults).
         """
         with self._lock:
-            size = self._blocks_path.stat().st_size
+            size = self._log.size if self._log.torn else self._blocks_path.stat().st_size
         if not size:
             yield b""  # an empty file cannot be mapped
             return
@@ -694,13 +709,13 @@ class LedgerClient:
         self.chaincode_name = chaincode_name
         self.timeout_ms = timeout_ms
 
-    def _call(self, op: str, args: dict, parse: Callable[[dict], _T]) -> _T:
-        payload = wire_dumps({
-            "op": op,
-            "args": args,
-            "channel_name": self.channel_name,
-            "chaincode_name": self.chaincode_name,
-        })
+    def _call(self, op: str, args: str, parse: Callable[[dict], _T]) -> _T:
+        """Send `op` with `args`, the wire text of its arguments object. The
+        request's bytes are those of `wire_dumps` of the whole request, written
+        from that text: "args" sorts before every other key."""
+        tail = wire_text({"chaincode_name": self.chaincode_name,
+                          "channel_name": self.channel_name, "op": op})
+        payload = f'{{"args": {args}, {tail[1:]}'.encode("utf-8")
         raw = self._requester.request(self.dest, payload, self.timeout_ms, label=f"ledger:{op}")
         try:
             answer = wire_loads(raw)
@@ -713,7 +728,7 @@ class LedgerClient:
             raise LedgerClientError(f"misshapen {op} answer: {exc!r}") from exc
 
     def register_device(self, identity: DeviceIdentity) -> str:
-        return self._call(OP_REGISTER_DEVICE, {"identity": identity.to_obj()},
+        return self._call(OP_REGISTER_DEVICE, wire_text({"identity": identity.to_obj()}),
                           lambda result: _typed(result, "registration", str))
 
     def add_events(self, envelopes: list[SignedEnvelope]) -> list[Verdict]:
@@ -733,8 +748,9 @@ class LedgerClient:
                                             f"envelope {report_id_of(envelope)!r}")
             return verdicts
 
-        return self._call(OP_ADD_EVENTS, {"envelopes": [e.to_wire_obj() for e in envelopes]},
-                          parse)
+        # The text of wire_text({"envelopes": [e.to_wire_obj() for e in envelopes]}).
+        texts = (canonical.envelope_wire_text(**e.to_wire_obj()) for e in envelopes)
+        return self._call(OP_ADD_EVENTS, '{"envelopes": [' + ", ".join(texts) + "]}", parse)
 
     def get_event(self, report_id: str) -> Optional[EventReport]:
         def parse(result: dict) -> Optional[EventReport]:
@@ -743,7 +759,7 @@ class LedgerClient:
             payload_b64 = _typed(result, "payload_b64", str)
             return decode_report(base64.b64decode(payload_b64, validate=True))
 
-        return self._call(OP_GET_EVENT, {"report_id": report_id}, parse)
+        return self._call(OP_GET_EVENT, wire_text({"report_id": report_id}), parse)
 
     def get_recent(self, device_id: Optional[str] = None, batch_no: Optional[str] = None,
                    limit: int = 10) -> list[EventReport]:
@@ -754,7 +770,8 @@ class LedgerClient:
             args["device_id"] = device_id
         if batch_no is not None:
             args["batch_no"] = batch_no
-        reports = self._call(OP_GET_RECENT, args, lambda result: _typed(result, "reports", list))
+        reports = self._call(OP_GET_RECENT, wire_text(args),
+                             lambda result: _typed(result, "reports", list))
         try:
             return [EventReport.from_obj(r) for r in reports]
         except (ValueError, OverflowError, RecursionError) as exc:
@@ -766,7 +783,7 @@ class LedgerClient:
                 return None
             return _typed(result, "first_broken_height", int)
 
-        return self._call(OP_VERIFY_CHAIN, {}, parse)
+        return self._call(OP_VERIFY_CHAIN, "{}", parse)
 
 
 def _typed(obj: dict, key: str, kind: type):

@@ -167,6 +167,7 @@ class NodeAgent:
             "rejected": 0,
             "mote_readings": 0,
             "mote_duplicates": 0,
+            "mote_gaps": 0,
             "storage_full_events": 0,
         }
 
@@ -681,13 +682,23 @@ class NodeAgent:
         # taken into the window. A mote's entry ids are consecutive and only grow
         # (DurableBuffer reissues only the ids of failed appends; compaction keeps
         # next_id), and _streamer_loop sends them in id order from the oldest unacked
-        # one, so an id not above both is a redelivery.
+        # one, so an id not above both is a redelivery, and the next reading is the
+        # one right above both. The id is not signed and the ack is cumulative, so
+        # an id that skips ahead is dropped unacked: taking it would ack away
+        # readings never delivered. The first id from a mote with no mark is taken.
         journaled = self._journaled.get(mote_id, 0)
-        if entry_id > max(journaled, self._windowed.get(mote_id, 0)):
+        taken = max(journaled, self._windowed.get(mote_id, 0))
+        first_contact = mote_id not in self._journaled and mote_id not in self._windowed
+        if entry_id == taken + 1 or (first_contact and entry_id > 0):
             with self._window_lock:
                 self._window.append(_WindowItem(reading, mote_id, entry_id))
             self._windowed[mote_id] = entry_id
             self.stats["mote_readings"] += 1
+            return
+        if entry_id > taken:
+            self.stats["mote_gaps"] += 1
+            logger.warning("%s: dropped entry %d from %s, expected %d", self.device_id,
+                           entry_id, mote_id, taken + 1)
             return
         self.stats["mote_duplicates"] += 1
         if entry_id <= journaled:

@@ -13,8 +13,10 @@ Three primitives:
 - `AppendLog`: a file of newline-terminated lines. A line exists only once
   its newline is on disk. Opening drops an unterminated tail, because that
   append never returned; `append` is fsynced before it returns, and on any
-  OSError cuts the file back to where it was before re-raising. That is the
-  only recovery rule; a log is never cleared, only replaced whole.
+  OSError cuts the file back to where it was before re-raising. Should that
+  cut fail too, the next append makes it before writing, or writes nothing.
+  That is the only recovery rule; a log is never cleared, only replaced
+  whole.
 
 Built on them here: the submission buffer (one journal of entry records,
 which may carry high-water marks, and ack records), the node config and the
@@ -113,10 +115,17 @@ def read_document(path: Path, corrupt: type[Exception],
 
 
 class AppendLog:
-    """A file of newline-terminated lines, each made durable as it is appended."""
+    """A file of newline-terminated lines, each made durable as it is appended.
+
+    The log keeps in memory where its last whole line ends. Bytes past that
+    end are torn: left by a failed append whose cut-back failed too. The
+    next append cuts them off first, and writes nothing if it cannot, so no
+    line is ever glued behind torn bytes."""
 
     def __init__(self, path: Path) -> None:
         self._file = open(path, "ab", buffering=0)
+        self._end = os.fstat(self._file.fileno()).st_size
+        self._torn = False
 
     @staticmethod
     def read(path: Path) -> bytes:
@@ -133,23 +142,37 @@ class AppendLog:
 
     @property
     def size(self) -> int:
-        return os.lseek(self._file.fileno(), 0, os.SEEK_END)
+        """Where the last whole line appended (or found at open) ends."""
+        return self._end
+
+    @property
+    def torn(self) -> bool:
+        """Whether the file may hold torn bytes past `size`."""
+        return self._torn
 
     def append(self, lines: bytes) -> None:
         """Durably append `lines`, one or more whole lines, each ending with
-        its newline, in one write and one fsync. On OSError the file is cut
-        back to its size before the call; the next successful append's fsync
-        makes that cut durable."""
+        its newline, in one write and one fsync. Torn bytes are cut off
+        first; if that fails, the OSError is raised and nothing is written.
+        On an OSError from the write or fsync the file is cut back to its
+        end before the call; the next successful append's fsync makes that
+        cut durable."""
         fd = self._file.fileno()
-        start = self.size
+        if self._torn:
+            os.ftruncate(fd, self._end)
+            self._torn = False
         try:
             view = memoryview(lines)
             while view:
                 view = view[os.write(fd, view):]
             os.fsync(fd)
         except OSError:
-            os.ftruncate(fd, start)
+            self._torn = True
+            with contextlib.suppress(OSError):  # the next append cuts them
+                os.ftruncate(fd, self._end)
+                self._torn = False
             raise
+        self._end += len(lines)
 
     def close(self) -> None:
         self._file.close()

@@ -75,3 +75,33 @@ def fail_next_fsync(monkeypatch):
 
     monkeypatch.setattr(os, "fsync", fsync)
     return lambda: armed.append(True)
+
+
+@pytest.fixture()
+def tear_next_write(monkeypatch):
+    """Arm a torn write: the next `os.write` writes half its bytes and raises
+    EIO, and the next `failed_cuts` calls of `os.ftruncate` raise EIO."""
+    real_write, real_ftruncate = os.write, os.ftruncate
+    armed = {"write": 0, "ftruncate": 0}
+
+    def write(fd, data):
+        if armed["write"]:
+            armed["write"] -= 1
+            real_write(fd, bytes(data[:len(data) // 2]))
+            raise OSError(errno.EIO, "injected write failure")
+        return real_write(fd, data)
+
+    def ftruncate(fd, length):
+        if armed["ftruncate"]:
+            armed["ftruncate"] -= 1
+            raise OSError(errno.EIO, "injected ftruncate failure")
+        real_ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "write", write)
+    monkeypatch.setattr(os, "ftruncate", ftruncate)
+
+    def arm(failed_cuts: int = 1) -> None:
+        armed["write"] = 1
+        armed["ftruncate"] = failed_cuts
+
+    return arm

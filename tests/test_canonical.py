@@ -1,4 +1,5 @@
 import ast
+import base64
 import math
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -42,6 +43,22 @@ def test_wire_text_is_sorted_with_default_separators():
     assert canonical.wire_text(obj) == '{"a": {"\\u00e9": true}, "b": [1, 2.5, null]}'
     assert canonical.wire_dumps(obj) == canonical.wire_text(obj).encode("utf-8")
     assert canonical.wire_loads(canonical.wire_dumps(obj)) == obj
+
+
+# Signers with quotes, backslashes, control characters and non-ASCII text;
+# no lone surrogate, which has no UTF-8 and so no canonical form.
+_SIGNERS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=24) | \
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "n\u0153ud-\u2603", "\U0001f600\u2028"])
+
+
+@given(payload=st.binary(min_size=1, max_size=600), signature=st.binary(min_size=1, max_size=300),
+       signer=_SIGNERS)
+def test_envelope_spellings_are_the_dumps_and_wire_text_of_the_object(payload, signature, signer):
+    obj = {"payload_b64": base64.b64encode(payload).decode("ascii"),
+           "signature_b64": base64.b64encode(signature).decode("ascii"),
+           "signer": signer}
+    assert canonical.envelope_text(**obj) == canonical.dumps(obj).decode("utf-8")
+    assert canonical.envelope_wire_text(**obj) == canonical.wire_text(obj)
 
 
 @pytest.mark.parametrize("data", [

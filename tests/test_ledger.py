@@ -503,7 +503,9 @@ def test_stored_lines_are_the_canonical_block_encoding(registered, node_key, tmp
     for line, block in zip(lines, blocks):
         assert line == canonical.dumps(block_obj(block)) + b"\n"
     # Non-ASCII text in a transaction goes into the line as UTF-8.
-    block, line = LedgerBlock.encode(7, ZERO_HASH, ({"signer": "n\u0153ud-\u2603"},), T0)
+    tx = {"signer": "n\u0153ud-\u2603"}
+    block_hash, line = LedgerBlock.encode(7, ZERO_HASH, (canonical.dumps(tx).decode(),), T0)
+    block = LedgerBlock(7, ZERO_HASH, (tx,), T0, block_hash)
     assert line == canonical.dumps(block_obj(block)) + b"\n"
 
 
@@ -671,7 +673,8 @@ def test_replay_refuses_a_block_that_does_not_link(registered, node_key, tmp_pat
     path = tmp_path / "ledger" / "blocks.journal"
     lines = path.read_bytes().split(b"\n")
     stored = canonical.loads(lines[2])
-    _, forged = LedgerBlock.encode(2, "1" * 64, tuple(stored["transactions"]),
+    _, forged = LedgerBlock.encode(2, "1" * 64,
+                                   [canonical.dumps(tx).decode() for tx in stored["transactions"]],
                                    canonical.parse_millis(stored["committed_at"]))
     lines[2] = forged.rstrip(b"\n")
     path.write_bytes(b"\n".join(lines))
@@ -685,7 +688,8 @@ def test_replay_refuses_a_linked_block_with_an_unreadable_transaction(ledger, tm
     # Hash and link are right, so only decoding the transaction exposes it.
     ledger.close()
     genesis = ledger.blocks()[0]
-    _, line = LedgerBlock.encode(1, genesis.block_hash, ({"signer": "node-1"},), T0)
+    _, line = LedgerBlock.encode(1, genesis.block_hash,
+                                 (canonical.dumps({"signer": "node-1"}).decode(),), T0)
     path = tmp_path / "ledger" / "blocks.journal"
     path.write_bytes(path.read_bytes() + line)
     with pytest.raises(CorruptLedger, match="block 1") as caught:
@@ -720,6 +724,39 @@ def test_service_roundtrip(tmp_path, node_key):
     assert client.get_event("missing") is None
     assert [r.report_id for r in client.get_recent(device_id="node-1")] == [report.report_id]
     assert client.verify_chain() is None
+
+
+class RecordingRequester:
+    """RequestClient that keeps every request's bytes and answers none of
+    them well, so the call raises after sending."""
+
+    def __init__(self):
+        self.sent = []
+
+    def request(self, dest, payload, timeout_ms=10_000, label=""):
+        self.sent.append(payload)
+        return b"{}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(channel=st.text(max_size=12), chaincode=st.text(max_size=12),
+       envelopes=st.lists(st.builds(SignedEnvelope, st.binary(min_size=1, max_size=300),
+                                    st.binary(min_size=1, max_size=64),
+                                    st.text(min_size=1, max_size=12)), max_size=4),
+       report_id=st.text(max_size=12))
+def test_requests_are_the_wire_dumps_of_the_request_object(channel, chaincode, envelopes,
+                                                           report_id):
+    requester = RecordingRequester()
+    client = LedgerClient(requester, "ledger", channel_name=channel, chaincode_name=chaincode)
+    for call in (lambda: client.add_events(envelopes), lambda: client.get_event(report_id)):
+        with pytest.raises(LedgerClientError):
+            call()
+    names = {"channel_name": channel, "chaincode_name": chaincode}
+    assert requester.sent == [
+        canonical.wire_dumps({"op": "AddEvents", **names,
+                              "args": {"envelopes": [e.to_wire_obj() for e in envelopes]}}),
+        canonical.wire_dumps({"op": "GetEvent", **names, "args": {"report_id": report_id}}),
+    ]
 
 
 class CannedRequester:
@@ -884,6 +921,23 @@ def test_failed_block_append_leaves_the_log_as_it_was(registered, node_key, tmp_
     assert reopened.height == 2
     assert reopened.verify_chain() is None
     assert reopened.world_state_bytes() == registered.world_state_bytes()
+
+
+def test_a_block_is_never_appended_behind_a_torn_one(registered, node_key, tmp_path,
+                                                    tear_next_write):
+    registered.add_events([env_for(node_key, 0)[0]], T0)
+    tear_next_write()
+    with pytest.raises(OSError):
+        registered.add_events([env_for(node_key, 1)[0]], T0 + 1)
+    # The torn bytes stay on disk until the next append, and no audit reads them.
+    assert registered.verify_chain() is None
+    assert len(registered.blocks()) == 2
+    assert registered.add_events([env_for(node_key, 2)[0]], T0 + 2)[0].status == "committed"
+    assert registered.verify_chain() is None
+    reopened = Ledger(tmp_path / "ledger")
+    assert reopened.height == 2
+    assert reopened.world_state_bytes() == registered.world_state_bytes()
+    reopened.close()
 
 
 def test_torn_final_block_is_dropped_at_open(registered, node_key, tmp_path):

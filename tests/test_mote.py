@@ -4,13 +4,14 @@ import json
 import logging
 import math
 import threading
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from ambox import canonical, storage
 from ambox.envelope import KeyPair, sign_reading_envelope
-from ambox.fleet import CommissionPlan, commission, start_monitoring
+from ambox.fleet import CommissionPlan, commission, start_monitoring, stop_monitoring
 from ambox.model import HUMIDITY, PRESSURE, TEMPERATURE, ModelError
 from ambox.mote import (
     CHAR_ACK,
@@ -222,6 +223,34 @@ def test_relayed_readings_commit_once_across_a_node_restart():
     assert len(set(committed)) == len(committed)
 
 
+def test_an_entry_id_that_skips_ahead_acks_nothing_away():
+    # The entry id is not signed and the node's ack is cumulative: one genuine
+    # reading relayed under id 10000 would ack away every reading the mote had
+    # not delivered yet.
+    world = build_world(mini_scenario(with_mote=True))
+    node = world.nodes["node1"]
+
+    def director():
+        caller = commission_and_start(world)
+        world.runtime.sleep(6 * 60_000)
+        reading = make_reading(PRESSURE, 1000.0, world.runtime.now_ms() - 1, "mote1")
+        envelope = sign_reading_envelope(world.keys["mote1"], reading)
+        node._ingest_mote_notification("mote1", None,
+                                       encode_reading_notification(10_000, envelope))
+        world.runtime.sleep(36 * 60_000)
+        stop_monitoring(caller, "node1")
+        while not world.buffers_empty():
+            world.runtime.sleep(10_000)
+
+    drive(world, director)
+    committed = Counter(mote_committed_keys(world))
+    sampled = Counter(k for k in world.metrics.sample_keys().elements() if k[0] == "mote1")
+    world.teardown()
+    assert len(sampled) >= 60
+    assert committed == sampled
+    assert node.stats["mote_gaps"] == 1
+
+
 def test_a_mote_reading_in_another_devices_name_is_refused(caplog):
     world = build_world(mini_scenario(with_mote=True))
     node = world.nodes["node1"]
@@ -239,7 +268,9 @@ def test_a_mote_reading_in_another_devices_name_is_refused(caplog):
 
 def test_a_repeated_relayed_reading_commits_once_and_packing_goes_on():
     # One signed reading relayed under two entry ids: a report holding both
-    # copies is invalid, so at the parent every later pack was refused.
+    # copies is invalid, so at the parent every later pack was refused. The
+    # ids are the next two the node takes; the mote's own readings under
+    # them then arrive as redeliveries.
     world = build_world(mini_scenario(with_mote=True))
     node = world.nodes["node1"]
     out = {}
@@ -249,7 +280,8 @@ def test_a_repeated_relayed_reading_commits_once_and_packing_goes_on():
         world.runtime.sleep(6 * 60_000)
         reading = make_reading(PRESSURE, 1000.0, world.runtime.now_ms() - 1, "mote1")
         envelope = sign_reading_envelope(world.keys["mote1"], reading)
-        for entry_id in (10_000, 10_001):
+        taken = max(node._journaled.get("mote1", 0), node._windowed.get("mote1", 0))
+        for entry_id in (taken + 1, taken + 2):
             node._ingest_mote_notification("mote1", None,
                                            encode_reading_notification(entry_id, envelope))
         out["before"] = len(world.ledger.all_reports())

@@ -6,6 +6,7 @@ artifact works as actual processes.
 """
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -37,21 +38,40 @@ def wait_for_port_file(data_dir: Path, role: str, timeout_s: float = 10.0) -> in
 
 
 def spawn(config_path: Path, *role_args) -> subprocess.Popen:
-    return subprocess.Popen(
-        AMBOX + list(role_args) + ["--config", str(config_path)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
+    """Start an `ambox` process. Its stdout and stderr go to files beside its
+    config, appended to across restarts, so a chatty child never blocks on a
+    pipe nobody reads; with PYTHONFAULTHANDLER set, SIGABRT dumps every
+    thread's stack there."""
+    stdout_path = config_path.with_suffix(".stdout")
+    stderr_path = config_path.with_suffix(".stderr")
+    with open(stdout_path, "ab") as stdout, open(stderr_path, "ab") as stderr:
+        proc = subprocess.Popen(
+            AMBOX + list(role_args) + ["--config", str(config_path)],
+            stdout=stdout,
+            stderr=stderr,
+            env={**os.environ, "PYTHONFAULTHANDLER": "1"},
+        )
+    proc.stderr_path = stderr_path
+    return proc
 
 
 def stop(proc: subprocess.Popen, sig=signal.SIGTERM, timeout_s: float = 10.0) -> int:
+    """Send `sig` and wait. A process that does not exit in time gets SIGABRT,
+    which makes the fault handler print every thread's stack, then SIGKILL;
+    the tail of its stderr is printed and -9 returned."""
     if proc.poll() is None:
         proc.send_signal(sig)
     try:
         return proc.wait(timeout=timeout_s)
     except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait()
+        proc.send_signal(signal.SIGABRT)
+        try:
+            proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        tail = proc.stderr_path.read_bytes()[-20_000:].decode("utf-8", "replace")
+        print(f"{proc.args} did not exit within {timeout_s} s of {sig!r}; stderr tail:\n{tail}")
         return -9
 
 

@@ -18,6 +18,7 @@ from ambox.model import DeviceIdentity, DeviceKind, NodeState, MonitoringJob
 from ambox.mote import MoteConfig, load_mote_config, save_mote_config
 from ambox.storage import (
     ACK_FILE,
+    AppendLog,
     COMPACT_FLOOR,
     CONFIG_FILE,
     KEY_FILE,
@@ -303,6 +304,29 @@ def test_failed_enqueue_leaves_the_journal_as_it_was(tmp_path, envelopes, fail_n
     reopened = DurableBuffer(tmp_path)
     assert [e.envelope for e in reopened.pending_entries()] == acknowledged
     reopened.close()
+
+
+def test_no_append_lands_behind_torn_bytes(tmp_path, tear_next_write, monkeypatch):
+    path = tmp_path / "log"
+    log = AppendLog(path)
+    log.append(b"one\n")
+    # Half the line is written before EIO, and cutting it back fails too.
+    tear_next_write()
+    with pytest.raises(OSError):
+        log.append(b"two, torn\n")
+    assert path.read_bytes() == b"one\ntwo, "
+    log.append(b"three\n")
+    assert AppendLog.read(path) == b"one\nthree\n"
+    assert log.size == len(b"one\nthree\n")
+    # Torn bytes that cannot be cut: the append writes nothing and raises.
+    tear_next_write(failed_cuts=2)
+    for line in (b"four, torn\n", b"five\n"):
+        with pytest.raises(OSError):
+            log.append(line)
+    assert path.read_bytes() == b"one\nthree\nfour,"
+    log.append(b"six\n")
+    log.close()
+    assert AppendLog.read(path) == b"one\nthree\nsix\n"
 
 
 def test_torn_journal_tail_is_dropped_at_every_offset(tmp_path, envelopes, monkeypatch):
