@@ -7,6 +7,8 @@
     ambox operator commission --device host:port --ledger host:port ...
     ambox harness run setup1.json --seed 1 [--real-time]
 
+Each role imports its own modules when its command runs, so a ledger
+process loads neither the node, the mote, the fleet, the harness nor HTTP.
 Each long-running role writes its bound port to <data_dir>/<role>.port (useful
 with listen port 0) and shuts down cleanly on SIGTERM: buffers are already
 durable at every step, so shutdown only stops loops and closes sockets.
@@ -26,42 +28,17 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .canonical import CanonicalError, wire_loads
 from .envelope import generate_keypair
-from .fleet import (
-    CommissionPlan,
-    OperatorCore,
-    OperatorError,
-    commission,
-    decommission,
-    start_monitoring,
-    stop_monitoring,
-)
-from .harness import ScenarioError, load_scenario, run_scenario, scenario_path
-from .ledger import Ledger, LedgerClient, LedgerService
 from .model import HUMIDITY, PRESSURE, TEMPERATURE
-from .mote import MoteAgent
-from .node import NodeAgent
-from .runtime import RealRuntime
-from .sensors import (
-    MOTE_SENSOR_SPECS,
-    NODE_SENSOR_SPECS,
-    SensorSpec,
-    SyntheticAmbient,
-    merged_spec,
-)
 from .storage import KEY_FILE, CorruptConfig, load_private_key, save_private_key
-from .transport.tcp import (
-    FrameServer,
-    HttpJsonClient,
-    HttpServer,
-    TcpCentral,
-    TcpPeripheralServer,
-    TcpRequestClient,
-    parse_hostport,
-)
+from .transport.tcp import TcpRequestClient, parse_hostport
+
+if TYPE_CHECKING:
+    from .sensors import SensorSpec
+    from .transport.http import HttpJsonClient
 
 logger = logging.getLogger(__name__)
 
@@ -176,6 +153,8 @@ def device_keypair(config: ProcessConfig):
 
 
 def synthetic_factory(config: ProcessConfig, defaults: dict[str, SensorSpec]):
+    from .sensors import SyntheticAmbient, merged_spec
+
     bases = {TEMPERATURE: 21.0, HUMIDITY: 55.0, PRESSURE: 1013.0}
 
     def factory(quantity: str, params: dict):
@@ -215,6 +194,12 @@ def _serve_until_stopped(config: ProcessConfig, make_server: Callable[[str, int]
 
 
 def run_node(config: ProcessConfig) -> int:
+    from .node import NodeAgent
+    from .runtime import RealRuntime
+    from .sensors import NODE_SENSOR_SPECS
+    from .transport.http import HttpJsonClient, HttpServer
+    from .transport.tcp import TcpCentral
+
     runtime = RealRuntime()
     keypair = device_keypair(config)
     stop = threading.Event()
@@ -240,6 +225,11 @@ def run_node(config: ProcessConfig) -> int:
 
 
 def run_mote(config: ProcessConfig) -> int:
+    from .mote import MoteAgent
+    from .runtime import RealRuntime
+    from .sensors import MOTE_SENSOR_SPECS
+    from .transport.tcp import TcpPeripheralServer
+
     runtime = RealRuntime()
     keypair = device_keypair(config)
     agent = MoteAgent(
@@ -258,6 +248,9 @@ def run_mote(config: ProcessConfig) -> int:
 
 
 def run_ledger(config: ProcessConfig) -> int:
+    from .ledger import Ledger, LedgerService
+    from .transport.tcp import FrameServer
+
     ledger = Ledger(config.data_dir, genesis_at_ms=int(time.time() * 1000))
     service = LedgerService(ledger, clock=lambda: int(time.time() * 1000))
     code = _serve_until_stopped(config, lambda host, port: FrameServer(host, port, service.handle),
@@ -267,6 +260,9 @@ def run_ledger(config: ProcessConfig) -> int:
 
 
 def run_operator_serve(config: ProcessConfig) -> int:
+    from .fleet import OperatorCore
+    from .transport.http import HttpServer
+
     core = OperatorCore(clock=lambda: int(time.time() * 1000))
     return _serve_until_stopped(config, lambda host, port: HttpServer(host, port, core.router),
                                 "operator heartbeat sink")
@@ -282,15 +278,26 @@ def _duration_ms(text: str) -> int:
 
 
 def operator_command(args: argparse.Namespace) -> int:
+    from .fleet import OperatorError
+    from .transport.http import HttpJsonClient
+
     requester = TcpRequestClient()
     try:
         return _operator_verb(args, HttpJsonClient(), requester)
+    except OperatorError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         requester.close()
 
 
 def _operator_verb(args: argparse.Namespace, caller: HttpJsonClient,
                    requester: TcpRequestClient) -> int:
+    from .fleet import (CommissionPlan, commission, decommission, start_monitoring,
+                        stop_monitoring)
+    from .ledger import LedgerClient
+    from .runtime import RealRuntime
+
     if args.verb == "commission":
         operator_host, operator_port = parse_hostport(args.operator)
         ledger_host, ledger_port = parse_hostport(args.ledger)
@@ -343,14 +350,20 @@ def _operator_verb(args: argparse.Namespace, caller: HttpJsonClient,
 
 
 def harness_command(args: argparse.Namespace) -> int:
+    from .harness import ScenarioError, load_scenario, run_scenario, scenario_path
+
     path = Path(args.scenario)
     if not path.exists():
         builtin = scenario_path(path.stem)
         if Path(builtin).exists():
             path = Path(builtin)
-    scenario = load_scenario(path)
-    pacing = 1.0 if args.real_time else None
-    report = run_scenario(scenario, seed=args.seed, pacing_override=pacing)
+    try:
+        scenario = load_scenario(path)
+        pacing = 1.0 if args.real_time else None
+        report = run_scenario(scenario, seed=args.seed, pacing_override=pacing)
+    except ScenarioError as exc:
+        print(f"scenario-invalid: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_INVALID
     print(report.summary_text())
     if args.out:
         Path(args.out).write_bytes(report.to_json_bytes())
@@ -425,13 +438,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigInvalid as exc:
         print(f"config-invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG_INVALID
-    except ScenarioError as exc:
-        print(f"scenario-invalid: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_INVALID
     except PermissionError as exc:
         print(f"data-dir-unwritable: {exc}", file=sys.stderr)
         return EXIT_DATA_DIR
-    except (OperatorError, CorruptConfig) as exc:
+    except CorruptConfig as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return EXIT_CONFIG_INVALID

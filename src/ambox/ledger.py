@@ -38,8 +38,10 @@ Memory holds an index, not reports. Each committed report is one
 `StoredReport` of atomic values: the payload's base64 as committed, the
 block height, device, batch, `created_at` and whether the payload is in the
 form `EventReport.to_obj` writes. The per-device and per-batch `GetRecent`
-lists, kept sorted newest first, hold `(-created_at, report_id)` pairs. Both
-are filled as blocks are applied, live or on replay, from what
+lists hold `(-created_at, report_id)` pairs, kept oldest first so that a
+report newer than the rest, as an in-order commit is, is appended; a query
+reads them from the end. Both are filled as blocks are applied, live or on
+replay, from what
 `model.judge_report` finds in one pass over a payload without building the
 report. A report is decoded from its bytes only on request (`all_reports`).
 
@@ -71,7 +73,6 @@ itself, read back through `blocks`.
 from __future__ import annotations
 
 import base64
-import bisect
 import hashlib
 import heapq
 import itertools
@@ -263,8 +264,9 @@ class Ledger:
         # Each report's GetRecent entry, encoded the first time an answer
         # holds it (see `entries`).
         self._entries: dict[str, str] = {}
-        # GetRecent indexes: (-created_at, report_id) in ascending order, so
-        # newest first with ties broken by report id.
+        # GetRecent indexes: (-created_at, report_id) in descending order, so
+        # read from the end they give newest first with ties broken by report
+        # id (see `_insert_descending`).
         self._recent_by_device: dict[str, list[tuple[int, str]]] = defaultdict(list)
         self._recent_by_batch: dict[str, list[tuple[int, str]]] = defaultdict(list)
         self._tip_hash = ZERO_HASH
@@ -314,8 +316,8 @@ class Ledger:
                 report.report_id, payload_b64, height, report.device_id,
                 report.batch_no, report.created_at, report.in_form)
             entry = (-report.created_at, report.report_id)
-            bisect.insort(self._recent_by_device[report.device_id], entry)
-            bisect.insort(self._recent_by_batch[report.batch_no], entry)
+            _insert_descending(self._recent_by_device[report.device_id], entry)
+            _insert_descending(self._recent_by_batch[report.batch_no], entry)
 
     def _append_block(self, prepared: Sequence[_Prepared], committed_at: int) -> None:
         height = self._height + 1
@@ -434,9 +436,9 @@ class Ledger:
         with self._lock:
             indexes = [index.get(value, []) for value, index in filters if value is not None]
             if indexes:
-                entries: Iterable[tuple[int, str]] = min(indexes, key=len)
+                entries: Iterable[tuple[int, str]] = reversed(min(indexes, key=len))
             else:
-                entries = heapq.merge(*self._recent_by_device.values())
+                entries = heapq.merge(*map(reversed, self._recent_by_device.values()))
             stored = (self._reports[report_id] for _, report_id in entries)
             matches = (s for s in stored
                        if (device_id is None or s.device_id == device_id)
@@ -530,6 +532,23 @@ class Ledger:
     def close(self) -> None:
         with self._lock:
             self._log.close()
+
+
+def _insert_descending(entries: list[tuple[int, str]], entry: tuple[int, str]) -> None:
+    """Insert `entry` into `entries`, kept in descending order. A report
+    newer than every indexed one is appended; only an older one, committed
+    out of order, is searched for and moves the entries after it."""
+    low, high = 0, len(entries)
+    if not high or entry < entries[-1]:
+        entries.append(entry)
+        return
+    while low < high:
+        middle = (low + high) // 2
+        if entries[middle] > entry:
+            low = middle + 1
+        else:
+            high = middle
+    entries.insert(low, entry)
 
 
 def _walk_blocks(raw: bytes | mmap.mmap) -> Iterator[LedgerBlock]:

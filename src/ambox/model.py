@@ -7,18 +7,19 @@ code runs identically under the wall clock and the harness virtual clock.
 
 Every reading, alone or in a report, is decoded by one function and encoded
 by one; within a report each distinct timestamp is parsed or formatted once.
-The ledger judges a signed payload with `judge_report`, which applies the
-decoder's rules and `validate_report`'s invariants without building the
-report.
+The decoder takes a report's whole readings list in one loop. The ledger
+judges a signed payload with `judge_report`, which applies the decoder's
+rules and `validate_report`'s invariants without building the report.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, NamedTuple, Optional
+from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from . import canonical
 
@@ -117,7 +118,10 @@ class SensorReading:
     @classmethod
     def from_obj(cls, obj: Any, signature_b64: Optional[str] = None) -> "SensorReading":
         """A given `signature_b64` (a relayed reading's) replaces the one in `obj`."""
-        return _decode_reading(obj, {}, signature_b64)
+        (row,), _ = _decode_readings([obj], {})
+        if signature_b64 is not None:
+            row = row[:4] + (signature_b64,)
+        return _built_reading(*row)
 
 
 @dataclass(frozen=True)
@@ -150,13 +154,14 @@ class EventReport:
         instants: dict[str, int] = {}
         report_id, device_id, product_id, batch_no, created_at, readings = \
             _report_fields(obj, instants)
+        rows, _ = _decode_readings(readings, instants)
         return cls(
             report_id=report_id,
             device_id=device_id,
             product_id=product_id,
             batch_no=batch_no,
             created_at=created_at,
-            readings=tuple([_decode_reading(r, instants) for r in readings]),
+            readings=tuple(itertools.starmap(_built_reading, rows)),
         )
 
 
@@ -178,24 +183,71 @@ def _report_fields(obj: Any, instants: dict[str, int]
             _parse_instant(obj["created_at"], instants), readings)
 
 
-def _decode_reading(obj: Any, instants: dict[str, int],
-                    signature_b64: Optional[str] = None) -> SensorReading:
-    """The reading in `obj`; `instants` memoizes timestamps across a report."""
-    quantity, value, sampled_at, source_device, signature = _reading_fields(obj, instants)
-    # Built without __init__, whose frozen setattrs cost more than the checks
-    # in `_reading_fields`; `value` is a float already, all __post_init__ adds.
+# A decoded reading's fields, in `_built_reading`'s order.
+_Row = tuple[str, float, int, str, Optional[str]]
+
+
+def _decode_readings(readings: list, instants: dict[str, int]) -> tuple[list[_Row], bool]:
+    """The one reading decoder: each reading object's quantity, value,
+    instant, source and signature, in list order, and whether every reading
+    is in the form `_encode_reading` writes (a float value, no null
+    signature, no other key); or ModelError. `instants` memoizes timestamps
+    across a report.
+
+    A reading whose fields all have their exact JSON types is read in place.
+    Any other goes through `_reading_fields`, so a refusal keeps its
+    exception, message and precedence. It builds nothing, so the ledger's
+    judge reads a report's readings through it too."""
+    rows: list[_Row] = []
+    append = rows.append
+    in_form = True
+    for obj in readings:
+        if type(obj) is dict:
+            try:
+                quantity, stamp = obj["quantity"], obj["sampled_at"]
+                source_device, value = obj["source_device"], obj["value"]
+            except KeyError:
+                pass                            # refused below, naming each missing field
+            else:
+                n = len(obj)
+                signature = None if n == 4 else obj.get("signature_b64")
+                if (type(value) is float and type(quantity) is str and type(source_device) is str
+                        and type(stamp) is str and (signature is None or type(signature) is str)):
+                    # The field checks would pass up to the instant, so its
+                    # refusal, if any, is theirs too.
+                    sampled_at = instants.get(stamp)
+                    if sampled_at is None:
+                        sampled_at = instants[stamp] = canonical.parse_millis(stamp)
+                    if n != (4 if signature is None else 5):
+                        in_form = False         # `to_obj` drops a null and any other key
+                    append((quantity, value, sampled_at, source_device, signature))
+                    continue
+        row = _reading_fields(obj, instants)
+        if type(obj["value"]) is not float or len(obj) != (4 if row[4] is None else 5):
+            in_form = False                     # `to_obj` writes a float, drops a null
+        append(row)
+    return rows, in_form
+
+
+def _built_reading(quantity: str, value: float, sampled_at: int, source_device: str,
+                   signature_b64: Optional[str]) -> SensorReading:
+    """A decoded reading, built without __init__, whose frozen setattrs cost
+    more than the decoder's checks; `value` is a float already, all
+    __post_init__ adds."""
     reading = object.__new__(SensorReading)
-    reading.__dict__.update(quantity=quantity, value=value, sampled_at=sampled_at,
-                            source_device=source_device,
-                            signature_b64=signature if signature_b64 is None else signature_b64)
+    fields = reading.__dict__
+    fields["quantity"] = quantity
+    fields["value"] = value
+    fields["sampled_at"] = sampled_at
+    fields["source_device"] = source_device
+    fields["signature_b64"] = signature_b64
     return reading
 
 
-def _reading_fields(obj: Any, instants: dict[str, int]
-                    ) -> tuple[str, float, int, str, Optional[str]]:
-    """The one reading decoder: a reading object's quantity, value, instant,
-    source and signature, or ModelError. It builds nothing, so the ledger's
-    judge reads a report's readings through it too."""
+def _reading_fields(obj: Any, instants: dict[str, int]) -> _Row:
+    """A reading object's quantity, value, instant, source and signature, or
+    ModelError, checked field by field: the path of any reading that
+    `_decode_readings` cannot read in place."""
     if not isinstance(obj, dict):
         raise ModelError(f"SensorReading must be a JSON object, got {type(obj).__name__}")
     try:
@@ -274,28 +326,16 @@ class JudgedReport(NamedTuple):
 def judge_report(payload: bytes) -> JudgedReport:
     """`validate_report(decode_report(payload))` and the report's index
     fields, in one pass over the parsed payload through the decoder's own
-    field readers, building no reading: ModelError for exactly the payloads
+    reading loop, building no reading: ModelError for exactly the payloads
     `decode_report` refuses."""
     try:
         obj = canonical.loads(payload)
         instants: dict[str, int] = {}
         report_id, device_id, _, batch_no, created_at, readings = _report_fields(obj, instants)
-        in_form = len(obj) == len(_REPORT_FIELDS) and created_at >= 0
-        times: list[int] = []
-        sources: list[str] = []
-        quantities: list[str] = []
-        values: list[float] = []
-        for reading in readings:
-            quantity, value, sampled_at, source_device, signature = \
-                _reading_fields(reading, instants)
-            if type(reading["value"]) is not float or len(reading) != (
-                    4 if signature is None else 5):
-                in_form = False                 # `to_obj` writes a float, drops a null
-            times.append(sampled_at)
-            sources.append(source_device)
-            quantities.append(quantity)
-            values.append(value)
-        in_form = in_form and (not times or min(times) >= 0)
+        rows, in_form = _decode_readings(readings, instants)
+        quantities, values, times, sources, _ = zip(*rows) if rows else ((),) * 5
+        in_form = (in_form and len(obj) == len(_REPORT_FIELDS) and created_at >= 0
+                   and (not times or min(times) >= 0))
     except (ValueError, OverflowError, RecursionError) as exc:
         raise ModelError(str(exc)) from exc
     return JudgedReport(
@@ -316,8 +356,9 @@ def validate_report(report: EventReport) -> list[str]:
                        [r.quantity for r in readings], [r.value for r in readings])
 
 
-def _violations(report_id: str, device_id: str, created_at: int, times: list[int],
-                sources: list[str], quantities: list[str], values: list[float]) -> list[str]:
+def _violations(report_id: str, device_id: str, created_at: int, times: Sequence[int],
+                sources: Sequence[str], quantities: Sequence[str],
+                values: Sequence[float]) -> list[str]:
     """The report invariants over each reading's fields in report order: the
     one definition that both `validate_report` and `judge_report` apply."""
     violations: list[str] = []
@@ -328,19 +369,24 @@ def _violations(report_id: str, device_id: str, created_at: int, times: list[int
     if not times:
         violations.append("readings non-empty")
     else:
-        if any(b < a for a, b in zip(times, times[1:])):
+        in_order = list(times) == sorted(times)
+        if not in_order:
             violations.append("readings sorted")
         if max(times) > created_at:
             violations.append("readings within created_at")
         if min(times) < 0:
             violations.append("readings at or after 1970-01-01")
-        last_per_stream: dict[tuple[str, str], int] = {}
-        strict_ok = True
-        for stream, t in zip(zip(sources, quantities), times):
-            prev = last_per_stream.get(stream)
-            if prev is not None and t <= prev:
-                strict_ok = False
-            last_per_stream[stream] = t
+        if in_order:
+            # In time order, a stream's times increase strictly unless one repeats.
+            strict_ok = len(set(zip(sources, quantities, times))) == len(times)
+        else:
+            last_per_stream: dict[tuple[str, str], int] = {}
+            strict_ok = True
+            for stream, t in zip(zip(sources, quantities), times):
+                prev = last_per_stream.get(stream)
+                if prev is not None and t <= prev:
+                    strict_ok = False
+                last_per_stream[stream] = t
         if not strict_ok:
             violations.append("readings strictly increasing per source and quantity")
         if not all(map(math.isfinite, values)):

@@ -121,6 +121,7 @@ class MoteAgent:
             "dropped_full": 0,
             "notified": 0,
             "acked": 0,
+            "storage_errors": 0,    # journal writes that raised OSError
         }
         self._config_lock = threading.Lock()
         self._config_changed = runtime.new_signal()
@@ -201,6 +202,7 @@ class MoteAgent:
         try:
             self.stats["acked"] += self.buffer.ack(upto)
         except OSError as exc:
+            self.stats["storage_errors"] += 1
             logger.error("%s: cannot store ack up to %d: %s", self.device_id, upto, exc)
 
     # -- sampling -----------------------------------------------------------------
@@ -256,6 +258,7 @@ class MoteAgent:
                 envelopes = []
                 continue
             except OSError as exc:
+                self.stats["storage_errors"] += 1
                 logger.error("%s: cannot store %d readings: %s", self.device_id,
                              len(envelopes), exc)
                 continue

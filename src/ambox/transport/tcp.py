@@ -1,30 +1,29 @@
-"""Real-socket backend: framed TCP, plain HTTP, and short-range over TCP.
+"""Real-socket backend: framed TCP and short-range over TCP.
 
 Wire format for framed exchanges is a 4-byte big-endian length prefix
 followed by a UTF-8 JSON body. The short-range emulation runs the same
 advertise/connect/subscribe/notify contract as the simulated backend, so
 agent code does not know which one it is on.
 
-Every server here is a `_Listener`: it binds, serves each accepted
-connection on its own thread, and keeps the connections it accepted. A
-stopped server answers no one: `shutdown` stops accepting and hangs up every
-connection it accepted, kept-open ones included. That wakes a thread blocked
-in recv and fails an answer still being computed, so no request, handshake or
-write that arrives after the stop reaches a handler, router or delegate.
+Every server here, and the HTTP server in `transport.http`, is a
+`_Listener`: it binds, serves each accepted connection on its own thread,
+and keeps the connections it accepted. A stopped server answers no one:
+`shutdown` stops accepting and hangs up every connection it accepted,
+kept-open ones included. That wakes a thread blocked in recv and fails an
+answer still being computed, so no request, handshake or write that arrives
+after the stop reaches a handler, router or delegate.
 """
 
 from __future__ import annotations
 
 import base64
 import contextlib
-import http.client
 import logging
 import select
 import socket
 import struct
 import threading
-from http.server import BaseHTTPRequestHandler
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from ..canonical import CanonicalError, wire_dumps, wire_loads
 from ..runtime import RealQueue
@@ -276,85 +275,6 @@ class FrameServer(_Listener):
                 logger.exception("frame handler failed")
                 return
             send_frame(sock, response)
-
-
-# -- HTTP (control API, heartbeat sink) --------------------------------------
-
-Router = Callable[[str, str, Optional[dict]], tuple[int, dict]]
-
-
-class HttpServer(_Listener):
-    def __init__(self, host: str, port: int, router: Router) -> None:
-        self._router = router
-        super().__init__(host, port, "http-server")
-
-    def _serve(self, sock: socket.socket, peer: tuple[str, int]) -> None:
-        _HttpHandler(sock, peer, self)
-
-
-class _HttpHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-
-    def _dispatch(self, method: str) -> None:
-        body = None
-        length = self.headers.get("Content-Length", "0")
-        try:
-            # ASCII digits only, capped: `int()` also takes "-1" (which reads
-            # to the end of the stream), " 1_0 " and other scripts' digits.
-            if not (length.isascii() and length.isdigit()) or int(length) > MAX_FRAME:
-                raise CanonicalError(f"bad Content-Length {length!r}")
-            if int(length):
-                body = wire_loads(self.rfile.read(int(length)))
-        except CanonicalError:
-            self.close_connection = True
-            self._reply(400, {"error": "malformed-request"})
-            return
-        try:
-            status, obj = self.server._router(method, self.path, body)
-        except Exception:
-            logger.exception("router failed for %s %s", method, self.path)
-            status, obj = 500, {"error": "internal"}
-        self._reply(status, obj)
-
-    def _reply(self, status: int, obj: dict) -> None:
-        data = wire_dumps(obj)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-    def log_message(self, fmt: str, *args: Any) -> None:
-        logger.debug("http %s", fmt % args)
-
-
-class HttpJsonClient:
-    """Minimal JSON-over-HTTP client matching the sim shim's interface; an
-    answer that is not HTTP, or not empty or an object, is a TransportError."""
-
-    def call(self, dest: str, method: str, path: str, body: Optional[dict],
-             timeout_ms: int = 10_000, label: str = "") -> tuple[int, dict]:
-        host, port = parse_hostport(dest)
-        conn = http.client.HTTPConnection(host, port, timeout=max(timeout_ms, 1) / 1000.0)
-        try:
-            data = wire_dumps(body) if body is not None else None
-            headers = {"Content-Type": "application/json"} if data else {}
-            conn.request(method, path, body=data, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            return response.status, wire_loads(raw) if raw else {}
-        except OSError as exc:
-            raise _transport_error(exc, f"{method} {path} to {dest}") from exc
-        except (CanonicalError, http.client.HTTPException) as exc:
-            raise TransportError(f"{method} {path} to {dest}: {exc}") from exc
-        finally:
-            conn.close()
 
 
 # -- short-range over TCP -----------------------------------------------------

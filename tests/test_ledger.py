@@ -40,7 +40,8 @@ from ambox.ledger import (
 from ambox.model import DeviceIdentity, DeviceKind, EventReport, ModelError, decode_report
 from ambox.node import NodeAgent
 from ambox.runtime import RealRuntime
-from ambox.transport.tcp import FrameServer, HttpServer, TcpRequestClient
+from ambox.transport.http import HttpServer
+from ambox.transport.tcp import FrameServer, TcpRequestClient
 
 from conftest import T0, make_report
 

@@ -1,5 +1,6 @@
 import ast
 import collections
+import copy
 import dataclasses
 import itertools
 import json
@@ -459,6 +460,65 @@ def _mutate(data, obj):
 def test_the_judge_matches_the_decoder_on_each_mutation_of_a_valid_report(report, data):
     obj = _mutate(data, report.to_obj())
     _assert_judged_as_decoded(json.dumps(obj).encode("utf-8"))
+
+
+# Values each reading field can take beside its valid ones; some are valid
+# too (an integer value, an empty quantity, a carried signature).
+_FIELD_VALUES = {
+    "quantity": [None, 5, 1.5, True, [], {}, ""],
+    "sampled_at": [None, 5, 1.5, [], {}, *_ODD_INSTANTS],
+    "source_device": [None, 5, 1.5, True, [], {}],
+    "value": [None, True, False, "21.5", [], {}, 7, 10 ** 400, -(10 ** 400)],
+    "signature_b64": [None, 5, 1.5, True, [], {}, "c2ln"],
+}
+
+
+@st.composite
+def _faulty_reading(draw, obj):
+    """The reading object `obj` with one to three faults, possibly of
+    several kinds, so that the field checks' precedence decides."""
+    obj = dict(obj)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["missing", "field", "field", "extra", "not-object"]))
+        if kind == "not-object":
+            return draw(st.sampled_from([None, 5, 1.5, "x", [], [1]]))
+        if kind == "missing" and obj:
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        elif kind == "field":
+            key = draw(st.sampled_from(sorted(_FIELD_VALUES)))
+            obj[key] = draw(st.sampled_from(_FIELD_VALUES[key]))
+        elif kind == "extra":
+            obj["note"] = draw(st.integers())
+    return obj
+
+
+def _raised(call, *args):
+    """The call's result, or the class and message of the data error it raised."""
+    try:
+        return call(*args)
+    except (ModelError, canonical.CanonicalError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(valid_reports(), st.data())
+def test_the_bulk_decoder_refuses_the_first_faulty_reading_as_the_field_checks_do(report, data):
+    obj = report.to_obj()
+    readings = obj["readings"]
+    for position in data.draw(st.sets(st.integers(0, len(readings) - 1), min_size=1,
+                                      max_size=2), label="faulty positions"):
+        readings[position] = data.draw(_faulty_reading(readings[position]))
+    # As objects, an overflowing integer value raises OverflowError itself.
+    assert (_raised(EventReport.from_obj, obj)
+            == _raised(_reference_report_from_obj, copy.deepcopy(obj)))
+    payload = json.dumps(obj).encode("utf-8")
+    expected = _raised(_reference_decode_report, payload)
+    assert _raised(decode_report, payload) == expected
+    judged = _raised(judge_report, payload)
+    if isinstance(expected, EventReport):
+        assert isinstance(judged, JudgedReport)
+    else:
+        assert judged == expected
 
 
 @given(valid_reports())

@@ -530,6 +530,7 @@ def test_an_ack_that_cannot_be_stored_keeps_its_entries(tmp_path, mote_key,
     assert [r.getMessage() for r in caplog.records] == [
         "mote-1: cannot store ack up to 2: [Errno 5] injected fsync failure"]
     assert mote.buffer.depth() == 2 and mote.stats["acked"] == 0
+    assert mote.stats["storage_errors"] == 1
     mote.on_write(None, CHAR_ACK, b'{"upto": 2}')
     assert mote.buffer.depth() == 0 and mote.stats["acked"] == 2
     mote.buffer.close()
@@ -618,3 +619,29 @@ def test_mote_journal_fsyncs_stay_one_per_sample_instant(monkeypatch):
     assert calls["ack"] >= 10
     assert len(syncs) <= len(instants) + calls["ack"]
     assert calls["enqueue"] == len(instants)
+
+
+def test_a_journal_write_that_fails_is_counted_and_sampling_goes_on(fail_next_fsync):
+    world = build_world(mini_scenario(with_mote=True))
+    out = {}
+
+    def director():
+        commission_and_start(world)
+        mote = world.motes["mote1"]
+        world.runtime.sleep(3 * 60_000 + 1000)
+        out["before"] = dict(mote.stats)
+        fail_next_fsync()            # the next instant's append
+        world.runtime.sleep(60_000)
+        out["failed"] = dict(mote.stats)
+        world.runtime.sleep(3 * 60_000)
+        out["after"] = dict(mote.stats)
+
+    drive(world, director)
+    world.teardown()
+    assert out["before"]["storage_errors"] == 0
+    # The failed append stored nothing and was counted ...
+    assert out["failed"]["storage_errors"] == 1
+    assert out["failed"]["samples"] == out["before"]["samples"]
+    # ... and its readings went with the next instant's: two a minute, none lost.
+    assert out["after"]["storage_errors"] == 1
+    assert out["after"]["samples"] == out["before"]["samples"] + 4 * 2

@@ -20,7 +20,7 @@ from ambox.runtime import SIM_EPOCH_MS, RealRuntime, TaskCancelled
 from ambox.storage import ConfigStore
 from ambox.transport import LinkDown
 from ambox.transport.faults import MODE_DOWN, FaultSchedule, FaultWindow
-from ambox.transport.tcp import HttpJsonClient
+from ambox.transport.http import HttpJsonClient
 
 from simworld import JOB_BODY, build_world, mini_scenario
 

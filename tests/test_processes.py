@@ -15,9 +15,19 @@ from pathlib import Path
 
 import pytest
 
+import ambox
 from ambox import cli
 
 AMBOX = [sys.executable, "-m", "ambox.cli"]
+# The `src` directory this test imported `ambox` from: children import it too.
+SRC = str(Path(ambox.__file__).resolve().parent.parent)
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment with SRC first on the child's PYTHONPATH."""
+    inherited = os.environ.get("PYTHONPATH")
+    path = SRC + os.pathsep + inherited if inherited else SRC
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def write_config(path: Path, obj: dict) -> Path:
@@ -37,11 +47,11 @@ def wait_for_port_file(data_dir: Path, role: str, timeout_s: float = 10.0) -> in
     raise TimeoutError(f"{role} did not write its port file")
 
 
-def spawn(config_path: Path, *role_args) -> subprocess.Popen:
-    """Start an `ambox` process. Its stdout and stderr go to files beside its
-    config, appended to across restarts, so a chatty child never blocks on a
-    pipe nobody reads; with PYTHONFAULTHANDLER set, SIGABRT dumps every
-    thread's stack there."""
+def spawn(config_path: Path, *role_args, **env: str) -> subprocess.Popen:
+    """Start an `ambox` process, with `env` added to its environment. Its
+    stdout and stderr go to files beside its config, appended to across
+    restarts, so a chatty child never blocks on a pipe nobody reads; with
+    PYTHONFAULTHANDLER set, SIGABRT dumps every thread's stack there."""
     stdout_path = config_path.with_suffix(".stdout")
     stderr_path = config_path.with_suffix(".stderr")
     with open(stdout_path, "ab") as stdout, open(stderr_path, "ab") as stderr:
@@ -49,7 +59,7 @@ def spawn(config_path: Path, *role_args) -> subprocess.Popen:
             AMBOX + list(role_args) + ["--config", str(config_path)],
             stdout=stdout,
             stderr=stderr,
-            env={**os.environ, "PYTHONFAULTHANDLER": "1"},
+            env=child_env(PYTHONFAULTHANDLER="1", **env),
         )
     proc.stderr_path = stderr_path
     return proc
@@ -77,7 +87,7 @@ def stop(proc: subprocess.Popen, sig=signal.SIGTERM, timeout_s: float = 10.0) ->
 
 def run_cli(*args, timeout_s: float = 30.0) -> subprocess.CompletedProcess:
     return subprocess.run(AMBOX + list(args), capture_output=True, text=True,
-                          timeout=timeout_s)
+                          timeout=timeout_s, env=child_env())
 
 
 @pytest.fixture()
@@ -227,6 +237,28 @@ def test_port_in_use_second_process(tmp_path):
         assert code == 3  # port-in-use exit code
     finally:
         stop(first)
+
+
+def test_a_ledger_process_loads_only_the_ledgers_modules(tmp_path):
+    data_dir = tmp_path / "ledger"
+    data_dir.mkdir()
+    config = write_config(tmp_path / "ledger.json", {
+        "role": "ledger", "data_dir": str(data_dir), "listen": "127.0.0.1:0",
+        "log_level": "warning",
+    })
+    # Python then writes "import time: self | cumulative | name" per module.
+    proc = spawn(config, "ledger", PYTHONPROFILEIMPORTTIME="1")
+    try:
+        wait_for_port_file(data_dir, "ledger")
+    finally:
+        assert stop(proc) == 0
+    imported = {line.rpartition("|")[2].strip()
+                for line in proc.stderr_path.read_text("utf-8").splitlines()
+                if line.startswith("import time:")}
+    assert {"ambox.ledger", "ambox.transport.tcp"} <= imported
+    assert imported & {"ambox.harness", "ambox.node", "ambox.mote", "ambox.sensors",
+                       "ambox.fleet", "ambox.transport.sim", "ambox.transport.http",
+                       "http.client", "http.server"} == set()
 
 
 def test_config_invalid_exit_codes(tmp_path):

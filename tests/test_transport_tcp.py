@@ -20,11 +20,10 @@ from ambox.transport import (
     Unreachable,
 )
 from ambox.canonical import wire_dumps
+from ambox.transport.http import HttpJsonClient, HttpServer
 from ambox.transport.tcp import (
     MAX_FRAME,
     FrameServer,
-    HttpJsonClient,
-    HttpServer,
     TcpCentral,
     TcpCentralSession,
     TcpPeripheralServer,
