@@ -212,7 +212,7 @@ def run_node(config: ProcessConfig) -> int:
         ledger_requester=ledger_requester,
         make_dest=lambda address, port: f"{address}:{port}",
         sensor_factory=synthetic_factory(config, NODE_SENSOR_SPECS),
-        central=TcpCentral(config.device_id, config.motes) if config.motes else None,
+        central=TcpCentral(config.device_id, config.motes, runtime) if config.motes else None,
         allowed_motes=tuple(config.motes),
         on_shutdown=stop.set,
     )

@@ -175,6 +175,16 @@ def fetch_identity(control_caller, device_dest: str, timeout_ms: int = 5000) -> 
     return body
 
 
+def _post(control_caller, device_dest: str, path: str, body: dict) -> None:
+    try:
+        status, response = control_caller.call(device_dest, "POST", path, body,
+                                               label=f"POST {path}")
+    except TransportError as exc:
+        raise DeviceUnreachable(f"{device_dest}: {exc}") from exc
+    if status != 200:
+        raise DeviceIllegalState(f"{path} -> {status}: {response}")
+
+
 def commission(control_caller, ledger_client: LedgerClient, plan: CommissionPlan,
                operator: Optional[OperatorCore] = None) -> dict:
     """Configure, register, and activate a device; idempotent end to end.
@@ -198,51 +208,30 @@ def commission(control_caller, ledger_client: LedgerClient, plan: CommissionPlan
     except TransportError as exc:
         raise LedgerUnreachable(str(exc)) from exc
 
-    def post(path: str, body: dict) -> None:
-        try:
-            status, response = control_caller.call(plan.device_dest, "POST", path, body,
-                                                   label=f"POST {path}")
-        except TransportError as exc:
-            raise DeviceUnreachable(f"{plan.device_dest}: {exc}") from exc
-        if status != 200:
-            raise DeviceIllegalState(f"{path} -> {status}: {response}")
-
-    post("/configHeartbeat", {
+    _post(control_caller, plan.device_dest, "/configHeartbeat", {
         "ipaddr": plan.heartbeat_address,
         "port": plan.heartbeat_port,
         "heartbeat_timeout_ms": plan.heartbeat_timeout_ms,
     })
-    post("/configBlockchain", {
+    _post(control_caller, plan.device_dest, "/configBlockchain", {
         "ipaddr": plan.ledger_address,
         "port": plan.ledger_port,
         "channel_name": plan.channel_name,
         "chaincode_name": plan.chaincode_name,
     })
     if state == NodeState.IDLE.value:
-        post("/init", {})
+        _post(control_caller, plan.device_dest, "/init", {})
     if operator is not None:
         operator.set_device_timeout(identity.device_id, plan.heartbeat_timeout_ms)
     return identity_obj
 
 
 def start_monitoring(control_caller, device_dest: str, job_body: dict) -> None:
-    try:
-        status, response = control_caller.call(device_dest, "POST", "/startMonitoring",
-                                               job_body, label="POST /startMonitoring")
-    except TransportError as exc:
-        raise DeviceUnreachable(f"{device_dest}: {exc}") from exc
-    if status != 200:
-        raise DeviceIllegalState(f"/startMonitoring -> {status}: {response}")
+    _post(control_caller, device_dest, "/startMonitoring", job_body)
 
 
 def stop_monitoring(control_caller, device_dest: str) -> None:
-    try:
-        status, response = control_caller.call(device_dest, "POST", "/stopMonitoring", {},
-                                               label="POST /stopMonitoring")
-    except TransportError as exc:
-        raise DeviceUnreachable(f"{device_dest}: {exc}") from exc
-    if status != 200:
-        raise DeviceIllegalState(f"/stopMonitoring -> {status}: {response}")
+    _post(control_caller, device_dest, "/stopMonitoring", {})
 
 
 def decommission(control_caller, device_dest: str, runtime,

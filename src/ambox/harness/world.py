@@ -44,7 +44,7 @@ from ..ledger import OP_ADD_EVENTS, Ledger, LedgerClient, LedgerService, Verdict
 from ..model import DeviceIdentity, DeviceKind, EventReport, ModelError, decode_report
 from ..mote import MoteAgent
 from ..node import NodeAgent
-from ..runtime import SimRuntime, TaskCancelled
+from ..runtime import SimScheduler, TaskCancelled
 from ..sensors import (
     MOTE_SENSOR_SPECS,
     NODE_SENSOR_SPECS,
@@ -270,14 +270,14 @@ class ScenarioWorld:
         self.data_root = Path(data_root) if data_root else Path(
             tempfile.mkdtemp(prefix=f"ambox-{scenario.name}-")
         )
-        self.runtime = SimRuntime()
-        self.scheduler = self.runtime.scheduler
+        # One object under both names: agents see a Runtime, drivers step it.
+        self.runtime = self.scheduler = SimScheduler()
         if pacing_override is not None:
             self.scheduler.pacing_factor = pacing_override
         else:
             self.scheduler.pacing_factor = scenario.time_scale
         self.t0 = self.runtime.now_ms()
-        self.network = SimNetwork(self.runtime, scenario.faults, start_ms=self.t0)
+        self.network = SimNetwork(self.scheduler, scenario.faults, start_ms=self.t0)
         self.metrics = Metrics()
         self.recorder = LedgerRecorder(self.runtime.now_ms)
         self.nodes: dict[str, NodeAgent] = {}

@@ -12,10 +12,7 @@ from typing import Callable, Optional, Protocol
 
 from .canonical import CanonicalError, wire_dumps, wire_loads
 from .model import _require_int
-from .transport import RequestClient, TransportError
-
-# A router maps (method, path, body) to (status, response object).
-Router = Callable[[str, str, Optional[dict]], tuple[int, dict]]
+from .transport import RequestClient, Router, TransportError
 
 
 class JsonCaller(Protocol):

@@ -187,17 +187,11 @@ class NodeAgent:
     def crash(self) -> None:
         """Abandon all in-memory state as a kill would; files stay as they are."""
         self._crashed = True
-        current = getattr(self.runtime, "scheduler", None)
-        current_task = current.current_task() if current else None
-        for task in self._all_tasks():
-            if task is not None and task.alive and task is not current_task:
-                task.cancel()
+        self._cancel_tasks()
         self.buffer.close()
 
     def stop(self) -> None:
-        for task in self._all_tasks():
-            if task is not None and task.alive:
-                task.cancel()
+        self._cancel_tasks()
         self._release_heartbeat_reserve()
         self.buffer.close()
 
@@ -206,11 +200,15 @@ class NodeAgent:
         """Readings taken but not yet packed into a buffered report."""
         return len(self._window)
 
-    def _all_tasks(self) -> list[Any]:
+    def _cancel_tasks(self) -> None:
+        """Cancel every activity, the calling one included: it unwinds at its
+        next blocking point, or at once if it raises TaskCancelled itself."""
         tasks = list(self._tasks.values()) + list(self._sampler_tasks.values())
         if self._packer_task is not None:
             tasks.append(self._packer_task)
-        return tasks
+        for task in tasks:
+            if task is not None and task.alive:
+                task.cancel()
 
     # -- control API ------------------------------------------------------------
 

@@ -1,16 +1,18 @@
 """Time and concurrency behind one interface, with two implementations.
 
 Agents are written as ordinary blocking loops against a `Runtime`: they
-sleep, wait on queues and events, and spawn activities. Under `RealRuntime`
-those map to threads and the wall clock; a blocked wait sleeps on its
-condition until it is notified, times out or its task is cancelled. Under
-`SimRuntime` every activity is a thread on a virtual clock, and the threads
-pass a baton: exactly one of them runs at any instant. An activity that parks
-or returns pops the next due wakeup, ordered by (wake time, creation
-sequence), and hands the baton straight to that task, or goes on itself when
-the wakeup is its own. The driver only starts a slice and takes the baton
-back when the slice ends. A whole multi-agent scenario is therefore
-deterministic, byte for byte, given the same inputs.
+sleep, wait on queues and events, and spawn activities, and every blocking
+primitive they use comes from their Runtime. Under `RealRuntime` those map
+to threads and the wall clock; a blocked wait sleeps on its condition until
+it is notified, times out or its task is cancelled. `SimScheduler` is the
+simulated Runtime: every activity is a thread on a virtual clock, and the
+threads pass a baton: exactly one of them runs at any instant. An activity
+that parks or returns pops the next due wakeup, ordered by (wake time,
+creation sequence), and hands the baton straight to that task, or goes on
+itself when the wakeup is its own. The driver (`run_until`, `run_while` or
+`step`) only starts a slice and takes the baton back when the slice ends. A
+whole multi-agent scenario is therefore deterministic, byte for byte, given
+the same inputs.
 
 The simulated clock only advances when the baton passes to a later wakeup.
 Hour-long experiments complete in milliseconds unless a pacing factor (real
@@ -166,8 +168,8 @@ class _SimTask(Task):
 _NO_LIMIT = float("inf")
 
 
-class SimScheduler:
-    """Priority-queue scheduler driving cooperative activities on virtual time.
+class SimScheduler(Runtime):
+    """The simulated runtime: cooperative activities on a virtual clock.
 
     Exactly one thread holds the baton: the driver, or the activity that is
     running. The driver starts a slice in step(); from then on each activity
@@ -179,8 +181,10 @@ class SimScheduler:
 
     def __init__(self, start_ms: int = SIM_EPOCH_MS) -> None:
         self._now = start_ms
-        self._heap: list[tuple[int, int, int, _SimTask]] = []
-        self._seq = itertools.count()
+        # (wake time, token, task). Every park, wake and spawn takes the next
+        # token, so same-instant wakeups run in creation order, and a task
+        # whose active_token moved on ignores its older entries.
+        self._heap: list[tuple[int, int, _SimTask]] = []
         self._tokens = itertools.count(1)
         self._driver = _thread.allocate_lock()
         self._driver.acquire()
@@ -191,23 +195,38 @@ class SimScheduler:
         self._tasks: list[_SimTask] = []
         self.pacing_factor: float = 0.0  # real seconds per virtual second
 
-    # -- queries ------------------------------------------------------------
+    # -- the Runtime interface ------------------------------------------------
 
     def now_ms(self) -> int:
         return self._now
 
-    def current_task(self) -> Optional[_SimTask]:
-        return self._current
+    def sleep(self, ms: int) -> None:
+        self.park(self._now + max(int(ms), 0))
+
+    def spawn(self, name: str, fn: Callable[[], None]) -> _SimTask:
+        task = _SimTask(self, name, fn)
+        self._tasks.append(task)
+        self._push(self._now, task)
+        return task
+
+    def new_queue(self) -> BlockingQueue:
+        return SimQueue(self)
+
+    def new_signal(self) -> Signal:
+        return SimSignal(self)
+
+    def new_mutex(self) -> Mutex:
+        return SimMutex(self)
 
     # -- task-side primitives (called from inside activity threads) ---------
 
     def park(self, wake_at_ms: Optional[int]) -> None:
         task = self._current
         assert task is not None, "park() outside an activity"
-        token = next(self._tokens)
-        task.active_token = token
-        if wake_at_ms is not None:
-            heapq.heappush(self._heap, (max(wake_at_ms, self._now), next(self._seq), token, task))
+        if wake_at_ms is None:
+            task.active_token = next(self._tokens)
+        else:
+            self._push(max(wake_at_ms, self._now), task)
         following = self._next()
         if following is not task:
             self._pass(following)
@@ -216,16 +235,35 @@ class SimScheduler:
             exc, task.pending_exc = task.pending_exc, None
             raise exc
 
-    def sleep(self, ms: int) -> None:
-        self.park(self._now + max(int(ms), 0))
+    def park_on(self, waiters: list[_SimTask], ready: Callable[[], bool],
+                timeout_ms: Optional[int] = None) -> bool:
+        """Park the running activity on `waiters` until ready() holds; False
+        once timeout_ms passes first. Whoever makes ready() true wakes the
+        list, which keeps its identity: an activity woken after another took
+        what it waited for parks on it again."""
+        deadline = None if timeout_ms is None else self._now + timeout_ms
+        while not ready():
+            if deadline is not None and self._now >= deadline:
+                return False
+            task = self._current
+            assert task is not None, "blocking call outside an activity"
+            waiters.append(task)
+            try:
+                self.park(deadline)
+            finally:
+                if task in waiters:
+                    waiters.remove(task)
+        return True
 
     def wake(self, task: _SimTask) -> None:
         """Make a parked task runnable now, superseding any pending timer."""
-        if task.finished:
-            return
-        token = next(self._tokens)
-        task.active_token = token
-        heapq.heappush(self._heap, (self._now, next(self._seq), token, task))
+        if not task.finished:
+            self._push(self._now, task)
+
+    def wake_all(self, waiters: list[_SimTask]) -> None:
+        for task in waiters:
+            self.wake(task)
+        waiters.clear()
 
     def cancel(self, task: _SimTask) -> None:
         if task.finished:
@@ -235,22 +273,19 @@ class SimScheduler:
             return  # caller decides when to unwind itself
         self.wake(task)
 
-    def spawn(self, name: str, fn: Callable[[], None]) -> _SimTask:
-        task = _SimTask(self, name, fn)
-        self._tasks.append(task)
+    # -- passing the baton ----------------------------------------------------
+
+    def _push(self, wake_ms: int, task: _SimTask) -> None:
         token = next(self._tokens)
         task.active_token = token
-        heapq.heappush(self._heap, (self._now, next(self._seq), token, task))
-        return task
-
-    # -- passing the baton ----------------------------------------------------
+        heapq.heappush(self._heap, (wake_ms, token, task))
 
     def _next(self) -> Optional[_SimTask]:
         """Pop the slice's next due wakeup, advance the clock to it and make
         its task current. None when the slice is over."""
         heap = self._heap
         while heap:
-            wake, _, token, task = heap[0]
+            wake, token, task = heap[0]
             if task.finished or token != task.active_token:
                 heapq.heappop(heap)
                 continue
@@ -312,16 +347,12 @@ class SimScheduler:
     def run_while(self, predicate: Callable[[], bool], limit_ms: int) -> None:
         self.step(limit_ms=limit_ms, predicate=predicate)
 
-    def drain(self, limit_ms: Optional[int] = None) -> None:
-        """Run until no runnable work remains (parked-forever tasks excluded)."""
-        self.step(limit_ms=limit_ms)
-
     def shutdown(self) -> None:
         """Cancel every live task and let them unwind."""
         for task in self._tasks:
             if task.alive:
                 self.cancel(task)
-        self.drain(limit_ms=self._now)
+        self.step(limit_ms=self._now)
 
 
 class SimQueue(BlockingQueue):
@@ -332,25 +363,12 @@ class SimQueue(BlockingQueue):
 
     def put(self, item) -> None:
         self._items.append(item)
-        waiters, self._waiters = self._waiters, []
-        for task in waiters:
-            self._scheduler.wake(task)
+        self._scheduler.wake_all(self._waiters)
 
     def get(self, timeout_ms: Optional[int] = None):
-        deadline = None if timeout_ms is None else self._scheduler.now_ms() + timeout_ms
-        while True:
-            if self._items:
-                return self._items.popleft()
-            if deadline is not None and self._scheduler.now_ms() >= deadline:
-                raise WaitTimeout("queue.get timed out")
-            task = self._scheduler.current_task()
-            assert task is not None, "blocking get() outside an activity"
-            self._waiters.append(task)
-            try:
-                self._scheduler.park(deadline)
-            finally:
-                if task in self._waiters:
-                    self._waiters.remove(task)
+        if not self._scheduler.park_on(self._waiters, self._items.__len__, timeout_ms):
+            raise WaitTimeout("queue.get timed out")
+        return self._items.popleft()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -364,28 +382,13 @@ class SimSignal(Signal):
 
     def set(self) -> None:
         self._flag = True
-        waiters, self._waiters = self._waiters, []
-        for task in waiters:
-            self._scheduler.wake(task)
+        self._scheduler.wake_all(self._waiters)
 
     def clear(self) -> None:
         self._flag = False
 
     def wait(self, timeout_ms: Optional[int] = None) -> bool:
-        deadline = None if timeout_ms is None else self._scheduler.now_ms() + timeout_ms
-        while True:
-            if self._flag:
-                return True
-            if deadline is not None and self._scheduler.now_ms() >= deadline:
-                return False
-            task = self._scheduler.current_task()
-            assert task is not None, "blocking wait() outside an activity"
-            self._waiters.append(task)
-            try:
-                self._scheduler.park(deadline)
-            finally:
-                if task in self._waiters:
-                    self._waiters.remove(task)
+        return self._scheduler.park_on(self._waiters, lambda: self._flag, timeout_ms)
 
 
 class SimMutex(Mutex):
@@ -395,44 +398,15 @@ class SimMutex(Mutex):
         self._waiters: list[_SimTask] = []
 
     def acquire(self) -> None:
-        task = self._scheduler.current_task()
+        task = self._scheduler._current
         assert task is not None, "mutex acquire outside an activity"
-        while self._holder is not None:
-            self._waiters.append(task)
-            try:
-                self._scheduler.park(None)
-            finally:
-                if task in self._waiters:
-                    self._waiters.remove(task)
+        self._scheduler.park_on(self._waiters, lambda: self._holder is None)
         self._holder = task
 
     def release(self) -> None:
         self._holder = None
         if self._waiters:
             self._scheduler.wake(self._waiters[0])
-
-
-class SimRuntime(Runtime):
-    def __init__(self, scheduler: Optional[SimScheduler] = None) -> None:
-        self.scheduler = scheduler or SimScheduler()
-
-    def now_ms(self) -> int:
-        return self.scheduler.now_ms()
-
-    def sleep(self, ms: int) -> None:
-        self.scheduler.sleep(ms)
-
-    def spawn(self, name: str, fn: Callable[[], None]) -> Task:
-        return self.scheduler.spawn(name, fn)
-
-    def new_queue(self) -> BlockingQueue:
-        return SimQueue(self.scheduler)
-
-    def new_signal(self) -> Signal:
-        return SimSignal(self.scheduler)
-
-    def new_mutex(self) -> Mutex:
-        return SimMutex(self.scheduler)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 A driver turns an environment truth trace into what real hardware would
 report: value = clamp(truth + bias + noise, range). Bias is a constant
-offset plus an optional load-correlated term, which reproduces the effect
-of a warm CPU sitting next to an onboard temperature sensor. Noise is
+offset, such as a warm CPU adds to an onboard temperature sensor. Noise is
 uniform in [-amplitude, +amplitude], derived from a hash of (seed, quantity,
 t) so a read is a pure function of its inputs and identical across runs.
 """
@@ -17,7 +16,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .model import HUMIDITY, PRESSURE, TEMPERATURE
 
@@ -42,7 +41,6 @@ class SensorSpec:
     accuracy: float
     noise_amplitude: Optional[float] = None   # defaults to accuracy
     bias_constant: float = 0.0
-    bias_load_coefficient: float = 0.0
 
     @property
     def noise(self) -> float:
@@ -82,8 +80,6 @@ def merged_spec(quantity: str, defaults: dict[str, SensorSpec],
         noise_amplitude=float(overrides["noise_amplitude"])
         if "noise_amplitude" in overrides else base.noise_amplitude,
         bias_constant=float(overrides.get("bias_constant", base.bias_constant)),
-        bias_load_coefficient=float(
-            overrides.get("bias_load_coefficient", base.bias_load_coefficient)),
     )
 
 
@@ -180,8 +176,6 @@ class SimulatedSensor:
     """A driver instance owned by one sampling loop.
 
     `trace_origin_ms` anchors the trace's offset 0 on the runtime clock.
-    `load_signal`, when given, maps absolute time to a 0..1 CPU-activity
-    level that scales the load-correlated bias term.
     """
 
     def __init__(
@@ -190,13 +184,11 @@ class SimulatedSensor:
         trace: EnvironmentTrace,
         seed: int,
         trace_origin_ms: int = 0,
-        load_signal: Optional[Callable[[int], float]] = None,
     ) -> None:
         self.spec = spec
         self.trace = trace
         self.seed = seed
         self.trace_origin_ms = trace_origin_ms
-        self.load_signal = load_signal
 
     def truth(self, t_ms: int) -> float:
         return self.trace.value_at(self.spec.quantity, t_ms - self.trace_origin_ms)
@@ -204,8 +196,6 @@ class SimulatedSensor:
     def read(self, t_ms: int) -> float:
         value = self.truth(t_ms)
         value += self.spec.bias_constant
-        if self.spec.bias_load_coefficient and self.load_signal is not None:
-            value += self.spec.bias_load_coefficient * self.load_signal(t_ms)
         value += _noise(self.seed, self.spec.quantity, t_ms, self.spec.noise)
         return max(self.spec.range_min, min(self.spec.range_max, value))
 

@@ -12,7 +12,12 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Optional
+
+
+# A router maps (method, path, body) to (status, response object); the
+# control API and the heartbeat sink serve one over either backend.
+Router = Callable[[str, str, Optional[dict]], tuple[int, dict]]
 
 
 class LinkClass(str, Enum):

@@ -12,15 +12,13 @@ import http.client
 import logging
 import socket
 from http.server import BaseHTTPRequestHandler
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..canonical import CanonicalError, wire_dumps, wire_loads
-from . import TransportError
+from . import Router, TransportError
 from .tcp import MAX_FRAME, _Listener, _transport_error, parse_hostport
 
 logger = logging.getLogger(__name__)
-
-Router = Callable[[str, str, Optional[dict]], tuple[int, dict]]
 
 
 class HttpServer(_Listener):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 from typing import Any, Callable, Optional
 
-from ..runtime import SimRuntime, TaskCancelled
+from ..runtime import SimScheduler, TaskCancelled
 from . import (
     DISCONNECTED,
     CentralPort,
@@ -52,7 +52,7 @@ class _Link:
 class SimNetwork:
     def __init__(
         self,
-        runtime: SimRuntime,
+        runtime: SimScheduler,
         schedule: Optional[FaultSchedule] = None,
         start_ms: Optional[int] = None,
     ) -> None:

@@ -23,10 +23,9 @@ import select
 import socket
 import struct
 import threading
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..canonical import CanonicalError, wire_dumps, wire_loads
-from ..runtime import RealQueue
 from . import (
     DISCONNECTED,
     CentralPort,
@@ -41,6 +40,9 @@ from . import (
     Unauthorized,
     Unreachable,
 )
+
+if TYPE_CHECKING:
+    from ..runtime import BlockingQueue, Runtime
 
 logger = logging.getLogger(__name__)
 
@@ -391,12 +393,14 @@ class TcpPeripheralSession:
 
 
 class TcpCentral(CentralPort):
-    """Central (node) side; the allow-list maps peripheral ids to addresses."""
+    """Central (node) side; the allow-list maps peripheral ids to addresses.
+    Each session's streams come from the node's runtime."""
 
     def __init__(self, central_id: str, peripheral_addresses: dict[str, str],
-                 connect_timeout_ms: int = 3000) -> None:
+                 runtime: Runtime, connect_timeout_ms: int = 3000) -> None:
         self.central_id = central_id
         self._addresses = dict(peripheral_addresses)
+        self._runtime = runtime
         self._timeout_s = connect_timeout_ms / 1000.0
 
     def connect(self, peripheral_id: str) -> "TcpCentralSession":
@@ -427,15 +431,16 @@ class TcpCentral(CentralPort):
             sock.close()
             raise Unreachable(f"{peripheral_id} rejected connection: {verdict}")
         sock.settimeout(None)
-        return TcpCentralSession(sock, peripheral_id)
+        return TcpCentralSession(sock, peripheral_id, self._runtime)
 
 
 class TcpCentralSession(Session):
-    def __init__(self, sock: socket.socket, peripheral_id: str) -> None:
+    def __init__(self, sock: socket.socket, peripheral_id: str, runtime: Runtime) -> None:
         self._sock = sock
         self.peripheral_id = peripheral_id
+        self._runtime = runtime
         self._open = True
-        self._streams: dict[str, RealQueue] = {}
+        self._streams: dict[str, BlockingQueue] = {}
         self._streams_lock = threading.Lock()
         self._send_lock = threading.Lock()
         self._reader = threading.Thread(target=self._reader_loop,
@@ -446,11 +451,11 @@ class TcpCentralSession(Session):
     def open(self) -> bool:
         return self._open
 
-    def subscribe(self, characteristic: str) -> RealQueue:
+    def subscribe(self, characteristic: str) -> BlockingQueue:
         with self._streams_lock:
             stream = self._streams.get(characteristic)
             if stream is None:
-                stream = RealQueue()
+                stream = self._runtime.new_queue()
                 self._streams[characteristic] = stream
                 if not self._open:
                     stream.put(DISCONNECTED)

@@ -3,13 +3,13 @@
 import pytest
 
 from ambox.http_api import ShimHttpClient, shim_server_handler
-from ambox.runtime import SimRuntime
+from ambox.runtime import SimScheduler
 from ambox.transport import RequestClient, TransportError
 from ambox.transport.sim import SimNetwork
 
 
 def test_shim_roundtrip_and_malformed():
-    rt = SimRuntime()
+    rt = SimScheduler()
     net = SimNetwork(rt)
 
     def router(method, path, body):
@@ -28,7 +28,7 @@ def test_shim_roundtrip_and_malformed():
         out["malformed"] = raw
 
     rt.spawn("probe", probe)
-    rt.scheduler.drain()
+    rt.step()
     assert out["ok"] == (200, {"echo": {"v": 1}})
     assert out["missing"][0] == 404
     assert b'"status": 400' in out["malformed"] or b'"status":400' in out["malformed"]

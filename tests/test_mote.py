@@ -23,7 +23,7 @@ from ambox.mote import (
     load_mote_config,
     save_mote_config,
 )
-from ambox.runtime import SIM_EPOCH_MS, SimRuntime
+from ambox.runtime import SIM_EPOCH_MS, SimScheduler
 from ambox.storage import CorruptConfig, DurableBuffer
 from ambox.transport.faults import MODE_DOWN, FaultSchedule, FaultWindow
 
@@ -333,7 +333,7 @@ class _RecordingSession:
 
 
 def test_a_stopped_mote_ignores_writes_and_connects(tmp_path, mote_key):
-    mote = MoteAgent(mote_key, "node1", tmp_path, SimRuntime(), driver_factory=lambda q, p: None)
+    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q, p: None)
     mote.buffer.enqueue([sign_reading_envelope(mote_key, make_reading(device="mote-1"))],
                         SIM_EPOCH_MS)
     mote.start()
@@ -341,8 +341,8 @@ def test_a_stopped_mote_ignores_writes_and_connects(tmp_path, mote_key):
     mote.on_write(None, CHAR_ACK, b'{"upto": 1}')
     session = _RecordingSession()
     mote.on_connect(session)
-    mote.runtime.scheduler.run_until(SIM_EPOCH_MS + 60_000)
-    mote.runtime.scheduler.shutdown()
+    mote.runtime.run_until(SIM_EPOCH_MS + 60_000)
+    mote.runtime.shutdown()
     assert session.notified == []
     reopened = DurableBuffer(tmp_path)
     assert reopened.depth() == 1
@@ -442,7 +442,7 @@ def test_two_motes_receive_job_before_first_sample():
 
 
 def test_config_write_that_cannot_be_stored_is_ignored(tmp_path, mote_key):
-    mote = MoteAgent(mote_key, "node1", tmp_path, SimRuntime(), driver_factory=lambda q, p: None)
+    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q, p: None)
     unstorable = {"enabled": True, "sample_interval_ms": 30_000,
                   "sensor_params": {"temperature": {"enabled": True, "offset": float("nan")}}}
     mote.on_write(None, CHAR_CONFIG, json.dumps(unstorable).encode())
@@ -467,7 +467,7 @@ TWO_QUANTITIES = {"enabled": True, "sample_interval_ms": 60_000,
 
 def lone_mote(directory, key, cap=None):
     """A mote with no node, set to sample two quantities a minute."""
-    mote = MoteAgent(key, "node1", directory, SimRuntime(),
+    mote = MoteAgent(key, "node1", directory, SimScheduler(),
                      driver_factory=lambda q, p: _SteadyDriver())
     mote.on_write(None, CHAR_CONFIG, json.dumps(TWO_QUANTITIES).encode())
     if cap is not None:
@@ -478,8 +478,8 @@ def lone_mote(directory, key, cap=None):
 
 def run_for(mote, minutes):
     mote.start()
-    mote.runtime.scheduler.run_until(SIM_EPOCH_MS + minutes * 60_000)
-    mote.runtime.scheduler.shutdown()
+    mote.runtime.run_until(SIM_EPOCH_MS + minutes * 60_000)
+    mote.runtime.shutdown()
     mote.buffer.close()
 
 
@@ -520,7 +520,7 @@ def test_a_failed_append_is_retried_with_the_next_instant(tmp_path, mote_key,
 
 def test_an_ack_that_cannot_be_stored_keeps_its_entries(tmp_path, mote_key,
                                                         fail_next_fsync, caplog):
-    mote = MoteAgent(mote_key, "node1", tmp_path, SimRuntime(), driver_factory=lambda q, p: None)
+    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q, p: None)
     envelopes = [sign_reading_envelope(mote_key, make_reading(at=t, device="mote-1"))
                  for t in (SIM_EPOCH_MS + 60_000, SIM_EPOCH_MS + 120_000)]
     mote.buffer.enqueue(envelopes, SIM_EPOCH_MS)
@@ -548,7 +548,7 @@ NOT_AN_INTEGER = [b"1e400", b"true", b'"3"', b"2.9", b"null"]
 
 @pytest.mark.parametrize("value", NOT_AN_INTEGER, ids=lambda v: v.decode())
 def test_an_ack_watermark_must_be_an_integer(tmp_path, mote_key, caplog, value):
-    mote = MoteAgent(mote_key, "node1", tmp_path, SimRuntime(), driver_factory=lambda q, p: None)
+    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q, p: None)
     envelopes = [sign_reading_envelope(mote_key, make_reading(at=t, device="mote-1"))
                  for t in (SIM_EPOCH_MS + 60_000, SIM_EPOCH_MS + 120_000)]
     mote.buffer.enqueue(envelopes, SIM_EPOCH_MS)

@@ -256,9 +256,9 @@ def test_a_ledger_process_loads_only_the_ledgers_modules(tmp_path):
                 for line in proc.stderr_path.read_text("utf-8").splitlines()
                 if line.startswith("import time:")}
     assert {"ambox.ledger", "ambox.transport.tcp"} <= imported
-    assert imported & {"ambox.harness", "ambox.node", "ambox.mote", "ambox.sensors",
-                       "ambox.fleet", "ambox.transport.sim", "ambox.transport.http",
-                       "http.client", "http.server"} == set()
+    assert imported & {"ambox.harness", "ambox.node", "ambox.mote", "ambox.runtime",
+                       "ambox.sensors", "ambox.fleet", "ambox.transport.sim",
+                       "ambox.transport.http", "http.client", "http.server"} == set()
 
 
 def test_config_invalid_exit_codes(tmp_path):

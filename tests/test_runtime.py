@@ -1,12 +1,14 @@
+import ast
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import ambox
 from ambox.runtime import (
     SIM_EPOCH_MS,
     RealRuntime,
-    SimRuntime,
     SimScheduler,
     TaskCancelled,
     WaitTimeout,
@@ -14,12 +16,12 @@ from ambox.runtime import (
 
 
 def test_virtual_time_starts_at_epoch():
-    rt = SimRuntime()
+    rt = SimScheduler()
     assert rt.now_ms() == SIM_EPOCH_MS
 
 
 def test_sleep_order_and_time():
-    rt = SimRuntime()
+    rt = SimScheduler()
     trace = []
 
     def worker(name, delay):
@@ -30,28 +32,28 @@ def test_sleep_order_and_time():
 
     rt.spawn("b", worker("b", 200))
     rt.spawn("a", worker("a", 100))
-    rt.scheduler.drain()
+    rt.step()
     assert trace == [("a", 100), ("b", 200)]
 
 
 def test_same_instant_ordered_by_creation():
-    rt = SimRuntime()
+    rt = SimScheduler()
     trace = []
     for name in ("first", "second", "third"):
         rt.spawn(name, lambda n=name: trace.append(n))
-    rt.scheduler.drain()
+    rt.step()
     assert trace == ["first", "second", "third"]
 
 
 def test_run_until_lands_on_time():
-    rt = SimRuntime()
+    rt = SimScheduler()
     rt.spawn("t", lambda: rt.sleep(500))
-    rt.scheduler.run_until(SIM_EPOCH_MS + 1000)
+    rt.run_until(SIM_EPOCH_MS + 1000)
     assert rt.now_ms() == SIM_EPOCH_MS + 1000
 
 
 def test_queue_wakes_waiter():
-    rt = SimRuntime()
+    rt = SimScheduler()
     q = rt.new_queue()
     got = []
 
@@ -67,12 +69,33 @@ def test_queue_wakes_waiter():
 
     rt.spawn("consumer", consumer)
     rt.spawn("producer", producer)
-    rt.scheduler.drain()
+    rt.step()
     assert got == ["x", "y"]
 
 
+def test_a_waiter_that_loses_the_item_waits_for_the_next():
+    rt = SimScheduler()
+    q = rt.new_queue()
+    got = []
+
+    def consumer(name):
+        return lambda: got.append((name, q.get(), rt.now_ms() - SIM_EPOCH_MS))
+
+    def producer():
+        rt.sleep(50)
+        q.put("x")
+        rt.sleep(50)
+        q.put("y")
+
+    rt.spawn("a", consumer("a"))
+    rt.spawn("b", consumer("b"))
+    rt.spawn("producer", producer)
+    rt.step()
+    assert got == [("a", "x", 50), ("b", "y", 100)]
+
+
 def test_queue_timeout():
-    rt = SimRuntime()
+    rt = SimScheduler()
     q = rt.new_queue()
     outcome = []
 
@@ -83,12 +106,12 @@ def test_queue_timeout():
             outcome.append(rt.now_ms() - SIM_EPOCH_MS)
 
     rt.spawn("consumer", consumer)
-    rt.scheduler.drain()
+    rt.step()
     assert outcome == [250]
 
 
 def test_cancel_parked_task():
-    rt = SimRuntime()
+    rt = SimScheduler()
     events = []
 
     def sleeper():
@@ -106,13 +129,13 @@ def test_cancel_parked_task():
         task.cancel()
 
     rt.spawn("canceller", canceller)
-    rt.scheduler.drain()
+    rt.step()
     assert events == ["cancelled"]
     assert not task.alive
 
 
 def test_cancelled_task_never_runs_user_code_again():
-    rt = SimRuntime()
+    rt = SimScheduler()
     ticks = []
 
     def ticker():
@@ -127,12 +150,12 @@ def test_cancelled_task_never_runs_user_code_again():
         task.cancel()
 
     rt.spawn("killer", killer)
-    rt.scheduler.run_until(SIM_EPOCH_MS + 200)
+    rt.run_until(SIM_EPOCH_MS + 200)
     assert len(ticks) == 3  # t=10,20,30; the t=40 tick must not fire
 
 
 def test_signal_set_and_wait():
-    rt = SimRuntime()
+    rt = SimScheduler()
     log = []
     sig = rt.new_signal()
 
@@ -146,21 +169,21 @@ def test_signal_set_and_wait():
 
     rt.spawn("waiter", waiter)
     rt.spawn("setter", setter)
-    rt.scheduler.drain()
+    rt.step()
     assert log == [300]
 
 
 def test_signal_wait_timeout_false():
-    rt = SimRuntime()
+    rt = SimScheduler()
     result = []
     sig = rt.new_signal()
     rt.spawn("w", lambda: result.append(sig.wait(timeout_ms=100)))
-    rt.scheduler.drain()
+    rt.step()
     assert result == [False]
 
 
 def test_mutex_serializes_critical_sections():
-    rt = SimRuntime()
+    rt = SimScheduler()
     mutex = rt.new_mutex()
     log = []
 
@@ -174,12 +197,12 @@ def test_mutex_serializes_critical_sections():
 
     rt.spawn("a", worker("a", 100))
     rt.spawn("b", worker("b", 10))
-    rt.scheduler.drain()
+    rt.step()
     assert log == ["a:in", "a:out", "b:in", "b:out"]
 
 
 def test_task_error_propagates_to_driver():
-    rt = SimRuntime()
+    rt = SimScheduler()
 
     def boom():
         rt.sleep(10)
@@ -187,12 +210,12 @@ def test_task_error_propagates_to_driver():
 
     rt.spawn("boom", boom)
     with pytest.raises(RuntimeError, match="boom"):
-        rt.scheduler.drain()
+        rt.step()
 
 
 def test_determinism_two_identical_runs():
     def run_once():
-        rt = SimRuntime()
+        rt = SimScheduler()
         trace = []
 
         def periodic(name, interval, count):
@@ -220,7 +243,7 @@ def test_determinism_two_identical_runs():
         rt.spawn("b", periodic("b", 50, 6))
         rt.spawn("ping", pinger)
         rt.spawn("pong", ponger)
-        rt.scheduler.drain()
+        rt.step()
         return trace
 
     assert run_once() == run_once()
@@ -229,7 +252,7 @@ def test_determinism_two_identical_runs():
 def test_handoff_trace_is_pinned():
     """Every wakeup of a small program, in order, with ties at equal times
     broken by the order in which the wakeups were scheduled."""
-    rt = SimRuntime()
+    rt = SimScheduler()
     q = rt.new_queue()
     sig = rt.new_signal()
     trace = []
@@ -268,7 +291,7 @@ def test_handoff_trace_is_pinned():
     for name, fn in (("tick", ticker), ("prod", producer), ("cons", consumer),
                      ("late", late)):
         rt.spawn(name, fn)
-    rt.scheduler.drain()
+    rt.step()
     assert trace == [
         (0, "tick"), (0, "prod"), (0, "cons"),
         (10, "tick"),
@@ -278,7 +301,7 @@ def test_handoff_trace_is_pinned():
 
 
 def test_run_while_runs_exactly_until_the_predicate_flips():
-    rt = SimRuntime()
+    rt = SimScheduler()
     woken = []
 
     def ticker(offset):
@@ -292,17 +315,17 @@ def test_run_while_runs_exactly_until_the_predicate_flips():
     rt.spawn("even", ticker(0))
     rt.spawn("odd", ticker(1))
     k = 7
-    rt.scheduler.run_while(lambda: len(woken) < k, limit_ms=SIM_EPOCH_MS + 1000)
+    rt.run_while(lambda: len(woken) < k, limit_ms=SIM_EPOCH_MS + 1000)
     # Two start-up wakeups carry no mark; every later one adds one.
     assert woken == [0, 1, 2, 3, 4, 5, 6]
     assert rt.now_ms() == SIM_EPOCH_MS + 6
-    rt.scheduler.run_until(SIM_EPOCH_MS + 8)
+    rt.run_until(SIM_EPOCH_MS + 8)
     assert woken[k:] == [7, 8]
-    rt.scheduler.shutdown()
+    rt.shutdown()
 
 
 def test_crash_ends_the_slice_before_any_other_activity_runs():
-    rt = SimRuntime()
+    rt = SimScheduler()
     ran = []
 
     def boom():
@@ -316,11 +339,11 @@ def test_crash_ends_the_slice_before_any_other_activity_runs():
     rt.spawn("boom", boom)
     rt.spawn("bystander", bystander)
     with pytest.raises(RuntimeError, match="activity 'boom' crashed") as info:
-        rt.scheduler.run_until(SIM_EPOCH_MS + 100)
+        rt.run_until(SIM_EPOCH_MS + 100)
     assert isinstance(info.value.__cause__, ValueError)
     assert ran == []
     assert rt.now_ms() == SIM_EPOCH_MS + 10
-    rt.scheduler.run_until(SIM_EPOCH_MS + 100)
+    rt.run_until(SIM_EPOCH_MS + 100)
     assert ran == [10]
 
 
@@ -333,7 +356,7 @@ def test_sleep_zero_with_nothing_earlier_due_keeps_the_baton(monkeypatch):
         original(self, task)
 
     monkeypatch.setattr(SimScheduler, "_pass", counting)
-    rt = SimRuntime()
+    rt = SimScheduler()
     trace = []
 
     def spinner():
@@ -349,7 +372,7 @@ def test_sleep_zero_with_nothing_earlier_due_keeps_the_baton(monkeypatch):
 
     rt.spawn("later", later)
     rt.spawn("spinner", spinner)
-    rt.scheduler.drain()
+    rt.step()
     assert trace == [("spinner", 0), ("later", 5)]
     # Driver to later, later to spinner, spinner to later, later to driver:
     # a hundred sleep(0) calls pass the baton to no one.
@@ -357,7 +380,7 @@ def test_sleep_zero_with_nothing_earlier_due_keeps_the_baton(monkeypatch):
 
 
 def test_shutdown_unwinds_every_parked_task():
-    rt = SimRuntime()
+    rt = SimScheduler()
     q = rt.new_queue()
     sig = rt.new_signal()
     mutex = rt.new_mutex()
@@ -383,9 +406,9 @@ def test_shutdown_unwinds_every_parked_task():
         "holder": holder,
     }
     tasks = [rt.spawn(f"shut-{name}", parked(name, block)) for name, block in blocks.items()]
-    rt.scheduler.run_until(SIM_EPOCH_MS + 50)
+    rt.run_until(SIM_EPOCH_MS + 50)
     tasks.append(rt.spawn("shut-unstarted", parked("unstarted", lambda: None)))
-    rt.scheduler.shutdown()
+    rt.shutdown()
     assert sorted(unwound) == sorted(blocks)
     assert not any(task.alive for task in tasks)
     names = {f"sim:{task.name}" for task in tasks}
@@ -452,3 +475,27 @@ def test_real_cancel_wakes_a_blocked_wait_at_once(block):
     assert not task.alive
     assert len(returned) == 1
     assert returned[0] - cancelled_at < 0.010
+
+
+def test_blocking_primitives_come_from_a_runtime():
+    # Agents and transports take queues, signals and mutexes from the Runtime
+    # they are given, so the same code runs on threads and on the virtual clock.
+    package = Path(ambox.__file__).parent
+    concrete = {"SimQueue", "SimSignal", "SimMutex", "RealQueue", "RealSignal", "RealMutex",
+                "SimRuntime"}
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        name = path.relative_to(package).as_posix()
+        if name == "runtime.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found.extend(f"{name}:{node.lineno} {n}" for n in names if n in concrete)
+    assert found == []

@@ -92,14 +92,6 @@ def test_bias_observable_through_noise():
         assert abs(statistics.mean(errors) - bias) <= 3 * eps / math.sqrt(n)
 
 
-def test_load_correlated_bias():
-    spec = SensorSpec(TEMPERATURE, 0.0, 65.0, accuracy=0.0, noise_amplitude=0.0,
-                      bias_constant=1.0, bias_load_coefficient=2.0)
-    sensor = SimulatedSensor(spec, flat_trace(20.0), seed=0,
-                             load_signal=lambda t: 0.5)
-    assert sensor.read(60_000) == 20.0 + 1.0 + 2.0 * 0.5
-
-
 def test_hardware_presets_match_figures():
     node_t = NODE_SENSOR_SPECS[TEMPERATURE]
     assert (node_t.range_min, node_t.range_max, node_t.accuracy) == (0.0, 65.0, 2.0)

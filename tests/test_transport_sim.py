@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from ambox.runtime import SIM_EPOCH_MS, SimRuntime
+from ambox.runtime import SIM_EPOCH_MS, SimScheduler
 from ambox.transport import (
     DISCONNECTED,
     LinkClass,
@@ -44,7 +44,7 @@ class RecordingPeripheral(PeripheralDelegate):
 
 
 def make_world(windows=(), links=None):
-    rt = SimRuntime()
+    rt = SimScheduler()
     net = SimNetwork(rt, FaultSchedule(windows))
     for name, a, b, cls in (links or []):
         net.add_link(name, a, b, cls)
@@ -89,7 +89,7 @@ def test_request_echo_zero_latency():
     client = net.client("client")
     out = []
     rt.spawn("probe", lambda: out.append(client.request("server", b"ping", 1000)))
-    rt.scheduler.drain()
+    rt.step()
     assert out == [b"ping"]
 
 
@@ -107,7 +107,7 @@ def test_request_injected_latency_exact_rtt():
             rtts.append(rt.now_ms() - t)
 
     rt.spawn("probe", probe)
-    rt.scheduler.drain()
+    rt.step()
     assert rtts == [100, 100, 100]
 
 
@@ -124,7 +124,7 @@ def test_request_odd_latency_still_exact():
         rtts.append(rt.now_ms() - t)
 
     rt.spawn("p", probe)
-    rt.scheduler.drain()
+    rt.step()
     assert rtts == [7]
 
 
@@ -142,7 +142,7 @@ def test_request_during_down_window_fails_fast():
             failures.append(rt.now_ms() - SIM_EPOCH_MS)
 
     rt.spawn("p", probe)
-    rt.scheduler.drain()
+    rt.step()
     assert failures == [0]  # immediate, no timeout wait in simulation
 
 
@@ -166,7 +166,7 @@ def test_request_lost_in_transit_times_out():
             outcome.append(rt.now_ms() - SIM_EPOCH_MS)
 
     rt.spawn("p", probe)
-    rt.scheduler.drain()
+    rt.step()
     assert outcome == [1000]       # waited out the full timeout
     assert served == []             # no phantom delivery inside the window
 
@@ -185,7 +185,7 @@ def test_latency_exceeding_timeout():
             outcome.append(rt.now_ms() - SIM_EPOCH_MS)
 
     rt.spawn("p", probe)
-    rt.scheduler.drain()
+    rt.step()
     assert outcome == [1000]
 
 
@@ -208,7 +208,7 @@ def test_connect_and_notify_in_order():
             received.append(stream.get())
 
     rt.spawn("central", run)
-    rt.scheduler.drain()
+    rt.step()
     assert [n.payload for n in received] == [b"v1", b"v2", b"v3"]
     assert [n.sequence for n in received] == [1, 2, 3]
 
@@ -235,7 +235,7 @@ def test_unauthorized_peripheral_never_connects():
 
     rt.spawn("a", not_allowed)
     rt.spawn("b", wrong_central)
-    rt.scheduler.drain()
+    rt.step()
     assert outcomes == ["unauthorized-central-side", "unauthorized-pairing"]
     assert peripheral.sessions == []
 
@@ -258,7 +258,7 @@ def test_advertising_again_supersedes_the_live_session():
         received.append(stream.get().payload)
 
     rt.spawn("central", run)
-    rt.scheduler.drain()
+    rt.step()
     assert received == [DISCONNECTED, b"v1"]
     assert (len(old.sessions), old.disconnects, len(new.sessions)) == (1, 1, 1)
 
@@ -275,7 +275,7 @@ def test_a_stream_subscribed_after_the_session_closed_ends():
         received.append(session.subscribe("readings").get())
 
     rt.spawn("central", run)
-    rt.scheduler.drain()
+    rt.step()
     assert received == [DISCONNECTED]
 
 
@@ -297,7 +297,7 @@ def test_a_failing_write_handler_does_not_unwind_the_central(caplog):
         outcomes.append(session.open)
 
     rt.spawn("central", run)
-    rt.scheduler.drain()
+    rt.step()
     assert outcomes == [True]
     assert "peripheral write handler failed" in caplog.text
 
@@ -316,7 +316,7 @@ def test_connect_during_down_window_unreachable():
             outcomes.append("unreachable")
 
     rt.spawn("c", run)
-    rt.scheduler.drain()
+    rt.step()
     assert outcomes == ["unreachable"]
 
 
@@ -349,7 +349,7 @@ def test_down_window_cuts_stream_with_marker():
 
     rt.spawn("central", central_side)
     rt.spawn("mote", mote_side)
-    rt.scheduler.drain()
+    rt.step()
     assert [getattr(n, "payload", n) for n in received] == [b"before", DISCONNECTED]
     assert peripheral.disconnects == 1
 
@@ -371,9 +371,9 @@ def test_auto_reconnect_bounded_delay():
             pass
 
     handle = spawn_reconnect(rt, central, "mote", 2000, on_session)
-    rt.scheduler.run_until(SIM_EPOCH_MS + 40_000)
+    rt.run_until(SIM_EPOCH_MS + 40_000)
     handle.cancel()
-    rt.scheduler.drain(limit_ms=rt.now_ms())
+    rt.step(limit_ms=rt.now_ms())
     assert sessions[0][0] == 0
     reconnect_times = [t for t, _ in sessions[1:]]
     assert len(reconnect_times) == 1
@@ -393,9 +393,9 @@ def test_reconnect_never_down_single_session():
             pass
 
     handle = spawn_reconnect(rt, central, "mote", 2000, on_session)
-    rt.scheduler.run_until(SIM_EPOCH_MS + 60_000)
+    rt.run_until(SIM_EPOCH_MS + 60_000)
     handle.cancel()
-    rt.scheduler.drain(limit_ms=rt.now_ms())
+    rt.step(limit_ms=rt.now_ms())
     assert connect_outcomes(net)["ok"] == 1
     assert connect_outcomes(net)["unreachable"] == 0
 
@@ -406,10 +406,10 @@ def test_cancel_reconnect_stops_attempts():
     net.advertise("mote", "node", RecordingPeripheral())
     central = net.central("node", {"mote"})
     handle = spawn_reconnect(rt, central, "mote", 2000, lambda s: None)
-    rt.scheduler.run_until(SIM_EPOCH_MS + 10_000)
+    rt.run_until(SIM_EPOCH_MS + 10_000)
     retries_at_cancel = connect_outcomes(net)["unreachable"]
     handle.cancel()
-    rt.scheduler.run_until(SIM_EPOCH_MS + 60_000)
+    rt.run_until(SIM_EPOCH_MS + 60_000)
     assert connect_outcomes(net)["unreachable"] == retries_at_cancel
 
 
@@ -463,9 +463,9 @@ def test_thousand_publishes_prefix_per_connection_gap_free():
                 continue
 
     rt.spawn("publisher", mote_publisher)
-    rt.scheduler.run_until(SIM_EPOCH_MS + 1_300_000)
+    rt.run_until(SIM_EPOCH_MS + 1_300_000)
     handle.cancel()
-    rt.scheduler.drain(limit_ms=rt.now_ms())
+    rt.step(limit_ms=rt.now_ms())
     assert len(connections) > 1          # drops actually happened
     assert sum(len(c) for c in connections) >= 900
     for received in connections:
@@ -488,7 +488,7 @@ def test_message_log_deterministic():
                 rt.sleep(1000)
 
         rt.spawn("p", probe)
-        rt.scheduler.drain()
+        rt.step()
         return hashlib.sha256(json.dumps(net.message_log, sort_keys=True).encode()).hexdigest()
 
     assert run_once() == run_once()

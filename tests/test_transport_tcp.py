@@ -20,6 +20,7 @@ from ambox.transport import (
     Unreachable,
 )
 from ambox.canonical import wire_dumps
+from ambox.runtime import RealRuntime
 from ambox.transport.http import HttpJsonClient, HttpServer
 from ambox.transport.tcp import (
     MAX_FRAME,
@@ -381,7 +382,7 @@ def test_shortrange_over_tcp_roundtrip():
     peripheral = EchoPeripheral()
     server = TcpPeripheralServer("127.0.0.1", 0, "mote-1", "node-1", peripheral)
     try:
-        central = TcpCentral("node-1", {"mote-1": f"127.0.0.1:{server.port}"})
+        central = TcpCentral("node-1", {"mote-1": f"127.0.0.1:{server.port}"}, RealRuntime())
         session = central.connect("mote-1")
         stream = session.subscribe("replies")
         assert peripheral.connected.wait(2.0)
@@ -401,10 +402,10 @@ def test_shortrange_unauthorized_central():
     peripheral = EchoPeripheral()
     server = TcpPeripheralServer("127.0.0.1", 0, "mote-1", "node-1", peripheral)
     try:
-        central = TcpCentral("intruder", {"mote-1": f"127.0.0.1:{server.port}"})
+        central = TcpCentral("intruder", {"mote-1": f"127.0.0.1:{server.port}"}, RealRuntime())
         with pytest.raises(Unauthorized):
             central.connect("mote-1")
-        outside = TcpCentral("node-1", {})
+        outside = TcpCentral("node-1", {}, RealRuntime())
         with pytest.raises(Unauthorized):
             outside.connect("mote-1")
     finally:
@@ -416,7 +417,8 @@ def test_shortrange_unreachable_when_server_gone():
     server = TcpPeripheralServer("127.0.0.1", 0, "mote-1", "node-1", peripheral)
     port = server.port
     server.shutdown()
-    central = TcpCentral("node-1", {"mote-1": f"127.0.0.1:{port}"}, connect_timeout_ms=300)
+    central = TcpCentral("node-1", {"mote-1": f"127.0.0.1:{port}"}, RealRuntime(),
+                         connect_timeout_ms=300)
     with pytest.raises(Unreachable):
         central.connect("mote-1")
 
@@ -425,7 +427,7 @@ def test_shortrange_disconnect_marker_on_close():
     peripheral = EchoPeripheral()
     server = TcpPeripheralServer("127.0.0.1", 0, "mote-1", "node-1", peripheral)
     try:
-        central = TcpCentral("node-1", {"mote-1": f"127.0.0.1:{server.port}"})
+        central = TcpCentral("node-1", {"mote-1": f"127.0.0.1:{server.port}"}, RealRuntime())
         session = central.connect("mote-1")
         stream = session.subscribe("replies")
         assert peripheral.connected.wait(2.0)
@@ -447,7 +449,7 @@ def test_shortrange_disconnect_marker_on_close():
 def test_a_frame_that_is_not_a_notification_ends_the_central_session(frame):
     # Skipping it would leave a gap in the notification stream.
     central_end, peripheral_end = socket.socketpair()
-    session = TcpCentralSession(central_end, "mote-1")
+    session = TcpCentralSession(central_end, "mote-1", RealRuntime())
     stream = session.subscribe("readings")
     try:
         send_frame(peripheral_end,
@@ -463,7 +465,7 @@ def test_a_frame_that_is_not_a_notification_ends_the_central_session(frame):
 
 def test_a_stream_subscribed_after_the_session_closed_ends():
     central_end, peripheral_end = socket.socketpair()
-    session = TcpCentralSession(central_end, "mote-1")
+    session = TcpCentralSession(central_end, "mote-1", RealRuntime())
     peripheral_end.close()
     assert session.subscribe("ack").get(timeout_ms=2000) is DISCONNECTED
     assert session.open is False
