@@ -41,6 +41,7 @@ _MILLISECOND = timedelta(milliseconds=1)
 _MAX_MILLIS = 253_402_300_799_999
 # Kept for every call: `json.dumps(obj, sort_keys=True)` builds an encoder per call.
 _WIRE_ENCODER = json.JSONEncoder(sort_keys=True)
+_DECODER = json.JSONDecoder()
 
 
 # The string encoders `dumps` (`ensure_ascii=False`) and `wire_text` use.
@@ -68,6 +69,18 @@ def loads(data: bytes | memoryview):
         return json.loads(str(data, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CanonicalError(f"not valid JSON: {exc}") from exc
+
+
+def loads_exact(text: str):
+    """The JSON value that is the whole of `text`, found in one scan, for
+    text with nothing around its value, as canonical text has. Raises
+    ValueError for any other text (not JSON, or JSON with whitespace or more
+    after its value), which `loads` may still parse, or refuse with its own
+    message; RecursionError for nesting too deep to parse."""
+    obj, end = _DECODER.raw_decode(text)
+    if end != len(text):
+        raise ValueError(f"more text after the JSON value, at {end}")
+    return obj
 
 
 def wire_text(obj) -> str:

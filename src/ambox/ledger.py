@@ -20,11 +20,16 @@ cut back off the file, if need be by the next append before it writes). A
 line is the canonical JSON of a block's core with the core's hash spliced in
 front. One walker, `_walk_blocks`, checks every block: replay at startup,
 `verify_chain` and `Ledger.blocks` all read the log through it. It hashes
-each stored line's own bytes, then checks height and the `prev_hash` link,
-so any edited byte, whitespace included, is detected at exactly the height
-it damaged, and a log that does not link does not open. World state is rebuilt by replaying the block log at
-startup, which doubles as the safety check that state is a pure function
-of the log.
+each stored line's own bytes, so any edited byte, whitespace included, is
+detected at exactly the height it damaged. Then it parses the line once,
+takes `height` only as a JSON integer and `transactions` only as an array,
+and checks the timestamp, the height and the `prev_hash` link, so a log
+that does not link does not open. A block costs that hash and that parse:
+it is built as a tuple, with no per-line copy. The walk does not decode
+transactions; replay does, so a block whose transaction does not decode
+passes an audit and stops replay. World state is rebuilt by replaying the
+block log at startup, which doubles as the safety check that state is a
+pure function of the log.
 
 The walker reads the log in place: replay walks the bytes `AppendLog.read`
 returns, and an audit (`verify_chain`, `blocks`) walks a read-only map of
@@ -144,8 +149,10 @@ _HASH_PREFIX = b'{"block_hash":"'
 _CORE_START = len(_HASH_PREFIX) + 64 + len(b'",')
 
 
-@dataclass(frozen=True)
-class LedgerBlock:
+class LedgerBlock(NamedTuple):
+    """A block as the walk reads it back: its stored fields, with
+    `committed_at` in epoch milliseconds."""
+
     height: int
     prev_hash: str
     transactions: tuple[dict, ...]
@@ -471,7 +478,10 @@ class Ledger:
             return self._height
 
     def blocks(self) -> list[LedgerBlock]:
-        """The stored chain in commit order, checked as replay checks it.
+        """The stored chain in commit order, each block checked as
+        `verify_chain` checks it: hash, fields, height and link. Replay
+        checks more: it decodes each transaction, which this does not, so a
+        block whose transaction does not decode is returned all the same.
         Like `verify_chain`, it walks without the lock and works after
         `close`."""
         with self._mapped_log() as raw:
@@ -555,60 +565,71 @@ def _walk_blocks(raw: bytes | mmap.mmap) -> Iterator[LedgerBlock]:
     """Yield the blocks of a stored block log in order.
 
     `raw` is walked in place: each line is found with `find(b"\n")` and
-    read through a memoryview of `raw`, so the walk holds one block at a
-    time and copies no line. Only `\n` ends a line; an unterminated last
-    line is walked like the others, so a torn one is caught at its height.
-    Every view is released when the walk ends or raises, so a map of `raw`
-    can close after it.
+    read through views of `raw` that live only for the call they are made
+    for, so the walk holds one block at a time and copies no line. Only
+    `\n` ends a line; an unterminated last line is walked like the others,
+    so a torn one is caught at its height. The one view the walk keeps is
+    released when it ends or raises, so a map of `raw` can close after it.
 
-    Each line must hash to its stored `block_hash`, parse, carry its line
-    number as height and link to the previous block's hash. The first that
-    does not raises CorruptLedger carrying its height.
+    Each line must hash to its stored `block_hash`, checked byte for byte
+    before it is parsed, so any edit fails, even one that parses to the same
+    block. The line is the canonical dump of the whole block, so it is
+    parsed as it is stored, in one scan of its text
+    (`canonical.loads_exact`); a line that is not UTF-8 or JSON, or that its
+    object does not end, gets the answer and message of `canonical.loads`.
+    Its `height` must be a JSON integer equal to its line number, its
+    `transactions` an array, its `committed_at` a canonical timestamp and
+    its `prev_hash` the previous block's hash. The first line that fails a
+    check raises CorruptLedger carrying its height.
     """
     prev_hash = ZERO_HASH
-    start = 0
+    height = start = 0
+    size = len(raw)
     with memoryview(raw) as view:
-        for height in itertools.count():
-            if start >= len(view):
-                return
+        while start < size:
             end = raw.find(b"\n", start)
             if end < 0:
-                end = len(view)
-            with view[start:end] as line:
+                end = size
+            digest = hashlib.sha256(b"{")
+            digest.update(view[start + _CORE_START:end])
+            block_hash = digest.hexdigest()
+            # On a line shorter than the hash prefix this slice takes in its
+            # `\n`, or is cut short at the log's end: either way no match.
+            if raw[start:start + _CORE_START] != b"".join(
+                    (_HASH_PREFIX, block_hash.encode("ascii"), b'",')):
+                raise CorruptLedger(f"block {height}: block hash mismatch", height)
+            try:
                 try:
-                    block = _parse_block_line(line)
-                except CorruptLedger as exc:
-                    raise CorruptLedger(f"block {height}: {exc}", height) from exc
-            if block.height != height:
-                raise CorruptLedger(f"block {height} has height {block.height}", height)
-            if block.prev_hash != prev_hash:
+                    obj = canonical.loads_exact(str(view[start:end], "utf-8"))
+                    exact = True
+                except ValueError:
+                    exact = False
+                if not exact:
+                    # Outside the handler, so no error chains to the one it
+                    # caught, and released on the way out: a traceback that
+                    # keeps the parser's frame must not keep `raw` mapped.
+                    with view[start:end] as line:
+                        obj = canonical.loads(line)
+                stored_height = obj["height"]
+                if type(stored_height) is not int:
+                    raise TypeError(f"height must be an integer, "
+                                    f"got {type(stored_height).__name__}")
+                stored_prev = obj["prev_hash"]
+                transactions = obj["transactions"]
+                if type(transactions) is not list:
+                    raise TypeError(f"transactions must be an array, "
+                                    f"got {type(transactions).__name__}")
+                committed_at = canonical.parse_millis(obj["committed_at"])
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                raise CorruptLedger(f"block {height}: unparseable block: {exc}", height) from exc
+            if stored_height != height:
+                raise CorruptLedger(f"block {height} has height {stored_height}", height)
+            if stored_prev != prev_hash:
                 raise CorruptLedger(f"block {height} does not link to block {height - 1}", height)
-            prev_hash = block.block_hash
-            yield block
+            yield LedgerBlock(height, prev_hash, tuple(transactions), committed_at, block_hash)
+            prev_hash = block_hash
+            height += 1
             start = end + 1
-
-
-def _parse_block_line(line: memoryview) -> LedgerBlock:
-    """One stored line without its newline, checked byte for byte before it
-    is parsed: any edit fails here, even one that parses to the same block.
-    The line is the canonical dump of the whole block, so it is parsed as it
-    is stored."""
-    digest = hashlib.sha256(b"{")
-    digest.update(line[_CORE_START:])
-    stored_hash = digest.hexdigest()
-    if line[:_CORE_START] != _HASH_PREFIX + stored_hash.encode("ascii") + b'",':
-        raise CorruptLedger("block hash mismatch")
-    try:
-        obj = canonical.loads(line)
-        return LedgerBlock(
-            height=int(obj["height"]),
-            prev_hash=str(obj["prev_hash"]),
-            transactions=tuple(obj["transactions"]),
-            committed_at=canonical.parse_millis(obj["committed_at"]),
-            block_hash=stored_hash,
-        )
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise CorruptLedger(f"unparseable block: {exc}") from exc
 
 
 # -- wire service -------------------------------------------------------------

@@ -110,7 +110,7 @@ def read_document(path: Path, corrupt: type[Exception],
         raise corrupt(f"{path.name}: unsupported schema {obj.get('schema_version')!r}")
     try:
         return parse(obj)
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+    except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise corrupt(f"{path.name} invalid: {exc}") from exc
 
 
@@ -230,7 +230,8 @@ class DurableBuffer:
                     continue
                 entry = BufferEntry(int(obj["seq"]), SignedEnvelope.from_wire_obj(obj["envelope"]),
                                     int(obj["enqueued_at"]))
-            except (KeyError, ValueError, TypeError, AttributeError, MalformedEnvelope) as exc:
+            except (KeyError, ValueError, TypeError, AttributeError, OverflowError,
+                    MalformedEnvelope) as exc:
                 raise CorruptJournal(f"journal line {number} invalid: {exc}") from exc
             self._next_id = max(self._next_id, entry.entry_id + 1)
             self._pending[entry.entry_id] = entry

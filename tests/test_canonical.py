@@ -70,6 +70,23 @@ def test_wire_loads_refuses_anything_but_one_object(data):
         canonical.wire_loads(data)
 
 
+@pytest.mark.parametrize("text", [
+    '{"a":[1,2.5,"x",null,true]}', "[]", '"s"', "0", '{"a":1} ', '{"a":1}\t', ' {"a":1}',
+    '{"a":1}x', '{"a":1}{}', '{"a":1', "", "\ufeff{}", "NaN",
+])
+def test_loads_exact_answers_as_loads_or_refuses_what_surrounds_a_value(text):
+    try:
+        exact = canonical.loads_exact(text)
+    except ValueError:
+        # Refused: `loads` parses it only with whitespace around its value.
+        if text.strip() == text:
+            with pytest.raises(canonical.CanonicalError):
+                canonical.loads(text.encode())
+        return
+    assert text.strip() == text
+    assert repr(exact) == repr(canonical.loads(text.encode()))  # NaN is not equal to itself
+
+
 def test_only_canonical_cli_and_scenario_use_json():
     # The wire's spelling and refusal rule live in canonical.py; cli.py and
     # harness/scenario.py read and write their own files and human output.

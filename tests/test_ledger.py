@@ -2,9 +2,11 @@ import ast
 import base64
 import dataclasses
 import gc
+import hashlib
 import http.client
 import itertools
 import json
+import mmap
 import random
 import sys
 import tempfile
@@ -698,6 +700,42 @@ def test_replay_refuses_a_linked_block_with_an_unreadable_transaction(ledger, tm
     assert caught.value.height == 1
 
 
+def rehashed(line: bytes) -> bytes:
+    """A stored line, without its newline, with its `block_hash` made the hash
+    of its core as it now stands: an edit of the core then reaches the parse."""
+    core = line[ledger_module._CORE_START:]
+    block_hash = hashlib.sha256(b"{" + core).hexdigest().encode("ascii")
+    return ledger_module._HASH_PREFIX + block_hash + b'",' + core
+
+
+@pytest.mark.parametrize("field, value", [
+    ("height", b"Infinity"), ("height", b"-Infinity"), ("height", b"1e400"),
+    ("height", b"true"), ("height", b"1.0"), ("height", b'"1"'),
+    ("transactions", b'"ab"'), ("transactions", b"{}"), ("transactions", b"null"),
+])
+def test_a_linked_block_with_a_field_of_the_wrong_type_is_corrupt(ledger, tmp_path, field,
+                                                                 value):
+    # Hash and link are right, so only the field's JSON type exposes it.
+    genesis = ledger.blocks()[0]
+    _, line = LedgerBlock.encode(1, genesis.block_hash, (), T0)
+    stored = {"height": b"1", "transactions": b"[]"}[field]
+    edited = rehashed(line.rstrip(b"\n").replace(b'"%s":%s' % (field.encode(), stored),
+                                                  b'"%s":%s' % (field.encode(), value)))
+    path = tmp_path / "ledger" / BLOCKS_FILE
+    path.write_bytes(path.read_bytes() + edited + b"\n")
+    assert ledger.verify_chain() == 1
+    request = json.dumps({"op": "VerifyChain"}).encode()
+    answer = json.loads(LedgerService(ledger, clock=lambda: T0).handle("x", request))
+    assert answer["result"] == {"intact": False, "first_broken_height": 1}
+    message = f"block 1: unparseable block: {field} must be"
+    with pytest.raises(CorruptLedger, match=message):
+        ledger.blocks()
+    ledger.close()
+    with pytest.raises(CorruptLedger, match=message) as caught:
+        Ledger(tmp_path / "ledger")
+    assert caught.value.height == 1
+
+
 # -- wire service --------------------------------------------------------------
 
 
@@ -1263,6 +1301,159 @@ def test_a_log_without_its_final_newline_or_empty_audits_as_before(tamper_log, t
     assert live.verify_chain() == 0
     assert live.blocks() == []
     live.close()
+
+
+def reference_walk(raw):
+    """The block walk as it was before it read each line in one pass, with
+    two type rules added: `height` must be a JSON integer and `transactions`
+    a JSON array. The oracle `_walk_blocks` must agree with."""
+    prev_hash = ZERO_HASH
+    start = 0
+    with memoryview(raw) as view:
+        for height in itertools.count():
+            if start >= len(view):
+                return
+            end = raw.find(b"\n", start)
+            if end < 0:
+                end = len(view)
+            with view[start:end] as line:
+                try:
+                    block = reference_parse(line)
+                except CorruptLedger as exc:
+                    raise CorruptLedger(f"block {height}: {exc}", height) from exc
+            if block.height != height:
+                raise CorruptLedger(f"block {height} has height {block.height}", height)
+            if block.prev_hash != prev_hash:
+                raise CorruptLedger(f"block {height} does not link to block {height - 1}", height)
+            prev_hash = block.block_hash
+            yield block
+            start = end + 1
+
+
+def reference_parse(line):
+    digest = hashlib.sha256(b"{")
+    digest.update(line[ledger_module._CORE_START:])
+    stored_hash = digest.hexdigest()
+    if line[:ledger_module._CORE_START] != (
+            ledger_module._HASH_PREFIX + stored_hash.encode("ascii") + b'",'):
+        raise CorruptLedger("block hash mismatch")
+    try:
+        obj = canonical.loads(line)
+        height = obj["height"]
+        if type(height) is not int:
+            raise TypeError(f"height must be an integer, got {type(height).__name__}")
+        prev_hash = str(obj["prev_hash"])
+        transactions = obj["transactions"]
+        if type(transactions) is not list:
+            raise TypeError(f"transactions must be an array, got {type(transactions).__name__}")
+        return LedgerBlock(
+            height=height,
+            prev_hash=prev_hash,
+            transactions=tuple(transactions),
+            committed_at=canonical.parse_millis(obj["committed_at"]),
+            block_hash=stored_hash,
+        )
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise CorruptLedger(f"unparseable block: {exc}") from exc
+
+
+def walked(walk, raw):
+    """The blocks `walk` yields from `raw` and the CorruptLedger that ends it,
+    if one does."""
+    blocks = []
+    try:
+        for block in walk(raw):
+            blocks.append(block)
+    except CorruptLedger as exc:
+        return blocks, exc
+    return blocks, None
+
+
+BLOCK_FIELDS = (b"committed_at", b"height", b"prev_hash", b"transactions")
+# JSON text an edit may put in place of a field's value.
+FIELD_VALUES = [
+    b"Infinity", b"-Infinity", b"NaN", b"1e400", b"-0", b"0", b"2", b"-1", b"3.0", b"true",
+    b"null", b'"3"', b'"ab"', b"[]", b"{}", b'[1,"x",null]', b"[{}]", b"9" * 5000,
+    b'"2024-01-01T00:00:00.000Z"', b'"2024-02-30T00:00:00.000Z"', b'"2024-01-01T00:00:00Z"',
+    b'"' + ZERO_HASH.encode() + b'"', b'"\\ud800"',
+]
+
+
+@st.composite
+def edited_lines(draw, line):
+    """`line` edited, and re-hashed where the edit should reach the parse."""
+    core = line[ledger_module._CORE_START:]
+    edit = draw(st.sampled_from(["none", "trailing-whitespace", "extra-data", "invalid-utf8",
+                                 "not-an-object", "fields", "deep", "byte", "spacing"]))
+    if edit == "none":
+        return line
+    if edit == "trailing-whitespace":
+        return rehashed(line + draw(st.sampled_from([b" ", b"\t", b"\r", b" \t\r "])))
+    if edit == "extra-data":
+        return rehashed(line + draw(st.sampled_from([b"x", b"{}", b" 1", b",", b"}", b"\x00"])))
+    if edit == "invalid-utf8":
+        at = ledger_module._CORE_START + draw(st.integers(0, len(core)))
+        bad = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf8\x88"]))
+        return rehashed(line[:at] + bad + line[at:])
+    if edit == "not-an-object":
+        return draw(st.sampled_from([b"[]", b'"text"', b"1", b"null", b"{}"]))
+    if edit == "byte":
+        at = ledger_module._CORE_START + draw(st.integers(0, len(core) - 1))
+        byte = draw(st.integers(0, 255).filter(lambda b: b not in (line[at], ord("\n"))))
+        return rehashed(line[:at] + bytes([byte]) + line[at + 1:])
+    if edit == "spacing":
+        return rehashed(line.replace(b'":', b'": ', draw(st.integers(1, 3))))
+    # The core rebuilt field by field: each kept, dropped, replaced or nested deep.
+    values = dict(zip(BLOCK_FIELDS, (canonical.dumps(value) for _, value in
+                                      sorted(canonical.loads(b"{" + core).items()))))
+    fields = []
+    for key in BLOCK_FIELDS:
+        if edit == "deep" and key == b"transactions":
+            depth = draw(st.sampled_from([3, 50, 100_000]))
+            opener, closer = draw(st.sampled_from([(b"[", b"]"), (b'{"a":', b"}")]))
+            fields.append((key, opener * depth + b"[]" + closer * depth))
+            continue
+        kind = draw(st.sampled_from(["keep", "keep", "drop", "replace"]))
+        if kind == "keep":
+            fields.append((key, values[key]))
+        elif kind == "replace":
+            fields.append((key, draw(st.sampled_from(FIELD_VALUES))))
+    if draw(st.booleans()):
+        fields.append((b"other", draw(st.sampled_from(FIELD_VALUES))))
+    fields = draw(st.permutations(fields))
+    body = b",".join(b'"%s":%s' % field for field in fields)
+    return rehashed(ledger_module._HASH_PREFIX + ZERO_HASH.encode() + b'",' + body + b"}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_walk_agrees_with_the_reference_walk_on_any_edited_line(tamper_log, data):
+    # The edited log is walked in place through a map that is closed while
+    # the walk's error is still held: no view of it may outlive the walk.
+    lines = tamper_log.split(b"\n")[:-1]
+    height = data.draw(st.integers(0, len(lines) - 1), "height")
+    lines[height] = data.draw(edited_lines(lines[height]), "edited line")
+    log = b"\n".join(lines) + b"\n"
+    if height == len(lines) - 1:
+        ending = data.draw(st.sampled_from(["whole", "no newline", "torn"]), "ending")
+        if ending == "no newline":
+            log = log[:-1]
+        elif ending == "torn":
+            log = log[:data.draw(st.integers(len(log) - len(lines[height]) - 1, len(log) - 1),
+                                 "cut")]
+    expected_blocks, expected = walked(reference_walk, log)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / BLOCKS_FILE
+        path.write_bytes(log)
+        with open(path, "rb") as file, \
+                mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            blocks, error = walked(ledger_module._walk_blocks, mapped)
+    assert blocks == expected_blocks
+    if expected is None:
+        assert error is None
+    else:
+        assert error is not None
+        assert (error.height, str(error)) == (expected.height, str(expected))
 
 
 def test_an_audit_holds_one_block_in_memory_not_the_log(registered, node_key, tmp_path):

@@ -288,6 +288,17 @@ def test_state_job_consistency_enforced(tmp_path):
         store.load()
 
 
+@pytest.mark.parametrize("sequence", [b"Infinity", b"-Infinity", b"1e400", b"NaN"])
+def test_a_non_finite_heartbeat_sequence_is_a_corrupt_config(tmp_path, sequence):
+    store = ConfigStore(tmp_path)
+    store.save(full_config())
+    raw = store.path.read_bytes()
+    store.path.write_bytes(raw.replace(b'"heartbeat_sequence":17',
+                                       b'"heartbeat_sequence":' + sequence))
+    with pytest.raises(CorruptConfig, match=f"{CONFIG_FILE} invalid"):
+        store.load()
+
+
 # -- the journal on disk ----------------------------------------------------------
 
 
@@ -569,6 +580,17 @@ def test_malformed_marks_are_a_corrupt_journal(tmp_path, envelopes, where, marks
         record = record.replace(b'"marks":{"mote-1":2}', b'"marks":' + marks.encode())
     journal.write_bytes(header + b"\n" + record + b"\n")
     with pytest.raises(CorruptJournal):
+        DurableBuffer(tmp_path)
+
+
+@pytest.mark.parametrize("ack", [b"Infinity", b"-Infinity", b"1e400", b"NaN"])
+def test_a_non_finite_ack_is_a_corrupt_journal(tmp_path, envelopes, ack):
+    buf = DurableBuffer(tmp_path)
+    buf.enqueue(envelopes[:1], T0)
+    buf.close()
+    journal = tmp_path / "buffer.journal"
+    journal.write_bytes(journal.read_bytes() + b'{"ack":%s}\n' % ack)
+    with pytest.raises(CorruptJournal, match="journal line 3"):
         DurableBuffer(tmp_path)
 
 
