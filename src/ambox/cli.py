@@ -26,7 +26,7 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -359,8 +359,9 @@ def harness_command(args: argparse.Namespace) -> int:
             path = Path(builtin)
     try:
         scenario = load_scenario(path)
-        pacing = 1.0 if args.real_time else None
-        report = run_scenario(scenario, seed=args.seed, pacing_override=pacing)
+        if args.real_time:
+            scenario = replace(scenario, time_scale=1.0)
+        report = run_scenario(scenario, seed=args.seed)
     except ScenarioError as exc:
         print(f"scenario-invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG_INVALID

@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .ledger import AlreadyRegistered, LedgerClient
+from .ledger import LedgerClient, LedgerClientError
 from .model import DeviceIdentity, DeviceKind, HeartbeatMessage, ModelError, NodeState
 from .transport import TransportError
 
@@ -203,10 +203,10 @@ def commission(control_caller, ledger_client: LedgerClient, plan: CommissionPlan
     )
     try:
         ledger_client.register_device(identity)
-    except AlreadyRegistered:
-        raise
     except TransportError as exc:
         raise LedgerUnreachable(str(exc)) from exc
+    except LedgerClientError as exc:
+        raise OperatorError(f"ledger refused {identity.device_id}: {exc}") from exc
 
     _post(control_caller, plan.device_dest, "/configHeartbeat", {
         "ipaddr": plan.heartbeat_address,

@@ -16,7 +16,7 @@ inside the agents or the ledger:
 - what was sampled: a `RecordingDriver` around each sensor driver;
 - what is still in flight: the nodes' journals and windows and the motes'
   buffers;
-- traffic: the simulated network's message log.
+- traffic: the simulated network's message log and traffic totals.
 
 Determinism: everything observable in the report is a function of
 (scenario, seed). Key material is freshly generated (signatures differ run
@@ -32,7 +32,7 @@ import random
 import shutil
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -259,7 +259,6 @@ class ScenarioWorld:
         data_root: Optional[Path] = None,
         resume: bool = False,
         crash_hook: Optional[Callable[[str], None]] = None,
-        pacing_override: Optional[float] = None,
     ) -> None:
         scenario.validate()
         self.scenario = scenario
@@ -272,10 +271,7 @@ class ScenarioWorld:
         )
         # One object under both names: agents see a Runtime, drivers step it.
         self.runtime = self.scheduler = SimScheduler()
-        if pacing_override is not None:
-            self.scheduler.pacing_factor = pacing_override
-        else:
-            self.scheduler.pacing_factor = scenario.time_scale
+        self.scheduler.pacing_factor = scenario.time_scale
         self.t0 = self.runtime.now_ms()
         self.network = SimNetwork(self.scheduler, scenario.faults, start_ms=self.t0)
         self.metrics = Metrics()
@@ -293,8 +289,7 @@ class ScenarioWorld:
     def build(self) -> "ScenarioWorld":
         scenario = self.scenario
         for link in scenario.links:
-            self.network.add_link(link.name, link.a, link.b, link.link_class,
-                                  link.base_latency_ms)
+            self.network.add_link(link.name, link.a, link.b, link.base_latency_ms)
         if scenario.trace_path:
             self._trace = load_trace(scenario.trace_path)
 
@@ -452,10 +447,11 @@ class ScenarioWorld:
         if scenario.job:
             for node_id in self.nodes:
                 stop_monitoring(caller, node_id)
-        deadline = end + scenario.drain_margin_ms
-        while self.runtime.now_ms() < deadline:
-            if self.buffers_empty():
-                break
+        self.drain_until(end + scenario.drain_margin_ms)
+
+    def drain_until(self, deadline: int) -> None:
+        """Sleep in 10 s steps until the buffers are empty or the deadline passes."""
+        while self.runtime.now_ms() < deadline and not self.buffers_empty():
             self.runtime.sleep(10_000)
 
     def run(self, director: Optional[Callable[[], None]] = None) -> None:
@@ -575,23 +571,9 @@ class ScenarioWorld:
         counts["in_flight_reports"] = (
             counts["submitted_reports"] - counts["committed_reports"] - counts["rejected_reports"]
         )
-        # Energy is out of reach without hardware; message and byte totals
-        # stand in as the communication-cost accounting. They count what left
-        # the device: a request refused at send time (link down, or no server
-        # at the address) never did.
-        for entry in self.network.message_log:
-            kind = entry.get("kind")
-            if kind == "request" and entry["outcome"] not in ("link-down", "refused"):
-                counts["wide_area_messages"] = counts.get("wide_area_messages", 0) + 1
-                counts["wide_area_bytes"] = (
-                    counts.get("wide_area_bytes", 0)
-                    + entry.get("size", 0) + entry.get("response_size", 0)
-                )
-            elif kind in ("notify", "write"):
-                counts["short_range_messages"] = counts.get("short_range_messages", 0) + 1
-                counts["short_range_bytes"] = (
-                    counts.get("short_range_bytes", 0) + entry.get("size", 0)
-                )
+        # Energy is out of reach without hardware; the network's message and
+        # byte totals stand in as the communication-cost accounting.
+        counts.update(self.network.traffic)
         digest = hashlib.sha256(canonical.dumps(self.network.message_log)).hexdigest()
         return ScenarioReport(
             name=self.scenario.name,
@@ -606,9 +588,8 @@ class ScenarioWorld:
         )
 
 
-def run_scenario(scenario: Scenario, seed: int,
-                 pacing_override: Optional[float] = None) -> ScenarioReport:
-    world = ScenarioWorld(scenario, seed, pacing_override=pacing_override)
+def run_scenario(scenario: Scenario, seed: int) -> ScenarioReport:
+    world = ScenarioWorld(scenario, seed)
     try:
         world.build()
         world.run()
@@ -677,8 +658,8 @@ def tamper_buffer_journal(node_dir: Path, count: Optional[int],
     return mutated, report_ids
 
 
-def tamper_probe(scenario: Scenario, seed: int, mutate_count: Optional[int] = None,
-                 pacing_override: Optional[float] = None) -> ScenarioReport:
+def tamper_probe(scenario: Scenario, seed: int,
+                 mutate_count: Optional[int] = None) -> ScenarioReport:
     """Buffer under a dead link, alter stored entries, restore, drain, report.
 
     mutate_count=None mutates every buffered entry. The report counts and
@@ -688,8 +669,7 @@ def tamper_probe(scenario: Scenario, seed: int, mutate_count: Optional[int] = No
     root = Path(tempfile.mkdtemp(prefix=f"ambox-{scenario.name}-tamper-"))
     rng = random.Random(_derive_seed(seed, "tamper"))
     try:
-        phase_a = ScenarioWorld(scenario, seed, data_root=root,
-                                pacing_override=pacing_override)
+        phase_a = ScenarioWorld(scenario, seed, data_root=root)
         phase_a.build()
         phase_a.run()
         phase_a.teardown()
@@ -702,30 +682,19 @@ def tamper_probe(scenario: Scenario, seed: int, mutate_count: Optional[int] = No
             mutated += m
             buffered |= report_ids
 
-        restored = Scenario(
-            name=scenario.name,
+        restored = replace(
+            scenario,
             span_ms=scenario.drain_margin_ms,
-            devices=scenario.devices,
-            links=scenario.links,
             faults=FaultSchedule(),      # link restored
             job=None,                    # nodes resume from persisted state
             assertions=(),
-            time_scale=scenario.time_scale,
-            drain_margin_ms=scenario.drain_margin_ms,
-            heartbeat_timeout_ms=scenario.heartbeat_timeout_ms,
-            trace_path=scenario.trace_path,
         )
-        phase_b = ScenarioWorld(restored, seed, data_root=root, resume=True,
-                                pacing_override=pacing_override)
+        phase_b = ScenarioWorld(restored, seed, data_root=root, resume=True)
         phase_b.build()
 
         def drain_director() -> None:
             phase_b.commission_all()
-            deadline = phase_b.t0 + restored.span_ms + restored.drain_margin_ms
-            while phase_b.runtime.now_ms() < deadline:
-                if phase_b.buffers_empty():
-                    break
-                phase_b.runtime.sleep(10_000)
+            phase_b.drain_until(phase_b.t0 + restored.span_ms + restored.drain_margin_ms)
 
         phase_b.run(director=drain_director)
         report = phase_b.report()

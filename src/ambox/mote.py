@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 from .canonical import wire_dumps, wire_loads
 from .envelope import KeyPair, SignedEnvelope, sign_reading_envelope
-from .model import SensorReading, _require_int
+from .model import ModelError, SensorReading, _require_int, _require_keys
 from .runtime import Runtime
 from .sensors import _reportable
 from .storage import (
@@ -66,12 +66,19 @@ class MoteConfig:
         }
 
     @classmethod
-    def from_obj(cls, obj: dict[str, Any]) -> "MoteConfig":
-        return cls(
-            enabled=bool(obj["enabled"]),
-            sample_interval_ms=int(obj["sample_interval_ms"]),
-            sensor_params={str(q): dict(p) for q, p in obj["sensor_params"].items()},
-        )
+    def from_obj(cls, obj: Any) -> "MoteConfig":
+        """The one reader of a config, from a node's write and from
+        `mote_config.json` alike. An absent interval or sensor_params keeps
+        its default, since a node disables a mote with `{"enabled": false}`."""
+        _require_keys(obj, ("enabled",), "MoteConfig")
+        if not isinstance(obj["enabled"], bool):
+            raise ModelError(f"enabled must be a boolean, got {obj['enabled']!r}")
+        interval = (_require_int(obj, "sample_interval_ms") if "sample_interval_ms" in obj
+                    else cls.sample_interval_ms)
+        params = obj.get("sensor_params", {})
+        if not isinstance(params, dict) or not all(isinstance(p, dict) for p in params.values()):
+            raise ModelError("sensor_params must be an object of objects")
+        return cls(obj["enabled"], interval, {q: dict(p) for q, p in params.items()})
 
 
 def load_mote_config(directory: str | Path) -> MoteConfig:
@@ -173,13 +180,8 @@ class MoteAgent:
 
     def _apply_config(self, payload: bytes) -> None:
         try:
-            obj = wire_loads(payload)
-            config = MoteConfig(
-                enabled=bool(obj["enabled"]),
-                sample_interval_ms=int(obj.get("sample_interval_ms", 60_000)),
-                sensor_params={str(q): dict(p) for q, p in obj.get("sensor_params", {}).items()},
-            )
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            config = MoteConfig.from_obj(wire_loads(payload))
+        except ValueError as exc:
             logger.warning("%s: rejected config write: %s", self.device_id, exc)
             return
         with self._config_lock:

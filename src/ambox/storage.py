@@ -39,7 +39,7 @@ from cryptography.hazmat.primitives.asymmetric.rsa import RSAPrivateKey
 
 from . import canonical
 from .envelope import KeyPair, KeyUnavailable, MalformedEnvelope, SignedEnvelope
-from .model import MonitoringJob, NodeState
+from .model import MonitoringJob, NodeState, _require_int, _require_str
 
 SCHEMA_VERSION = 1
 DEFAULT_CAP = 1_000_000
@@ -226,10 +226,11 @@ class DurableBuffer:
                         raise CorruptJournal(f"unsupported journal schema: {obj!r}")
                     continue
                 if "ack" in obj:
-                    acked = max(acked, int(obj["ack"]))  # every later entry has a larger id
+                    acked = max(acked, _require_int(obj, "ack"))  # later entries have larger ids
                     continue
-                entry = BufferEntry(int(obj["seq"]), SignedEnvelope.from_wire_obj(obj["envelope"]),
-                                    int(obj["enqueued_at"]))
+                entry = BufferEntry(_require_int(obj, "seq"),
+                                    SignedEnvelope.from_wire_obj(obj["envelope"]),
+                                    _require_int(obj, "enqueued_at"))
             except (KeyError, ValueError, TypeError, AttributeError, OverflowError,
                     MalformedEnvelope) as exc:
                 raise CorruptJournal(f"journal line {number} invalid: {exc}") from exc
@@ -376,7 +377,8 @@ class HeartbeatTarget:
 
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "HeartbeatTarget":
-        return cls(str(obj["address"]), int(obj["port"]), int(obj["timeout_ms"]))
+        return cls(_require_str(obj, "address"), _require_int(obj, "port"),
+                   _require_int(obj, "timeout_ms"))
 
 
 @dataclass(frozen=True)
@@ -389,10 +391,10 @@ class LedgerTarget:
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "LedgerTarget":
         return cls(
-            str(obj["address"]),
-            int(obj["port"]),
-            str(obj["channel_name"]),
-            str(obj["chaincode_name"]),
+            _require_str(obj, "address"),
+            _require_int(obj, "port"),
+            _require_str(obj, "channel_name"),
+            _require_str(obj, "chaincode_name"),
         )
 
 
@@ -432,7 +434,7 @@ class PersistedConfig:
             job=MonitoringJob.from_obj(obj["job"]) if obj.get("job") else None,
             heartbeat=HeartbeatTarget.from_obj(obj["heartbeat"]) if obj.get("heartbeat") else None,
             ledger=LedgerTarget.from_obj(obj["ledger"]) if obj.get("ledger") else None,
-            heartbeat_sequence=int(obj["heartbeat_sequence"]),
+            heartbeat_sequence=_require_int(obj, "heartbeat_sequence"),
         )
         if (cfg.state is NodeState.MONITORING) != (cfg.job is not None):
             raise CorruptConfig("job must be present iff state is monitoring")

@@ -2,28 +2,36 @@
 
 All agents in a scenario share one SimNetwork. Wide-area requests run inline
 in the calling activity: the caller sleeps the forward latency, the server
-handler executes, the caller sleeps the return latency. Link state is checked
-at send time and again at each delivery instant, so nothing is ever delivered
-inside a Down window. Short-range sessions are killed proactively when a Down
-window opens; notifications are per-characteristic sequenced and gap-free
-within a session.
+handler executes, the caller sleeps the return latency. A short-range notify
+or write crosses its session's link in one such hop.
+
+One delivery rule covers every message, and `_carry` is the one place that
+applies it: a message leaves only if its link is up at send time, and
+arrives only if the link is up again at the delivery instant, so nothing is
+ever delivered inside a Down window. A request that is lost either way, or
+slower than its timeout, costs the sender its full timeout. A session whose
+message meets a down link is killed; sessions are also killed proactively
+when a Down window opens. Notifications are per-characteristic sequenced and
+gap-free within a session.
 
 Every exchange is appended to a message log whose canonical digest is part of
 the scenario report; with a fixed schedule and seed, two runs produce
-byte-identical logs.
+byte-identical logs. As it logs, the network keeps the traffic totals the
+report shows: messages and bytes that left a device, wide-area (every
+request not refused at send time) and short-range (every notify and write).
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Any, Callable, Optional
+from collections import Counter
+from typing import Any, Callable, NamedTuple, Optional
 
 from ..runtime import SimScheduler, TaskCancelled
 from . import (
     DISCONNECTED,
     CentralPort,
     ConnectionRefused,
-    LinkClass,
     LinkDown,
     Notification,
     PeripheralDelegate,
@@ -41,12 +49,13 @@ logger = logging.getLogger(__name__)
 DEFAULT_TIMEOUT_MS = 10_000
 
 
-class _Link:
-    def __init__(self, name: str, a: str, b: str, link_class: LinkClass, base_latency_ms: int) -> None:
-        self.name = name
-        self.ends = frozenset((a, b))
-        self.link_class = link_class
-        self.base_latency_ms = base_latency_ms
+class _Link(NamedTuple):
+    name: str
+    base_latency_ms: int
+
+
+# Endpoints with no link between them talk over an always-up, zero-latency one.
+_NO_LINK = _Link("", 0)
 
 
 class SimNetwork:
@@ -59,29 +68,21 @@ class SimNetwork:
         self.runtime = runtime
         self.schedule = schedule or FaultSchedule()
         self.start_ms = runtime.now_ms() if start_ms is None else start_ms
-        self._links: dict[str, _Link] = {}
         self._routes: dict[frozenset, _Link] = {}
         self._servers: dict[str, Callable[[str, bytes], bytes]] = {}
         self._peripherals: dict[str, tuple[str, PeripheralDelegate]] = {}
         self._sessions: dict[str, "SimSession"] = {}
         # Every exchange and connection attempt; the harness report's digest
-        # and traffic totals are computed from it.
+        # is computed from it.
         self.message_log: list[dict[str, Any]] = []
+        # {wide_area,short_range}_{messages,bytes}; see log_event.
+        self.traffic: Counter = Counter()
         self._watcher = None
 
     # -- topology -----------------------------------------------------------
 
-    def add_link(
-        self,
-        name: str,
-        a: str,
-        b: str,
-        link_class: LinkClass = LinkClass.WIDE_AREA,
-        base_latency_ms: int = 0,
-    ) -> None:
-        link = _Link(name, a, b, link_class, base_latency_ms)
-        self._links[name] = link
-        self._routes[link.ends] = link
+    def add_link(self, name: str, a: str, b: str, base_latency_ms: int = 0) -> None:
+        self._routes[frozenset((a, b))] = _Link(name, base_latency_ms)
 
     def start_fault_watcher(self) -> None:
         """Spawn the activity that tears down short-range sessions when their
@@ -98,26 +99,43 @@ class SimNetwork:
                 if wake > self.runtime.now_ms():
                     self.runtime.sleep(wake - self.runtime.now_ms())
                 for session in list(self._sessions.values()):
-                    if session.link is not None and session.link.name == link_name:
+                    if session.link.name == link_name:
                         session.kill("link-down")
 
         self._watcher = self.runtime.spawn("fault-watcher", watch)
 
-    def _route(self, a: str, b: str) -> Optional[_Link]:
-        return self._routes.get(frozenset((a, b)))
+    def _link(self, a: str, b: str) -> _Link:
+        return self._routes.get(frozenset((a, b)), _NO_LINK)
 
-    def link_state(self, a: str, b: str) -> tuple[bool, int]:
-        link = self._route(a, b)
-        if link is None:
-            return True, 0
-        offset = self.runtime.now_ms() - self.start_ms
-        up, added = self.schedule.state_at(link.name, offset)
+    def _state(self, link: _Link) -> tuple[bool, int]:
+        """(up?, latency) of `link` now."""
+        up, added = self.schedule.state_at(link.name, self.runtime.now_ms() - self.start_ms)
         return up, link.base_latency_ms + added
 
+    def _carry(self, link: _Link, latency_ms: int) -> bool:
+        """Carry a message over `link`: sleep its latency, then whether the
+        link is up as it arrives. Every delivery goes through here."""
+        if latency_ms:
+            self.runtime.sleep(latency_ms)
+        return self._state(link)[0]
+
     def log_event(self, kind: str, **fields: Any) -> None:
+        """Append to the message log, and count what left a device: every
+        notify and write, and every request not refused at send time (link
+        down, or no server at the address)."""
         entry = {"t": self.runtime.now_ms(), "kind": kind}
         entry.update(fields)
         self.message_log.append(entry)
+        if kind == "request":
+            if fields["outcome"] in ("link-down", "refused"):
+                return
+            link_class, size = "wide_area", fields["size"] + fields.get("response_size", 0)
+        elif kind in ("notify", "write"):
+            link_class, size = "short_range", fields["size"]
+        else:
+            return
+        self.traffic[f"{link_class}_messages"] += 1
+        self.traffic[f"{link_class}_bytes"] += size
 
     # -- wide-area request/response ------------------------------------------
 
@@ -131,34 +149,30 @@ class SimNetwork:
         return SimRequestClient(self, source)
 
     def request(self, src: str, dest: str, payload: bytes, timeout_ms: int, label: str) -> bytes:
-        link = self._route(src, dest)
-        link_name = link.name if link else ""
-        up, latency = self.link_state(src, dest)
+        link = self._link(src, dest)
+        t_send = self.runtime.now_ms()
+
+        def failed(outcome: str, error: Exception) -> Exception:
+            """Log the failure, once the sender has waited out its timeout
+            if the message was lost or too slow; the caller raises it."""
+            wait = t_send + timeout_ms - self.runtime.now_ms()
+            if isinstance(error, RequestTimeout) and wait > 0:
+                self.runtime.sleep(wait)
+            self.log_event("request", link=link.name, src=src, dst=dest, label=label,
+                           outcome=outcome, size=len(payload))
+            return error
+
+        up, latency = self._state(link)
         if not up:
-            self.log_event("request", link=link_name, src=src, dst=dest, label=label,
-                           outcome="link-down", size=len(payload))
-            raise LinkDown(f"{src}->{dest} is down")
+            raise failed("link-down", LinkDown(f"{src}->{dest} is down"))
         handler = self._servers.get(dest)
         if handler is None:
-            self.log_event("request", link=link_name, src=src, dst=dest, label=label,
-                           outcome="refused", size=len(payload))
-            raise ConnectionRefused(f"no server at {dest}")
-        t_send = self.runtime.now_ms()
+            raise failed("refused", ConnectionRefused(f"no server at {dest}"))
         if latency >= timeout_ms > 0:
-            self.runtime.sleep(timeout_ms)
-            self.log_event("request", link=link_name, src=src, dst=dest, label=label,
-                           outcome="timeout", size=len(payload))
-            raise RequestTimeout(f"{src}->{dest} latency exceeds timeout")
-        forward = latency - latency // 2
-        backward = latency // 2
-        if forward:
-            self.runtime.sleep(forward)
-        if not self.link_state(src, dest)[0]:
-            # The window opened while the request was in flight; it is lost.
-            self._sleep_until(t_send + timeout_ms)
-            self.log_event("request", link=link_name, src=src, dst=dest, label=label,
-                           outcome="lost-request", size=len(payload))
-            raise RequestTimeout(f"{src}->{dest} request lost in transit")
+            raise failed("timeout", RequestTimeout(f"{src}->{dest} latency exceeds timeout"))
+        if not self._carry(link, latency - latency // 2):
+            # The window opened while the request was in flight.
+            raise failed("lost-request", RequestTimeout(f"{src}->{dest} request lost in transit"))
         try:
             response = handler(src, payload)
         except TaskCancelled:
@@ -167,25 +181,15 @@ class SimNetwork:
             # Mirror the real backend: a crashing handler drops the
             # connection instead of unwinding the caller's activity.
             logger.exception("server at %s failed", dest)
-            self.log_event("request", link=link_name, src=src, dst=dest, label=label,
-                           outcome="server-error", size=len(payload))
-            raise ConnectionRefused(f"server at {dest} failed: {exc}") from exc
-        if backward:
-            self.runtime.sleep(backward)
-        if not self.link_state(src, dest)[0]:
-            self._sleep_until(t_send + timeout_ms)
-            self.log_event("request", link=link_name, src=src, dst=dest, label=label,
-                           outcome="lost-response", size=len(payload))
-            raise RequestTimeout(f"{dest}->{src} response lost in transit")
-        self.log_event("request", link=link_name, src=src, dst=dest, label=label,
+            error = ConnectionRefused(f"server at {dest} failed: {exc}")
+            raise failed("server-error", error) from exc
+        if not self._carry(link, latency // 2):
+            error = RequestTimeout(f"{dest}->{src} response lost in transit")
+            raise failed("lost-response", error)
+        self.log_event("request", link=link.name, src=src, dst=dest, label=label,
                        outcome="ok", size=len(payload), response_size=len(response),
                        rtt_ms=self.runtime.now_ms() - t_send)
         return response
-
-    def _sleep_until(self, t_ms: int) -> None:
-        delta = t_ms - self.runtime.now_ms()
-        if delta > 0:
-            self.runtime.sleep(delta)
 
     # -- short-range sessions -------------------------------------------------
 
@@ -208,14 +212,14 @@ class SimNetwork:
         paired_central, delegate = registration
         if paired_central != central_id:
             raise Unauthorized(f"{peripheral_id} is not paired with {central_id}")
-        up, latency = self.link_state(central_id, peripheral_id)
-        if not up:
+        link = self._link(central_id, peripheral_id)
+        if not self._state(link)[0]:
             self.log_event("connect", src=central_id, dst=peripheral_id, outcome="unreachable")
             raise Unreachable(f"link {central_id}<->{peripheral_id} is down")
         stale = self._sessions.get(peripheral_id)
         if stale is not None:
             stale.kill("superseded")
-        session = SimSession(self, central_id, peripheral_id, delegate)
+        session = SimSession(self, link, central_id, peripheral_id, delegate)
         self._sessions[peripheral_id] = session
         self.log_event("connect", src=central_id, dst=peripheral_id, outcome="ok")
         delegate.on_connect(session)
@@ -249,24 +253,35 @@ class SimCentral(CentralPort):
 
 
 class SimSession(Session):
-    def __init__(self, network: SimNetwork, central_id: str, peripheral_id: str,
+    def __init__(self, network: SimNetwork, link: _Link, central_id: str, peripheral_id: str,
                  delegate: PeripheralDelegate) -> None:
         self._network = network
+        self.link = link
         self.central_id = central_id
         self.peripheral_id = peripheral_id
         self._delegate = delegate
         self._open = True
         self._streams: dict[str, Any] = {}
         self._sequences: dict[str, int] = {}
-        link = network._route(central_id, peripheral_id)
-        self.link = link
 
     @property
     def open(self) -> bool:
         return self._open
 
-    def _latency(self) -> tuple[bool, int]:
-        return self._network.link_state(self.central_id, self.peripheral_id)
+    def _hop(self) -> None:
+        """Carry one message across the session's link, or raise
+        SessionClosed; a link found down kills the session."""
+        if not self._open:
+            raise SessionClosed("session is closed")
+        network = self._network
+        up, latency = network._state(self.link)
+        if up and latency:
+            up = network._carry(self.link, latency)
+            if not self._open:
+                raise SessionClosed("session closed in transit")
+        if not up:
+            self.kill("link-down")
+            raise SessionClosed("link went down")
 
     def subscribe(self, characteristic: str):
         stream = self._streams.get(characteristic)
@@ -279,19 +294,7 @@ class SimSession(Session):
 
     def notify(self, characteristic: str, payload: bytes) -> int:
         """Peripheral-side publish; delivers in order to the subscriber."""
-        if not self._open:
-            raise SessionClosed("session is closed")
-        up, latency = self._latency()
-        if not up:
-            self.kill("link-down")
-            raise SessionClosed("link went down")
-        if latency:
-            self._network.runtime.sleep(latency)
-            if not self._open:
-                raise SessionClosed("session closed in transit")
-            if not self._latency()[0]:
-                self.kill("link-down")
-                raise SessionClosed("link went down in transit")
+        self._hop()
         seq = self._sequences.get(characteristic, 0) + 1
         self._sequences[characteristic] = seq
         stream = self._streams.get(characteristic)
@@ -303,19 +306,7 @@ class SimSession(Session):
 
     def write(self, characteristic: str, payload: bytes) -> None:
         """Central-side write to a peripheral characteristic."""
-        if not self._open:
-            raise SessionClosed("session is closed")
-        up, latency = self._latency()
-        if not up:
-            self.kill("link-down")
-            raise SessionClosed("link went down")
-        if latency:
-            self._network.runtime.sleep(latency)
-            if not self._open:
-                raise SessionClosed("session closed in transit")
-            if not self._latency()[0]:
-                self.kill("link-down")
-                raise SessionClosed("link went down in transit")
+        self._hop()
         self._network.log_event("write", src=self.central_id, dst=self.peripheral_id,
                                 characteristic=characteristic, size=len(payload))
         try:

@@ -9,6 +9,7 @@ import hashlib
 import json
 import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -328,20 +329,20 @@ def test_criterion_8_heartbeat_liveness():
 def test_criterion_9_determinism(setup1_run, setup2_run):
     pairs = []
     setup1_report, _ = setup1_run
-    again = run_scenario(load_scenario(scenario_path("setup1")), SEED, pacing_override=0.0)
+    again = run_scenario(replace(load_scenario(scenario_path("setup1")), time_scale=0.0), SEED)
     pairs.append(("setup1", setup1_report.to_json_bytes(), again.to_json_bytes()))
 
     setup2_report, _ = setup2_run
-    again = run_scenario(load_scenario(scenario_path("setup2")), SEED, pacing_override=0.0)
+    again = run_scenario(replace(load_scenario(scenario_path("setup2")), time_scale=0.0), SEED)
     pairs.append(("setup2", setup2_report.to_json_bytes(), again.to_json_bytes()))
 
-    bus = load_scenario(scenario_path("bus_trip"))
-    a = run_scenario(bus, SEED, pacing_override=0.0)
-    b = run_scenario(bus, SEED, pacing_override=0.0)
+    bus = replace(load_scenario(scenario_path("bus_trip")), time_scale=0.0)
+    a = run_scenario(bus, SEED)
+    b = run_scenario(bus, SEED)
     pairs.append(("bus_trip", a.to_json_bytes(), b.to_json_bytes()))
 
-    t1 = tamper_probe(tamper_scenario(20), SEED, pacing_override=0.0)
-    t2 = tamper_probe(tamper_scenario(20), SEED, pacing_override=0.0)
+    t1 = tamper_probe(replace(tamper_scenario(20), time_scale=0.0), SEED)
+    t2 = tamper_probe(replace(tamper_scenario(20), time_scale=0.0), SEED)
     pairs.append(("tamper", t1.to_json_bytes(), t2.to_json_bytes()))
 
     r1 = rtt_benchmark(n=40, injected_latency_ms=148, seed=SEED)

@@ -8,11 +8,12 @@ from ambox.fleet import (
     LedgerUnreachable,
     MalformedMessage,
     OperatorCore,
+    OperatorError,
     commission,
     decommission,
     start_monitoring,
 )
-from ambox.model import HeartbeatMessage, NodeState
+from ambox.model import DeviceIdentity, DeviceKind, HeartbeatMessage, NodeState
 from ambox.transport.faults import MODE_DOWN, FaultSchedule, FaultWindow
 
 from conftest import T0
@@ -163,6 +164,30 @@ def test_commission_ledger_down_leaves_device_untouched():
     assert out["raised"] == "ledger-unreachable"
     assert out["state"] == "idle"
     assert out["hb_config"] is None
+
+
+def test_a_ledger_that_refuses_registration_is_an_operator_error(node_key):
+    # The ledger holds node1 under another key: it refuses the registration,
+    # and commissioning stops before it touches the device.
+    world = build_world(mini_scenario(job=None))
+    world.ledger.register_device(DeviceIdentity("node1", DeviceKind.NODE, node_key.public_pem))
+    out = {}
+
+    def director():
+        plan = CommissionPlan("node1", "operator", 1, 30_000, "ledger", 1)
+        try:
+            commission(world.operator_caller(), world.operator_ledger_client(), plan,
+                       world.operator)
+        except OperatorError as exc:
+            out["raised"] = exc
+
+    world.run(director=director)
+    world.teardown()
+    assert "ledger refused node1" in str(out["raised"])
+    posts = [e["label"] for e in world.network.message_log
+             if e["kind"] == "request" and e["dst"] == "node1" and e["label"].startswith("POST")]
+    assert posts == []
+    assert world.nodes["node1"].config.heartbeat is None
 
 
 def test_decommission_monitoring_device_drains():

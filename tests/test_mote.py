@@ -455,6 +455,33 @@ def test_config_write_that_cannot_be_stored_is_ignored(tmp_path, mote_key):
     mote.buffer.close()
 
 
+BAD_CONFIG_WRITES = [
+    {"enabled": "false"},
+    {"enabled": 1},
+    {"enabled": True, "sample_interval_ms": 1.5},
+    {"enabled": True, "sample_interval_ms": "60000"},
+    {"enabled": True, "sample_interval_ms": True},
+    {"enabled": True, "sensor_params": [["temperature", {"enabled": True}]]},
+    {"enabled": True, "sensor_params": {"temperature": [["enabled", True]]}},
+]
+
+
+@pytest.mark.parametrize("write", BAD_CONFIG_WRITES, ids=json.dumps)
+def test_a_config_write_of_the_wrong_types_is_refused(tmp_path, mote_key, caplog, write):
+    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q, p: None)
+    mote.on_write(None, CHAR_CONFIG, json.dumps(TWO_QUANTITIES).encode())
+    applied = mote.config
+    with caplog.at_level(logging.WARNING, logger="ambox.mote"):
+        mote.on_write(None, CHAR_CONFIG, json.dumps(write).encode())
+    assert len(caplog.records) == 1
+    assert caplog.records[0].getMessage().startswith("mote-1: rejected config write:")
+    assert mote.config == applied
+    assert load_mote_config(tmp_path) == applied
+    mote.on_write(None, CHAR_CONFIG, b'{"enabled": false}')
+    assert mote.config == MoteConfig()
+    mote.buffer.close()
+
+
 class _SteadyDriver:
     def read(self, t):
         return 21.5

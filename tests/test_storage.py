@@ -562,6 +562,24 @@ def test_a_journal_without_marks_keeps_its_bytes(tmp_path, envelopes):
     assert (tmp_path / "buffer.journal").read_bytes() == b"\n".join(expected) + b"\n"
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("heartbeat", "address", 7),
+    ("heartbeat", "port", "8080"),
+    ("heartbeat", "timeout_ms", True),
+    ("ledger", "port", 1.0),
+    ("ledger", "channel_name", ["ambox"]),
+    ("ledger", "chaincode_name", None),
+    (None, "heartbeat_sequence", 17.9),
+])
+def test_a_config_field_of_another_type_is_a_corrupt_config(tmp_path, section, field, value):
+    store = ConfigStore(tmp_path)
+    obj = full_config().to_obj()
+    (obj[section] if section else obj)[field] = value
+    store.path.write_text(json.dumps(obj))
+    with pytest.raises(CorruptConfig, match=f"{CONFIG_FILE} invalid: {field} must be"):
+        store.load()
+
+
 MALFORMED_MARKS = ['[]', '{"mote-1":"3"}', '{"mote-1":true}', '{"mote-1":0}',
                    '{"mote-1":1.5}', 'null']
 
@@ -591,6 +609,24 @@ def test_a_non_finite_ack_is_a_corrupt_journal(tmp_path, envelopes, ack):
     journal = tmp_path / "buffer.journal"
     journal.write_bytes(journal.read_bytes() + b'{"ack":%s}\n' % ack)
     with pytest.raises(CorruptJournal, match="journal line 3"):
+        DurableBuffer(tmp_path)
+
+
+@pytest.mark.parametrize("field", ["ack", "seq", "enqueued_at"])
+def test_a_journal_number_of_another_type_is_a_corrupt_journal(tmp_path, envelopes, field):
+    buf = DurableBuffer(tmp_path)
+    buf.enqueue(envelopes[:2], T0)
+    buf.close()
+    journal = tmp_path / "buffer.journal"
+    raw = journal.read_bytes()
+    damaged = {
+        "ack": raw + b'{"ack":true}\n',
+        "seq": raw.replace(b'"seq":2}', b'"seq":2.0}'),
+        "enqueued_at": raw.replace(b'"enqueued_at":%d' % T0, b'"enqueued_at":"%d"' % T0),
+    }[field]
+    assert damaged != raw
+    journal.write_bytes(damaged)
+    with pytest.raises(CorruptJournal, match=f"{field} must be an integer"):
         DurableBuffer(tmp_path)
 
 

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambox.runtime import SIM_EPOCH_MS, SimScheduler
 from ambox.transport import (
@@ -46,8 +47,8 @@ class RecordingPeripheral(PeripheralDelegate):
 def make_world(windows=(), links=None):
     rt = SimScheduler()
     net = SimNetwork(rt, FaultSchedule(windows))
-    for name, a, b, cls in (links or []):
-        net.add_link(name, a, b, cls)
+    for name, a, b, _link_class in (links or []):
+        net.add_link(name, a, b)
     return rt, net
 
 
@@ -492,3 +493,152 @@ def test_message_log_deterministic():
         return hashlib.sha256(json.dumps(net.message_log, sort_keys=True).encode()).hexdigest()
 
     assert run_once() == run_once()
+
+
+# -- the delivery rule, property-tested ------------------------------------------
+
+
+def _laid_out(link, specs):
+    """Non-overlapping windows from (gap, length, down?, added latency) specs."""
+    windows, t = [], 0
+    for gap, length, down, latency in specs:
+        start = t + gap
+        windows.append(FaultWindow(link, start, start + length,
+                                   MODE_DOWN if down else MODE_LATENCY,
+                                   latency_ms=0 if down else latency))
+        t = start + length
+    return windows
+
+
+def _ticks(low, high):
+    """Instants and spans on a 100 ms grid, so sends, arrivals and window
+    edges often coincide."""
+    return st.integers(low, high).map(lambda n: n * 100)
+
+
+def _windows(link):
+    spec = st.tuples(_ticks(0, 5), _ticks(1, 5), st.booleans(), _ticks(1, 5))
+    return st.lists(spec, min_size=1, max_size=5).map(lambda specs: _laid_out(link, specs))
+
+
+@st.composite
+def _traffic(draw):
+    """Windows on both links, and ops sent at random instants, many of them
+    just before an edge of a window on their own link, where a message in
+    flight meets a change of link state."""
+    wan, ble = draw(_windows("wan")), draw(_windows("ble"))
+
+    def op(kind):
+        windows = wan if kind == "request" else ble
+        edges = sorted({w.start_ms for w in windows} | {w.end_ms for w in windows})
+        near_edge = st.builds(lambda edge, back: max(edge - back, 0),
+                              st.sampled_from(edges), st.integers(0, 300))
+        return st.tuples(st.just(kind), st.one_of(_ticks(0, 25), near_edge), _ticks(1, 30))
+
+    ops = st.sampled_from(["request", "notify", "write"]).flatmap(op)
+    return wan + ble, draw(st.lists(ops, min_size=4, max_size=12))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(traffic=_traffic(), wan_base=_ticks(0, 3), ble_base=_ticks(0, 3),
+       watched=st.booleans())
+def test_nothing_is_delivered_unless_the_link_is_up_at_send_and_arrival(
+        traffic, wan_base, ble_base, watched):
+    """A handler runs, a notification is queued and a write lands only at an
+    instant its link is up, after a send while it was up; and each request's
+    logged outcome and instant follow from the link's state at its send and
+    arrival instants. With and without the fault watcher."""
+    windows, ops = traffic
+    rt = SimScheduler()
+    schedule = FaultSchedule(windows)
+    net = SimNetwork(rt, schedule)
+    net.add_link("wan", "c", "s", base_latency_ms=wan_base)
+    net.add_link("ble", "node", "mote", base_latency_ms=ble_base)
+
+    def state(link, t):
+        up, added = schedule.state_at(link, t - net.start_ms)
+        return up, added + (wan_base if link == "wan" else ble_base)
+
+    sent_at = {}                    # op id -> instant the op was sent
+    served, queued, written = {}, {}, {}   # op id -> instant it was delivered
+    notified_at = {}                # op id -> instant a notify returned
+    peripheral = RecordingPeripheral()
+    peripheral.on_write = lambda session, ch, payload: written.update({payload: rt.now_ms()})
+
+    def serve(src, payload):
+        served[payload] = rt.now_ms()
+        return payload
+
+    net.register_server("s", serve)
+    net.advertise("mote", "node", peripheral)
+    central = net.central("node", {"mote"})
+    client = net.client("c")
+    live = {}
+
+    def consume(stream):
+        while (item := stream.get()) is not DISCONNECTED:
+            queued[item.payload] = rt.now_ms()
+
+    def open_session():
+        session = live.get("session")
+        if session is None or not session.open:
+            try:
+                session = live["session"] = central.connect("mote")
+            except Unreachable:
+                return None
+            stream = session.subscribe("data")
+            rt.spawn("consumer", lambda: consume(stream))
+        return session
+
+    def run_op(op_id, kind, at, timeout):
+        rt.sleep(at)
+        sent_at[op_id] = rt.now_ms()
+        try:
+            if kind == "request":
+                client.request("s", op_id, timeout, label=op_id.decode())
+            elif (session := open_session()) is None:
+                del sent_at[op_id]          # nothing was sent
+            elif kind == "notify":
+                session.notify("data", op_id)
+                notified_at[op_id] = rt.now_ms()
+            else:
+                session.write("config", op_id)
+        except (LinkDown, RequestTimeout, SessionClosed):
+            pass
+
+    if watched:
+        net.start_fault_watcher()
+    for i, (kind, at, timeout) in enumerate(ops):
+        op_id = f"op{i}".encode()
+        rt.spawn(f"op{i}", lambda a=(op_id, kind, at, timeout): run_op(*a))
+    try:
+        rt.run_until(net.start_ms + 30_000)
+    finally:
+        rt.shutdown()
+
+    for link, delivered in (("wan", served), ("ble", queued), ("ble", written)):
+        for op_id, t in delivered.items():
+            assert state(link, sent_at[op_id])[0], (op_id, "sent while down")
+            assert state(link, t)[0], (op_id, "delivered while down")
+    assert queued == notified_at
+
+    logged = {e["label"]: e for e in net.message_log if e["kind"] == "request"}
+    for i, (kind, _at, timeout) in enumerate(ops):
+        if kind != "request":
+            continue
+        sent = sent_at[f"op{i}".encode()]
+        up, latency = state("wan", sent)
+        arrive = sent + latency - latency // 2
+        if not up:
+            expected = ("link-down", sent)
+        elif latency >= timeout:
+            expected = ("timeout", sent + timeout)
+        elif not state("wan", arrive)[0]:
+            expected = ("lost-request", sent + timeout)
+        elif not state("wan", sent + latency)[0]:
+            expected = ("lost-response", sent + timeout)
+        else:
+            expected = ("ok", sent + latency)
+        entry = logged[f"op{i}"]
+        assert (entry["outcome"], entry["t"]) == expected
+        assert (f"op{i}".encode() in served) == (expected[0] in ("ok", "lost-response"))
