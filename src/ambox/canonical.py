@@ -40,7 +40,10 @@ _MILLISECOND = timedelta(milliseconds=1)
 # 9999-12-31T23:59:59.999Z, the last instant with a four-digit year.
 _MAX_MILLIS = 253_402_300_799_999
 # Kept for every call: `json.dumps(obj, sort_keys=True)` builds an encoder per call.
-_WIRE_ENCODER = json.JSONEncoder(sort_keys=True)
+# No cycle check: everything sent is parsed JSON or a `to_obj` tree, neither
+# of which can hold a cycle, so the check would only add cost; it changes no
+# byte of the output.
+_WIRE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 _DECODER = json.JSONDecoder()
 
 

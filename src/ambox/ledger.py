@@ -40,15 +40,18 @@ commits and queries go on meanwhile, and the prefix cannot change under
 the walk because the log only grows, under the lock.
 
 Memory holds an index, not reports. Each committed report is one
-`StoredReport` of atomic values: the payload's base64 as committed, the
-block height, device, batch, `created_at` and whether the payload is in the
-form `EventReport.to_obj` writes. The per-device and per-batch `GetRecent`
-lists hold `(-created_at, report_id)` pairs, kept oldest first so that a
-report newer than the rest, as an in-order commit is, is appended; a query
-reads them from the end. Both are filled as blocks are applied, live or on
-replay, from what
-`model.judge_report` finds in one pass over a payload without building the
-report. A report is decoded from its bytes only on request (`all_reports`).
+`StoredReport` of atomic values: the signed payload's bytes, the block
+height, device, batch, `created_at` and whether the payload is in the form
+`EventReport.to_obj` writes. Ingest and replay have those bytes already,
+from `SignedEnvelope.from_wire_obj`; base64 has one accepted spelling, so
+`GetEvent` and `world_state_bytes` spell it again with `b64encode`, outside
+the lock, and give the base64 that was committed. The per-device and
+per-batch `GetRecent` lists hold `(-created_at, report_id)` pairs, kept
+oldest first so that a report newer than the rest, as an in-order commit
+is, is appended; a query reads them from the end. Both are filled as blocks
+are applied, live or on replay, from what `model.judge_report` finds in one
+pass over a payload without building the report. A report is decoded from
+its bytes only on request (`all_reports`).
 
 Ingest runs in two steps, one batch at a time (`_ingest_lock`). `_prepare`
 runs without the ledger lock: it parses each envelope, looks up its
@@ -65,10 +68,14 @@ that breaks a report rule was committed all the same.
 A committed report never changes, so its `GetRecent` entry (its JSON text
 in the answer) is encoded the first time a `GetRecent` returns it, outside
 the ledger lock, and then kept in a dict beside the index. A payload in
-form is encoded from its own parse, any other through `decode_report`.
-Ingest and replay encode none. `LedgerService` writes each ok answer from
-its result's text, so an answer of remembered entries costs a join, and its
-bytes are what `canonical.wire_text` of the whole answer would be.
+form is written from its own parse of the stored bytes through the
+report's template (`model.in_form_wire_text`), any other through
+`decode_report`: one parse and one encode per report. Ingest and replay
+encode none. `LedgerService` writes each ok answer from its result's text,
+so an answer of remembered entries costs a join, and a `GetEvent` answer is
+written from a template around the payload's base64, which needs no
+escaping; the bytes of either are what `canonical.wire_text` of the whole
+answer would be.
 
 The ledger keeps no record of its verdicts beyond the reply to each
 `AddEvents`: what was committed, in which order and when is the chain
@@ -108,6 +115,7 @@ from .model import (
     JudgedReport,
     ModelError,
     decode_report,
+    in_form_wire_text,
     judge_report,
 )
 from .storage import SCHEMA_VERSION, AppendLog, read_document, write_document
@@ -219,7 +227,7 @@ class StoredReport(NamedTuple):
     for."""
 
     report_id: str
-    payload_b64: str
+    payload: bytes              # the signed bytes, as committed
     height: int
     device_id: str
     batch_no: str
@@ -229,25 +237,32 @@ class StoredReport(NamedTuple):
     @property
     def report(self) -> EventReport:
         """The report, decoded from its signed bytes on each use."""
-        return decode_report(base64.b64decode(self.payload_b64))
+        return decode_report(self.payload)
 
 
 class _Prepared(NamedTuple):
     """An envelope `_prepare` accepted: its block transaction's canonical
-    text, its payload's base64 and the payload, judged."""
+    text, its signed payload and the payload, judged."""
 
     text: str
-    payload_b64: str
+    payload: bytes
     report: JudgedReport
 
 
 def _encode_entry(stored: StoredReport) -> str:
     """A stored report's `GetRecent` entry, `wire_text(report.to_obj())`. A
-    payload in form is that object already, so its own parse is encoded."""
-    payload = base64.b64decode(stored.payload_b64)
+    payload in form is that object already, so its own parse is written,
+    from the report's template."""
     if stored.in_form:
-        return wire_text(canonical.loads(payload))
-    return wire_text(decode_report(payload).to_obj())
+        return in_form_wire_text(canonical.loads(stored.payload))
+    return wire_text(decode_report(stored.payload).to_obj())
+
+
+def _b64(payload: bytes) -> str:
+    """The one base64 spelling of signed bytes: the one `b64encode` writes,
+    and the only one `SignedEnvelope.from_wire_obj` accepts, so it is the
+    spelling each payload was committed in."""
+    return base64.b64encode(payload).decode("ascii")
 
 
 class Ledger:
@@ -303,24 +318,22 @@ class Ledger:
         still committed, and is indexed like any other."""
         for block in _walk_blocks(AppendLog.read(self._blocks_path)):
             try:
-                judged = [judge_report(SignedEnvelope.from_wire_obj(tx).payload)
-                          for tx in block.transactions]
+                payloads = [SignedEnvelope.from_wire_obj(tx).payload for tx in block.transactions]
+                judged = [(payload, judge_report(payload)) for payload in payloads]
             except (MalformedEnvelope, ModelError) as exc:
                 raise CorruptLedger(f"block {block.height}: unreadable transaction: {exc}",
                                     block.height) from exc
-            self._apply_block(block.height, block.block_hash,
-                              zip((tx["payload_b64"] for tx in block.transactions), judged,
-                                  strict=True))
+            self._apply_block(block.height, block.block_hash, judged)
 
     def _apply_block(self, height: int, block_hash: str,
-                     committed: Iterable[tuple[str, JudgedReport]]) -> None:
+                     committed: Iterable[tuple[bytes, JudgedReport]]) -> None:
         """Make the block `block_hash` at `height` the tip; `committed` pairs
-        each of its transactions' payload base64 with the payload, judged."""
+        each of its transactions' signed payload with the payload, judged."""
         self._height = height
         self._tip_hash = block_hash
-        for payload_b64, report in committed:
+        for payload, report in committed:
             self._reports[report.report_id] = StoredReport(
-                report.report_id, payload_b64, height, report.device_id,
+                report.report_id, payload, height, report.device_id,
                 report.batch_no, report.created_at, report.in_form)
             entry = (-report.created_at, report.report_id)
             _insert_descending(self._recent_by_device[report.device_id], entry)
@@ -331,7 +344,7 @@ class Ledger:
         block_hash, line = LedgerBlock.encode(height, self._tip_hash,
                                               (p.text for p in prepared), committed_at)
         self._log.append(line)
-        self._apply_block(height, block_hash, ((p.payload_b64, p.report) for p in prepared))
+        self._apply_block(height, block_hash, ((p.payload, p.report) for p in prepared))
 
     # -- operations -----------------------------------------------------------
 
@@ -400,7 +413,7 @@ class Ledger:
             return Verdict("rejected", report_id=report.report_id, reason=REASON_BAD_SIGNATURE)
         wire = envelope.to_wire_obj() if raw is envelope else raw
         text = canonical.envelope_text(wire["payload_b64"], wire["signature_b64"], envelope.signer)
-        return _Prepared(text, wire["payload_b64"], report)
+        return _Prepared(text, envelope.payload, report)
 
     def _commit(self, prepared: list[Verdict | _Prepared], received_at: int) -> list[Verdict]:
         """Under the lock: each prepared report whose id is neither stored
@@ -426,10 +439,11 @@ class Ledger:
         return verdicts
 
     def get_event_payload(self, report_id: str) -> Optional[str]:
-        """Base64 of the exact signed bytes, byte-identical to submission."""
+        """Base64 of the exact signed bytes, byte-identical to submission,
+        spelled outside the lock."""
         with self._lock:
             stored = self._reports.get(report_id)
-            return stored.payload_b64 if stored else None
+        return _b64(stored.payload) if stored else None
 
     def get_recent(self, device_id: Optional[str] = None, batch_no: Optional[str] = None,
                    limit: int = 10) -> list[StoredReport]:
@@ -528,15 +542,10 @@ class Ledger:
     def world_state_bytes(self) -> bytes:
         """Canonical serialization of the whole world state."""
         with self._lock:
-            obj = {
-                "reports": {
-                    rid: {"payload_b64": s.payload_b64, "height": s.height}
-                    for rid, s in sorted(self._reports.items())
-                },
-                "devices": self._devices,
-                "height": self._height,
-                "tip_hash": self._tip_hash,
-            }
+            stored = sorted(self._reports.items())
+            obj = {"devices": self._devices, "height": self._height, "tip_hash": self._tip_hash}
+        obj["reports"] = {rid: {"payload_b64": _b64(s.payload), "height": s.height}
+                          for rid, s in stored}
         return canonical.dumps(obj)
 
     def close(self) -> None:
@@ -695,7 +704,8 @@ class LedgerService:
             payload_b64 = self.ledger.get_event_payload(report_id)
             if payload_b64 is None:
                 return wire_text({"found": False})
-            return wire_text({"found": True, "payload_b64": payload_b64})
+            # wire_text({"found": True, "payload_b64": ...}): base64 needs no escaping.
+            return f'{{"found": true, "payload_b64": "{payload_b64}"}}'
         if op == OP_GET_RECENT:
             limit = args.get("limit", 10)
             if isinstance(limit, bool) or not isinstance(limit, int):

@@ -34,10 +34,13 @@ from .model import (
     DeviceKind,
     EventReport,
     HeartbeatMessage,
+    ModelError,
     MonitoringJob,
     NodeState,
     SensorReading,
     legal_transition,
+    _check_sensor_params,
+    _require_int,
     new_report_id,
 )
 from .mote import CHAR_ACK, CHAR_CONFIG, CHAR_READINGS, decode_reading_notification
@@ -274,8 +277,8 @@ class NodeAgent:
     def _control_config_heartbeat(self, body: dict) -> None:
         target = HeartbeatTarget(
             address=_required_str(body, "ipaddr"),
-            port=_required_port(body, "port"),
-            timeout_ms=_required_positive(body, "heartbeat_timeout_ms"),
+            port=_required_int(body, "port", 1, 65535),
+            timeout_ms=_required_int(body, "heartbeat_timeout_ms", least=1),
         )
         with self._config_lock:
             self._save_config(heartbeat=target)
@@ -283,7 +286,7 @@ class NodeAgent:
     def _control_config_blockchain(self, body: dict) -> None:
         target = LedgerTarget(
             address=_required_str(body, "ipaddr"),
-            port=_required_port(body, "port"),
+            port=_required_int(body, "port", 1, 65535),
             channel_name=_required_str(body, "channel_name"),
             chaincode_name=_required_str(body, "chaincode_name"),
         )
@@ -716,36 +719,42 @@ def _required_str(body: dict, key: str) -> str:
     return value
 
 
-def _required_port(body: dict, key: str) -> int:
-    value = body.get(key)
-    if isinstance(value, bool) or not isinstance(value, int) or not (1 <= value <= 65535):
-        raise invalid_argument(f"invalid-argument:{key}")
-    return value
-
-
-def _required_positive(body: dict, key: str) -> int:
-    value = body.get(key)
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+def _required_int(body: dict, key: str, least: Optional[int] = None,
+                  most: Optional[int] = None) -> int:
+    """A JSON integer, not a bool (`model._require_int`), within any bound given."""
+    try:
+        value = _require_int(body, key)
+    except (KeyError, ModelError) as exc:
+        raise invalid_argument(f"invalid-argument:{key}") from exc
+    if (least is not None and value < least) or (most is not None and value > most):
         raise invalid_argument(f"invalid-argument:{key}")
     return value
 
 
 def _job_from_body(body: dict) -> MonitoringJob:
+    """The job a `/startMonitoring` body asks for, held to the rules its
+    config file is read back with (`MonitoringJob.from_obj`)."""
     product_id = _required_str(body, "prod_id")
     batch_no = _required_str(body, "batch_no")
-    report_interval = body.get("report_interval_ms", body.get("interval_ms"))
-    if report_interval is None:
+    report_key = "report_interval_ms" if "report_interval_ms" in body else "interval_ms"
+    if body.get(report_key) is None:
         raise invalid_argument("invalid-argument:report_interval_ms")
-    sample_interval = body.get("sample_interval_ms", report_interval)
+    report_interval = _required_int(body, report_key)
+    sample_interval = (_required_int(body, "sample_interval_ms")
+                       if "sample_interval_ms" in body else report_interval)
     params = body.get("sensor_params")
-    if not isinstance(params, dict) or not params:
+    try:
+        _check_sensor_params(params)
+    except ModelError as exc:
+        raise invalid_argument("invalid-argument:sensor_params") from exc
+    if not params:
         raise invalid_argument("invalid-argument:sensor_params")
     try:
         job = MonitoringJob(
             product_id=product_id,
             batch_no=batch_no,
-            sample_interval_ms=int(sample_interval),
-            report_interval_ms=int(report_interval),
+            sample_interval_ms=sample_interval,
+            report_interval_ms=report_interval,
             sensor_params={str(q): dict(p) for q, p in params.items()},
         )
     except Exception as exc:

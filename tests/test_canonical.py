@@ -1,5 +1,6 @@
 import ast
 import base64
+import json
 import math
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -43,6 +44,20 @@ def test_wire_text_is_sorted_with_default_separators():
     assert canonical.wire_text(obj) == '{"a": {"\\u00e9": true}, "b": [1, 2.5, null]}'
     assert canonical.wire_dumps(obj) == canonical.wire_text(obj).encode("utf-8")
     assert canonical.wire_loads(canonical.wire_dumps(obj)) == obj
+
+
+_WIRE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(_WIRE_VALUES)
+def test_wire_text_is_json_dumps_with_sorted_keys(value):
+    # The wire encoder is kept and skips the cycle check; neither changes a byte.
+    assert canonical.wire_text(value) == json.dumps(value, sort_keys=True)
 
 
 # Signers with quotes, backslashes, control characters and non-ASCII text;

@@ -24,6 +24,7 @@ from ambox.model import (
     NodeState,
     SensorReading,
     decode_report,
+    in_form_wire_text,
     judge_report,
     legal_transition,
     new_report_id,
@@ -377,6 +378,8 @@ def _assert_judged_as_decoded(payload):
     assert judged.violations == validate_report(decoded)
     own_text = canonical.wire_text(canonical.loads(payload))
     assert judged.in_form == (_outcome(lambda: canonical.wire_text(decoded.to_obj())) == own_text)
+    if judged.in_form:
+        assert in_form_wire_text(canonical.loads(payload)) == own_text
 
 
 @settings(max_examples=400)
@@ -409,6 +412,22 @@ def valid_reports(draw):
         ))
     return EventReport(f"{device}-{at}-{len(readings)}", device, "p", "b",
                        at + draw(st.integers(0, 10 ** 6)), tuple(readings))
+
+
+_ANY_TEXT = st.text(max_size=8)
+
+
+@settings(max_examples=200)
+@given(report=valid_reports(), texts=st.tuples(*[_ANY_TEXT] * 6), signature=_ANY_TEXT)
+def test_the_in_form_template_is_the_wire_text_of_any_report(report, texts, signature):
+    # Quotes, backslashes, control and non-ASCII characters in every string.
+    report_id, device, product, batch, quantity, source = texts
+    readings = (dataclasses.replace(report.readings[0], quantity=quantity, source_device=source,
+                                    signature_b64=signature),) + report.readings[1:]
+    report = EventReport(report_id, device, product, batch, report.created_at, readings)
+    payload = canonical.dumps(report.to_obj())
+    assert judge_report(payload).in_form
+    assert in_form_wire_text(canonical.loads(payload)) == canonical.wire_text(report.to_obj())
 
 
 _WRONG_TYPES = [None, 5, 1.5, True, "x", [], {}, [1], {"a": 1}]

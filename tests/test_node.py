@@ -12,6 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from ambox import canonical, storage
+from ambox import node as node_module
 from ambox.fleet import CommissionPlan, commission, start_monitoring, stop_monitoring
 from ambox.model import DeviceIdentity, DeviceKind, NodeState
 from ambox.harness.world import tamper_buffer_journal
@@ -941,3 +942,28 @@ def test_a_failed_journal_append_loses_no_reading(monkeypatch, caplog, nth, what
     assert len({r.report_id for r in reports}) == len(reports)
     assert out["depth"] == 0
     assert node.stats["replays"] == (what == "ack")
+
+
+@pytest.mark.parametrize("fields, error", [
+    ({"sample_interval_ms": 1.5}, "sample_interval_ms"),
+    ({"sample_interval_ms": True, "report_interval_ms": True}, "report_interval_ms"),
+    ({"report_interval_ms": "300000"}, "report_interval_ms"),
+    ({"report_interval_ms": 300_000.0}, "report_interval_ms"),
+    ({"report_interval_ms": None, "interval_ms": 300_000}, "report_interval_ms"),
+    ({"report_interval_ms": ..., "interval_ms": 1.5}, "interval_ms"),
+    ({"sensor_params": {"temperature": [["enabled", True]]}}, "sensor_params"),
+    # The config file holds it, but refuses it when the node restarts.
+    ({"sensor_params": {"temperature": {"enabled": "yes"}}}, "sensor_params"),
+])
+def test_start_monitoring_takes_its_numbers_and_params_as_sent(fields, error):
+    body = {k: v for k, v in {**JOB_BODY, **fields}.items() if v is not ...}
+    with pytest.raises(node_module.ControlError) as refused:
+        node_module._job_from_body(body)
+    assert (refused.value.status, refused.value.error) == (400, f"invalid-argument:{error}")
+
+
+def test_start_monitoring_reads_interval_ms_as_both_intervals():
+    body = {k: v for k, v in JOB_BODY.items()
+            if k not in ("report_interval_ms", "sample_interval_ms")}
+    job = node_module._job_from_body({**body, "interval_ms": 300_000})
+    assert (job.sample_interval_ms, job.report_interval_ms) == (300_000, 300_000)
