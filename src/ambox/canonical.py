@@ -4,9 +4,11 @@ wire, for what is sent.
 Canonical bytes are UTF-8 JSON with sorted keys, no insignificant whitespace,
 shortest round-trip floats and RFC 3339 UTC millisecond timestamps, so equal
 values give identical bytes and signatures and block hashes stay stable.
-Wire text is `json.dumps(obj, sort_keys=True)`; `wire_loads` refuses any
-received message that is not one JSON object, and each receiver answers
-that refusal its own way.
+Wire text is `json.dumps(obj, sort_keys=True)`. This module holds the one
+JSON parse: every file and message AmBox reads is parsed here, and every
+refusal, nesting too deep included, is a CanonicalError. `wire_loads` also
+refuses a message that is not one JSON object, and each receiver answers
+that refusal its own way. What the parsed value must hold is `model`'s rule.
 
 A signed envelope `{"payload_b64", "signature_b64", "signer"}` has both
 spellings written from a template (`envelope_text`, `envelope_wire_text`):
@@ -70,19 +72,27 @@ def loads(data: bytes | memoryview):
     bytes); raises CanonicalError on anything unparseable."""
     try:
         return json.loads(str(data, "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CanonicalError(f"not valid JSON: {exc}") from exc
+
+
+# `wire_loads`' name for the same parse, which a tracer that wraps `loads`
+# does not see: it sees stored documents and signed payloads only.
+_parse = loads
 
 
 def loads_exact(text: str):
     """The JSON value that is the whole of `text`, found in one scan, for
     text with nothing around its value, as canonical text has. Raises
-    ValueError for any other text (not JSON, or JSON with whitespace or more
-    after its value), which `loads` may still parse, or refuse with its own
-    message; RecursionError for nesting too deep to parse."""
-    obj, end = _DECODER.raw_decode(text)
+    CanonicalError for any other text (not JSON, nested too deep, or JSON
+    with whitespace or more after its value), which `loads` may still
+    parse, or refuse with its own message."""
+    try:
+        obj, end = _DECODER.raw_decode(text)
+    except (ValueError, RecursionError) as exc:
+        raise CanonicalError(f"not valid JSON: {exc}") from exc
     if end != len(text):
-        raise ValueError(f"more text after the JSON value, at {end}")
+        raise CanonicalError(f"more text after the JSON value, at {end}")
     return obj
 
 
@@ -114,12 +124,9 @@ def envelope_wire_text(payload_b64: str, signature_b64: str, signer: str) -> str
 
 
 def wire_loads(data: bytes) -> dict:
-    """One received message's JSON object; CanonicalError for bytes that are
-    not UTF-8, not JSON, nested too deep to parse, or not an object."""
-    try:
-        obj = json.loads(str(data, "utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise CanonicalError(f"not a JSON message: {exc}") from exc
+    """One received message's JSON object; CanonicalError for bytes that
+    `loads` refuses, or that are not an object."""
+    obj = _parse(data)
     if not isinstance(obj, dict):
         raise CanonicalError(f"message is a {type(obj).__name__}, not an object")
     return obj

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from .canonical import CanonicalError, wire_loads
+from .canonical import wire_loads
 from .envelope import generate_keypair
-from .model import HUMIDITY, PRESSURE, TEMPERATURE
+from .model import HUMIDITY, PRESSURE, TEMPERATURE, _check_sensor_overrides, _require
 from .storage import KEY_FILE, CorruptConfig, load_private_key, save_private_key
 from .transport.tcp import TcpRequestClient, parse_hostport
 
@@ -66,44 +66,39 @@ class ProcessConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "ProcessConfig":
+        """The config at `path`, every field typed by `model`'s reader rule,
+        sensor overrides included; ConfigInvalid otherwise."""
         try:
             obj = wire_loads(Path(path).read_bytes())
-        except (OSError, CanonicalError) as exc:
-            raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-        motes, sensors = obj.get("motes", {}), obj.get("sensors", {})
-        if not (isinstance(motes, dict) and isinstance(sensors, dict)
-                and all(isinstance(spec, dict) for spec in sensors.values())):
-            raise ConfigInvalid("motes, sensors and each sensor spec must be objects")
-        role = obj.get("role")
-        if role not in ROLES:
-            raise ConfigInvalid(f"role must be one of {ROLES}, got {role!r}")
-        data_dir = os.environ.get("AMBOX_DATA_DIR") or obj.get("data_dir")
-        if not data_dir:
-            raise ConfigInvalid("data_dir missing (or set AMBOX_DATA_DIR)")
-        if obj.get("clock", "wall") != "wall":
-            raise ConfigInvalid(
-                "clock=virtual is only valid under harness orchestration; "
-                "processes run on the wall clock"
+            role = obj.get("role")
+            if role not in ROLES:
+                raise ConfigInvalid(f"role must be one of {ROLES}, got {role!r}")
+            data_dir = os.environ.get("AMBOX_DATA_DIR") or _require(obj, "data_dir", str, "")
+            if not data_dir:
+                raise ConfigInvalid("data_dir missing (or set AMBOX_DATA_DIR)")
+            if _require(obj, "clock", str, "wall") != "wall":
+                raise ConfigInvalid("clock=virtual is only valid under harness orchestration; "
+                                    "processes run on the wall clock")
+            motes = _require(obj, "motes", dict, {})
+            for mote_id in motes:
+                parse_hostport(_require(motes, mote_id, str))
+            config = cls(
+                role=role,
+                data_dir=Path(data_dir),
+                listen=_require(obj, "listen", str, "127.0.0.1:0"),
+                device_id=_require(obj, "device_id", str, ""),
+                log_level=_require(obj, "log_level", str, "info"),
+                motes=motes,
+                paired_node=_require(obj, "paired_node", str, ""),
+                sensors=_check_sensor_overrides(obj.get("sensors", {})),
             )
-        config = cls(
-            role=role,
-            data_dir=Path(data_dir),
-            listen=str(obj.get("listen", "127.0.0.1:0")),
-            device_id=str(obj.get("device_id", "")),
-            log_level=str(obj.get("log_level", "info")),
-            motes={str(k): str(v) for k, v in motes.items()},
-            paired_node=str(obj.get("paired_node", "")),
-            sensors={str(q): dict(s) for q, s in sensors.items()},
-        )
+            parse_hostport(config.listen)
+        except (OSError, ValueError) as exc:    # CanonicalError and ModelError among them
+            raise ConfigInvalid(f"config {path}: {exc}") from exc
         if config.role in ("node", "mote") and not config.device_id:
             raise ConfigInvalid(f"{config.role} config needs a device_id")
         if config.role == "mote" and not config.paired_node:
             raise ConfigInvalid("mote config needs paired_node")
-        try:
-            for address in (config.listen, *config.motes.values()):
-                parse_hostport(address)
-        except ValueError as exc:
-            raise ConfigInvalid(str(exc)) from exc
         return config
 
 
@@ -157,7 +152,7 @@ def synthetic_factory(config: ProcessConfig, defaults: dict[str, SensorSpec]):
 
     bases = {TEMPERATURE: 21.0, HUMIDITY: 55.0, PRESSURE: 1013.0}
 
-    def factory(quantity: str, params: dict):
+    def factory(quantity: str):
         spec = merged_spec(quantity, defaults, config.sensors.get(quantity, {}))
         if spec is None:
             return None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .ledger import LedgerClient, LedgerClientError
-from .model import DeviceIdentity, DeviceKind, HeartbeatMessage, ModelError, NodeState
+from .model import DeviceIdentity, HeartbeatMessage, ModelError, NodeState, _require
 from .transport import TransportError
 
 logger = logging.getLogger(__name__)
@@ -164,7 +164,10 @@ class CommissionPlan:
     chaincode_name: str = "events"
 
 
-def fetch_identity(control_caller, device_dest: str, timeout_ms: int = 5000) -> dict:
+def fetch_identity(control_caller, device_dest: str,
+                   timeout_ms: int = 5000) -> tuple[DeviceIdentity, dict]:
+    """The device's identity and its whole /identity answer, in which each
+    drain depth field, if given, is an integer; MalformedMessage otherwise."""
     try:
         status, body = control_caller.call(device_dest, "GET", "/identity", None,
                                            timeout_ms=timeout_ms, label="GET /identity")
@@ -172,7 +175,12 @@ def fetch_identity(control_caller, device_dest: str, timeout_ms: int = 5000) -> 
         raise DeviceUnreachable(f"{device_dest}: {exc}") from exc
     if status != 200:
         raise DeviceUnreachable(f"{device_dest}: /identity returned {status}")
-    return body
+    try:
+        for key in ("buffer_depth", "window_size"):
+            _require(body, key, int, 0)
+        return DeviceIdentity.from_obj(body), body
+    except ModelError as exc:
+        raise MalformedMessage(f"{device_dest}: /identity: {exc}") from exc
 
 
 def _post(control_caller, device_dest: str, path: str, body: dict) -> None:
@@ -192,15 +200,10 @@ def commission(control_caller, ledger_client: LedgerClient, plan: CommissionPlan
     Order matters: the public key is registered at the ledger before any
     device mutation, so a ledger failure leaves the device untouched.
     """
-    identity_obj = fetch_identity(control_caller, plan.device_dest)
+    identity, identity_obj = fetch_identity(control_caller, plan.device_dest)
     state = identity_obj.get("state")
     if state == NodeState.MONITORING.value:
-        raise DeviceIllegalState(f"{identity_obj.get('device_id')} is monitoring")
-    identity = DeviceIdentity(
-        device_id=str(identity_obj["device_id"]),
-        kind=DeviceKind(identity_obj.get("kind", "node")),
-        public_key_pem=str(identity_obj["public_key_pem"]),
-    )
+        raise DeviceIllegalState(f"{identity.device_id} is monitoring")
     try:
         ledger_client.register_device(identity)
     except TransportError as exc:
@@ -242,28 +245,24 @@ def decommission(control_caller, device_dest: str, runtime,
     Returns a summary including the device's latest ledger report id when a
     ledger client is available.
     """
-    identity_obj = fetch_identity(control_caller, device_dest)
-    state = identity_obj.get("state")
-    if state == NodeState.MONITORING.value:
+    identity, identity_obj = fetch_identity(control_caller, device_dest)
+    if identity_obj.get("state") == NodeState.MONITORING.value:
         stop_monitoring(control_caller, device_dest)
-    elif state != NodeState.HEARTBEAT.value:
-        # Already heartbeat-only or off; nothing to stop.
-        pass
     deadline = runtime.now_ms() + drain_wait_ms
     depth = None
     while runtime.now_ms() < deadline:
-        info = fetch_identity(control_caller, device_dest)
-        depth = int(info.get("buffer_depth", 0)) + int(info.get("window_size", 0))
+        _, info = fetch_identity(control_caller, device_dest)
+        depth = info.get("buffer_depth", 0) + info.get("window_size", 0)
         if depth == 0:
             break
         runtime.sleep(drain_poll_ms)
     summary: dict[str, Any] = {
-        "device_id": identity_obj.get("device_id"),
+        "device_id": identity.device_id,
         "drained": depth == 0,
     }
     if ledger_client is not None:
         try:
-            recent = ledger_client.get_recent(device_id=str(identity_obj["device_id"]), limit=1)
+            recent = ledger_client.get_recent(device_id=identity.device_id, limit=1)
             summary["latest_report_id"] = recent[0].report_id if recent else None
         except TransportError as exc:
             summary["latest_report_id"] = None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..envelope import verify_reading_signature
-from ..model import SensorReading
+from ..model import SensorReading, _require
 from ..transport.faults import MODE_DOWN
 from .scenario import _dur
 
@@ -32,7 +32,7 @@ def _committed_key_counter(world) -> Counter:
 
 
 def check_sampled_per_sensor(world, params: dict) -> CheckResult:
-    expected = int(params["expected"])
+    expected = _require(params, "expected", int)
     device_filter = params.get("device")
     by_stream: Counter = Counter()
     for sample in world.metrics.samples:
@@ -83,9 +83,9 @@ def check_commit_order_nondecreasing(world, params: dict) -> CheckResult:
 
 def check_backlog_drained_within(world, params: dict) -> CheckResult:
     link = params["link"]
-    budget_intervals = int(params.get("report_intervals", 2))
+    budget_intervals = _require(params, "report_intervals", int, 2)
     job = world.scenario.job or {}
-    interval = int(job.get("report_interval_ms", 300_000))
+    interval = job.get("report_interval_ms", 300_000)
     budget = budget_intervals * interval
     commit_at: dict[str, int] = {}
     for t, report_id, verdict in world.recorder.told():
@@ -154,7 +154,7 @@ def check_mote_signatures_verify(world, params: dict) -> CheckResult:
 
 
 def check_committed_reports(world, params: dict) -> CheckResult:
-    expected = int(params["expected"])
+    expected = _require(params, "expected", int)
     actual = len(world.ledger.all_reports())
     return CheckResult("committed_reports", actual == expected,
                        f"expected={expected} actual={actual}")
@@ -180,8 +180,8 @@ def check_node_bias_positive(world, params: dict) -> CheckResult:
 
 def check_heartbeat_liveness(world, params: dict) -> CheckResult:
     device = params["device"]
-    min_count = int(params.get("min_count", 1))
-    timeout = int(params.get("timeout_ms", world.scenario.heartbeat_timeout_ms))
+    min_count = _require(params, "min_count", int, 1)
+    timeout = _require(params, "timeout_ms", int, world.scenario.heartbeat_timeout_ms)
     view = world.operator.fleet().get(device)
     count = view.beats if view else 0
     gap = view.max_gap_ms if view else None

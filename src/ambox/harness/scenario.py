@@ -5,18 +5,23 @@ suffix; everything is normalized to virtual milliseconds at load time.
 `time_scale` is real seconds per virtual second: 0 runs the scheduler as
 fast as possible, the CI default of one virtual minute per 50 real
 milliseconds is 0.05/60.
+
+A scenario file is checked whole at load by `model`'s reader rule, sensor
+overrides included, and any refusal is a ScenarioError.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional
 
+from .. import canonical
+from ..model import (_NUMBER, ModelError, _check_sensor_overrides, _check_sensor_params,
+                     _require, _require_keys)
 from ..transport import LinkClass
-from ..transport.faults import FaultSchedule, FaultScheduleError, FaultWindow
+from ..transport.faults import FaultSchedule, FaultWindow
 
 SCENARIO_SCHEMA = 1
 
@@ -75,99 +80,91 @@ _DUR_UNITS = (("_ms", 1), ("_s", 1000), ("_min", 60_000))
 
 
 def _dur(obj: dict, base: str, default: Optional[int] = None) -> int:
+    """The duration `base` in whole milliseconds, from whichever unit's key
+    `obj` holds, or `default`; ModelError if none and no default."""
     for suffix, factor in _DUR_UNITS:
         key = base + suffix
         if key in obj:
-            value = obj[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ScenarioError(f"{key} must be a number")
-            return int(value * factor)
+            return int(_require(obj, key, _NUMBER) * factor)
     if default is None:
-        raise ScenarioError(f"missing duration {base}_ms|_s|_min")
+        raise ModelError(f"missing duration {base}_ms|_s|_min")
     return default
 
 
-def _job_body(obj: dict) -> dict:
-    try:
-        body = {
-            "prod_id": str(obj["prod_id"]),
-            "batch_no": str(obj["batch_no"]),
-            "sample_interval_ms": _dur(obj, "sample_interval"),
-            "report_interval_ms": _dur(obj, "report_interval"),
-            "sensor_params": {str(q): dict(p) for q, p in obj["sensor_params"].items()},
-        }
-    except KeyError as exc:
-        raise ScenarioError(f"job missing {exc}") from exc
-    return body
+def _objects(obj: dict, key: str) -> list[dict]:
+    """The array `obj[key]` (empty if absent), each of whose items is an object."""
+    items = _require(obj, key, list, [])
+    for item in items:
+        _require_keys(item, (), f"each of {key}")
+    return items
 
 
-def _fault_windows(raw: list) -> FaultSchedule:
-    windows = []
-    for obj in raw:
-        if not isinstance(obj, dict):
-            raise ScenarioError("fault window must be an object")
-        mode = str(obj.get("mode", "down"))
-        windows.append(
-            FaultWindow(
-                link=str(obj["link"]),
-                start_ms=_dur(obj, "start"),
-                end_ms=_dur(obj, "end"),
-                mode=mode,
-                latency_ms=int(obj.get("latency_ms", 0)),
-            )
+def _job_body(obj: Any) -> dict:
+    _require_keys(obj, ("prod_id", "batch_no", "sensor_params"), "job")
+    return {
+        "prod_id": _require(obj, "prod_id", str),
+        "batch_no": _require(obj, "batch_no", str),
+        "sample_interval_ms": _dur(obj, "sample_interval"),
+        "report_interval_ms": _dur(obj, "report_interval"),
+        "sensor_params": _check_sensor_params(obj["sensor_params"]),
+    }
+
+
+def _fault_windows(raw: list[dict]) -> FaultSchedule:
+    return FaultSchedule([
+        FaultWindow(
+            link=_require(obj, "link", str),
+            start_ms=_dur(obj, "start"),
+            end_ms=_dur(obj, "end"),
+            mode=_require(obj, "mode", str, "down"),
+            latency_ms=_require(obj, "latency_ms", int, 0),
         )
-    try:
-        return FaultSchedule(windows)
-    except FaultScheduleError as exc:
-        raise ScenarioError(str(exc)) from exc
+        for obj in raw
+    ])
+
+
+def _link(obj: dict) -> LinkSpec:
+    between = _require(obj, "between", list)
+    if len(between) != 2 or not all(isinstance(end, str) for end in between):
+        raise ModelError("between must be an array of two strings")
+    return LinkSpec(
+        name=_require(obj, "name", str),
+        a=between[0],
+        b=between[1],
+        link_class=_require(obj, "class", LinkClass, LinkClass.WIDE_AREA),
+        base_latency_ms=_require(obj, "base_latency_ms", int, 0),
+    )
 
 
 def scenario_from_obj(obj: Any, base_dir: Optional[Path] = None) -> Scenario:
+    """The scenario `obj` describes, checked whole; ScenarioError otherwise."""
     if not isinstance(obj, dict):
         raise ScenarioError("scenario root must be an object")
-    if obj.get("schema_version") != SCENARIO_SCHEMA:
-        raise ScenarioError(f"unsupported scenario schema {obj.get('schema_version')!r}")
     try:
-        devices = tuple(
-            DeviceSpec(
-                device_id=str(d["id"]),
-                kind=str(d["kind"]),
-                paired_node=d.get("paired_node"),
-                sensors={str(q): dict(s) for q, s in d.get("sensors", {}).items()},
-            )
-            for d in obj.get("devices", [])
+        if _require(obj, "schema_version", int) != SCENARIO_SCHEMA:
+            raise ModelError(f"unsupported scenario schema {obj['schema_version']!r}")
+        trace = _require(obj, "trace", str, None)
+        assertions = _objects(obj, "assertions")
+        for assertion in assertions:
+            _require(assertion, "check", str)
+        scenario = Scenario(
+            name=_require(obj, "name", str, "unnamed"),
+            span_ms=_dur(obj, "span"),
+            devices=tuple(DeviceSpec(_require(d, "id", str), _require(d, "kind", str),
+                                     _require(d, "paired_node", str, None),
+                                     _check_sensor_overrides(d.get("sensors", {})))
+                          for d in _objects(obj, "devices")),
+            links=tuple(map(_link, _objects(obj, "links"))),
+            faults=_fault_windows(_objects(obj, "faults")),
+            job=None if obj.get("job") is None else _job_body(obj["job"]),
+            assertions=tuple(assertions),
+            time_scale=_require(obj, "time_scale", _NUMBER, 0.0),
+            drain_margin_ms=_dur(obj, "drain_margin", 180_000),
+            heartbeat_timeout_ms=_dur(obj, "heartbeat_timeout", 30_000),
+            trace_path=trace if trace is None or base_dir is None else str(base_dir / trace),
         )
-        links = tuple(
-            LinkSpec(
-                name=str(l["name"]),
-                a=str(l["between"][0]),
-                b=str(l["between"][1]),
-                link_class=LinkClass(l.get("class", "wide_area")),
-                base_latency_ms=int(l.get("base_latency_ms", 0)),
-            )
-            for l in obj.get("links", [])
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ScenarioError(f"bad device/link spec: {exc}") from exc
-    trace = obj.get("trace")
-    if trace is not None:
-        trace_path = Path(trace)
-        if not trace_path.is_absolute() and base_dir is not None:
-            trace_path = base_dir / trace_path
-        trace = str(trace_path)
-    scenario = Scenario(
-        name=str(obj.get("name", "unnamed")),
-        span_ms=_dur(obj, "span"),
-        devices=devices,
-        links=links,
-        faults=_fault_windows(obj.get("faults", [])),
-        job=_job_body(obj["job"]) if obj.get("job") else None,
-        assertions=tuple(dict(a) for a in obj.get("assertions", [])),
-        time_scale=float(obj.get("time_scale", 0.0)),
-        drain_margin_ms=_dur(obj, "drain_margin", 180_000),
-        heartbeat_timeout_ms=_dur(obj, "heartbeat_timeout", 30_000),
-        trace_path=trace,
-    )
+    except ValueError as exc:    # ModelError, or FaultScheduleError for a fault window
+        raise ScenarioError(str(exc)) from exc
     scenario.validate()
     return scenario
 
@@ -175,8 +172,8 @@ def scenario_from_obj(obj: Any, base_dir: Optional[Path] = None) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        obj = json.loads(path.read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        obj = canonical.loads(path.read_bytes())
+    except (OSError, canonical.CanonicalError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     return scenario_from_obj(obj, base_dir=path.parent)
 

@@ -273,7 +273,7 @@ class ScenarioWorld:
         self.runtime = self.scheduler = SimScheduler()
         self.scheduler.pacing_factor = scenario.time_scale
         self.t0 = self.runtime.now_ms()
-        self.network = SimNetwork(self.scheduler, scenario.faults, start_ms=self.t0)
+        self.network = SimNetwork(self.scheduler, scenario.faults)
         self.metrics = Metrics()
         self.recorder = LedgerRecorder(self.runtime.now_ms)
         self.nodes: dict[str, NodeAgent] = {}
@@ -342,7 +342,7 @@ class ScenarioWorld:
         return keypair
 
     def _driver_factory(self, device: "DeviceSpec", defaults: dict[str, SensorSpec]):
-        def factory(quantity: str, params: dict):
+        def factory(quantity: str):
             spec = merged_spec(quantity, defaults, device.sensors.get(quantity, {}))
             if spec is None or self._trace is None:
                 return None
@@ -531,13 +531,13 @@ class ScenarioWorld:
             name = assertion.get("check")
             fn = CHECKS.get(name)
             if fn is None:
-                results.append(CheckResult(str(name), False, "unknown check"))
+                results.append(CheckResult(name, False, "unknown check"))
                 continue
             try:
                 results.append(fn(self, dict(assertion)))
             except Exception as exc:  # a broken check must fail, not crash
                 logger.exception("check %s crashed", name)
-                results.append(CheckResult(str(name), False, f"check crashed: {exc}"))
+                results.append(CheckResult(name, False, f"check crashed: {exc}"))
         if not self.resume:
             results.append(CHECKS["conservation"](self, {"check": "conservation"}))
             results.append(

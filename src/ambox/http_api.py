@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Protocol
 
-from .canonical import CanonicalError, wire_dumps, wire_loads
-from .model import _require_int
+from .canonical import wire_dumps, wire_loads
+from .model import _require
 from .transport import RequestClient, Router, TransportError
 
 
@@ -35,10 +35,8 @@ class ShimHttpClient:
         )
         try:
             obj = wire_loads(response)
-            status, answer = _require_int(obj, "status"), obj.get("body") or {}
-            if not isinstance(answer, dict):
-                raise CanonicalError("body must be an object")
-        except (ValueError, KeyError) as exc:
+            status, answer = _require(obj, "status", int), _require(obj, "body", dict)
+        except ValueError as exc:
             raise TransportError(f"{method} {path} to {dest}: misshapen answer: {exc}") from exc
         return status, answer
 
@@ -49,11 +47,9 @@ def shim_server_handler(router: Router) -> Callable[[str, bytes], bytes]:
     def handle(src: str, payload: bytes) -> bytes:
         try:
             obj = wire_loads(payload)
-            method, path = str(obj["method"]), str(obj["path"])
-            body = obj.get("body")
-            if body is not None and not isinstance(body, dict):
-                raise ValueError("body must be an object")
-        except (ValueError, KeyError):
+            method, path = _require(obj, "method", str), _require(obj, "path", str)
+            body = None if obj.get("body") is None else _require(obj, "body", dict)
+        except ValueError:
             return wire_dumps({"status": 400, "body": {"error": "malformed-request"}})
         status, response = router(method, path, body)
         return wire_dumps({"status": status, "body": response})

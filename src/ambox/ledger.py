@@ -114,6 +114,8 @@ from .model import (
     EventReport,
     JudgedReport,
     ModelError,
+    _require,
+    _require_keys,
     decode_report,
     in_form_wire_text,
     judge_report,
@@ -204,19 +206,17 @@ class Verdict:
         return obj
 
     @classmethod
-    def from_obj(cls, obj: dict[str, Any]) -> "Verdict":
-        """Raises ValueError, KeyError or TypeError for a verdict of another
-        shape than `to_obj` writes."""
+    def from_obj(cls, obj: Any) -> "Verdict":
+        """Raises ModelError for a verdict of another shape than `to_obj` writes."""
+        _require_keys(obj, ("status",), "Verdict")
         verdict = cls(
-            status=obj["status"],
-            report_id=obj.get("report_id"),
-            reason=obj.get("reason"),
-            replay=obj.get("replay", False),
+            status=_require(obj, "status", str),
+            report_id=_require(obj, "report_id", str, None),
+            reason=_require(obj, "reason", str, None),
+            replay=_require(obj, "replay", bool, False),
         )
-        if (verdict.status not in ("committed", "rejected") or type(verdict.replay) is not bool
-                or not isinstance(verdict.report_id, (str, type(None)))
-                or not isinstance(verdict.reason, (str, type(None)))):
-            raise ValueError(f"malformed verdict {obj!r}")
+        if verdict.status not in ("committed", "rejected"):
+            raise ModelError(f"unknown verdict status {verdict.status!r}")
         return verdict
 
 
@@ -302,9 +302,11 @@ class Ledger:
     # -- persistence --------------------------------------------------------
 
     def _load_registry(self) -> None:
+        # A registry written before devices had kinds holds only nodes.
         self._devices = read_document(self._registry_path, CorruptLedger, lambda obj: {
-            str(k): {"kind": str(v.get("kind", "node")), "public_key_pem": str(v["public_key_pem"])}
-            for k, v in obj["devices"].items()
+            device_id: {"kind": _require(entry, "kind", str, "node"),
+                        "public_key_pem": _require(entry, "public_key_pem", str)}
+            for device_id, entry in _require(obj, "devices", dict).items()
         }) or {}
         for device_id, device in self._devices.items():
             try:
@@ -629,7 +631,7 @@ def _walk_blocks(raw: bytes | mmap.mmap) -> Iterator[LedgerBlock]:
                     raise TypeError(f"transactions must be an array, "
                                     f"got {type(transactions).__name__}")
                 committed_at = canonical.parse_millis(obj["committed_at"])
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise CorruptLedger(f"block {height}: unparseable block: {exc}", height) from exc
             if stored_height != height:
                 raise CorruptLedger(f"block {height} has height {stored_height}", height)
@@ -664,13 +666,9 @@ class LedgerService:
     def handle(self, src: str, payload: bytes) -> bytes:
         try:
             obj = wire_loads(payload)
-            op = str(obj["op"])
-            args = obj.get("args")
-            if args is None:
-                args = {}
-            elif not isinstance(args, dict):
-                raise ValueError("args must be an object")
-        except (ValueError, KeyError) as exc:
+            op = _require(obj, "op", str)
+            args = {} if obj.get("args") is None else _require(obj, "args", dict)
+        except ValueError as exc:
             return self._error(f"malformed request: {exc}")
         try:
             result = self._dispatch(op, args)
@@ -692,28 +690,19 @@ class LedgerService:
     def _dispatch(self, op: str, args: dict) -> str:
         """The op's result as JSON text."""
         if op == OP_ADD_EVENTS:
-            envelopes = args.get("envelopes")
-            if not isinstance(envelopes, list):
-                raise ValueError("envelopes must be a list")
-            verdicts = self.ledger.add_events(envelopes, self._clock())
+            verdicts = self.ledger.add_events(_require(args, "envelopes", list), self._clock())
             return wire_text({"verdicts": [v.to_obj() for v in verdicts]})
         if op == OP_GET_EVENT:
-            report_id = args["report_id"]
-            if not isinstance(report_id, str):
-                raise ValueError("report_id must be a string")
-            payload_b64 = self.ledger.get_event_payload(report_id)
+            payload_b64 = self.ledger.get_event_payload(_require(args, "report_id", str))
             if payload_b64 is None:
                 return wire_text({"found": False})
             # wire_text({"found": True, "payload_b64": ...}): base64 needs no escaping.
             return f'{{"found": true, "payload_b64": "{payload_b64}"}}'
         if op == OP_GET_RECENT:
-            limit = args.get("limit", 10)
-            if isinstance(limit, bool) or not isinstance(limit, int):
-                raise ValueError("limit must be an integer")
             stored = self.ledger.get_recent(
                 device_id=args.get("device_id"),
                 batch_no=args.get("batch_no"),
-                limit=limit,
+                limit=_require(args, "limit", int, 10),
             )
             # The text of wire_text({"reports": [s.report.to_obj() for s in stored]}).
             return '{"reports": [' + ", ".join(self.ledger.entries(stored)) + "]}"
@@ -771,22 +760,22 @@ class LedgerClient:
             answer = wire_loads(raw)
             if answer.get("ok") is not True:
                 raise LedgerClientError(f"{answer.get('error')}: {answer.get('message')}")
-            return parse(_typed(answer, "result", dict))
-        except (LedgerClientError, ModelError):
+            return parse(_require(answer, "result", dict))
+        except LedgerClientError:
             raise
         except (ValueError, TypeError, KeyError) as exc:
             raise LedgerClientError(f"misshapen {op} answer: {exc!r}") from exc
 
     def register_device(self, identity: DeviceIdentity) -> str:
         return self._call(OP_REGISTER_DEVICE, wire_text({"identity": identity.to_obj()}),
-                          lambda result: _typed(result, "registration", str))
+                          lambda result: _require(result, "registration", str))
 
     def add_events(self, envelopes: list[SignedEnvelope]) -> list[Verdict]:
         """One verdict per envelope, in order. Raises LedgerClientError if the
         answer holds another number of verdicts, or a verdict that names a
         report other than its envelope's: a caller acks what it is told."""
         def parse(result: dict) -> list[Verdict]:
-            verdicts = [Verdict.from_obj(v) for v in _typed(result, "verdicts", list)]
+            verdicts = [Verdict.from_obj(v) for v in _require(result, "verdicts", list)]
             if len(verdicts) != len(envelopes):
                 raise LedgerClientError(
                     f"{len(verdicts)} verdicts for {len(envelopes)} envelopes")
@@ -803,13 +792,13 @@ class LedgerClient:
         return self._call(OP_ADD_EVENTS, '{"envelopes": [' + ", ".join(texts) + "]}", parse)
 
     def get_event(self, report_id: str) -> Optional[EventReport]:
-        def parse(result: dict) -> Optional[EventReport]:
-            if not _typed(result, "found", bool):
+        def parse(result: dict) -> Optional[bytes]:
+            if not _require(result, "found", bool):
                 return None
-            payload_b64 = _typed(result, "payload_b64", str)
-            return decode_report(base64.b64decode(payload_b64, validate=True))
+            return base64.b64decode(_require(result, "payload_b64", str), validate=True)
 
-        return self._call(OP_GET_EVENT, wire_text({"report_id": report_id}), parse)
+        payload = self._call(OP_GET_EVENT, wire_text({"report_id": report_id}), parse)
+        return None if payload is None else decode_report(payload)
 
     def get_recent(self, device_id: Optional[str] = None, batch_no: Optional[str] = None,
                    limit: int = 10) -> list[EventReport]:
@@ -821,27 +810,19 @@ class LedgerClient:
         if batch_no is not None:
             args["batch_no"] = batch_no
         reports = self._call(OP_GET_RECENT, wire_text(args),
-                             lambda result: _typed(result, "reports", list))
+                             lambda result: _require(result, "reports", list))
         try:
             return [EventReport.from_obj(r) for r in reports]
-        except (ValueError, OverflowError, RecursionError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise ModelError(str(exc)) from exc
 
     def verify_chain(self) -> Optional[int]:
         def parse(result: dict) -> Optional[int]:
-            if _typed(result, "intact", bool):
+            if _require(result, "intact", bool):
                 return None
-            return _typed(result, "first_broken_height", int)
+            return _require(result, "first_broken_height", int)
 
         return self._call(OP_VERIFY_CHAIN, "{}", parse)
-
-
-def _typed(obj: dict, key: str, kind: type):
-    """obj[key], which must be a `kind` (a bool is not an int here)."""
-    value = obj[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise TypeError(f"{key} must be {kind.__name__}, got {type(value).__name__}")
-    return value
 
 
 def _holds_report(envelope: SignedEnvelope, report_id: str) -> bool:

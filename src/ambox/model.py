@@ -12,6 +12,11 @@ judges a signed payload with `judge_report`, which applies the decoder's
 rules and `validate_report`'s invariants without building the report, and
 writes the wire text of a payload it found in form from a template
 (`in_form_wire_text`), as it is that encoder's output already.
+
+One reader rule: every field AmBox takes in from a file, a peer or an
+operator is typed by `_require` where it enters, never converted to fit. A
+bool is never an integer or a number, a number is a finite int or float,
+and every refusal is a ModelError, which each caller answers its own way.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, EnumMeta
 from typing import Any, Iterable, NamedTuple, Optional, Sequence
 
 from . import canonical
@@ -85,11 +91,8 @@ class DeviceIdentity:
     @classmethod
     def from_obj(cls, obj: Any) -> "DeviceIdentity":
         _require_keys(obj, ("device_id", "kind", "public_key_pem"), "DeviceIdentity")
-        try:
-            kind = DeviceKind(obj["kind"])
-        except ValueError as exc:
-            raise ModelError(f"unknown device kind {obj['kind']!r}") from exc
-        return cls(_require_str(obj, "device_id"), kind, _require_str(obj, "public_key_pem"))
+        return cls(_require(obj, "device_id", str), _require(obj, "kind", DeviceKind),
+                   _require(obj, "public_key_pem", str))
 
 
 @dataclass(frozen=True)
@@ -183,8 +186,8 @@ def _report_fields(obj: Any, instants: dict[str, int]
     readings = obj["readings"]
     if not isinstance(readings, list):
         raise ModelError("readings must be a list")
-    return (_require_str(obj, "report_id"), _require_str(obj, "device_id"),
-            _require_str(obj, "product_id"), _require_str(obj, "batch_no"),
+    return (_require(obj, "report_id", str), _require(obj, "device_id", str),
+            _require(obj, "product_id", str), _require(obj, "batch_no", str),
             _parse_instant(obj["created_at"], instants), readings)
 
 
@@ -267,11 +270,11 @@ def _reading_fields(obj: Any, instants: dict[str, int]) -> _Row:
         raise ModelError("signature_b64 must be a string when present")
     # This order decides which error a reading with several faults raises.
     if not isinstance(quantity, str):
-        _require_str(obj, "quantity")
+        _require(obj, "quantity", str)
     value = float(value)
     sampled_at = _parse_instant(stamp, instants)
     if not isinstance(source_device, str):
-        _require_str(obj, "source_device")
+        _require(obj, "source_device", str)
     return quantity, value, sampled_at, source_device, signature
 
 
@@ -295,13 +298,11 @@ _FLOAT_REPR = float.__repr__
 
 # The keys `in_form_wire_text` spells, in the sorted order `json` writes them.
 # It is a second spelling of the format `to_obj` and `_encode_reading` write,
-# so a field added to the report or the reading fails here until the
-# template writes it too.
+# so a test ties these to the field lists: a field added to the report or the
+# reading fails it until the template writes it too.
 _TEMPLATE_REPORT_KEYS = ("batch_no", "created_at", "device_id", "product_id", "readings",
                          "report_id")
 _TEMPLATE_READING_KEYS = ("quantity", "sampled_at", "signature_b64", "source_device", "value")
-assert _TEMPLATE_REPORT_KEYS == tuple(sorted(_REPORT_FIELDS))
-assert _TEMPLATE_READING_KEYS == tuple(sorted(_READING_FIELDS + ("signature_b64",)))
 
 
 def in_form_wire_text(obj: dict[str, Any]) -> str:
@@ -351,7 +352,7 @@ def decode_report(payload: bytes) -> EventReport:
     acceptable is `validate_report`'s answer, asked at each trust boundary."""
     try:
         return EventReport.from_obj(canonical.loads(payload))
-    except (ValueError, OverflowError, RecursionError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ModelError(str(exc)) from exc
 
 
@@ -382,7 +383,7 @@ def judge_report(payload: bytes) -> JudgedReport:
         quantities, values, times, sources, _ = zip(*rows) if rows else ((),) * 5
         in_form = (in_form and len(obj) == len(_REPORT_FIELDS) and created_at >= 0
                    and (not times or min(times) >= 0))
-    except (ValueError, OverflowError, RecursionError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ModelError(str(exc)) from exc
     return JudgedReport(
         report_id, device_id, batch_no, created_at,
@@ -481,14 +482,12 @@ class MonitoringJob:
             ("product_id", "batch_no", "sample_interval_ms", "report_interval_ms", "sensor_params"),
             "MonitoringJob",
         )
-        params = obj["sensor_params"]
-        _check_sensor_params(params)
         return cls(
-            product_id=_require_str(obj, "product_id"),
-            batch_no=_require_str(obj, "batch_no"),
-            sample_interval_ms=_require_int(obj, "sample_interval_ms"),
-            report_interval_ms=_require_int(obj, "report_interval_ms"),
-            sensor_params={q: dict(p) for q, p in params.items()},
+            product_id=_require(obj, "product_id", str),
+            batch_no=_require(obj, "batch_no", str),
+            sample_interval_ms=_require(obj, "sample_interval_ms", int),
+            report_interval_ms=_require(obj, "report_interval_ms", int),
+            sensor_params=_check_sensor_params(obj["sensor_params"]),
         )
 
 
@@ -517,32 +516,49 @@ class HeartbeatMessage:
 
     @classmethod
     def from_obj(cls, obj: Any) -> "HeartbeatMessage":
+        """An absent health field keeps its default."""
         _require_keys(obj, ("device_id", "state", "sent_at", "sequence", "health"), "HeartbeatMessage")
-        health = obj["health"]
-        if not isinstance(health, dict):
-            raise ModelError("health must be an object")
+        health = _require(obj, "health", dict)
         try:
-            state = NodeState(obj["state"])
-        except ValueError as exc:
-            raise ModelError(f"unknown state {obj['state']!r}") from exc
+            sent_at = canonical.parse_millis(_require(obj, "sent_at", str))
+        except canonical.CanonicalError as exc:
+            raise ModelError(f"sent_at: {exc}") from exc
         return cls(
-            device_id=_require_str(obj, "device_id"),
-            state=state,
-            sent_at=canonical.parse_millis(obj["sent_at"]),
-            sequence=_require_int(obj, "sequence"),
-            buffer_alarm=bool(health.get("buffer_alarm", False)),
-            consecutive_submit_failures=int(health.get("consecutive_submit_failures", 0)),
+            device_id=_require(obj, "device_id", str),
+            state=_require(obj, "state", NodeState),
+            sent_at=sent_at,
+            sequence=_require(obj, "sequence", int),
+            buffer_alarm=_require(health, "buffer_alarm", bool, False),
+            consecutive_submit_failures=_require(health, "consecutive_submit_failures", int, 0),
         )
 
 
-def _check_sensor_params(params: Any) -> None:
-    """A job's `sensor_params` is an object of objects, each `enabled`, if
-    given, a bool; or ModelError."""
-    if not isinstance(params, dict):
-        raise ModelError("sensor_params must be an object")
-    for q, p in params.items():
-        if not isinstance(p, dict) or not isinstance(p.get("enabled", False), bool):
-            raise ModelError(f"sensor_params[{q!r}] must carry a boolean 'enabled'")
+def _check_sensor_params(params: Any) -> dict[str, dict[str, Any]]:
+    """A copy of a job's `sensor_params`, an object of objects, each
+    `enabled`, if given, a bool; or ModelError."""
+    return _objects_of(params, "sensor_params", {"enabled": bool})
+
+
+def _check_sensor_overrides(sensors: Any) -> dict[str, dict[str, Any]]:
+    """A copy of a device's sensor overrides, an object of objects, each
+    field `sensors.merged_spec` reads, if given, a finite number; or
+    ModelError. The rule is here because a ledger process loads no `sensors`."""
+    return _objects_of(sensors, "sensors", dict.fromkeys(
+        ("range_min", "range_max", "accuracy", "noise_amplitude", "bias_constant"), _NUMBER))
+
+
+def _objects_of(obj: Any, what: str, fields: dict[str, Any]) -> dict[str, dict[str, Any]]:
+    """A copy of `obj`, an object of objects, each of its `fields`, if
+    given, of its kind (see `_require`); or ModelError."""
+    _require_keys(obj, (), what)
+    for name, entry in obj.items():
+        _require_keys(entry, (), f"{what}[{name!r}]")
+        try:
+            for key, kind in fields.items():
+                _require(entry, key, kind, None)
+        except ModelError as exc:
+            raise ModelError(f"{what}[{name!r}]: {exc}") from None
+    return {name: dict(entry) for name, entry in obj.items()}
 
 
 def _require_keys(obj: Any, keys: Iterable[str], what: str) -> None:
@@ -553,18 +569,38 @@ def _require_keys(obj: Any, keys: Iterable[str], what: str) -> None:
         raise ModelError(f"{what} missing fields: {', '.join(missing)}")
 
 
-def _require_str(obj: dict[str, Any], key: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ModelError(f"{key} must be a string, got {type(value).__name__}")
-    return value
+# The kind of a number field: an int or a float, finite, and never a bool.
+_NUMBER = (int, float)
+_KIND_NAMES = {str: "a string", int: "an integer", bool: "a boolean", dict: "an object",
+               list: "an array", _NUMBER: "a finite number"}
+_ABSENT = object()
 
 
-def _require_int(obj: dict[str, Any], key: str) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelError(f"{key} must be an integer, got {value!r}")
-    return value
+def _require(obj: dict[str, Any], key: str, kind: Any, default: Any = _ABSENT) -> Any:
+    """`obj[key]` if it is of `kind` (a key of `_KIND_NAMES`), or the member
+    of `kind`, an Enum, that it is the value of; `default` if `obj` has no
+    `key` and a default is given; ModelError otherwise, never a conversion."""
+    value = obj.get(key, _ABSENT)
+    if type(value) is kind:
+        return value
+    if value is _ABSENT:
+        if default is _ABSENT:
+            raise ModelError(f"missing field {key}")
+        return default
+    if isinstance(kind, EnumMeta):
+        if type(value) is str:
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+        raise ModelError(f"{key} must be one of {', '.join(m.value for m in kind)}, got {value!r}")
+    if kind is _NUMBER:
+        # A NaN fails the comparison; an int too large for a float passes no float bound.
+        if type(value) in _NUMBER and abs(value) <= sys.float_info.max:
+            return value
+    elif isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ModelError(f"{key} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
 
 
 __all__ = [

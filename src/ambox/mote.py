@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 from .canonical import wire_dumps, wire_loads
 from .envelope import KeyPair, SignedEnvelope, sign_reading_envelope
-from .model import ModelError, SensorReading, _require_int, _require_keys
+from .model import ModelError, SensorReading, _check_sensor_params, _require, _require_keys
 from .runtime import Runtime
 from .sensors import _reportable
 from .storage import (
@@ -46,13 +46,11 @@ MOTE_CONFIG_FILE = "mote_config.json"
 class MoteConfig:
     enabled: bool = False
     sample_interval_ms: int = 60_000
-    sensor_params: dict[str, dict[str, Any]] = None  # type: ignore[assignment]
+    sensor_params: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.sensor_params is None:
-            object.__setattr__(self, "sensor_params", {})
         if self.sample_interval_ms <= 0:
-            raise ValueError("sample_interval must be positive")
+            raise ModelError("sample_interval must be positive")
 
     def enabled_quantities(self) -> tuple[str, ...]:
         return tuple(q for q, p in sorted(self.sensor_params.items()) if p.get("enabled"))
@@ -71,14 +69,9 @@ class MoteConfig:
         `mote_config.json` alike. An absent interval or sensor_params keeps
         its default, since a node disables a mote with `{"enabled": false}`."""
         _require_keys(obj, ("enabled",), "MoteConfig")
-        if not isinstance(obj["enabled"], bool):
-            raise ModelError(f"enabled must be a boolean, got {obj['enabled']!r}")
-        interval = (_require_int(obj, "sample_interval_ms") if "sample_interval_ms" in obj
-                    else cls.sample_interval_ms)
-        params = obj.get("sensor_params", {})
-        if not isinstance(params, dict) or not all(isinstance(p, dict) for p in params.values()):
-            raise ModelError("sensor_params must be an object of objects")
-        return cls(obj["enabled"], interval, {q: dict(p) for q, p in params.items()})
+        return cls(_require(obj, "enabled", bool),
+                   _require(obj, "sample_interval_ms", int, cls.sample_interval_ms),
+                   _check_sensor_params(obj.get("sensor_params", {})))
 
 
 def load_mote_config(directory: str | Path) -> MoteConfig:
@@ -99,7 +92,7 @@ def encode_reading_notification(entry_id: int, envelope: SignedEnvelope) -> byte
 def decode_reading_notification(payload: bytes) -> tuple[int, SignedEnvelope, str]:
     """The entry id, the envelope, and its signature's base64 as received."""
     obj = wire_loads(payload)
-    return _require_int(obj, "entry_id"), SignedEnvelope.from_wire_obj(obj), obj["signature_b64"]
+    return _require(obj, "entry_id", int), SignedEnvelope.from_wire_obj(obj), obj["signature_b64"]
 
 
 class MoteAgent:
@@ -111,7 +104,7 @@ class MoteAgent:
         paired_node: str,
         data_dir: str | Path,
         runtime: Runtime,
-        driver_factory: Callable[[str, dict], Any],
+        driver_factory: Callable[[str], Any],
     ) -> None:
         self.device_id = keypair.device_id
         self.keypair = keypair
@@ -197,8 +190,8 @@ class MoteAgent:
 
     def _apply_ack(self, payload: bytes) -> None:
         try:
-            upto = _require_int(wire_loads(payload), "upto")
-        except (ValueError, KeyError) as exc:
+            upto = _require(wire_loads(payload), "upto", int)
+        except ValueError as exc:
             logger.warning("%s: rejected ack write: %s", self.device_id, exc)
             return
         try:
@@ -212,7 +205,7 @@ class MoteAgent:
     def _driver(self, quantity: str):
         driver = self._drivers.get(quantity)
         if driver is None:
-            driver = self.driver_factory(quantity, self.config.sensor_params.get(quantity, {}))
+            driver = self.driver_factory(quantity)
             self._drivers[quantity] = driver
         return driver
 

@@ -40,7 +40,7 @@ from .model import (
     SensorReading,
     legal_transition,
     _check_sensor_params,
-    _require_int,
+    _require,
     new_report_id,
 )
 from .mote import CHAR_ACK, CHAR_CONFIG, CHAR_READINGS, decode_reading_notification
@@ -104,7 +104,7 @@ class NodeAgent:
         heartbeat_caller,                       # JsonCaller for POST /heartbeat
         ledger_requester: RequestClient,
         make_dest: Callable[[str, int], str],   # (address, port) -> transport dest
-        sensor_factory: Callable[[str, dict], Any],
+        sensor_factory: Callable[[str], Any],
         central: Optional[CentralPort] = None,
         allowed_motes: tuple[str, ...] = (),
         crash_hook: Optional[Callable[[str], None]] = None,
@@ -140,9 +140,6 @@ class NodeAgent:
         self._report_counter = 0
         self._last_job: Optional[MonitoringJob] = self.config.job
         self._drain_kick = runtime.new_signal()
-        # Set by a failed submit: the next one sends only the oldest envelope,
-        # so a dead link costs one envelope per attempt, not a full batch.
-        self._probe = False
         self._storage_alarm = False
         self._sessions: dict[str, Any] = {}
         self._tasks: dict[str, Any] = {}
@@ -276,19 +273,19 @@ class NodeAgent:
 
     def _control_config_heartbeat(self, body: dict) -> None:
         target = HeartbeatTarget(
-            address=_required_str(body, "ipaddr"),
-            port=_required_int(body, "port", 1, 65535),
-            timeout_ms=_required_int(body, "heartbeat_timeout_ms", least=1),
+            address=_argument(body, "ipaddr", str),
+            port=_argument(body, "port", int, 1, 65535),
+            timeout_ms=_argument(body, "heartbeat_timeout_ms", int, least=1),
         )
         with self._config_lock:
             self._save_config(heartbeat=target)
 
     def _control_config_blockchain(self, body: dict) -> None:
         target = LedgerTarget(
-            address=_required_str(body, "ipaddr"),
-            port=_required_int(body, "port", 1, 65535),
-            channel_name=_required_str(body, "channel_name"),
-            chaincode_name=_required_str(body, "chaincode_name"),
+            address=_argument(body, "ipaddr", str),
+            port=_argument(body, "port", int, 1, 65535),
+            channel_name=_argument(body, "channel_name", str),
+            chaincode_name=_argument(body, "chaincode_name", str),
         )
         with self._config_lock:
             self._save_config(ledger=target)
@@ -410,7 +407,7 @@ class NodeAgent:
         for quantity in job.enabled_quantities():
             driver = self._drivers.get(quantity)
             if driver is None:
-                driver = self.sensor_factory(quantity, job.sensor_params.get(quantity, {}))
+                driver = self.sensor_factory(quantity)
                 self._drivers[quantity] = driver
             if driver is None:
                 logger.warning("%s: no driver for %s; skipping", self.device_id, quantity)
@@ -575,7 +572,10 @@ class NodeAgent:
             return  # another activity is already draining
         try:
             while True:
-                batch = self.buffer.peek_batch(1 if self._probe else SUBMIT_BATCH_MAX)
+                # After a failed submit the next one sends only the oldest envelope,
+                # so a dead link costs one envelope per attempt, not a full batch.
+                probe = self.stats["consecutive_submit_failures"] > 0
+                batch = self.buffer.peek_batch(1 if probe else SUBMIT_BATCH_MAX)
                 if not batch:
                     self._storage_alarm = False
                     return
@@ -590,10 +590,8 @@ class NodeAgent:
                         logger.warning("%s: unusable ledger answer: %s", self.device_id, exc)
                     self.stats["submit_failures"] += 1
                     self.stats["consecutive_submit_failures"] += 1
-                    self._probe = True
                     return
                 self.crash_hook("post_submit")
-                self._probe = False
                 self.stats["consecutive_submit_failures"] = 0
                 for envelope, verdict in zip(envelopes, verdicts, strict=True):
                     if verdict.status == "committed":
@@ -708,25 +706,17 @@ class NodeAgent:
 
 
 
-def _required_str(body: dict, key: str) -> str:
-    value = body.get(key)
-    if not isinstance(value, str) or not value:
-        raise invalid_argument(f"invalid-argument:{key}")
+def _argument(body: dict, key: str, kind: type, least: Optional[int] = None,
+              most: Optional[int] = None) -> Any:
+    """`model._require(body, key, kind)`: a non-empty string that the config
+    file can store as UTF-8, or an integer within any bound given; or invalid-argument."""
     try:
-        value.encode("utf-8")  # stored in the config file; a lone surrogate has no UTF-8
-    except UnicodeEncodeError as exc:
+        value = _require(body, key, kind)
+        if kind is str:
+            value.encode("utf-8")
+    except (ModelError, UnicodeEncodeError) as exc:
         raise invalid_argument(f"invalid-argument:{key}") from exc
-    return value
-
-
-def _required_int(body: dict, key: str, least: Optional[int] = None,
-                  most: Optional[int] = None) -> int:
-    """A JSON integer, not a bool (`model._require_int`), within any bound given."""
-    try:
-        value = _require_int(body, key)
-    except (KeyError, ModelError) as exc:
-        raise invalid_argument(f"invalid-argument:{key}") from exc
-    if (least is not None and value < least) or (most is not None and value > most):
+    if value == "" or (least is not None and value < least) or (most is not None and value > most):
         raise invalid_argument(f"invalid-argument:{key}")
     return value
 
@@ -734,17 +724,16 @@ def _required_int(body: dict, key: str, least: Optional[int] = None,
 def _job_from_body(body: dict) -> MonitoringJob:
     """The job a `/startMonitoring` body asks for, held to the rules its
     config file is read back with (`MonitoringJob.from_obj`)."""
-    product_id = _required_str(body, "prod_id")
-    batch_no = _required_str(body, "batch_no")
+    product_id = _argument(body, "prod_id", str)
+    batch_no = _argument(body, "batch_no", str)
     report_key = "report_interval_ms" if "report_interval_ms" in body else "interval_ms"
     if body.get(report_key) is None:
         raise invalid_argument("invalid-argument:report_interval_ms")
-    report_interval = _required_int(body, report_key)
-    sample_interval = (_required_int(body, "sample_interval_ms")
+    report_interval = _argument(body, report_key, int)
+    sample_interval = (_argument(body, "sample_interval_ms", int)
                        if "sample_interval_ms" in body else report_interval)
-    params = body.get("sensor_params")
     try:
-        _check_sensor_params(params)
+        params = _check_sensor_params(body.get("sensor_params"))
     except ModelError as exc:
         raise invalid_argument("invalid-argument:sensor_params") from exc
     if not params:
@@ -755,7 +744,7 @@ def _job_from_body(body: dict) -> MonitoringJob:
             batch_no=batch_no,
             sample_interval_ms=sample_interval,
             report_interval_ms=report_interval,
-            sensor_params={str(q): dict(p) for q, p in params.items()},
+            sensor_params=params,
         )
     except Exception as exc:
         raise invalid_argument(f"invalid-argument:{exc}") from exc

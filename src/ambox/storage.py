@@ -39,7 +39,7 @@ from cryptography.hazmat.primitives.asymmetric.rsa import RSAPrivateKey
 
 from . import canonical
 from .envelope import KeyPair, KeyUnavailable, MalformedEnvelope, SignedEnvelope
-from .model import MonitoringJob, NodeState, _require_int, _require_str
+from .model import ModelError, MonitoringJob, NodeState, _require, _require_keys
 
 SCHEMA_VERSION = 1
 DEFAULT_CAP = 1_000_000
@@ -104,11 +104,10 @@ def read_document(path: Path, corrupt: type[Exception],
         return None
     except (OSError, canonical.CanonicalError) as exc:
         raise corrupt(f"cannot read {path.name}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise corrupt(f"{path.name}: root must be an object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise corrupt(f"{path.name}: unsupported schema {obj.get('schema_version')!r}")
     try:
+        _require_keys(obj, (), "root")
+        if _require(obj, "schema_version", int) != SCHEMA_VERSION:
+            raise ModelError(f"unsupported schema {obj['schema_version']!r}")
         return parse(obj)
     except (KeyError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise corrupt(f"{path.name} invalid: {exc}") from exc
@@ -221,16 +220,17 @@ class DurableBuffer:
                 obj = canonical.loads(line)
                 self._fold_marks(obj.pop("marks", {}))
                 if number == 1:
-                    self._next_id = obj.pop("next_id", 1)
-                    if obj != {"schema_version": SCHEMA_VERSION} or type(self._next_id) is not int:
+                    self._next_id = _require(obj, "next_id", int, 1)
+                    if (_require(obj, "schema_version", int) != SCHEMA_VERSION
+                            or obj.keys() - {"next_id"} != {"schema_version"}):
                         raise CorruptJournal(f"unsupported journal schema: {obj!r}")
                     continue
                 if "ack" in obj:
-                    acked = max(acked, _require_int(obj, "ack"))  # later entries have larger ids
+                    acked = max(acked, _require(obj, "ack", int))  # later entries have larger ids
                     continue
-                entry = BufferEntry(_require_int(obj, "seq"),
+                entry = BufferEntry(_require(obj, "seq", int),
                                     SignedEnvelope.from_wire_obj(obj["envelope"]),
-                                    _require_int(obj, "enqueued_at"))
+                                    _require(obj, "enqueued_at", int))
             except (KeyError, ValueError, TypeError, AttributeError, OverflowError,
                     MalformedEnvelope) as exc:
                 raise CorruptJournal(f"journal line {number} invalid: {exc}") from exc
@@ -241,7 +241,9 @@ class DurableBuffer:
         self._journal = AppendLog(self._path)
         legacy = self._path.with_name(ACK_FILE)
         old = read_document(legacy, CorruptJournal, lambda obj: (
-            int(obj["watermark"]), {int(i) for i in obj["acked"]}, int(obj.get("next_id", 0))))
+            _require(obj, "watermark", int),
+            {_require({"acked": i}, "acked", int) for i in _require(obj, "acked", list)},
+            _require(obj, "next_id", int, 0)))
         if old is not None:
             watermark, above, next_id = old
             self._pending = {i: e for i, e in self._pending.items()
@@ -376,9 +378,10 @@ class HeartbeatTarget:
     timeout_ms: int
 
     @classmethod
-    def from_obj(cls, obj: dict[str, Any]) -> "HeartbeatTarget":
-        return cls(_require_str(obj, "address"), _require_int(obj, "port"),
-                   _require_int(obj, "timeout_ms"))
+    def from_obj(cls, obj: Any) -> "HeartbeatTarget":
+        _require_keys(obj, (), "heartbeat")
+        return cls(_require(obj, "address", str), _require(obj, "port", int),
+                   _require(obj, "timeout_ms", int))
 
 
 @dataclass(frozen=True)
@@ -389,12 +392,13 @@ class LedgerTarget:
     chaincode_name: str
 
     @classmethod
-    def from_obj(cls, obj: dict[str, Any]) -> "LedgerTarget":
+    def from_obj(cls, obj: Any) -> "LedgerTarget":
+        _require_keys(obj, (), "ledger")
         return cls(
-            _require_str(obj, "address"),
-            _require_int(obj, "port"),
-            _require_str(obj, "channel_name"),
-            _require_str(obj, "chaincode_name"),
+            _require(obj, "address", str),
+            _require(obj, "port", int),
+            _require(obj, "channel_name", str),
+            _require(obj, "chaincode_name", str),
         )
 
 
@@ -426,18 +430,20 @@ class PersistedConfig:
         }
 
     @classmethod
-    def from_obj(cls, obj: dict[str, Any]) -> "PersistedConfig":
+    def from_obj(cls, obj: Any) -> "PersistedConfig":
         """Unknown fields are ignored, so older files that still carry
-        `since` and `transitions` load."""
+        `since` and `transitions` load; a null job or target is none."""
+        _require_keys(obj, ("state", "heartbeat_sequence"), "PersistedConfig")
+        job, heartbeat, ledger = (obj.get(key) for key in ("job", "heartbeat", "ledger"))
         cfg = cls(
-            state=NodeState(obj["state"]),
-            job=MonitoringJob.from_obj(obj["job"]) if obj.get("job") else None,
-            heartbeat=HeartbeatTarget.from_obj(obj["heartbeat"]) if obj.get("heartbeat") else None,
-            ledger=LedgerTarget.from_obj(obj["ledger"]) if obj.get("ledger") else None,
-            heartbeat_sequence=_require_int(obj, "heartbeat_sequence"),
+            state=_require(obj, "state", NodeState),
+            job=None if job is None else MonitoringJob.from_obj(job),
+            heartbeat=None if heartbeat is None else HeartbeatTarget.from_obj(heartbeat),
+            ledger=None if ledger is None else LedgerTarget.from_obj(ledger),
+            heartbeat_sequence=_require(obj, "heartbeat_sequence", int),
         )
         if (cfg.state is NodeState.MONITORING) != (cfg.job is not None):
-            raise CorruptConfig("job must be present iff state is monitoring")
+            raise ModelError("job must be present iff state is monitoring")
         return cfg
 
 

@@ -63,11 +63,10 @@ class SimNetwork:
         self,
         runtime: SimScheduler,
         schedule: Optional[FaultSchedule] = None,
-        start_ms: Optional[int] = None,
     ) -> None:
         self.runtime = runtime
         self.schedule = schedule or FaultSchedule()
-        self.start_ms = runtime.now_ms() if start_ms is None else start_ms
+        self.start_ms = runtime.now_ms()
         self._routes: dict[frozenset, _Link] = {}
         self._servers: dict[str, Callable[[str, bytes], bytes]] = {}
         self._peripherals: dict[str, tuple[str, PeripheralDelegate]] = {}

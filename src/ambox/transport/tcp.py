@@ -308,7 +308,7 @@ class TcpPeripheralServer(_Listener):
             send_frame(sock, wire_dumps({"t": "ok"}))
         except (OSError, CanonicalError, TransportError):
             return
-        session = TcpPeripheralSession(self, sock, str(msg.get("central")))
+        session = TcpPeripheralSession(self, sock, self.paired_central)
         with self._lock:
             if self._closing:
                 return
@@ -376,7 +376,7 @@ class TcpPeripheralSession:
                 msg = wire_loads(frame)
                 if msg.get("t") == "write":
                     payload = base64.b64decode(msg["payload_b64"])
-                    self._server.delegate.on_write(self, str(msg["char"]), payload)
+                    self._server.delegate.on_write(self, msg["char"], payload)
             except Exception:
                 logger.exception("peripheral write handler failed")
         self.kill("peer-closed")

@@ -37,6 +37,10 @@ def test_loads_rejects_garbage():
         canonical.loads(b"{not json")
     with pytest.raises(canonical.CanonicalError):
         canonical.loads(b"\xff\xfe")
+    with pytest.raises(canonical.CanonicalError):
+        canonical.loads(b"[" * 100_000)
+    with pytest.raises(canonical.CanonicalError):
+        canonical.loads_exact("[" * 100_000)
 
 
 def test_wire_text_is_sorted_with_default_separators():
@@ -103,10 +107,10 @@ def test_loads_exact_answers_as_loads_or_refuses_what_surrounds_a_value(text):
 
 
 def test_only_canonical_cli_and_scenario_use_json():
-    # The wire's spelling and refusal rule live in canonical.py; cli.py and
-    # harness/scenario.py read and write their own files and human output.
+    # The wire's spelling and refusal rule live in canonical.py; cli.py
+    # writes its human output.
     package = Path(ambox.__file__).parent
-    allowed = {"canonical.py", "cli.py", "harness/scenario.py"}
+    allowed = {"canonical.py", "cli.py"}
     found = []
     for path in sorted(package.rglob("*.py")):
         name = path.relative_to(package).as_posix()
@@ -121,6 +125,25 @@ def test_only_canonical_cli_and_scenario_use_json():
             elif (isinstance(node, ast.Attribute) and node.attr in ("dumps", "loads")
                     and isinstance(node.value, ast.Name) and node.value.id == "json"):
                 found.append(f"{name}:{node.lineno} json.{node.attr}")
+    assert found == []
+
+
+def test_only_canonical_parses_json():
+    # One parse: every file, message and answer AmBox reads goes through
+    # canonical.py, which refuses what it cannot parse with CanonicalError.
+    package = Path(ambox.__file__).parent
+    parsers = {"loads", "load", "JSONDecoder"}
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        if path == package / "canonical.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in parsers
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                found.append(f"{path.relative_to(package)}:{node.lineno} json.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.extend(f"{path.relative_to(package)}:{node.lineno} {alias.name}"
+                             for alias in node.names if alias.name in parsers)
     assert found == []
 
 

@@ -50,6 +50,35 @@ def test_malformed_heartbeat_rejected():
     assert status == 400
 
 
+@pytest.mark.parametrize("field, value", [
+    ("buffer_alarm", "false"),
+    ("buffer_alarm", 0),
+    ("consecutive_submit_failures", "7"),
+    ("consecutive_submit_failures", 2.9),
+    ("consecutive_submit_failures", "abc"),
+    ("consecutive_submit_failures", None),
+    ("consecutive_submit_failures", True),
+])
+def test_a_health_field_of_another_type_is_a_malformed_heartbeat(field, value):
+    # Never converted: "false" would show an alarm the node never raised.
+    core = OperatorCore(clock=lambda: T0)
+    message = beat(1)
+    message["health"][field] = value
+    status, body = core.router("POST", "/heartbeat", message)
+    assert (status, body["error"]) == (400, "malformed-message")
+    assert core.stats.heartbeats_malformed == 1
+    assert core.fleet() == {}
+
+
+def test_an_absent_health_field_keeps_its_default():
+    core = OperatorCore(clock=lambda: T0)
+    message = beat(1)
+    message["health"] = {}
+    assert core.router("POST", "/heartbeat", message)[0] == 200
+    view = core.fleet()["node-1"]
+    assert (view.buffer_alarm, view.consecutive_submit_failures) == (False, 0)
+
+
 def test_missed_deadline_flag():
     now = {"t": T0}
     core = OperatorCore(clock=lambda: now["t"], default_timeout_ms=30_000)
@@ -236,6 +265,50 @@ def test_fleet_router_get():
     status, body = core.router("GET", "/fleet", None)
     assert status == 200
     assert body["node-1"]["sequence"] == 1
+
+
+class _IdentityCaller:
+    """A device control API that answers /identity with `identity`."""
+
+    def __init__(self, identity):
+        self.identity = identity
+        self.calls = []
+
+    def call(self, dest, method, path, body, timeout_ms=10_000, label=""):
+        self.calls.append((method, path))
+        return 200, self.identity
+
+
+@pytest.mark.parametrize("change", [
+    {"device_id": None},
+    {"device_id": 5},
+    {"kind": "toaster"},
+    {"public_key_pem": ["pem"]},
+], ids=["no-device-id", "numeric-device-id", "unknown-kind", "key-array"])
+def test_a_malformed_identity_is_an_operator_error(node_key, change):
+    identity = {**DeviceIdentity("node1", DeviceKind.NODE, node_key.public_pem).to_obj(),
+                "state": "idle", **change}
+    identity = {k: v for k, v in identity.items() if v is not None}
+    caller = _IdentityCaller(identity)
+    plan = CommissionPlan("node1", "operator", 1, 30_000, "ledger", 1)
+    with pytest.raises(MalformedMessage, match="/identity"):
+        commission(caller, None, plan)      # refused before the ledger is asked
+    assert caller.calls == [("GET", "/identity")]
+
+
+class _Clock:
+    def now_ms(self):
+        return T0
+
+    def sleep(self, ms):
+        raise AssertionError("the depth is read before any wait")
+
+
+def test_a_decommission_reads_the_drain_depth_as_integers():
+    caller = _IdentityCaller({"device_id": "node1", "state": "heartbeat",
+                              "buffer_depth": "0", "window_size": 0})
+    with pytest.raises(OperatorError, match="buffer_depth must be an integer"):
+        decommission(caller, "node1", runtime=_Clock())
 
 
 def test_commission_unreachable_device():

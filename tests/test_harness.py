@@ -49,6 +49,33 @@ def test_scenario_rejects_unknown_fault_link():
         })
 
 
+@pytest.mark.parametrize("change", [
+    {"latency_ms": "50"},
+    {"latency_ms": "abc"},
+    {"latency_ms": 5.5},
+    {"mode": "sideways"},
+    {"start_min": "0"},
+    {"end_min": float("inf")},
+], ids=["latency-digits", "latency-text", "latency-float", "unknown-mode", "start-text",
+        "end-infinite"])
+def test_a_fault_window_of_another_type_is_a_scenario_error(tmp_path, change):
+    window = {"link": "l", "start_min": 0, "end_min": 1, "mode": "latency", "latency_ms": 50,
+              **change}
+    path = tmp_path / "faulty.json"
+    path.write_text(json.dumps({"schema_version": 1, "span_min": 2, "devices": [],
+                                "links": [{"name": "l", "between": ["a", "b"]}],
+                                "faults": [window]}))
+    with pytest.raises(ScenarioError):
+        load_scenario(path)
+
+
+def test_a_deeply_nested_scenario_file_is_a_scenario_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_bytes(b"[" * 100_000)
+    with pytest.raises(ScenarioError):
+        load_scenario(path)
+
+
 def test_scenario_duration_units():
     scenario = scenario_from_obj({
         "schema_version": 1,

@@ -414,6 +414,14 @@ def valid_reports(draw):
                        at + draw(st.integers(0, 10 ** 6)), tuple(readings))
 
 
+def test_the_in_form_template_spells_every_field():
+    # The template is a second spelling of the format `to_obj` writes: a
+    # field added to the report or the reading must be added to it too.
+    assert ambox.model._TEMPLATE_REPORT_KEYS == tuple(sorted(ambox.model._REPORT_FIELDS))
+    assert ambox.model._TEMPLATE_READING_KEYS == tuple(
+        sorted(ambox.model._READING_FIELDS + ("signature_b64",)))
+
+
 _ANY_TEXT = st.text(max_size=8)
 
 

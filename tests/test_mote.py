@@ -333,7 +333,7 @@ class _RecordingSession:
 
 
 def test_a_stopped_mote_ignores_writes_and_connects(tmp_path, mote_key):
-    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q, p: None)
+    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q: None)
     mote.buffer.enqueue([sign_reading_envelope(mote_key, make_reading(device="mote-1"))],
                         SIM_EPOCH_MS)
     mote.start()
@@ -442,7 +442,7 @@ def test_two_motes_receive_job_before_first_sample():
 
 
 def test_config_write_that_cannot_be_stored_is_ignored(tmp_path, mote_key):
-    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q, p: None)
+    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q: None)
     unstorable = {"enabled": True, "sample_interval_ms": 30_000,
                   "sensor_params": {"temperature": {"enabled": True, "offset": float("nan")}}}
     mote.on_write(None, CHAR_CONFIG, json.dumps(unstorable).encode())
@@ -468,7 +468,7 @@ BAD_CONFIG_WRITES = [
 
 @pytest.mark.parametrize("write", BAD_CONFIG_WRITES, ids=json.dumps)
 def test_a_config_write_of_the_wrong_types_is_refused(tmp_path, mote_key, caplog, write):
-    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q, p: None)
+    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q: None)
     mote.on_write(None, CHAR_CONFIG, json.dumps(TWO_QUANTITIES).encode())
     applied = mote.config
     with caplog.at_level(logging.WARNING, logger="ambox.mote"):
@@ -495,7 +495,7 @@ TWO_QUANTITIES = {"enabled": True, "sample_interval_ms": 60_000,
 def lone_mote(directory, key, cap=None):
     """A mote with no node, set to sample two quantities a minute."""
     mote = MoteAgent(key, "node1", directory, SimScheduler(),
-                     driver_factory=lambda q, p: _SteadyDriver())
+                     driver_factory=lambda q: _SteadyDriver())
     mote.on_write(None, CHAR_CONFIG, json.dumps(TWO_QUANTITIES).encode())
     if cap is not None:
         mote.buffer.close()
@@ -547,7 +547,7 @@ def test_a_failed_append_is_retried_with_the_next_instant(tmp_path, mote_key,
 
 def test_an_ack_that_cannot_be_stored_keeps_its_entries(tmp_path, mote_key,
                                                         fail_next_fsync, caplog):
-    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q, p: None)
+    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q: None)
     envelopes = [sign_reading_envelope(mote_key, make_reading(at=t, device="mote-1"))
                  for t in (SIM_EPOCH_MS + 60_000, SIM_EPOCH_MS + 120_000)]
     mote.buffer.enqueue(envelopes, SIM_EPOCH_MS)
@@ -575,7 +575,7 @@ NOT_AN_INTEGER = [b"1e400", b"true", b'"3"', b"2.9", b"null"]
 
 @pytest.mark.parametrize("value", NOT_AN_INTEGER, ids=lambda v: v.decode())
 def test_an_ack_watermark_must_be_an_integer(tmp_path, mote_key, caplog, value):
-    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q, p: None)
+    mote = MoteAgent(mote_key, "node1", tmp_path, SimScheduler(), driver_factory=lambda q: None)
     envelopes = [sign_reading_envelope(mote_key, make_reading(at=t, device="mote-1"))
                  for t in (SIM_EPOCH_MS + 60_000, SIM_EPOCH_MS + 120_000)]
     mote.buffer.enqueue(envelopes, SIM_EPOCH_MS)

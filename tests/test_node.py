@@ -603,8 +603,8 @@ def test_one_stalling_sensor_does_not_delay_others():
     inner_factory = node.sensor_factory
     stall_at = SIM_EPOCH_MS + 3 * 60_000
 
-    def stalling_factory(quantity, params):
-        driver = inner_factory(quantity, params)
+    def stalling_factory(quantity):
+        driver = inner_factory(quantity)
         if quantity == "temperature" and driver is not None:
             return StallingDriver(driver, world.runtime, stall_at, 5 * 60_000)
         return driver
@@ -643,8 +643,8 @@ def test_out_of_range_reading_dropped():
     node = world.nodes["node1"]
     inner_factory = node.sensor_factory
 
-    def factory(quantity, params):
-        driver = inner_factory(quantity, params)
+    def factory(quantity):
+        driver = inner_factory(quantity)
         if quantity == "pressure" and driver is not None:
             return OutOfRangeDriver(driver.spec)
         return driver

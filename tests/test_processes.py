@@ -280,14 +280,21 @@ def test_config_invalid_exit_codes(tmp_path):
     {"motes": ["mote-1"]},
     {"sensors": ["temperature"]},
     {"sensors": {"temperature": 21}},
+    {"sensors": {"temperature": {"range_min": "abc"}}},
     {"motes": {"mote-1": "no-port"}},
-], ids=["root-array", "motes-list", "sensors-list", "sensor-spec-number", "mote-address"])
+    {"device_id": 5},
+], ids=["root-array", "motes-list", "sensors-list", "sensor-spec-number", "sensor-field-string",
+        "mote-address", "device-id-number"])
 def test_a_config_of_the_wrong_shape_is_invalid(tmp_path, capsys, shape):
+    # Refused before anything is written: a node that stored its state first
+    # would raise the same error at every restart.
+    data_dir = tmp_path / "data"
     if isinstance(shape, dict):
-        shape = {"role": "node", "device_id": "n", "data_dir": str(tmp_path), **shape}
+        shape = {"role": "node", "device_id": "n", "data_dir": str(data_dir), **shape}
     config = write_config(tmp_path / "node.json", shape)
     assert cli.main(["node", "--config", str(config)]) == 2
     assert "config-invalid" in capsys.readouterr().err
+    assert not data_dir.exists()
 
 
 def test_node_mote_over_real_sockets(stack):

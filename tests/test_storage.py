@@ -612,6 +612,16 @@ def test_a_non_finite_ack_is_a_corrupt_journal(tmp_path, envelopes, ack):
         DurableBuffer(tmp_path)
 
 
+def test_a_deeply_nested_journal_line_is_a_corrupt_journal(tmp_path, envelopes):
+    buf = DurableBuffer(tmp_path)
+    buf.enqueue(envelopes[:1], T0)
+    buf.close()
+    journal = tmp_path / "buffer.journal"
+    journal.write_bytes(journal.read_bytes() + b"[" * 100_000 + b"\n")
+    with pytest.raises(CorruptJournal, match="journal line 3"):
+        DurableBuffer(tmp_path)
+
+
 @pytest.mark.parametrize("field", ["ack", "seq", "enqueued_at"])
 def test_a_journal_number_of_another_type_is_a_corrupt_journal(tmp_path, envelopes, field):
     buf = DurableBuffer(tmp_path)
@@ -669,6 +679,7 @@ def _wrong_schema(raw):
 
 DAMAGE = {
     "bad-utf8": lambda raw: [b"\xff\xfe"],
+    "deeply-nested": lambda raw: [b"[" * 100_000, b'{"a":' * 100_000],
     "non-object-root": lambda raw: [b"[]", b'"text"', b"1"],
     "wrong-schema": _wrong_schema,
     "truncated": lambda raw: [raw[:cut] for cut in range(len(raw))],
