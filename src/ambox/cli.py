@@ -27,6 +27,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -263,13 +264,31 @@ def run_operator_serve(config: ProcessConfig) -> int:
                                 "operator heartbeat sink")
 
 
+# A duration fits a signed 64-bit count of milliseconds, which any reader
+# of the value can hold.
+_MAX_DURATION_MS = 2**63 - 1
+
+
 def _duration_ms(text: str) -> int:
-    """Parse '30s', '5min', '1500ms', or a bare ms count."""
-    text = text.strip()
-    for suffix, factor in (("ms", 1), ("min", 60_000), ("m", 60_000), ("s", 1000)):
-        if text.endswith(suffix):
-            return int(float(text[: -len(suffix)]) * factor)
-    return int(text)
+    """Parse '30s', '5min', '1500ms', or a bare ms count, as an argparse
+    `type`: anything but a finite, non-negative, whole number of
+    milliseconds up to `_MAX_DURATION_MS` is a usage error. The number is
+    read as a decimal, so '1.1s' is exactly 1100 ms."""
+    number, factor = text.strip(), 1
+    for suffix, unit in (("ms", 1), ("min", 60_000), ("m", 60_000), ("s", 1000)):
+        if number.endswith(suffix):
+            number, factor = number[:-len(suffix)], unit
+            break
+    try:
+        ms = Decimal(number) * factor
+        valid = ms.is_finite() and 0 <= ms <= _MAX_DURATION_MS and ms == ms.to_integral_value()
+    except ArithmeticError:     # not a number, or a signalling NaN or overflow
+        valid = False
+    if not valid:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a duration: a whole, non-negative number of milliseconds, "
+            f"or of seconds, minutes or milliseconds with s, min or ms after it")
+    return int(ms)
 
 
 def operator_command(args: argparse.Namespace) -> int:
@@ -300,7 +319,7 @@ def _operator_verb(args: argparse.Namespace, caller: HttpJsonClient,
             device_dest=args.device,
             heartbeat_address=operator_host,
             heartbeat_port=operator_port,
-            heartbeat_timeout_ms=_duration_ms(args.timeout),
+            heartbeat_timeout_ms=args.timeout,
             ledger_address=ledger_host,
             ledger_port=ledger_port,
             channel_name=args.channel,
@@ -313,8 +332,8 @@ def _operator_verb(args: argparse.Namespace, caller: HttpJsonClient,
         body = {
             "prod_id": args.prod_id,
             "batch_no": args.batch_no,
-            "sample_interval_ms": _duration_ms(args.sample_interval),
-            "report_interval_ms": _duration_ms(args.report_interval),
+            "sample_interval_ms": args.sample_interval,
+            "report_interval_ms": args.report_interval,
             "sensor_params": {q: {"enabled": True} for q in args.quantity},
         }
         start_monitoring(caller, args.device, body)
@@ -327,7 +346,7 @@ def _operator_verb(args: argparse.Namespace, caller: HttpJsonClient,
     if args.verb == "decommission":
         ledger_client = LedgerClient(requester, args.ledger) if args.ledger else None
         summary = decommission(caller, args.device, RealRuntime(), ledger_client,
-                               drain_poll_ms=1000, drain_wait_ms=_duration_ms(args.timeout))
+                               drain_poll_ms=1000, drain_wait_ms=args.timeout)
         print(json.dumps(summary))
         return 0 if summary.get("drained") else 1
     if args.verb == "fleet":
@@ -384,15 +403,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--device", default="", help="device control address host:port")
         p.add_argument("--ledger", default="", help="ledger address host:port")
         p.add_argument("--operator", default="", help="operator sink address host:port")
-        p.add_argument("--timeout", default="30s", help="heartbeat timeout / drain wait")
+        p.add_argument("--timeout", type=_duration_ms, default="30s",
+                       help="heartbeat timeout / drain wait")
         if verb == "commission":
             p.add_argument("--channel", default="ambox")
             p.add_argument("--chaincode", default="events")
         if verb == "start":
             p.add_argument("--prod-id", dest="prod_id", required=True)
             p.add_argument("--batch-no", dest="batch_no", required=True)
-            p.add_argument("--sample-interval", dest="sample_interval", default="60s")
-            p.add_argument("--report-interval", dest="report_interval", default="5min")
+            p.add_argument("--sample-interval", dest="sample_interval", type=_duration_ms,
+                           default="60s")
+            p.add_argument("--report-interval", dest="report_interval", type=_duration_ms,
+                           default="5min")
             p.add_argument("--quantity", action="append",
                            default=None, help="repeatable; default temp+hum+pressure")
         if verb == "tail-ledger":

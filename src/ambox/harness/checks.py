@@ -3,6 +3,11 @@ a pass/fail with a human-readable detail line. Scenario files reference
 checks by name; the harness always appends the conservation and submission
 accounting checks.
 
+Each check declares its parameters once, where it is defined (`@check`):
+a name, a kind and a default. A scenario file's assertions are typed by
+those declarations when it loads (`scenario._assertion`), so a check reads
+its parameters as typed values and never checks them itself.
+
 Checks read commits from the ledger's chain and world state
 (`world.commits()`, `world.ledger`), what nodes sent and were told from the
 world's `LedgerRecorder` (`world.recorder`), samples from `world.metrics`,
@@ -12,12 +17,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from ..envelope import verify_reading_signature
-from ..model import SensorReading, _require
+from ..model import _ABSENT, SensorReading
 from ..transport.faults import MODE_DOWN
-from .scenario import _dur
 
 
 @dataclass
@@ -27,13 +31,42 @@ class CheckResult:
     detail: str
 
 
+REQUIRED = _ABSENT      # the default of a parameter an assertion must give
+DURATION = "duration"   # a kind: a duration in a scenario file's units
+
+
+class Param(NamedTuple):
+    """A check parameter. Its kind is one `model._require` takes, or
+    DURATION: written `<name>_ms`, `_s` or `_min`, and passed to the check
+    in milliseconds as `<name>_ms`."""
+
+    name: str
+    kind: Any
+    default: Any = REQUIRED
+
+
+CHECKS: dict[str, Callable[[Any, dict], CheckResult]] = {}
+CHECK_PARAMS: dict[str, tuple[Param, ...]] = {}
+
+
+def check(*params: Param) -> Callable:
+    """Register a `check_<name>` function under `<name>`, with its parameters."""
+    def register(fn: Callable[[Any, dict], CheckResult]) -> Callable[[Any, dict], CheckResult]:
+        name = fn.__name__.removeprefix("check_")
+        CHECKS[name] = fn
+        CHECK_PARAMS[name] = params
+        return fn
+    return register
+
+
 def _committed_key_counter(world) -> Counter:
     return Counter((s, q, t) for s, q, t, _v, _sig, _dev in world.committed_readings())
 
 
+@check(Param("expected", int), Param("device", str, None))
 def check_sampled_per_sensor(world, params: dict) -> CheckResult:
-    expected = _require(params, "expected", int)
-    device_filter = params.get("device")
+    expected = params["expected"]
+    device_filter = params["device"]
     by_stream: Counter = Counter()
     for sample in world.metrics.samples:
         if device_filter is None or sample["device"] == device_filter:
@@ -43,6 +76,7 @@ def check_sampled_per_sensor(world, params: dict) -> CheckResult:
     return CheckResult("sampled_per_sensor", bool(by_stream) and not bad, detail)
 
 
+@check()
 def check_zero_reading_loss(world, params: dict) -> CheckResult:
     sampled = world.metrics.sample_keys()
     committed = _committed_key_counter(world)
@@ -55,6 +89,7 @@ def check_zero_reading_loss(world, params: dict) -> CheckResult:
     )
 
 
+@check()
 def check_no_ledger_duplicates(world, params: dict) -> CheckResult:
     committed = _committed_key_counter(world)
     dup_keys = {k: c for k, c in committed.items() if c > 1}
@@ -69,6 +104,7 @@ def check_no_ledger_duplicates(world, params: dict) -> CheckResult:
     )
 
 
+@check()
 def check_commit_order_nondecreasing(world, params: dict) -> CheckResult:
     last: dict[str, int] = {}
     violations = 0
@@ -81,9 +117,10 @@ def check_commit_order_nondecreasing(world, params: dict) -> CheckResult:
                        f"violations={violations}")
 
 
+@check(Param("link", str), Param("report_intervals", int, 2))
 def check_backlog_drained_within(world, params: dict) -> CheckResult:
     link = params["link"]
-    budget_intervals = _require(params, "report_intervals", int, 2)
+    budget_intervals = params["report_intervals"]
     job = world.scenario.job or {}
     interval = job.get("report_interval_ms", 300_000)
     budget = budget_intervals * interval
@@ -112,12 +149,14 @@ def check_backlog_drained_within(world, params: dict) -> CheckResult:
     )
 
 
+@check()
 def check_chain_intact(world, params: dict) -> CheckResult:
     broken = world.ledger.verify_chain()
     return CheckResult("chain_intact", broken is None,
                        "ok" if broken is None else f"broken at height {broken}")
 
 
+@check()
 def check_mote_multiset_equal(world, params: dict) -> CheckResult:
     mote_ids = set(world.motes)
     sampled = Counter(
@@ -134,6 +173,7 @@ def check_mote_multiset_equal(world, params: dict) -> CheckResult:
     )
 
 
+@check()
 def check_mote_signatures_verify(world, params: dict) -> CheckResult:
     total = 0
     bad = 0
@@ -153,24 +193,27 @@ def check_mote_signatures_verify(world, params: dict) -> CheckResult:
                        f"relayed={total} failed={bad}")
 
 
+@check(Param("expected", int))
 def check_committed_reports(world, params: dict) -> CheckResult:
-    expected = _require(params, "expected", int)
+    expected = params["expected"]
     actual = len(world.ledger.all_reports())
     return CheckResult("committed_reports", actual == expected,
                        f"expected={expected} actual={actual}")
 
 
+@check(Param("offset", DURATION))
 def check_all_commits_after(world, params: dict) -> CheckResult:
-    threshold = world.t0 + _dur(params, "offset")
+    threshold = world.t0 + params["offset_ms"]
     commits = world.commits()
     early = [t for t, _report in commits if t < threshold]
     return CheckResult("all_commits_after", bool(commits) and not early,
                        f"commits={len(commits)} early={len(early)}")
 
 
+@check(Param("device", str), Param("quantity", str, "temperature"))
 def check_node_bias_positive(world, params: dict) -> CheckResult:
     device = params["device"]
-    quantity = params.get("quantity", "temperature")
+    quantity = params["quantity"]
     errors = [s["value"] - s["truth"] for s in world.metrics.samples
               if s["device"] == device and s["quantity"] == quantity]
     mean = sum(errors) / len(errors) if errors else 0.0
@@ -178,10 +221,14 @@ def check_node_bias_positive(world, params: dict) -> CheckResult:
                        f"n={len(errors)} mean_error={mean:.3f}")
 
 
+@check(Param("device", str), Param("min_count", int, 1),
+       Param("timeout_ms", int, None))
 def check_heartbeat_liveness(world, params: dict) -> CheckResult:
     device = params["device"]
-    min_count = _require(params, "min_count", int, 1)
-    timeout = _require(params, "timeout_ms", int, world.scenario.heartbeat_timeout_ms)
+    min_count = params["min_count"]
+    timeout = params["timeout_ms"]
+    if timeout is None:
+        timeout = world.scenario.heartbeat_timeout_ms
     view = world.operator.fleet().get(device)
     count = view.beats if view else 0
     gap = view.max_gap_ms if view else None
@@ -191,6 +238,7 @@ def check_heartbeat_liveness(world, params: dict) -> CheckResult:
                        f"count={count} max_gap_ms={gap} missed_deadline={missed}")
 
 
+@check()
 def check_conservation(world, params: dict) -> CheckResult:
     sampled = sum(world.metrics.sample_keys().values())
     committed = len(world.committed_readings())
@@ -206,6 +254,7 @@ def check_conservation(world, params: dict) -> CheckResult:
     )
 
 
+@check()
 def check_submission_accounting(world, params: dict) -> CheckResult:
     submitted = len(world.recorder.submitted())
     committed = len(world.ledger.all_reports())
@@ -217,21 +266,3 @@ def check_submission_accounting(world, params: dict) -> CheckResult:
         f"submitted={submitted} committed={committed} rejected={rejected} "
         f"in_flight={in_flight}",
     )
-
-
-CHECKS: dict[str, Callable[[Any, dict], CheckResult]] = {
-    "sampled_per_sensor": check_sampled_per_sensor,
-    "zero_reading_loss": check_zero_reading_loss,
-    "no_ledger_duplicates": check_no_ledger_duplicates,
-    "commit_order_nondecreasing": check_commit_order_nondecreasing,
-    "backlog_drained_within": check_backlog_drained_within,
-    "chain_intact": check_chain_intact,
-    "mote_multiset_equal": check_mote_multiset_equal,
-    "mote_signatures_verify": check_mote_signatures_verify,
-    "committed_reports": check_committed_reports,
-    "all_commits_after": check_all_commits_after,
-    "node_bias_positive": check_node_bias_positive,
-    "heartbeat_liveness": check_heartbeat_liveness,
-    "conservation": check_conservation,
-    "submission_accounting": check_submission_accounting,
-}

@@ -7,7 +7,8 @@ fast as possible, the CI default of one virtual minute per 50 real
 milliseconds is 0.05/60.
 
 A scenario file is checked whole at load by `model`'s reader rule, sensor
-overrides included, and any refusal is a ScenarioError.
+overrides and each assertion's parameters included, and any refusal is a
+ScenarioError.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from ..model import (_NUMBER, ModelError, _check_sensor_overrides, _check_sensor
                      _require, _require_keys)
 from ..transport import LinkClass
 from ..transport.faults import FaultSchedule, FaultWindow
+from .checks import CHECK_PARAMS, DURATION, REQUIRED
 
 SCENARIO_SCHEMA = 1
 
@@ -55,7 +57,7 @@ class Scenario:
     links: tuple[LinkSpec, ...]
     faults: FaultSchedule
     job: Optional[dict] = None      # /startMonitoring body (ms-normalized)
-    assertions: tuple[dict, ...] = ()
+    assertions: tuple[dict, ...] = ()   # each as `_assertion` types it
     time_scale: float = 0.0
     drain_margin_ms: int = 180_000
     heartbeat_timeout_ms: int = 30_000
@@ -123,6 +125,29 @@ def _fault_windows(raw: list[dict]) -> FaultSchedule:
     ])
 
 
+def _assertion(obj: dict) -> dict:
+    """The assertion `obj`: its check's name, and each parameter the check
+    declares, typed, with its default if `obj` does not give it. An unknown
+    check or parameter is refused."""
+    name = _require(obj, "check", str)
+    if name not in CHECK_PARAMS:
+        raise ModelError(f"unknown check {name!r}")
+    typed: dict[str, Any] = {"check": name}
+    keys = {"check"}
+    for param in CHECK_PARAMS[name]:
+        if param.kind is DURATION:
+            keys.update(param.name + suffix for suffix, _ in _DUR_UNITS)
+            typed[param.name + "_ms"] = _dur(obj, param.name,
+                                             None if param.default is REQUIRED else param.default)
+        else:
+            keys.add(param.name)
+            typed[param.name] = _require(obj, param.name, param.kind, param.default)
+    unknown = sorted(obj.keys() - keys)
+    if unknown:
+        raise ModelError(f"check {name} has no parameter {', '.join(unknown)}")
+    return typed
+
+
 def _link(obj: dict) -> LinkSpec:
     between = _require(obj, "between", list)
     if len(between) != 2 or not all(isinstance(end, str) for end in between):
@@ -144,9 +169,6 @@ def scenario_from_obj(obj: Any, base_dir: Optional[Path] = None) -> Scenario:
         if _require(obj, "schema_version", int) != SCENARIO_SCHEMA:
             raise ModelError(f"unsupported scenario schema {obj['schema_version']!r}")
         trace = _require(obj, "trace", str, None)
-        assertions = _objects(obj, "assertions")
-        for assertion in assertions:
-            _require(assertion, "check", str)
         scenario = Scenario(
             name=_require(obj, "name", str, "unnamed"),
             span_ms=_dur(obj, "span"),
@@ -157,7 +179,7 @@ def scenario_from_obj(obj: Any, base_dir: Optional[Path] = None) -> Scenario:
             links=tuple(map(_link, _objects(obj, "links"))),
             faults=_fault_windows(_objects(obj, "faults")),
             job=None if obj.get("job") is None else _job_body(obj["job"]),
-            assertions=tuple(assertions),
+            assertions=tuple(map(_assertion, _objects(obj, "assertions"))),
             time_scale=_require(obj, "time_scale", _NUMBER, 0.0),
             drain_margin_ms=_dur(obj, "drain_margin", 180_000),
             heartbeat_timeout_ms=_dur(obj, "heartbeat_timeout", 30_000),

@@ -39,6 +39,31 @@ lock only to read the log's length and walks that prefix without it:
 commits and queries go on meanwhile, and the prefix cannot change under
 the walk because the log only grows, under the lock.
 
+Beside the block log lies the index log, `blocks.index` (a
+`storage.CheckedLog`): one record per block, its height, hash,
+`committed_at` and where its line ends in the block log, and per report its
+id, device, batch, `created_at`, whether it is in form, and where its
+`payload_b64` lies in the line. A block's record is appended, unsynced,
+just after the block, under the lock. The index log is a cache derived
+from the chain and never trusted over it: replay still hashes every line
+and checks every link. A line is vouched for when its hash is the one its
+record names, it ends where the record says, and it links to the block
+before it at the place a canonical line holds `prev_hash`. For such a line
+the walk skips the JSON parse and the re-check of its `height` and
+`committed_at`, and replay skips judging its payloads: it decodes each from
+the slice of the line its record names, which must lie between
+`"payload_b64":"` and `"`. That is sound because the hash is the one
+recorded when these very bytes were committed, or judged by an earlier
+replay: the same bytes hold the same fields and get the same verdicts. The
+first record that fails a check ends the index's use, and from that height
+on every line is walked and judged as if there were no index log, so a
+corrupt block log is refused at the same height with the same message.
+Replay then cuts the index log back to the records it used and appends the
+judged blocks' records in one write. Deleting the index log is always safe
+and costs one full replay. A valid record for a height past the block
+log's last block means the block log lost blocks it had made durable; the
+ledger warns, naming both heights, and opens all the same.
+
 Memory holds an index, not reports. Each committed report is one
 `StoredReport` of atomic values: the signed payload's bytes, the block
 height, device, batch, `created_at` and whether the payload is in the form
@@ -50,8 +75,9 @@ per-batch `GetRecent` lists hold `(-created_at, report_id)` pairs, kept
 oldest first so that a report newer than the rest, as an in-order commit
 is, is appended; a query reads them from the end. Both are filled as blocks
 are applied, live or on replay, from what `model.judge_report` finds in one
-pass over a payload without building the report. A report is decoded from
-its bytes only on request (`all_reports`).
+pass over a payload without building the report, or from a vouched block's
+index record. A report is decoded from its bytes only on request
+(`all_reports`).
 
 Ingest runs in two steps, one batch at a time (`_ingest_lock`). `_prepare`
 runs without the ledger lock: it parses each envelope, looks up its
@@ -59,11 +85,15 @@ signer's key (parsed once, when the device registers or the registry
 loads), verifies the signature and judges the payload; no commit can change
 any of these answers. `_commit` holds the lock: it checks each report id
 against the stored ones and the batch's earlier ones, then encodes, appends
-and applies the block. So a query waits for a block's append, never for a
-batch's judging; a second batch waits for the first, as concurrent judging
-would only contend for the interpreter lock. Replay judges each stored
-payload the same way: one that does not decode makes the log corrupt, one
-that breaks a report rule was committed all the same.
+and applies the block. It stamps the block with the instant the request
+came in, or with its predecessor's if that is later, so block times never
+go backwards, whatever the clock does or however requests overtake each
+other on their way to the lock. So a query waits for a block's append,
+never for a batch's judging; a second batch waits for the first, as
+concurrent judging would only contend for the interpreter lock. Replay
+judges each stored payload the index does not vouch for the same way: one
+that does not decode makes the log corrupt, one that breaks a report rule
+was committed all the same.
 
 A committed report never changes, so its `GetRecent` entry (its JSON text
 in the answer) is encoded the first time a `GetRecent` returns it, outside
@@ -85,6 +115,7 @@ itself, read back through `blocks`.
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import heapq
 import itertools
@@ -120,13 +151,14 @@ from .model import (
     in_form_wire_text,
     judge_report,
 )
-from .storage import SCHEMA_VERSION, AppendLog, read_document, write_document
+from .storage import SCHEMA_VERSION, AppendLog, CheckedLog, read_document, write_document
 from .transport import RequestClient
 
 logger = logging.getLogger(__name__)
 
 ZERO_HASH = "0" * 64
 BLOCKS_FILE = "blocks.journal"
+INDEX_FILE = "blocks.index"
 REGISTRY_FILE = "registry.json"
 
 REASON_MALFORMED = "malformed-envelope"
@@ -157,6 +189,10 @@ class CorruptLedger(LedgerError):
 # hashed core without its opening brace.
 _HASH_PREFIX = b'{"block_hash":"'
 _CORE_START = len(_HASH_PREFIX) + 64 + len(b'",')
+# Then `"committed_at":"<24 characters>","height":<height>,` and the link,
+# so in a canonical line the link starts here plus the width of the height.
+_LINK_AT = _CORE_START + len(b'"committed_at":"') + 24 + len(b'","height":,')
+_PAYLOAD_KEY = b'"payload_b64":"'
 
 
 class LedgerBlock(NamedTuple):
@@ -242,11 +278,90 @@ class StoredReport(NamedTuple):
 
 class _Prepared(NamedTuple):
     """An envelope `_prepare` accepted: its block transaction's canonical
-    text, its signed payload and the payload, judged."""
+    text, its signed payload, the payload's base64 and the payload, judged."""
 
     text: str
     payload: bytes
+    payload_b64: str
     report: JudgedReport
+
+
+def _stored(payload: bytes, report: JudgedReport, height: int) -> StoredReport:
+    return StoredReport(report.report_id, payload, height, report.device_id,
+                        report.batch_no, report.created_at, report.in_form)
+
+
+class _IndexRecord(NamedTuple):
+    """One block's line in the index log, as it was written when the block
+    was committed or judged on replay."""
+
+    height: int
+    block_hash: str
+    end: int                    # where the block's line ends in the log, past its newline
+    committed_at: int
+    # Per report: [report_id, device_id, batch_no, created_at, in_form,
+    # offset, length], the last two placing its `payload_b64` in the line.
+    reports: list[list]
+
+
+class _Vouched(NamedTuple):
+    """A block the index vouched for: its record, and each report's payload
+    decoded from the slice of the line the record names."""
+
+    record: _IndexRecord
+    payloads: list[bytes]
+
+
+class _Walked(NamedTuple):
+    """A block replay walked: the block, where its line ends in the log past
+    its newline, and the (offset, length) in its line of each transaction's
+    `payload_b64`, or None if they are not all spelled as in a canonical
+    line."""
+
+    block: LedgerBlock
+    end: int
+    spans: Optional[list[tuple[int, int]]]
+
+
+# The types of an index record's report row, checked as `_require` checks
+# a field: by type, so a bool is no integer.
+_ROW_KINDS = (str, str, str, int, bool, int, int)
+
+
+def _index_records(texts: Iterable[bytes]) -> list[_IndexRecord]:
+    """The index log's records from genesis on, typed, up to the first that
+    is not a record of the next height."""
+    records: list[_IndexRecord] = []
+    for text in texts:
+        try:
+            obj = canonical.loads_exact(str(text, "utf-8"))
+            if type(obj) is not dict:
+                break
+            record = _IndexRecord(_require(obj, "height", int), _require(obj, "hash", str),
+                                  _require(obj, "end", int), _require(obj, "committed_at", int),
+                                  _require(obj, "reports", list))
+        except ValueError:      # not UTF-8, CanonicalError or ModelError
+            break
+        if record.height != len(records) or not all(
+                type(row) is list and tuple(map(type, row)) == _ROW_KINDS
+                for row in record.reports):
+            break
+        records.append(record)
+    return records
+
+
+def _index_text(height: int, block_hash: str, end: int, committed_at: int,
+                reports: Sequence[StoredReport], spans: Sequence[tuple[int, int]]) -> bytes:
+    """`canonical.dumps` of a block's index record, written from a template:
+    its strings go through canonical's string encoder, its other values are
+    integers and booleans."""
+    string = canonical._CANONICAL_STR
+    rows = ",".join([
+        f'[{string(s.report_id)},{string(s.device_id)},{string(s.batch_no)},{s.created_at},'
+        f'{"true" if s.in_form else "false"},{offset},{length}]'
+        for s, (offset, length) in zip(reports, spans)])
+    return (f'{{"committed_at":{committed_at},"end":{end},"hash":"{block_hash}",'
+            f'"height":{height},"reports":[{rows}]}}').encode("utf-8")
 
 
 def _encode_entry(stored: StoredReport) -> str:
@@ -292,10 +407,16 @@ class Ledger:
         self._recent_by_device: dict[str, list[tuple[int, str]]] = defaultdict(list)
         self._recent_by_batch: dict[str, list[tuple[int, str]]] = defaultdict(list)
         self._tip_hash = ZERO_HASH
+        self._tip_committed_at = 0
         self._height = -1
         self._load_registry()
-        self._replay_blocks()
-        self._log = AppendLog(self._blocks_path)
+        self._index = CheckedLog(self._dir / INDEX_FILE)
+        try:
+            self._replay_blocks()
+            self._log = AppendLog(self._blocks_path)
+        except BaseException:
+            self._index.close()
+            raise
         if self._height < 0:
             self._append_block((), genesis_at_ms)
 
@@ -315,38 +436,77 @@ class Ledger:
                 self._public_keys[device_id] = None
 
     def _replay_blocks(self) -> None:
-        """Rebuild the index from the log. A transaction whose payload does
-        not decode makes the log corrupt; one that breaks a report rule was
-        still committed, and is indexed like any other."""
-        for block in _walk_blocks(AppendLog.read(self._blocks_path)):
+        """Rebuild the index from the log, taking each block the index log
+        vouches for from its record and judging the rest. A transaction
+        whose payload does not decode makes the log corrupt; one that
+        breaks a report rule was still committed, and is indexed like any
+        other. The index log is then cut back to the records used, and the
+        judged blocks' records are appended in one write."""
+        records = _index_records(self._index.records())
+        used, judged = 0, []
+        for item in _walk_blocks(AppendLog.read(self._blocks_path), records):
+            if type(item) is _Vouched:
+                record = item.record
+                self._apply_block(record.height, record.block_hash, record.committed_at, [
+                    StoredReport(row[0], payload, record.height, *row[1:5])
+                    for row, payload in zip(record.reports, item.payloads)])
+                used += 1
+                continue
+            block = item.block
             try:
                 payloads = [SignedEnvelope.from_wire_obj(tx).payload for tx in block.transactions]
-                judged = [(payload, judge_report(payload)) for payload in payloads]
+                stored = [_stored(payload, judge_report(payload), block.height)
+                          for payload in payloads]
             except (MalformedEnvelope, ModelError) as exc:
                 raise CorruptLedger(f"block {block.height}: unreadable transaction: {exc}",
                                     block.height) from exc
-            self._apply_block(block.height, block.block_hash, judged)
+            self._apply_block(block.height, block.block_hash, block.committed_at, stored)
+            if item.spans is not None:
+                judged.append(_index_text(block.height, block.block_hash, item.end,
+                                          block.committed_at, stored, item.spans))
+        if len(records) > self._height + 1:
+            logger.warning("the index log records block %d but the block log ends at block %d: "
+                           "the block log lost blocks it had made durable",
+                           records[-1].height, self._height)
+        self._write_index(judged, keep=used)
 
-    def _apply_block(self, height: int, block_hash: str,
-                     committed: Iterable[tuple[bytes, JudgedReport]]) -> None:
-        """Make the block `block_hash` at `height` the tip; `committed` pairs
-        each of its transactions' signed payload with the payload, judged."""
+    def _write_index(self, texts: list[bytes], keep: Optional[int] = None) -> None:
+        """Append records to the index log, after cutting it back to its
+        first `keep` records if `keep` is given. The block log holds all the
+        index log would, so a failure to write it fails nothing: the next
+        open judges the blocks it lacks."""
+        try:
+            if keep is not None:
+                self._index.keep(keep)
+            self._index.append(texts)
+        except OSError as exc:
+            logger.warning("index log not written from block %d on: %s", self._height, exc)
+
+    def _apply_block(self, height: int, block_hash: str, committed_at: int,
+                     stored: Iterable[StoredReport]) -> None:
+        """Make the block `block_hash` at `height` the tip, holding the
+        reports `stored`."""
         self._height = height
         self._tip_hash = block_hash
-        for payload, report in committed:
-            self._reports[report.report_id] = StoredReport(
-                report.report_id, payload, height, report.device_id,
-                report.batch_no, report.created_at, report.in_form)
+        self._tip_committed_at = committed_at
+        for report in stored:
+            self._reports[report.report_id] = report
             entry = (-report.created_at, report.report_id)
             _insert_descending(self._recent_by_device[report.device_id], entry)
             _insert_descending(self._recent_by_batch[report.batch_no], entry)
 
     def _append_block(self, prepared: Sequence[_Prepared], committed_at: int) -> None:
+        """Append the block, make it the tip, then append its index record."""
         height = self._height + 1
         block_hash, line = LedgerBlock.encode(height, self._tip_hash,
                                               (p.text for p in prepared), committed_at)
         self._log.append(line)
-        self._apply_block(height, block_hash, ((p.payload, p.report) for p in prepared))
+        stored = [_stored(p.payload, p.report, height) for p in prepared]
+        self._apply_block(height, block_hash, committed_at, stored)
+        spans = _payload_spans(line, 0, len(line) - 1, [p.payload_b64 for p in prepared])
+        if spans is not None:       # None only for a line spelled otherwise than this one
+            self._write_index([_index_text(height, block_hash, self._log.size, committed_at,
+                                           stored, spans)])
 
     # -- operations -----------------------------------------------------------
 
@@ -415,7 +575,7 @@ class Ledger:
             return Verdict("rejected", report_id=report.report_id, reason=REASON_BAD_SIGNATURE)
         wire = envelope.to_wire_obj() if raw is envelope else raw
         text = canonical.envelope_text(wire["payload_b64"], wire["signature_b64"], envelope.signer)
-        return _Prepared(text, envelope.payload, report)
+        return _Prepared(text, envelope.payload, wire["payload_b64"], report)
 
     def _commit(self, prepared: list[Verdict | _Prepared], received_at: int) -> list[Verdict]:
         """Under the lock: each prepared report whose id is neither stored
@@ -437,7 +597,9 @@ class Ledger:
                 batch_ids.add(report_id)
                 accepted.append(item)
             if accepted:
-                self._append_block(accepted, received_at)
+                # A block is never stamped before its predecessor, however
+                # the clock read when the request came in.
+                self._append_block(accepted, max(received_at, self._tip_committed_at))
         return verdicts
 
     def get_event_payload(self, report_id: str) -> Optional[str]:
@@ -553,6 +715,7 @@ class Ledger:
     def close(self) -> None:
         with self._lock:
             self._log.close()
+            self._index.close()
 
 
 def _insert_descending(entries: list[tuple[int, str]], entry: tuple[int, str]) -> None:
@@ -572,8 +735,11 @@ def _insert_descending(entries: list[tuple[int, str]], entry: tuple[int, str]) -
     entries.insert(low, entry)
 
 
-def _walk_blocks(raw: bytes | mmap.mmap) -> Iterator[LedgerBlock]:
-    """Yield the blocks of a stored block log in order.
+def _walk_blocks(raw: bytes | mmap.mmap, index: Optional[Sequence[_IndexRecord]] = None
+                 ) -> Iterator[LedgerBlock | _Vouched | _Walked]:
+    """Yield the blocks of a stored block log in order: each as a
+    `LedgerBlock`, or, for replay, which passes the index log's records as
+    `index`, as `_Vouched` or `_Walked`.
 
     `raw` is walked in place: each line is found with `find(b"\n")` and
     read through views of `raw` that live only for the call they are made
@@ -592,10 +758,16 @@ def _walk_blocks(raw: bytes | mmap.mmap) -> Iterator[LedgerBlock]:
     `transactions` an array, its `committed_at` a canonical timestamp and
     its `prev_hash` the previous block's hash. The first line that fails a
     check raises CorruptLedger carrying its height.
+
+    With `index`, a line its record vouches for (`_vouched_payloads`) is
+    not parsed: it yields the record and the payloads it places. From the
+    first line that no record vouches for on, each line is walked as above
+    and yields a `_Walked`, with where its payloads lie for its own record.
     """
     prev_hash = ZERO_HASH
     height = start = 0
     size = len(raw)
+    vouching = index is not None
     with memoryview(raw) as view:
         while start < size:
             end = raw.find(b"\n", start)
@@ -609,38 +781,109 @@ def _walk_blocks(raw: bytes | mmap.mmap) -> Iterator[LedgerBlock]:
             if raw[start:start + _CORE_START] != b"".join(
                     (_HASH_PREFIX, block_hash.encode("ascii"), b'",')):
                 raise CorruptLedger(f"block {height}: block hash mismatch", height)
-            try:
-                try:
-                    obj = canonical.loads_exact(str(view[start:end], "utf-8"))
-                    exact = True
-                except ValueError:
-                    exact = False
-                if not exact:
-                    # Outside the handler, so no error chains to the one it
-                    # caught, and released on the way out: a traceback that
-                    # keeps the parser's frame must not keep `raw` mapped.
-                    with view[start:end] as line:
-                        obj = canonical.loads(line)
-                stored_height = obj["height"]
-                if type(stored_height) is not int:
-                    raise TypeError(f"height must be an integer, "
-                                    f"got {type(stored_height).__name__}")
-                stored_prev = obj["prev_hash"]
-                transactions = obj["transactions"]
-                if type(transactions) is not list:
-                    raise TypeError(f"transactions must be an array, "
-                                    f"got {type(transactions).__name__}")
-                committed_at = canonical.parse_millis(obj["committed_at"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CorruptLedger(f"block {height}: unparseable block: {exc}", height) from exc
-            if stored_height != height:
-                raise CorruptLedger(f"block {height} has height {stored_height}", height)
-            if stored_prev != prev_hash:
-                raise CorruptLedger(f"block {height} does not link to block {height - 1}", height)
-            yield LedgerBlock(height, prev_hash, tuple(transactions), committed_at, block_hash)
+            payloads = (_vouched_payloads(raw, start, end, height, prev_hash, block_hash, index)
+                        if vouching else None)
+            if payloads is not None:
+                yield _Vouched(index[height], payloads)
+            else:
+                vouching = False
+                block = _parse_block(view, start, end, height, prev_hash, block_hash)
+                yield block if index is None else _Walked(block, end + 1, _payload_spans(
+                    raw, start, end, [tx.get("payload_b64") if type(tx) is dict else None
+                                      for tx in block.transactions]))
             prev_hash = block_hash
             height += 1
             start = end + 1
+
+
+def _parse_block(view: memoryview, start: int, end: int, height: int, prev_hash: str,
+                 block_hash: str) -> LedgerBlock:
+    """The block on the line `view[start:end]` at `height`, whose hash is
+    checked, after `prev_hash`; CorruptLedger if its fields or its link do
+    not hold."""
+    try:
+        try:
+            obj = canonical.loads_exact(str(view[start:end], "utf-8"))
+            exact = True
+        except ValueError:
+            exact = False
+        if not exact:
+            # Outside the handler, so no error chains to the one it
+            # caught, and released on the way out: a traceback that
+            # keeps the parser's frame must not keep `raw` mapped.
+            with view[start:end] as line:
+                obj = canonical.loads(line)
+        stored_height = obj["height"]
+        if type(stored_height) is not int:
+            raise TypeError(f"height must be an integer, "
+                            f"got {type(stored_height).__name__}")
+        stored_prev = obj["prev_hash"]
+        transactions = obj["transactions"]
+        if type(transactions) is not list:
+            raise TypeError(f"transactions must be an array, "
+                            f"got {type(transactions).__name__}")
+        committed_at = canonical.parse_millis(obj["committed_at"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptLedger(f"block {height}: unparseable block: {exc}", height) from exc
+    if stored_height != height:
+        raise CorruptLedger(f"block {height} has height {stored_height}", height)
+    if stored_prev != prev_hash:
+        raise CorruptLedger(f"block {height} does not link to block {height - 1}", height)
+    return LedgerBlock(height, prev_hash, tuple(transactions), committed_at, block_hash)
+
+
+def _vouched_payloads(raw: bytes | mmap.mmap, start: int, end: int, height: int,
+                      prev_hash: str, block_hash: str, index: Sequence[_IndexRecord]
+                      ) -> Optional[list[bytes]]:
+    """The payloads of the line `raw[start:end]` at `height`, which hashes
+    to `block_hash`, if the index vouches for it; else None.
+
+    Its record must name that hash and where the line ends, and the line
+    must link to `prev_hash` at the place a canonical line holds its link.
+    Each payload is decoded from the slice its record names, which must
+    lie inside the line between `"payload_b64":"` and `"`.
+    """
+    if height >= len(index) or end >= len(raw):
+        return None
+    record = index[height]
+    if record.block_hash != block_hash or record.end != end + 1:
+        return None
+    link = start + _LINK_AT + len(str(height))
+    expected = b'"prev_hash":"%s"' % prev_hash.encode("ascii")
+    if raw[link:link + len(expected)] != expected:
+        return None
+    payloads = []
+    for row in record.reports:
+        at, length = start + row[5], row[6]
+        if (at - len(_PAYLOAD_KEY) < start or length < 0 or at + length >= end
+                or raw[at - len(_PAYLOAD_KEY):at] != _PAYLOAD_KEY or raw[at + length] != 0x22):
+            return None
+        try:
+            payloads.append(base64.b64decode(raw[at:at + length], validate=True))
+        except binascii.Error:
+            return None
+    return payloads
+
+
+def _payload_spans(raw: bytes, start: int, end: int,
+                   payloads_b64: Sequence[Any]) -> Optional[list[tuple[int, int]]]:
+    """The (offset, length) in the line `raw[start:end]` of each of its
+    transactions' `payload_b64`, in order, as an index record keeps them;
+    None if one is not a string, or is not where a canonical line spells
+    it: the value of the next `"payload_b64"` key."""
+    spans = []
+    at = start
+    for payload_b64 in payloads_b64:
+        if type(payload_b64) is not str:
+            return None
+        text = payload_b64.encode("utf-8")
+        at = raw.find(_PAYLOAD_KEY, at, end) + len(_PAYLOAD_KEY)
+        if at < len(_PAYLOAD_KEY) or not raw.startswith(text, at, end) or \
+                raw[at + len(text):at + len(text) + 1] != b'"':
+            return None
+        spans.append((at - start, len(text)))
+        at += len(text)
+    return spans
 
 
 # -- wire service -------------------------------------------------------------

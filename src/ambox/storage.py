@@ -17,6 +17,12 @@ Three primitives:
   cut fail too, the next append makes it before writing, or writes nothing.
   That is the only recovery rule; a log is never cleared, only replaced
   whole.
+- `CheckedLog`: a file of checksummed lines that caches what another file
+  holds, so losing any of it costs work, never data. Nothing in it is
+  fsynced. Opening reads the leading lines whose checksum holds and ignores
+  the first that does not, with everything after it; the owner then keeps
+  as many of those records as it can use, cutting the rest, and appends
+  its own. The ledger's index log is one.
 
 Built on them here: the submission buffer (one journal of entry records,
 which may carry high-water marks, and ack records), the node config and the
@@ -30,9 +36,10 @@ import contextlib
 import itertools
 import os
 import threading
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, TypeVar, Union
+from typing import Any, Callable, Iterable, Optional, TypeVar, Union
 
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.rsa import RSAPrivateKey
@@ -172,6 +179,72 @@ class AppendLog:
                 self._torn = False
             raise
         self._end += len(lines)
+
+    def close(self) -> None:
+        self._file.close()
+
+
+class CheckedLog:
+    """A file of checksummed lines, each `<crc32 of its text as 8 hex digits>
+    <text>`, kept as a cache of what another file holds: a line may be lost,
+    torn or damaged, and its owner rebuilds what is missing from that file.
+
+    Nothing is fsynced, so a crash leaves any prefix of the appends, the
+    last one possibly torn. Opening reads the leading lines whose checksum
+    holds (`records`); a torn or damaged line, and every line after it, is
+    not read. The owner then `keep`s as many of those records as it can
+    use, which cuts the others off the file, and appends after them. An
+    append or cut that fails stops the log: later appends write nothing,
+    since the file may no longer hold every record before them. A text
+    holds no newline."""
+
+    def __init__(self, path: Path) -> None:
+        self._file = open(path, "a+b", buffering=0)
+        self._file.seek(0)
+        raw = self._file.read()
+        self._size = len(raw)
+        self._records: list[bytes] = []
+        self._ends: list[int] = []
+        self._stopped = False
+        start = 0
+        while (end := raw.find(b"\n", start)) >= 0:
+            text = raw[start + 9:end]
+            if raw[start:start + 9] != b"%08x " % zlib.crc32(text):
+                break
+            self._records.append(text)
+            self._ends.append(end + 1)
+            start = end + 1
+
+    def records(self) -> list[bytes]:
+        """The texts of the leading lines whose checksum holds, in order."""
+        return self._records
+
+    def keep(self, count: int) -> None:
+        """Cut the file back to its first `count` records."""
+        end = self._ends[count - 1] if count else 0
+        self._records, self._ends = [], []
+        if end != self._size:
+            try:
+                os.ftruncate(self._file.fileno(), end)
+            except OSError:
+                self._stopped = True
+                raise
+            self._size = end
+
+    def append(self, texts: Iterable[bytes]) -> None:
+        """Append a record per text in one write, unsynced; nothing once the
+        log has stopped."""
+        if self._stopped:
+            return
+        lines = b"".join([b"%08x %s\n" % (zlib.crc32(text), text) for text in texts])
+        try:
+            view = memoryview(lines)
+            while view:
+                view = view[os.write(self._file.fileno(), view):]
+        except OSError:
+            self._stopped = True
+            raise
+        self._size += len(lines)
 
     def close(self) -> None:
         self._file.close()

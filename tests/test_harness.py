@@ -69,6 +69,38 @@ def test_a_fault_window_of_another_type_is_a_scenario_error(tmp_path, change):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("assertion, refusal", [
+    ({"check": "committed_reports", "expected": "48"}, "expected must be an integer"),
+    ({"check": "committed_reports"}, "missing field expected"),
+    ({"check": "all_commits_after", "offset_min": "230"}, "offset_min must be a finite number"),
+    ({"check": "heartbeat_liveness", "device": "n", "min_count": True},
+     "min_count must be an integer"),
+    ({"check": "node_bias_positive", "device": None}, "device must be a string"),
+    ({"check": "committed_reports", "expected": 48, "expectd": 48},
+     "check committed_reports has no parameter expectd"),
+    ({"check": "commited_reports", "expected": 48}, "unknown check 'commited_reports'"),
+])
+def test_an_assertion_is_typed_by_its_checks_parameters_at_load(assertion, refusal):
+    scenario = {"schema_version": 1, "span_min": 2, "devices": [{"id": "n", "kind": "node"}],
+                "assertions": [assertion]}
+    with pytest.raises(ScenarioError, match=refusal):
+        scenario_from_obj(scenario)
+
+
+def test_an_assertion_is_loaded_as_its_typed_parameters_with_their_defaults():
+    scenario = scenario_from_obj({
+        "schema_version": 1, "span_min": 2, "devices": [{"id": "n", "kind": "node"}],
+        "assertions": [{"check": "all_commits_after", "offset_min": 230},
+                       {"check": "backlog_drained_within", "link": "wifi"},
+                       {"check": "heartbeat_liveness", "device": "n"},
+                       {"check": "chain_intact"}]})
+    assert scenario.assertions == (
+        {"check": "all_commits_after", "offset_ms": 13_800_000},
+        {"check": "backlog_drained_within", "link": "wifi", "report_intervals": 2},
+        {"check": "heartbeat_liveness", "device": "n", "min_count": 1, "timeout_ms": None},
+        {"check": "chain_intact"})
+
+
 def test_a_deeply_nested_scenario_file_is_a_scenario_error(tmp_path):
     path = tmp_path / "deep.json"
     path.write_bytes(b"[" * 100_000)

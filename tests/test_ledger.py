@@ -6,12 +6,14 @@ import hashlib
 import http.client
 import itertools
 import json
+import logging
 import mmap
 import random
 import sys
 import tempfile
 import threading
 import tracemalloc
+import zlib
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -1520,3 +1522,235 @@ def test_the_block_log_is_read_only_through_the_walker():
         "_blocks_path": {"Ledger.__init__", "Ledger._replay_blocks", "Ledger._mapped_log"},
         "_walk_blocks": {"Ledger._replay_blocks", "Ledger.blocks", "Ledger.verify_chain"},
     }
+
+
+# -- the index log ------------------------------------------------------------------
+
+
+INDEX = ledger_module.INDEX_FILE
+
+
+def counting_judge(monkeypatch):
+    """Count the payloads the ledger judges from now on."""
+    calls = []
+    judge = ledger_module.judge_report
+
+    def counted(payload):
+        calls.append(payload)
+        return judge(payload)
+
+    monkeypatch.setattr(ledger_module, "judge_report", counted)
+    return calls
+
+
+def test_an_index_record_is_the_canonical_dump_of_its_fields(registered, node_key, tmp_path):
+    envelopes = [env_for(node_key, i)[0] for i in range(3)]
+    registered.add_events(envelopes, T0 + 1)
+    log = (tmp_path / "ledger" / BLOCKS_FILE).read_bytes()
+    lines = (tmp_path / "ledger" / INDEX).read_bytes().split(b"\n")
+    assert lines[-1] == b"" and len(lines) == 3
+    checksum, _, text = lines[1].partition(b" ")
+    assert checksum == b"%08x" % zlib.crc32(text)
+    record = canonical.loads(text)
+    assert canonical.dumps(record) == text
+    assert record["height"] == 1 and record["end"] == len(log)
+    assert record["committed_at"] == T0 + 1
+    assert record["hash"] == registered.blocks()[1].block_hash
+    start = log.rstrip(b"\n").rfind(b"\n") + 1
+    for envelope, row in zip(envelopes, record["reports"]):
+        report = decode_report(envelope.payload)
+        offset, length = row[5:]
+        assert row[:5] == [report.report_id, report.device_id, report.batch_no,
+                           report.created_at, True]
+        assert log[start + offset:start + offset + length].decode() == \
+            envelope.to_wire_obj()["payload_b64"]
+
+
+def test_an_open_judges_only_the_blocks_the_index_log_does_not_vouch_for(
+        registered, node_key, tmp_path, monkeypatch):
+    for i in range(6):
+        registered.add_events([env_for(node_key, 2 * i)[0], env_for(node_key, 2 * i + 1)[0]],
+                              T0 + i)
+    registered.close()
+    directory = tmp_path / "ledger"
+    index = directory / INDEX
+    whole = index.read_bytes()
+    judged = counting_judge(monkeypatch)
+
+    def reopened_judging() -> int:
+        del judged[:]
+        reopened = Ledger(directory)
+        assert reopened.world_state_bytes() == registered.world_state_bytes()
+        reopened.close()
+        assert index.read_bytes() == whole     # rebuilt as it was
+        return len(judged)
+
+    assert reopened_judging() == 0
+    index.unlink()
+    assert reopened_judging() == 12
+    for cut in (1, 2, 5):
+        index.write_bytes(b"".join(whole.splitlines(keepends=True)[:-cut]))
+        assert reopened_judging() == 2 * cut
+
+
+def test_an_index_ahead_of_the_block_log_is_warned_of(registered, node_key, tmp_path, caplog):
+    # Six committed blocks after genesis, then the block log loses the last two.
+    for i in range(6):
+        registered.add_events([env_for(node_key, i)[0]], T0 + i)
+    registered.close()
+    path = tmp_path / "ledger" / BLOCKS_FILE
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:5]))
+    with caplog.at_level(logging.WARNING, logger="ambox.ledger"):
+        reopened = Ledger(tmp_path / "ledger")
+    assert reopened.height == 4
+    assert reopened.verify_chain() is None
+    assert [r.getMessage() for r in caplog.records] == [
+        "the index log records block 6 but the block log ends at block 4: "
+        "the block log lost blocks it had made durable"]
+    reopened.close()
+
+
+def test_block_times_never_go_backwards_however_the_clock_steps(registered, node_key, tmp_path):
+    instants = iter([T0 + 500, T0 + 100, T0 + 900, T0 + 300, T0 + 50, T0 + 200])
+    service = LedgerService(registered, clock=lambda: next(instants))
+    serial = itertools.count()
+
+    def add_one(service):
+        envelope = env_for(node_key, next(serial))[0]
+        request = {"op": "AddEvents", "args": {"envelopes": [envelope.to_wire_obj()]}}
+        assert json.loads(service.handle("x", json.dumps(request).encode()))["ok"] is True
+
+    for _ in range(4):
+        add_one(service)
+    registered.close()
+    for keep_index in (True, False):
+        if not keep_index:
+            (tmp_path / "ledger" / INDEX).unlink()
+        reopened = Ledger(tmp_path / "ledger")
+        add_one(LedgerService(reopened, clock=lambda: next(instants)))
+        reopened.close()
+    times = [block.committed_at for block in Ledger(tmp_path / "ledger").blocks()]
+    assert times == [T0, T0 + 500, T0 + 500, T0 + 900, T0 + 900, T0 + 900, T0 + 900]
+
+
+@pytest.fixture(scope="module")
+def index_pool(node_key, other_key):
+    """Signed reports for random histories: two devices, three batches,
+    created out of order, with ties."""
+    envelopes = []
+    for serial in range(10):
+        key = (node_key, other_key)[serial % 2]
+        base = make_report(device=key.device_id, report_id=f"r-{serial:02d}",
+                           created_at=T0 + 600_000 + (serial * 7 % 4) * 1000, n_readings=2)
+        envelopes.append(sign(key, dataclasses.replace(base, batch_no=f"B-{serial % 3}")))
+    return envelopes
+
+
+def history_ledger(directory, keys, envelopes, cuts, clock_at=0):
+    """A closed ledger in `directory` holding `envelopes` in blocks of `cuts` sizes."""
+    ledger = Ledger(directory, genesis_at_ms=T0)
+    for key in keys:
+        ledger.register_device(identity_of(key))
+    start = 0
+    for k, cut in enumerate(cuts):
+        ledger.add_events(envelopes[start:start + cut], T0 + clock_at + k)
+        start += cut
+    ledger.close()
+
+
+def opened_state(directory, report_ids):
+    """What a ledger opened on `directory` holds and answers, or how it refuses to open."""
+    try:
+        ledger = Ledger(directory)
+    except CorruptLedger as exc:
+        return ("corrupt", exc.height, str(exc))
+    service = LedgerService(ledger, clock=lambda: T0)
+    requests = [{"op": "GetEvent", "args": {"report_id": rid}} for rid in report_ids]
+    requests += [{"op": "GetRecent", "args": {field: value, "limit": limit}}
+                 for field, values in (("device_id", ("node-1", "node-2")),
+                                       ("batch_no", ("B-0", "B-1", "B-2")))
+                 for value in values for limit in (1, 3, 100)]
+    requests.append({"op": "GetRecent", "args": {"limit": 100}})
+    answers = [service.handle("x", json.dumps(request).encode()) for request in requests]
+    state = ledger.world_state_bytes()
+    ledger.close()
+    return (state, answers)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "flipped", "dropped", "foreign", "spliced",
+                                    "moved slice", "log cut", "log replaced", "log edited"])
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_damaged_index_log_never_changes_what_the_ledger_opens_to(
+        node_key, other_key, index_pool, damage, data):
+    keys = (node_key, other_key)
+    reports = data.draw(st.permutations(index_pool), "order")
+    reports = reports[:data.draw(st.integers(0, len(reports)), "reports")]
+    cuts = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=len(reports) or 1), "cuts")
+    report_ids = [report_id_of(e) for e in index_pool]
+    with tempfile.TemporaryDirectory() as root:
+        directory, other = Path(root) / "ledger", Path(root) / "other"
+        history_ledger(directory, keys, reports, cuts)
+        index = directory / INDEX
+        raw = index.read_bytes()
+        lines = raw.splitlines(keepends=True)
+        if damage == "truncated":
+            index.write_bytes(raw[:data.draw(st.integers(0, len(raw)), "cut")])
+        elif damage == "flipped":
+            at = data.draw(st.integers(0, len(raw) - 1), "at")
+            flip = data.draw(st.integers(1, 255), "flip")
+            index.write_bytes(raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:])
+        elif damage == "dropped":
+            del lines[data.draw(st.integers(0, len(lines) - 1), "dropped")]
+            index.write_bytes(b"".join(lines))
+        elif damage in ("foreign", "spliced"):
+            # A record of the same height from a ledger of another history;
+            # spliced, its block too, which links to that ledger's chain.
+            history_ledger(other, keys, list(reversed(reports)), cuts, clock_at=1)
+            foreign = (other / INDEX).read_bytes().splitlines(keepends=True)
+            at = data.draw(st.integers(0, min(len(lines), len(foreign)) - 1), "replaced")
+            lines[at] = foreign[at]
+            index.write_bytes(b"".join(lines))
+            if damage == "spliced":
+                blocks = (directory / BLOCKS_FILE).read_bytes().splitlines(keepends=True)
+                blocks[at] = (other / BLOCKS_FILE).read_bytes().splitlines(keepends=True)[at]
+                (directory / BLOCKS_FILE).write_bytes(b"".join(blocks))
+        elif damage == "moved slice":
+            # A record whose checksum holds but whose payload slice is moved.
+            at = data.draw(st.integers(1, len(lines) - 1) if len(lines) > 1 else st.just(0),
+                           "record")
+            record = canonical.loads(lines[at][9:])
+            if record["reports"]:
+                # Moved by whole base64 quanta, the slice still decodes.
+                row = data.draw(st.sampled_from(record["reports"]), "report")
+                offset, length = data.draw(st.sampled_from(
+                    [(0, -4), (4, -4), (8, -12), (-4, 4), (1, 0), (0, 1)]), "moved by")
+                row[5] += offset
+                row[6] += length
+            text = canonical.dumps(record)
+            lines[at] = b"%08x %s\n" % (zlib.crc32(text), text)
+            index.write_bytes(b"".join(lines))
+        else:
+            # The block log changes under the index that was written for it.
+            log = directory / BLOCKS_FILE
+            blocks = log.read_bytes().splitlines(keepends=True)
+            if damage == "log cut":
+                log.write_bytes(b"".join(blocks[:data.draw(st.integers(1, len(blocks)), "kept")]))
+            elif damage == "log replaced":
+                # Another history that shares a prefix of this one's blocks.
+                shared = data.draw(st.integers(0, len(cuts)), "shared blocks")
+                rest = [e for e in index_pool if e not in reports[:sum(cuts[:shared])]]
+                history_ledger(other, keys, reports[:sum(cuts[:shared])] + rest,
+                               cuts[:shared] + [1] * data.draw(st.integers(0, 3), "more"))
+                log.write_bytes((other / BLOCKS_FILE).read_bytes())
+            else:
+                flat = b"".join(blocks)
+                at = data.draw(st.integers(0, len(flat) - 1), "at")
+                byte = data.draw(st.integers(0, 255).filter(lambda b: b != flat[at]), "byte")
+                log.write_bytes(flat[:at] + bytes([byte]) + flat[at + 1:])
+        log_before = (directory / BLOCKS_FILE).read_bytes()
+        damaged = opened_state(directory, report_ids)
+        # A full replay of the same block log, with no index log at all.
+        (directory / BLOCKS_FILE).write_bytes(log_before)
+        index.unlink()
+        assert damaged == opened_state(directory, report_ids)

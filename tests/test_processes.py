@@ -275,6 +275,21 @@ def test_config_invalid_exit_codes(tmp_path):
     assert "harness" in result.stderr
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "-5s", "1e400", "1e999999min", "1.5ms"])
+def test_an_operator_duration_that_is_not_one_is_a_usage_error(value):
+    result = run_cli("operator", "start", "--device", "127.0.0.1:9", "--prod-id", "p",
+                     "--batch-no", "b", "--sample-interval", value)
+    assert result.returncode == 2
+    assert "error: argument --sample-interval: " in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_operator_durations_are_read_in_their_units():
+    texts = ("30s", "5min", "2m", "1500ms", "1500", "1.1s", "0")
+    assert [cli._duration_ms(text) for text in texts] == [
+        30_000, 300_000, 120_000, 1_500, 1_500, 1_100, 0]
+
+
 @pytest.mark.parametrize("shape", [
     [1],
     {"motes": ["mote-1"]},

@@ -57,7 +57,10 @@ SCENARIO = {
         "report_interval_min": 5.0,
         "sensor_params": {"temperature": {"enabled": True}},
     },
-    "assertions": [{"check": "zero_reading_loss"}],
+    "assertions": [{"check": "zero_reading_loss"},
+                   {"check": "committed_reports", "expected": 48},
+                   {"check": "all_commits_after", "offset_min": 230.0},
+                   {"check": "heartbeat_liveness", "device": "node1", "timeout_ms": 30_000}],
 }
 
 PROCESS_CONFIG = {

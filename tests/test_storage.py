@@ -4,6 +4,7 @@ import json
 import os
 import random
 import socketserver
+import zlib
 from collections import deque
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from ambox.mote import MoteConfig, load_mote_config, save_mote_config
 from ambox.storage import (
     ACK_FILE,
     AppendLog,
+    CheckedLog,
     COMPACT_FLOOR,
     CONFIG_FILE,
     KEY_FILE,
@@ -338,6 +340,45 @@ def test_no_append_lands_behind_torn_bytes(tmp_path, tear_next_write, monkeypatc
     log.append(b"six\n")
     log.close()
     assert AppendLog.read(path) == b"one\nthree\nsix\n"
+
+
+def test_a_checked_log_reads_up_to_its_first_line_whose_checksum_fails(tmp_path, monkeypatch):
+    path = tmp_path / "index"
+    log = CheckedLog(path)
+    assert log.records() == []
+    synced = []
+    monkeypatch.setattr(os, "fsync", synced.append)
+    log.append([b"one", b"two"])
+    log.append([b"three"])
+    log.close()
+    raw = path.read_bytes()
+    assert raw == b"".join(b"%08x %s\n" % (zlib.crc32(t), t) for t in (b"one", b"two", b"three"))
+    assert synced == []
+    second = raw.index(b"\n") + 1
+    for at in range(second, raw.index(b"\n", second) + 1):
+        # A flipped byte anywhere in the second line, or the log cut there.
+        damaged = bytearray(raw)
+        damaged[at] ^= 0x20
+        for content in (bytes(damaged), raw[:at]):
+            path.write_bytes(content)
+            log = CheckedLog(path)
+            assert log.records() == [b"one"]
+            log.keep(1)
+            log.append([b"four"])
+            log.close()
+            assert CheckedLog(path).records() == [b"one", b"four"]
+
+
+def test_a_checked_log_that_fails_to_append_stops(tmp_path, tear_next_write):
+    path = tmp_path / "index"
+    log = CheckedLog(path)
+    log.append([b"one"])
+    tear_next_write()
+    with pytest.raises(OSError):
+        log.append([b"two"])
+    log.append([b"three"])      # not behind a record that may be missing
+    log.close()
+    assert CheckedLog(path).records() == [b"one"]
 
 
 def test_torn_journal_tail_is_dropped_at_every_offset(tmp_path, envelopes, monkeypatch):
