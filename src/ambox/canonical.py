@@ -4,11 +4,13 @@ wire, for what is sent.
 Canonical bytes are UTF-8 JSON with sorted keys, no insignificant whitespace,
 shortest round-trip floats and RFC 3339 UTC millisecond timestamps, so equal
 values give identical bytes and signatures and block hashes stay stable.
-Wire text is `json.dumps(obj, sort_keys=True)`. This module holds the one
-JSON parse: every file and message AmBox reads is parsed here, and every
-refusal, nesting too deep included, is a CanonicalError. `wire_loads` also
-refuses a message that is not one JSON object, and each receiver answers
-that refusal its own way. What the parsed value must hold is `model`'s rule.
+Wire text is `json.dumps(obj, sort_keys=True)`, but a signed payload is sent
+as it was signed: a `GetRecent` answer holds each report as its payload's
+text, never spelled again as wire text. This module holds the one JSON
+parse: every file and message AmBox reads is parsed here, and every refusal,
+nesting too deep included, is a CanonicalError. `wire_loads` also refuses a
+message that is not one JSON object, and each receiver answers that refusal
+its own way. What the parsed value must hold is `model`'s rule.
 
 A signed envelope `{"payload_b64", "signature_b64", "signer"}` has both
 spellings written from a template (`envelope_text`, `envelope_wire_text`):

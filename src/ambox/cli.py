@@ -33,8 +33,10 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .canonical import wire_loads
 from .envelope import generate_keypair
-from .model import HUMIDITY, PRESSURE, TEMPERATURE, _check_sensor_overrides, _require
+from .model import (HUMIDITY, PRESSURE, TEMPERATURE, ModelError, _check_sensor_overrides,
+                    _require)
 from .storage import KEY_FILE, CorruptConfig, load_private_key, save_private_key
+from .transport import TransportError
 from .transport.tcp import TcpRequestClient, parse_hostport
 
 if TYPE_CHECKING:
@@ -292,13 +294,16 @@ def _duration_ms(text: str) -> int:
 
 
 def operator_command(args: argparse.Namespace) -> int:
+    """Run one operator verb; a peer that cannot be reached, or that answers
+    what cannot be read, is an `error:` line and exit code 1."""
     from .fleet import OperatorError
+    from .ledger import LedgerClientError
     from .transport.http import HttpJsonClient
 
     requester = TcpRequestClient()
     try:
         return _operator_verb(args, HttpJsonClient(), requester)
-    except OperatorError as exc:
+    except (OperatorError, TransportError, LedgerClientError, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

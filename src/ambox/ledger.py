@@ -42,42 +42,40 @@ the walk because the log only grows, under the lock.
 Beside the block log lies the index log, `blocks.index` (a
 `storage.CheckedLog`): one record per block, its height, hash,
 `committed_at` and where its line ends in the block log, and per report its
-id, device, batch, `created_at`, whether it is in form, and where its
-`payload_b64` lies in the line. A block's record is appended, unsynced,
-just after the block, under the lock. The index log is a cache derived
-from the chain and never trusted over it: replay still hashes every line
-and checks every link. A line is vouched for when its hash is the one its
-record names, it ends where the record says, and it links to the block
-before it at the place a canonical line holds `prev_hash`. For such a line
-the walk skips the JSON parse and the re-check of its `height` and
-`committed_at`, and replay skips judging its payloads: it decodes each from
-the slice of the line its record names, which must lie between
-`"payload_b64":"` and `"`. That is sound because the hash is the one
-recorded when these very bytes were committed, or judged by an earlier
-replay: the same bytes hold the same fields and get the same verdicts. The
-first record that fails a check ends the index's use, and from that height
-on every line is walked and judged as if there were no index log, so a
-corrupt block log is refused at the same height with the same message.
-Replay then cuts the index log back to the records it used and appends the
-judged blocks' records in one write. Deleting the index log is always safe
-and costs one full replay. A valid record for a height past the block
-log's last block means the block log lost blocks it had made durable; the
-ledger warns, naming both heights, and opens all the same.
+id, device, batch, `created_at` and where its `payload_b64` lies in the
+line. A block's record is appended, unsynced, just after the block, under
+the lock. The index log is a cache derived from the chain and never trusted
+over it: replay still hashes every line and checks every link. A line is
+vouched for when its hash is the one its record names, it ends where the
+record says, and it links to the block before it at the place a canonical
+line holds `prev_hash`. For such a line the walk skips the JSON parse and
+the re-check of its `height` and `committed_at`, and replay skips judging
+its payloads: it decodes each from the slice of the line its record names,
+which must lie between `"payload_b64":"` and `"`. That is sound because the
+hash is the one recorded when these very bytes were committed, or judged by
+an earlier replay: the same bytes hold the same fields and get the same
+verdicts. The first record that fails a check ends the index's use, and from
+that height on every line is walked and judged as if there were no index
+log, so a corrupt block log is refused at the same height with the same
+message. Replay then cuts the index log back to the records it used and
+appends the judged blocks' records in one write. Deleting the index log is
+always safe and costs one full replay. A valid record for a height past the
+block log's last block means the block log lost blocks it had made durable;
+the ledger warns, naming both heights, and opens all the same.
 
 Memory holds an index, not reports. Each committed report is one
 `StoredReport` of atomic values: the signed payload's bytes, the block
-height, device, batch, `created_at` and whether the payload is in the form
-`EventReport.to_obj` writes. Ingest and replay have those bytes already,
-from `SignedEnvelope.from_wire_obj`; base64 has one accepted spelling, so
-`GetEvent` and `world_state_bytes` spell it again with `b64encode`, outside
-the lock, and give the base64 that was committed. The per-device and
-per-batch `GetRecent` lists hold `(-created_at, report_id)` pairs, kept
-oldest first so that a report newer than the rest, as an in-order commit
-is, is appended; a query reads them from the end. Both are filled as blocks
-are applied, live or on replay, from what `model.judge_report` finds in one
-pass over a payload without building the report, or from a vouched block's
-index record. A report is decoded from its bytes only on request
-(`all_reports`).
+height, device, batch and `created_at`. Ingest and replay have those bytes
+already, from `SignedEnvelope.from_wire_obj`; base64 has one accepted
+spelling, so `GetEvent` and `world_state_bytes` spell it again with
+`b64encode`, outside the lock, and give the base64 that was committed. The
+per-device and per-batch `GetRecent` lists hold `(-created_at, report_id)`
+pairs, kept oldest first so that a report newer than the rest, as an
+in-order commit is, is appended; a query reads them from the end. Both are
+filled as blocks are applied, live or on replay, from what
+`model.judge_report` finds in one pass over a payload without building the
+report, or from a vouched block's index record. A report is decoded from its
+bytes only on request (`all_reports`).
 
 Ingest runs in two steps, one batch at a time (`_ingest_lock`). `_prepare`
 runs without the ledger lock: it parses each envelope, looks up its
@@ -95,17 +93,15 @@ judges each stored payload the index does not vouch for the same way: one
 that does not decode makes the log corrupt, one that breaks a report rule
 was committed all the same.
 
-A committed report never changes, so its `GetRecent` entry (its JSON text
-in the answer) is encoded the first time a `GetRecent` returns it, outside
-the ledger lock, and then kept in a dict beside the index. A payload in
-form is written from its own parse of the stored bytes through the
-report's template (`model.in_form_wire_text`), any other through
-`decode_report`: one parse and one encode per report. Ingest and replay
-encode none. `LedgerService` writes each ok answer from its result's text,
-so an answer of remembered entries costs a join, and a `GetEvent` answer is
-written from a template around the payload's base64, which needs no
-escaping; the bytes of either are what `canonical.wire_text` of the whole
-answer would be.
+A signed payload is sent as it was signed. A `GetRecent` answer holds each
+report as the JSON text of its committed payload, which the judge parsed as
+one JSON object, so the answer is joined from the stored bytes, with no
+parse, encode or cache per report; a client decodes each through
+`EventReport.from_obj` as it would decode the payload itself. A `GetEvent`
+answer is written from a template around the payload's base64, which needs
+no escaping. `LedgerService` writes each ok answer from its result's text,
+so the bytes of any answer other than `GetRecent` are what
+`canonical.wire_text` of the whole answer would be.
 
 The ledger keeps no record of its verdicts beyond the reply to each
 `AddEvents`: what was committed, in which order and when is the chain
@@ -148,7 +144,6 @@ from .model import (
     _require,
     _require_keys,
     decode_report,
-    in_form_wire_text,
     judge_report,
 )
 from .storage import SCHEMA_VERSION, AppendLog, CheckedLog, read_document, write_document
@@ -268,7 +263,6 @@ class StoredReport(NamedTuple):
     device_id: str
     batch_no: str
     created_at: int
-    in_form: bool               # as `JudgedReport.in_form`
 
     @property
     def report(self) -> EventReport:
@@ -288,7 +282,7 @@ class _Prepared(NamedTuple):
 
 def _stored(payload: bytes, report: JudgedReport, height: int) -> StoredReport:
     return StoredReport(report.report_id, payload, height, report.device_id,
-                        report.batch_no, report.created_at, report.in_form)
+                        report.batch_no, report.created_at)
 
 
 class _IndexRecord(NamedTuple):
@@ -299,8 +293,8 @@ class _IndexRecord(NamedTuple):
     block_hash: str
     end: int                    # where the block's line ends in the log, past its newline
     committed_at: int
-    # Per report: [report_id, device_id, batch_no, created_at, in_form,
-    # offset, length], the last two placing its `payload_b64` in the line.
+    # Per report: [report_id, device_id, batch_no, created_at, offset,
+    # length], the last two placing its `payload_b64` in the line.
     reports: list[list]
 
 
@@ -325,7 +319,7 @@ class _Walked(NamedTuple):
 
 # The types of an index record's report row, checked as `_require` checks
 # a field: by type, so a bool is no integer.
-_ROW_KINDS = (str, str, str, int, bool, int, int)
+_ROW_KINDS = (str, str, str, int, int, int)
 
 
 def _index_records(texts: Iterable[bytes]) -> list[_IndexRecord]:
@@ -354,23 +348,14 @@ def _index_text(height: int, block_hash: str, end: int, committed_at: int,
                 reports: Sequence[StoredReport], spans: Sequence[tuple[int, int]]) -> bytes:
     """`canonical.dumps` of a block's index record, written from a template:
     its strings go through canonical's string encoder, its other values are
-    integers and booleans."""
+    integers."""
     string = canonical._CANONICAL_STR
     rows = ",".join([
         f'[{string(s.report_id)},{string(s.device_id)},{string(s.batch_no)},{s.created_at},'
-        f'{"true" if s.in_form else "false"},{offset},{length}]'
+        f'{offset},{length}]'
         for s, (offset, length) in zip(reports, spans)])
     return (f'{{"committed_at":{committed_at},"end":{end},"hash":"{block_hash}",'
             f'"height":{height},"reports":[{rows}]}}').encode("utf-8")
-
-
-def _encode_entry(stored: StoredReport) -> str:
-    """A stored report's `GetRecent` entry, `wire_text(report.to_obj())`. A
-    payload in form is that object already, so its own parse is written,
-    from the report's template."""
-    if stored.in_form:
-        return in_form_wire_text(canonical.loads(stored.payload))
-    return wire_text(decode_report(stored.payload).to_obj())
 
 
 def _b64(payload: bytes) -> str:
@@ -398,9 +383,6 @@ class Ledger:
         # Parsed once per device; None for a stored PEM that does not parse.
         self._public_keys: dict[str, Optional[RSAPublicKey]] = {}
         self._reports: dict[str, StoredReport] = {}
-        # Each report's GetRecent entry, encoded the first time an answer
-        # holds it (see `entries`).
-        self._entries: dict[str, str] = {}
         # GetRecent indexes: (-created_at, report_id) in descending order, so
         # read from the end they give newest first with ties broken by report
         # id (see `_insert_descending`).
@@ -448,7 +430,7 @@ class Ledger:
             if type(item) is _Vouched:
                 record = item.record
                 self._apply_block(record.height, record.block_hash, record.committed_at, [
-                    StoredReport(row[0], payload, record.height, *row[1:5])
+                    StoredReport(row[0], payload, record.height, *row[1:4])
                     for row, payload in zip(record.reports, item.payloads)])
                 used += 1
                 continue
@@ -629,20 +611,6 @@ class Ledger:
                        if (device_id is None or s.device_id == device_id)
                        and (batch_no is None or s.batch_no == batch_no))
             return list(itertools.islice(matches, limit))
-
-    def entries(self, stored: Iterable[StoredReport]) -> list[str]:
-        """The `GetRecent` entries of stored reports. An entry is encoded the
-        first time an answer holds its report, outside the lock, and then
-        kept: a committed report never changes. Two first uses at once encode
-        it twice, to the same text."""
-        entries = self._entries
-        texts = []
-        for s in stored:
-            text = entries.get(s.report_id)
-            if text is None:
-                text = entries[s.report_id] = _encode_entry(s)
-            texts.append(text)
-        return texts
 
     def all_reports(self) -> list[EventReport]:
         """Every stored report, decoded, in report id order."""
@@ -854,7 +822,7 @@ def _vouched_payloads(raw: bytes | mmap.mmap, start: int, end: int, height: int,
         return None
     payloads = []
     for row in record.reports:
-        at, length = start + row[5], row[6]
+        at, length = start + row[4], row[5]
         if (at - len(_PAYLOAD_KEY) < start or length < 0 or at + length >= end
                 or raw[at - len(_PAYLOAD_KEY):at] != _PAYLOAD_KEY or raw[at + length] != 0x22):
             return None
@@ -925,8 +893,10 @@ class LedgerService:
 
     @staticmethod
     def _ok(result: str, obj: dict) -> bytes:
-        """The bytes of `wire_dumps({"ok": True, "result": ..., echoes})`,
-        written from the result's text: "result" sorts after every other key."""
+        """The ok answer, written around the result's JSON text: "result"
+        sorts after every other key, so it ends the answer. For a result that
+        is `wire_text` of an object, these are the bytes of
+        `wire_dumps({"ok": True, "result": ..., echoes})`."""
         head = wire_text({"ok": True, **_echoes(obj)})
         return f'{head[:-1]}, "result": {result}}}'.encode("utf-8")
 
@@ -947,8 +917,8 @@ class LedgerService:
                 batch_no=args.get("batch_no"),
                 limit=_require(args, "limit", int, 10),
             )
-            # The text of wire_text({"reports": [s.report.to_obj() for s in stored]}).
-            return '{"reports": [' + ", ".join(self.ledger.entries(stored)) + "]}"
+            # Each report as the JSON text it was signed in.
+            return '{"reports": [' + str(b", ".join([s.payload for s in stored]), "utf-8") + "]}"
         if op == OP_REGISTER_DEVICE:
             identity = DeviceIdentity.from_obj(args["identity"])
             return wire_text({"registration": self.ledger.register_device(identity)})

@@ -9,9 +9,8 @@ Every reading, alone or in a report, is decoded by one function and encoded
 by one; within a report each distinct timestamp is parsed or formatted once.
 The decoder takes a report's whole readings list in one loop. The ledger
 judges a signed payload with `judge_report`, which applies the decoder's
-rules and `validate_report`'s invariants without building the report, and
-writes the wire text of a payload it found in form from a template
-(`in_form_wire_text`), as it is that encoder's output already.
+rules and `validate_report`'s invariants without building the report. The
+ledger encodes no report: it serves each one as the payload it committed.
 
 One reader rule: every field AmBox takes in from a file, a peer or an
 operator is typed by `_require` where it enters, never converted to fit. A
@@ -123,7 +122,7 @@ class SensorReading:
     @classmethod
     def from_obj(cls, obj: Any, signature_b64: Optional[str] = None) -> "SensorReading":
         """A given `signature_b64` (a relayed reading's) replaces the one in `obj`."""
-        (row,), _ = _decode_readings([obj], {})
+        (row,) = _decode_readings([obj], {})
         if signature_b64 is not None:
             row = row[:4] + (signature_b64,)
         return _built_reading(*row)
@@ -161,7 +160,7 @@ class EventReport:
         instants: dict[str, int] = {}
         report_id, device_id, product_id, batch_no, created_at, readings = \
             _report_fields(obj, instants)
-        rows, _ = _decode_readings(readings, instants)
+        rows = _decode_readings(readings, instants)
         report = object.__new__(cls)
         fields = report.__dict__
         fields["report_id"] = report_id
@@ -195,12 +194,10 @@ def _report_fields(obj: Any, instants: dict[str, int]
 _Row = tuple[str, float, int, str, Optional[str]]
 
 
-def _decode_readings(readings: list, instants: dict[str, int]) -> tuple[list[_Row], bool]:
+def _decode_readings(readings: list, instants: dict[str, int]) -> list[_Row]:
     """The one reading decoder: each reading object's quantity, value,
-    instant, source and signature, in list order, and whether every reading
-    is in the form `_encode_reading` writes (a float value, no null
-    signature, no other key); or ModelError. `instants` memoizes timestamps
-    across a report.
+    instant, source and signature, in list order; or ModelError. `instants`
+    memoizes timestamps across a report.
 
     A reading whose fields all have their exact JSON types is read in place.
     Any other goes through `_reading_fields`, so a refusal keeps its
@@ -208,7 +205,6 @@ def _decode_readings(readings: list, instants: dict[str, int]) -> tuple[list[_Ro
     judge reads a report's readings through it too."""
     rows: list[_Row] = []
     append = rows.append
-    in_form = True
     for obj in readings:
         if type(obj) is dict:
             try:
@@ -217,8 +213,7 @@ def _decode_readings(readings: list, instants: dict[str, int]) -> tuple[list[_Ro
             except KeyError:
                 pass                            # refused below, naming each missing field
             else:
-                n = len(obj)
-                signature = None if n == 4 else obj.get("signature_b64")
+                signature = None if len(obj) == 4 else obj.get("signature_b64")
                 if (type(value) is float and type(quantity) is str and type(source_device) is str
                         and type(stamp) is str and (signature is None or type(signature) is str)):
                     # The field checks would pass up to the instant, so its
@@ -226,15 +221,10 @@ def _decode_readings(readings: list, instants: dict[str, int]) -> tuple[list[_Ro
                     sampled_at = instants.get(stamp)
                     if sampled_at is None:
                         sampled_at = instants[stamp] = canonical.parse_millis(stamp)
-                    if n != (4 if signature is None else 5):
-                        in_form = False         # `to_obj` drops a null and any other key
                     append((quantity, value, sampled_at, source_device, signature))
                     continue
-        row = _reading_fields(obj, instants)
-        if type(obj["value"]) is not float or len(obj) != (4 if row[4] is None else 5):
-            in_form = False                     # `to_obj` writes a float, drops a null
-        append(row)
-    return rows, in_form
+        append(_reading_fields(obj, instants))
+    return rows
 
 
 def _built_reading(quantity: str, value: float, sampled_at: int, source_device: str,
@@ -292,45 +282,6 @@ def _encode_reading(reading: SensorReading, stamps: dict[int, str],
     return obj
 
 
-# The wire's string encoder, and the float spelling `json` writes for a finite float.
-_WIRE_STR = canonical._WIRE_STR
-_FLOAT_REPR = float.__repr__
-
-# The keys `in_form_wire_text` spells, in the sorted order `json` writes them.
-# It is a second spelling of the format `to_obj` and `_encode_reading` write,
-# so a test ties these to the field lists: a field added to the report or the
-# reading fails it until the template writes it too.
-_TEMPLATE_REPORT_KEYS = ("batch_no", "created_at", "device_id", "product_id", "readings",
-                         "report_id")
-_TEMPLATE_READING_KEYS = ("quantity", "sampled_at", "signature_b64", "source_device", "value")
-
-
-def in_form_wire_text(obj: dict[str, Any]) -> str:
-    """`canonical.wire_text(obj)` of a parsed payload that `judge_report`
-    found in form, written from a template in about two thirds of the
-    general encoder's time. In form, its keys are exactly the report's and
-    each reading's, so their sorted order is fixed; its timestamps parsed,
-    so they are canonical ASCII that needs no escaping; every other string
-    goes through the wire's string encoder, and every value is a float."""
-    string = _WIRE_STR
-    readings = ", ".join([
-        (f'{{"quantity": {string(r["quantity"])}, "sampled_at": "{r["sampled_at"]}", '
-         f'"source_device": {string(r["source_device"])}, "value": {_wire_float(r["value"])}}}')
-        if len(r) == 4 else
-        (f'{{"quantity": {string(r["quantity"])}, "sampled_at": "{r["sampled_at"]}", '
-         f'"signature_b64": {string(r["signature_b64"])}, '
-         f'"source_device": {string(r["source_device"])}, "value": {_wire_float(r["value"])}}}')
-        for r in obj["readings"]])
-    return (f'{{"batch_no": {string(obj["batch_no"])}, "created_at": "{obj["created_at"]}", '
-            f'"device_id": {string(obj["device_id"])}, "product_id": {string(obj["product_id"])}, '
-            f'"readings": [{readings}], "report_id": {string(obj["report_id"])}}}')
-
-
-def _wire_float(value: float) -> str:
-    # `json` spells the non-finite floats its own way ("NaN", "Infinity").
-    return _FLOAT_REPR(value) if math.isfinite(value) else canonical.wire_text(value)
-
-
 def _parse_instant(text: Any, instants: dict[str, int]) -> int:
     # Only a string is a memo key; parse_millis refuses anything else unhashed.
     ms = instants.get(text) if isinstance(text, str) else None
@@ -364,10 +315,6 @@ class JudgedReport(NamedTuple):
     batch_no: str
     created_at: int
     violations: list[str]
-    # The parsed payload is what `decode_report(payload).to_obj()` gives, so
-    # its wire text is the report's: no extra key, no null signature, no
-    # integer value, no instant before 1970 (which `to_obj` refuses).
-    in_form: bool
 
 
 def judge_report(payload: bytes) -> JudgedReport:
@@ -379,16 +326,13 @@ def judge_report(payload: bytes) -> JudgedReport:
         obj = canonical.loads(payload)
         instants: dict[str, int] = {}
         report_id, device_id, _, batch_no, created_at, readings = _report_fields(obj, instants)
-        rows, in_form = _decode_readings(readings, instants)
+        rows = _decode_readings(readings, instants)
         quantities, values, times, sources, _ = zip(*rows) if rows else ((),) * 5
-        in_form = (in_form and len(obj) == len(_REPORT_FIELDS) and created_at >= 0
-                   and (not times or min(times) >= 0))
     except (ValueError, OverflowError) as exc:
         raise ModelError(str(exc)) from exc
     return JudgedReport(
         report_id, device_id, batch_no, created_at,
-        _violations(report_id, device_id, created_at, times, sources, quantities, values),
-        in_form)
+        _violations(report_id, device_id, created_at, times, sources, quantities, values))
 
 
 def validate_report(report: EventReport) -> list[str]:
@@ -617,7 +561,6 @@ __all__ = [
     "decode_report",
     "JudgedReport",
     "judge_report",
-    "in_form_wire_text",
     "validate_report",
     "new_report_id",
     "MonitoringJob",

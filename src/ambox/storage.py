@@ -311,12 +311,13 @@ class DurableBuffer:
             self._pending[entry.entry_id] = entry
             self._records += 1
         self._pending = {i: e for i, e in self._pending.items() if i > acked}
-        self._journal = AppendLog(self._path)
         legacy = self._path.with_name(ACK_FILE)
         old = read_document(legacy, CorruptJournal, lambda obj: (
             _require(obj, "watermark", int),
             {_require({"acked": i}, "acked", int) for i in _require(obj, "acked", list)},
             _require(obj, "next_id", int, 0)))
+        # Opened once nothing can refuse the buffer, so a refused one leaves no file open.
+        self._journal = AppendLog(self._path)
         if old is not None:
             watermark, above, next_id = old
             self._pending = {i: e for i, e in self._pending.items()

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from ambox import canonical
 from ambox import ledger as ledger_module
+from ambox import model as model_module
 from ambox.envelope import MalformedKey, SignedEnvelope, sign
 from ambox.http_api import shim_server_handler
 from ambox.ledger import (
@@ -50,14 +51,33 @@ from ambox.transport.tcp import FrameServer, TcpRequestClient
 
 from conftest import T0, make_report
 
+# A file, ledger or buffer left open fails its test, not just warns: a leak
+# is reported while the object is collected, as an unraisable exception.
+pytestmark = pytest.mark.filterwarnings("error::ResourceWarning",
+                                        "error::pytest.PytestUnraisableExceptionWarning")
+
 
 def identity_of(key, kind=DeviceKind.NODE) -> DeviceIdentity:
     return DeviceIdentity(key.device_id, kind, key.public_pem)
 
 
 @pytest.fixture()
-def ledger(tmp_path):
-    return Ledger(tmp_path / "ledger", genesis_at_ms=T0)
+def opened():
+    """`opened(directory, ...)` is `Ledger(directory, ...)`, closed when the test ends."""
+    ledgers = []
+
+    def open_ledger(directory, **kwargs):
+        ledgers.append(Ledger(directory, **kwargs))
+        return ledgers[-1]
+
+    yield open_ledger
+    for ledger in ledgers:
+        ledger.close()
+
+
+@pytest.fixture()
+def ledger(opened, tmp_path):
+    return opened(tmp_path / "ledger", genesis_at_ms=T0)
 
 
 @pytest.fixture()
@@ -258,6 +278,8 @@ def test_get_recent_matches_brute_force(node_key, other_key, specs, cuts):
             for answering in (ledger, reopened):
                 stored = answering.get_recent(device_id=device, batch_no=batch, limit=limit)
                 assert [s.report for s in stored] == expected
+        reopened.close()
+        ledger.close()
 
 
 def test_get_recent_non_string_filter_matches_nothing(registered, node_key):
@@ -267,10 +289,13 @@ def test_get_recent_non_string_filter_matches_nothing(registered, node_key):
     assert json.loads(service.handle("x", request)) == {"ok": True, "result": {"reports": []}}
 
 
-def _one_dump_answer(reports, echoes) -> bytes:
-    """A GetRecent answer as one `json.dumps` of the whole answer."""
-    response = {"ok": True, "result": {"reports": [r.to_obj() for r in reports]}, **echoes}
-    return json.dumps(response, sort_keys=True).encode("utf-8")
+def _one_dump_answer(payloads, echoes) -> bytes:
+    """A GetRecent answer as one `json.dumps` of the whole answer, its
+    reports array written as the texts of the signed payloads."""
+    text = json.dumps({"ok": True, "result": {"reports": None}, **echoes}, sort_keys=True)
+    head, _, tail = text.rpartition("null")         # "result" is the last key
+    reports = ", ".join(payload.decode("utf-8") for payload in payloads)
+    return f"{head}[{reports}]{tail}".encode("utf-8")
 
 
 def _get_recent_request(device, batch, limit, echoes=None) -> bytes:
@@ -328,10 +353,12 @@ def test_get_recent_answers_are_the_bytes_of_one_dump(node_key, other_key, specs
             start += cut
         service = LedgerService(ledger, clock=lambda: T0)
         reopened = LedgerService(Ledger(directory), clock=lambda: T0)
+        payloads = {r.report_id: e.payload for r, e in zip(reports, envelopes)}
         for device, batch, limit, echoes in queries:
             request = _get_recent_request(device, batch, limit, echoes)
             expected = _one_dump_answer(
-                _brute_force_recent(reports, device, batch, 10 if limit is None else limit),
+                [payloads[r.report_id] for r in
+                 _brute_force_recent(reports, device, batch, 10 if limit is None else limit)],
                 {name: json.loads(request)[name] for name in echoes})
             # First ask, repeated ask, and first ask of the reopened ledger.
             assert service.handle("x", request) == expected
@@ -339,36 +366,6 @@ def test_get_recent_answers_are_the_bytes_of_one_dump(node_key, other_key, specs
             assert reopened.handle("x", request) == expected
         ledger.close()
         reopened.ledger.close()
-
-
-def test_a_report_entry_is_encoded_once_and_never_at_ingest_or_replay(
-        registered, node_key, tmp_path, monkeypatch):
-    envelopes = [env_for(node_key, i)[0] for i in range(6)]
-    ids = [canonical.loads(e.payload)["report_id"] for e in envelopes]
-    encoded = []
-    encode_entry = ledger_module._encode_entry
-
-    def counting_encode_entry(stored):
-        encoded.append(stored.report_id)
-        return encode_entry(stored)
-
-    monkeypatch.setattr(ledger_module, "_encode_entry", counting_encode_entry)
-    registered.add_events(envelopes[:2], T0)
-    registered.add_events(envelopes[2:], T0 + 1)
-    assert encoded == []
-    service = LedgerService(registered, clock=lambda: T0)
-    for _ in range(3):
-        service.handle("x", _get_recent_request("node-1", None, 4))
-    assert sorted(encoded) == sorted(ids[2:])       # the four newest, once each
-    for _ in range(2):
-        service.handle("x", _get_recent_request(None, None, 10))
-    assert sorted(encoded) == sorted(ids)
-    encoded.clear()
-    reopened = Ledger(tmp_path / "ledger")
-    assert encoded == []
-    assert reopened.get_recent(limit=10) and encoded == []
-    reopened.close()
-    registered.close()
 
 
 def test_get_recent_over_tcp_beside_add_events_matches_a_height(tmp_path, node_key, other_key):
@@ -393,6 +390,7 @@ def test_get_recent_over_tcp_beside_add_events_matches_a_height(tmp_path, node_k
     writer_client, reader = TcpRequestClient(), TcpRequestClient()
     queries = [(device, batch, limit) for device in (None, "node-1", "node-2")
                for batch in (None, "B-2") for limit in (1, 3, 40)]
+    payloads = {r.report_id: e.payload for r, e in zip(reports, envelopes)}
     errors = []
 
     def write():
@@ -416,9 +414,10 @@ def test_get_recent_over_tcp_beside_add_events_matches_a_height(tmp_path, node_k
             answer = reader.request(dest, _get_recent_request(device, batch, limit), 5000)
             high = ledger.height - base_height
             # One report per block: at height base + h the first h are committed.
-            assert answer in {_one_dump_answer(_brute_force_recent(reports[:h], device, batch,
-                                                                   limit), {})
-                              for h in range(low, high + 1)}
+            assert answer in {_one_dump_answer(
+                [payloads[r.report_id] for r in _brute_force_recent(reports[:h], device, batch,
+                                                                    limit)], {})
+                for h in range(low, high + 1)}
         writer.join(timeout=30)
         assert not writer.is_alive() and errors == []
     finally:
@@ -428,6 +427,94 @@ def test_get_recent_over_tcp_beside_add_events_matches_a_height(tmp_path, node_k
         server.shutdown()
         ledger.close()
     assert ledger.height - base_height == len(envelopes)
+
+
+def out_of_form_envelopes(key) -> dict[str, SignedEnvelope]:
+    """Payloads the judge accepts that are not `canonical.dumps(report.to_obj())`,
+    by the way each differs from it."""
+    forms = {}
+    for i, form in enumerate(("extra-key", "integer-value", "null-signature", "nan-extra-key",
+                              "spaced")):
+        obj = make_report(device=key.device_id, report_id=f"{key.device_id}-{form}",
+                          created_at=T0 + 700_000 + i * 1000).to_obj()
+        if form == "extra-key":
+            obj["note"] = "x"
+        elif form == "integer-value":
+            obj["readings"][0]["value"] = 21
+        elif form == "null-signature":
+            obj["readings"][0]["signature_b64"] = None
+        elif form == "nan-extra-key":
+            obj["note"] = float("nan")
+        # `json.dumps` writes NaN, and spaces the keys in the order given.
+        payload = (json.dumps(obj).encode("utf-8") if form in ("nan-extra-key", "spaced")
+                   else canonical.dumps(obj))
+        forms[form] = signed_payload(key, payload)
+    return forms
+
+
+def test_each_get_recent_report_is_the_payload_get_event_returns(registered, node_key,
+                                                                 tmp_path, opened):
+    out_of_form = out_of_form_envelopes(node_key)
+    registered.add_events([env_for(node_key, i)[0] for i in range(3)], T0)
+    registered.add_events(list(out_of_form.values()), T0 + 1)
+    requests = [_get_recent_request(device, batch, limit) for device in (None, "node-1")
+                for batch in (None, "B-2024-018") for limit in (2, 10)]
+    answered = set()
+
+    def assert_signed(ask):
+        for request in requests:
+            answer = ask(request)
+            ids = [r["report_id"] for r in json.loads(answer)["result"]["reports"]]
+            events = [json.loads(ask(json.dumps({"op": "GetEvent", "args": {"report_id": i}})
+                                     .encode()))["result"] for i in ids]
+            payloads = [base64.b64decode(event["payload_b64"]) for event in events]
+            assert ids and answer == _one_dump_answer(payloads, {})
+            answered.update(payloads)
+
+    service = LedgerService(registered, clock=lambda: T0)
+    assert_signed(lambda request: service.handle("x", request))        # first ask
+    assert_signed(lambda request: service.handle("x", request))        # repeated ask
+    server = FrameServer("127.0.0.1", 0, service.handle)
+    client = TcpRequestClient()
+    try:
+        assert_signed(lambda request: client.request(f"127.0.0.1:{server.port}", request, 5000))
+    finally:
+        client.close()
+        server.shutdown()
+    reopened = LedgerService(opened(tmp_path / "ledger"), clock=lambda: T0)
+    assert_signed(lambda request: reopened.handle("x", request))
+    assert {e.payload for e in out_of_form.values()} <= answered
+
+
+def test_a_get_recent_answer_parses_no_payload(registered, node_key, monkeypatch):
+    registered.add_events([env_for(node_key, i)[0] for i in range(3)], T0)
+    registered.add_events(list(out_of_form_envelopes(node_key).values()), T0 + 1)
+    parsed = []
+
+    def recording(parse):
+        def recorded(data):
+            parsed.append(data)
+            return parse(data)
+        return recorded
+
+    monkeypatch.setattr(canonical, "loads", recording(canonical.loads))
+    monkeypatch.setattr(ledger_module, "decode_report", recording(decode_report))
+    monkeypatch.setattr(model_module, "decode_report", recording(decode_report))
+    service = LedgerService(registered, clock=lambda: T0)
+    for _ in range(2):
+        answer = service.handle("x", _get_recent_request(None, None, 10))
+        assert len(json.loads(answer)["result"]["reports"]) == 8
+    assert parsed == []
+
+
+def test_the_client_decodes_an_out_of_form_report_as_its_payload(registered, node_key,
+                                                                 tmp_path, opened):
+    forms = out_of_form_envelopes(node_key)
+    registered.add_events(list(forms.values()), T0)
+    expected = [decode_report(forms[form].payload) for form in reversed(list(forms))]
+    for ledger in (registered, opened(tmp_path / "ledger")):
+        client = LedgerClient(DirectRequester(LedgerService(ledger, clock=lambda: T0)), "ledger")
+        assert client.get_recent(device_id="node-1", limit=10) == expected
 
 
 @pytest.mark.parametrize("report_id", [5, None, [1]], ids=["number", "null", "list"])
@@ -533,7 +620,7 @@ def test_stored_lines_are_the_canonical_block_encoding(registered, node_key, tmp
     assert line == canonical.dumps(block_obj(block)) + b"\n"
 
 
-def test_whitespace_edit_is_caught_at_its_height(registered, node_key, tmp_path):
+def test_whitespace_edit_is_caught_at_its_height(registered, node_key, tmp_path, opened):
     for i in range(4):
         registered.add_events([env_for(node_key, i)[0]], T0 + i)
     registered.close()
@@ -547,20 +634,20 @@ def test_whitespace_edit_is_caught_at_its_height(registered, node_key, tmp_path)
         path.write_bytes(b"\n".join(lines[:height] + [edited] + lines[height + 1:]))
         assert registered.verify_chain() == height
         with pytest.raises(CorruptLedger) as caught:
-            Ledger(tmp_path / "ledger")
+            opened(tmp_path / "ledger")
         assert caught.value.height == height
     path.write_bytes(pristine)
-    assert Ledger(tmp_path / "ledger").verify_chain() is None
+    assert opened(tmp_path / "ledger").verify_chain() is None
 
 
-def test_unsigned_envelope_fields_are_not_committed(registered, node_key, tmp_path):
+def test_unsigned_envelope_fields_are_not_committed(registered, node_key, tmp_path, opened):
     envelope, report = env_for(node_key, 0)
     verdicts = registered.add_events([{**envelope.to_wire_obj(), "note": "x" * 1000}], T0)
     assert verdicts[0].status == "committed" and not verdicts[0].replay
     assert registered.blocks()[-1].transactions == (envelope.to_wire_obj(),)
     raw = (tmp_path / "ledger" / "blocks.journal").read_bytes()
     assert b"note" not in raw and b"x" * 1000 not in raw
-    assert stored_report(Ledger(tmp_path / "ledger"), report.report_id) == report
+    assert stored_report(opened(tmp_path / "ledger"), report.report_id) == report
 
 
 def test_a_wire_envelope_is_committed_as_received_in_its_one_spelling(
@@ -677,11 +764,11 @@ def test_missing_or_null_args_mean_no_arguments(ledger, request_bytes):
     assert answer == {"ok": True, "result": {"intact": True, "first_broken_height": None}}
 
 
-def test_blocks_survive_restart(registered, node_key, tmp_path):
+def test_blocks_survive_restart(registered, node_key, tmp_path, opened):
     for i in range(3):
         envelope, _ = env_for(node_key, i)
         registered.add_events([envelope], T0 + i)
-    reopened = Ledger(tmp_path / "ledger")
+    reopened = opened(tmp_path / "ledger")
     assert reopened.height == registered.height
     assert reopened.world_state_bytes() == registered.world_state_bytes()
     assert reopened.verify_chain() is None
@@ -770,8 +857,8 @@ class DirectRequester:
         return self.service.handle("test", payload)
 
 
-def test_service_roundtrip(tmp_path, node_key):
-    ledger = Ledger(tmp_path / "ledger", genesis_at_ms=T0)
+def test_service_roundtrip(tmp_path, node_key, opened):
+    ledger = opened(tmp_path / "ledger", genesis_at_ms=T0)
     service = LedgerService(ledger, clock=lambda: T0 + 5)
     client = LedgerClient(DirectRequester(service), "ledger",
                           channel_name="chan-1", chaincode_name="cc-1")
@@ -940,10 +1027,10 @@ def test_client_raises_model_error_for_a_malformed_report(fault):
         event.get_event(obj["report_id"])
 
 
-def test_service_echoes_channel_names(tmp_path, node_key):
+def test_service_echoes_channel_names(tmp_path, node_key, opened):
     import json
 
-    ledger = Ledger(tmp_path / "ledger", genesis_at_ms=T0)
+    ledger = opened(tmp_path / "ledger", genesis_at_ms=T0)
     service = LedgerService(ledger, clock=lambda: T0)
     request = json.dumps({
         "op": "VerifyChain", "args": {},
@@ -955,8 +1042,8 @@ def test_service_echoes_channel_names(tmp_path, node_key):
     assert response["chaincode_name"] == "my-cc"
 
 
-def test_zero_hash_genesis_chain(tmp_path):
-    ledger = Ledger(tmp_path / "l", genesis_at_ms=T0)
+def test_zero_hash_genesis_chain(tmp_path, opened):
+    ledger = opened(tmp_path / "l", genesis_at_ms=T0)
     raw = (tmp_path / "l" / "blocks.journal").read_bytes()
     first = canonical.loads(raw.split(b"\n")[0])
     assert first["prev_hash"] == ZERO_HASH
@@ -967,7 +1054,7 @@ def test_zero_hash_genesis_chain(tmp_path):
 
 
 def test_failed_block_append_leaves_the_log_as_it_was(registered, node_key, tmp_path,
-                                                      fail_next_fsync):
+                                                      fail_next_fsync, opened):
     registered.add_events([env_for(node_key, 0)[0]], T0)
     lost, lost_report = env_for(node_key, 1)
     fail_next_fsync()
@@ -977,7 +1064,7 @@ def test_failed_block_append_leaves_the_log_as_it_was(registered, node_key, tmp_
     assert registered.height == 2
     assert stored_report(registered, lost_report.report_id) is None
     assert registered.verify_chain() is None
-    reopened = Ledger(tmp_path / "ledger")
+    reopened = opened(tmp_path / "ledger")
     assert reopened.height == 2
     assert reopened.verify_chain() is None
     assert reopened.world_state_bytes() == registered.world_state_bytes()
@@ -1230,24 +1317,35 @@ def test_concurrent_batches_commit_each_report_once(node_key, other_key, shared_
         ledger.close()
 
 
-def test_a_replayed_report_is_kept_as_an_index_record(node_key, tmp_path):
+# Reports in the bench-shaped history: 15 readings each, in blocks of 100.
+HISTORY_REPORTS = 500
+
+
+@pytest.fixture(scope="module")
+def bench_shaped_history(node_key, tmp_path_factory):
+    """The directory of a closed ledger of `HISTORY_REPORTS` bench-shaped reports."""
+    directory = tmp_path_factory.mktemp("history") / "ledger"
+    ledger = Ledger(directory, genesis_at_ms=T0)
+    ledger.register_device(identity_of(node_key))
+    for first in range(0, HISTORY_REPORTS, 100):
+        ledger.add_events([env_for(node_key, i, n=15)[0] for i in range(first, first + 100)],
+                          T0 + first)
+    ledger.close()
+    return directory
+
+
+def test_a_replayed_report_is_kept_as_an_index_record(bench_shaped_history, opened):
     # A replayed 15-reading report keeps its signed payload's bytes (about
     # 1.7 KB) and a few atomic values, not a decoded report: one report of 15
     # readings as objects took 9 KB and 18 objects the garbage collector
     # tracks, and its payload as base64 took 0.6 KB more than the bytes.
     # About 2,220 B per report were retained here.
-    n = 500
-    ledger = Ledger(tmp_path / "ledger", genesis_at_ms=T0)
-    ledger.register_device(identity_of(node_key))
-    for first in range(0, n, 100):
-        ledger.add_events([env_for(node_key, i, n=15)[0] for i in range(first, first + 100)],
-                          T0 + first)
-    ledger.close()
+    n = HISTORY_REPORTS
     gc.collect()
     tracked_before = len(gc.get_objects())
     tracemalloc.start()
     try:
-        reopened = Ledger(tmp_path / "ledger")
+        reopened = opened(bench_shaped_history)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
         tracked = len(gc.get_objects()) - tracked_before
@@ -1256,7 +1354,30 @@ def test_a_replayed_report_is_kept_as_an_index_record(node_key, tmp_path):
     assert reopened.height == n // 100 and len(reopened.all_reports()) == n
     assert retained <= 2_450 * n, retained / n
     assert tracked <= 2 * n, tracked / n
-    reopened.close()
+
+
+def test_answering_get_recent_keeps_nothing_per_report(bench_shaped_history, opened):
+    # A report is answered as its stored payload: once every report has been
+    # answered, the ledger holds what it held after replay.
+    n = HISTORY_REPORTS
+    gc.collect()
+    tracemalloc.start()
+    try:
+        service = LedgerService(opened(bench_shaped_history), clock=lambda: T0)
+        gc.collect()
+        replayed = tracemalloc.get_traced_memory()[0]
+        answered = set()
+        for device, limit in ((None, n), ("node-1", n), (None, 10)):
+            answer = json.loads(service.handle("x", _get_recent_request(device, None, limit)))
+            answered.update(r["report_id"] for r in answer["result"]["reports"])
+        n_answered = len(answered)
+        del answer, answered
+        gc.collect()
+        queried = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert n_answered == n
+    assert queried - replayed <= 64 * n, (queried - replayed) / n
 
 
 @pytest.fixture(scope="module")
@@ -1559,9 +1680,9 @@ def test_an_index_record_is_the_canonical_dump_of_its_fields(registered, node_ke
     start = log.rstrip(b"\n").rfind(b"\n") + 1
     for envelope, row in zip(envelopes, record["reports"]):
         report = decode_report(envelope.payload)
-        offset, length = row[5:]
-        assert row[:5] == [report.report_id, report.device_id, report.batch_no,
-                           report.created_at, True]
+        offset, length = row[4:]
+        assert row[:4] == [report.report_id, report.device_id, report.batch_no,
+                           report.created_at]
         assert log[start + offset:start + offset + length].decode() == \
             envelope.to_wire_obj()["payload_b64"]
 
@@ -1593,6 +1714,33 @@ def test_an_open_judges_only_the_blocks_the_index_log_does_not_vouch_for(
         assert reopened_judging() == 2 * cut
 
 
+def test_an_index_log_of_seven_column_rows_is_judged_and_rewritten(
+        registered, node_key, tmp_path, monkeypatch, opened):
+    for i in range(3):
+        registered.add_events([env_for(node_key, 2 * i)[0], env_for(node_key, 2 * i + 1)[0]],
+                              T0 + i)
+    registered.close()
+    directory = tmp_path / "ledger"
+    index = directory / INDEX
+    whole = index.read_bytes()
+    records = [canonical.loads(line[9:]) for line in whole.splitlines()]
+    assert [len(row) for record in records for row in record["reports"]] == [6] * 6
+    # The rows as an earlier format wrote them, with an in-form flag after
+    # `created_at`, each record under its own good checksum.
+    texts = []
+    for record in records:
+        for row in record["reports"]:
+            row.insert(4, True)
+        texts.append(canonical.dumps(record))
+    index.write_bytes(b"".join(b"%08x %s\n" % (zlib.crc32(text), text) for text in texts))
+    judged = counting_judge(monkeypatch)
+    state = opened(directory).world_state_bytes()
+    assert len(judged) == 6
+    assert index.read_bytes() == whole
+    index.unlink()
+    assert opened(directory).world_state_bytes() == state == registered.world_state_bytes()
+
+
 def test_an_index_ahead_of_the_block_log_is_warned_of(registered, node_key, tmp_path, caplog):
     # Six committed blocks after genesis, then the block log loses the last two.
     for i in range(6):
@@ -1610,7 +1758,8 @@ def test_an_index_ahead_of_the_block_log_is_warned_of(registered, node_key, tmp_
     reopened.close()
 
 
-def test_block_times_never_go_backwards_however_the_clock_steps(registered, node_key, tmp_path):
+def test_block_times_never_go_backwards_however_the_clock_steps(registered, node_key, tmp_path,
+                                                                opened):
     instants = iter([T0 + 500, T0 + 100, T0 + 900, T0 + 300, T0 + 50, T0 + 200])
     service = LedgerService(registered, clock=lambda: next(instants))
     serial = itertools.count()
@@ -1626,10 +1775,10 @@ def test_block_times_never_go_backwards_however_the_clock_steps(registered, node
     for keep_index in (True, False):
         if not keep_index:
             (tmp_path / "ledger" / INDEX).unlink()
-        reopened = Ledger(tmp_path / "ledger")
+        reopened = opened(tmp_path / "ledger")
         add_one(LedgerService(reopened, clock=lambda: next(instants)))
         reopened.close()
-    times = [block.committed_at for block in Ledger(tmp_path / "ledger").blocks()]
+    times = [block.committed_at for block in opened(tmp_path / "ledger").blocks()]
     assert times == [T0, T0 + 500, T0 + 500, T0 + 900, T0 + 900, T0 + 900, T0 + 900]
 
 
@@ -1725,8 +1874,8 @@ def test_a_damaged_index_log_never_changes_what_the_ledger_opens_to(
                 row = data.draw(st.sampled_from(record["reports"]), "report")
                 offset, length = data.draw(st.sampled_from(
                     [(0, -4), (4, -4), (8, -12), (-4, 4), (1, 0), (0, 1)]), "moved by")
-                row[5] += offset
-                row[6] += length
+                row[4] += offset
+                row[5] += length
             text = canonical.dumps(record)
             lines[at] = b"%08x %s\n" % (zlib.crc32(text), text)
             index.write_bytes(b"".join(lines))

@@ -24,7 +24,6 @@ from ambox.model import (
     NodeState,
     SensorReading,
     decode_report,
-    in_form_wire_text,
     judge_report,
     legal_transition,
     new_report_id,
@@ -364,9 +363,8 @@ def test_codec_matches_the_field_by_field_reference(obj):
 
 
 def _assert_judged_as_decoded(payload):
-    """`judge_report` refuses what `decode_report` refuses, finds what
-    `validate_report` of the decoded report finds, and is in form exactly when
-    the payload's own parse has the wire text of the report's `to_obj`."""
+    """`judge_report` refuses what `decode_report` refuses, and finds what
+    `validate_report` of the decoded report finds."""
     decoded = _outcome(decode_report, payload)
     judged = _outcome(judge_report, payload)  # any other exception fails the test
     if decoded is ModelError:
@@ -376,10 +374,6 @@ def _assert_judged_as_decoded(payload):
     assert judged[:4] == (decoded.report_id, decoded.device_id, decoded.batch_no,
                           decoded.created_at)
     assert judged.violations == validate_report(decoded)
-    own_text = canonical.wire_text(canonical.loads(payload))
-    assert judged.in_form == (_outcome(lambda: canonical.wire_text(decoded.to_obj())) == own_text)
-    if judged.in_form:
-        assert in_form_wire_text(canonical.loads(payload)) == own_text
 
 
 @settings(max_examples=400)
@@ -412,30 +406,6 @@ def valid_reports(draw):
         ))
     return EventReport(f"{device}-{at}-{len(readings)}", device, "p", "b",
                        at + draw(st.integers(0, 10 ** 6)), tuple(readings))
-
-
-def test_the_in_form_template_spells_every_field():
-    # The template is a second spelling of the format `to_obj` writes: a
-    # field added to the report or the reading must be added to it too.
-    assert ambox.model._TEMPLATE_REPORT_KEYS == tuple(sorted(ambox.model._REPORT_FIELDS))
-    assert ambox.model._TEMPLATE_READING_KEYS == tuple(
-        sorted(ambox.model._READING_FIELDS + ("signature_b64",)))
-
-
-_ANY_TEXT = st.text(max_size=8)
-
-
-@settings(max_examples=200)
-@given(report=valid_reports(), texts=st.tuples(*[_ANY_TEXT] * 6), signature=_ANY_TEXT)
-def test_the_in_form_template_is_the_wire_text_of_any_report(report, texts, signature):
-    # Quotes, backslashes, control and non-ASCII characters in every string.
-    report_id, device, product, batch, quantity, source = texts
-    readings = (dataclasses.replace(report.readings[0], quantity=quantity, source_device=source,
-                                    signature_b64=signature),) + report.readings[1:]
-    report = EventReport(report_id, device, product, batch, report.created_at, readings)
-    payload = canonical.dumps(report.to_obj())
-    assert judge_report(payload).in_form
-    assert in_form_wire_text(canonical.loads(payload)) == canonical.wire_text(report.to_obj())
 
 
 _WRONG_TYPES = [None, 5, 1.5, True, "x", [], {}, [1], {"a": 1}]
@@ -549,10 +519,10 @@ def test_the_bulk_decoder_refuses_the_first_faulty_reading_as_the_field_checks_d
 
 
 @given(valid_reports())
-def test_every_signed_payload_is_judged_valid_and_in_form(report):
+def test_every_signed_payload_is_judged_valid(report):
     judged = judge_report(canonicalize(report))
     assert judged == (report.report_id, report.device_id, report.batch_no, report.created_at,
-                      [], True)
+                      [])
 
 
 @given(_READING_OBJECTS)

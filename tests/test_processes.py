@@ -8,6 +8,7 @@ artifact works as actual processes.
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -282,6 +283,21 @@ def test_an_operator_duration_that_is_not_one_is_a_usage_error(value):
     assert result.returncode == 2
     assert "error: argument --sample-interval: " in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def closed_port() -> int:
+    """A local port that nothing listens on: bound, then released."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+@pytest.mark.parametrize("verb, peer", [("tail-ledger", "--ledger"), ("fleet", "--operator")])
+def test_an_operator_verb_whose_peer_is_down_is_an_error_line(verb, peer):
+    result = run_cli("operator", verb, peer, f"127.0.0.1:{closed_port()}")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert result.stdout == ""
 
 
 def test_operator_durations_are_read_in_their_units():

@@ -38,6 +38,34 @@ from ambox.storage import (
 
 from conftest import T0, make_report
 
+# A file, ledger or buffer left open fails its test, not just warns: a leak
+# is reported while the object is collected, as an unraisable exception.
+pytestmark = pytest.mark.filterwarnings("error::ResourceWarning",
+                                        "error::pytest.PytestUnraisableExceptionWarning")
+
+
+@pytest.fixture()
+def opened():
+    """`opened(directory, ...)` is `DurableBuffer(directory, ...)`, closed when the test ends."""
+    buffers = []
+
+    def open_buffer(directory, **kwargs):
+        buffers.append(DurableBuffer(directory, **kwargs))
+        return buffers[-1]
+
+    yield open_buffer
+    for buf in buffers:
+        buf.close()
+
+
+def records_of(path) -> list[bytes]:
+    """The records a `CheckedLog` at `path` opens with, the log closed again."""
+    log = CheckedLog(path)
+    try:
+        return log.records()
+    finally:
+        log.close()
+
 
 @pytest.fixture()
 def envelopes(node_key):
@@ -49,16 +77,16 @@ def envelopes(node_key):
     return out
 
 
-def test_enqueue_peek_identity(tmp_path, envelopes):
-    buf = DurableBuffer(tmp_path)
+def test_enqueue_peek_identity(tmp_path, envelopes, opened):
+    buf = opened(tmp_path)
     buf.enqueue([envelopes[0]], T0)
     batch = buf.peek_batch(5)
     assert len(batch) == 1
     assert batch[0].envelope == envelopes[0]
 
 
-def test_fifo_order_and_nondestructive_peek(tmp_path, envelopes):
-    buf = DurableBuffer(tmp_path)
+def test_fifo_order_and_nondestructive_peek(tmp_path, envelopes, opened):
+    buf = opened(tmp_path)
     for e in envelopes[:5]:
         buf.enqueue([e], T0)
     first = buf.peek_batch(3)
@@ -68,34 +96,33 @@ def test_fifo_order_and_nondestructive_peek(tmp_path, envelopes):
     assert [b.envelope for b in buf.peek_batch(10)] == envelopes[:5]
 
 
-def test_empty_peek(tmp_path):
-    assert DurableBuffer(tmp_path).peek_batch(3) == []
+def test_empty_peek(tmp_path, opened):
+    assert opened(tmp_path).peek_batch(3) == []
 
 
-def test_crash_recovery_same_order(tmp_path, envelopes):
-    buf = DurableBuffer(tmp_path)
+def test_crash_recovery_same_order(tmp_path, envelopes, opened):
+    buf = opened(tmp_path)
     for e in envelopes[:3]:
         buf.enqueue([e], T0)
-    # Simulated kill: drop the handle without any orderly shutdown.
-    del buf
-    recovered = DurableBuffer(tmp_path)
+    # Simulated kill: no orderly shutdown before the buffer is read again.
+    recovered = opened(tmp_path)
     assert [b.envelope for b in recovered.peek_batch(10)] == envelopes[:3]
 
 
-def test_recovery_drops_partial_trailing_line(tmp_path, envelopes):
-    buf = DurableBuffer(tmp_path)
+def test_recovery_drops_partial_trailing_line(tmp_path, envelopes, opened):
+    buf = opened(tmp_path)
     for e in envelopes[:3]:
         buf.enqueue([e], T0)
     buf.close()
     journal = tmp_path / "buffer.journal"
     raw = journal.read_bytes()
     journal.write_bytes(raw + b'{"seq": 4, "enqueued')  # torn write, no newline
-    recovered = DurableBuffer(tmp_path)
+    recovered = opened(tmp_path)
     assert len(recovered.peek_batch(10)) == 3
     # The torn bytes are gone; a fresh enqueue keeps the file parseable.
     recovered.enqueue([envelopes[3]], T0)
     recovered.close()
-    reopened = DurableBuffer(tmp_path)
+    reopened = opened(tmp_path)
     assert [b.envelope for b in reopened.peek_batch(10)] == envelopes[:4]
 
 
@@ -112,8 +139,8 @@ def test_recovery_rejects_midfile_corruption(tmp_path, envelopes):
         DurableBuffer(tmp_path)
 
 
-def test_storage_full(tmp_path, envelopes):
-    buf = DurableBuffer(tmp_path, cap=2)
+def test_storage_full(tmp_path, envelopes, opened):
+    buf = opened(tmp_path, cap=2)
     buf.enqueue([envelopes[0]], T0)
     buf.enqueue([envelopes[1]], T0)
     with pytest.raises(StorageFull):
@@ -136,8 +163,8 @@ def test_a_group_past_the_cap_is_refused_whole(tmp_path, envelopes):
     buf.close()
 
 
-def test_ack_then_next_oldest(tmp_path, envelopes):
-    buf = DurableBuffer(tmp_path)
+def test_ack_then_next_oldest(tmp_path, envelopes, opened):
+    buf = opened(tmp_path)
     for e in envelopes[:5]:
         buf.enqueue([e], T0)
     batch = buf.peek_batch(2)
@@ -174,21 +201,21 @@ def test_an_ack_names_the_last_id_it_acked(tmp_path, envelopes):
     recovered.close()
 
 
-def test_acked_entries_stay_gone_after_restart(tmp_path, envelopes):
-    buf = DurableBuffer(tmp_path)
+def test_acked_entries_stay_gone_after_restart(tmp_path, envelopes, opened):
+    buf = opened(tmp_path)
     ids = buf.enqueue(envelopes[:4], T0)
     buf.ack(ids[1])
     buf.close()
-    recovered = DurableBuffer(tmp_path)
+    recovered = opened(tmp_path)
     assert [b.envelope for b in recovered.peek_batch(10)] == envelopes[2:4]
 
 
-def test_entry_ids_monotone_across_full_drain_and_restart(tmp_path, envelopes):
-    buf = DurableBuffer(tmp_path)
+def test_entry_ids_monotone_across_full_drain_and_restart(tmp_path, envelopes, opened):
+    buf = opened(tmp_path)
     ids = buf.enqueue(envelopes[:3], T0)
     buf.ack(ids[-1])  # nothing pending; the journal keeps its records
     buf.close()
-    recovered = DurableBuffer(tmp_path)
+    recovered = opened(tmp_path)
     [new_id] = recovered.enqueue(envelopes[3:4], T0)
     assert new_id > max(ids)
 
@@ -366,7 +393,7 @@ def test_a_checked_log_reads_up_to_its_first_line_whose_checksum_fails(tmp_path,
             log.keep(1)
             log.append([b"four"])
             log.close()
-            assert CheckedLog(path).records() == [b"one", b"four"]
+            assert records_of(path) == [b"one", b"four"]
 
 
 def test_a_checked_log_that_fails_to_append_stops(tmp_path, tear_next_write):
@@ -378,7 +405,7 @@ def test_a_checked_log_that_fails_to_append_stops(tmp_path, tear_next_write):
         log.append([b"two"])
     log.append([b"three"])      # not behind a record that may be missing
     log.close()
-    assert CheckedLog(path).records() == [b"one"]
+    assert records_of(path) == [b"one"]
 
 
 def test_torn_journal_tail_is_dropped_at_every_offset(tmp_path, envelopes, monkeypatch):
