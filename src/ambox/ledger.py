@@ -50,13 +50,15 @@ vouched for when its hash is the one its record names, it ends where the
 record says, and it links to the block before it at the place a canonical
 line holds `prev_hash`. For such a line the walk skips the JSON parse and
 the re-check of its `height` and `committed_at`, and replay skips judging
-its payloads: it decodes each from the slice of the line its record names,
-which must lie between `"payload_b64":"` and `"`. That is sound because the
-hash is the one recorded when these very bytes were committed, or judged by
-an earlier replay: the same bytes hold the same fields and get the same
-verdicts. The first record that fails a check ends the index's use, and from
-that height on every line is walked and judged as if there were no index
-log, so a corrupt block log is refused at the same height with the same
+and decoding its payloads: it takes each report's place from its record,
+which must be the whole value after a `"payload_b64":"` key: the key before
+it, a `"` after it and none inside. That is sound because the hash is the
+one recorded when these very bytes were committed, or judged by an earlier
+replay: the same bytes hold the same fields and get the same verdicts, and
+every such value in a committed line is base64 its ingest validated. The
+first record that fails a check ends the index's use, and from that height
+on every line is walked and judged as if there were no index log, so a
+corrupt block log is refused at the same height with the same
 message. Replay then cuts the index log back to the records it used and
 appends the judged blocks' records in one write. Deleting the index log is
 always safe and costs one full replay. A valid record for a height past the
@@ -64,18 +66,31 @@ block log's last block means the block log lost blocks it had made durable;
 the ledger warns, naming both heights, and opens all the same.
 
 Memory holds an index, not reports. Each committed report is one
-`StoredReport` of atomic values: the signed payload's bytes, the block
-height, device, batch and `created_at`. Ingest and replay have those bytes
-already, from `SignedEnvelope.from_wire_obj`; base64 has one accepted
-spelling, so `GetEvent` and `world_state_bytes` spell it again with
-`b64encode`, outside the lock, and give the base64 that was committed. The
-per-device and per-batch `GetRecent` lists hold `(-created_at, report_id)`
-pairs, kept oldest first so that a report newer than the rest, as an
-in-order commit is, is appended; a query reads them from the end. Both are
-filled as blocks are applied, live or on replay, from what
-`model.judge_report` finds in one pass over a payload without building the
-report, or from a vouched block's index record. A report is decoded from its
-bytes only on request (`all_reports`).
+`StoredReport` of atomic values: the block height, device, batch,
+`created_at` and the place of its `payload_b64` in the block log, an offset
+and a length, which is what its index record names. Its signed bytes stay
+in the log. The per-device and per-batch `GetRecent` lists hold
+`(-created_at, report_id)` pairs, kept oldest first so that a report newer
+than the rest, as an in-order commit is, is appended; a query reads them
+from the end. A commit inserts each report into its two lists; replay
+appends every report it applies and sorts each list once at the end. The
+newest `RECENT_WINDOW` reports of each list are its window, whose signed
+bytes the ledger keeps: `GetRecent`'s default `limit`, so a query with it
+reads nothing from the log. Replay decodes only the windows' payloads, and
+a commit keeps the bytes of a report that lands in a window and drops those
+of one it pushes out of both of its windows.
+
+Everything else is read from its place. Committed bytes never change and
+the log only grows, so reading a committed place is safe without the lock:
+`world_state_bytes` and `all_reports` read their places from a map of the
+log, as an audit does, and `GetEvent` answers with the base64 read from its
+place, as it was committed. `GetEvent` and a `GetRecent` entry out of every
+window read their place with `os.pread` under the lock all the same, as
+that is what keeps `close` from taking the descriptor from under them; a
+`GetRecent` entry is then decoded outside it, and not kept. A replayed line
+whose payloads are not where a canonical line spells them has no places;
+its reports' bytes are kept, as a window's are, for as long as the ledger
+is open.
 
 Ingest runs in two steps, one batch at a time (`_ingest_lock`). `_prepare`
 runs without the ledger lock: it parses each envelope, looks up its
@@ -95,7 +110,7 @@ was committed all the same.
 
 A signed payload is sent as it was signed. A `GetRecent` answer holds each
 report as the JSON text of its committed payload, which the judge parsed as
-one JSON object, so the answer is joined from the stored bytes, with no
+one JSON object, so the answer is joined from the payloads' bytes, with no
 parse, encode or cache per report; a client decodes each through
 `EventReport.from_obj` as it would decode the payload itself. A `GetEvent`
 answer is written from a template around the payload's base64, which needs
@@ -111,15 +126,15 @@ itself, read back through `blocks`.
 from __future__ import annotations
 
 import base64
-import binascii
 import hashlib
 import heapq
 import itertools
 import logging
 import mmap
+import os
 import threading
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
@@ -189,6 +204,11 @@ _CORE_START = len(_HASH_PREFIX) + 64 + len(b'",')
 _LINK_AT = _CORE_START + len(b'"committed_at":"') + 24 + len(b'","height":,')
 _PAYLOAD_KEY = b'"payload_b64":"'
 
+# The newest reports of each GetRecent list whose signed bytes the ledger
+# keeps: GetRecent's default `limit`, so a query with it reads no payload
+# from the log.
+RECENT_WINDOW = 10
+
 
 class LedgerBlock(NamedTuple):
     """A block as the walk reads it back: its stored fields, with
@@ -254,15 +274,24 @@ class Verdict:
 class StoredReport(NamedTuple):
     """A committed report as the ledger keeps it: one object holding atomic
     values only, so a report adds one object for the garbage collector to
-    track. The report itself is read back from its signed bytes when asked
-    for."""
+    track. Its signed bytes stay in the block log, where its `payload_b64`
+    is the `length` bytes at `offset`; an offset of -1 means it has no
+    place, and the ledger keeps its bytes."""
 
     report_id: str
-    payload: bytes              # the signed bytes, as committed
     height: int
     device_id: str
     batch_no: str
     created_at: int
+    offset: int
+    length: int
+
+
+class SignedReport(NamedTuple):
+    """A report as a query serves it: its id and signed bytes, as committed."""
+
+    report_id: str
+    payload: bytes
 
     @property
     def report(self) -> EventReport:
@@ -280,11 +309,6 @@ class _Prepared(NamedTuple):
     report: JudgedReport
 
 
-def _stored(payload: bytes, report: JudgedReport, height: int) -> StoredReport:
-    return StoredReport(report.report_id, payload, height, report.device_id,
-                        report.batch_no, report.created_at)
-
-
 class _IndexRecord(NamedTuple):
     """One block's line in the index log, as it was written when the block
     was committed or judged on replay."""
@@ -298,14 +322,6 @@ class _IndexRecord(NamedTuple):
     reports: list[list]
 
 
-class _Vouched(NamedTuple):
-    """A block the index vouched for: its record, and each report's payload
-    decoded from the slice of the line the record names."""
-
-    record: _IndexRecord
-    payloads: list[bytes]
-
-
 class _Walked(NamedTuple):
     """A block replay walked: the block, where its line ends in the log past
     its newline, and the (offset, length) in its line of each transaction's
@@ -317,31 +333,44 @@ class _Walked(NamedTuple):
     spans: Optional[list[tuple[int, int]]]
 
 
-# The types of an index record's report row, checked as `_require` checks
-# a field: by type, so a bool is no integer.
+# The types of an index record's fields and of its report rows, checked as
+# `_require` checks a field: by type, so a bool is no integer.
+_RECORD_KINDS = (int, str, int, int, list)
 _ROW_KINDS = (str, str, str, int, int, int)
 
 
-def _index_records(texts: Iterable[bytes]) -> list[_IndexRecord]:
+def _index_records(texts: Sequence[bytes]) -> list[_IndexRecord]:
     """The index log's records from genesis on, typed, up to the first that
-    is not a record of the next height."""
+    is not a record of the next height. The texts are parsed in one scan,
+    as one JSON array, when that gives one value per text; else one by one,
+    so a text that is not JSON ends the records where it stands."""
+    try:
+        objs = canonical.loads_exact("[" + str(b",".join(texts), "utf-8") + "]")
+    except ValueError:
+        objs = None
+    if objs is None or len(objs) != len(texts):
+        objs = _each_parsed(texts)
     records: list[_IndexRecord] = []
-    for text in texts:
-        try:
-            obj = canonical.loads_exact(str(text, "utf-8"))
-            if type(obj) is not dict:
-                break
-            record = _IndexRecord(_require(obj, "height", int), _require(obj, "hash", str),
-                                  _require(obj, "end", int), _require(obj, "committed_at", int),
-                                  _require(obj, "reports", list))
-        except ValueError:      # not UTF-8, CanonicalError or ModelError
+    for obj in objs:
+        if type(obj) is not dict:
             break
-        if record.height != len(records) or not all(
+        record = _IndexRecord(obj.get("height"), obj.get("hash"), obj.get("end"),
+                              obj.get("committed_at"), obj.get("reports"))
+        if tuple(map(type, record)) != _RECORD_KINDS or record.height != len(records) or not all(
                 type(row) is list and tuple(map(type, row)) == _ROW_KINDS
                 for row in record.reports):
             break
         records.append(record)
     return records
+
+
+def _each_parsed(texts: Iterable[bytes]) -> Iterator[Any]:
+    """The JSON value of each text, up to the first that is not UTF-8 JSON."""
+    for text in texts:
+        try:
+            yield canonical.loads_exact(str(text, "utf-8"))
+        except ValueError:      # not UTF-8, or CanonicalError
+            return
 
 
 def _index_text(height: int, block_hash: str, end: int, committed_at: int,
@@ -356,13 +385,6 @@ def _index_text(height: int, block_hash: str, end: int, committed_at: int,
         for s, (offset, length) in zip(reports, spans)])
     return (f'{{"committed_at":{committed_at},"end":{end},"hash":"{block_hash}",'
             f'"height":{height},"reports":[{rows}]}}').encode("utf-8")
-
-
-def _b64(payload: bytes) -> str:
-    """The one base64 spelling of signed bytes: the one `b64encode` writes,
-    and the only one `SignedEnvelope.from_wire_obj` accepts, so it is the
-    spelling each payload was committed in."""
-    return base64.b64encode(payload).decode("ascii")
 
 
 class Ledger:
@@ -388,17 +410,22 @@ class Ledger:
         # id (see `_insert_descending`).
         self._recent_by_device: dict[str, list[tuple[int, str]]] = defaultdict(list)
         self._recent_by_batch: dict[str, list[tuple[int, str]]] = defaultdict(list)
+        # Each report in a GetRecent window, and each that has no place in
+        # the log, with its signed bytes, as GetRecent serves it.
+        self._kept: dict[str, SignedReport] = {}
         self._tip_hash = ZERO_HASH
         self._tip_committed_at = 0
         self._height = -1
         self._load_registry()
-        self._index = CheckedLog(self._dir / INDEX_FILE)
-        try:
+        with ExitStack() as opened:
+            self._index = CheckedLog(self._dir / INDEX_FILE)
+            opened.callback(self._index.close)
             self._replay_blocks()
             self._log = AppendLog(self._blocks_path)
-        except BaseException:
-            self._index.close()
-            raise
+            opened.callback(self._log.close)
+            # Where queries read the places of committed payloads.
+            self._reader = open(self._blocks_path, "rb", buffering=0)
+            opened.pop_all()
         if self._height < 0:
             self._append_block((), genesis_at_ms)
 
@@ -423,29 +450,37 @@ class Ledger:
         whose payload does not decode makes the log corrupt; one that
         breaks a report rule was still committed, and is indexed like any
         other. The index log is then cut back to the records used, and the
-        judged blocks' records are appended in one write."""
+        judged blocks' records are appended in one write. The GetRecent
+        lists are built last, with their windows."""
+        raw = AppendLog.read(self._blocks_path)
         records = _index_records(self._index.records())
         used, judged = 0, []
-        for item in _walk_blocks(AppendLog.read(self._blocks_path), records):
-            if type(item) is _Vouched:
-                record = item.record
-                self._apply_block(record.height, record.block_hash, record.committed_at, [
-                    StoredReport(row[0], payload, record.height, *row[1:4])
-                    for row, payload in zip(record.reports, item.payloads)])
+        start = 0       # where the next line starts in the log
+        for item in _walk_blocks(raw, records):
+            if type(item) is _IndexRecord:
+                height = item.height
+                self._apply_block(height, item.block_hash, item.committed_at, [
+                    StoredReport(report_id, height, device_id, batch_no, created_at,
+                                 start + offset, length)
+                    for report_id, device_id, batch_no, created_at, offset, length
+                    in item.reports])
                 used += 1
+                start = item.end
                 continue
             block = item.block
             try:
                 payloads = [SignedEnvelope.from_wire_obj(tx).payload for tx in block.transactions]
-                stored = [_stored(payload, judge_report(payload), block.height)
-                          for payload in payloads]
+                reports = [judge_report(payload) for payload in payloads]
             except (MalformedEnvelope, ModelError) as exc:
                 raise CorruptLedger(f"block {block.height}: unreadable transaction: {exc}",
                                     block.height) from exc
+            stored = self._placed(block.height, reports, payloads, start, item.spans)
             self._apply_block(block.height, block.block_hash, block.committed_at, stored)
             if item.spans is not None:
                 judged.append(_index_text(block.height, block.block_hash, item.end,
                                           block.committed_at, stored, item.spans))
+            start = item.end
+        self._build_recent(raw)
         if len(records) > self._height + 1:
             logger.warning("the index log records block %d but the block log ends at block %d: "
                            "the block log lost blocks it had made durable",
@@ -464,6 +499,21 @@ class Ledger:
         except OSError as exc:
             logger.warning("index log not written from block %d on: %s", self._height, exc)
 
+    def _placed(self, height: int, reports: Sequence[JudgedReport], payloads: Sequence[bytes],
+                start: int, spans: Optional[Sequence[tuple[int, int]]]) -> list[StoredReport]:
+        """The stored form of the reports of the block at `height`, whose
+        line starts at `start` in the log and holds their payloads at
+        `spans` (`_payload_spans`). Without spans they have no place, and
+        their bytes are kept."""
+        if spans is None:
+            self._kept.update((r.report_id, SignedReport(r.report_id, payload))
+                              for r, payload in zip(reports, payloads))
+            places: Iterable[tuple[int, int]] = itertools.repeat((-1, 0))
+        else:
+            places = [(start + offset, length) for offset, length in spans]
+        return [StoredReport(r.report_id, height, r.device_id, r.batch_no, r.created_at, *place)
+                for r, place in zip(reports, places)]
+
     def _apply_block(self, height: int, block_hash: str, committed_at: int,
                      stored: Iterable[StoredReport]) -> None:
         """Make the block `block_hash` at `height` the tip, holding the
@@ -473,20 +523,67 @@ class Ledger:
         self._tip_committed_at = committed_at
         for report in stored:
             self._reports[report.report_id] = report
+
+    def _build_recent(self, raw: bytes) -> None:
+        """Fill the GetRecent lists with the replayed reports in the log
+        `raw`, sorting each list once, and keep the signed bytes of each
+        list's window."""
+        for report in self._reports.values():
             entry = (-report.created_at, report.report_id)
-            _insert_descending(self._recent_by_device[report.device_id], entry)
-            _insert_descending(self._recent_by_batch[report.batch_no], entry)
+            self._recent_by_device[report.device_id].append(entry)
+            self._recent_by_batch[report.batch_no].append(entry)
+        for entries in itertools.chain(self._recent_by_device.values(),
+                                       self._recent_by_batch.values()):
+            entries.sort(reverse=True)
+            for _, report_id in entries[-RECENT_WINDOW:]:
+                if report_id not in self._kept:
+                    self._kept[report_id] = SignedReport(report_id, base64.b64decode(
+                        self._committed_b64(self._reports[report_id], raw), validate=True))
+
+    def _insert_recent(self, report: StoredReport, payload: bytes) -> None:
+        """Insert a committed report into its GetRecent lists. Its signed
+        bytes are kept if it lands in a window, and a report it pushes out
+        of a window drops its bytes unless it is still in its other one."""
+        entry = (-report.created_at, report.report_id)
+        kept = False
+        for entries in (self._recent_by_device[report.device_id],
+                        self._recent_by_batch[report.batch_no]):
+            if _insert_descending(entries, entry) >= len(entries) - RECENT_WINDOW:
+                kept = True
+                if len(entries) > RECENT_WINDOW:
+                    self._left_window(entries[-RECENT_WINDOW - 1])
+        if kept:
+            self._kept[report.report_id] = SignedReport(report.report_id, payload)
+
+    def _left_window(self, entry: tuple[int, str]) -> None:
+        """Drop the signed bytes of the report of `entry`, which has just
+        left a window, unless it has no place or is in a window still: a
+        list's window is its entries from its `RECENT_WINDOW`th last on."""
+        report = self._reports[entry[1]]
+        by_device = self._recent_by_device[report.device_id]
+        by_batch = self._recent_by_batch[report.batch_no]
+        if report.offset >= 0 and not (
+                len(by_device) <= RECENT_WINDOW or entry <= by_device[-RECENT_WINDOW]
+                or len(by_batch) <= RECENT_WINDOW or entry <= by_batch[-RECENT_WINDOW]):
+            self._kept.pop(report.report_id, None)
 
     def _append_block(self, prepared: Sequence[_Prepared], committed_at: int) -> None:
-        """Append the block, make it the tip, then append its index record."""
+        """Append the block, make it the tip, index its reports, then append
+        its index record."""
         height = self._height + 1
         block_hash, line = LedgerBlock.encode(height, self._tip_hash,
                                               (p.text for p in prepared), committed_at)
+        start = self._log.size
         self._log.append(line)
-        stored = [_stored(p.payload, p.report, height) for p in prepared]
-        self._apply_block(height, block_hash, committed_at, stored)
+        # Each payload's span, for both its place and its index row; None
+        # only for a line spelled otherwise than this one.
         spans = _payload_spans(line, 0, len(line) - 1, [p.payload_b64 for p in prepared])
-        if spans is not None:       # None only for a line spelled otherwise than this one
+        stored = self._placed(height, [p.report for p in prepared],
+                              [p.payload for p in prepared], start, spans)
+        self._apply_block(height, block_hash, committed_at, stored)
+        for report, item in zip(stored, prepared):
+            self._insert_recent(report, item.payload)
+        if spans is not None:
             self._write_index([_index_text(height, block_hash, self._log.size, committed_at,
                                            stored, spans)])
 
@@ -585,16 +682,21 @@ class Ledger:
         return verdicts
 
     def get_event_payload(self, report_id: str) -> Optional[str]:
-        """Base64 of the exact signed bytes, byte-identical to submission,
-        spelled outside the lock."""
+        """Base64 of the exact signed bytes, byte-identical to submission:
+        the base64 that was committed, read from its place in the log."""
         with self._lock:
             stored = self._reports.get(report_id)
-        return _b64(stored.payload) if stored else None
+            if stored is None:
+                return None
+            text = self._committed_b64(stored)
+        return str(text, "ascii")
 
     def get_recent(self, device_id: Optional[str] = None, batch_no: Optional[str] = None,
-                   limit: int = 10) -> list[StoredReport]:
+                   limit: int = RECENT_WINDOW) -> list[SignedReport]:
         """The newest `limit` stored reports matching both filters (None
-        matches any), newest first, ties broken by report id."""
+        matches any), newest first, ties broken by report id. A report in
+        a window is served from the bytes kept for it; any other is read
+        from its place and decoded, and its bytes are not kept."""
         if limit < 1:
             raise ValueError("limit must be >= 1")
         filters = [(device_id, self._recent_by_device), (batch_no, self._recent_by_batch)]
@@ -610,13 +712,34 @@ class Ledger:
             matches = (s for s in stored
                        if (device_id is None or s.device_id == device_id)
                        and (batch_no is None or s.batch_no == batch_no))
-            return list(itertools.islice(matches, limit))
+            found = list(itertools.islice(matches, limit))
+            served = [self._kept.get(s.report_id) for s in found]
+            cold = [(at, self._committed_b64(found[at]))
+                    for at, kept in enumerate(served) if kept is None]
+        for at, text in cold:
+            served[at] = SignedReport(found[at].report_id, base64.b64decode(text, validate=True))
+        return served
 
     def all_reports(self) -> list[EventReport]:
         """Every stored report, decoded, in report id order."""
         with self._lock:
             stored = [self._reports[rid] for rid in sorted(self._reports)]
-        return [s.report for s in stored]
+        with self._mapped_log() as raw:
+            return [decode_report(base64.b64decode(self._committed_b64(s, raw), validate=True))
+                    for s in stored]
+
+    def _committed_b64(self, report: StoredReport,
+                       mapped: Optional[bytes | mmap.mmap] = None) -> bytes:
+        """The base64 `report`'s payload was committed in: sliced from its
+        place in `mapped`, the log's bytes, which needs no lock, or else
+        read from its place with `pread`, under the lock, which `close`
+        takes. A report with no place is spelled from the bytes kept for
+        it: base64 has one accepted spelling (`SignedEnvelope.from_wire_obj`)."""
+        if report.offset < 0:
+            return base64.b64encode(self._kept[report.report_id].payload)
+        if mapped is None:
+            return os.pread(self._reader.fileno(), report.length, report.offset)
+        return mapped[report.offset:report.offset + report.length]
 
     @property
     def height(self) -> int:
@@ -676,24 +799,27 @@ class Ledger:
         with self._lock:
             stored = sorted(self._reports.items())
             obj = {"devices": self._devices, "height": self._height, "tip_hash": self._tip_hash}
-        obj["reports"] = {rid: {"payload_b64": _b64(s.payload), "height": s.height}
-                          for rid, s in stored}
+        with self._mapped_log() as raw:
+            obj["reports"] = {rid: {"payload_b64": str(self._committed_b64(s, raw), "ascii"),
+                                    "height": s.height} for rid, s in stored}
         return canonical.dumps(obj)
 
     def close(self) -> None:
         with self._lock:
             self._log.close()
             self._index.close()
+            self._reader.close()
 
 
-def _insert_descending(entries: list[tuple[int, str]], entry: tuple[int, str]) -> None:
-    """Insert `entry` into `entries`, kept in descending order. A report
-    newer than every indexed one is appended; only an older one, committed
-    out of order, is searched for and moves the entries after it."""
+def _insert_descending(entries: list[tuple[int, str]], entry: tuple[int, str]) -> int:
+    """Insert `entry` into `entries`, kept in descending order, and return
+    where it went. A report newer than every indexed one is appended; only
+    an older one, committed out of order, is searched for and moves the
+    entries after it."""
     low, high = 0, len(entries)
     if not high or entry < entries[-1]:
         entries.append(entry)
-        return
+        return high
     while low < high:
         middle = (low + high) // 2
         if entries[middle] > entry:
@@ -701,13 +827,14 @@ def _insert_descending(entries: list[tuple[int, str]], entry: tuple[int, str]) -
         else:
             high = middle
     entries.insert(low, entry)
+    return low
 
 
 def _walk_blocks(raw: bytes | mmap.mmap, index: Optional[Sequence[_IndexRecord]] = None
-                 ) -> Iterator[LedgerBlock | _Vouched | _Walked]:
+                 ) -> Iterator[LedgerBlock | _IndexRecord | _Walked]:
     """Yield the blocks of a stored block log in order: each as a
     `LedgerBlock`, or, for replay, which passes the index log's records as
-    `index`, as `_Vouched` or `_Walked`.
+    `index`, as the `_IndexRecord` that vouches for it or as `_Walked`.
 
     `raw` is walked in place: each line is found with `find(b"\n")` and
     read through views of `raw` that live only for the call they are made
@@ -727,8 +854,8 @@ def _walk_blocks(raw: bytes | mmap.mmap, index: Optional[Sequence[_IndexRecord]]
     its `prev_hash` the previous block's hash. The first line that fails a
     check raises CorruptLedger carrying its height.
 
-    With `index`, a line its record vouches for (`_vouched_payloads`) is
-    not parsed: it yields the record and the payloads it places. From the
+    With `index`, a line its record vouches for (`_vouches`) is not
+    parsed: it yields the record, which places its payloads. From the
     first line that no record vouches for on, each line is walked as above
     and yields a `_Walked`, with where its payloads lie for its own record.
     """
@@ -749,10 +876,8 @@ def _walk_blocks(raw: bytes | mmap.mmap, index: Optional[Sequence[_IndexRecord]]
             if raw[start:start + _CORE_START] != b"".join(
                     (_HASH_PREFIX, block_hash.encode("ascii"), b'",')):
                 raise CorruptLedger(f"block {height}: block hash mismatch", height)
-            payloads = (_vouched_payloads(raw, start, end, height, prev_hash, block_hash, index)
-                        if vouching else None)
-            if payloads is not None:
-                yield _Vouched(index[height], payloads)
+            if vouching and _vouches(raw, start, end, height, prev_hash, block_hash, index):
+                yield index[height]
             else:
                 vouching = False
                 block = _parse_block(view, start, end, height, prev_hash, block_hash)
@@ -800,37 +925,33 @@ def _parse_block(view: memoryview, start: int, end: int, height: int, prev_hash:
     return LedgerBlock(height, prev_hash, tuple(transactions), committed_at, block_hash)
 
 
-def _vouched_payloads(raw: bytes | mmap.mmap, start: int, end: int, height: int,
-                      prev_hash: str, block_hash: str, index: Sequence[_IndexRecord]
-                      ) -> Optional[list[bytes]]:
-    """The payloads of the line `raw[start:end]` at `height`, which hashes
-    to `block_hash`, if the index vouches for it; else None.
+def _vouches(raw: bytes | mmap.mmap, start: int, end: int, height: int, prev_hash: str,
+             block_hash: str, index: Sequence[_IndexRecord]) -> bool:
+    """Whether the index vouches for the line `raw[start:end]` at `height`,
+    which hashes to `block_hash`.
 
     Its record must name that hash and where the line ends, and the line
     must link to `prev_hash` at the place a canonical line holds its link.
-    Each payload is decoded from the slice its record names, which must
-    lie inside the line between `"payload_b64":"` and `"`.
+    Each payload's slice, as its record names it, must be the whole value
+    after a `"payload_b64":"` key in the line: the key before it, a `"`
+    after it and none inside.
     """
     if height >= len(index) or end >= len(raw):
-        return None
+        return False
     record = index[height]
     if record.block_hash != block_hash or record.end != end + 1:
-        return None
+        return False
     link = start + _LINK_AT + len(str(height))
     expected = b'"prev_hash":"%s"' % prev_hash.encode("ascii")
     if raw[link:link + len(expected)] != expected:
-        return None
-    payloads = []
+        return False
     for row in record.reports:
         at, length = start + row[4], row[5]
         if (at - len(_PAYLOAD_KEY) < start or length < 0 or at + length >= end
-                or raw[at - len(_PAYLOAD_KEY):at] != _PAYLOAD_KEY or raw[at + length] != 0x22):
-            return None
-        try:
-            payloads.append(base64.b64decode(raw[at:at + length], validate=True))
-        except binascii.Error:
-            return None
-    return payloads
+                or raw[at - len(_PAYLOAD_KEY):at] != _PAYLOAD_KEY or raw[at + length] != 0x22
+                or raw.find(b'"', at, at + length) >= 0):
+            return False
+    return True
 
 
 def _payload_spans(raw: bytes, start: int, end: int,
@@ -912,13 +1033,13 @@ class LedgerService:
             # wire_text({"found": True, "payload_b64": ...}): base64 needs no escaping.
             return f'{{"found": true, "payload_b64": "{payload_b64}"}}'
         if op == OP_GET_RECENT:
-            stored = self.ledger.get_recent(
+            recent = self.ledger.get_recent(
                 device_id=args.get("device_id"),
                 batch_no=args.get("batch_no"),
-                limit=_require(args, "limit", int, 10),
+                limit=_require(args, "limit", int, RECENT_WINDOW),
             )
             # Each report as the JSON text it was signed in.
-            return '{"reports": [' + str(b", ".join([s.payload for s in stored]), "utf-8") + "]}"
+            return '{"reports": [' + str(b", ".join([r.payload for r in recent]), "utf-8") + "]}"
         if op == OP_REGISTER_DEVICE:
             identity = DeviceIdentity.from_obj(args["identity"])
             return wire_text({"registration": self.ledger.register_device(identity)})
@@ -1014,7 +1135,7 @@ class LedgerClient:
         return None if payload is None else decode_report(payload)
 
     def get_recent(self, device_id: Optional[str] = None, batch_no: Optional[str] = None,
-                   limit: int = 10) -> list[EventReport]:
+                   limit: int = RECENT_WINDOW) -> list[EventReport]:
         """Raises ModelError, as `get_event` does, for a report in the
         answer that does not decode."""
         args: dict[str, Any] = {"limit": limit}

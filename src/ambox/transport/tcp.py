@@ -102,9 +102,8 @@ def _hang_up(sock: socket.socket) -> None:
 
 
 def _transport_error(exc: OSError, exchange: str) -> TransportError:
-    """The TransportError a client raises for a socket error during `exchange`."""
-    if isinstance(exc, ConnectionRefusedError):
-        return ConnectionRefused(str(exc))
+    """The TransportError a client raises for a socket error during
+    `exchange`, whose message names the exchange, and so its peer."""
     if isinstance(exc, socket.timeout):
         return RequestTimeout(f"{exchange} timed out")
     return ConnectionRefused(f"{exchange} failed: {exc}")

@@ -1335,11 +1335,13 @@ def bench_shaped_history(node_key, tmp_path_factory):
 
 
 def test_a_replayed_report_is_kept_as_an_index_record(bench_shaped_history, opened):
-    # A replayed 15-reading report keeps its signed payload's bytes (about
-    # 1.7 KB) and a few atomic values, not a decoded report: one report of 15
+    # A replayed 15-reading report keeps a few atomic values, its payload's
+    # place in the block log among them, not its payload: one report of 15
     # readings as objects took 9 KB and 18 objects the garbage collector
-    # tracks, and its payload as base64 took 0.6 KB more than the bytes.
-    # About 2,220 B per report were retained here.
+    # tracks, and its signed bytes about 1.7 KB (2,220 B per report were
+    # retained while every report kept them). Only the GetRecent windows,
+    # 10 reports here, keep their bytes. About 565 B per report are
+    # retained here.
     n = HISTORY_REPORTS
     gc.collect()
     tracked_before = len(gc.get_objects())
@@ -1352,8 +1354,124 @@ def test_a_replayed_report_is_kept_as_an_index_record(bench_shaped_history, open
     finally:
         tracemalloc.stop()
     assert reopened.height == n // 100 and len(reopened.all_reports()) == n
-    assert retained <= 2_450 * n, retained / n
+    assert retained <= 1_024 * n, retained / n
     assert tracked <= 2 * n, tracked / n
+
+
+def windows(reports) -> set[str]:
+    """The ids of the reports in some GetRecent window: the newest
+    `RECENT_WINDOW` of a device's reports or of a batch's."""
+    lists = {(r.device_id, None) for r in reports} | {(None, r.batch_no) for r in reports}
+    return {r.report_id for device, batch in lists
+            for r in _brute_force_recent(reports, device, batch, ledger_module.RECENT_WINDOW)}
+
+
+@pytest.fixture(scope="module")
+def window_history(node_key, other_key):
+    """60 signed reports from two devices in three batches, each created
+    at an instant that runs against commit order now and then, with ties,
+    and the block sizes to commit them in: more than a window's worth per
+    list, entering windows in the middle and pushing others out of them.
+    One device has 12 reports and the other 48, so a report can leave
+    either of its windows while still in the other."""
+    reports, envelopes = [], []
+    for serial in range(60):
+        key = (node_key, other_key)[serial % 5 == 0]
+        base = make_report(device=key.device_id, report_id=f"r-{serial:02d}",
+                           created_at=T0 + 600_000 + (serial * 7 % 23) * 1000, n_readings=2)
+        report = dataclasses.replace(base, batch_no=_ORACLE_BATCHES[serial % 3])
+        reports.append(report)
+        envelopes.append(sign(key, report))
+    return reports, envelopes, [1, 4, 2, 7, 1, 1, 3, 10, 2, 5, 1, 8, 6, 9]
+
+
+def test_an_open_decodes_only_the_payloads_of_the_windows(node_key, other_key, window_history,
+                                                          tmp_path, monkeypatch, opened):
+    reports, envelopes, cuts = window_history
+    history_ledger(tmp_path, (node_key, other_key), envelopes, cuts)
+    decoded = []
+    decode = base64.b64decode
+
+    def counted(text, *args, **kwargs):
+        decoded.append(decode(text, *args, **kwargs))
+        return decoded[-1]
+
+    monkeypatch.setattr(base64, "b64decode", counted)
+    judged = counting_judge(monkeypatch)
+    reopened = opened(tmp_path)
+    assert judged == []         # the index log vouched for every block
+    by_payload = {e.payload: r.report_id for r, e in zip(reports, envelopes)}
+    assert sorted(by_payload[payload] for payload in decoded) == sorted(windows(reports))
+    # Two device lists and three batch lists: at most a window's worth each.
+    assert len(decoded) <= 5 * ledger_module.RECENT_WINDOW < len(reports)
+    assert set(reopened._kept) == windows(reports)
+
+
+def test_hot_and_cold_entries_are_answered_alike_live_and_reopened(node_key, other_key,
+                                                                   window_history, tmp_path,
+                                                                   opened):
+    reports, envelopes, cuts = window_history
+    live = opened(tmp_path, genesis_at_ms=T0)
+    for key in (node_key, other_key):
+        live.register_device(identity_of(key))
+    payloads = {r.report_id: e.payload for r, e in zip(reports, envelopes)}
+    requests = [_get_recent_request(device, batch, limit)
+                for device in (None, "node-1", "node-2") for batch in (None,) + _ORACLE_BATCHES
+                for limit in (1, 10, 11, 100)]
+    start = 0
+    for k, cut in enumerate(cuts):
+        live.add_events(envelopes[start:start + cut], T0 + k)
+        start += cut
+        committed = reports[:start]
+        # The windows follow every commit: a report pushed out of both of
+        # its windows keeps nothing.
+        assert set(live._kept) == windows(committed)
+    reopened = opened(tmp_path)
+    assert set(reopened._kept) == windows(reports)
+    for ledger in (live, reopened):
+        service = LedgerService(ledger, clock=lambda: T0)
+        for request in requests:
+            args = json.loads(request)["args"]
+            expected = _one_dump_answer([payloads[r.report_id] for r in _brute_force_recent(
+                reports, args.get("device_id"), args.get("batch_no"), args["limit"])], {})
+            assert service.handle("x", request) == expected, args
+        for report, envelope in zip(reports, envelopes):
+            request = json.dumps({"op": "GetEvent", "args": {"report_id": report.report_id}})
+            assert service.handle("x", request.encode()) == canonical.wire_dumps({
+                "ok": True,
+                "result": {"found": True, "payload_b64": envelope.to_wire_obj()["payload_b64"]}})
+    assert reopened.world_state_bytes() == live.world_state_bytes()
+    assert reopened.all_reports() == live.all_reports() == sorted(reports,
+                                                                   key=lambda r: r.report_id)
+    # Answering kept nothing more.
+    assert set(live._kept) == set(reopened._kept) == windows(reports)
+
+
+def test_a_replayed_block_whose_payloads_have_no_place_keeps_their_bytes(
+        registered, node_key, tmp_path, opened):
+    envelopes, reports = zip(*(env_for(node_key, i) for i in range(15)))
+    registered.add_events(list(envelopes[:2]), T0)
+    registered.add_events(list(envelopes[2:5]), T0 + 1)
+    registered.close()
+    path = tmp_path / "ledger" / BLOCKS_FILE
+    lines = path.read_bytes().split(b"\n")[:-1]
+    # The last block spelled with a space after each colon, and hashed
+    # again: the same block, but not where a canonical line spells it.
+    core = lines[-1][ledger_module._CORE_START:]
+    lines[-1] = rehashed(lines[-1][:ledger_module._CORE_START] + core.replace(b'":', b'": '))
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    reopened = opened(tmp_path / "ledger")
+    assert {rid for rid, s in reopened._reports.items() if s.offset < 0} == {
+        r.report_id for r in reports[2:5]}
+    # Ten newer reports push the placeless ones out of every window.
+    reopened.add_events(list(envelopes[5:]), T0 + 2)
+    for ledger in (reopened, opened(tmp_path / "ledger")):
+        assert [ledger.get_event_payload(r.report_id) for r in reports] == [
+            e.to_wire_obj()["payload_b64"] for e in envelopes]
+        assert [s.report for s in ledger.get_recent(limit=100)] == _brute_force_recent(
+            reports, None, None, 100)
+        assert ledger.all_reports() == sorted(reports, key=lambda r: r.report_id)
+        assert {r.report_id for r in reports[2:5]} <= set(ledger._kept)
 
 
 def test_answering_get_recent_keeps_nothing_per_report(bench_shaped_history, opened):
@@ -1617,8 +1735,9 @@ def test_an_audit_holds_one_block_in_memory_not_the_log(registered, node_key, tm
 
 def test_the_block_log_is_read_only_through_the_walker():
     # Replay walks what AppendLog.read returns and audits walk the map that
-    # _mapped_log makes; nothing else in ledger.py opens, reads or splits
-    # the log.
+    # _mapped_log makes; beside them, ledger.py only reads committed
+    # payloads' places, through that map or the reader `__init__` opens.
+    # Nothing else opens, reads or splits the log.
     scopes: dict[str, set[str]] = defaultdict(set)
     splits = []
 
@@ -1712,6 +1831,59 @@ def test_an_open_judges_only_the_blocks_the_index_log_does_not_vouch_for(
     for cut in (1, 2, 5):
         index.write_bytes(b"".join(whole.splitlines(keepends=True)[:-cut]))
         assert reopened_judging() == 2 * cut
+
+
+def checked_lines(texts) -> bytes:
+    """Index log lines holding `texts`, each under its own good checksum."""
+    return b"".join(b"%08x %s\n" % (zlib.crc32(text), text) for text in texts)
+
+
+@pytest.mark.parametrize("text", [b"{", b"\xff", b"[]", b"1,2", b"records 3 and 4"],
+                         ids=["not JSON", "not UTF-8", "not an object", "two values",
+                              "two records"])
+def test_a_record_that_is_not_one_json_object_ends_the_index_where_it_stands(
+        registered, node_key, tmp_path, monkeypatch, opened, text):
+    for i in range(5):
+        registered.add_events([env_for(node_key, i)[0]], T0 + i)
+    registered.close()
+    index = tmp_path / "ledger" / INDEX
+    whole = index.read_bytes()
+    texts = [line[9:] for line in whole.splitlines()]
+    if text == b"records 3 and 4":
+        # Both in one line, so that the records, joined, still parse to
+        # one record per height.
+        texts[3:5] = [texts[3] + b"," + texts[4]]
+    else:
+        texts[3] = text
+    index.write_bytes(checked_lines(texts))
+    judged = counting_judge(monkeypatch)
+    assert opened(tmp_path / "ledger").world_state_bytes() == registered.world_state_bytes()
+    assert len(judged) == 3         # blocks 3, 4 and 5, one report each
+    assert index.read_bytes() == whole
+
+
+def test_a_payload_slice_that_holds_a_quote_vouches_for_nothing(registered, node_key, tmp_path,
+                                                                monkeypatch, opened):
+    registered.add_events([env_for(node_key, i)[0] for i in range(2)], T0)
+    registered.add_events([env_for(node_key, 2)[0]], T0 + 1)
+    registered.close()
+    index = tmp_path / "ledger" / INDEX
+    whole = index.read_bytes()
+    line = (tmp_path / "ledger" / BLOCKS_FILE).read_bytes().split(b"\n")[1]
+    records = [canonical.loads(text[9:]) for text in whole.splitlines()]
+    # Block 1's first slice stretched to the end of the envelope's
+    # signature: the payload key before it and a `"` after it, as a payload
+    # has, but the rest of the envelope inside.
+    row = records[1]["reports"][0]
+    row[5] = line.index(b'","signer"', row[4]) - row[4]
+    assert line[row[4] - len(b'"payload_b64":"'):row[4]] == b'"payload_b64":"'
+    assert line[row[4] + row[5]] == ord('"')
+    index.write_bytes(checked_lines(canonical.dumps(record) for record in records))
+    judged = counting_judge(monkeypatch)
+    reopened = opened(tmp_path / "ledger")
+    assert len(judged) == 3         # blocks 1 and 2, judged as if there were no index
+    assert reopened.world_state_bytes() == registered.world_state_bytes()
+    assert index.read_bytes() == whole
 
 
 def test_an_index_log_of_seven_column_rows_is_judged_and_rewritten(

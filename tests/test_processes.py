@@ -217,6 +217,13 @@ def _ledger_count(stack, device: str) -> int:
     return len([line for line in result.stdout.splitlines() if line.strip()])
 
 
+@pytest.mark.parametrize("flag, verb", [("--ledger", "tail-ledger"), ("--operator", "fleet")])
+def test_an_operator_verb_names_the_peer_it_cannot_reach(flag, verb):
+    result = run_cli("operator", verb, flag, "127.0.0.1:9")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and "127.0.0.1:9" in result.stderr, result.stderr
+
+
 def test_port_in_use_second_process(tmp_path):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"

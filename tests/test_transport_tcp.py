@@ -79,6 +79,14 @@ def test_connection_refused():
         client.request("127.0.0.1:1", b"hi", 500)
 
 
+def test_a_refused_connection_names_its_exchange():
+    # The discard port, where nothing listens on the loopback address.
+    with pytest.raises(ConnectionRefused, match=r"^request to 127\.0\.0\.1:9 failed: "):
+        TcpRequestClient().request("127.0.0.1:9", b"hi", 500)
+    with pytest.raises(ConnectionRefused, match=r"^GET /fleet to 127\.0\.0\.1:9 failed: "):
+        HttpJsonClient().call("127.0.0.1:9", "GET", "/fleet", None)
+
+
 def test_request_timeout():
     def slow_handler(src, payload):
         time.sleep(1.0)
