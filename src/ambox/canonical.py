@@ -143,6 +143,10 @@ def _reject_non_finite(obj) -> None:
                 raise CanonicalError("canonical objects use string keys only")
             _reject_non_finite(value)
     elif isinstance(obj, (list, tuple)):
+        if isinstance(obj, tuple) and type(obj) is not tuple:
+            # A record (a reading, a report) reaches JSON through its
+            # `to_obj`, never as the array of its fields.
+            raise CanonicalError(f"a {type(obj).__name__} record has no canonical form")
         for value in obj:
             _reject_non_finite(value)
 

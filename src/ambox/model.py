@@ -5,12 +5,17 @@ concurrent activities. Timestamps are integer epoch milliseconds (UTC) taken
 from a clock handle, never from an OS call inside domain logic, so the same
 code runs identically under the wall clock and the harness virtual clock.
 
-Every reading, alone or in a report, is decoded by one function and encoded
-by one; within a report each distinct timestamp is parsed or formatted once.
-The decoder takes a report's whole readings list in one loop. The ledger
-judges a signed payload with `judge_report`, which applies the decoder's
-rules and `validate_report`'s invariants without building the report. The
-ledger encodes no report: it serves each one as the payload it committed.
+Readings and reports are tuple records (`typing.NamedTuple`s whose
+constructor and `_replace` make `value` a float and `readings` a tuple), so
+they cannot be changed after they are built. Every reading, alone or in a
+report, is decoded by one function and encoded by one; within a report each
+distinct timestamp is parsed or formatted once. The one decoder takes a
+report's fields and its whole readings list in one pass, and builds each
+record with one C-level tuple construction, no Python call per reading. The
+ledger judges a signed payload with `judge_report`, which applies the
+decoder's rules and `validate_report`'s invariants to the decoder's untyped
+rows, building no record. The ledger encodes no report: it serves each one
+as the payload it committed.
 
 One reader rule: every field AmBox takes in from a file, a peer or an
 operator is typed by `_require` where it enters, never converted to fit. A
@@ -20,8 +25,8 @@ and every refusal is a ModelError, which each caller answers its own way.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -94,8 +99,15 @@ class DeviceIdentity:
                    _require(obj, "public_key_pem", str))
 
 
-@dataclass(frozen=True)
-class SensorReading:
+class _ReadingFields(NamedTuple):
+    quantity: str
+    value: float
+    sampled_at: int
+    source_device: str
+    signature_b64: Optional[str] = None
+
+
+class SensorReading(_ReadingFields):
     """One timestamped measurement of one quantity from one device.
 
     `signature_b64`, when present, is the sampling device's detached
@@ -103,14 +115,17 @@ class SensorReading:
     Mote readings carry it so the audit path survives relaying.
     """
 
-    quantity: str
-    value: float
-    sampled_at: int
-    source_device: str
-    signature_b64: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
+    def __new__(cls, quantity: str, value: float, sampled_at: int, source_device: str,
+                signature_b64: Optional[str] = None) -> "SensorReading":
+        return _new_record(cls, (quantity, float(value), sampled_at, source_device,
+                                 signature_b64))
+
+    @classmethod
+    def _make(cls, fields: Iterable[Any]) -> "SensorReading":
+        # `_replace` builds through here: a replaced value is a float too.
+        return cls(*fields)
 
     def core_obj(self) -> dict[str, Any]:
         """Reading without its signature; this is what the sampler signs."""
@@ -125,13 +140,10 @@ class SensorReading:
         (row,) = _decode_readings([obj], {})
         if signature_b64 is not None:
             row = row[:4] + (signature_b64,)
-        return _built_reading(*row)
+        return _new_record(cls, row)
 
 
-@dataclass(frozen=True)
-class EventReport:
-    """The ledger asset: who measured what, for which product batch, when."""
-
+class _ReportFields(NamedTuple):
     report_id: str
     device_id: str
     product_id: str
@@ -139,8 +151,21 @@ class EventReport:
     created_at: int
     readings: tuple[SensorReading, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "readings", tuple(self.readings))
+
+class EventReport(_ReportFields):
+    """The ledger asset: who measured what, for which product batch, when."""
+
+    __slots__ = ()
+
+    def __new__(cls, report_id: str, device_id: str, product_id: str, batch_no: str,
+                created_at: int, readings: Iterable[SensorReading]) -> "EventReport":
+        return _new_record(cls, (report_id, device_id, product_id, batch_no, created_at,
+                                 tuple(readings)))
+
+    @classmethod
+    def _make(cls, fields: Iterable[Any]) -> "EventReport":
+        # `_replace` builds through here: replaced readings are a tuple too.
+        return cls(*fields)
 
     def to_obj(self) -> dict[str, Any]:
         stamps: dict[int, str] = {}
@@ -155,55 +180,46 @@ class EventReport:
 
     @classmethod
     def from_obj(cls, obj: Any) -> "EventReport":
-        """Built without __init__, as `_built_reading` builds a reading: the
-        readings are a tuple already, all __post_init__ adds."""
-        instants: dict[str, int] = {}
-        report_id, device_id, product_id, batch_no, created_at, readings = \
-            _report_fields(obj, instants)
-        rows = _decode_readings(readings, instants)
-        report = object.__new__(cls)
-        fields = report.__dict__
-        fields["report_id"] = report_id
-        fields["device_id"] = device_id
-        fields["product_id"] = product_id
-        fields["batch_no"] = batch_no
-        fields["created_at"] = created_at
-        fields["readings"] = tuple(itertools.starmap(_built_reading, rows))
-        return report
+        """The report a parsed report object holds, or ModelError."""
+        report_id, device_id, product_id, batch_no, created_at, rows = _decode_report(obj)
+        return _new_record(cls, (report_id, device_id, product_id, batch_no, created_at,
+                                 tuple(map(_typed_reading, rows))))
 
+
+# A record's fields, taken as they are: what the decoder builds records with,
+# once its checks have typed each field. The constructors convert, then call it.
+_new_record = tuple.__new__
+_typed_reading = functools.partial(_new_record, SensorReading)
 
 _READING_FIELDS = ("quantity", "sampled_at", "source_device", "value")
 _REPORT_FIELDS = ("report_id", "device_id", "product_id", "batch_no", "created_at", "readings")
 
 
-def _report_fields(obj: Any, instants: dict[str, int]
-                   ) -> tuple[str, str, str, str, int, list]:
-    """A report object's id, device, product, batch, `created_at` and raw
-    readings list, or ModelError: the report-level rules that
-    `EventReport.from_obj` and `judge_report` share."""
+def _decode_report(obj: Any) -> tuple[str, str, str, str, int, list[tuple]]:
+    """A report object's id, device, product, batch, `created_at` and its
+    readings' rows (see `_decode_readings`), or ModelError: the one report
+    decoder, which `EventReport.from_obj` and `judge_report` share. Each
+    distinct instant in the report is parsed once."""
     _require_keys(obj, _REPORT_FIELDS, "EventReport")
     readings = obj["readings"]
     if not isinstance(readings, list):
         raise ModelError("readings must be a list")
+    instants: dict[str, int] = {}
     return (_require(obj, "report_id", str), _require(obj, "device_id", str),
             _require(obj, "product_id", str), _require(obj, "batch_no", str),
-            _parse_instant(obj["created_at"], instants), readings)
+            _parse_instant(obj["created_at"], instants), _decode_readings(readings, instants))
 
 
-# A decoded reading's fields, in `_built_reading`'s order.
-_Row = tuple[str, float, int, str, Optional[str]]
-
-
-def _decode_readings(readings: list, instants: dict[str, int]) -> list[_Row]:
-    """The one reading decoder: each reading object's quantity, value,
-    instant, source and signature, in list order; or ModelError. `instants`
-    memoizes timestamps across a report.
+def _decode_readings(readings: list, instants: dict[str, int]) -> list[tuple]:
+    """The one reading decoder: each reading object's row, its quantity,
+    value, instant, source and signature in `SensorReading`'s field order,
+    in list order; or ModelError. `instants` memoizes timestamps.
 
     A reading whose fields all have their exact JSON types is read in place.
     Any other goes through `_reading_fields`, so a refusal keeps its
-    exception, message and precedence. It builds nothing, so the ledger's
-    judge reads a report's readings through it too."""
-    rows: list[_Row] = []
+    exception, message and precedence. The rows are plain tuples, so the
+    ledger's judge reads a report's readings without typing them."""
+    rows: list[tuple] = []
     append = rows.append
     for obj in readings:
         if type(obj) is dict:
@@ -227,22 +243,7 @@ def _decode_readings(readings: list, instants: dict[str, int]) -> list[_Row]:
     return rows
 
 
-def _built_reading(quantity: str, value: float, sampled_at: int, source_device: str,
-                   signature_b64: Optional[str]) -> SensorReading:
-    """A decoded reading, built without __init__, whose frozen setattrs cost
-    more than the decoder's checks; `value` is a float already, all
-    __post_init__ adds."""
-    reading = object.__new__(SensorReading)
-    fields = reading.__dict__
-    fields["quantity"] = quantity
-    fields["value"] = value
-    fields["sampled_at"] = sampled_at
-    fields["source_device"] = source_device
-    fields["signature_b64"] = signature_b64
-    return reading
-
-
-def _reading_fields(obj: Any, instants: dict[str, int]) -> _Row:
+def _reading_fields(obj: Any, instants: dict[str, int]) -> tuple:
     """A reading object's quantity, value, instant, source and signature, or
     ModelError, checked field by field: the path of any reading that
     `_decode_readings` cannot read in place."""
@@ -319,20 +320,16 @@ class JudgedReport(NamedTuple):
 
 def judge_report(payload: bytes) -> JudgedReport:
     """`validate_report(decode_report(payload))` and the report's index
-    fields, in one pass over the parsed payload through the decoder's own
-    reading loop, building no reading: ModelError for exactly the payloads
+    fields, in one pass over the parsed payload through the report decoder,
+    over its untyped rows: ModelError for exactly the payloads
     `decode_report` refuses."""
     try:
-        obj = canonical.loads(payload)
-        instants: dict[str, int] = {}
-        report_id, device_id, _, batch_no, created_at, readings = _report_fields(obj, instants)
-        rows = _decode_readings(readings, instants)
-        quantities, values, times, sources, _ = zip(*rows) if rows else ((),) * 5
+        report_id, device_id, _, batch_no, created_at, rows = _decode_report(
+            canonical.loads(payload))
     except (ValueError, OverflowError) as exc:
         raise ModelError(str(exc)) from exc
-    return JudgedReport(
-        report_id, device_id, batch_no, created_at,
-        _violations(report_id, device_id, created_at, times, sources, quantities, values))
+    return JudgedReport(report_id, device_id, batch_no, created_at,
+                        _violations(report_id, device_id, created_at, rows))
 
 
 def validate_report(report: EventReport) -> list[str]:
@@ -341,25 +338,23 @@ def validate_report(report: EventReport) -> list[str]:
     Total function: an empty list means the report is acceptable. Uniqueness
     of report_id is ledger-wide and enforced at ingest, not here.
     """
-    readings = report.readings
-    return _violations(report.report_id, report.device_id, report.created_at,
-                       [r.sampled_at for r in readings], [r.source_device for r in readings],
-                       [r.quantity for r in readings], [r.value for r in readings])
+    return _violations(report.report_id, report.device_id, report.created_at, report.readings)
 
 
-def _violations(report_id: str, device_id: str, created_at: int, times: Sequence[int],
-                sources: Sequence[str], quantities: Sequence[str],
-                values: Sequence[float]) -> list[str]:
-    """The report invariants over each reading's fields in report order: the
-    one definition that both `validate_report` and `judge_report` apply."""
+def _violations(report_id: str, device_id: str, created_at: int,
+                readings: Sequence[tuple]) -> list[str]:
+    """The report invariants over its readings in report order, each a
+    `SensorReading` or the decoder's row of the same fields: the one
+    definition that both `validate_report` and `judge_report` apply."""
     violations: list[str] = []
     if not report_id:
         violations.append("report_id non-empty")
     if not device_id:
         violations.append("device_id non-empty")
-    if not times:
+    if not readings:
         violations.append("readings non-empty")
     else:
+        quantities, values, times, sources, _ = zip(*readings)
         in_order = list(times) == sorted(times)
         if not in_order:
             violations.append("readings sorted")

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from . import canonical
-from .envelope import InvalidReport, KeyPair, sign
+from .envelope import InvalidReport, KeyPair, MalformedEnvelope, sign
 from .ledger import LedgerClient, LedgerClientError, report_id_of
 from .model import (
     DeviceKind,
@@ -670,7 +670,9 @@ class NodeAgent:
             entry_id, envelope, signature_b64 = decode_reading_notification(payload)
             reading = SensorReading.from_obj(canonical.loads(envelope.payload),
                                              signature_b64=signature_b64)
-        except Exception:
+        except (ValueError, OverflowError, MalformedEnvelope):
+            # What the decoders raise (ValueError covers CanonicalError and
+            # ModelError); any other exception is a fault, not a bad notification.
             logger.exception("%s: undecodable mote notification", self.device_id)
             return
         if envelope.signer != mote_id or reading.source_device != mote_id:

@@ -11,6 +11,8 @@ from hypothesis import given, strategies as st
 import ambox
 from ambox import canonical
 
+from conftest import make_reading, make_report
+
 
 def test_sorted_keys_and_compact():
     assert canonical.dumps({"b": 1, "a": 2}) == b'{"a":2,"b":1}'
@@ -30,6 +32,16 @@ def test_non_finite_rejected():
 def test_non_string_keys_rejected():
     with pytest.raises(canonical.CanonicalError):
         canonical.dumps({1: "x"})
+
+
+def test_a_record_has_no_canonical_form():
+    # A reading or a report reaches JSON through its to_obj, never as an array.
+    reading, report = make_reading(), make_report()
+    for record in (reading, report):
+        with pytest.raises(canonical.CanonicalError):
+            canonical.dumps({"r": record})
+    assert canonical.dumps({"r": (1, 2)}) == b'{"r":[1,2]}'
+    assert canonical.loads(canonical.dumps({"r": report.to_obj()})) == {"r": report.to_obj()}
 
 
 def test_loads_rejects_garbage():

@@ -2,7 +2,6 @@ import base64
 import hashlib
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,7 +202,7 @@ def test_envelope_wire_takes_base64_only_as_a_string():
 def signed_reading(keypair, reading):
     """The reading with its sampler's signature attached, as a node relays it."""
     envelope = sign_reading_envelope(keypair, reading)
-    return replace(reading, signature_b64=base64.b64encode(envelope.signature).decode("ascii"))
+    return reading._replace(signature_b64=base64.b64encode(envelope.signature).decode("ascii"))
 
 
 def test_reading_signature_roundtrip(mote_key):

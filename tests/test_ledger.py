@@ -1,6 +1,5 @@
 import ast
 import base64
-import dataclasses
 import gc
 import hashlib
 import http.client
@@ -336,7 +335,7 @@ def test_get_recent_answers_are_the_bytes_of_one_dump(node_key, other_key, specs
         key = keys[device]
         base = make_report(device=key.device_id, report_id=f"r-{serial:05d}",
                            created_at=T0 + 600_000 + created * 1000, n_readings=2)
-        readings = (dataclasses.replace(base.readings[0], value=value),) + base.readings[1:]
+        readings = (base.readings[0]._replace(value=value),) + base.readings[1:]
         report = EventReport(base.report_id, base.device_id, product, batch,
                              base.created_at, readings)
         envelopes.append(sign(key, report))
@@ -1379,7 +1378,7 @@ def window_history(node_key, other_key):
         key = (node_key, other_key)[serial % 5 == 0]
         base = make_report(device=key.device_id, report_id=f"r-{serial:02d}",
                            created_at=T0 + 600_000 + (serial * 7 % 23) * 1000, n_readings=2)
-        report = dataclasses.replace(base, batch_no=_ORACLE_BATCHES[serial % 3])
+        report = base._replace(batch_no=_ORACLE_BATCHES[serial % 3])
         reports.append(report)
         envelopes.append(sign(key, report))
     return reports, envelopes, [1, 4, 2, 7, 1, 1, 3, 10, 2, 5, 1, 8, 6, 9]
@@ -1963,7 +1962,7 @@ def index_pool(node_key, other_key):
         key = (node_key, other_key)[serial % 2]
         base = make_report(device=key.device_id, report_id=f"r-{serial:02d}",
                            created_at=T0 + 600_000 + (serial * 7 % 4) * 1000, n_readings=2)
-        envelopes.append(sign(key, dataclasses.replace(base, batch_no=f"B-{serial % 3}")))
+        envelopes.append(sign(key, base._replace(batch_no=f"B-{serial % 3}")))
     return envelopes
 
 

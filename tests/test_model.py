@@ -1,10 +1,11 @@
 import ast
 import collections
 import copy
-import dataclasses
+import gc
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -546,10 +547,63 @@ def test_a_detached_signature_replaces_the_carried_one():
     core = reading.core_obj()
     assert "signature_b64" not in core
     relayed = SensorReading.from_obj({**core, "signature_b64": "b2xk"}, signature_b64="c2ln")
-    assert relayed == dataclasses.replace(reading, signature_b64="c2ln")
+    assert relayed == reading._replace(signature_b64="c2ln")
     assert relayed.to_obj() == {**core, "signature_b64": "c2ln"}
     with pytest.raises(ModelError):  # the carried field is still checked
         SensorReading.from_obj({**core, "signature_b64": 5}, signature_b64="c2ln")
+
+
+def test_a_constructed_record_equals_and_hashes_as_the_decoded_one():
+    report = make_report(n_readings=15)
+    signed = report._replace(readings=(report.readings[0]._replace(signature_b64="c2ln"),)
+                             + report.readings[1:])
+    for built in (report, signed):
+        decoded = decode_report(canonical.dumps(built.to_obj()))
+        assert decoded == built and hash(decoded) == hash(built)
+        assert type(decoded) is EventReport
+        assert all(type(r) is SensorReading for r in decoded.readings)
+    reading = signed.readings[0]
+    relayed = SensorReading.from_obj(reading.to_obj())
+    assert relayed == reading and hash(relayed) == hash(reading)
+    assert type(relayed) is SensorReading
+
+
+def test_a_record_constructor_and_replace_convert_value_and_readings():
+    reading = SensorReading(TEMPERATURE, value=3, sampled_at=T0, source_device="node-1")
+    assert reading.value == 3.0 and type(reading.value) is float
+    replaced = make_reading(value=21.5)._replace(value=3)
+    assert replaced.value == 3.0 and type(replaced.value) is float
+    report = EventReport("id-1", "node-1", "p", "b", T0 + 600_000, readings=[reading])
+    assert report.readings == (reading,) and type(report.readings) is tuple
+    assert type(report._replace(readings=[reading, reading]).readings) is tuple
+
+
+def test_a_record_field_cannot_be_assigned():
+    reading = make_reading()
+    report = make_report()
+    with pytest.raises(AttributeError):
+        reading.value = 1.0
+    with pytest.raises(AttributeError):
+        report.readings = ()
+    with pytest.raises(AttributeError):
+        reading.note = "x"                   # no instance dict to put it in
+    assert reading == make_reading() and report == make_report()
+
+
+def test_a_decoded_report_retains_little_memory():
+    # A GetRecent answer's reports are decoded from parsed objects, whose
+    # strings and floats the records share.
+    obj = canonical.loads(canonical.dumps(make_report(n_readings=15).to_obj()))
+    EventReport.from_obj(obj)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = EventReport.from_obj(obj)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(report.readings) == 15
+    assert retained <= 4_600, retained
 
 
 def test_each_distinct_instant_is_parsed_and_formatted_once(monkeypatch):
@@ -593,6 +647,42 @@ def test_reports_are_decoded_in_one_place():
         module = path.relative_to(package).with_suffix("").as_posix()
         visit(ast.parse(path.read_text("utf-8")), module, ())
     assert sorted(callers) == ["ledger:LedgerClient.get_recent", "model:decode_report"]
+
+
+def test_no_module_bypasses_a_constructor():
+    # Records are built by their constructors or by the decoder's tuple
+    # construction; no module fills an object behind its class's back.
+    package = Path(ambox.__file__).parent
+    found = []
+
+    def is_dict_of(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).with_suffix("").as_posix()
+        tree = ast.parse(path.read_text("utf-8"))
+        # Names bound to an instance's __dict__, whose items are then written.
+        aliases = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                   and is_dict_of(node.value)
+                   for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("__new__", "__setattr__")
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"):
+                found.append(f"{module}:{node.lineno}: object.{node.func.attr}")
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            for target in targets:
+                if isinstance(target, ast.Subscript) and (
+                        is_dict_of(target.value) or (isinstance(target.value, ast.Name)
+                                                     and target.value.id in aliases)):
+                    found.append(f"{module}:{node.lineno}: __dict__ item assigned")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and is_dict_of(node.func.value)
+                    and node.func.attr in ("update", "setdefault", "__setitem__")):
+                found.append(f"{module}:{node.lineno}: __dict__.{node.func.attr}")
+    assert found == []
 
 
 def test_report_id_format():

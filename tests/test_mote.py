@@ -10,9 +10,9 @@ from dataclasses import replace
 import pytest
 
 from ambox import canonical, storage
-from ambox.envelope import KeyPair, sign_reading_envelope
+from ambox.envelope import KeyPair, SignedEnvelope, sign_reading_envelope
 from ambox.fleet import CommissionPlan, commission, start_monitoring, stop_monitoring
-from ambox.model import HUMIDITY, PRESSURE, TEMPERATURE, ModelError
+from ambox.model import HUMIDITY, PRESSURE, TEMPERATURE, ModelError, SensorReading
 from ambox.mote import (
     CHAR_ACK,
     CHAR_CONFIG,
@@ -606,6 +606,47 @@ def test_a_notification_entry_id_must_be_an_integer(mote_key, caplog, value):
     assert [r.getMessage() for r in caplog.records] == ["node1: undecodable mote notification"]
     assert node.window_size == 0
     assert node.stats["mote_readings"] == 0
+
+
+def _undecodable_notification(mote_key, fault):
+    reading = make_reading(device="mote-1")
+    good = encode_reading_notification(7, sign_reading_envelope(mote_key, reading))
+    if fault == "not-json":
+        return b"{not json"
+    if fault == "bad-base64":
+        return good.replace(b'"payload_b64": "', b'"payload_b64": "!')
+    # Signed by no one: the relay decodes a reading before anything checks it.
+    huge = canonical.dumps({**reading.core_obj(), "value": 10 ** 400})
+    return encode_reading_notification(7, SignedEnvelope(huge, b"signature", "mote-1"))
+
+
+# A non-integer entry id: test_a_notification_entry_id_must_be_an_integer.
+@pytest.mark.parametrize("fault", ["not-json", "bad-base64", "400-digit-value"])
+def test_an_undecodable_mote_notification_is_dropped_and_logged(mote_key, caplog, fault):
+    bad = _undecodable_notification(mote_key, fault)
+    world = build_world(mini_scenario(with_mote=True))
+    node = world.nodes["node1"]
+    with caplog.at_level(logging.WARNING, logger="ambox.node"):
+        node._ingest_mote_notification("mote-1", None, bad)
+    world.teardown()
+    assert [r.getMessage() for r in caplog.records] == ["node1: undecodable mote notification"]
+    assert node.window_size == 0
+    assert node.stats["mote_readings"] == 0
+
+
+def test_a_fault_in_the_relay_is_not_taken_for_a_bad_notification(mote_key, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a fault in the reading decoder")
+
+    monkeypatch.setattr(SensorReading, "from_obj", broken)
+    notification = encode_reading_notification(
+        7, sign_reading_envelope(mote_key, make_reading(device="mote-1")))
+    world = build_world(mini_scenario(with_mote=True))
+    try:
+        with pytest.raises(TypeError, match="a fault in the reading decoder"):
+            world.nodes["node1"]._ingest_mote_notification("mote-1", None, notification)
+    finally:
+        world.teardown()
 
 
 def test_mote_journal_fsyncs_stay_one_per_sample_instant(monkeypatch):
