@@ -68,21 +68,26 @@ class SignedEnvelope:
 
     @classmethod
     def from_wire_obj(cls, obj: Any) -> "SignedEnvelope":
+        """The envelope a wire object holds, or MalformedEnvelope. Its three
+        fields are read in place, in one lookup each; other keys are
+        ignored."""
         if not isinstance(obj, dict):
             raise MalformedEnvelope("envelope must be a JSON object")
-        missing = [k for k in ("payload_b64", "signature_b64", "signer") if k not in obj]
-        if missing:
-            raise MalformedEnvelope(f"envelope missing fields: {', '.join(missing)}")
-        signer = obj["signer"]
+        try:
+            payload_b64, signature_b64, signer = (obj["payload_b64"], obj["signature_b64"],
+                                                  obj["signer"])
+        except KeyError:
+            missing = [k for k in ("payload_b64", "signature_b64", "signer") if k not in obj]
+            raise MalformedEnvelope(f"envelope missing fields: {', '.join(missing)}") from None
         if not isinstance(signer, str) or not signer:
             raise MalformedEnvelope("signer must be a non-empty string")
-        payload = _b64decode(obj["payload_b64"])
-        signature = _b64decode(obj["signature_b64"])
+        payload = _b64decode(payload_b64)
+        signature = _b64decode(signature_b64)
         if not payload:
             raise MalformedEnvelope("empty payload")
         if not signature:
             raise MalformedEnvelope("empty signature")
-        return cls(payload=payload, signature=signature, signer=signer)
+        return cls(payload, signature, signer)
 
 
 _B64_DIGITS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"

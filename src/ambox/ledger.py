@@ -96,17 +96,20 @@ Ingest runs in two steps, one batch at a time (`_ingest_lock`). `_prepare`
 runs without the ledger lock: it parses each envelope, looks up its
 signer's key (parsed once, when the device registers or the registry
 loads), verifies the signature and judges the payload; no commit can change
-any of these answers. `_commit` holds the lock: it checks each report id
-against the stored ones and the batch's earlier ones, then encodes, appends
-and applies the block. It stamps the block with the instant the request
-came in, or with its predecessor's if that is later, so block times never
-go backwards, whatever the clock does or however requests overtake each
-other on their way to the lock. So a query waits for a block's append,
-never for a batch's judging; a second batch waits for the first, as
-concurrent judging would only contend for the interpreter lock. Replay
-judges each stored payload the index does not vouch for the same way: one
-that does not decode makes the log corrupt, one that breaks a report rule
-was committed all the same.
+any of these answers. An envelope's fields are read with one lookup each,
+and a report whose fields have their exact JSON types is read in place,
+with no field-by-field check. `_commit` holds the lock: it checks each
+report id against the stored ones and the batch's earlier ones, then
+encodes, appends and applies the block, taking each payload's place from
+the lengths of the texts it joined, with no search of the line. It stamps
+the block with the instant the request came in, or with its predecessor's
+if that is later, so block times never go backwards, whatever the clock
+does or however requests overtake each other on their way to the lock. So
+a query waits for a block's append, never for a batch's judging; a second
+batch waits for the first, as concurrent judging would only contend for the
+interpreter lock. Replay judges each stored payload the index does not
+vouch for the same way: one that does not decode makes the log corrupt, one
+that breaks a report rule was committed all the same.
 
 A signed payload is sent as it was signed. A `GetRecent` answer holds each
 report as the JSON text of its committed payload, which the judge parsed as
@@ -114,9 +117,11 @@ one JSON object, so the answer is joined from the payloads' bytes, with no
 parse, encode or cache per report; a client decodes each through
 `EventReport.from_obj` as it would decode the payload itself. A `GetEvent`
 answer is written from a template around the payload's base64, which needs
-no escaping. `LedgerService` writes each ok answer from its result's text,
-so the bytes of any answer other than `GetRecent` are what
-`canonical.wire_text` of the whole answer would be.
+no escaping, and an `AddEvents` answer is written from each verdict's
+fields (`_verdict_text`). `LedgerService` writes each ok answer from its
+result's text, so the bytes of any answer other than `GetRecent` are what
+`canonical.wire_text` of the whole answer would be. A client reads a
+committed verdict of its two fields in place.
 
 The ledger keeps no record of its verdicts beyond the reply to each
 `AddEvents`: what was committed, in which order and when is the chain
@@ -135,7 +140,6 @@ import os
 import threading
 from collections import defaultdict
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
                     TypeVar)
@@ -143,7 +147,7 @@ from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional, Seq
 from cryptography.hazmat.primitives.asymmetric.rsa import RSAPublicKey
 
 from . import canonical
-from .canonical import wire_dumps, wire_loads, wire_text
+from .canonical import _CANONICAL_STR, _WIRE_STR, wire_dumps, wire_loads, wire_text
 from .envelope import (
     MalformedEnvelope,
     MalformedKey,
@@ -202,6 +206,8 @@ _CORE_START = len(_HASH_PREFIX) + 64 + len(b'",')
 # Then `"committed_at":"<24 characters>","height":<height>,` and the link,
 # so in a canonical line the link starts here plus the width of the height.
 _LINK_AT = _CORE_START + len(b'"committed_at":"') + 24 + len(b'","height":,')
+# The first transaction's text starts here plus the width of the height.
+_TRANSACTIONS_AT = _LINK_AT + len(b'"prev_hash":"') + 64 + len(b'","transactions":[')
 _PAYLOAD_KEY = b'"payload_b64":"'
 
 # The newest reports of each GetRecent list whose signed bytes the ledger
@@ -239,8 +245,10 @@ class LedgerBlock(NamedTuple):
         return block_hash, line
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
+    """The answer to one envelope of an `AddEvents`: a tuple record, as
+    readings and reports are."""
+
     status: str                      # "committed" | "rejected"
     report_id: Optional[str] = None
     reason: Optional[str] = None
@@ -258,7 +266,13 @@ class Verdict:
 
     @classmethod
     def from_obj(cls, obj: Any) -> "Verdict":
-        """Raises ModelError for a verdict of another shape than `to_obj` writes."""
+        """Raises ModelError for a verdict of another shape than `to_obj`
+        writes. A committed verdict of its two fields, the report id a
+        string, is read in place; any other is checked field by field."""
+        if type(obj) is dict and len(obj) == 2 and obj.get("status") == "committed":
+            report_id = obj.get("report_id")
+            if type(report_id) is str:
+                return cls("committed", report_id)
         _require_keys(obj, ("status",), "Verdict")
         verdict = cls(
             status=_require(obj, "status", str),
@@ -269,6 +283,18 @@ class Verdict:
         if verdict.status not in ("committed", "rejected"):
             raise ModelError(f"unknown verdict status {verdict.status!r}")
         return verdict
+
+
+def _verdict_text(verdict: Verdict) -> str:
+    """`wire_text(verdict.to_obj())`, spelled from the verdict's fields in
+    their keys' sorted order: reason, replay, report_id, status."""
+    status, report_id, reason, replay = verdict
+    text = "" if reason is None else f'"reason": {_WIRE_STR(reason)}, '
+    if replay:
+        text += '"replay": true, '
+    if report_id is not None:
+        text += f'"report_id": {_WIRE_STR(report_id)}, '
+    return f'{{{text}"status": {_WIRE_STR(status)}}}'
 
 
 class StoredReport(NamedTuple):
@@ -378,7 +404,7 @@ def _index_text(height: int, block_hash: str, end: int, committed_at: int,
     """`canonical.dumps` of a block's index record, written from a template:
     its strings go through canonical's string encoder, its other values are
     integers."""
-    string = canonical._CANONICAL_STR
+    string = _CANONICAL_STR
     rows = ",".join([
         f'[{string(s.report_id)},{string(s.device_id)},{string(s.batch_no)},{s.created_at},'
         f'{offset},{length}]'
@@ -503,8 +529,8 @@ class Ledger:
                 start: int, spans: Optional[Sequence[tuple[int, int]]]) -> list[StoredReport]:
         """The stored form of the reports of the block at `height`, whose
         line starts at `start` in the log and holds their payloads at
-        `spans` (`_payload_spans`). Without spans they have no place, and
-        their bytes are kept."""
+        `spans` (`_joined_spans` at commit, `_payload_spans` on replay).
+        Without spans they have no place, and their bytes are kept."""
         if spans is None:
             self._kept.update((r.report_id, SignedReport(r.report_id, payload))
                               for r, payload in zip(reports, payloads))
@@ -575,17 +601,15 @@ class Ledger:
                                               (p.text for p in prepared), committed_at)
         start = self._log.size
         self._log.append(line)
-        # Each payload's span, for both its place and its index row; None
-        # only for a line spelled otherwise than this one.
-        spans = _payload_spans(line, 0, len(line) - 1, [p.payload_b64 for p in prepared])
+        # Each payload's span, for both its place and its index row.
+        spans = _joined_spans(height, prepared)
         stored = self._placed(height, [p.report for p in prepared],
                               [p.payload for p in prepared], start, spans)
         self._apply_block(height, block_hash, committed_at, stored)
         for report, item in zip(stored, prepared):
             self._insert_recent(report, item.payload)
-        if spans is not None:
-            self._write_index([_index_text(height, block_hash, self._log.size, committed_at,
-                                           stored, spans)])
+        self._write_index([_index_text(height, block_hash, self._log.size, committed_at,
+                                       stored, spans)])
 
     # -- operations -----------------------------------------------------------
 
@@ -670,9 +694,9 @@ class Ledger:
                     continue
                 report_id = item.report.report_id
                 if report_id in self._reports or report_id in batch_ids:
-                    verdicts.append(Verdict("committed", report_id=report_id, replay=True))
+                    verdicts.append(Verdict("committed", report_id, replay=True))
                     continue
-                verdicts.append(Verdict("committed", report_id=report_id))
+                verdicts.append(Verdict("committed", report_id))
                 batch_ids.add(report_id)
                 accepted.append(item)
             if accepted:
@@ -954,6 +978,21 @@ def _vouches(raw: bytes | mmap.mmap, start: int, end: int, height: int, prev_has
     return True
 
 
+def _joined_spans(height: int, prepared: Sequence[_Prepared]) -> list[tuple[int, int]]:
+    """The (offset, length) of each payload's base64 in the line that
+    `LedgerBlock.encode` joins at `height` from the prepared texts, as
+    `_payload_spans` would find them in it, known without a search: the
+    texts follow the core's head one comma apart, and each starts with
+    `{"payload_b64":"`. Offsets count bytes, and a signer's text may hold
+    more bytes than characters."""
+    spans = []
+    at = _TRANSACTIONS_AT + len(str(height)) + 1 + len(_PAYLOAD_KEY)
+    for text, _, payload_b64, _ in prepared:
+        spans.append((at, len(payload_b64)))
+        at += (len(text) if text.isascii() else len(text.encode("utf-8"))) + 1
+    return spans
+
+
 def _payload_spans(raw: bytes, start: int, end: int,
                    payloads_b64: Sequence[Any]) -> Optional[list[tuple[int, int]]]:
     """The (offset, length) in the line `raw[start:end]` of each of its
@@ -1025,7 +1064,7 @@ class LedgerService:
         """The op's result as JSON text."""
         if op == OP_ADD_EVENTS:
             verdicts = self.ledger.add_events(_require(args, "envelopes", list), self._clock())
-            return wire_text({"verdicts": [v.to_obj() for v in verdicts]})
+            return f'{{"verdicts": [{", ".join(map(_verdict_text, verdicts))}]}}'
         if op == OP_GET_EVENT:
             payload_b64 = self.ledger.get_event_payload(_require(args, "report_id", str))
             if payload_b64 is None:
@@ -1109,7 +1148,7 @@ class LedgerClient:
         answer holds another number of verdicts, or a verdict that names a
         report other than its envelope's: a caller acks what it is told."""
         def parse(result: dict) -> list[Verdict]:
-            verdicts = [Verdict.from_obj(v) for v in _require(result, "verdicts", list)]
+            verdicts = list(map(Verdict.from_obj, _require(result, "verdicts", list)))
             if len(verdicts) != len(envelopes):
                 raise LedgerClientError(
                     f"{len(verdicts)} verdicts for {len(envelopes)} envelopes")
@@ -1122,8 +1161,13 @@ class LedgerClient:
             return verdicts
 
         # The text of wire_text({"envelopes": [e.to_wire_obj() for e in envelopes]}).
-        texts = (canonical.envelope_wire_text(**e.to_wire_obj()) for e in envelopes)
-        return self._call(OP_ADD_EVENTS, '{"envelopes": [' + ", ".join(texts) + "]}", parse)
+        b64 = base64.b64encode
+        texts = [canonical.envelope_wire_text(str(b64(e.payload), "ascii"),
+                                              str(b64(e.signature), "ascii"), e.signer)
+                 for e in envelopes]
+        # Not `a + text + b`: resizing the first sum in place costs far more
+        # than a copy when the request runs to hundreds of kilobytes.
+        return self._call(OP_ADD_EVENTS, f'{{"envelopes": [{", ".join(texts)}]}}', parse)
 
     def get_event(self, report_id: str) -> Optional[EventReport]:
         def parse(result: dict) -> Optional[bytes]:
@@ -1161,9 +1205,9 @@ class LedgerClient:
 
 def _holds_report(envelope: SignedEnvelope, report_id: str) -> bool:
     """Whether the envelope's payload carries `report_id`. A canonical
-    report ends with it, its last key in sorted order, so only a payload in
-    another form (or an id that is not ASCII) is parsed."""
-    tail = b',"report_id":' + wire_dumps(report_id) + b"}"
+    report ends with it, its last key in sorted order, spelled by canonical's
+    string encoder, so only a payload in another form is parsed."""
+    tail = b',"report_id":' + _CANONICAL_STR(report_id).encode("utf-8") + b"}"
     return envelope.payload.endswith(tail) or report_id_of(envelope) == report_id
 
 

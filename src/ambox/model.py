@@ -10,12 +10,14 @@ constructor and `_replace` make `value` a float and `readings` a tuple), so
 they cannot be changed after they are built. Every reading, alone or in a
 report, is decoded by one function and encoded by one; within a report each
 distinct timestamp is parsed or formatted once. The one decoder takes a
-report's fields and its whole readings list in one pass, and builds each
+report's fields and its whole readings list in one pass, reading in place a
+report or reading whose fields have their exact JSON types, and builds each
 record with one C-level tuple construction, no Python call per reading. The
 ledger judges a signed payload with `judge_report`, which applies the
 decoder's rules and `validate_report`'s invariants to the decoder's untyped
-rows, building no record. The ledger encodes no report: it serves each one
-as the payload it committed.
+rows, building no record, and one rule that only a payload can break: no
+value in it nests deeper than `MAX_NESTING` levels. The ledger encodes no
+report: it serves each one as the payload it committed.
 
 One reader rule: every field AmBox takes in from a file, a peer or an
 operator is typed by `_require` where it enters, never converted to fit. A
@@ -199,7 +201,23 @@ def _decode_report(obj: Any) -> tuple[str, str, str, str, int, list[tuple]]:
     """A report object's id, device, product, batch, `created_at` and its
     readings' rows (see `_decode_readings`), or ModelError: the one report
     decoder, which `EventReport.from_obj` and `judge_report` share. Each
-    distinct instant in the report is parsed once."""
+    distinct instant in the report is parsed once.
+
+    A report whose six fields have their exact JSON types is read in place,
+    as `_decode_readings` reads a reading. Any other is checked field by
+    field, so a refusal keeps its message and precedence."""
+    if type(obj) is dict:
+        try:
+            report_id, device_id, product_id = obj["report_id"], obj["device_id"], obj["product_id"]
+            batch_no, stamp, readings = obj["batch_no"], obj["created_at"], obj["readings"]
+        except KeyError:
+            pass                                # refused below, naming each missing field
+        else:
+            if (type(readings) is list and type(report_id) is str and type(device_id) is str
+                    and type(product_id) is str and type(batch_no) is str and type(stamp) is str):
+                instants = {stamp: canonical.parse_millis(stamp)}
+                return (report_id, device_id, product_id, batch_no, instants[stamp],
+                        _decode_readings(readings, instants))
     _require_keys(obj, _REPORT_FIELDS, "EventReport")
     readings = obj["readings"]
     if not isinstance(readings, list):
@@ -322,14 +340,54 @@ def judge_report(payload: bytes) -> JudgedReport:
     """`validate_report(decode_report(payload))` and the report's index
     fields, in one pass over the parsed payload through the report decoder,
     over its untyped rows: ModelError for exactly the payloads
-    `decode_report` refuses."""
+    `decode_report` refuses. One more rule holds for a payload, which a
+    record cannot break, as it keeps no key beyond its fields: no value in
+    it nests deeper than `MAX_NESTING` levels."""
     try:
-        report_id, device_id, _, batch_no, created_at, rows = _decode_report(
-            canonical.loads(payload))
+        obj = canonical.loads(payload)
+        report_id, device_id, _, batch_no, created_at, rows = _decode_report(obj)
     except (ValueError, OverflowError) as exc:
         raise ModelError(str(exc)) from exc
-    return JudgedReport(report_id, device_id, batch_no, created_at,
-                        _violations(report_id, device_id, created_at, rows))
+    violations = _violations(report_id, device_id, created_at, rows)
+    if _nests_too_deep(obj):
+        violations.append(_TOO_DEEP)
+    return JudgedReport(report_id, device_id, batch_no, created_at, violations)
+
+
+# How deep the values of a signed payload may nest, the report object being
+# the first level: far below the parser's limit, so a committed report can
+# be sent inside any answer and parsed again.
+MAX_NESTING = 32
+_TOO_DEEP = f"values nested at most {MAX_NESTING} levels deep"
+_READING_KEYS = frozenset(_READING_FIELDS + ("signature_b64",))
+
+
+def _nests_too_deep(report: dict) -> bool:
+    """Whether a value in a report object the decoder read nests deeper
+    than `MAX_NESTING` levels. Its fields and its readings' fields have
+    scalar types, so only values under other keys are walked; a reading
+    without such a key costs a length check."""
+    if len(report) > len(_REPORT_FIELDS) and any(
+            _deeper(value, MAX_NESTING - 1)             # the report
+            for key, value in report.items() if key not in _REPORT_FIELDS):
+        return True
+    readings = report["readings"]
+    if not readings or max(map(len, readings)) <= len(_READING_FIELDS):
+        return False
+    return any(_deeper(value, MAX_NESTING - 3)     # the report, its readings, the reading
+               for reading in readings
+               if len(reading) > len(_READING_FIELDS) + ("signature_b64" in reading)
+               for key, value in reading.items() if key not in _READING_KEYS)
+
+
+def _deeper(value: Any, levels: int) -> bool:
+    """Whether `value` is an array or object nested more than `levels`
+    levels deep, itself being the first; it is walked no deeper than that."""
+    if type(value) is dict:
+        value = value.values()
+    elif type(value) is not list:
+        return False
+    return levels <= 0 or any(_deeper(item, levels - 1) for item in value)
 
 
 def validate_report(report: EventReport) -> list[str]:

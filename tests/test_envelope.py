@@ -140,6 +140,8 @@ def test_truncated_envelope_is_malformed(node_key):
     for field in wire:
         with pytest.raises(MalformedEnvelope):
             SignedEnvelope.from_wire_obj({k: v for k, v in wire.items() if k != field})
+    with pytest.raises(MalformedEnvelope, match="signer must be a non-empty string"):
+        SignedEnvelope.from_wire_obj({**wire, "signer": ""})
 
 
 def test_empty_payload_is_malformed(node_key):

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from ambox import canonical
 from ambox import ledger as ledger_module
 from ambox import model as model_module
-from ambox.envelope import MalformedKey, SignedEnvelope, sign
+from ambox.envelope import KeyPair, MalformedKey, SignedEnvelope, sign
 from ambox.http_api import shim_server_handler
 from ambox.ledger import (
     BLOCKS_FILE,
@@ -45,6 +45,7 @@ from ambox.ledger import (
 from ambox.model import DeviceIdentity, DeviceKind, EventReport, ModelError, decode_report
 from ambox.node import NodeAgent
 from ambox.runtime import RealRuntime
+from ambox.storage import CheckedLog
 from ambox.transport.http import HttpServer
 from ambox.transport.tcp import FrameServer, TcpRequestClient
 
@@ -991,8 +992,12 @@ def test_add_events_takes_each_verdict_that_answers_its_envelope(verdict):
     assert [v.to_obj() for v in client.add_events([_ENVELOPE])] == [verdict]
 
 
+def _parse_forbidden(envelope):
+    raise AssertionError("the payload was parsed to find its report id")
+
+
 @pytest.mark.parametrize("form", ["reordered", "non-ascii-id"])
-def test_add_events_reads_the_report_id_of_a_payload_in_any_form(form):
+def test_add_events_reads_the_report_id_of_a_payload_in_any_form(form, monkeypatch):
     obj = _REPORT.to_obj()
     if form == "reordered":
         report_id = obj.pop("report_id")
@@ -1002,11 +1007,139 @@ def test_add_events_reads_the_report_id_of_a_payload_in_any_form(form):
         payload = canonical.dumps(obj)
     envelope = SignedEnvelope(payload=payload, signature=b"sig", signer="node-1")
     named = {"status": "committed", "report_id": report_id}
-    assert LedgerClient(CannedRequester({"verdicts": [named]}), "ledger").add_events([envelope])
+    with monkeypatch.context() as patched:
+        if form == "non-ascii-id":
+            # A canonical payload ends with its id as canonical JSON spells
+            # it, so its verdict is matched without a parse.
+            patched.setattr(ledger_module, "report_id_of", _parse_forbidden)
+        assert LedgerClient(CannedRequester({"verdicts": [named]}),
+                            "ledger").add_events([envelope])
     other = LedgerClient(CannedRequester({"verdicts": [dict(named, report_id="node-1-other")]}),
                          "ledger")
     with pytest.raises(LedgerClientError):
         other.add_events([envelope])
+
+
+def test_add_events_answers_with_the_wire_bytes_of_its_verdicts(registered, node_key, other_key,
+                                                                 monkeypatch):
+    ids = {"ascii": "node-1-plain", "non-ascii": "node-1-été-☃-\"q\""}
+    committed, _ = env_for(node_key, 0)
+    earlier, _ = env_for(node_key, 1)
+    registered.add_events([earlier], T0)
+    unicode = sign(node_key, make_report(report_id=ids["non-ascii"]))
+    foreign, _ = env_for(other_key, 2)                       # its signer is not registered
+    forged = SignedEnvelope(committed.payload, unicode.signature, "node-1")
+    # Created before their readings were sampled: a broken report rule.
+    late = {name: make_report(report_id=report_id, created_at=T0).to_obj()
+            for name, report_id in ids.items()}
+    envelopes = [
+        committed, committed, earlier, unicode, unicode,
+        {"signer": "node-1"}, foreign, forged,
+        signed_payload(node_key, canonical.dumps(make_report(
+            device="node-2", report_id="node-2-x").to_obj())),
+        signed_payload(node_key, b"[1]"),
+        signed_payload(node_key, canonical.dumps(late["ascii"])),
+        signed_payload(node_key, canonical.dumps(late["non-ascii"])),
+    ]
+    told = []
+
+    def recording(envelopes, received_at):
+        verdicts = Ledger.add_events(registered, envelopes, received_at)
+        told.extend(verdicts)
+        return verdicts
+
+    monkeypatch.setattr(registered, "add_events", recording)
+    names = {"channel_name": "ch", "chaincode_name": "cc"}
+    request = json.dumps({"op": "AddEvents", **names, "args": {"envelopes": [
+        e if isinstance(e, dict) else e.to_wire_obj() for e in envelopes]}}).encode()
+    answer = LedgerService(registered, clock=lambda: T0).handle("x", request)
+    # The reference: the answer encoded as a whole, from each verdict's object.
+    assert answer == canonical.wire_dumps(
+        {"ok": True, **names, "result": {"verdicts": [v.to_obj() for v in told]}})
+    assert [(v.status, v.reason, v.replay, v.report_id) for v in told] == [
+        ("committed", None, False, committed_id := report_id_of(committed)),
+        ("committed", None, True, committed_id),
+        ("committed", None, True, report_id_of(earlier)),
+        ("committed", None, False, ids["non-ascii"]),
+        ("committed", None, True, ids["non-ascii"]),
+        ("rejected", REASON_MALFORMED, False, None),
+        ("rejected", REASON_UNKNOWN_SIGNER, False, None),
+        ("rejected", REASON_BAD_SIGNATURE, False, None),
+        ("rejected", REASON_BAD_SIGNATURE, False, "node-2-x"),
+        ("rejected", REASON_INVALID_REPORT, False, None),
+        ("rejected", REASON_INVALID_REPORT, False, ids["ascii"]),
+        ("rejected", REASON_INVALID_REPORT, False, ids["non-ascii"]),
+    ]
+
+
+def test_the_payload_places_known_at_commit_are_where_a_search_finds_them(registered, node_key):
+    # A signer beyond ASCII takes more bytes in the line than characters.
+    snowman = KeyPair("nœud-☃", node_key.private_key)
+    registered.register_device(identity_of(snowman))
+    for i in range(12):                       # heights of one and of two digits
+        keys = [snowman, node_key, snowman][:1 + i % 3]
+        registered.add_events([env_for(key, 10 * i + j)[0] for j, key in enumerate(keys)],
+                              T0 + i)
+    raw = registered._blocks_path.read_bytes()
+    index = CheckedLog(registered._blocks_path.with_name(ledger_module.INDEX_FILE))
+    records = ledger_module._index_records(index.records())
+    index.close()
+    start = 0
+    for block, record in zip(registered.blocks(), records, strict=True):
+        end = raw.index(b"\n", start)
+        payloads = [tx["payload_b64"] for tx in block.transactions]
+        searched = ledger_module._payload_spans(raw, start, end, payloads)
+        assert [tuple(row[4:]) for row in record.reports] == searched
+        stored = [registered._reports[report_id_of(SignedEnvelope.from_wire_obj(tx))]
+                  for tx in block.transactions]
+        assert [(s.offset - start, s.length) for s in stored] == searched
+        start = end + 1
+    assert registered.height == 12 and start == len(raw)
+
+
+def _nested(report: EventReport, levels: int, where: str) -> bytes:
+    """The canonical payload of `report` with one more key, in the report or
+    in its second reading, whose value is arrays nested so deep that the
+    payload's value nests `levels` levels, the report object being the
+    first."""
+    obj = report.to_obj()
+    holder, held = (obj, 1) if where == "report" else (obj["readings"][1], 3)
+    value = 0
+    for _ in range(levels - held):
+        value = [value]
+    holder["note"] = value
+    return canonical.dumps(obj)
+
+
+@pytest.mark.parametrize("where", ["report", "reading"])
+def test_a_report_nested_past_the_bound_is_refused(registered, node_key, where):
+    envelopes = [signed_payload(node_key, _nested(make_report(report_id=f"node-1-{levels}"),
+                                                  levels, where))
+                 for levels in (model_module.MAX_NESTING, model_module.MAX_NESTING + 1, 900)]
+    verdicts = registered.add_events(envelopes, T0)
+    assert [(v.status, v.reason, v.report_id) for v in verdicts] == [
+        ("committed", None, "node-1-32"),
+        ("rejected", REASON_INVALID_REPORT, "node-1-33"),
+        ("rejected", REASON_INVALID_REPORT, "node-1-900"),
+    ]
+
+
+def test_a_committed_report_nested_past_the_bound_still_reopens(registered, node_key, tmp_path,
+                                                                 opened):
+    # Written by hand, as a ledger without the rule would have committed it.
+    payload = _nested(make_report(report_id="node-1-deep"), 900, "report")
+    envelope = signed_payload(node_key, payload)
+    wire = envelope.to_wire_obj()
+    registered.close()
+    tip = registered.blocks()[-1]
+    _, line = LedgerBlock.encode(tip.height + 1, tip.block_hash, (canonical.envelope_text(
+        wire["payload_b64"], wire["signature_b64"], "node-1"),), T0)
+    path = tmp_path / "ledger" / BLOCKS_FILE
+    path.write_bytes(path.read_bytes() + line)
+    reopened = opened(tmp_path / "ledger")
+    assert reopened.height == tip.height + 1
+    assert reopened.verify_chain() is None
+    assert reopened.get_event_payload("node-1-deep") == wire["payload_b64"]
 
 
 @pytest.mark.parametrize("fault", ["huge-value", "bad-timestamp"])

@@ -15,6 +15,7 @@ import ambox
 from ambox import canonical
 from ambox.model import (
     HUMIDITY,
+    MAX_NESTING,
     PRESSURE,
     TEMPERATURE,
     EventReport,
@@ -458,6 +459,25 @@ def _mutate(data, obj):
 def test_the_judge_matches_the_decoder_on_each_mutation_of_a_valid_report(report, data):
     obj = _mutate(data, report.to_obj())
     _assert_judged_as_decoded(json.dumps(obj).encode("utf-8"))
+
+
+@pytest.mark.parametrize("where", ["report", "reading", "signed-reading"])
+def test_the_judge_refuses_a_value_nested_past_the_bound(where):
+    for levels in (MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1, 900):
+        obj = make_report().to_obj()
+        holder, held = (obj, 1) if where == "report" else (obj["readings"][1], 3)
+        if where == "signed-reading":
+            holder["signature_b64"] = "c2ln"
+        value = 0
+        for level in range(levels - held):          # arrays and objects alike
+            value = [value] if level % 2 else {"k": value}
+        holder["note"] = value
+        payload = canonical.dumps(obj)
+        judged = judge_report(payload)
+        assert judged.violations == ([] if levels <= MAX_NESTING
+                                     else [f"values nested at most {MAX_NESTING} levels deep"])
+        # A record keeps no key beyond its fields, so it cannot break the rule.
+        assert validate_report(decode_report(payload)) == []
 
 
 # Values each reading field can take beside its valid ones; some are valid

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ambox.cli import ConfigInvalid, ProcessConfig
+from ambox.envelope import MalformedEnvelope, SignedEnvelope
 from ambox.harness.scenario import ScenarioError, scenario_from_obj
 from ambox.ledger import Verdict
 from ambox.model import (
@@ -22,11 +23,16 @@ from ambox.model import (
     ModelError,
     MonitoringJob,
     NodeState,
+    decode_report,
 )
 from ambox.mote import MoteConfig
 from ambox.storage import HeartbeatTarget, LedgerTarget, PersistedConfig
 
-from conftest import T0
+from conftest import T0, make_report
+
+# A report with a relayed, signed reading; its signature may be null.
+REPORT = make_report(n_readings=2).to_obj()
+REPORT["readings"][1].update(source_device="mote-1", signature_b64="c2ln")
 
 JOB = MonitoringJob("cherries", "B-18", 60_000, 300_000, {"temperature": {"enabled": True}})
 
@@ -104,6 +110,13 @@ READERS = {
         PersistedConfig.from_obj, ModelError, (("heartbeat",), ("ledger",))),
     "Verdict": (Verdict("committed", "r-1", "why", True).to_obj(), Verdict.from_obj,
                 ModelError, ()),
+    # The shape a client reads in place: a wrong type sends it to the checks.
+    "Verdict committed": (Verdict("committed", "r-1").to_obj(), Verdict.from_obj, ModelError, ()),
+    # Readers that read a well-typed object in place.
+    "decode_report": (REPORT, lambda obj: decode_report(json.dumps(obj).encode("utf-8")),
+                      ModelError, (("readings", 1, "signature_b64"),)),
+    "SignedEnvelope": ({"payload_b64": "AA==", "signature_b64": "AA==", "signer": "node1"},
+                       SignedEnvelope.from_wire_obj, MalformedEnvelope, ()),
     "ProcessConfig.load": (PROCESS_CONFIG, None, ConfigInvalid, ()),
     "scenario_from_obj": (SCENARIO, scenario_from_obj, ScenarioError, (("job",),)),
 }
