@@ -413,12 +413,13 @@ def _violations(report_id: str, device_id: str, created_at: int,
         violations.append("readings non-empty")
     else:
         quantities, values, times, sources, _ = zip(*readings)
-        in_order = list(times) == sorted(times)
+        ordered = sorted(times)
+        in_order = list(times) == ordered
         if not in_order:
             violations.append("readings sorted")
-        if max(times) > created_at:
+        if ordered[-1] > created_at:
             violations.append("readings within created_at")
-        if min(times) < 0:
+        if ordered[0] < 0:
             violations.append("readings at or after 1970-01-01")
         if in_order:
             # In time order, a stream's times increase strictly unless one repeats.
