@@ -31,6 +31,16 @@ passes an audit and stops replay. World state is rebuilt by replaying the
 block log at startup, which doubles as the safety check that state is a
 pure function of the log.
 
+A block line has one spelling, the one the ledger writes: `_core` joins a
+block's core from its fields and its transactions' canonical texts, for
+the writer and for replay alike. A line replay judges must be that core
+byte for byte, spelled from the fields its transactions decode to, or the
+log is corrupt at its height; so replay places each payload by the same
+arithmetic as the commit that wrote it (`_joined_spans`), and every
+committed report has its place in the log. A line that parses to the same
+block in another spelling, re-hashed by hand, still passes an audit, which
+neither decodes nor re-joins transactions.
+
 The walker reads the log in place: replay walks the bytes `AppendLog.read`
 returns, and an audit (`verify_chain`, `blocks`) walks a read-only map of
 the file. Lines are views of those bytes, never copies, so an audit's
@@ -87,10 +97,7 @@ log, as an audit does, and `GetEvent` answers with the base64 read from its
 place, as it was committed. `GetEvent` and a `GetRecent` entry out of every
 window read their place with `os.pread` under the lock all the same, as
 that is what keeps `close` from taking the descriptor from under them; a
-`GetRecent` entry is then decoded outside it, and not kept. A replayed line
-whose payloads are not where a canonical line spells them has no places;
-its reports' bytes are kept, as a window's are, for as long as the ledger
-is open.
+`GetRecent` entry is then decoded outside it, and not kept.
 
 Ingest runs in two steps, one batch at a time (`_ingest_lock`). `_prepare`
 runs without the ledger lock: it parses each envelope, looks up its
@@ -230,19 +237,25 @@ class LedgerBlock(NamedTuple):
     def encode(height: int, prev_hash: str, transactions: Iterable[str],
                committed_at: int) -> tuple[str, bytes]:
         """The block's hash and stored line, joined from its transactions'
-        canonical texts (`canonical.envelope_text`). `prev_hash` is a hex
-        digest, so no field of the core needs escaping here.
+        canonical texts (`canonical.envelope_text`).
 
         `block_hash` sorts before every core key, so splicing it in after the
         core's opening brace gives the canonical dump of the whole block.
         """
-        core = (f'{{"committed_at":"{canonical.format_millis(committed_at)}","height":{height},'
-                f'"prev_hash":"{prev_hash}","transactions":[{",".join(transactions)}]}}'
-                ).encode("utf-8")
+        core = _core(height, prev_hash, transactions, committed_at)
         block_hash = hashlib.sha256(core).hexdigest()
         with memoryview(core) as view:
             line = b"".join((_HASH_PREFIX, block_hash.encode("ascii"), b'",', view[1:], b"\n"))
         return block_hash, line
+
+
+def _core(height: int, prev_hash: str, texts: Iterable[str], committed_at: int) -> bytes:
+    """The hashed core of the block line the ledger writes at `height`,
+    joined from its transactions' canonical texts: the one spelling of a
+    block, which replay holds every line it judges to. `prev_hash` is a hex
+    digest, so no field of the core needs escaping here."""
+    return (f'{{"committed_at":"{canonical.format_millis(committed_at)}","height":{height},'
+            f'"prev_hash":"{prev_hash}","transactions":[{",".join(texts)}]}}').encode("utf-8")
 
 
 class Verdict(NamedTuple):
@@ -301,8 +314,7 @@ class StoredReport(NamedTuple):
     """A committed report as the ledger keeps it: one object holding atomic
     values only, so a report adds one object for the garbage collector to
     track. Its signed bytes stay in the block log, where its `payload_b64`
-    is the `length` bytes at `offset`; an offset of -1 means it has no
-    place, and the ledger keeps its bytes."""
+    is the `length` bytes at `offset`."""
 
     report_id: str
     height: int
@@ -349,14 +361,11 @@ class _IndexRecord(NamedTuple):
 
 
 class _Walked(NamedTuple):
-    """A block replay walked: the block, where its line ends in the log past
-    its newline, and the (offset, length) in its line of each transaction's
-    `payload_b64`, or None if they are not all spelled as in a canonical
-    line."""
+    """A block replay walked: the block and where its line ends in the log,
+    past its newline."""
 
     block: LedgerBlock
     end: int
-    spans: Optional[list[tuple[int, int]]]
 
 
 # The types of an index record's fields and of its report rows, checked as
@@ -436,8 +445,8 @@ class Ledger:
         # id (see `_insert_descending`).
         self._recent_by_device: dict[str, list[tuple[int, str]]] = defaultdict(list)
         self._recent_by_batch: dict[str, list[tuple[int, str]]] = defaultdict(list)
-        # Each report in a GetRecent window, and each that has no place in
-        # the log, with its signed bytes, as GetRecent serves it.
+        # Each report in a GetRecent window, with its signed bytes, as
+        # GetRecent serves it.
         self._kept: dict[str, SignedReport] = {}
         self._tip_hash = ZERO_HASH
         self._tip_committed_at = 0
@@ -450,10 +459,10 @@ class Ledger:
             self._log = AppendLog(self._blocks_path)
             opened.callback(self._log.close)
             # Where queries read the places of committed payloads.
-            self._reader = open(self._blocks_path, "rb", buffering=0)
+            self._reader = opened.enter_context(open(self._blocks_path, "rb", buffering=0))
+            if self._height < 0:
+                self._append_block((), genesis_at_ms)
             opened.pop_all()
-        if self._height < 0:
-            self._append_block((), genesis_at_ms)
 
     # -- persistence --------------------------------------------------------
 
@@ -475,9 +484,11 @@ class Ledger:
         vouches for from its record and judging the rest. A transaction
         whose payload does not decode makes the log corrupt; one that
         breaks a report rule was still committed, and is indexed like any
-        other. The index log is then cut back to the records used, and the
-        judged blocks' records are appended in one write. The GetRecent
-        lists are built last, with their windows."""
+        other. A judged line that is not what `_core` joins from its decoded
+        fields makes the log corrupt too, so its payloads lie where
+        `_joined_spans` places them. The index log is then cut back to the
+        records used, and the judged blocks' records are appended in one
+        write. The GetRecent lists are built last, with their windows."""
         raw = AppendLog.read(self._blocks_path)
         records = _index_records(self._index.records())
         used, judged = 0, []
@@ -500,11 +511,26 @@ class Ledger:
             except (MalformedEnvelope, ModelError) as exc:
                 raise CorruptLedger(f"block {block.height}: unreadable transaction: {exc}",
                                     block.height) from exc
-            stored = self._placed(block.height, reports, payloads, start, item.spans)
+            # Each transaction decoded, so its fields are strings and its
+            # base64 is as validated: the line must be the one they join to.
+            # A lone surrogate or a time before 1970 joins to none: no line
+            # the ledger writes holds either.
+            payloads_b64 = [tx["payload_b64"] for tx in block.transactions]
+            texts = [canonical.envelope_text(payload_b64, tx["signature_b64"], tx["signer"])
+                     for payload_b64, tx in zip(payloads_b64, block.transactions)]
+            try:
+                spelled = (_core(block.height, block.prev_hash, texts, block.committed_at)[1:]
+                           == raw[start + _CORE_START:item.end - 1])
+            except ValueError:
+                spelled = False
+            if not spelled:
+                raise CorruptLedger(f"block {block.height}: not spelled as the ledger writes it",
+                                    block.height)
+            spans = _joined_spans(block.height, texts, payloads_b64)
+            stored = self._placed(block.height, reports, start, spans)
             self._apply_block(block.height, block.block_hash, block.committed_at, stored)
-            if item.spans is not None:
-                judged.append(_index_text(block.height, block.block_hash, item.end,
-                                          block.committed_at, stored, item.spans))
+            judged.append(_index_text(block.height, block.block_hash, item.end,
+                                      block.committed_at, stored, spans))
             start = item.end
         self._build_recent(raw)
         if len(records) > self._height + 1:
@@ -525,20 +551,15 @@ class Ledger:
         except OSError as exc:
             logger.warning("index log not written from block %d on: %s", self._height, exc)
 
-    def _placed(self, height: int, reports: Sequence[JudgedReport], payloads: Sequence[bytes],
-                start: int, spans: Optional[Sequence[tuple[int, int]]]) -> list[StoredReport]:
+    @staticmethod
+    def _placed(height: int, reports: Sequence[JudgedReport], start: int,
+                spans: Sequence[tuple[int, int]]) -> list[StoredReport]:
         """The stored form of the reports of the block at `height`, whose
         line starts at `start` in the log and holds their payloads at
-        `spans` (`_joined_spans` at commit, `_payload_spans` on replay).
-        Without spans they have no place, and their bytes are kept."""
-        if spans is None:
-            self._kept.update((r.report_id, SignedReport(r.report_id, payload))
-                              for r, payload in zip(reports, payloads))
-            places: Iterable[tuple[int, int]] = itertools.repeat((-1, 0))
-        else:
-            places = [(start + offset, length) for offset, length in spans]
-        return [StoredReport(r.report_id, height, r.device_id, r.batch_no, r.created_at, *place)
-                for r, place in zip(reports, places)]
+        `spans`, as `_joined_spans` places them at commit and on replay."""
+        return [StoredReport(r.report_id, height, r.device_id, r.batch_no, r.created_at,
+                             start + offset, length)
+                for r, (offset, length) in zip(reports, spans)]
 
     def _apply_block(self, height: int, block_hash: str, committed_at: int,
                      stored: Iterable[StoredReport]) -> None:
@@ -583,13 +604,12 @@ class Ledger:
 
     def _left_window(self, entry: tuple[int, str]) -> None:
         """Drop the signed bytes of the report of `entry`, which has just
-        left a window, unless it has no place or is in a window still: a
-        list's window is its entries from its `RECENT_WINDOW`th last on."""
+        left a window, unless it is in a window still: a list's window is
+        its entries from its `RECENT_WINDOW`th last on."""
         report = self._reports[entry[1]]
         by_device = self._recent_by_device[report.device_id]
         by_batch = self._recent_by_batch[report.batch_no]
-        if report.offset >= 0 and not (
-                len(by_device) <= RECENT_WINDOW or entry <= by_device[-RECENT_WINDOW]
+        if not (len(by_device) <= RECENT_WINDOW or entry <= by_device[-RECENT_WINDOW]
                 or len(by_batch) <= RECENT_WINDOW or entry <= by_batch[-RECENT_WINDOW]):
             self._kept.pop(report.report_id, None)
 
@@ -597,14 +617,13 @@ class Ledger:
         """Append the block, make it the tip, index its reports, then append
         its index record."""
         height = self._height + 1
-        block_hash, line = LedgerBlock.encode(height, self._tip_hash,
-                                              (p.text for p in prepared), committed_at)
+        texts = [p.text for p in prepared]
+        block_hash, line = LedgerBlock.encode(height, self._tip_hash, texts, committed_at)
         start = self._log.size
         self._log.append(line)
         # Each payload's span, for both its place and its index row.
-        spans = _joined_spans(height, prepared)
-        stored = self._placed(height, [p.report for p in prepared],
-                              [p.payload for p in prepared], start, spans)
+        spans = _joined_spans(height, texts, [p.payload_b64 for p in prepared])
+        stored = self._placed(height, [p.report for p in prepared], start, spans)
         self._apply_block(height, block_hash, committed_at, stored)
         for report, item in zip(stored, prepared):
             self._insert_recent(report, item.payload)
@@ -757,10 +776,7 @@ class Ledger:
         """The base64 `report`'s payload was committed in: sliced from its
         place in `mapped`, the log's bytes, which needs no lock, or else
         read from its place with `pread`, under the lock, which `close`
-        takes. A report with no place is spelled from the bytes kept for
-        it: base64 has one accepted spelling (`SignedEnvelope.from_wire_obj`)."""
-        if report.offset < 0:
-            return base64.b64encode(self._kept[report.report_id].payload)
+        takes."""
         if mapped is None:
             return os.pread(self._reader.fileno(), report.length, report.offset)
         return mapped[report.offset:report.offset + report.length]
@@ -773,8 +789,10 @@ class Ledger:
     def blocks(self) -> list[LedgerBlock]:
         """The stored chain in commit order, each block checked as
         `verify_chain` checks it: hash, fields, height and link. Replay
-        checks more: it decodes each transaction, which this does not, so a
-        block whose transaction does not decode is returned all the same.
+        checks more: it decodes each transaction and holds the line to the
+        one spelling the ledger writes (`_core`), which this does not, so a
+        block whose transaction does not decode, or one re-hashed in another
+        spelling, is returned all the same.
         Like `verify_chain`, it walks without the lock and works after
         `close`."""
         with self._mapped_log() as raw:
@@ -881,7 +899,7 @@ def _walk_blocks(raw: bytes | mmap.mmap, index: Optional[Sequence[_IndexRecord]]
     With `index`, a line its record vouches for (`_vouches`) is not
     parsed: it yields the record, which places its payloads. From the
     first line that no record vouches for on, each line is walked as above
-    and yields a `_Walked`, with where its payloads lie for its own record.
+    and yields a `_Walked`, which replay judges.
     """
     prev_hash = ZERO_HASH
     height = start = 0
@@ -905,9 +923,7 @@ def _walk_blocks(raw: bytes | mmap.mmap, index: Optional[Sequence[_IndexRecord]]
             else:
                 vouching = False
                 block = _parse_block(view, start, end, height, prev_hash, block_hash)
-                yield block if index is None else _Walked(block, end + 1, _payload_spans(
-                    raw, start, end, [tx.get("payload_b64") if type(tx) is dict else None
-                                      for tx in block.transactions]))
+                yield block if index is None else _Walked(block, end + 1)
             prev_hash = block_hash
             height += 1
             start = end + 1
@@ -978,39 +994,18 @@ def _vouches(raw: bytes | mmap.mmap, start: int, end: int, height: int, prev_has
     return True
 
 
-def _joined_spans(height: int, prepared: Sequence[_Prepared]) -> list[tuple[int, int]]:
+def _joined_spans(height: int, texts: Sequence[str],
+                  payloads_b64: Sequence[str]) -> list[tuple[int, int]]:
     """The (offset, length) of each payload's base64 in the line that
-    `LedgerBlock.encode` joins at `height` from the prepared texts, as
-    `_payload_spans` would find them in it, known without a search: the
-    texts follow the core's head one comma apart, and each starts with
-    `{"payload_b64":"`. Offsets count bytes, and a signer's text may hold
-    more bytes than characters."""
+    `LedgerBlock.encode` joins at `height` from the transactions' texts,
+    known without a search: the texts follow the core's head one comma
+    apart, and each starts with `{"payload_b64":"`. Offsets count bytes,
+    and a signer's text may hold more bytes than characters."""
     spans = []
     at = _TRANSACTIONS_AT + len(str(height)) + 1 + len(_PAYLOAD_KEY)
-    for text, _, payload_b64, _ in prepared:
+    for text, payload_b64 in zip(texts, payloads_b64):
         spans.append((at, len(payload_b64)))
         at += (len(text) if text.isascii() else len(text.encode("utf-8"))) + 1
-    return spans
-
-
-def _payload_spans(raw: bytes, start: int, end: int,
-                   payloads_b64: Sequence[Any]) -> Optional[list[tuple[int, int]]]:
-    """The (offset, length) in the line `raw[start:end]` of each of its
-    transactions' `payload_b64`, in order, as an index record keeps them;
-    None if one is not a string, or is not where a canonical line spells
-    it: the value of the next `"payload_b64"` key."""
-    spans = []
-    at = start
-    for payload_b64 in payloads_b64:
-        if type(payload_b64) is not str:
-            return None
-        text = payload_b64.encode("utf-8")
-        at = raw.find(_PAYLOAD_KEY, at, end) + len(_PAYLOAD_KEY)
-        if at < len(_PAYLOAD_KEY) or not raw.startswith(text, at, end) or \
-                raw[at + len(text):at + len(text) + 1] != b'"':
-            return None
-        spans.append((at - start, len(text)))
-        at += len(text)
     return spans
 
 

@@ -8,6 +8,7 @@ import json
 import logging
 import mmap
 import random
+import re
 import sys
 import tempfile
 import threading
@@ -1072,7 +1073,25 @@ def test_add_events_answers_with_the_wire_bytes_of_its_verdicts(registered, node
     ]
 
 
-def test_the_payload_places_known_at_commit_are_where_a_search_finds_them(registered, node_key):
+def reference_payload_spans(raw, start, end, payloads_b64):
+    """The (offset, length) in the line `raw[start:end]` of each of its
+    transactions' `payload_b64`, found by a search of the line: the value of
+    the next `"payload_b64"` key. The oracle for the places the ledger
+    knows without a search."""
+    key = b'"payload_b64":"'
+    spans = []
+    at = start
+    for payload_b64 in payloads_b64:
+        text = payload_b64.encode("utf-8")
+        at = raw.index(key, at, end) + len(key)
+        assert raw.startswith(text + b'"', at, end)
+        spans.append((at - start, len(text)))
+        at += len(text)
+    return spans
+
+
+def test_the_payload_places_known_at_commit_are_where_a_search_finds_them(registered, node_key,
+                                                                          tmp_path, opened):
     # A signer beyond ASCII takes more bytes in the line than characters.
     snowman = KeyPair("nœud-☃", node_key.private_key)
     registered.register_device(identity_of(snowman))
@@ -1081,20 +1100,27 @@ def test_the_payload_places_known_at_commit_are_where_a_search_finds_them(regist
         registered.add_events([env_for(key, 10 * i + j)[0] for j, key in enumerate(keys)],
                               T0 + i)
     raw = registered._blocks_path.read_bytes()
-    index = CheckedLog(registered._blocks_path.with_name(ledger_module.INDEX_FILE))
-    records = ledger_module._index_records(index.records())
-    index.close()
-    start = 0
-    for block, record in zip(registered.blocks(), records, strict=True):
-        end = raw.index(b"\n", start)
-        payloads = [tx["payload_b64"] for tx in block.transactions]
-        searched = ledger_module._payload_spans(raw, start, end, payloads)
-        assert [tuple(row[4:]) for row in record.reports] == searched
-        stored = [registered._reports[report_id_of(SignedEnvelope.from_wire_obj(tx))]
-                  for tx in block.transactions]
-        assert [(s.offset - start, s.length) for s in stored] == searched
-        start = end + 1
-    assert registered.height == 12 and start == len(raw)
+    index_path = tmp_path / "ledger" / ledger_module.INDEX_FILE
+
+    def placed_as_searched(ledger):
+        index = CheckedLog(index_path)
+        records = ledger_module._index_records(index.records())
+        index.close()
+        start = 0
+        for block, record in zip(ledger.blocks(), records, strict=True):
+            end = raw.index(b"\n", start)
+            searched = reference_payload_spans(
+                raw, start, end, [tx["payload_b64"] for tx in block.transactions])
+            assert [tuple(row[4:]) for row in record.reports] == searched
+            stored = [ledger._reports[report_id_of(SignedEnvelope.from_wire_obj(tx))]
+                      for tx in block.transactions]
+            assert [(s.offset - start, s.length) for s in stored] == searched
+            start = end + 1
+        assert ledger.height == 12 and start == len(raw)
+
+    placed_as_searched(registered)            # at commit
+    index_path.unlink()
+    placed_as_searched(opened(tmp_path / "ledger"))   # on a replay that judges every line
 
 
 def _nested(report: EventReport, levels: int, where: str) -> bytes:
@@ -1200,6 +1226,17 @@ def test_failed_block_append_leaves_the_log_as_it_was(registered, node_key, tmp_
     assert reopened.height == 2
     assert reopened.verify_chain() is None
     assert reopened.world_state_bytes() == registered.world_state_bytes()
+
+
+def test_a_refused_genesis_append_leaves_no_file_open(tmp_path, fail_next_fsync, opened):
+    # The block log, the index log and the reader are closed as the error
+    # leaves the constructor; one left open fails the test as it is collected.
+    fail_next_fsync()
+    with pytest.raises(OSError, match="injected fsync failure"):
+        Ledger(tmp_path / "ledger", genesis_at_ms=T0)
+    gc.collect()
+    ledger = opened(tmp_path / "ledger", genesis_at_ms=T0)
+    assert ledger.height == 0 and ledger.verify_chain() is None
 
 
 def test_a_block_is_never_appended_behind_a_torn_one(registered, node_key, tmp_path,
@@ -1579,31 +1616,59 @@ def test_hot_and_cold_entries_are_answered_alike_live_and_reopened(node_key, oth
     assert set(live._kept) == set(reopened._kept) == windows(reports)
 
 
-def test_a_replayed_block_whose_payloads_have_no_place_keeps_their_bytes(
-        registered, node_key, tmp_path, opened):
-    envelopes, reports = zip(*(env_for(node_key, i) for i in range(15)))
-    registered.add_events(list(envelopes[:2]), T0)
-    registered.add_events(list(envelopes[2:5]), T0 + 1)
-    registered.close()
+def respelled(core: bytes, how: str) -> bytes:
+    """The core of a stored line, as the line holds it, edited as `how`
+    says: spelled another way that parses to the same block, or to the same
+    block with one more key or with a value the ledger never writes."""
+    if how == "spaces after colons":
+        return core.replace(b'":', b'": ')
+    if how == "committed before 1970":
+        return re.sub(rb'"committed_at":"[^"]*"', b'"committed_at":"1969-12-31T23:59:59.999Z"',
+                      core)
+    # The rest edit the first transaction.
+    tx = canonical.loads(b"{" + core)["transactions"][0]
+    text = canonical.envelope_text(tx["payload_b64"], tx["signature_b64"],
+                                   tx["signer"]).encode("utf-8")
+    if how == "keys reordered":
+        edited = json.dumps(dict(reversed(tx.items())), separators=(",", ":"),
+                            ensure_ascii=False).encode("utf-8")
+    elif how == "extra key":
+        edited = canonical.dumps({**tx, "trace": "x"})
+    elif how == "base64 digit escaped":
+        at = text.index(b"A")
+        assert at < text.index(b'","signature_b64"')      # in the payload's base64
+        edited = text[:at] + b"\\u0041" + text[at + 1:]
+    else:
+        escaped = {"signer escaped": b"\\u006eode-1", "signer a lone surrogate": b"\\ud800"}[how]
+        edited = text.replace(b'"signer":"node-1"', b'"signer":"%s"' % escaped)
+    assert edited != text
+    return core.replace(text, edited)
+
+
+@pytest.mark.parametrize("how", ["spaces after colons", "keys reordered", "extra key",
+                                 "base64 digit escaped", "signer escaped",
+                                 "signer a lone surrogate", "committed before 1970"])
+def test_a_replayed_line_the_ledger_would_not_write_is_refused(registered, node_key, tmp_path,
+                                                               how):
+    registered.add_events([env_for(node_key, i)[0] for i in range(2)], T0)
+    registered.add_events([env_for(node_key, i)[0] for i in range(2, 5)], T0 + 1)
     path = tmp_path / "ledger" / BLOCKS_FILE
     lines = path.read_bytes().split(b"\n")[:-1]
-    # The last block spelled with a space after each colon, and hashed
-    # again: the same block, but not where a canonical line spells it.
-    core = lines[-1][ledger_module._CORE_START:]
-    lines[-1] = rehashed(lines[-1][:ledger_module._CORE_START] + core.replace(b'":', b'": '))
+    # The last line edited and hashed again, so that only replay's check
+    # of its spelling can expose it.
+    head, core = lines[-1][:ledger_module._CORE_START], lines[-1][ledger_module._CORE_START:]
+    lines[-1] = rehashed(head + respelled(core, how))
     path.write_bytes(b"\n".join(lines) + b"\n")
-    reopened = opened(tmp_path / "ledger")
-    assert {rid for rid, s in reopened._reports.items() if s.offset < 0} == {
-        r.report_id for r in reports[2:5]}
-    # Ten newer reports push the placeless ones out of every window.
-    reopened.add_events(list(envelopes[5:]), T0 + 2)
-    for ledger in (reopened, opened(tmp_path / "ledger")):
-        assert [ledger.get_event_payload(r.report_id) for r in reports] == [
-            e.to_wire_obj()["payload_b64"] for e in envelopes]
-        assert [s.report for s in ledger.get_recent(limit=100)] == _brute_force_recent(
-            reports, None, None, 100)
-        assert ledger.all_reports() == sorted(reports, key=lambda r: r.report_id)
-        assert {r.report_id for r in reports[2:5]} <= set(ledger._kept)
+    # The audit neither decodes nor re-joins transactions, so it still
+    # answers intact for a line replay refuses (ROADMAP item 2(b)).
+    assert registered.verify_chain() is None
+    for keep_index in (True, False):
+        if not keep_index:
+            (tmp_path / "ledger" / INDEX).unlink()
+        with pytest.raises(CorruptLedger, match="block 2: not spelled as the ledger writes it"
+                           ) as caught:
+            Ledger(tmp_path / "ledger")
+        assert caught.value.height == 2
 
 
 def test_answering_get_recent_keeps_nothing_per_report(bench_shaped_history, opened):
@@ -1896,6 +1961,28 @@ def test_the_block_log_is_read_only_through_the_walker():
     }
 
 
+def test_a_block_line_is_spelled_and_placed_in_one_place():
+    # The writer and replay's check join a line through `_core`, and commit
+    # and replay place its payloads through `_joined_spans`: nothing else
+    # spells a block line or searches one for a payload.
+    callers: dict[str, set[str]] = defaultdict(set)
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Name) and child.id in ("_core", "_joined_spans"):
+                callers[child.id].add(".".join(scope))
+            visit(child, inner)
+
+    visit(ast.parse(Path(ledger_module.__file__).read_text("utf-8")), ())
+    assert callers == {
+        "_core": {"LedgerBlock.encode", "Ledger._replay_blocks"},
+        "_joined_spans": {"Ledger._append_block", "Ledger._replay_blocks"},
+    }
+
+
 # -- the index log ------------------------------------------------------------------
 
 
@@ -1963,6 +2050,54 @@ def test_an_open_judges_only_the_blocks_the_index_log_does_not_vouch_for(
     for cut in (1, 2, 5):
         index.write_bytes(b"".join(whole.splitlines(keepends=True)[:-cut]))
         assert reopened_judging() == 2 * cut
+
+
+@pytest.fixture(scope="module")
+def filler(node_key):
+    """98 signed one-reading reports, one per block, to commit before the
+    blocks a test is about so that these reach heights of three digits."""
+    return [sign(node_key, make_report(report_id=f"filler-{i:03d}", n_readings=1))
+            for i in range(98)]
+
+
+# A signer's characters in each of the ways canonical JSON spells them:
+# as themselves, escaped (`"`, `\`, the controls), in more than one UTF-8
+# byte, and beyond the BMP. No lone surrogate: it has no UTF-8 spelling, so
+# no registry, and no block, can hold one.
+SIGNERS = st.text(st.sampled_from('"\\\x00\x1f\x7f é☃\U0001F600\U0010FFFF')
+                  | st.characters(exclude_categories=("Cs",)), min_size=1, max_size=6)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_line_the_ledger_writes_reopens_without_its_index(node_key, filler, data):
+    names = data.draw(st.lists(SIGNERS, min_size=1, max_size=3, unique=True), "signers")
+    keys = [KeyPair(name, node_key.private_key) for name in names]
+    # Two blocks at least, at heights 1 and 2, 9 and 10, or 99 and 100 on.
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=4), "block sizes")
+    lead = data.draw(st.sampled_from([0, 8, 98]), "blocks before them")
+    with tempfile.TemporaryDirectory() as directory:
+        live = Ledger(directory, genesis_at_ms=T0)
+        for key in [node_key, *keys]:
+            live.register_device(identity_of(key))
+        for i in range(lead):
+            live.add_events([filler[i]], T0 + i)
+        serial = itertools.count()
+        for size in sizes:
+            batch = [sign(key, make_report(device=key.device_id, report_id=f"{key.device_id}"
+                                           f"-{next(serial)}", n_readings=2))
+                     for key in data.draw(st.lists(st.sampled_from(keys), min_size=size,
+                                                   max_size=size), "signed by")]
+            verdicts = live.add_events(batch, T0 + lead)
+            assert [v.status for v in verdicts] == ["committed"] * size
+        index = Path(directory) / INDEX
+        written = index.read_bytes()
+        index.unlink()
+        reopened = Ledger(directory)
+        assert reopened.world_state_bytes() == live.world_state_bytes()
+        reopened.close()
+        live.close()
+        assert index.read_bytes() == written
 
 
 def checked_lines(texts) -> bytes:
