@@ -23,13 +23,13 @@ front. One walker, `_walk_blocks`, checks every block: replay at startup,
 each stored line's own bytes, so any edited byte, whitespace included, is
 detected at exactly the height it damaged. Then it parses the line once,
 takes `height` only as a JSON integer and `transactions` only as an array,
-and checks the timestamp, the height and the `prev_hash` link, so a log
-that does not link does not open. A block costs that hash and that parse:
-it is built as a tuple, with no per-line copy. The walk does not decode
-transactions; replay does, so a block whose transaction does not decode
-passes an audit and stops replay. World state is rebuilt by replaying the
-block log at startup, which doubles as the safety check that state is a
-pure function of the log.
+and checks the timestamp, which is never before 1970, the height and the
+`prev_hash` link, so a log that does not link does not open. A block costs
+that hash and that parse: it is built as a tuple, with no per-line copy.
+The walk does not decode transactions; replay does, so a block whose
+transaction does not decode passes an audit and stops replay. World state
+is rebuilt by replaying the block log at startup, which doubles as the
+safety check that state is a pure function of the log.
 
 A block line has one spelling, the one the ledger writes: `_core` joins a
 block's core from its fields and its transactions' canonical texts, for
@@ -79,25 +79,28 @@ Memory holds an index, not reports. Each committed report is one
 `StoredReport` of atomic values: the block height, device, batch,
 `created_at` and the place of its `payload_b64` in the block log, an offset
 and a length, which is what its index record names. Its signed bytes stay
-in the log. The per-device and per-batch `GetRecent` lists hold
-`(-created_at, report_id)` pairs, kept oldest first so that a report newer
-than the rest, as an in-order commit is, is appended; a query reads them
-from the end. A commit inserts each report into its two lists; replay
-appends every report it applies and sorts each list once at the end. The
-newest `RECENT_WINDOW` reports of each list are its window, whose signed
-bytes the ledger keeps: `GetRecent`'s default `limit`, so a query with it
-reads nothing from the log. Replay decodes only the windows' payloads, and
-a commit keeps the bytes of a report that lands in a window and drops those
-of one it pushes out of both of its windows.
+in the log. The per-device and per-batch `GetRecent` lists hold an entry
+per report, `(-created_at, report_id)`, kept oldest first so that a report
+newer than the rest, as an in-order commit is, is appended; a query reads
+them from the end. The newest `RECENT_WINDOW` entries of each list are its
+window, and each of them carries the report's signed bytes as a third
+field, the `SignedReport` a query answers with: `GetRecent`'s default
+`limit`, so a query with it reads nothing from the log. A list is the one
+record of its window. A commit inserts each report into its two lists,
+carrying its bytes into the window it lands in, and strips the bytes off
+the entry it pushes out; replay appends every report it applies, sorts
+each list once at the end and attaches the bytes to its window, decoding
+each payload once, even one in two windows.
 
 Everything else is read from its place. Committed bytes never change and
 the log only grows, so reading a committed place is safe without the lock:
 `world_state_bytes` and `all_reports` read their places from a map of the
 log, as an audit does, and `GetEvent` answers with the base64 read from its
-place, as it was committed. `GetEvent` and a `GetRecent` entry out of every
-window read their place with `os.pread` under the lock all the same, as
-that is what keeps `close` from taking the descriptor from under them; a
-`GetRecent` entry is then decoded outside it, and not kept.
+place, as it was committed. `GetEvent` and a `GetRecent` entry out of the
+window of the list the query walks read their place with `os.pread` under
+the lock all the same, as that is what keeps `close` from taking the
+descriptor from under them; a `GetRecent` entry is then decoded outside
+it, and not kept.
 
 Ingest runs in two steps, one batch at a time (`_ingest_lock`). `_prepare`
 runs without the ledger lock: it parses each envelope, looks up its
@@ -442,12 +445,10 @@ class Ledger:
         self._reports: dict[str, StoredReport] = {}
         # GetRecent indexes: (-created_at, report_id) in descending order, so
         # read from the end they give newest first with ties broken by report
-        # id (see `_insert_descending`).
-        self._recent_by_device: dict[str, list[tuple[int, str]]] = defaultdict(list)
-        self._recent_by_batch: dict[str, list[tuple[int, str]]] = defaultdict(list)
-        # Each report in a GetRecent window, with its signed bytes, as
-        # GetRecent serves it.
-        self._kept: dict[str, SignedReport] = {}
+        # id (see `_insert_descending`). An entry in a list's last
+        # `RECENT_WINDOW` carries the report's `SignedReport` as a third field.
+        self._recent_by_device: dict[str, list[tuple]] = defaultdict(list)
+        self._recent_by_batch: dict[str, list[tuple]] = defaultdict(list)
         self._tip_hash = ZERO_HASH
         self._tip_committed_at = 0
         self._height = -1
@@ -513,8 +514,8 @@ class Ledger:
                                     block.height) from exc
             # Each transaction decoded, so its fields are strings and its
             # base64 is as validated: the line must be the one they join to.
-            # A lone surrogate or a time before 1970 joins to none: no line
-            # the ledger writes holds either.
+            # A lone surrogate joins to none: no line the ledger writes holds
+            # one.
             payloads_b64 = [tx["payload_b64"] for tx in block.transactions]
             texts = [canonical.envelope_text(payload_b64, tx["signature_b64"], tx["signer"])
                      for payload_b64, tx in zip(payloads_b64, block.transactions)]
@@ -573,45 +574,34 @@ class Ledger:
 
     def _build_recent(self, raw: bytes) -> None:
         """Fill the GetRecent lists with the replayed reports in the log
-        `raw`, sorting each list once, and keep the signed bytes of each
-        list's window."""
+        `raw`, sorting each list once, and attach the signed bytes to each
+        list's window, decoding a report in two windows once."""
         for report in self._reports.values():
             entry = (-report.created_at, report.report_id)
             self._recent_by_device[report.device_id].append(entry)
             self._recent_by_batch[report.batch_no].append(entry)
+        served: dict[str, SignedReport] = {}
         for entries in itertools.chain(self._recent_by_device.values(),
                                        self._recent_by_batch.values()):
             entries.sort(reverse=True)
-            for _, report_id in entries[-RECENT_WINDOW:]:
-                if report_id not in self._kept:
-                    self._kept[report_id] = SignedReport(report_id, base64.b64decode(
+            for at in range(max(len(entries) - RECENT_WINDOW, 0), len(entries)):
+                key, report_id = entries[at]
+                if report_id not in served:
+                    served[report_id] = SignedReport(report_id, base64.b64decode(
                         self._committed_b64(self._reports[report_id], raw), validate=True))
+                entries[at] = (key, report_id, served[report_id])
 
     def _insert_recent(self, report: StoredReport, payload: bytes) -> None:
-        """Insert a committed report into its GetRecent lists. Its signed
-        bytes are kept if it lands in a window, and a report it pushes out
-        of a window drops its bytes unless it is still in its other one."""
-        entry = (-report.created_at, report.report_id)
-        kept = False
+        """Insert a committed report into its GetRecent lists, carrying its
+        signed bytes. In each list, the one entry that is then newest out of
+        the window, the report's own or the one it pushed out, is stripped
+        of them."""
+        entry = (-report.created_at, report.report_id, SignedReport(report.report_id, payload))
         for entries in (self._recent_by_device[report.device_id],
                         self._recent_by_batch[report.batch_no]):
-            if _insert_descending(entries, entry) >= len(entries) - RECENT_WINDOW:
-                kept = True
-                if len(entries) > RECENT_WINDOW:
-                    self._left_window(entries[-RECENT_WINDOW - 1])
-        if kept:
-            self._kept[report.report_id] = SignedReport(report.report_id, payload)
-
-    def _left_window(self, entry: tuple[int, str]) -> None:
-        """Drop the signed bytes of the report of `entry`, which has just
-        left a window, unless it is in a window still: a list's window is
-        its entries from its `RECENT_WINDOW`th last on."""
-        report = self._reports[entry[1]]
-        by_device = self._recent_by_device[report.device_id]
-        by_batch = self._recent_by_batch[report.batch_no]
-        if not (len(by_device) <= RECENT_WINDOW or entry <= by_device[-RECENT_WINDOW]
-                or len(by_batch) <= RECENT_WINDOW or entry <= by_batch[-RECENT_WINDOW]):
-            self._kept.pop(report.report_id, None)
+            out = min(_insert_descending(entries, entry), len(entries) - RECENT_WINDOW - 1)
+            if out >= 0:
+                entries[out] = entries[out][:2]
 
     def _append_block(self, prepared: Sequence[_Prepared], committed_at: int) -> None:
         """Append the block, make it the tip, index its reports, then append
@@ -737,31 +727,32 @@ class Ledger:
     def get_recent(self, device_id: Optional[str] = None, batch_no: Optional[str] = None,
                    limit: int = RECENT_WINDOW) -> list[SignedReport]:
         """The newest `limit` stored reports matching both filters (None
-        matches any), newest first, ties broken by report id. A report in
-        a window is served from the bytes kept for it; any other is read
-        from its place and decoded, and its bytes are not kept."""
+        matches any), newest first, ties broken by report id. The shorter
+        of the filters' lists is walked, or every device's list without a
+        filter. An entry in its list's window is served from the bytes it
+        carries; any other is read from its place and decoded, and its
+        bytes are not kept."""
         if limit < 1:
             raise ValueError("limit must be >= 1")
         filters = [(device_id, self._recent_by_device), (batch_no, self._recent_by_batch)]
         if any(value is not None and not isinstance(value, str) for value, _ in filters):
             return []  # no report's id or batch is anything but a string
         with self._lock:
+            reports = self._reports
             indexes = [index.get(value, []) for value, index in filters if value is not None]
             if indexes:
-                entries: Iterable[tuple[int, str]] = reversed(min(indexes, key=len))
+                entries: Iterable[tuple] = reversed(min(indexes, key=len))
             else:
                 entries = heapq.merge(*map(reversed, self._recent_by_device.values()))
-            stored = (self._reports[report_id] for _, report_id in entries)
-            matches = (s for s in stored
-                       if (device_id is None or s.device_id == device_id)
-                       and (batch_no is None or s.batch_no == batch_no))
-            found = list(itertools.islice(matches, limit))
-            served = [self._kept.get(s.report_id) for s in found]
-            cold = [(at, self._committed_b64(found[at]))
-                    for at, kept in enumerate(served) if kept is None]
+            found = list(itertools.islice(
+                (entry for entry in entries
+                 if (device_id is None or reports[entry[1]].device_id == device_id)
+                 and (batch_no is None or reports[entry[1]].batch_no == batch_no)), limit))
+            cold = [(at, self._committed_b64(reports[entry[1]]))
+                    for at, entry in enumerate(found) if len(entry) == 2]
         for at, text in cold:
-            served[at] = SignedReport(found[at].report_id, base64.b64decode(text, validate=True))
-        return served
+            found[at] += (SignedReport(found[at][1], base64.b64decode(text, validate=True)),)
+        return [entry[2] for entry in found]
 
     def all_reports(self) -> list[EventReport]:
         """Every stored report, decoded, in report id order."""
@@ -892,7 +883,8 @@ def _walk_blocks(raw: bytes | mmap.mmap, index: Optional[Sequence[_IndexRecord]]
     (`canonical.loads_exact`); a line that is not UTF-8 or JSON, or that its
     object does not end, gets the answer and message of `canonical.loads`.
     Its `height` must be a JSON integer equal to its line number, its
-    `transactions` an array, its `committed_at` a canonical timestamp and
+    `transactions` an array, its `committed_at` a canonical timestamp no
+    earlier than 1970, as `canonical.format_millis` writes them all, and
     its `prev_hash` the previous block's hash. The first line that fails a
     check raises CorruptLedger carrying its height.
 
@@ -962,6 +954,8 @@ def _parse_block(view: memoryview, start: int, end: int, height: int, prev_hash:
         raise CorruptLedger(f"block {height} has height {stored_height}", height)
     if stored_prev != prev_hash:
         raise CorruptLedger(f"block {height} does not link to block {height - 1}", height)
+    if committed_at < 0:
+        raise CorruptLedger(f"block {height} is stamped before 1970", height)
     return LedgerBlock(height, prev_hash, tuple(transactions), committed_at, block_hash)
 
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import logging
 import mmap
+import os
 import random
 import re
 import sys
@@ -237,18 +238,46 @@ def _brute_force_recent(reports, device, batch, limit):
     )[:limit]
 
 
+def windows(reports) -> set[str]:
+    """The ids of the reports in some GetRecent window: the newest
+    `RECENT_WINDOW` of a device's reports or of a batch's."""
+    lists = {(r.device_id, None) for r in reports} | {(None, r.batch_no) for r in reports}
+    return {r.report_id for device, batch in lists
+            for r in _brute_force_recent(reports, device, batch, ledger_module.RECENT_WINDOW)}
+
+
+def held(ledger) -> set[str]:
+    """The ids of the reports whose signed bytes `ledger` holds, read off
+    its GetRecent lists, where only the last `RECENT_WINDOW` entries of a
+    list, or all of a shorter one, carry them, each the bytes of its own
+    report as committed."""
+    ids = set()
+    for lists in (ledger._recent_by_device, ledger._recent_by_batch):
+        for entries in lists.values():
+            window = max(len(entries) - ledger_module.RECENT_WINDOW, 0)
+            assert [len(entry) for entry in entries] == [2] * window + [3] * (len(entries) - window)
+            for _, report_id, signed in entries[window:]:
+                assert signed == (report_id, base64.b64decode(ledger.get_event_payload(report_id)))
+                ids.add(report_id)
+    return ids
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     specs=st.lists(
-        st.tuples(st.integers(0, 1), st.sampled_from(_ORACLE_BATCHES), st.integers(0, 4),
+        st.tuples(st.integers(0, 1), st.sampled_from(_ORACLE_BATCHES), st.integers(0, 9),
                   st.integers(0, 10_000)),
-        min_size=1, max_size=10, unique_by=lambda spec: spec[3],
+        min_size=3 * ledger_module.RECENT_WINDOW + 1, max_size=4 * ledger_module.RECENT_WINDOW,
+        unique_by=lambda spec: spec[3],
     ),
-    cuts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    cuts=st.lists(st.integers(1, 6), min_size=1, max_size=4),
 )
 def test_get_recent_matches_brute_force(node_key, other_key, specs, cuts):
     # created_at takes few values, so ties broken by report id are common;
-    # reports arrive out of created_at order over several blocks.
+    # reports arrive out of created_at order over several blocks, more than
+    # three windows' worth over two devices and three batches, so lists
+    # outgrow their windows and entries are pushed out of them. 1-2 s on a
+    # 2-vCPU machine.
     keys = (node_key, other_key)
     envelopes, reports = [], []
     for device, batch, created, serial in specs:
@@ -262,7 +291,8 @@ def test_get_recent_matches_brute_force(node_key, other_key, specs, cuts):
     queries = [(device, batch, limit)
                for device in (None, "node-1", "node-2", "ghost")
                for batch in (None,) + _ORACLE_BATCHES
-               for limit in (1, 2, 5, 100)]
+               for limit in (1, 5, ledger_module.RECENT_WINDOW, ledger_module.RECENT_WINDOW + 1,
+                             100)]
     with tempfile.TemporaryDirectory() as directory:
         ledger = Ledger(directory, genesis_at_ms=T0)
         for key in keys:
@@ -273,7 +303,9 @@ def test_get_recent_matches_brute_force(node_key, other_key, specs, cuts):
                 break
             ledger.add_events(envelopes[start:start + cut], T0 + start)
             start += cut
+            assert held(ledger) == windows(reports[:start])
         reopened = Ledger(directory)
+        assert held(reopened) == windows(reports)
         for device, batch, limit in queries:
             expected = _brute_force_recent(reports, device, batch, limit)
             for answering in (ledger, reopened):
@@ -1527,14 +1559,6 @@ def test_a_replayed_report_is_kept_as_an_index_record(bench_shaped_history, open
     assert tracked <= 2 * n, tracked / n
 
 
-def windows(reports) -> set[str]:
-    """The ids of the reports in some GetRecent window: the newest
-    `RECENT_WINDOW` of a device's reports or of a batch's."""
-    lists = {(r.device_id, None) for r in reports} | {(None, r.batch_no) for r in reports}
-    return {r.report_id for device, batch in lists
-            for r in _brute_force_recent(reports, device, batch, ledger_module.RECENT_WINDOW)}
-
-
 @pytest.fixture(scope="module")
 def window_history(node_key, other_key):
     """60 signed reports from two devices in three batches, each created
@@ -1573,7 +1597,7 @@ def test_an_open_decodes_only_the_payloads_of_the_windows(node_key, other_key, w
     assert sorted(by_payload[payload] for payload in decoded) == sorted(windows(reports))
     # Two device lists and three batch lists: at most a window's worth each.
     assert len(decoded) <= 5 * ledger_module.RECENT_WINDOW < len(reports)
-    assert set(reopened._kept) == windows(reports)
+    assert held(reopened) == windows(reports)
 
 
 def test_hot_and_cold_entries_are_answered_alike_live_and_reopened(node_key, other_key,
@@ -1594,9 +1618,9 @@ def test_hot_and_cold_entries_are_answered_alike_live_and_reopened(node_key, oth
         committed = reports[:start]
         # The windows follow every commit: a report pushed out of both of
         # its windows keeps nothing.
-        assert set(live._kept) == windows(committed)
+        assert held(live) == windows(committed)
     reopened = opened(tmp_path)
-    assert set(reopened._kept) == windows(reports)
+    assert held(reopened) == windows(reports)
     for ledger in (live, reopened):
         service = LedgerService(ledger, clock=lambda: T0)
         for request in requests:
@@ -1613,7 +1637,50 @@ def test_hot_and_cold_entries_are_answered_alike_live_and_reopened(node_key, oth
     assert reopened.all_reports() == live.all_reports() == sorted(reports,
                                                                    key=lambda r: r.report_id)
     # Answering kept nothing more.
-    assert set(live._kept) == set(reopened._kept) == windows(reports)
+    assert held(live) == held(reopened) == windows(reports)
+
+
+def test_a_default_get_recent_reads_nothing_from_the_log(node_key, other_key, window_history,
+                                                         tmp_path, monkeypatch, opened):
+    # Lists of 48 and 12 reports by device and of 20 by batch: a query with
+    # the default limit is answered from the window of the list it walks,
+    # live after every commit and after a reopen; one more entry is read
+    # from the log.
+    reports, envelopes, cuts = window_history
+    reads = []
+    pread = os.pread
+
+    def counted(fd, length, offset):
+        reads.append(offset)
+        return pread(fd, length, offset)
+
+    monkeypatch.setattr(os, "pread", counted)
+    filters = ([("node-1", None), ("node-2", None)]
+               + [(None, batch) for batch in _ORACLE_BATCHES] + [(None, None)])
+    window = ledger_module.RECENT_WINDOW
+
+    def answered(ledger, committed, device, batch, limit=window):
+        answer = ledger.get_recent(device_id=device, batch_no=batch, limit=limit)
+        expected = _brute_force_recent(committed, device, batch, limit)
+        return [s.report for s in answer] == expected
+
+    live = opened(tmp_path, genesis_at_ms=T0)
+    for key in (node_key, other_key):
+        live.register_device(identity_of(key))
+    start = 0
+    for k, cut in enumerate(cuts):
+        live.add_events(envelopes[start:start + cut], T0 + k)
+        start += cut
+        assert all(answered(live, reports[:start], *query) for query in filters)
+        assert reads == []
+    for ledger in (live, opened(tmp_path)):
+        for device, batch in filters:
+            assert answered(ledger, reports, device, batch)
+            assert reads == [], (device, batch)
+            if device or batch:
+                assert answered(ledger, reports, device, batch, window + 1)
+                assert len(reads) == 1, (device, batch)
+                reads.clear()
 
 
 def respelled(core: bytes, how: str) -> bytes:
@@ -1659,14 +1726,20 @@ def test_a_replayed_line_the_ledger_would_not_write_is_refused(registered, node_
     head, core = lines[-1][:ledger_module._CORE_START], lines[-1][ledger_module._CORE_START:]
     lines[-1] = rehashed(head + respelled(core, how))
     path.write_bytes(b"\n".join(lines) + b"\n")
-    # The audit neither decodes nor re-joins transactions, so it still
-    # answers intact for a line replay refuses (ROADMAP item 2(b)).
-    assert registered.verify_chain() is None
+    if how == "committed before 1970":
+        # The walk refuses a time the ledger never writes, so the audit
+        # and replay refuse the line alike.
+        assert registered.verify_chain() == 2
+        refusal = "block 2 is stamped before 1970"
+    else:
+        # The audit neither decodes nor re-joins transactions, so it still
+        # answers intact for a line replay refuses (ROADMAP item 2(b)).
+        assert registered.verify_chain() is None
+        refusal = "block 2: not spelled as the ledger writes it"
     for keep_index in (True, False):
         if not keep_index:
             (tmp_path / "ledger" / INDEX).unlink()
-        with pytest.raises(CorruptLedger, match="block 2: not spelled as the ledger writes it"
-                           ) as caught:
+        with pytest.raises(CorruptLedger, match=refusal) as caught:
             Ledger(tmp_path / "ledger")
         assert caught.value.height == 2
 
